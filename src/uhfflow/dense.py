@@ -5,8 +5,11 @@ matrix on a finite window of sites: clock/shift words per site, Kronecker
 products across the window, operator norms, generator matrices in the
 Weyl-string basis, exact semigroup evolution via the matrix exponential,
 Choi matrices, and Kraus decompositions of on-site states.  This module
-is the independent oracle the symbolic layer is tested against, so it
-deliberately shares no arithmetic with it beyond the label definitions.
+is the independent oracle the symbolic layer and the Weyl kernel
+(:mod:`uhfflow.kernel`) are tested against, so it shares no arithmetic
+with them beyond the label definitions and the choice of window members:
+generators are built from Kraus matrices by matrix products and
+Kronecker factors, and changed to the Weyl basis by trace projections.
 """
 
 from __future__ import annotations
@@ -17,11 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .algebra import AlgebraParams, LocalOperator, Site, WeylLabel, weyl_mul
 from .errors import SizeGuardError, StateError, WindowError
 
-# Entries-per-row guard for generator matrices in the window basis.
+# Largest window-basis dimension (N^(2n) for n sites) for which a dense
+# generator matrix is built.
 SUPEROP_DIM_GUARD = 10_000
 
 
@@ -185,13 +190,15 @@ class WindowSuperoperator:
 
     Column b holds the coefficients of L(U_b) over the deterministic basis
     order; this is the vectorization of the generator in the orthonormal
-    string basis of the window.
+    string basis of the window.  ``members`` are the window-local Kraus
+    members the generator was built from.
     """
 
     window: SiteWindow
     closure_mode: str
     basis: list[WeylLabel] = field(repr=False)
     matrix: np.ndarray = field(repr=False)
+    members: tuple[LocalOperator, ...] = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -202,12 +209,64 @@ class WindowSuperoperator:
         return {lab: i for i, lab in enumerate(self.basis)}
 
 
-def superoperator(lindbladian, win: SiteWindow, closure_mode: str = "interior") -> WindowSuperoperator:
-    """Generator matrix on the window; `lindbladian` supplies windowed_apply.
+def _colstack_generator(members, win: SiteWindow) -> np.ndarray:
+    """Generator sum_m m* X m - (1/2){m* m, X} on column-stacked vec(X).
 
-    ``interior`` keeps only fully contained translates (a genuine windowed
-    Lindbladian); ``clipped`` keeps every intersecting translate with its
-    Kraus factors clipped to the window.
+    With vec(A X B) = (B^T (x) A) vec(X), each member contributes
+    m^T (x) m* - (1/2)(1 (x) m* m) - (1/2)((m* m)^T (x) 1); the sum is
+    formed from sparse Kronecker factors and made dense once.
+    """
+    dh = win.dim
+    eye = scipy.sparse.identity(dh, dtype=complex, format="csr")
+    total = scipy.sparse.csr_matrix((dh * dh, dh * dh), dtype=complex)
+    for m in members:
+        M = scipy.sparse.csr_matrix(realize(m, win).matrix)
+        Md = M.conj().T.tocsr()
+        MdM = (Md @ M).tocsr()
+        total = total + scipy.sparse.kron(M.T, Md, format="csr") \
+            - 0.5 * scipy.sparse.kron(eye, MdM, format="csr") \
+            - 0.5 * scipy.sparse.kron(MdM.T, eye, format="csr")
+    return total.toarray()
+
+
+def _site_projections(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-site change between vec entries and word coefficients.
+
+    Rows of ``Q`` are indexed by the word digit a*N + b, columns by the
+    entry (i', i) of an N x N matrix X[i, i'] (column index first, as in
+    column stacking); Q X gives the coefficients tr(W* X)/N of the words
+    W = U^a V^b, and ``P`` = N Q* puts them back.
+    """
+    words = np.array([site_word(N, a, b) for a in range(N) for b in range(N)])
+    P = words.transpose(2, 1, 0).reshape(N * N, N * N)  # P[(i', i), d] = W_d[i, i']
+    return P.conj().T / N, P
+
+
+def _to_weyl_basis(colstack: np.ndarray, N: int, n: int) -> np.ndarray:
+    """Q^(x n) C P^(x n): the column-stacked generator in the Weyl basis.
+
+    vec(X) indexes X[i, i'] as (i'_1..i'_n, i_1..i_n); regrouping the axes
+    site by site as (i'_j, i_j) lets each site be projected on its own.
+    """
+    Q, P = _site_projections(N)
+    order = [ax for j in range(n) for ax in (j, n + j)]
+    T = colstack.reshape((N,) * (4 * n))
+    T = T.transpose(order + [2 * n + ax for ax in order]).reshape((N * N,) * (2 * n))
+    for j in range(n):
+        T = np.moveaxis(np.tensordot(Q, T, axes=([1], [j])), 0, j)
+        T = np.moveaxis(np.tensordot(T, P, axes=([n + j], [0])), -1, n + j)
+    return T.reshape(N ** (2 * n), N ** (2 * n))
+
+
+def superoperator(lindbladian, win: SiteWindow, closure_mode: str = "interior") -> WindowSuperoperator:
+    """Generator matrix on the window, built from Kraus matrices.
+
+    The window members (``lindbladian.window_members``: ``interior`` keeps
+    only fully contained translates, a genuine windowed Lindbladian;
+    ``clipped`` keeps every intersecting translate with its Kraus factors
+    clipped to the window) are realized as matrices, the column-stacked
+    generator is formed from them, and trace projections change it to
+    the Weyl basis.  No symbolic product or label arithmetic is involved.
     """
     if not win.sites:
         raise WindowError("window must be nonempty")
@@ -216,46 +275,46 @@ def superoperator(lindbladian, win: SiteWindow, closure_mode: str = "interior") 
         raise SizeGuardError(
             f"window basis has {dim} elements, above the guard {SUPEROP_DIM_GUARD}"
         )
-    basis = window_basis(win.params, win.sites)
-    index = {lab: i for i, lab in enumerate(basis)}
-    mat = np.zeros((dim, dim), dtype=complex)
-    for col, lab in enumerate(basis):
-        image = lindbladian.windowed_apply(
-            LocalOperator.weyl(win.params, lab), win.sites, closure_mode
-        )
-        for out_lab, c in image.items():
-            mat[index[out_lab], col] = c
-    return WindowSuperoperator(window=win, closure_mode=closure_mode, basis=basis, matrix=mat)
+    members = tuple(lindbladian.window_members(win.sites, closure_mode))
+    matrix = _to_weyl_basis(_colstack_generator(members, win), win.params.N, len(win.sites))
+    return WindowSuperoperator(window=win, closure_mode=closure_mode,
+                               basis=window_basis(win.params, win.sites), matrix=matrix,
+                               members=members)
 
 
-def expm_evolve(superop: WindowSuperoperator, t: float, x: LocalOperator) -> LocalOperator:
-    """e^{t L} x via the matrix exponential of the window generator."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+def expm_evolve(superop: WindowSuperoperator, t, x: LocalOperator):
+    """e^{t L} x via the matrix exponential of the window generator.
+
+    ``t`` is a time, or an ascending grid of times; a grid returns one
+    operator per time, stepping from each time to the next with one
+    Pade ``expm`` per distinct increment (increments are compared
+    exactly, so equal steps share one propagator).
+    """
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("time grid must be a nonempty 1-D array")
+    if times[0] < 0 or np.any(np.diff(times) < 0):
+        raise ValueError(f"times must be nonnegative and ascending, got {t}")
     vec = coefficient_vector(x, superop.index)
-    out = scipy.linalg.expm(t * superop.matrix) @ vec
-    terms = {lab: out[i] for i, lab in enumerate(superop.basis)}
-    return LocalOperator(superop.window.params, terms)
-
-
-def _basis_change(superop: WindowSuperoperator) -> np.ndarray:
-    """Columns: vec(realize(U_b)) for each basis label (column stacking)."""
-    dim = superop.window.dim
-    B = np.zeros((dim * dim, len(superop.basis)), dtype=complex)
-    for i, lab in enumerate(superop.basis):
-        M = realize(LocalOperator.weyl(superop.window.params, lab), superop.window).matrix
-        B[:, i] = M.reshape(-1, order="F")
-    return B
+    propagators: dict[float, np.ndarray] = {}
+    out = []
+    t_prev = 0.0
+    for t_i in times:
+        step = float(t_i) - t_prev
+        if step > 0:
+            if step not in propagators:
+                propagators[step] = scipy.linalg.expm(step * superop.matrix)
+            vec = propagators[step] @ vec
+        t_prev = float(t_i)
+        out.append(LocalOperator(superop.window.params,
+                                 {lab: vec[i] for i, lab in enumerate(superop.basis)}))
+    return out if np.ndim(t) else out[0]
 
 
 def choi_matrix(superop: WindowSuperoperator, t: float) -> np.ndarray:
     """Choi matrix of e^{t L} on the window, dim^2 x dim^2."""
     dim = superop.window.dim
-    # Change the generator to column-stacked matrix vectorization: the
-    # string basis is orthonormal for tr, so B* B = dim * I.
-    B = _basis_change(superop)
-    M = B @ superop.matrix @ B.conj().T / dim
-    E = scipy.linalg.expm(t * M)
+    E = scipy.linalg.expm(t * _colstack_generator(superop.members, superop.window))
     choi = np.zeros((dim * dim, dim * dim), dtype=complex)
     for i in range(dim):
         for j in range(dim):

@@ -54,9 +54,9 @@ from .algebra import (
     gns_inner,
     gns_norm,
     theta,
-    weyl_mul,
 )
 from .errors import SizeGuardError, WindowError
+from .kernel import WindowKernel
 
 DEFAULT_MAX_DIM = 4096
 MAX_PAIR_DIM = 70_000
@@ -266,34 +266,15 @@ class FlowGeneratorSystem:
         return all(arr.max() == 0.0 for arr in self.leak.values()) if self.leak else True
 
 
-def _map_to_matrix(params, basis, index, allowed, fn):
-    dim = len(basis)
-    rows, cols, vals = [], [], []
-    leak = np.zeros(dim)
-    for col, lab in enumerate(basis):
-        img = fn(LocalOperator.weyl(params, lab))
-        for out_lab, c in img.items():
-            if set(out_lab.support) <= allowed:
-                rows.append(index[out_lab])
-                cols.append(col)
-                vals.append(c)
-            else:
-                leak[col] += abs(c)
-    mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
-    return mat, leak
-
-
-def build_generator_system(L: "_lb.Lindbladian", window_sites, f: TestFunction | None = None,
-                           g: TestFunction | None = None,
+def build_generator_system(L: "_lb.Lindbladian", window_sites,
                            max_dim: int = DEFAULT_MAX_DIM) -> FlowGeneratorSystem:
     """Assemble delta / delta^dag / Lhat matrices over the window basis.
 
     One noise index per (translate, Kraus member) with nonzero action on
-    the window.  ``f`` and ``g`` are accepted for interface symmetry; the
-    noise set does not depend on them (vacuum modes still matter through
-    the Ito correction of the pair system).
+    the window.  The Weyl kernel builds each map as a sum of monomial
+    matrices; images that leave the window are kept out of the matrices
+    and counted in ``leak``.
     """
-    del f, g
     sites = tuple(tuple(s) for s in window_sites)
     if not sites:
         raise WindowError("window must be nonempty")
@@ -302,7 +283,7 @@ def build_generator_system(L: "_lb.Lindbladian", window_sites, f: TestFunction |
         raise SizeGuardError(f"window basis dimension {dim} exceeds guard {max_dim}")
     basis = dense.window_basis(L.params, sites)
     index = {lab: i for i, lab in enumerate(basis)}
-    allowed = set(sites)
+    kern = WindowKernel(L.params, sites)
 
     members = L.base_members()
     keys: list[ModeKey] = []
@@ -315,23 +296,19 @@ def build_generator_system(L: "_lb.Lindbladian", window_sites, f: TestFunction |
     keys.sort()
 
     delta_t, delta_dag_t, leak = {}, {}, {}
+    translated = []
     for key in keys:
         k, member_id = key
         m_k = members[member_id].translate(k)
-        m_k_adj = m_k.adjoint()
-        mat_d, leak_d = _map_to_matrix(
-            L.params, basis, index, allowed, lambda y: y * m_k - m_k * y
-        )
-        mat_dd, leak_dd = _map_to_matrix(
-            L.params, basis, index, allowed, lambda y: m_k_adj * y - y * m_k_adj
-        )
-        delta_t[key] = mat_d.transpose().tocsr()
+        translated.append(m_k)
+        # delta(y) = y m - m y = -[m, y]; delta^dag(y) = [m*, y].
+        mat_d, leak[("d", key)] = kern.bracket(m_k)
+        mat_dd, leak[("dd", key)] = kern.bracket(m_k.adjoint())
+        delta_t[key] = (-mat_d).transpose().tocsr()
         delta_dag_t[key] = mat_dd.transpose().tocsr()
-        leak[("d", key)] = leak_d
-        leak[("dd", key)] = leak_dd
 
-    lhat, leak_l = _map_to_matrix(L.params, basis, index, allowed, L.apply)
-    leak["lhat"] = leak_l
+    # Lhat = L.apply: every translate acting on the window, unclipped.
+    lhat, leak["lhat"] = kern.generator(translated)
 
     return FlowGeneratorSystem(
         lindbladian=L,
@@ -446,6 +423,21 @@ def _initial_vector(sys: FlowGeneratorSystem, u, v, f, g) -> np.ndarray:
     for i, lab in enumerate(sys.basis):
         F0[i] = gns_inner(u, LocalOperator.weyl(sys.params, lab) * v) * scale
     return F0
+
+
+def _initial_pair_vector(sys: FlowGeneratorSystem, F0: np.ndarray) -> np.ndarray:
+    """G0(a, b) = F0(U_a U_b) over all basis pairs, flattened row-major.
+
+    The complex product is spelled out so that every entry is rounded as
+    a scalar product is (numpy's array loop may fuse multiply and add).
+    """
+    kern = WindowKernel(sys.params, sys.sites)
+    phase, rows = kern.products()
+    root, val = kern.roots[phase].reshape(-1), F0[rows].reshape(-1)
+    G0 = np.empty(root.size, dtype=complex)
+    G0.real = root.real * val.real - root.imag * val.imag
+    G0.imag = root.real * val.imag + root.imag * val.real
+    return G0
 
 
 def _step(A, vec, dt, solver, substeps):
@@ -672,15 +664,15 @@ def _picard_propagate(sys, assembly, F0, grid, f, g, x, depth, sub, tol, scale):
             raise AssertionError("grid point missed the picard node lattice")
     F = G[idx]
 
-    t0 = float(grid[-1]) if grid[-1] > 0 else 1.0
-    certified = None
+    # The tail bound grows with t0, so quoting it at each grid time is a
+    # bound there; at t = 0 it vanishes.
+    n_cert = depth if depth is not None else sweeps
     try:
-        n_cert = depth if depth is not None else sweeps
-        certified = picard_tail_bound(x, g, t0, n_cert, sys.lindbladian)
+        base = np.array([picard_tail_bound(x, g, float(t), n_cert, sys.lindbladian)
+                         for t in grid])
     except ValueError:
-        certified = None
-    base = certified if certified is not None else increment
-    est = np.full(len(grid), tol + scale * (base if base is not None else 0.0))
+        base = np.full(len(grid), increment)
+    est = tol + scale * base
     # Leakage accrues exactly as in the ODE path.
     acc = 0.0
     bp_pairs = list(zip(bps[:-1], bps[1:]))
@@ -796,12 +788,7 @@ def pair_element(sys: FlowGeneratorSystem, pairs, u, f, v, g, t_grid,
                     raise WindowError("pair operand support outside window")
 
     F0 = _initial_vector(sys, u, v, f, g)
-    G0 = np.empty(n * n, dtype=complex)
-    for ia, la in enumerate(sys.basis):
-        base = ia * n
-        for ib, lb_ in enumerate(sys.basis):
-            phase, lab = weyl_mul(sys.params, la, lb_)
-            G0[base + ib] = sys.params.root(phase) * F0[sys.index[lab]]
+    G0 = _initial_pair_vector(sys, F0)
 
     scale = gns_norm(u) * math.exp(0.5 * f.l2_sq()) * gns_norm(v) * math.exp(0.5 * g.l2_sq())
     assembly = _PairAssembly(sys, f, g)

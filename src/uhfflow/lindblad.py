@@ -49,6 +49,7 @@ from .errors import (
     SizeGuardError,
     WindowError,
 )
+from .kernel import WindowKernel
 
 MAX_SERIES_TERMS = 500
 ENUM_GUARD = 200_000
@@ -267,6 +268,27 @@ class Lindbladian:
             terms[newlab] = terms.get(newlab, 0j) + c
         return LocalOperator(self.params, terms)
 
+    def window_members(self, sites, closure_mode: str = "interior") -> list[LocalOperator]:
+        """Kraus members of the windowed generator, translated and closed.
+
+        ``interior`` keeps the members of every translate whose Kraus
+        supports lie inside the window; ``clipped`` keeps every translate
+        meeting the window, with factors outside it replaced by the
+        identity.  The matrix assemblers read their members from here;
+        ``windowed_apply`` selects its translates on its own.
+        """
+        if closure_mode not in ("interior", "clipped"):
+            raise ValueError(f"unknown closure mode {closure_mode!r}")
+        allowed = {tuple(s) for s in sites}
+        base_supp = self.base_support()
+        out = []
+        for k in sorted({_site_sub(s, b) for s in allowed for b in base_supp}):
+            if {_site_add(b, k) for b in base_supp} <= allowed:
+                out += self.members_at(k)
+            elif closure_mode == "clipped":
+                out += [self._clip_factors(m, allowed) for m in self.members_at(k)]
+        return out
+
     def windowed_apply(self, x: LocalOperator, sites, closure_mode: str = "interior") -> LocalOperator:
         """Windowed generator action.
 
@@ -306,27 +328,33 @@ class Lindbladian:
         them.  Either way the l1 mass created per unit time on a label is
         bounded by 2 l1(member)^2 per affected (translate, member) pair
         (4 x for clipped, counting both the missing and the spurious part).
+        A pair is affected when the translated member leaves the window and
+        meets the label's support.  ``basis`` is the window basis of
+        ``sites`` in ``dense.window_basis`` order.
         """
-        allowed = {tuple(s) for s in sites}
+        sites = tuple(tuple(s) for s in sites)
+        kern = WindowKernel(self.params, sites)
+        if len(basis) != kern.dim:
+            raise WindowError(f"basis has {len(basis)} labels, the window basis {kern.dim}")
+        nonzero = kern.site_nonzero()
+        pos = {site: j for j, site in enumerate(sites)}
         factor = 2.0 if closure_mode == "interior" else 4.0
-        rates = np.zeros(len(basis))
-        members = self.base_members()
-        for idx, lab in enumerate(basis):
-            supp = set(lab.support)
-            if not supp:
+        rates = np.zeros(kern.dim)
+        for m in self.base_members():
+            msupp = m.support()
+            if not msupp:
                 continue
-            rate = 0.0
-            for m in members:
-                msupp = m.support()
-                if not msupp:
-                    continue
-                l1sq = m.l1() ** 2
-                ks = {_site_sub(s, b) for s in supp for b in msupp}
-                for k in ks:
-                    translated = {_site_add(b, k) for b in msupp}
-                    if not translated <= allowed:
-                        rate += factor * l1sq
-            rates[idx] = rate
+            hits = np.zeros(kern.dim, dtype=np.int64)
+            for k in {_site_sub(s, b) for s in pos for b in msupp}:
+                translated = {_site_add(b, k) for b in msupp}
+                if not translated <= pos.keys():
+                    cols = [pos[s] for s in translated if s in pos]
+                    hits += nonzero[:, cols].any(axis=1)
+            # One addition per affected pair, in member order: the same
+            # float sums as adding the rate pair by pair.
+            step = factor * m.l1() ** 2
+            for i in range(int(hits.max(initial=0))):
+                rates[hits > i] += step
         return rates
 
     def __repr__(self):
@@ -386,19 +414,15 @@ def _validate_grid(t_grid) -> np.ndarray:
 
 
 def generator_matrix(L: Lindbladian, sites, closure_mode: str = "interior"):
-    """Sparse window-basis matrix of the windowed generator plus its basis."""
+    """Sparse window-basis matrix of the windowed generator plus its basis.
+
+    Assembled by the Weyl kernel from the window members: a sum of
+    monomial matrices, one per pair of terms of each member.
+    """
     sites = tuple(tuple(s) for s in sites)
+    mat, _leak = WindowKernel(L.params, sites).generator(L.window_members(sites, closure_mode))
     basis = dense.window_basis(L.params, sites)
     index = {lab: i for i, lab in enumerate(basis)}
-    dim = len(basis)
-    rows, cols, vals = [], [], []
-    for col, lab in enumerate(basis):
-        image = L.windowed_apply(LocalOperator.weyl(L.params, lab), sites, closure_mode)
-        for out_lab, c in image.items():
-            rows.append(index[out_lab])
-            cols.append(col)
-            vals.append(c)
-    mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
     return mat, basis, index
 
 
@@ -447,7 +471,6 @@ def evolve(L: Lindbladian, x: LocalOperator, t_grid, method: str = "ode",
     mat, basis, index = generator_matrix(L, sites, closure_mode)
     rates = L.truncation_rates(basis, sites, closure_mode)
     x0 = dense.coefficient_vector(x, index)
-    t_end = float(grid[-1])
 
     if method == "series":
         values_vec, tail_at = _evolve_series(L, x, mat, x0, grid, tol)
@@ -612,6 +635,11 @@ def perturbed_ergodic_state(state, L: Lindbladian, c: float, x: LocalOperator,
         raise ValueError("the perturbing generator must be translation-covariant")
     pert = Lindbladian.perturbed(L.params, state, L.kraus, c)
     sites = default_window(pert, x)
+    dim = L.params.N ** (2 * len(sites))
+    if dim > dense.SUPEROP_DIM_GUARD:
+        raise SizeGuardError(
+            f"window basis has {dim} elements, above the dense guard {dense.SUPEROP_DIM_GUARD}"
+        )
     mat, basis, index = generator_matrix(pert, sites, "interior")
     phi_l_vec = np.array([
         ergodic_state(state, L.apply(LocalOperator.weyl(L.params, lab))) for lab in basis

@@ -120,6 +120,21 @@ class TestSuperoperator:
             sym_vec = dense.coefficient_vector(sym, sop.index)
             assert np.abs(image - sym_vec).max() < 1e-12
 
+    def test_built_without_symbolic_arithmetic(self, p2, monkeypatch):
+        sx = LocalOperator.site_word(p2, (0,), 1, 0)
+        r = sx * sx.translate((1,)) + LocalOperator.site_word(p2, (0,), 0, 1, 0.5)
+        L = Lindbladian.single_kraus(r)
+        win = dense.window(p2, [(0,), (1,), (3,)])
+        expected = dense.superoperator(L, win, "clipped").matrix
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("the oracle must not use symbolic products")
+
+        monkeypatch.setattr(LocalOperator, "__mul__", forbidden)
+        monkeypatch.setattr(Lindbladian, "windowed_apply", forbidden)
+        got = dense.superoperator(L, win, "clipped").matrix
+        assert np.array_equal(got, expected)
+
     def test_dim_guard(self, p2, partial_maxmix):
         big = dense.window(p2, [(i,) for i in range(8)])
         with pytest.raises(SizeGuardError):
@@ -146,6 +161,33 @@ class TestExpmEvolve:
         once = dense.expm_evolve(sop, 0.9, x)
         twice = dense.expm_evolve(sop, 0.5, dense.expm_evolve(sop, 0.4, x))
         assert once.sup_diff(twice) < 1e-10
+
+    def test_grid_matches_pointwise(self, p2, rng):
+        sx = LocalOperator.site_word(p2, (0,), 1, 0)
+        L = Lindbladian.single_kraus(sx * sx.translate((1,)) + sx * 0.5)
+        sop = dense.superoperator(L, dense.window(p2, [(0,), (1,), (2,)]), "clipped")
+        x = random_local(p2, rng, [(0,), (1,), (2,)])
+        grid = [0.0, 0.3, 0.7, 1.1, 1.5]
+        stepped = dense.expm_evolve(sop, grid, x)
+        assert len(stepped) == len(grid)
+        for t, got in zip(grid, stepped):
+            assert got.sup_diff(dense.expm_evolve(sop, t, x)) < 1e-12
+
+    def test_one_expm_per_distinct_step(self, p2, partial_maxmix, pauli, monkeypatch):
+        sop = dense.superoperator(partial_maxmix, dense.window(p2, [(0,)]))
+        calls = []
+        real = dense.scipy.linalg.expm
+        monkeypatch.setattr(dense.scipy.linalg, "expm", lambda A: calls.append(1) or real(A))
+        vals = dense.expm_evolve(sop, np.linspace(0.0, 1.0, 5), pauli[0])
+        assert len(calls) == 1
+        for t, got in zip(np.linspace(0.0, 1.0, 5), vals):
+            assert got.sup_diff(pauli[0] * np.exp(-t)) < 1e-13
+        assert isinstance(dense.expm_evolve(sop, 0.5, pauli[0]), LocalOperator)
+
+    def test_descending_grid(self, p2, partial_maxmix, pauli):
+        sop = dense.superoperator(partial_maxmix, dense.window(p2, [(0,)]))
+        with pytest.raises(ValueError):
+            dense.expm_evolve(sop, [0.5, 0.2], pauli[0])
 
     def test_negative_time(self, p2, partial_maxmix, pauli):
         sop = dense.superoperator(partial_maxmix, dense.window(p2, [(0,)]))

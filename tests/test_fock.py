@@ -241,6 +241,18 @@ class TestPicard:
         assert np.abs(a.of_operator(sz) - b.of_operator(sz)).max() < 1e-7
 
 
+    def test_picard_estimate_per_grid_point(self, p2, pauli):
+        sx, sz, _, one = pauli
+        L = lb.Lindbladian.single_kraus(sx, unital=True)
+        sys_ = fock.build_generator_system(L, [(0,)])
+        f = fock.TestFunction.build(0.25, 2, {((0,), 0): [0.5, 0.25]})
+        grid = np.linspace(0.0, 0.25, 5)
+        tol = 1e-10
+        b = fock.flow_element(sys_, sz, one, f, sz, f, grid, method="picard", tol=tol)
+        assert b.error_estimate[0] == tol
+        assert (np.diff(b.error_estimate) >= 0).all()
+
+
 class TestPairSystem:
     def test_initial_product_identity(self, eta_sys, p2, rng, driven_pair):
         f, g = driven_pair

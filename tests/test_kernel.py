@@ -1,0 +1,250 @@
+"""Weyl kernel window matrices against per-label symbolic references.
+
+The references below apply the symbolic generator (``windowed_apply``,
+``Lindbladian.apply``) or the structure maps to one basis label at a
+time, as the assemblers did before the kernel; the dense oracle is
+compared with both.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import uhfflow.dense as dense
+import uhfflow.fock as fock
+import uhfflow.lindblad as lb
+from uhfflow.algebra import AlgebraParams, LocalOperator, WeylLabel, random_local, weyl_mul
+from uhfflow.kernel import WindowKernel
+
+PROPERTY = settings(max_examples=12, deadline=None, derandomize=True, database=None)
+MAX_BASIS = 81  # per-label references cost about 1 ms per label
+
+
+@st.composite
+def windowed_generators(draw):
+    """(Lindbladian, window sites, closure mode) with a random Kraus family.
+
+    Windows are distinct sites drawn from a box, so they are often not
+    contiguous and not in lattice order; members have one to three terms
+    on the origin and a neighbour, sometimes with an identity term.
+    """
+    N = draw(st.sampled_from([2, 3, 4]))
+    d = draw(st.sampled_from([1, 2]))
+    params = AlgebraParams(N, d)
+    max_sites = max(n for n in range(1, 5) if N ** (2 * n) <= MAX_BASIS)
+    n_sites = draw(st.sampled_from(range(max_sites, 0, -1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    box = [tuple(int(c) - 2 for c in s) for s in np.ndindex(*(5,) * d)]
+    sites = [box[i] for i in rng.choice(len(box), size=n_sites, replace=False)]
+    origin = (0,) * d
+    axis = draw(st.integers(0, d - 1))
+    neighbour = tuple(int(c == axis) for c in range(d))
+    ops = []
+    for _ in range(draw(st.integers(1, 2))):
+        op = random_local(params, rng, [origin, neighbour], n_terms=draw(st.integers(1, 3)),
+                          include_identity=draw(st.booleans()))
+        ops.append(op * (1.0 / op.l1()))
+    L = lb.Lindbladian.translation_covariant(lb.KrausFamily(tuple(ops)))
+    return L, tuple(sites), draw(st.sampled_from(["interior", "clipped"]))
+
+
+def _case(N, text, sites, closure_mode):
+    L = lb.Lindbladian.single_kraus(LocalOperator.from_text(AlgebraParams(N, 1), text))
+    return L, tuple(sites), closure_mode
+
+
+def with_fixed_windows(test):
+    """Also run ``test`` on 1-D windows with gaps and out of lattice order."""
+    for case in (
+        _case(2, "0.5 0.2 ; 0:1,0 1:1,0\n-0.1 0.2 ; 0:0,1", [(2,), (-1,), (0,)], "clipped"),
+        _case(2, "0.5 0.2 ; 0:1,0 1:1,0\n-0.1 0.2 ; 0:0,1", [(0,), (1,), (3,)], "interior"),
+        _case(3, "0.4 -0.2 ; 0:1,0 1:2,0\n0.3 0.1 ; 1:2,1", [(0,), (2,)], "clipped"),
+        _case(3, "0.4 -0.2 ; 0:1,0 1:2,0\n0.3 0.1 ; 1:2,1", [(3,), (2,)], "interior"),
+    ):
+        test = example(case)(test)
+    return test
+
+
+def reference_generator(L, sites, closure_mode):
+    basis = dense.window_basis(L.params, sites)
+    index = {lab: i for i, lab in enumerate(basis)}
+    mat = np.zeros((len(basis), len(basis)), dtype=complex)
+    for col, lab in enumerate(basis):
+        image = L.windowed_apply(LocalOperator.weyl(L.params, lab), sites, closure_mode)
+        for out, c in image.items():
+            mat[index[out], col] = c
+    return mat
+
+
+def map_to_matrix(params, basis, index, allowed, fn):
+    """Per-label matrix and leak of ``fn``, as fock assembled them before the kernel."""
+    dim = len(basis)
+    rows, cols, vals = [], [], []
+    leak = np.zeros(dim)
+    for col, lab in enumerate(basis):
+        for out, c in fn(LocalOperator.weyl(params, lab)).items():
+            if set(out.support) <= allowed:
+                rows.append(index[out])
+                cols.append(col)
+                vals.append(c)
+            else:
+                leak[col] += abs(c)
+    mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
+    return mat, leak
+
+
+def reference_truncation_rates(L, basis, sites, closure_mode):
+    """The per-label loop truncation_rates ran before the kernel."""
+    allowed = {tuple(s) for s in sites}
+    factor = 2.0 if closure_mode == "interior" else 4.0
+    rates = np.zeros(len(basis))
+    for idx, lab in enumerate(basis):
+        supp = set(lab.support)
+        if not supp:
+            continue
+        rate = 0.0
+        for m in L.base_members():
+            msupp = m.support()
+            if not msupp:
+                continue
+            l1sq = m.l1() ** 2
+            ks = {tuple(a - b for a, b in zip(s, bb)) for s in supp for bb in msupp}
+            for k in ks:
+                translated = {tuple(a + b for a, b in zip(bb, k)) for bb in msupp}
+                if not translated <= allowed:
+                    rate += factor * l1sq
+        rates[idx] = rate
+    return rates
+
+
+class TestKernelBasis:
+    @pytest.mark.parametrize("N,sites", [
+        (2, [(0,), (1,), (2,)]),
+        (3, [(2,), (0,)]),
+        (2, [(0, 1), (3, -1)]),
+    ])
+    def test_digits_follow_window_basis(self, N, sites):
+        params = AlgebraParams(N, len(sites[0]))
+        kern = WindowKernel(params, sites)
+        basis = dense.window_basis(params, sites)
+        assert kern.dim == len(basis)
+        for i, lab in enumerate(basis):
+            a, b, outside = kern.split(lab)
+            assert outside.is_identity()
+            assert (a == kern.a[i]).all() and (b == kern.b[i]).all()
+
+    def test_products_follow_weyl_mul(self, p3):
+        sites = [(0,), (2,)]
+        kern = WindowKernel(p3, sites)
+        basis = dense.window_basis(p3, sites)
+        phase, rows = kern.products()
+        for i, g in enumerate(basis):
+            for k, h in enumerate(basis):
+                ph, lab = weyl_mul(p3, g, h)
+                assert phase[i, k] == ph and basis[rows[i, k]] == lab
+
+
+class TestEvolveWindowShapes:
+    """The two benchmark window shapes, against the per-label reference.
+
+    Every seventh column and the identity column are checked, to keep the
+    reference affordable at 729 labels.
+    """
+
+    @pytest.mark.parametrize("N,sites,kraus,closure", [
+        (2, [(0,), (1,), (2,), (3,), (4,)], ["0:1,0 1:1,0", "0:0,1"], "interior"),
+        (3, [(0,), (1,), (2,)], ["0:1,0 1:2,0", "0:0,1 1:0,2", "0:1,1", "1:2,1"], "clipped"),
+    ])
+    def test_pattern_and_identity_column(self, N, sites, kraus, closure, rng):
+        params = AlgebraParams(N, 1)
+        coeffs = rng.normal(size=len(kraus)) + 1j * rng.normal(size=len(kraus))
+        coeffs /= np.abs(coeffs).sum()  # unit l1, as the benchmark draws them
+        text = "\n".join(f"{c.real:.17g} {c.imag:.17g} ; {lab}" for c, lab in zip(coeffs, kraus))
+        L = lb.Lindbladian.single_kraus(LocalOperator.from_text(params, text))
+        mat, basis, index = lb.generator_matrix(L, sites, closure)
+        dense_mat = mat.toarray()
+        assert mat[:, index[WeylLabel.identity()]].nnz == 0
+        for col in range(0, len(basis), 7):
+            ref = np.zeros(len(basis), dtype=complex)
+            image = L.windowed_apply(LocalOperator.weyl(params, basis[col]), sites, closure)
+            for out, c in image.items():
+                ref[index[out]] = c
+            assert ((dense_mat[:, col] != 0) == (ref != 0)).all()
+            assert np.abs(dense_mat[:, col] - ref).max() <= 1e-14
+
+
+class TestKernelProperties:
+    @PROPERTY
+    @given(windowed_generators())
+    @with_fixed_windows
+    def test_generator_matrix_matches_windowed_apply(self, case):
+        L, sites, closure = case
+        mat, basis, index = lb.generator_matrix(L, sites, closure)
+        ref = reference_generator(L, sites, closure)
+        assert np.abs(mat.toarray() - ref).max() <= 1e-14
+        assert ((mat.toarray() != 0) == (ref != 0)).all()
+        assert mat[:, index[WeylLabel.identity()]].nnz == 0
+
+    @PROPERTY
+    @given(windowed_generators())
+    @with_fixed_windows
+    def test_flow_maps_match_per_label_maps(self, case):
+        L, sites, _closure = case
+        sys_ = fock.build_generator_system(L, sites)
+        allowed = set(sys_.sites)
+        members = L.base_members()
+        leaks = {}
+        for key in sys_.noise:
+            k, member_id = key
+            m = members[member_id].translate(k)
+            md = m.adjoint()
+            for tag, fn, got in (("d", lambda y: y * m - m * y, sys_.delta_t[key]),
+                                 ("dd", lambda y: md * y - y * md, sys_.delta_dag_t[key])):
+                mat, leaks[(tag, key)] = map_to_matrix(L.params, sys_.basis, sys_.index,
+                                                       allowed, fn)
+                assert np.abs((mat.T - got).toarray()).max() <= 1e-14
+        mat, leaks["lhat"] = map_to_matrix(L.params, sys_.basis, sys_.index, allowed, L.apply)
+        assert np.abs((mat.T - sys_.lhat_t).toarray()).max() <= 1e-14
+        assert leaks.keys() == sys_.leak.keys()
+        for key, leak in leaks.items():
+            assert np.abs(leak - sys_.leak[key]).max() <= 1e-14
+        reference = fock.FlowGeneratorSystem(L, sys_.sites, sys_.basis, sys_.index, sys_.noise,
+                                             sys_.delta_t, sys_.delta_dag_t, sys_.lhat_t, leaks)
+        assert reference.leak_free() == sys_.leak_free()
+
+    @PROPERTY
+    @given(windowed_generators())
+    @with_fixed_windows
+    def test_dense_oracle_matches_kernel_and_reference(self, case):
+        L, sites, closure = case
+        sop = dense.superoperator(L, dense.window(L.params, sites), closure)
+        mat, basis, _index = lb.generator_matrix(L, sites, closure)
+        assert sop.basis == basis
+        assert np.abs(sop.matrix - mat.toarray()).max() <= 1e-12
+        assert np.abs(sop.matrix - reference_generator(L, sites, closure)).max() <= 1e-12
+
+    @PROPERTY
+    @given(windowed_generators())
+    @with_fixed_windows
+    def test_truncation_rates_equal_the_loop(self, case):
+        L, sites, closure = case
+        basis = dense.window_basis(L.params, sites)
+        got = L.truncation_rates(basis, sites, closure)
+        assert np.array_equal(got, reference_truncation_rates(L, basis, sites, closure))
+
+
+class TestPairInitialVector:
+    @pytest.mark.parametrize("N,sites", [(2, [(0,), (1,)]), (3, [(0,), (2,)]), (4, [(1,)])])
+    def test_equals_loop_exactly(self, N, sites, rng):
+        params = AlgebraParams(N, 1)
+        L = lb.Lindbladian.single_kraus(LocalOperator.site_word(params, (0,), 1, 0))
+        sys_ = fock.build_generator_system(L, sites)
+        F0 = rng.normal(size=sys_.dim) + 1j * rng.normal(size=sys_.dim)
+        loop = np.empty(sys_.dim ** 2, dtype=complex)
+        for ia, la in enumerate(sys_.basis):
+            for ib, lb_ in enumerate(sys_.basis):
+                phase, lab = weyl_mul(params, la, lb_)
+                loop[ia * sys_.dim + ib] = params.root(phase) * F0[sys_.index[lab]]
+        assert np.array_equal(fock._initial_pair_vector(sys_, F0), loop)

@@ -12,7 +12,7 @@ from uhfflow.algebra import (
     random_local,
     seminorm_one,
 )
-from uhfflow.errors import FitError, WindowError
+from uhfflow.errors import FitError, SizeGuardError, WindowError
 
 
 @pytest.fixture
@@ -290,6 +290,22 @@ class TestPerturbedErgodicState:
         c = 0.1
         val, err = lb.perturbed_ergodic_state(biased, L_flip, c, pauli[1])
         assert abs(val - 0.4 / 1.2) < max(err, 1e-6)
+
+    def test_dense_guard_before_assembly(self, p3, monkeypatch):
+        # N=3 and a 2-site Kraus word: the default window has 5 sites and
+        # 59 049 labels, far above the dense guard.
+        r = LocalOperator.site_word(p3, (0,), 1, 0) * LocalOperator.site_word(p3, (1,), 0, 1)
+        L = lb.Lindbladian.single_kraus(r)
+        state = dense.StateSpec(np.diag([0.5, 0.3, 0.2]))
+        x = LocalOperator.site_word(p3, (0,), 1, 1)
+        assert len(lb.default_window(lb.Lindbladian.perturbed(p3, state, L.kraus, 0.5), x)) == 5
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("assembled past the guard")
+
+        monkeypatch.setattr(lb, "generator_matrix", forbidden)
+        with pytest.raises(SizeGuardError):
+            lb.perturbed_ergodic_state(state, L, 0.5, x)
 
     def test_invariance_under_flow(self, biased, L_flip, p2, pauli):
         c = 0.1
