@@ -129,6 +129,12 @@ class WeylLabel:
         )
         return WeylLabel(tuple(sorted(moved)))
 
+    def to_text(self) -> str:
+        """Space-separated ``site:alpha,beta`` entries; empty for the identity."""
+        return " ".join(
+            ",".join(str(v) for v in site) + f":{a},{b}" for site, (a, b) in self.entries
+        )
+
 
 def weyl_mul(params: AlgebraParams, g: WeylLabel, h: WeylLabel) -> tuple[int, WeylLabel]:
     """Exact product law: U_g U_h = omega**phase * U_label.
@@ -341,11 +347,7 @@ class LocalOperator:
     def to_text(self) -> str:
         lines = []
         for lab, c in self.items():
-            sites = " ".join(
-                ",".join(str(v) for v in site) + f":{a},{b}"
-                for site, (a, b) in lab.entries
-            )
-            lines.append(f"{c.real:.17g} {c.imag:.17g} ; {sites}".rstrip())
+            lines.append(f"{c.real:.17g} {c.imag:.17g} ; {lab.to_text()}".rstrip())
         return "\n".join(lines)
 
     @staticmethod

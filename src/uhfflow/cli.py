@@ -10,27 +10,21 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import dense, fock, lindblad
-from .algebra import LocalOperator
+from .algebra import LocalOperator, gns_inner, gns_norm, seminorm_one
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, UhfflowError
-from .selftest import Verdict, run_all
+from .selftest import Verdict, _ge, _le, run_all
 
 DEFAULT_OUT_ENV = "UHFFLOW_OUT"
-
-
-def _label_text(lab) -> str:
-    return " ".join(
-        ",".join(str(v) for v in site) + f":{a},{b}" for site, (a, b) in lab.entries
-    )
 
 
 def _write_trajectory_csv(path, grid, rows):
@@ -84,8 +78,6 @@ class RunReport:
 
 
 def _prepare_out(out: str | None) -> Path:
-    import os
-
     out_dir = Path(out or os.environ.get(DEFAULT_OUT_ENV, "uhfflow-out"))
     (out_dir / "results").mkdir(parents=True, exist_ok=True)
     return out_dir
@@ -108,10 +100,6 @@ def _run_guarded(fn):
         sys.exit(3)
 
 
-def _le(name, value, threshold, note="") -> Verdict:
-    return Verdict(name, value <= threshold, float(value), float(threshold), note)
-
-
 @click.group()
 def main():
     """Simulation and verification engine for lattice flow semigroups."""
@@ -121,7 +109,6 @@ def _common_options(fn):
     fn = click.option("--config", "config_path", required=True, type=click.Path(exists=True))(fn)
     fn = click.option("--out", "out", default=None, help="output directory")(fn)
     fn = click.option("--seed", "seed", default=None, type=int, help="override config seed")(fn)
-    fn = click.option("--jobs", "jobs", default=1, type=int, help="parallel sub-experiments")(fn)
     return fn
 
 
@@ -137,7 +124,7 @@ def _load(config_path, seed) -> ExperimentConfig:
 
 @main.command("evolve")
 @_common_options
-def cmd_evolve(config_path, out, seed, jobs):
+def cmd_evolve(config_path, out, seed):
     """Semigroup evolution with oracle and closed-form cross-checks."""
 
     def body():
@@ -147,39 +134,26 @@ def cmd_evolve(config_path, out, seed, jobs):
         L = cfg.generator
         one = LocalOperator.identity(cfg.params)
 
-        def run_one(item):
-            name, x = item
+        for name, x in sorted(cfg.observables.items()):
             window = cfg.window or lindblad.default_window(L, x)
             res = lindblad.evolve(L, x, cfg.t_grid, method=cfg.method,
                                   tol=cfg.tol, window=window, closure_mode=cfg.closure)
-            checks = []
+            path = out_dir / "results" / f"evolve_{name}.csv"
+            res.to_csv(path)
+            report.outputs.append(str(path))
             dim = cfg.params.N ** (2 * len(window))
             if dim <= dense.SUPEROP_DIM_GUARD:
                 sop = dense.superoperator(L, dense.window(cfg.params, window), cfg.closure)
                 oracle = dense.expm_evolve(sop, cfg.t_grid, x)
                 worst = max(val.sup_diff(ref) for val, ref in zip(res.values, oracle))
-                checks.append(_le(f"evolve.{name}.oracle", worst, max(cfg.tol * 10, 1e-9)))
+                report.add(_le(f"evolve.{name}.oracle", worst, max(cfg.tol * 10, 1e-9)))
             if L.kind == "partial":
                 worst = max(
                     res.values[i].sup_diff(lindblad.partial_semigroup_exact(L.state, x, t))
                     for i, t in enumerate(cfg.t_grid)
                 )
-                checks.append(_le(f"evolve.{name}.closed_form", worst, 1e-10 + res.error_budget.max()))
-            return name, res, checks
-
-        items = sorted(cfg.observables.items())
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(run_one, items))
-        else:
-            results = [run_one(it) for it in items]
-
-        for name, res, checks in results:
-            path = out_dir / "results" / f"evolve_{name}.csv"
-            res.to_csv(path)
-            report.outputs.append(str(path))
-            for v in checks:
-                report.add(v)
+                report.add(_le(f"evolve.{name}.closed_form", worst,
+                               1e-10 + res.error_budget.max()))
 
         window = cfg.window or lindblad.default_window(L, one)
         res1 = lindblad.evolve(L, one, cfg.t_grid, method=cfg.method,
@@ -196,7 +170,7 @@ def cmd_evolve(config_path, out, seed, jobs):
 
 @main.command("ergodicity")
 @_common_options
-def cmd_ergodicity(config_path, out, seed, jobs):
+def cmd_ergodicity(config_path, out, seed):
     """Decay tables, rate fits, ergodic and perturbed-ergodic states."""
 
     def body():
@@ -216,8 +190,6 @@ def cmd_ergodicity(config_path, out, seed, jobs):
                 lindblad.partial_semigroup_exact(state, x, t) - one * phi
                 for t in cfg.t_grid
             ]
-            from .algebra import gns_norm
-
             norms = np.array([gns_norm(d) for d in dev])
             mask = norms > 1e-14
             rate = r2 = float("nan")
@@ -236,8 +208,6 @@ def cmd_ergodicity(config_path, out, seed, jobs):
                     Lc = (lindblad.Lindbladian.partial_state(cfg.params, state) if cval == 0
                           else lindblad.Lindbladian.perturbed(cfg.params, state, cfg.kraus, cval))
                     res = lindblad.evolve(Lc, x, cfg.t_grid, method="ode", tol=min(cfg.tol, 1e-10))
-                    from .algebra import seminorm_one
-
                     vals = np.array([seminorm_one(vv) for vv in res.values])
                     mask = vals > 1e-14
                     if mask.sum() >= 4:
@@ -289,7 +259,7 @@ def cmd_ergodicity(config_path, out, seed, jobs):
 
 @main.command("flow")
 @_common_options
-def cmd_flow(config_path, out, seed, jobs):
+def cmd_flow(config_path, out, seed):
     """F/G trajectories with unitality, homomorphism, vacuum-reduction,
     contraction and covariance verdicts."""
 
@@ -333,8 +303,6 @@ def cmd_flow(config_path, out, seed, jobs):
             if vacuum:
                 res = lindblad.evolve(L, x, grid, method="ode", tol=min(cfg.tol, 1e-10),
                                       window=window, closure_mode="clipped")
-                from .algebra import gns_inner
-
                 target = np.array([
                     gns_inner(cfg.u, res.values[i] * cfg.v) for i in range(len(grid))
                 ])
@@ -374,15 +342,11 @@ def cmd_flow(config_path, out, seed, jobs):
                 rep = fock.contraction_check(sys_, x, family, float(t_contract), tol=cfg.tol)
                 report.add(_le(f"flow.contraction.{name}", rep.lhs,
                                rep.rhs + rep.error + 1e-9))
-                report.add(_ge_verdict(f"flow.contraction_positive.{name}", rep.lhs,
-                                       -(rep.error + 1e-9)))
+                report.add(_ge(f"flow.contraction_positive.{name}", rep.lhs,
+                               -(rep.error + 1e-9)))
         _finish(report, out_dir)
 
     _run_guarded(body)
-
-
-def _ge_verdict(name, value, threshold) -> Verdict:
-    return Verdict(name, value >= threshold, float(value), float(threshold))
 
 
 # -- lemma -------------------------------------------------------------------------
@@ -390,7 +354,7 @@ def _ge_verdict(name, value, threshold) -> Verdict:
 
 @main.command("lemma")
 @_common_options
-def cmd_lemma(config_path, out, seed, jobs):
+def cmd_lemma(config_path, out, seed):
     """Iterated-derivation identity and bound suites."""
 
     def body():

@@ -118,13 +118,6 @@ class DenseOperator:
     window: SiteWindow
     matrix: np.ndarray
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return bool(np.linalg.norm(self.matrix - self.matrix.conj().T) <= tol * self.window.dim)
-
-    def is_unitary(self, tol: float = 1e-12) -> bool:
-        eye = np.eye(self.window.dim)
-        return bool(np.linalg.norm(self.matrix @ self.matrix.conj().T - eye) <= tol * self.window.dim)
-
 
 def realize(x: LocalOperator, win: SiteWindow) -> DenseOperator:
     """Kronecker realization of x on the window (identity off-support)."""

@@ -67,35 +67,6 @@ ModeKey = tuple[Site, int]  # (lattice site of the translate, Kraus member id)
 # -- test functions -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StepFunction:
-    """Piecewise-constant complex function on [0, t_max), zero beyond."""
-
-    t_max: float
-    values: tuple[complex, ...]
-
-    def __post_init__(self):
-        if self.t_max <= 0 or not self.values:
-            raise ValueError("step function needs t_max > 0 and at least one cell")
-        object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
-
-    @property
-    def cells(self) -> int:
-        return len(self.values)
-
-    @property
-    def dt(self) -> float:
-        return self.t_max / self.cells
-
-    def value_at(self, t: float) -> complex:
-        if t < 0 or t >= self.t_max:
-            return 0j
-        return self.values[min(int(t / self.dt), self.cells - 1)]
-
-    def l2_sq(self) -> float:
-        return sum(abs(v) ** 2 for v in self.values) * self.dt
-
-
 def _norm_key(key, d: int) -> ModeKey:
     site, member = key
     site = tuple(int(c) for c in site)
@@ -266,8 +237,7 @@ class FlowGeneratorSystem:
         return all(arr.max() == 0.0 for arr in self.leak.values()) if self.leak else True
 
 
-def build_generator_system(L: "_lb.Lindbladian", window_sites,
-                           max_dim: int = DEFAULT_MAX_DIM) -> FlowGeneratorSystem:
+def build_generator_system(L: "_lb.Lindbladian", window_sites) -> FlowGeneratorSystem:
     """Assemble delta / delta^dag / Lhat matrices over the window basis.
 
     One noise index per (translate, Kraus member) with nonzero action on
@@ -279,8 +249,8 @@ def build_generator_system(L: "_lb.Lindbladian", window_sites,
     if not sites:
         raise WindowError("window must be nonempty")
     dim = L.params.N ** (2 * len(sites))
-    if dim > max_dim:
-        raise SizeGuardError(f"window basis dimension {dim} exceeds guard {max_dim}")
+    if dim > DEFAULT_MAX_DIM:
+        raise SizeGuardError(f"window basis dimension {dim} exceeds guard {DEFAULT_MAX_DIM}")
     basis = dense.window_basis(L.params, sites)
     index = {lab: i for i, lab in enumerate(basis)}
     kern = WindowKernel(L.params, sites)
@@ -374,15 +344,6 @@ class PairTrajectory:
 # -- shared solving machinery ----------------------------------------------------
 
 
-def _validate_grid(t_grid) -> np.ndarray:
-    grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("time grid must be a nonempty 1-D array")
-    if grid[0] < 0 or np.any(np.diff(grid) < 0):
-        raise ValueError("time grid must be nonnegative and ascending")
-    return grid
-
-
 def _harmonize(f: TestFunction | None, g: TestFunction | None) -> tuple[TestFunction, TestFunction]:
     f = f if f is not None else TestFunction.zero()
     g = g if g is not None else TestFunction.zero()
@@ -438,23 +399,6 @@ def _initial_pair_vector(sys: FlowGeneratorSystem, F0: np.ndarray) -> np.ndarray
     G0.real = root.real * val.real - root.imag * val.imag
     G0.imag = root.real * val.imag + root.imag * val.real
     return G0
-
-
-def _step(A, vec, dt, solver, substeps):
-    if dt <= 0:
-        return vec
-    if solver == "expm":
-        return expm_multiply(A * dt, vec)
-    if solver == "rk4":
-        h = dt / substeps
-        for _ in range(substeps):
-            k1 = A @ vec
-            k2 = A @ (vec + 0.5 * h * k1)
-            k3 = A @ (vec + 0.5 * h * k2)
-            k4 = A @ (vec + h * k3)
-            vec = vec + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return vec
-    raise ValueError(f"unknown solver {solver!r}")
 
 
 class _SingleAssembly:
@@ -551,7 +495,7 @@ class _PairAssembly:
         return rate
 
 
-def _propagate(assembly, F0, grid, f, solver, substeps, tol, scale):
+def _propagate(assembly, F0, grid, f, tol, scale):
     """Walk the breakpoints, recording vectors and leak budgets at grid points."""
     bps = _breakpoints(grid, f)
     grid_list = [float(t) for t in grid]
@@ -572,8 +516,7 @@ def _propagate(assembly, F0, grid, f, solver, substeps, tol, scale):
         if t_next <= t_cur:
             continue
         mid = 0.5 * (t_cur + t_next)
-        A = assembly.matrix(mid)
-        vec = _step(A, vec, t_next - t_cur, solver, substeps)
+        vec = expm_multiply(assembly.matrix(mid) * (t_next - t_cur), vec)
         acc_leak += assembly.leak_rate(mid) * (t_next - t_cur)
         t_cur = t_next
         record(t_cur)
@@ -584,17 +527,16 @@ def _propagate(assembly, F0, grid, f, solver, substeps, tol, scale):
 
 
 def flow_element(sys: FlowGeneratorSystem, x: LocalOperator, u, f, v, g, t_grid,
-                 method: str = "ode", solver: str = "expm", substeps: int = 16,
-                 tol: float = 1e-10, picard_depth: int | None = None,
+                 method: str = "ode", tol: float = 1e-10, picard_depth: int | None = None,
                  picard_sub: int = 64) -> MatrixElementTrajectory:
     """Solve F_t on the window basis; ``x`` fixes the support validation.
 
-    ``ode`` advances cell by cell (matrix exponential, or fixed-substep
-    RK4 when solver='rk4'); ``picard`` iterates the integral equation by
+    ``ode`` advances cell by cell by the action of the matrix exponential
+    (``expm_multiply``); ``picard`` iterates the integral equation by
     cumulative Simpson sweeps, certified by the iteration tail bound for
     single-operator families.
     """
-    grid = _validate_grid(t_grid)
+    grid = _lb._validate_grid(t_grid)
     f, g = _harmonize(f, g)
     if not set(x.support()) <= set(sys.sites):
         raise WindowError(f"observable support {x.support()} outside window {sys.sites}")
@@ -603,8 +545,8 @@ def flow_element(sys: FlowGeneratorSystem, x: LocalOperator, u, f, v, g, t_grid,
     assembly = _SingleAssembly(sys, f, g)
 
     if method == "ode":
-        F, est = _propagate(assembly, F0, grid, f, solver, substeps, tol, scale)
-        return MatrixElementTrajectory(grid, sys.basis, sys.index, F, est, f"ode/{solver}")
+        F, est = _propagate(assembly, F0, grid, f, tol, scale)
+        return MatrixElementTrajectory(grid, sys.basis, sys.index, F, est, "ode")
 
     if method == "picard":
         F, est = _picard_propagate(
@@ -773,10 +715,10 @@ def smallest_certified_depth(x: LocalOperator, f: TestFunction, t0: float,
 
 
 def pair_element(sys: FlowGeneratorSystem, pairs, u, f, v, g, t_grid,
-                 solver: str = "expm", substeps: int = 16, tol: float = 1e-10,
+                 tol: float = 1e-10,
                  f_trajectory: MatrixElementTrajectory | None = None) -> PairTrajectory:
     """Solve the doubled system G_t(U_a, U_b); check G(1, .) against F."""
-    grid = _validate_grid(t_grid)
+    grid = _lb._validate_grid(t_grid)
     f, g = _harmonize(f, g)
     n = sys.dim
     if n * n > MAX_PAIR_DIM:
@@ -792,15 +734,13 @@ def pair_element(sys: FlowGeneratorSystem, pairs, u, f, v, g, t_grid,
 
     scale = gns_norm(u) * math.exp(0.5 * f.l2_sq()) * gns_norm(v) * math.exp(0.5 * g.l2_sq())
     assembly = _PairAssembly(sys, f, g)
-    Gflat, est = _propagate(assembly, G0, grid, f, solver, substeps, tol, scale)
+    Gflat, est = _propagate(assembly, G0, grid, f, tol, scale)
     G = Gflat.reshape(len(grid), n, n)
 
     if f_trajectory is None or f_trajectory.grid.shape != grid.shape or \
             not np.allclose(f_trajectory.grid, grid):
         f_trajectory = flow_element(
-            sys, LocalOperator.identity(sys.params), u, f, v, g, grid,
-            solver=solver, substeps=substeps, tol=tol,
-        )
+            sys, LocalOperator.identity(sys.params), u, f, v, g, grid, tol=tol)
     id_row = sys.index[WeylLabel.identity()]
     violation = float(np.max(np.abs(G[:, id_row, :] - f_trajectory.F)))
     consistent = violation <= 10.0 * max(tol, float(np.max(f_trajectory.error_estimate)))
@@ -817,7 +757,7 @@ class HomomorphismReport(NamedTuple):
 def homomorphism_defect(sys: FlowGeneratorSystem, x, y, u, f, v, g, t_grid,
                         **solve_opts) -> HomomorphismReport:
     """max_t |F_t(xy) - G_t(x, y)| together with the propagated estimate."""
-    grid = _validate_grid(t_grid)
+    grid = _lb._validate_grid(t_grid)
     xy = x * y
     ftraj = flow_element(sys, xy, u, f, v, g, grid, **solve_opts)
     gtraj = pair_element(sys, [(x, y)], u, f, v, g, grid,
@@ -876,7 +816,7 @@ class CovarianceReport(NamedTuple):
 def covariance_check(L: "_lb.Lindbladian", window_sites, x, u, f, v, g, j, t_grid,
                      **solve_opts) -> CovarianceReport:
     """Shift invariance: F(x; u,f,v,g) vs the translated-by-(-j) problem."""
-    grid = _validate_grid(t_grid)
+    grid = _lb._validate_grid(t_grid)
     j = tuple(int(c) for c in j)
     neg = tuple(-c for c in j)
     sys_a = build_generator_system(L, window_sites)
@@ -921,7 +861,7 @@ def eta_product_flow(state, x: LocalOperator, u, f, v, g, t_grid, sites=None,
     every string factors over sites, so each triple is a product of
     independent single-site matrix elements.
     """
-    grid = _validate_grid(t_grid)
+    grid = _lb._validate_grid(t_grid)
     f, g = _harmonize(f, g)
     params = x.params
     if sites is None:
@@ -1014,7 +954,7 @@ class ErgodicityScan:
 def eta_ergodicity_scan(state, x: LocalOperator, u, f, v, g, t_grid,
                         **solve_opts) -> ErgodicityScan:
     """|F_t(x) - Phi(x) <u e(f), v e(g)>| and its fitted decay rate."""
-    grid = _validate_grid(t_grid)
+    grid = _lb._validate_grid(t_grid)
     f, g = _harmonize(f, g)
     traj = eta_product_flow(state, x, u, f, v, g, grid, **solve_opts)
     values = traj.F[:, 0]

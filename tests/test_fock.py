@@ -41,15 +41,6 @@ GRID = np.linspace(0.0, 2.0, 9)
 
 
 class TestTestFunctions:
-    def test_step_function_basics(self):
-        s = fock.StepFunction(1.0, (1.0, 2.0))
-        assert s.value_at(0.1) == 1.0
-        assert s.value_at(0.6) == 2.0
-        assert s.value_at(1.0) == 0.0  # zero beyond t_max
-        assert s.l2_sq() == pytest.approx(2.5)
-        with pytest.raises(ValueError):
-            fock.StepFunction(0.0, (1.0,))
-
     def test_gamma(self):
         f = fock.TestFunction.build(1.0, 4, {((0,), 0): [1, 1, 1, 1]})
         assert f.gamma(1.0) == pytest.approx(2.0)  # 1 + ||f||^2 = 2 on [0,1]
@@ -161,13 +152,6 @@ class TestFlowElement:
         bwd = fock.flow_element(eta_sys, x.adjoint(), v, g, u, f, GRID)
         assert np.abs(bwd.of_operator(x.adjoint())
                       - np.conj(fwd.of_operator(x))).max() < 1e-9
-
-    def test_rk4_matches_expm(self, eta_sys, p2, pauli, driven_pair):
-        f, g = driven_pair
-        sx, sz, _, one = pauli
-        a = fock.flow_element(eta_sys, sx, sx, f, sz, g, GRID, solver="expm")
-        b = fock.flow_element(eta_sys, sx, sx, f, sz, g, GRID, solver="rk4", substeps=32)
-        assert np.abs(a.of_operator(sx) - b.of_operator(sx)).max() < 1e-8
 
 
 class TestPicard:
@@ -453,12 +437,3 @@ class TestHpWitness:
     def test_zero_kraus(self, p2, pauli):
         sums = fock.hp_divergence_witness(LocalOperator.zero(p2), pauli[3], 3)
         assert sums == [0.0, 0.0, 0.0]
-
-
-class TestUniquenessSurrogate:
-    def test_two_ode_runs_agree(self, eta_sys, p2, pauli, driven_pair):
-        f, g = driven_pair
-        sx, sz, _, one = pauli
-        a = fock.flow_element(eta_sys, sx, sx, f, sz, g, GRID, solver="rk4", substeps=16)
-        b = fock.flow_element(eta_sys, sx, sx, f, sz, g, GRID, solver="rk4", substeps=32)
-        assert np.abs(a.of_operator(sx) - b.of_operator(sx)).max() < 1e-8

@@ -188,6 +188,21 @@ class TestEvolve:
             for i, t in enumerate(grid):
                 assert res.values[i].sup_diff(dense.expm_evolve(sop, t, x)) < 1e-9
 
+    @pytest.mark.parametrize("grid", [[0.0, 0.3, 0.3, 1.0], [0.5, 1.0], [0.0, 0.0]])
+    def test_ode_steps_from_zero(self, grid, p2, biased, rng):
+        # Repeated times, a grid starting past 0 and an all-zero grid: the
+        # ode path steps from t = 0 and skips zero increments.
+        L = lb.Lindbladian.partial_state(p2, biased)
+        sites = [(0,), (1,)]
+        x = random_local(p2, rng, sites, include_identity=True)
+        res = lb.evolve(L, x, grid, method="ode", window=sites)
+        oracle = dense.expm_evolve(dense.superoperator(L, dense.window(p2, sites)), grid, x)
+        for val, ref in zip(res.values, oracle, strict=True):
+            assert val.sup_diff(ref) < 1e-12
+        for i in range(len(grid) - 1):
+            if grid[i] == grid[i + 1]:
+                assert res.values[i].sup_diff(res.values[i + 1]) == 0.0
+
     def test_unitality(self, L_flip, p2):
         res = lb.evolve(L_flip, LocalOperator.identity(p2), [0.0, 1.0, 2.0],
                         window=[(0,)])
