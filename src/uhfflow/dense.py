@@ -275,6 +275,16 @@ def superoperator(lindbladian, win: SiteWindow, closure_mode: str = "interior") 
                                members=members)
 
 
+def validate_grid(t_grid) -> np.ndarray:
+    """The time grid as a float array; it must be nonempty, 1-D, nonnegative, ascending."""
+    grid = np.asarray(t_grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("time grid must be a nonempty 1-D array")
+    if grid[0] < 0 or np.any(np.diff(grid) < 0):
+        raise ValueError("time grid must be nonnegative and ascending")
+    return grid
+
+
 def expm_evolve(superop: WindowSuperoperator, t, x: LocalOperator):
     """e^{t L} x via the matrix exponential of the window generator.
 
@@ -283,11 +293,7 @@ def expm_evolve(superop: WindowSuperoperator, t, x: LocalOperator):
     Pade ``expm`` per distinct increment (increments are compared
     exactly, so equal steps share one propagator).
     """
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("time grid must be a nonempty 1-D array")
-    if times[0] < 0 or np.any(np.diff(times) < 0):
-        raise ValueError(f"times must be nonnegative and ascending, got {t}")
+    times = validate_grid(np.atleast_1d(t))
     vec = coefficient_vector(x, superop.index)
     propagators: dict[float, np.ndarray] = {}
     out = []

@@ -29,8 +29,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -117,11 +117,6 @@ class TestFunction:
         if cell is None:
             return 0j
         return self.mode_values(key)[cell]
-
-    def value_at(self, key: ModeKey, t: float) -> complex:
-        if t < 0 or t >= self.t_max:
-            return 0j
-        return self.cell_value(key, min(int(t / self.dt), self.cells - 1))
 
     def norm_sq_cell(self, cell: int) -> float:
         return sum(abs(vals[cell]) ** 2 for _k, vals in self.modes)
@@ -332,9 +327,6 @@ class PairTrajectory:
     consistent: bool
     consistency_violation: float
 
-    def of_labels(self, a: WeylLabel, b: WeylLabel) -> np.ndarray:
-        return self.G[:, self.index[a], self.index[b]]
-
     def of_pair(self, x: LocalOperator, y: LocalOperator) -> np.ndarray:
         cx = dense.coefficient_vector(x, self.index)
         cy = dense.coefficient_vector(y, self.index)
@@ -495,32 +487,23 @@ class _PairAssembly:
         return rate
 
 
+def _leak_accrual(assembly, bps: list[float]) -> dict[float, float]:
+    """Leak budget accrued from 0 to each breakpoint: sum of rate x length per piece."""
+    acc = {bps[0]: 0.0}
+    for a, b in zip(bps[:-1], bps[1:]):
+        acc[b] = acc[a] + assembly.leak_rate(0.5 * (a + b)) * (b - a)
+    return acc
+
+
 def _propagate(assembly, F0, grid, f, tol, scale):
-    """Walk the breakpoints, recording vectors and leak budgets at grid points."""
+    """Step across the breakpoints; vectors and leak budgets at the grid points."""
     bps = _breakpoints(grid, f)
-    grid_list = [float(t) for t in grid]
-    out = [None] * len(grid_list)
-    est = np.zeros(len(grid_list))
-    vec = F0.copy()
-    acc_leak = 0.0
-    t_cur = 0.0
-
-    def record(t):
-        for i, tg in enumerate(grid_list):
-            if tg == t and out[i] is None:
-                out[i] = vec.copy()
-                est[i] = tol + scale * acc_leak
-
-    record(0.0)
-    for t_next in bps:
-        if t_next <= t_cur:
-            continue
-        mid = 0.5 * (t_cur + t_next)
-        vec = expm_multiply(assembly.matrix(mid) * (t_next - t_cur), vec)
-        acc_leak += assembly.leak_rate(mid) * (t_next - t_cur)
-        t_cur = t_next
-        record(t_cur)
-    return np.array(out), est
+    states = {bps[0]: F0}
+    for a, b in zip(bps[:-1], bps[1:]):
+        states[b] = expm_multiply(assembly.matrix(0.5 * (a + b)) * (b - a), states[a])
+    leak = _leak_accrual(assembly, bps)
+    out = np.array([states[float(t)] for t in grid])
+    return out, np.array([tol + scale * leak[float(t)] for t in grid])
 
 
 # -- the flow front-ends -----------------------------------------------------------
@@ -536,7 +519,7 @@ def flow_element(sys: FlowGeneratorSystem, x: LocalOperator, u, f, v, g, t_grid,
     cumulative Simpson sweeps, certified by the iteration tail bound for
     single-operator families.
     """
-    grid = _lb._validate_grid(t_grid)
+    grid = dense.validate_grid(t_grid)
     f, g = _harmonize(f, g)
     if not set(x.support()) <= set(sys.sites):
         raise WindowError(f"observable support {x.support()} outside window {sys.sites}")
@@ -561,14 +544,10 @@ def _picard_propagate(sys, assembly, F0, grid, f, g, x, depth, sub, tol, scale):
     if sub % 2:
         sub += 1
     bps = _breakpoints(grid, f)
-    if bps[-1] < float(grid[-1]):
-        bps.append(float(grid[-1]))
     # Global node array; every breakpoint (hence every grid point) is a node.
     nodes = [0.0]
     pieces = []  # (start_idx, end_idx, h, A)
     for a, b in zip(bps[:-1], bps[1:]):
-        if b <= a:
-            continue
         start = len(nodes) - 1
         seg = np.linspace(a, b, sub + 1)
         nodes.extend(seg[1:].tolist())
@@ -616,14 +595,8 @@ def _picard_propagate(sys, assembly, F0, grid, f, g, x, depth, sub, tol, scale):
         base = np.full(len(grid), increment)
     est = tol + scale * base
     # Leakage accrues exactly as in the ODE path.
-    acc = 0.0
-    bp_pairs = list(zip(bps[:-1], bps[1:]))
-    for i, t in enumerate(grid):
-        acc = 0.0
-        for a, b in bp_pairs:
-            if b <= t + 1e-15:
-                acc += assembly.leak_rate(0.5 * (a + b)) * (b - a)
-        est[i] += scale * acc
+    leak = _leak_accrual(assembly, bps)
+    est += scale * np.array([leak[float(t)] for t in grid])
     return F, est
 
 
@@ -718,7 +691,7 @@ def pair_element(sys: FlowGeneratorSystem, pairs, u, f, v, g, t_grid,
                  tol: float = 1e-10,
                  f_trajectory: MatrixElementTrajectory | None = None) -> PairTrajectory:
     """Solve the doubled system G_t(U_a, U_b); check G(1, .) against F."""
-    grid = _lb._validate_grid(t_grid)
+    grid = dense.validate_grid(t_grid)
     f, g = _harmonize(f, g)
     n = sys.dim
     if n * n > MAX_PAIR_DIM:
@@ -757,7 +730,7 @@ class HomomorphismReport(NamedTuple):
 def homomorphism_defect(sys: FlowGeneratorSystem, x, y, u, f, v, g, t_grid,
                         **solve_opts) -> HomomorphismReport:
     """max_t |F_t(xy) - G_t(x, y)| together with the propagated estimate."""
-    grid = _lb._validate_grid(t_grid)
+    grid = dense.validate_grid(t_grid)
     xy = x * y
     ftraj = flow_element(sys, xy, u, f, v, g, grid, **solve_opts)
     gtraj = pair_element(sys, [(x, y)], u, f, v, g, grid,
@@ -816,7 +789,7 @@ class CovarianceReport(NamedTuple):
 def covariance_check(L: "_lb.Lindbladian", window_sites, x, u, f, v, g, j, t_grid,
                      **solve_opts) -> CovarianceReport:
     """Shift invariance: F(x; u,f,v,g) vs the translated-by-(-j) problem."""
-    grid = _lb._validate_grid(t_grid)
+    grid = dense.validate_grid(t_grid)
     j = tuple(int(c) for c in j)
     neg = tuple(-c for c in j)
     sys_a = build_generator_system(L, window_sites)
@@ -861,7 +834,7 @@ def eta_product_flow(state, x: LocalOperator, u, f, v, g, t_grid, sites=None,
     every string factors over sites, so each triple is a product of
     independent single-site matrix elements.
     """
-    grid = _lb._validate_grid(t_grid)
+    grid = dense.validate_grid(t_grid)
     f, g = _harmonize(f, g)
     params = x.params
     if sites is None:
@@ -954,7 +927,7 @@ class ErgodicityScan:
 def eta_ergodicity_scan(state, x: LocalOperator, u, f, v, g, t_grid,
                         **solve_opts) -> ErgodicityScan:
     """|F_t(x) - Phi(x) <u e(f), v e(g)>| and its fitted decay rate."""
-    grid = _lb._validate_grid(t_grid)
+    grid = dense.validate_grid(t_grid)
     f, g = _harmonize(f, g)
     traj = eta_product_flow(state, x, u, f, v, g, grid, **solve_opts)
     values = traj.F[:, 0]

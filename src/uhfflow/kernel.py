@@ -15,6 +15,13 @@ products of digit arrays.  Strings may reach outside the window; their
 outside part commutes with every window string and is carried along as a
 separate label, so output labels that leave the window are recorded as
 leaked coefficient mass and no larger index space is ever built.
+
+The column l1 mass of a matrix plus its leak is the exact l1 norm of the
+map's image of each basis string.  That one quantity prices every window
+cut: ``fock`` budgets the leak of its structure maps, and
+:func:`uhfflow.lindblad.generator_matrix` takes the mass of the edge
+translates' generator (minus their clipped members' for the clipped
+closure) as the per-string edge rate of ``evolve``'s error budget.
 """
 
 from __future__ import annotations
@@ -78,10 +85,6 @@ class WindowKernel:
         sa, sb, _ = self.split(s)
         N = self.params.N
         return (((self.a + sa) % N * N + (self.b + sb) % N) * self.place).sum(axis=1)
-
-    def site_nonzero(self) -> np.ndarray:
-        """(dim, n) mask: basis string i acts nontrivially at window site j."""
-        return (self.a != 0) | (self.b != 0)
 
     def products(self) -> tuple[np.ndarray, np.ndarray]:
         """Phase and index tables of U_i U_k = omega**phase[i, k] U_{rows[i, k]}."""

@@ -23,8 +23,8 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.integrate
@@ -79,12 +79,6 @@ class KrausFamily:
     @property
     def params(self) -> AlgebraParams:
         return self.ops[0].params
-
-    def support_union(self) -> tuple[Site, ...]:
-        sites: set[Site] = set()
-        for op in self.ops:
-            sites.update(op.support())
-        return tuple(sorted(sites))
 
 
 def _site_add(s: Site, k: Site) -> Site:
@@ -268,26 +262,36 @@ class Lindbladian:
             terms[newlab] = terms.get(newlab, 0j) + c
         return LocalOperator(self.params, terms)
 
-    def window_members(self, sites, closure_mode: str = "interior") -> list[LocalOperator]:
-        """Kraus members of the windowed generator, translated and closed.
+    def window_translates(self, sites) -> list[tuple[LocalOperator, bool]]:
+        """Members of every translate meeting the window, in translate order.
 
-        ``interior`` keeps the members of every translate whose Kraus
-        supports lie inside the window; ``clipped`` keeps every translate
-        meeting the window, with factors outside it replaced by the
-        identity.  The matrix assemblers read their members from here;
-        ``windowed_apply`` selects its translates on its own.
+        Each member comes with a flag: True when its translate is inside
+        (all Kraus supports in the window), False on the edge.  Members are
+        unclipped; every translate not listed acts as 0 on the window.
         """
-        if closure_mode not in ("interior", "clipped"):
-            raise ValueError(f"unknown closure mode {closure_mode!r}")
         allowed = {tuple(s) for s in sites}
         base_supp = self.base_support()
         out = []
         for k in sorted({_site_sub(s, b) for s in allowed for b in base_supp}):
-            if {_site_add(b, k) for b in base_supp} <= allowed:
-                out += self.members_at(k)
-            elif closure_mode == "clipped":
-                out += [self._clip_factors(m, allowed) for m in self.members_at(k)]
+            inside = {_site_add(b, k) for b in base_supp} <= allowed
+            out += [(m, inside) for m in self.members_at(k)]
         return out
+
+    def window_members(self, sites, closure_mode: str = "interior") -> list[LocalOperator]:
+        """Kraus members of the windowed generator, translated and closed.
+
+        ``interior`` keeps the members of every inside translate;
+        ``clipped`` keeps the edge translates too, with factors outside the
+        window replaced by the identity.  The matrix assemblers read their
+        members from here; ``windowed_apply`` selects its translates on its
+        own.
+        """
+        if closure_mode not in ("interior", "clipped"):
+            raise ValueError(f"unknown closure mode {closure_mode!r}")
+        allowed = {tuple(s) for s in sites}
+        return [m if inside else self._clip_factors(m, allowed)
+                for m, inside in self.window_translates(sites)
+                if inside or closure_mode == "clipped"]
 
     def windowed_apply(self, x: LocalOperator, sites, closure_mode: str = "interior") -> LocalOperator:
         """Windowed generator action.
@@ -320,42 +324,6 @@ class Lindbladian:
             else:
                 raise ValueError(f"unknown closure mode {closure_mode!r}")
         return out
-
-    def truncation_rates(self, basis: Sequence[WeylLabel], sites, closure_mode: str) -> np.ndarray:
-        """First-order error rate per basis label for the windowed action.
-
-        ``interior`` omits edge translates entirely; ``clipped`` distorts
-        them.  Either way the l1 mass created per unit time on a label is
-        bounded by 2 l1(member)^2 per affected (translate, member) pair
-        (4 x for clipped, counting both the missing and the spurious part).
-        A pair is affected when the translated member leaves the window and
-        meets the label's support.  ``basis`` is the window basis of
-        ``sites`` in ``dense.window_basis`` order.
-        """
-        sites = tuple(tuple(s) for s in sites)
-        kern = WindowKernel(self.params, sites)
-        if len(basis) != kern.dim:
-            raise WindowError(f"basis has {len(basis)} labels, the window basis {kern.dim}")
-        nonzero = kern.site_nonzero()
-        pos = {site: j for j, site in enumerate(sites)}
-        factor = 2.0 if closure_mode == "interior" else 4.0
-        rates = np.zeros(kern.dim)
-        for m in self.base_members():
-            msupp = m.support()
-            if not msupp:
-                continue
-            hits = np.zeros(kern.dim, dtype=np.int64)
-            for k in {_site_sub(s, b) for s in pos for b in msupp}:
-                translated = {_site_add(b, k) for b in msupp}
-                if not translated <= pos.keys():
-                    cols = [pos[s] for s in translated if s in pos]
-                    hits += nonzero[:, cols].any(axis=1)
-            # One addition per affected pair, in member order: the same
-            # float sums as adding the rate pair by pair.
-            step = factor * m.l1() ** 2
-            for i in range(int(hits.max(initial=0))):
-                rates[hits > i] += step
-        return rates
 
     def __repr__(self):
         return f"Lindbladian(kind={self.kind!r}, members={len(self.base_members())}, c={self.c})"
@@ -399,26 +367,31 @@ def default_window(L: Lindbladian, x: LocalOperator, pad_factor: int = 2) -> tup
     return tuple(itertools.product(*ranges))
 
 
-def _validate_grid(t_grid) -> np.ndarray:
-    grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("time grid must be a nonempty 1-D array")
-    if grid[0] < 0 or np.any(np.diff(grid) < 0):
-        raise ValueError("time grid must be nonnegative and ascending")
-    return grid
-
-
 def generator_matrix(L: Lindbladian, sites, closure_mode: str = "interior"):
-    """Sparse window-basis matrix of the windowed generator plus its basis.
+    """Windowed generator on the window basis: (matrix, basis, index, edge).
 
-    Assembled by the Weyl kernel from the window members: a sum of
-    monomial matrices, one per pair of terms of each member.
+    The Weyl kernel assembles the sparse matrix from the window members:
+    a sum of monomial matrices, one per pair of terms of each member.
+    ``edge[i]`` is the exact l1 mass ||(L - L_window)(U_i)||_1 that the
+    closure drops from basis string U_i.  Only edge translates differ
+    between L and L_window, so it is the column l1 of their generator
+    plus its leak (``interior``, which omits them), or of their generator
+    minus that of their clipped members, plus the same leak
+    (``clipped``, whose clipped members never leave the window).
     """
     sites = tuple(tuple(s) for s in sites)
-    mat, _leak = WindowKernel(L.params, sites).generator(L.window_members(sites, closure_mode))
+    kern = WindowKernel(L.params, sites)
+    mat, _leak = kern.generator(L.window_members(sites, closure_mode))
+    edge_members = [m for m, inside in L.window_translates(sites) if not inside]
+    edge_mat, edge = kern.generator(edge_members)
+    if closure_mode == "clipped":
+        allowed = set(sites)
+        edge_mat = edge_mat - kern.generator(
+            [L._clip_factors(m, allowed) for m in edge_members])[0]
+    edge += np.asarray(abs(edge_mat).sum(axis=0)).ravel()
     basis = dense.window_basis(L.params, sites)
     index = {lab: i for i, lab in enumerate(basis)}
-    return mat, basis, index
+    return mat, basis, index, edge
 
 
 def _series_tail_log(L: Lindbladian, x: LocalOperator, t: float, n: int) -> tuple[float, float]:
@@ -453,11 +426,18 @@ def evolve(L: Lindbladian, x: LocalOperator, t_grid, method: str = "ode",
     where one exists, by a stagnation heuristic otherwise), ``ode``
     (the window coefficient vector stepped from t = 0 across the grid by
     the action of the matrix exponential, one ``expm_multiply`` per
-    positive increment), ``exact`` (partial-state closed form only).  The
-    error budget accumulates the truncation tail (for ``ode``, ``tol``)
-    plus a first-order bound on the window edge effects.
+    positive increment), ``exact`` (partial-state closed form only).
+
+    The error budget is the truncation tail plus the window edge term.
+    For ``ode`` the tail is ``tol``: a floor, not a computed solver error
+    (``expm_multiply`` runs at double precision and reports none).  The
+    edge term is Duhamel's: P_t x - P^W_t x is the integral over s of
+    P_(t-s) (L - L_W) P^W_s x, and the semigroup contracts, so it is
+    bounded by integrating sum_b edge_b |c_b(s)| from s = 0 along the
+    computed trajectory (trapezoid rule), where edge_b is the exact l1 mass
+    ||(L - L_W)(U_b)||_1 from :func:`generator_matrix`.
     """
-    grid = _validate_grid(t_grid)
+    grid = dense.validate_grid(t_grid)
     if method == "exact":
         if L.kind != "partial":
             raise ValueError("exact closed form exists only for the partial-state kind")
@@ -465,15 +445,14 @@ def evolve(L: Lindbladian, x: LocalOperator, t_grid, method: str = "ode",
         return EvolutionResult(grid, values, "exact", np.zeros(len(grid)), tuple(x.support()))
 
     sites = tuple(tuple(s) for s in (window if window is not None else default_window(L, x)))
-    mat, basis, index = generator_matrix(L, sites, closure_mode)
-    rates = L.truncation_rates(basis, sites, closure_mode)
+    mat, basis, index, edge_rates = generator_matrix(L, sites, closure_mode)
     x0 = dense.coefficient_vector(x, index)
 
     if method == "series":
         values_vec, tail_at = _evolve_series(L, x, mat, x0, grid, tol)
     elif method == "ode":
         values_vec = _evolve_expm(mat, x0, grid)
-        tail_at = lambda t: tol  # noqa: E731 - solver tolerance stands in for the tail
+        tail_at = lambda t: tol  # noqa: E731 - a floor; expm_multiply reports no error
     else:
         raise ValueError(f"unknown evolution method {method!r}")
 
@@ -481,11 +460,12 @@ def evolve(L: Lindbladian, x: LocalOperator, t_grid, method: str = "ode",
     for vec in values_vec:
         values.append(LocalOperator(L.params, {lab: vec[i] for i, lab in enumerate(basis)}))
 
-    # First-order edge budget: integrate sum_b rate_b |c_b(t)| along the
-    # computed trajectory.
-    weights = np.array([rates @ np.abs(vec) for vec in values_vec])
-    edge = np.concatenate([[0.0], scipy.integrate.cumulative_trapezoid(weights, grid)]) \
-        if len(grid) > 1 else np.zeros(1)
+    # The edge term accrues from t = 0, where the trajectory starts, also
+    # when the grid starts later.
+    late = bool(grid[0] > 0)
+    times = np.concatenate([[0.0], grid]) if late else grid
+    weights = [edge_rates @ np.abs(vec) for vec in [x0] * late + values_vec]
+    edge = scipy.integrate.cumulative_trapezoid(weights, times, initial=0.0)[-len(grid):]
     budget = np.array([tail_at(t) for t in grid]) + edge
     return EvolutionResult(grid, values, method, budget, sites)
 
@@ -628,7 +608,7 @@ def perturbed_ergodic_state(state, L: Lindbladian, c: float, x: LocalOperator,
         raise SizeGuardError(
             f"window basis has {dim} elements, above the dense guard {dense.SUPEROP_DIM_GUARD}"
         )
-    mat, basis, index = generator_matrix(pert, sites, "interior")
+    mat, basis, index, _edge = generator_matrix(pert, sites, "interior")
     phi_l_vec = np.array([
         ergodic_state(state, L.apply(LocalOperator.weyl(L.params, lab))) for lab in basis
     ])

@@ -16,15 +16,12 @@ from . import dense, fock, lindblad
 from .algebra import (
     AlgebraParams,
     LocalOperator,
-    WeylLabel,
     c_const,
     commutator,
-    gns_inner,
     gns_norm,
     random_label,
     random_local,
     seminorm_one,
-    theta,
 )
 
 

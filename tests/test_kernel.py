@@ -95,30 +95,6 @@ def map_to_matrix(params, basis, index, allowed, fn):
     return mat, leak
 
 
-def reference_truncation_rates(L, basis, sites, closure_mode):
-    """The per-label loop truncation_rates ran before the kernel."""
-    allowed = {tuple(s) for s in sites}
-    factor = 2.0 if closure_mode == "interior" else 4.0
-    rates = np.zeros(len(basis))
-    for idx, lab in enumerate(basis):
-        supp = set(lab.support)
-        if not supp:
-            continue
-        rate = 0.0
-        for m in L.base_members():
-            msupp = m.support()
-            if not msupp:
-                continue
-            l1sq = m.l1() ** 2
-            ks = {tuple(a - b for a, b in zip(s, bb)) for s in supp for bb in msupp}
-            for k in ks:
-                translated = {tuple(a + b for a, b in zip(bb, k)) for bb in msupp}
-                if not translated <= allowed:
-                    rate += factor * l1sq
-        rates[idx] = rate
-    return rates
-
-
 class TestKernelBasis:
     @pytest.mark.parametrize("N,sites", [
         (2, [(0,), (1,), (2,)]),
@@ -163,7 +139,7 @@ class TestEvolveWindowShapes:
         coeffs /= np.abs(coeffs).sum()  # unit l1, as the benchmark draws them
         text = "\n".join(f"{c.real:.17g} {c.imag:.17g} ; {lab}" for c, lab in zip(coeffs, kraus))
         L = lb.Lindbladian.single_kraus(LocalOperator.from_text(params, text))
-        mat, basis, index = lb.generator_matrix(L, sites, closure)
+        mat, basis, index, _edge = lb.generator_matrix(L, sites, closure)
         dense_mat = mat.toarray()
         assert mat[:, index[WeylLabel.identity()]].nnz == 0
         for col in range(0, len(basis), 7):
@@ -181,7 +157,7 @@ class TestKernelProperties:
     @with_fixed_windows
     def test_generator_matrix_matches_windowed_apply(self, case):
         L, sites, closure = case
-        mat, basis, index = lb.generator_matrix(L, sites, closure)
+        mat, basis, index, _edge = lb.generator_matrix(L, sites, closure)
         ref = reference_generator(L, sites, closure)
         assert np.abs(mat.toarray() - ref).max() <= 1e-14
         assert ((mat.toarray() != 0) == (ref != 0)).all()
@@ -220,7 +196,7 @@ class TestKernelProperties:
     def test_dense_oracle_matches_kernel_and_reference(self, case):
         L, sites, closure = case
         sop = dense.superoperator(L, dense.window(L.params, sites), closure)
-        mat, basis, _index = lb.generator_matrix(L, sites, closure)
+        mat, basis, _index, _edge = lb.generator_matrix(L, sites, closure)
         assert sop.basis == basis
         assert np.abs(sop.matrix - mat.toarray()).max() <= 1e-12
         assert np.abs(sop.matrix - reference_generator(L, sites, closure)).max() <= 1e-12
@@ -228,11 +204,13 @@ class TestKernelProperties:
     @PROPERTY
     @given(windowed_generators())
     @with_fixed_windows
-    def test_truncation_rates_equal_the_loop(self, case):
+    def test_edge_rates_are_the_dropped_l1_mass(self, case):
         L, sites, closure = case
-        basis = dense.window_basis(L.params, sites)
-        got = L.truncation_rates(basis, sites, closure)
-        assert np.array_equal(got, reference_truncation_rates(L, basis, sites, closure))
+        _mat, basis, _index, edge = lb.generator_matrix(L, sites, closure)
+        for i, lab in enumerate(basis):
+            u = LocalOperator.weyl(L.params, lab)
+            dropped = (L.apply(u) - L.windowed_apply(u, sites, closure)).l1()
+            assert abs(edge[i] - dropped) <= 1e-12
 
 
 class TestPairInitialVector:

@@ -229,6 +229,37 @@ class TestEvolve:
         assert res.error_budget[0] <= 1e-10  # only the solver tolerance at t=0
         assert res.error_budget[1] > 1e-3  # edge translates omitted: real budget
 
+    def test_edge_budget_accrues_from_zero(self, p2, pauli):
+        # A grid that starts past 0 is stepped from 0; so is its budget.
+        r2 = pauli[0] * pauli[0].translate((1,))
+        L = lb.Lindbladian.single_kraus(r2, unital=True)
+        full = lb.evolve(L, pauli[1], [0.0, 0.5, 1.0], window=[(0,), (1,)])
+        late = lb.evolve(L, pauli[1], [0.5, 1.0], window=[(0,), (1,)])
+        assert np.array_equal(late.error_budget, full.error_budget[1:])
+
+    @pytest.mark.parametrize("closure", ["interior", "clipped"])
+    def test_window_budgets_bound_window_difference(self, closure, p2, rng):
+        # Each budget bounds the distance to the lattice evolution in
+        # operator norm, so two windows differ by at most their sum.  The
+        # l1 norm of the coefficients is checked first: it bounds the
+        # operator norm and is much cheaper on seven sites.
+        def unit_l1(labels):
+            c = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
+            c /= np.abs(c).sum()
+            return LocalOperator.from_text(
+                p2, "\n".join(f"{v.real:.17g} {v.imag:.17g} ; {lab}" for v, lab in zip(c, labels)))
+
+        L = lb.Lindbladian.single_kraus(unit_l1(["0:1,0 1:1,0", "0:0,1"]))
+        x = unit_l1(["0:1,0", "0:0,1", "-1:1,1 0:1,0"])
+        grid = np.linspace(0.0, 1.0, 21)
+        small, large = (lb.evolve(L, x, grid, window=[(k,) for k in range(-h, h + 1)],
+                                  closure_mode=closure) for h in (1, 3))
+        assert small.error_budget[-1] > 1e-3
+        for a, b, budget in zip(small.values, large.values,
+                                small.error_budget + large.error_budget):
+            diff = a - b
+            assert diff.l1() <= budget or dense.operator_norm(diff) <= budget
+
     def test_series_certified_against_exact(self, L_partial, p2, maxmix, rng):
         x = random_local(p2, rng, [(0,), (1,)])
         res = lb.evolve(L_partial, x, [0.8], method="series", tol=1e-12,
