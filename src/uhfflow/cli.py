@@ -269,36 +269,30 @@ def cmd_flow(config_path, out, seed):
         report = RunReport("flow", cfg.digest, cfg.seed)
         L = cfg.generator
         one = LocalOperator.identity(cfg.params)
-        window = cfg.window
-        if window is None:
-            supp = set()
-            for x in cfg.observables.values():
-                supp.update(x.support())
-            window = lindblad.default_window(
-                L, LocalOperator.identity(cfg.params) if not supp else
-                next(iter(cfg.observables.values())))
+        observables = sorted(cfg.observables.items())
+        xs = [x for _name, x in observables]
+        window = cfg.window or lindblad.default_window(L, *xs)
         sys_ = fock.build_generator_system(L, window)
         grid = cfg.t_grid
+        # One solve per orientation serves every observable, pair and check.
+        fwd = fock.flow_element(sys_, cfg.u, cfg.f, cfg.v, cfg.g, grid, tol=cfg.tol)
+        bwd = fock.flow_element(sys_, cfg.v, cfg.g, cfg.u, cfg.f, grid, tol=cfg.tol)
 
-        traj_id = fock.flow_element(sys_, one, cfg.u, cfg.f, cfg.v, cfg.g, grid, tol=cfg.tol)
-        iv = traj_id.of_operator(one)
+        iv = fwd.of_operator(one)
         report.add(_le("flow.unitality", float(np.abs(iv - iv[0]).max()),
-                       1e-9 + float(traj_id.error_estimate.max())))
+                       1e-9 + float(fwd.error_of(one).max())))
 
         vacuum = not (cfg.f.modes or cfg.g.modes)
-        for name, x in sorted(cfg.observables.items()):
-            traj = fock.flow_element(sys_, x, cfg.u, cfg.f, cfg.v, cfg.g, grid, tol=cfg.tol)
-            vals = traj.of_operator(x)
+        for name, x in observables:
+            vals, err = fwd.of_operator(x), fwd.error_of(x)
             path = out_dir / "results" / f"flow_{name}.csv"
-            _write_trajectory_csv(path, grid, [(name, vals, traj.error_estimate)])
+            _write_trajectory_csv(path, grid, [(name, vals, err)])
             report.outputs.append(str(path))
 
             # adjoint symmetry
-            back = fock.flow_element(
-                sys_, x.adjoint(), cfg.v, cfg.g, cfg.u, cfg.f, grid, tol=cfg.tol)
-            dev = float(np.abs(back.of_operator(x.adjoint()) - np.conj(vals)).max())
+            dev = float(np.abs(bwd.of_operator(x.adjoint()) - np.conj(vals)).max())
             report.add(_le(f"flow.{name}.adjoint_symmetry", dev,
-                           1e-8 + 2 * float(traj.error_estimate.max())))
+                           1e-8 + float((err + bwd.error_of(x.adjoint())).max())))
 
             if vacuum:
                 res = lindblad.evolve(L, x, grid, method="ode", tol=min(cfg.tol, 1e-10),
@@ -309,37 +303,37 @@ def cmd_flow(config_path, out, seed):
                 dev = float(np.abs(vals - target).max())
                 report.add(_le(
                     f"flow.{name}.vacuum_reduction", dev,
-                    1e-8 + float(traj.error_estimate.max() + res.error_budget.max()),
+                    1e-8 + float(err.max() + res.error_budget.max()),
                 ))
 
-        pair_names = cfg.run.get("pairs", "").split()
-        for spec in pair_names:
-            xn, _, yn = spec.partition(",")
-            if xn not in cfg.observables or yn not in cfg.observables:
-                raise ConfigError(f"pair {spec!r} references unknown observables",
-                                  section="run", field="pairs")
-            rep = fock.homomorphism_defect(
-                sys_, cfg.observables[xn], cfg.observables[yn],
-                cfg.u, cfg.f, cfg.v, cfg.g, grid, tol=cfg.tol)
-            report.add(_le(f"flow.homomorphism.{xn},{yn}", rep.defect,
-                           rep.error_estimate + 1e-8))
-            report.add(Verdict(f"flow.pair_consistency.{xn},{yn}", rep.consistent,
-                               0.0 if rep.consistent else 1.0, 0.0))
+        pairs = [spec.partition(",")[::2] for spec in cfg.run.get("pairs", "").split()]
+        if any(name not in cfg.observables for pair in pairs for name in pair):
+            raise ConfigError(f"pairs {cfg.run['pairs']!r} reference unknown observables",
+                              section="run", field="pairs")
+        if pairs:
+            gtraj = fock.pair_element(sys_, cfg.u, cfg.f, cfg.v, cfg.g, grid, fwd, tol=cfg.tol)
+            reps = fock.homomorphism_defect(
+                fwd, gtraj, [(cfg.observables[xn], cfg.observables[yn]) for xn, yn in pairs])
+            for (xn, yn), rep in zip(pairs, reps):
+                report.add(_le(f"flow.homomorphism.{xn},{yn}", rep.defect,
+                               rep.error_estimate + 1e-8))
+                report.add(Verdict(f"flow.pair_consistency.{xn},{yn}", rep.consistent,
+                                   0.0 if rep.consistent else 1.0, 0.0))
 
         shift = cfg.run.get("shift")
         if shift and L.kind == "translation":
             j = tuple(int(v) for v in shift.split(","))
-            for name, x in sorted(cfg.observables.items()):
-                rep = fock.covariance_check(
-                    L, window, x, cfg.u, cfg.f, cfg.v, cfg.g, j, grid, tol=cfg.tol)
+            reps = fock.covariance_check(sys_, fwd, xs, cfg.u, cfg.f, cfg.v, cfg.g, j,
+                                         tol=cfg.tol)
+            for (name, _x), rep in zip(observables, reps):
                 report.add(_le(f"flow.covariance.{name}", rep.deviation,
                                max(2 * rep.error_estimate, 1e-9)))
 
         t_contract = cfg.run.get("contraction_t")
         if t_contract:
             family = [(1.0, cfg.u, cfg.f), (0.5, cfg.v, cfg.g)]
-            for name, x in sorted(cfg.observables.items()):
-                rep = fock.contraction_check(sys_, x, family, float(t_contract), tol=cfg.tol)
+            reps = fock.contraction_check(sys_, xs, family, float(t_contract), tol=cfg.tol)
+            for (name, _x), rep in zip(observables, reps):
                 report.add(_le(f"flow.contraction.{name}", rep.lhs,
                                rep.rhs + rep.error + 1e-9))
                 report.add(_ge(f"flow.contraction_positive.{name}", rep.lhs,

@@ -19,9 +19,12 @@ cell is solved by a matrix exponential.  The pair elements
 
 satisfy the doubled system carrying one quantum Ito correction term
 sum_j G(delta_j^dag x, delta_j y); the homomorphism claim is exactly
-F_t(xy) = G_t(x, y).  Truncation to a finite site window drops operator
-mass outside it; that l1 mass is recorded per map and drives every error
-estimate reported here.
+F_t(xy) = G_t(x, y).  Both systems are solved for the whole window
+basis, so one solve per (u, f, v, g) and grid serves every observable
+and pair, and the checks read those trajectories.  Truncation to a
+finite site window drops operator mass outside it; that l1 mass is
+recorded per map and drives every error estimate, which bounds one basis
+string and is scaled by the observable's l1 norm (``error_of``).
 """
 
 from __future__ import annotations
@@ -314,6 +317,16 @@ class MatrixElementTrajectory:
             out += c * self.of_label(lab)
         return out
 
+    def error_of(self, x: LocalOperator) -> np.ndarray:
+        """Error budget of ``of_operator(x)``: l1(x) times the per-string estimate."""
+        return x.l1() * self.error_estimate
+
+
+def _observable_trajectory(grid, values, est, method: str) -> MatrixElementTrajectory:
+    """One observable's values and estimate, stored as the basis [1]."""
+    one = WeylLabel.identity()
+    return MatrixElementTrajectory(grid, [one], {one: 0}, values.reshape(-1, 1), est, method)
+
 
 @dataclass
 class PairTrajectory:
@@ -331,6 +344,10 @@ class PairTrajectory:
         cx = dense.coefficient_vector(x, self.index)
         cy = dense.coefficient_vector(y, self.index)
         return np.einsum("tab,a,b->t", self.G, cx, cy)
+
+    def error_of(self, x: LocalOperator, y: LocalOperator) -> np.ndarray:
+        """Error budget of ``of_pair(x, y)``: l1(x) l1(y) times the per-pair estimate."""
+        return x.l1() * y.l1() * self.error_estimate
 
 
 # -- shared solving machinery ----------------------------------------------------
@@ -368,6 +385,11 @@ def _cell_of(t: float, f: TestFunction) -> int | None:
     if t < 0 or t >= f.t_max:
         return None
     return min(int(t / f.dt), f.cells - 1)
+
+
+def _scale(u, f, v, g) -> float:
+    """||u e(f)|| ||v e(g)||, which bounds every unit-norm matrix element."""
+    return ExponentialVectorSpec(u, f).norm() * ExponentialVectorSpec(v, g).norm()
 
 
 def _initial_vector(sys: FlowGeneratorSystem, u, v, f, g) -> np.ndarray:
@@ -509,40 +531,44 @@ def _propagate(assembly, F0, grid, f, tol, scale):
 # -- the flow front-ends -----------------------------------------------------------
 
 
-def flow_element(sys: FlowGeneratorSystem, x: LocalOperator, u, f, v, g, t_grid,
-                 method: str = "ode", tol: float = 1e-10, picard_depth: int | None = None,
-                 picard_sub: int = 64) -> MatrixElementTrajectory:
-    """Solve F_t on the window basis; ``x`` fixes the support validation.
+def flow_element(sys: FlowGeneratorSystem, u, f, v, g, t_grid,
+                 tol: float = 1e-10) -> MatrixElementTrajectory:
+    """F_t(U_b) = <u e(f), j_t(U_b) v e(g)> for every window basis label b.
 
-    ``ode`` advances cell by cell by the action of the matrix exponential
-    (``expm_multiply``); ``picard`` iterates the integral equation by
-    cumulative Simpson sweeps, certified by the iteration tail bound for
-    single-operator families.
+    Advances cell by cell by the action of the matrix exponential
+    (``expm_multiply``).  The one solve serves every observable on the
+    window: ``of_operator(x)`` reads F_t(x) and ``error_of(x)`` its budget.
     """
     grid = dense.validate_grid(t_grid)
     f, g = _harmonize(f, g)
-    if not set(x.support()) <= set(sys.sites):
-        raise WindowError(f"observable support {x.support()} outside window {sys.sites}")
-    F0 = _initial_vector(sys, u, v, f, g)
-    scale = gns_norm(u) * math.exp(0.5 * f.l2_sq()) * gns_norm(v) * math.exp(0.5 * g.l2_sq())
-    assembly = _SingleAssembly(sys, f, g)
-
-    if method == "ode":
-        F, est = _propagate(assembly, F0, grid, f, tol, scale)
-        return MatrixElementTrajectory(grid, sys.basis, sys.index, F, est, "ode")
-
-    if method == "picard":
-        F, est = _picard_propagate(
-            sys, assembly, F0, grid, f, g, x, picard_depth, picard_sub, tol, scale
-        )
-        return MatrixElementTrajectory(grid, sys.basis, sys.index, F, est, "picard")
-
-    raise ValueError(f"unknown method {method!r}")
+    F, est = _propagate(_SingleAssembly(sys, f, g), _initial_vector(sys, u, v, f, g),
+                        grid, f, tol, _scale(u, f, v, g))
+    return MatrixElementTrajectory(grid, sys.basis, sys.index, F, est, "ode")
 
 
-def _picard_propagate(sys, assembly, F0, grid, f, g, x, depth, sub, tol, scale):
+def picard_element(sys: FlowGeneratorSystem, x: LocalOperator, u, f, v, g, t_grid,
+                   depth: int | None = None, sub: int = 64,
+                   tol: float = 1e-10) -> MatrixElementTrajectory:
+    """F_t(x) by Picard sweeps (cumulative Simpson, ``sub`` nodes per step).
+
+    The iteration tail bound certifies x alone, for single-operator
+    families only (others raise ``ValueError``); ``depth=None`` runs to
+    ``smallest_certified_depth`` at the last grid time.  The estimate is
+    tol + scale (tail + l1(x) leak); the result holds x as the basis [1].
+    """
+    grid = dense.validate_grid(t_grid)
+    f, g = _harmonize(f, g)
+    cx = dense.coefficient_vector(x, sys.index)  # WindowError outside the window
+    L = sys.lindbladian
+    if depth is None:
+        depth = smallest_certified_depth(x, g, float(grid[-1]), L, tol)
+    # The tail bound grows with t0, so quoting it at each grid time is a
+    # bound there; at t = 0 it vanishes.
+    tail = np.array([picard_tail_bound(x, g, float(t), depth, L) for t in grid])
     if sub % 2:
         sub += 1
+    assembly = _SingleAssembly(sys, f, g)
+    F0 = _initial_vector(sys, u, v, f, g)
     bps = _breakpoints(grid, f)
     # Global node array; every breakpoint (hence every grid point) is a node.
     nodes = [0.0]
@@ -556,10 +582,7 @@ def _picard_propagate(sys, assembly, F0, grid, f, g, x, depth, sub, tol, scale):
     n_nodes = nodes.size
 
     G = np.tile(F0, (n_nodes, 1))
-    max_sweeps = depth if depth is not None else 200
-    increment = math.inf
-    sweeps = 0
-    for _ in range(max_sweeps):
+    for _ in range(depth):
         integ = np.empty_like(G)
         for start, end, _h, A in pieces:
             integ[start:end + 1] = (A @ G[start:end + 1].T).T
@@ -572,9 +595,8 @@ def _picard_propagate(sys, assembly, F0, grid, f, g, x, depth, sub, tol, scale):
         G_new = np.tile(F0, (n_nodes, 1)) + cum
         increment = float(np.max(np.abs(G_new - G)))
         G = G_new
-        sweeps += 1
-        # Extra sweeps past the numerical fixed point are no-ops; the
-        # certificate below is still quoted at the requested depth.
+        # Sweeps past the numerical fixed point are no-ops; the
+        # certificate is still quoted at the full depth.
         if increment < 1e-15 * max(1.0, float(np.max(np.abs(G)))):
             break
 
@@ -583,21 +605,12 @@ def _picard_propagate(sys, assembly, F0, grid, f, g, x, depth, sub, tol, scale):
     for i, t in enumerate(grid):
         if abs(nodes[idx[i]] - t) > 1e-12:
             raise AssertionError("grid point missed the picard node lattice")
-    F = G[idx]
-
-    # The tail bound grows with t0, so quoting it at each grid time is a
-    # bound there; at t = 0 it vanishes.
-    n_cert = depth if depth is not None else sweeps
-    try:
-        base = np.array([picard_tail_bound(x, g, float(t), n_cert, sys.lindbladian)
-                         for t in grid])
-    except ValueError:
-        base = np.full(len(grid), increment)
-    est = tol + scale * base
-    # Leakage accrues exactly as in the ODE path.
+    values = G[idx] @ cx
+    # Leakage accrues per basis string exactly as in the ODE path.
     leak = _leak_accrual(assembly, bps)
-    est += scale * np.array([leak[float(t)] for t in grid])
-    return F, est
+    leak = np.array([leak[float(t)] for t in grid])
+    est = tol + _scale(u, f, v, g) * (tail + x.l1() * leak)
+    return _observable_trajectory(grid, values, est, "picard")
 
 
 def _exp_or_inf(log_v: float) -> float:
@@ -687,33 +700,24 @@ def smallest_certified_depth(x: LocalOperator, f: TestFunction, t0: float,
     return lo
 
 
-def pair_element(sys: FlowGeneratorSystem, pairs, u, f, v, g, t_grid,
-                 tol: float = 1e-10,
-                 f_trajectory: MatrixElementTrajectory | None = None) -> PairTrajectory:
-    """Solve the doubled system G_t(U_a, U_b); check G(1, .) against F."""
+def pair_element(sys: FlowGeneratorSystem, u, f, v, g, t_grid,
+                 f_trajectory: MatrixElementTrajectory, tol: float = 1e-10) -> PairTrajectory:
+    """Solve the doubled system G_t(U_a, U_b) for every pair of window labels.
+
+    ``f_trajectory`` is ``flow_element``'s solve of the same (u, f, v, g)
+    on this system and grid; the identity row G(1, .) must reproduce it,
+    which sets ``consistent``.
+    """
     grid = dense.validate_grid(t_grid)
+    if f_trajectory.basis != sys.basis or not np.array_equal(f_trajectory.grid, grid):
+        raise ValueError("f_trajectory must be flow_element's solve on this system and grid")
     f, g = _harmonize(f, g)
     n = sys.dim
     if n * n > MAX_PAIR_DIM:
         raise SizeGuardError(f"pair basis dimension {n * n} exceeds guard {MAX_PAIR_DIM}")
-    if pairs is not None:
-        for a, b in pairs:
-            for op in (a, b):
-                if not set(op.support()) <= set(sys.sites):
-                    raise WindowError("pair operand support outside window")
-
-    F0 = _initial_vector(sys, u, v, f, g)
-    G0 = _initial_pair_vector(sys, F0)
-
-    scale = gns_norm(u) * math.exp(0.5 * f.l2_sq()) * gns_norm(v) * math.exp(0.5 * g.l2_sq())
-    assembly = _PairAssembly(sys, f, g)
-    Gflat, est = _propagate(assembly, G0, grid, f, tol, scale)
+    G0 = _initial_pair_vector(sys, _initial_vector(sys, u, v, f, g))
+    Gflat, est = _propagate(_PairAssembly(sys, f, g), G0, grid, f, tol, _scale(u, f, v, g))
     G = Gflat.reshape(len(grid), n, n)
-
-    if f_trajectory is None or f_trajectory.grid.shape != grid.shape or \
-            not np.allclose(f_trajectory.grid, grid):
-        f_trajectory = flow_element(
-            sys, LocalOperator.identity(sys.params), u, f, v, g, grid, tol=tol)
     id_row = sys.index[WeylLabel.identity()]
     violation = float(np.max(np.abs(G[:, id_row, :] - f_trajectory.F)))
     consistent = violation <= 10.0 * max(tol, float(np.max(f_trajectory.error_estimate)))
@@ -727,19 +731,20 @@ class HomomorphismReport(NamedTuple):
     consistent: bool
 
 
-def homomorphism_defect(sys: FlowGeneratorSystem, x, y, u, f, v, g, t_grid,
-                        **solve_opts) -> HomomorphismReport:
-    """max_t |F_t(xy) - G_t(x, y)| together with the propagated estimate."""
-    grid = dense.validate_grid(t_grid)
-    xy = x * y
-    ftraj = flow_element(sys, xy, u, f, v, g, grid, **solve_opts)
-    gtraj = pair_element(sys, [(x, y)], u, f, v, g, grid,
-                         f_trajectory=ftraj, **solve_opts)
-    D = ftraj.of_operator(xy) - gtraj.of_pair(x, y)
-    est = ftraj.error_estimate + gtraj.error_estimate
-    return HomomorphismReport(
-        float(np.max(np.abs(D))), float(np.max(est)), np.abs(D), gtraj.consistent
-    )
+def homomorphism_defect(ftraj: MatrixElementTrajectory, gtraj: PairTrajectory,
+                        pairs) -> list[HomomorphismReport]:
+    """max_t |F_t(xy) - G_t(x, y)| and its error budget, one report per pair (x, y).
+
+    ``ftraj`` and ``gtraj`` are the F and G solves of one (u, f, v, g) on
+    one grid (``pair_element`` checks that); every pair reads them.
+    """
+    reports = []
+    for x, y in pairs:
+        xy = x * y
+        D = np.abs(ftraj.of_operator(xy) - gtraj.of_pair(x, y))
+        est = ftraj.error_of(xy) + gtraj.error_of(x, y)
+        reports.append(HomomorphismReport(float(D.max()), float(est.max()), D, gtraj.consistent))
+    return reports
 
 
 class ContractionReport(NamedTuple):
@@ -748,37 +753,38 @@ class ContractionReport(NamedTuple):
     error: float
 
 
-def contraction_check(sys: FlowGeneratorSystem, x: LocalOperator, family, t: float,
-                      **solve_opts) -> ContractionReport:
-    """Gram form ||j_t(x) xi||^2 against ||x||^2 ||xi||^2.
+def contraction_check(sys: FlowGeneratorSystem, xs, family, t: float,
+                      tol: float = 1e-10) -> list[ContractionReport]:
+    """Gram form ||j_t(x) xi||^2 against ||x||^2 ||xi||^2, one report per x in ``xs``.
 
     ``family`` lists (c_i, u_i, f_i) members of xi = sum c_i u_i e(f_i).
-    The left side is assembled from F trajectories of x*x, one per
-    ordered pair, using adjoint symmetry for the lower triangle.
+    The left side is assembled from F_t(x*x) of each ordered pair of
+    members, one solve per pair with i <= j and adjoint symmetry for the
+    lower triangle; every x reads the same solves.
     """
     if len(family) > 8:
         raise SizeGuardError("contraction family limited to 8 members")
-    xx = x.adjoint() * x
-    vals: dict[tuple[int, int], complex] = {}
-    errs = 0.0
-    for i, (ci, ui, fi) in enumerate(family):
-        for j, (cj, uj, fj) in enumerate(family):
-            if i > j:
-                continue
-            traj = flow_element(sys, xx, ui, fi, uj, fj, [t], **solve_opts)
-            vals[(i, j)] = traj.of_operator(xx)[0]
-            w = abs(ci) * abs(cj)
-            errs += w * float(traj.error_estimate[0]) * (1 if i == j else 2)
-    lhs = 0j
-    xi_sq = 0j
-    for i, (ci, ui, fi) in enumerate(family):
-        for j, (cj, uj, fj) in enumerate(family):
-            coeff = ci.conjugate() * cj
-            val = vals[(i, j)] if i <= j else vals[(j, i)].conjugate()
-            lhs += coeff * val
-            xi_sq += coeff * gns_inner(ui, uj) * exp_inner(fi, fj)
-    rhs = dense.operator_norm(x) ** 2 * xi_sq.real
-    return ContractionReport(lhs.real, rhs, errs + abs(lhs.imag))
+    solves = {
+        (i, j): flow_element(sys, ui, fi, uj, fj, [t], tol=tol)
+        for i, (_ci, ui, fi) in enumerate(family)
+        for j, (_cj, uj, fj) in enumerate(family) if i <= j
+    }
+    reports = []
+    for x in xs:
+        xx = x.adjoint() * x
+        errs = sum(abs(family[i][0]) * abs(family[j][0]) * float(traj.error_of(xx)[0])
+                   * (1 if i == j else 2) for (i, j), traj in solves.items())
+        lhs = xi_sq = 0j
+        for i, (ci, ui, fi) in enumerate(family):
+            for j, (cj, uj, fj) in enumerate(family):
+                coeff = ci.conjugate() * cj
+                val = (solves[(i, j)].of_operator(xx)[0] if i <= j
+                       else solves[(j, i)].of_operator(xx)[0].conjugate())
+                lhs += coeff * val
+                xi_sq += coeff * gns_inner(ui, uj) * exp_inner(fi, fj)
+        rhs = dense.operator_norm(x) ** 2 * xi_sq.real
+        reports.append(ContractionReport(lhs.real, rhs, errs + abs(lhs.imag)))
+    return reports
 
 
 class CovarianceReport(NamedTuple):
@@ -786,53 +792,56 @@ class CovarianceReport(NamedTuple):
     error_estimate: float
 
 
-def covariance_check(L: "_lb.Lindbladian", window_sites, x, u, f, v, g, j, t_grid,
-                     **solve_opts) -> CovarianceReport:
-    """Shift invariance: F(x; u,f,v,g) vs the translated-by-(-j) problem."""
-    grid = dense.validate_grid(t_grid)
+def covariance_check(sys: FlowGeneratorSystem, traj: MatrixElementTrajectory, xs,
+                     u, f, v, g, j, tol: float = 1e-10) -> list[CovarianceReport]:
+    """Shift invariance: F(x; u,f,v,g) against the problem translated by -j.
+
+    ``traj`` is ``flow_element``'s solve of (u, f, v, g) on ``sys``; the
+    translated problem is solved once on the translated window, and each
+    x in ``xs`` gets one report.
+    """
     j = tuple(int(c) for c in j)
     neg = tuple(-c for c in j)
-    sys_a = build_generator_system(L, window_sites)
-    traj_a = flow_element(sys_a, x, u, f, v, g, grid, **solve_opts)
-    sites_b = tuple(tuple(s[c] + neg[c] for c in range(L.params.d)) for s in sys_a.sites)
-    sys_b = build_generator_system(L, sites_b)
+    L = sys.lindbladian
+    sites_b = tuple(tuple(s[c] + neg[c] for c in range(L.params.d)) for s in sys.sites)
     traj_b = flow_element(
-        sys_b, x.translate(neg), u.translate(neg), f.shifted(j),
-        v.translate(neg), g.shifted(j), grid, **solve_opts
+        build_generator_system(L, sites_b), u.translate(neg), f.shifted(j),
+        v.translate(neg), g.shifted(j), traj.grid, tol=tol
     )
-    dev = np.abs(traj_a.of_operator(x) - traj_b.of_operator(x.translate(neg)))
-    est = traj_a.error_estimate + traj_b.error_estimate
-    return CovarianceReport(float(dev.max()), float(est.max()))
+    reports = []
+    for x in xs:
+        xb = x.translate(neg)
+        dev = np.abs(traj.of_operator(x) - traj_b.of_operator(xb))
+        est = traj.error_of(x) + traj_b.error_of(xb)
+        reports.append(CovarianceReport(float(dev.max()), float(est.max())))
+    return reports
 
 
 # -- per-site and product flows ---------------------------------------------------
 
 
-def eta_site_flow(state, k, x: LocalOperator, u, f, v, g, t_grid,
-                  **solve_opts) -> MatrixElementTrajectory:
-    """Single-site flow: exact closed system on the N^2 site labels."""
+def eta_site_flow(state, k, u, f, v, g, t_grid) -> MatrixElementTrajectory:
+    """Single-site flow: exact closed system on the N^2 labels of site k."""
     k = tuple(int(c) for c in k)
-    if any(site != k for site in x.support()):
-        raise WindowError(f"observable must live at site {k}, supp={x.support()}")
-    L = _lb.Lindbladian.partial_state(x.params, state)
-    sys = build_generator_system(L, [k])
-    return flow_element(sys, x, u, f, v, g, t_grid, **solve_opts)
+    L = _lb.Lindbladian.partial_state(u.params, state)
+    return flow_element(build_generator_system(L, [k]), u, f, v, g, t_grid)
 
 
-def _site_factor_ops(params, lab: WeylLabel, site: Site) -> LocalOperator:
-    a, b = lab.exponents(site)
-    if (a, b) == (0, 0):
+def _site_op(params, site: Site, ab: tuple[int, int]) -> LocalOperator:
+    """The word U^a V^b at ``site`` (the identity for (0, 0))."""
+    if ab == (0, 0):
         return LocalOperator.identity(params)
-    return LocalOperator.site_word(params, site, a, b)
+    return LocalOperator.site_word(params, site, *ab)
 
 
 def eta_product_flow(state, x: LocalOperator, u, f, v, g, t_grid, sites=None,
-                     triple_guard: int = 20_000, **solve_opts) -> MatrixElementTrajectory:
+                     triple_guard: int = 20_000) -> MatrixElementTrajectory:
     """Product flow: per-site solves multiplied with unused-mode overlaps.
 
     Works for any x, u, v by expanding all three over the string basis;
     every string factors over sites, so each triple is a product of
-    independent single-site matrix elements.
+    independent single-site matrix elements.  One site solve per
+    (site, u-factor, v-factor) serves every x-factor there.
     """
     grid = dense.validate_grid(t_grid)
     f, g = _harmonize(f, g)
@@ -852,23 +861,17 @@ def eta_product_flow(state, x: LocalOperator, u, f, v, g, t_grid, sites=None,
         s: exp_inner(f.restrict_sites([s]), g.restrict_sites([s])) for s in mode_sites
     }
 
-    cache: dict = {}
+    solves: dict = {}
 
     def site_element(site, g_ab, a_ab, b_ab) -> tuple[np.ndarray, np.ndarray]:
-        key = (site, g_ab, a_ab, b_ab)
-        if key not in cache:
-            op_g = LocalOperator.site_word(params, site, *g_ab) if g_ab != (0, 0) \
-                else LocalOperator.identity(params)
-            op_a = LocalOperator.site_word(params, site, *a_ab) if a_ab != (0, 0) \
-                else LocalOperator.identity(params)
-            op_b = LocalOperator.site_word(params, site, *b_ab) if b_ab != (0, 0) \
-                else LocalOperator.identity(params)
-            traj = eta_site_flow(
-                state, site, op_g, op_a, f.restrict_sites([site]),
-                op_b, g.restrict_sites([site]), grid, **solve_opts
+        key = (site, a_ab, b_ab)
+        if key not in solves:
+            solves[key] = eta_site_flow(
+                state, site, _site_op(params, site, a_ab), f.restrict_sites([site]),
+                _site_op(params, site, b_ab), g.restrict_sites([site]), grid
             )
-            cache[key] = (traj.of_operator(op_g), traj.error_estimate)
-        return cache[key]
+        op_g = _site_op(params, site, g_ab)
+        return solves[key].of_operator(op_g), solves[key].error_of(op_g)
 
     total = np.zeros(len(grid), dtype=complex)
     est = np.zeros(len(grid))
@@ -888,9 +891,8 @@ def eta_product_flow(state, x: LocalOperator, u, f, v, g, t_grid, sites=None,
                     b_ab = lab_v.exponents(s)
                     if g_ab == (0, 0):
                         # eta acts as the identity here: a constant overlap.
-                        op_a = _site_factor_ops(params, lab_u, s)
-                        op_b = _site_factor_ops(params, lab_v, s)
-                        const = gns_inner(op_a, op_b) * exp_inner(
+                        const = gns_inner(_site_op(params, s, a_ab),
+                                          _site_op(params, s, b_ab)) * exp_inner(
                             f.restrict_sites([s]), g.restrict_sites([s])
                         )
                         value *= const
@@ -907,10 +909,7 @@ def eta_product_flow(state, x: LocalOperator, u, f, v, g, t_grid, sites=None,
                     term_est *= abs(overlap[s])
                 total += value
                 est += term_est
-    return MatrixElementTrajectory(
-        grid, [WeylLabel.identity()], {WeylLabel.identity(): 0},
-        total.reshape(-1, 1), est, "eta-product",
-    )
+    return _observable_trajectory(grid, total, est, "eta-product")
 
 
 @dataclass
@@ -924,12 +923,11 @@ class ErgodicityScan:
     fit_start: float
 
 
-def eta_ergodicity_scan(state, x: LocalOperator, u, f, v, g, t_grid,
-                        **solve_opts) -> ErgodicityScan:
+def eta_ergodicity_scan(state, x: LocalOperator, u, f, v, g, t_grid) -> ErgodicityScan:
     """|F_t(x) - Phi(x) <u e(f), v e(g)>| and its fitted decay rate."""
     grid = dense.validate_grid(t_grid)
     f, g = _harmonize(f, g)
-    traj = eta_product_flow(state, x, u, f, v, g, grid, **solve_opts)
+    traj = eta_product_flow(state, x, u, f, v, g, grid)
     values = traj.F[:, 0]
     target = _lb.ergodic_state(state, x) * gns_inner(u, v) * exp_inner(f, g)
     dev = np.abs(values - target)

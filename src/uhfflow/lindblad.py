@@ -352,9 +352,9 @@ class EvolutionResult:
                                      f"{c.imag:.17g}", f"{err:.6e}"])
 
 
-def default_window(L: Lindbladian, x: LocalOperator, pad_factor: int = 2) -> tuple[Site, ...]:
-    """Bounding box of supp(x) padded by pad_factor x the Kraus diameter."""
-    supp = x.support()
+def default_window(L: Lindbladian, *xs: LocalOperator, pad_factor: int = 2) -> tuple[Site, ...]:
+    """Bounding box of the supports of ``xs`` padded by pad_factor x the Kraus diameter."""
+    supp = {s for x in xs for s in x.support()}
     if not supp:
         supp = (L.params.origin(),)
     base = L.base_support() or (L.params.origin(),)

@@ -93,7 +93,7 @@ def algebra_checks(rng) -> list[Verdict]:
     return out
 
 
-def dense_checks(rng) -> list[Verdict]:
+def dense_checks() -> list[Verdict]:
     out = []
     for N in (2, 3, 4):
         U, V = dense.clock_shift(N)
@@ -182,7 +182,7 @@ def lindblad_checks(rng) -> list[Verdict]:
     return out
 
 
-def fock_checks(rng) -> list[Verdict]:
+def fock_checks() -> list[Verdict]:
     p = AlgebraParams(2, 1)
     sx = LocalOperator.site_word(p, (0,), 1, 0)
     sz = LocalOperator.site_word(p, (0,), 0, 1)
@@ -197,39 +197,39 @@ def fock_checks(rng) -> list[Verdict]:
 
     Lp = lindblad.Lindbladian.partial_state(p, rho)
     sys1 = fock.build_generator_system(Lp, [(0,)])
-    traj = fock.flow_element(sys1, sx, sx, z, one, z, grid)
+    traj = fock.flow_element(sys1, sx, z, one, z, grid)
     out.append(_le("fock.vacuum_closed_form",
                    float(np.abs(traj.of_operator(sx) - np.exp(-grid)).max()), 1e-9))
     f = fock.TestFunction.build(1.0, 4, {((0,), 0): [0.9, 0.4, 0.7, 0.2]})
     g = fock.TestFunction.build(1.0, 4, {((0,), 1): [0.2, 0.8, 0.5, 0.3]})
-    tid = fock.flow_element(sys1, one, sx, f, sz, g, grid)
+    tid = fock.flow_element(sys1, sx, f, sz, g, grid)
     iv = tid.of_operator(one)
     out.append(_le("fock.unitality", float(np.abs(iv - iv[0]).max()), 1e-9))
 
-    worst = 0.0
-    for a in sys1.basis:
-        for b in sys1.basis:
-            rep = fock.homomorphism_defect(
-                sys1, LocalOperator.weyl(p, a), LocalOperator.weyl(p, b),
-                sx + 0.3 * sz, f, one, g, grid,
-            )
-            worst = max(worst, rep.defect)
+    u = sx + 0.3 * sz
+    ftraj = fock.flow_element(sys1, u, f, one, g, grid)
+    gtraj = fock.pair_element(sys1, u, f, one, g, grid, ftraj)
+    pairs = [(LocalOperator.weyl(p, a), LocalOperator.weyl(p, b))
+             for a in sys1.basis for b in sys1.basis]
+    worst = max(rep.defect for rep in fock.homomorphism_defect(ftraj, gtraj, pairs))
     out.append(_le("fock.eta_homomorphism_16pairs", worst, 1e-8))
 
     Lr = lindblad.Lindbladian.single_kraus(sx, unital=True)
     sysr = fock.build_generator_system(Lr, [(0,)])
     g2 = np.linspace(0.0, 0.25, 5)
     depth = fock.smallest_certified_depth(sz, z, 0.25, Lr, 1e-8)
-    t_ode = fock.flow_element(sysr, sz, one, z, sz, z, g2)
-    t_pic = fock.flow_element(sysr, sz, one, z, sz, z, g2, method="picard", picard_depth=depth)
+    t_ode = fock.flow_element(sysr, one, z, sz, z, g2)
+    t_pic = fock.picard_element(sysr, sz, one, z, sz, z, g2, depth=depth)
     out.append(_le("fock.picard_vs_ode",
-                   float(np.abs(t_ode.of_operator(sz) - t_pic.of_operator(sz)).max()), 1e-7,
+                   float(np.abs(t_ode.of_operator(sz) - t_pic.F[:, 0]).max()), 1e-7,
                    f"depth={depth}"))
 
-    rep = fock.contraction_check(sys1, sx + sz, [(1.0, one, z), (0.5, sx, f)], 1.0)
+    rep, = fock.contraction_check(sys1, [sx + sz], [(1.0, one, z), (0.5, sx, f)], 1.0)
     out.append(_le("fock.contraction", rep.lhs, rep.rhs + rep.error + 1e-9))
 
-    cov = fock.covariance_check(Lr, [(-1,), (0,), (1,)], sz, sz, f, sx, g, (1,), grid)
+    sysc = fock.build_generator_system(Lr, [(-1,), (0,), (1,)])
+    trajc = fock.flow_element(sysc, sz, f, sx, g, grid)
+    cov, = fock.covariance_check(sysc, trajc, [sz], sz, f, sx, g, (1,))
     out.append(_le("fock.covariance", cov.deviation, max(2 * cov.error_estimate, 1e-9)))
 
     scan = fock.eta_ergodicity_scan(rho, sx, sx, f, one, g, np.linspace(0.0, 15.0, 61))
@@ -247,7 +247,7 @@ def run_all(seed: int = 20240817) -> list[Verdict]:
     rng = np.random.default_rng(seed)
     verdicts = []
     verdicts += algebra_checks(rng)
-    verdicts += dense_checks(rng)
+    verdicts += dense_checks()
     verdicts += lindblad_checks(rng)
-    verdicts += fock_checks(rng)
+    verdicts += fock_checks()
     return verdicts

@@ -93,3 +93,63 @@ def test_unknown_method_exits_3(tmp_path):
     res = _invoke(tmp_path, ["evolve"], EVOLVE + "method = bogus\n")
     assert res.exit_code == 3
     assert "bogus" in res.output
+
+
+# Two observables on a single-site Kraus family: the default window is
+# their bounding box, sites 0 and 1.  x = 2 sz has l1 norm 2, y = sx has 1.
+FLOW = """\
+[algebra]
+n = 2
+d = 1
+[generator]
+kind = translation_covariant
+kraus = 1 0 ; 0:1,0
+[observables]
+x = 2 0 ; 0:0,1
+y = 1 0 ; 1:1,0
+[modes.f]
+grid = 1 2
+modes =
+    0/0: 0.5 0, 0.25 0
+[run]
+t_grid = 0 0.5 1
+pairs = x,y
+shift = 1
+contraction_t = 0.5
+"""
+
+
+def test_flow_report_solves_once(tmp_path, monkeypatch):
+    import uhfflow.fock as fock
+
+    calls = {"flow_element": 0, "pair_element": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(fock, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(fock, name, counted)
+    res = _invoke(tmp_path, ["flow"], FLOW)
+    assert res.exit_code == 0, res.output
+    assert [v["name"] for v in _report(tmp_path)["verdicts"]] == [
+        "flow.unitality", "flow.x.adjoint_symmetry", "flow.y.adjoint_symmetry",
+        "flow.homomorphism.x,y", "flow.pair_consistency.x,y",
+        "flow.covariance.x", "flow.covariance.y",
+        "flow.contraction.x", "flow.contraction_positive.x",
+        "flow.contraction.y", "flow.contraction_positive.y"]
+    # Both orientations, the shifted problem, and the three pairs of the
+    # two-member contraction family; one pair solve for every pair.
+    assert calls == {"flow_element": 6, "pair_element": 1}
+    # The err column is l1(x) times the per-string estimate.
+    rows = {name: (tmp_path / "out" / "results" / f"flow_{name}.csv").read_text()
+            .splitlines()[1:] for name in ("x", "y")}
+    for row_x, row_y in zip(rows["x"], rows["y"]):
+        assert float(row_x.split(",")[-1]) == 2 * float(row_y.split(",")[-1])
+
+
+def test_flow_default_window_covers_every_observable(tmp_path):
+    config = FLOW.replace("y = 1 0 ; 1:1,0", "y = 1 0 ; 3:1,0")
+    config = config[:config.index("[modes.f]")] + "[run]\nt_grid = 0 0.5\n"
+    res = _invoke(tmp_path, ["flow"], config)
+    assert res.exit_code == 0, res.output
+    names = [v["name"] for v in _report(tmp_path)["verdicts"]]
+    assert "flow.y.vacuum_reduction" in names

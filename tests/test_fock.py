@@ -40,6 +40,13 @@ def eta_sys(p2, maxmix):
 GRID = np.linspace(0.0, 2.0, 9)
 
 
+def _homomorphism(sys_, pairs, u, f, v, g, grid):
+    """One F and one G solve of (u, f, v, g), read for every pair."""
+    ftraj = fock.flow_element(sys_, u, f, v, g, grid)
+    gtraj = fock.pair_element(sys_, u, f, v, g, grid, ftraj)
+    return fock.homomorphism_defect(ftraj, gtraj, pairs)
+
+
 class TestTestFunctions:
     def test_gamma(self):
         f = fock.TestFunction.build(1.0, 4, {((0,), 0): [1, 1, 1, 1]})
@@ -107,28 +114,47 @@ class TestFlowElement:
         f, g = driven_pair
         u = random_local(p2, rng, [(0,)], include_identity=True)
         v = random_local(p2, rng, [(0,)])
-        traj = fock.flow_element(eta_sys, LocalOperator.identity(p2), u, f, v, g, [0.0])
+        traj = fock.flow_element(eta_sys, u, f, v, g, [0.0])
         for lab in eta_sys.basis:
             expected = gns_inner(u, LocalOperator.weyl(p2, lab) * v) * fock.exp_inner(f, g)
             assert abs(traj.of_label(lab)[0] - expected) < 1e-13
 
     def test_vacuum_closed_form(self, eta_sys, p2, pauli, zf):
         sx, _, _, one = pauli
-        traj = fock.flow_element(eta_sys, sx, sx, zf, one, zf, GRID)
+        traj = fock.flow_element(eta_sys, sx, zf, one, zf, GRID)
         assert np.abs(traj.of_operator(sx) - np.exp(-GRID)).max() < 1e-12
 
     def test_identity_constant(self, eta_sys, p2, pauli, driven_pair):
         f, g = driven_pair
         sx, sz, _, one = pauli
-        traj = fock.flow_element(eta_sys, one, sx, f, sz, g, GRID)
+        traj = fock.flow_element(eta_sys, sx, f, sz, g, GRID)
         vals = traj.of_operator(one)
         assert np.abs(vals - vals[0]).max() < 1e-10
 
     def test_support_outside_window(self, eta_sys, p2):
+        one = LocalOperator.identity(p2)
+        zf = fock.TestFunction.zero()
+        traj = fock.flow_element(eta_sys, one, zf, one, zf, [0.0])
         with pytest.raises(WindowError):
-            fock.flow_element(eta_sys, LocalOperator.site_word(p2, (3,), 1, 0),
-                              LocalOperator.identity(p2), fock.TestFunction.zero(),
-                              LocalOperator.identity(p2), fock.TestFunction.zero(), [0.0])
+            traj.of_operator(LocalOperator.site_word(p2, (3,), 1, 0))
+
+    def test_error_budget_scales_with_l1(self, p2, pauli):
+        # The estimate bounds one basis string; an observable's budget is
+        # l1(x) times it (l1(x) l1(y) times it for a pair).
+        sx, sz, _, one = pauli
+        L = lb.Lindbladian.single_kraus(sx * sx.translate((1,)), unital=True)
+        sys_ = fock.build_generator_system(L, [(0,), (1,)])
+        assert not sys_.leak_free()
+        # The translate at site 1 reaches site 2, outside the window.
+        f = fock.TestFunction.build(0.5, 2, {((1,), 0): [0.8, 0.3]})
+        grid = np.linspace(0.0, 0.5, 3)
+        ftraj = fock.flow_element(sys_, one, f, sx, f, grid)
+        assert ftraj.error_of(sz)[-1] > ftraj.error_of(sz)[0]  # leak accrues
+        np.testing.assert_allclose(ftraj.error_of(3.0 * sz), 3.0 * ftraj.error_of(sz),
+                                   rtol=1e-15)
+        gtraj = fock.pair_element(sys_, one, f, sx, f, grid, ftraj)
+        np.testing.assert_allclose(gtraj.error_of(3.0 * sz, 2.0 * sx),
+                                   6.0 * gtraj.error_of(sz, sx), rtol=1e-15)
 
     def test_vacuum_reduction_translation(self, p2, pauli, zf, rng):
         sx, sz, _, one = pauli
@@ -136,7 +162,7 @@ class TestFlowElement:
         sys_ = fock.build_generator_system(L, [(0,)])
         u = random_local(p2, rng, [(0,)], include_identity=True)
         v = random_local(p2, rng, [(0,)])
-        traj = fock.flow_element(sys_, sz, u, zf, v, zf, GRID)
+        traj = fock.flow_element(sys_, u, zf, v, zf, GRID)
         sop = dense.superoperator(L, dense.window(p2, [(0,)]))
         expected = np.array([
             gns_inner(u, dense.expm_evolve(sop, t, sz) * v) for t in GRID
@@ -148,8 +174,8 @@ class TestFlowElement:
         u = random_local(p2, rng, [(0,)])
         v = random_local(p2, rng, [(0,)])
         x = random_local(p2, rng, [(0,)], include_identity=True)
-        fwd = fock.flow_element(eta_sys, x, u, f, v, g, GRID)
-        bwd = fock.flow_element(eta_sys, x.adjoint(), v, g, u, f, GRID)
+        fwd = fock.flow_element(eta_sys, u, f, v, g, GRID)
+        bwd = fock.flow_element(eta_sys, v, g, u, f, GRID)
         assert np.abs(bwd.of_operator(x.adjoint())
                       - np.conj(fwd.of_operator(x))).max() < 1e-9
 
@@ -209,10 +235,9 @@ class TestPicard:
         grid = np.linspace(0.0, 0.25, 5)
         depth = fock.smallest_certified_depth(sz, zf, 0.25, L, 1e-8)
         assert fock.picard_tail_bound(sz, zf, 0.25, depth, L) < 1e-8
-        a = fock.flow_element(sys_, sz, one, zf, sz, zf, grid)
-        b = fock.flow_element(sys_, sz, one, zf, sz, zf, grid,
-                              method="picard", picard_depth=depth)
-        assert np.abs(a.of_operator(sz) - b.of_operator(sz)).max() < 1e-7
+        a = fock.flow_element(sys_, one, zf, sz, zf, grid)
+        b = fock.picard_element(sys_, sz, one, zf, sz, zf, grid, depth=depth)
+        assert np.abs(a.of_operator(sz) - b.F[:, 0]).max() < 1e-7
 
     def test_driven_picard(self, p2, pauli):
         sx, sz, _, one = pauli
@@ -220,9 +245,17 @@ class TestPicard:
         sys_ = fock.build_generator_system(L, [(0,)])
         f = fock.TestFunction.build(0.25, 2, {((0,), 0): [0.5, 0.25]})
         grid = np.linspace(0.0, 0.25, 5)
-        a = fock.flow_element(sys_, sz, one, f, sz, f, grid)
-        b = fock.flow_element(sys_, sz, one, f, sz, f, grid, method="picard")
-        assert np.abs(a.of_operator(sz) - b.of_operator(sz)).max() < 1e-7
+        a = fock.flow_element(sys_, one, f, sz, f, grid)
+        b = fock.picard_element(sys_, sz, one, f, sz, f, grid)
+        assert np.abs(a.of_operator(sz) - b.F[:, 0]).max() < 1e-7
+        # The default depth is certified, so the estimate says something.
+        assert (b.error_estimate < 1e-9).all()
+
+    def test_uncertified_family_raises(self, eta_sys, pauli, zf):
+        # A partial-state generator is no single-operator family.
+        sx, sz, _, one = pauli
+        with pytest.raises(ValueError):
+            fock.picard_element(eta_sys, sz, one, zf, sz, zf, [0.0, 0.1])
 
 
     def test_picard_estimate_per_grid_point(self, p2, pauli):
@@ -232,7 +265,7 @@ class TestPicard:
         f = fock.TestFunction.build(0.25, 2, {((0,), 0): [0.5, 0.25]})
         grid = np.linspace(0.0, 0.25, 5)
         tol = 1e-10
-        b = fock.flow_element(sys_, sz, one, f, sz, f, grid, method="picard", tol=tol)
+        b = fock.picard_element(sys_, sz, one, f, sz, f, grid, tol=tol)
         assert b.error_estimate[0] == tol
         assert (np.diff(b.error_estimate) >= 0).all()
 
@@ -242,8 +275,8 @@ class TestPairSystem:
         f, g = driven_pair
         u = random_local(p2, rng, [(0,)], include_identity=True)
         v = random_local(p2, rng, [(0,)])
-        gtraj = fock.pair_element(eta_sys, None, u, f, v, g, [0.0])
-        ftraj = fock.flow_element(eta_sys, LocalOperator.identity(p2), u, f, v, g, [0.0])
+        ftraj = fock.flow_element(eta_sys, u, f, v, g, [0.0])
+        gtraj = fock.pair_element(eta_sys, u, f, v, g, [0.0], ftraj)
         for a in eta_sys.basis:
             for b in eta_sys.basis:
                 xa, yb = LocalOperator.weyl(p2, a), LocalOperator.weyl(p2, b)
@@ -253,34 +286,41 @@ class TestPairSystem:
     def test_identity_slot_matches_f(self, eta_sys, p2, pauli, driven_pair):
         f, g = driven_pair
         sx, sz, _, one = pauli
-        gtraj = fock.pair_element(eta_sys, None, sx, f, sz, g, GRID)
+        ftraj = fock.flow_element(eta_sys, sx, f, sz, g, GRID)
+        gtraj = fock.pair_element(eta_sys, sx, f, sz, g, GRID, ftraj)
         assert gtraj.consistent
         assert gtraj.consistency_violation < 1e-9
 
     def test_vacuum_pair_example(self, eta_sys, p2, pauli, zf):
         sx, _, _, one = pauli
-        gtraj = fock.pair_element(eta_sys, [(sx, sx)], one, zf, one, zf, GRID)
+        ftraj = fock.flow_element(eta_sys, one, zf, one, zf, GRID)
+        gtraj = fock.pair_element(eta_sys, one, zf, one, zf, GRID, ftraj)
         vals = gtraj.of_pair(sx, sx)
         assert np.abs(vals - 1.0).max() < 1e-10
+        with pytest.raises(WindowError):
+            gtraj.of_pair(sx, sx.translate((1,)))
+
+    def test_needs_matching_f_trajectory(self, eta_sys, pauli, zf):
+        one = pauli[3]
+        ftraj = fock.flow_element(eta_sys, one, zf, one, zf, GRID[:3])
+        with pytest.raises(ValueError):
+            fock.pair_element(eta_sys, one, zf, one, zf, GRID, ftraj)
 
 
 class TestHomomorphism:
     def test_single_site_all_pairs(self, eta_sys, p2, pauli, driven_pair):
         f, g = driven_pair
         sx, sz, _, one = pauli
-        worst = 0.0
-        for a in eta_sys.basis:
-            for b in eta_sys.basis:
-                rep = fock.homomorphism_defect(
-                    eta_sys, LocalOperator.weyl(p2, a), LocalOperator.weyl(p2, b),
-                    sx + 0.3 * sz, f, one, g, GRID)
-                worst = max(worst, rep.defect)
-        assert worst < 1e-8
+        pairs = [(LocalOperator.weyl(p2, a), LocalOperator.weyl(p2, b))
+                 for a in eta_sys.basis for b in eta_sys.basis]
+        reps = _homomorphism(eta_sys, pairs, sx + 0.3 * sz, f, one, g, GRID)
+        assert len(reps) == 16
+        assert max(rep.defect for rep in reps) < 1e-8
 
     def test_unit_second_slot(self, eta_sys, p2, pauli, driven_pair):
         f, g = driven_pair
         sx, _, _, one = pauli
-        rep = fock.homomorphism_defect(eta_sys, sx, one, sx, f, one, g, GRID)
+        rep, = _homomorphism(eta_sys, [(sx, one)], sx, f, one, g, GRID)
         assert rep.defect < 1e-9
 
     def test_window_ladder_decreases(self, p2, pauli):
@@ -295,7 +335,7 @@ class TestHomomorphism:
         defects = []
         for w in ([(0,), (1,)], [(-1,), (0,), (1,)], [(-1,), (0,), (1,), (2,)]):
             sys_ = fock.build_generator_system(L, w)
-            rep = fock.homomorphism_defect(sys_, sz, sz, one, f, one, g, grid)
+            rep, = _homomorphism(sys_, [(sz, sz)], one, f, one, g, grid)
             assert rep.defect <= rep.error_estimate
             defects.append(rep.defect)
         assert defects[0] > defects[1] > defects[2]
@@ -304,26 +344,28 @@ class TestHomomorphism:
 class TestContraction:
     def test_identity_equality(self, eta_sys, p2, zf, pauli):
         one = pauli[3]
-        rep = fock.contraction_check(eta_sys, one, [(1.0, one, zf)], 1.0)
+        rep, = fock.contraction_check(eta_sys, [one], [(1.0, one, zf)], 1.0)
         assert rep.lhs == pytest.approx(rep.rhs, abs=1e-12)
 
     def test_unitary_word(self, eta_sys, p2, pauli, zf):
         sx, _, _, one = pauli
-        rep = fock.contraction_check(eta_sys, sx, [(1.0, one, zf), (0.5j, sx, zf)], 1.0)
+        rep, = fock.contraction_check(eta_sys, [sx], [(1.0, one, zf), (0.5j, sx, zf)], 1.0)
         assert rep.lhs == pytest.approx(rep.rhs, abs=1e-10)
 
     def test_mixed_observable(self, eta_sys, p2, pauli, driven_pair):
         f, g = driven_pair
         sx, sz, _, one = pauli
-        rep = fock.contraction_check(
-            eta_sys, sx + sz, [(1.0, one, f), (0.5, sx, g)], 1.0)
-        assert rep.lhs <= rep.rhs + rep.error + 1e-9
-        assert rep.lhs >= -(rep.error + 1e-9)
+        reps = fock.contraction_check(
+            eta_sys, [sx + sz, sx, 3.0 * sz], [(1.0, one, f), (0.5, sx, g)], 1.0)
+        assert len(reps) == 3
+        for rep in reps:
+            assert rep.lhs <= rep.rhs + rep.error + 1e-9
+            assert rep.lhs >= -(rep.error + 1e-9)
 
     def test_family_guard(self, eta_sys, p2, zf, pauli):
         fam = [(1.0, pauli[3], zf)] * 9
         with pytest.raises(SizeGuardError):
-            fock.contraction_check(eta_sys, pauli[0], fam, 1.0)
+            fock.contraction_check(eta_sys, [pauli[0]], fam, 1.0)
 
 
 class TestCovariance:
@@ -331,7 +373,9 @@ class TestCovariance:
         f, g = driven_pair
         sx, sz, _, _ = pauli
         L = lb.Lindbladian.single_kraus(sx, unital=True)
-        rep = fock.covariance_check(L, [(-1,), (0,), (1,)], sz, sz, f, sx, g, (0,), GRID)
+        sys_ = fock.build_generator_system(L, [(-1,), (0,), (1,)])
+        traj = fock.flow_element(sys_, sz, f, sx, g, GRID)
+        rep, = fock.covariance_check(sys_, traj, [sz], sz, f, sx, g, (0,))
         assert rep.deviation < 1e-12
 
     def test_vacuum_case(self, p2, pauli, zf, rng):
@@ -339,8 +383,11 @@ class TestCovariance:
         u = random_local(p2, rng, [(0,)])
         v = random_local(p2, rng, [(0,)])
         L = lb.Lindbladian.single_kraus(sx, unital=True)
-        rep = fock.covariance_check(L, [(-1,), (0,), (1,)], sz, u, zf, v, zf, (1,), GRID)
-        assert rep.deviation < 1e-9
+        sys_ = fock.build_generator_system(L, [(-1,), (0,), (1,)])
+        traj = fock.flow_element(sys_, u, zf, v, zf, GRID)
+        reps = fock.covariance_check(sys_, traj, [sz, sx, sz * sx], u, zf, v, zf, (1,))
+        assert len(reps) == 3
+        assert max(rep.deviation for rep in reps) < 1e-9
 
     def test_driven_within_estimate(self, p2, pauli):
         sx, sz, _, _ = pauli
@@ -349,19 +396,22 @@ class TestCovariance:
         f = fock.TestFunction.build(0.5, 2, {((0,), 0): [0.8, 0.3]})
         g = fock.TestFunction.build(0.5, 2, {((1,), 0): [0.4, 0.6]})
         grid = np.linspace(0.0, 0.5, 5)
-        rep = fock.covariance_check(L, [(0,), (1,)], sz, sz, f, sx, g, (1,), grid)
+        sys_ = fock.build_generator_system(L, [(0,), (1,)])
+        traj = fock.flow_element(sys_, sz, f, sx, g, grid)
+        rep, = fock.covariance_check(sys_, traj, [sz], sz, f, sx, g, (1,))
         assert rep.deviation <= max(2 * rep.error_estimate, 1e-9)
 
 
 class TestEtaFlows:
     def test_site_flow_closed_form(self, p2, maxmix, pauli, zf):
         sx, _, _, one = pauli
-        traj = fock.eta_site_flow(maxmix, (0,), sx, sx, zf, one, zf, GRID)
+        traj = fock.eta_site_flow(maxmix, (0,), sx, zf, one, zf, GRID)
         assert np.abs(traj.of_operator(sx) - np.exp(-GRID)).max() < 1e-12
 
     def test_site_flow_support_check(self, p2, maxmix, pauli, zf):
+        traj = fock.eta_site_flow(maxmix, (1,), pauli[3], zf, pauli[3], zf, GRID)
         with pytest.raises(WindowError):
-            fock.eta_site_flow(maxmix, (1,), pauli[0], pauli[3], zf, pauli[3], zf, GRID)
+            traj.of_operator(pauli[0])
 
     def test_product_matches_direct_window(self, p2, maxmix, rng):
         sx0 = LocalOperator.site_word(p2, (0,), 1, 0)
@@ -375,7 +425,7 @@ class TestEtaFlows:
         x = sx0 * sx1
         L = lb.Lindbladian.partial_state(p2, maxmix)
         sys2 = fock.build_generator_system(L, [(0,), (1,)])
-        direct = fock.flow_element(sys2, x, u, f, v, g, GRID).of_operator(x)
+        direct = fock.flow_element(sys2, u, f, v, g, GRID).of_operator(x)
         prod = fock.eta_product_flow(maxmix, x, u, f, v, g, GRID,
                                      sites=[(0,), (1,)]).F[:, 0]
         assert np.abs(direct - prod).max() < 1e-10
