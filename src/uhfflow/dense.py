@@ -3,13 +3,21 @@
 Everything symbolic in :mod:`uhfflow.algebra` can be realized as a dense
 matrix on a finite window of sites: clock/shift words per site, Kronecker
 products across the window, operator norms, generator matrices in the
-Weyl-string basis, exact semigroup evolution via the matrix exponential,
-Choi matrices, and Kraus decompositions of on-site states.  This module
-is the independent oracle the symbolic layer and the Weyl kernel
-(:mod:`uhfflow.kernel`) are tested against, so it shares no arithmetic
-with them beyond the label definitions and the choice of window members:
-generators are built from Kraus matrices by matrix products and
-Kronecker factors, and changed to the Weyl basis by trace projections.
+Weyl-string basis, exact semigroup evolution, Choi matrices, and Kraus
+decompositions of on-site states.  This module is the independent oracle
+the symbolic layer and the Weyl kernel (:mod:`uhfflow.kernel`) are
+tested against, so it shares no arithmetic with them beyond the label
+definitions and the choice of window members.
+
+It evolves by two oracles.  ``hilbert_evolve`` integrates the Heisenberg
+equation dX/dt = sum_m m* X m - (1/2){m* m, X} on D x D window matrices
+(D = N^n) with an explicit Runge-Kutta pair; ``uhfflow evolve`` checks
+its result against it.  ``superoperator`` builds the dense
+N^(2n) x N^(2n) generator in the Weyl basis and ``expm_evolve`` applies
+its Pade matrix exponential; the selftest battery, the Choi check and
+the tests use that one, and it cross-checks the first.  Both build
+their generators from Kraus matrices by matrix products and change to
+the Weyl basis by trace projections.
 """
 
 from __future__ import annotations
@@ -21,13 +29,20 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.integrate  # after scipy.sparse: imported first, it slows the package import by ~6%
 
 from .algebra import AlgebraParams, LocalOperator, Site, WeylLabel, weyl_mul
-from .errors import SizeGuardError, StateError, WindowError
+from .errors import ConvergenceError, SizeGuardError, StateError, WindowError
 
 # Largest window-basis dimension (N^(2n) for n sites) for which a dense
-# generator matrix is built.
+# generator matrix is built.  ``uhfflow evolve`` issues its oracle verdict
+# on exactly the windows under this guard, though ``hilbert_evolve`` needs
+# only D x D matrices.
 SUPEROP_DIM_GUARD = 10_000
+
+# Tolerances of the DOP853 integration in ``hilbert_evolve``.
+HILBERT_RTOL = 1e-13
+HILBERT_ATOL = 1e-15
 
 
 @functools.lru_cache(maxsize=None)
@@ -308,6 +323,61 @@ def expm_evolve(superop: WindowSuperoperator, t, x: LocalOperator):
         out.append(LocalOperator(superop.window.params,
                                  {lab: vec[i] for i, lab in enumerate(superop.basis)}))
     return out if np.ndim(t) else out[0]
+
+
+def _weyl_coefficients(snapshots: np.ndarray, N: int, n: int) -> np.ndarray:
+    """Weyl coefficients of (T, D, D) window matrices, in ``window_basis`` order.
+
+    X[i, i'] indexes rows as (i_1..i_n) and columns as (i'_1..i'_n), the
+    first site most significant; each site's pair (i'_j, i_j) is projected
+    on its N^2 words by one ``tensordot`` with ``_site_projections``' Q.
+    """
+    Q = _site_projections(N)[0].reshape(N * N, N, N)  # Q[d, i', i]
+    T = snapshots.reshape((len(snapshots),) + (N,) * (2 * n))
+    for j in range(n):
+        # The row axes not yet projected sit at 1 + j.., the column axes after them.
+        T = np.moveaxis(np.tensordot(T, Q, axes=([1 + n, 1 + j], [1, 2])), -1, 1 + j)
+    return T.reshape(len(snapshots), N ** (2 * n))
+
+
+def hilbert_evolve(lindbladian, win: SiteWindow, closure_mode: str, t_grid,
+                   x: LocalOperator) -> list[LocalOperator]:
+    """e^{t L} x on the window by the Heisenberg equation on D x D matrices.
+
+    The window members (as in ``superoperator``) and x are realized as
+    matrices; dX/dt = sum_m m* X m - (1/2){K, X} with K = sum_m m* m is
+    integrated from 0 by DOP853 (``HILBERT_RTOL``, ``HILBERT_ATOL``), and
+    each snapshot is changed to Weyl coefficients.  One operator per grid
+    time; a grid that ends at 0 needs no solve.  No Weyl-basis generator,
+    matrix exponential or symbolic product is involved.
+    """
+    grid = validate_grid(t_grid)
+    D = win.dim
+    X0 = realize(x, win).matrix
+    times, where = np.unique(grid, return_inverse=True)
+    if times[-1] > 0:
+        M = np.array([realize(m, win).matrix
+                      for m in lindbladian.window_members(win.sites, closure_mode)]
+                     ).reshape(-1, D, D)
+        Md = M.conj().transpose(0, 2, 1)
+        K = (Md @ M).sum(axis=0)
+
+        def generator(y):
+            X = y.reshape(D, D)
+            return ((Md @ X @ M).sum(axis=0) - 0.5 * (K @ X + X @ K)).reshape(-1)
+
+        # The equation is autonomous; solve_ivp still passes the time.
+        sol = scipy.integrate.solve_ivp(lambda _t, y: generator(y), (0.0, times[-1]),
+                                        X0.reshape(-1), method="DOP853", t_eval=times,
+                                        rtol=HILBERT_RTOL, atol=HILBERT_ATOL)
+        if sol.status != 0:
+            raise ConvergenceError(f"DOP853 failed: {sol.message}")
+        snapshots = sol.y.T.reshape(len(times), D, D)
+    else:
+        snapshots = X0[None]
+    coeffs = _weyl_coefficients(snapshots, win.params.N, len(win.sites))[where]
+    basis = window_basis(win.params, win.sites)
+    return [LocalOperator(win.params, zip(basis, row)) for row in coeffs]
 
 
 def choi_matrix(superop: WindowSuperoperator, t: float) -> np.ndarray:

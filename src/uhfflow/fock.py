@@ -754,32 +754,40 @@ class ContractionReport(NamedTuple):
 
 
 def contraction_check(sys: FlowGeneratorSystem, xs, family, t: float,
-                      tol: float = 1e-10) -> list[ContractionReport]:
+                      tol: float = 1e-10, solved=None) -> list[ContractionReport]:
     """Gram form ||j_t(x) xi||^2 against ||x||^2 ||xi||^2, one report per x in ``xs``.
 
     ``family`` lists (c_i, u_i, f_i) members of xi = sum c_i u_i e(f_i).
     The left side is assembled from F_t(x*x) of each ordered pair of
     members, one solve per pair with i <= j and adjoint symmetry for the
-    lower triangle; every x reads the same solves.
+    lower triangle; every x reads the same solves.  ``solved`` maps a
+    pair (i, j) to the caller's ``flow_element`` solve of it on ``sys``,
+    whose grid must hold t; that pair is read there, not solved again.
     """
     if len(family) > 8:
         raise SizeGuardError("contraction family limited to 8 members")
-    solves = {
-        (i, j): flow_element(sys, ui, fi, uj, fj, [t], tol=tol)
-        for i, (_ci, ui, fi) in enumerate(family)
-        for j, (_cj, uj, fj) in enumerate(family) if i <= j
-    }
+    solved = solved or {}
+    solves = {}
+    for i, (_ci, ui, fi) in enumerate(family):
+        for j, (_cj, uj, fj) in enumerate(family[i:], start=i):
+            if (i, j) in solved:
+                at = np.flatnonzero(solved[(i, j)].grid == t)
+                if at.size == 0:
+                    raise ValueError(f"the solve given for pair {(i, j)} does not hold t = {t}")
+                solves[(i, j)] = (solved[(i, j)], int(at[0]))
+            else:
+                solves[(i, j)] = (flow_element(sys, ui, fi, uj, fj, [t], tol=tol), 0)
     reports = []
     for x in xs:
         xx = x.adjoint() * x
-        errs = sum(abs(family[i][0]) * abs(family[j][0]) * float(traj.error_of(xx)[0])
-                   * (1 if i == j else 2) for (i, j), traj in solves.items())
+        errs = sum(abs(family[i][0]) * abs(family[j][0]) * float(traj.error_of(xx)[k])
+                   * (1 if i == j else 2) for (i, j), (traj, k) in solves.items())
+        vals = {pair: traj.of_operator(xx)[k] for pair, (traj, k) in solves.items()}
         lhs = xi_sq = 0j
         for i, (ci, ui, fi) in enumerate(family):
             for j, (cj, uj, fj) in enumerate(family):
                 coeff = ci.conjugate() * cj
-                val = (solves[(i, j)].of_operator(xx)[0] if i <= j
-                       else solves[(j, i)].of_operator(xx)[0].conjugate())
+                val = vals[(i, j)] if i <= j else vals[(j, i)].conjugate()
                 lhs += coeff * val
                 xi_sq += coeff * gns_inner(ui, uj) * exp_inner(fi, fj)
         rhs = dense.operator_norm(x) ** 2 * xi_sq.real

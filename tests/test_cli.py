@@ -136,9 +136,10 @@ def test_flow_report_solves_once(tmp_path, monkeypatch):
         "flow.covariance.x", "flow.covariance.y",
         "flow.contraction.x", "flow.contraction_positive.x",
         "flow.contraction.y", "flow.contraction_positive.y"]
-    # Both orientations, the shifted problem, and the three pairs of the
-    # two-member contraction family; one pair solve for every pair.
-    assert calls == {"flow_element": 6, "pair_element": 1}
+    # Both orientations, the shifted problem, and the two diagonal pairs of
+    # the two-member contraction family (its pair (u, f; v, g) at t = 0.5 is
+    # read from the forward solve); one pair solve for every pair.
+    assert calls == {"flow_element": 5, "pair_element": 1}
     # The err column is l1(x) times the per-string estimate.
     rows = {name: (tmp_path / "out" / "results" / f"flow_{name}.csv").read_text()
             .splitlines()[1:] for name in ("x", "y")}
@@ -153,3 +154,77 @@ def test_flow_default_window_covers_every_observable(tmp_path):
     assert res.exit_code == 0, res.output
     names = [v["name"] for v in _report(tmp_path)["verdicts"]]
     assert "flow.y.vacuum_reduction" in names
+
+
+# One case per schema error; each is caught before any computation and
+# named by section and field.
+@pytest.mark.parametrize("command,config,where", [
+    ("evolve", EVOLVE.replace("window = 0 1", "window = 0 a"), "[run] window: bad site 'a'"),
+    ("evolve", EVOLVE.replace("0.3 0\n", "0.9 0\n"), "[generator] rho: invalid density matrix"),
+    ("evolve", EVOLVE.replace("t_grid = 0 0.5 1", "t_grid = 0 1 0.5"), "[run] t_grid:"),
+    ("flow", FLOW.replace("0/0: 0.5 0, 0.25 0", "0/0: 0.5 0"), "[modes.f] modes: mode '0/0'"),
+    ("evolve", EVOLVE + "closure = open\n", "[run] closure:"),
+], ids=["site", "rho", "t_grid", "modes", "closure"])
+def test_config_schema_error_exits_2(tmp_path, command, config, where):
+    res = _invoke(tmp_path, [command], config)
+    assert res.exit_code == 2, res.output
+    assert f"config error: {where}" in res.output
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+# Partial-state decay of two observables and the perturbed semigroup at
+# two weights; y's fitted rate is one of the known default-seed FAILs.
+ERGODICITY = """\
+[algebra]
+n = 2
+d = 1
+[generator]
+kind = partial_state
+rho = 0.7 0 0.1 0 ; 0.1 0 0.3 0
+kraus = 1 0 ; 0:1,0
+[observables]
+x = 1 0 ; 0:1,0
+y = 1 0 ; 0:0,1 1:1,0
+[run]
+t_grid = linspace 0 3 7
+c_values = 0 0.5
+"""
+
+
+def _tables(tmp_path):
+    return {path.name: path.read_text().splitlines()
+            for path in sorted((tmp_path / "out" / "results").glob("*.csv"))}
+
+
+def test_ergodicity_report(tmp_path):
+    res = _invoke(tmp_path, ["ergodicity"], ERGODICITY)
+    assert res.exit_code in (0, 1), res.output
+    report = _report(tmp_path)
+    assert report["command"] == "ergodicity"
+    assert [v["name"] for v in report["verdicts"]] == [
+        f"ergodicity.{name}.{check}" for name in ("x", "y")
+        for check in ("rate", "r2", "perturbed_c0", "rates_positive", "rates_nonincreasing")]
+    assert report["passed"] == all(v["passed"] for v in report["verdicts"])
+    out = tmp_path / "out" / "results"
+    assert report["outputs"] == [str(out / "ergodicity.csv"), str(out / "perturbed_rates.csv")]
+    tables = _tables(tmp_path)
+    assert tables["ergodicity.csv"][0] == "observable,phi_re,phi_im,rate,r2"
+    assert [row.split(",")[0] for row in tables["ergodicity.csv"][1:]] == ["x", "y"]
+    assert tables["perturbed_rates.csv"][0] == "observable,c,rate,r2"
+    assert [row.split(",")[:2] for row in tables["perturbed_rates.csv"][1:]] == [
+        ["x", "0"], ["x", "0.5"], ["y", "0"], ["y", "0.5"]]
+
+
+def test_lemma_report(tmp_path):
+    config = LEMMA_FAIL.replace("instances = 20", "instances = 6")
+    res = _invoke(tmp_path, ["lemma"], config)
+    assert res.exit_code in (0, 1), res.output
+    report = _report(tmp_path)
+    assert report["command"] == "lemma"
+    assert [v["name"] for v in report["verdicts"]] == ["lemma.identity_defect", "lemma.bounds"]
+    assert report["verdicts"][1]["note"] == "6 instances"
+    assert report["outputs"] == [str(tmp_path / "out" / "results" / "lemma.csv")]
+    rows = _tables(tmp_path)["lemma.csv"]
+    assert rows[0] == "instance,observable,mode,n,lhs,rhs"
+    assert [row.split(",")[0] for row in rows[1:]] == [str(i) for i in range(6)]
+    assert {row.split(",")[2] for row in rows[1:]} <= {"pure", "mixed"}

@@ -1,12 +1,19 @@
-"""Dense realization, superoperators, Choi positivity, Kraus families."""
+"""Dense realization, both evolution oracles, Choi positivity, Kraus families."""
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uhfflow.dense as dense
+import uhfflow.fock as fock
+import uhfflow.kernel as kernel
+import uhfflow.lindblad as lindblad
 from uhfflow.algebra import AlgebraParams, LocalOperator, random_local
 from uhfflow.errors import SizeGuardError, StateError, WindowError
-from uhfflow.lindblad import Lindbladian
+from uhfflow.lindblad import KrausFamily, Lindbladian
 
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -193,6 +200,110 @@ class TestExpmEvolve:
         sop = dense.superoperator(partial_maxmix, dense.window(p2, [(0,)]))
         with pytest.raises(ValueError):
             dense.expm_evolve(sop, -0.1, pauli[0])
+
+
+@st.composite
+def oracle_cases(draw):
+    """(Lindbladian, window, closure mode, observable) for the two oracles.
+
+    N = 2 windows have one to three sites, N = 3 windows one or two, drawn
+    distinct from -2..2; the generator is a translation-covariant family
+    of one or two random members on the origin and its neighbour, or the
+    partial-state generator of a random full-rank state.
+    """
+    N = draw(st.sampled_from([2, 3]))
+    params = AlgebraParams(N, 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_sites = draw(st.integers(1, 3 if N == 2 else 2))
+    sites = [(int(k),) for k in rng.choice(np.arange(-2, 3), size=n_sites, replace=False)]
+    if draw(st.booleans()):
+        ops = []
+        for _ in range(draw(st.integers(1, 2))):
+            op = random_local(params, rng, [(0,), (1,)], n_terms=draw(st.integers(1, 3)),
+                              include_identity=draw(st.booleans()))
+            ops.append(op * (1.0 / op.l1()))
+        L = Lindbladian.translation_covariant(KrausFamily(tuple(ops)))
+    else:
+        A = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+        rho = A @ A.conj().T
+        L = Lindbladian.partial_state(params, dense.StateSpec(rho / np.trace(rho).real))
+    x = random_local(params, rng, sites, include_identity=draw(st.booleans()))
+    return L, dense.window(params, sites), draw(st.sampled_from(["interior", "clipped"])), x
+
+
+class TestHilbertEvolve:
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(oracle_cases())
+    @pytest.mark.parametrize("grid", [
+        [0.0], [0.0, 0.4, 0.4, 1.0], [0.3, 0.9], [0.5, 0.5, 1.2],
+    ])
+    def test_matches_pade_oracle(self, grid, case):
+        L, win, closure, x = case
+        got = dense.hilbert_evolve(L, win, closure, grid, x)
+        ref = dense.expm_evolve(dense.superoperator(L, win, closure), grid, x)
+        assert len(got) == len(grid)
+        for a, b in zip(got, ref):
+            assert a.sup_diff(b) <= 1e-11
+
+    def test_built_without_kernel_or_exponential(self, p2, monkeypatch):
+        sx = LocalOperator.site_word(p2, (0,), 1, 0)
+        r = sx * sx.translate((1,)) + LocalOperator.site_word(p2, (0,), 0, 1, 0.5)
+        L = Lindbladian.single_kraus(r)
+        win = dense.window(p2, [(0,), (1,), (3,)])
+        x = sx.translate((1,)) + LocalOperator.site_word(p2, (3,), 1, 1)
+        expected = dense.hilbert_evolve(L, win, "clipped", [0.0, 0.5, 1.0], x)
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("the Hilbert-space oracle must not use this")
+
+        monkeypatch.setattr(LocalOperator, "__mul__", forbidden)
+        monkeypatch.setattr(Lindbladian, "windowed_apply", forbidden)
+        for module in (kernel, lindblad, fock):
+            monkeypatch.setattr(module, "WindowKernel", forbidden)
+        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", forbidden)
+        monkeypatch.setattr(fock, "expm_multiply", forbidden)
+        monkeypatch.setattr(scipy.linalg, "expm", forbidden)
+        got = dense.hilbert_evolve(L, win, "clipped", [0.0, 0.5, 1.0], x)
+        assert all(a.sup_diff(b) == 0.0 for a, b in zip(got, expected))
+
+    def test_matches_evolve_on_five_sites(self, p2, rng):
+        sx = LocalOperator.site_word(p2, (0,), 1, 0)
+        sz = LocalOperator.site_word(p2, (0,), 0, 1)
+        L = Lindbladian.translation_covariant(
+            KrausFamily((sx * sx.translate((1,)) * 0.5 + sz * 0.5, sz)))
+        sites = [(i,) for i in range(5)]
+        x = random_local(p2, rng, sites[1:4], include_identity=True)
+        grid = [0.0, 0.5, 1.0]
+        got = dense.hilbert_evolve(L, dense.window(p2, sites), "interior", grid, x)
+        res = lindblad.evolve(L, x, grid, method="ode", tol=1e-12, window=sites,
+                              closure_mode="interior")
+        for a, b in zip(got, res.values):
+            assert a.sup_diff(b) <= 1e-12
+
+    def test_partial_closed_form(self, p2, partial_maxmix, pauli):
+        sx = pauli[0]
+        grid = np.linspace(0.0, 1.0, 5)
+        got = dense.hilbert_evolve(partial_maxmix, dense.window(p2, [(0,), (1,)]), "interior",
+                                   grid, sx)
+        for t, val in zip(grid, got):
+            assert val.sup_diff(sx * np.exp(-t)) < 1e-13
+
+    def test_grid_at_zero_needs_no_solve(self, p2, partial_maxmix, rng, monkeypatch):
+        win = dense.window(p2, [(0,), (1,)])
+        x = random_local(p2, rng, win.sites, include_identity=True)
+        monkeypatch.setattr(dense.scipy.integrate, "solve_ivp", None)
+        got = dense.hilbert_evolve(partial_maxmix, win, "interior", [0.0, 0.0], x)
+        assert len(got) == 2 and all(val.sup_diff(x) < 1e-15 for val in got)
+
+    def test_rejects_bad_grid_and_window(self, p2, partial_maxmix, pauli):
+        win = dense.window(p2, [(0,)])
+        with pytest.raises(ValueError):
+            dense.hilbert_evolve(partial_maxmix, win, "interior", [0.5, 0.2], pauli[0])
+        with pytest.raises(ValueError):
+            dense.hilbert_evolve(partial_maxmix, win, "interior", [-0.1], pauli[0])
+        with pytest.raises(WindowError):
+            dense.hilbert_evolve(partial_maxmix, win, "interior", [0.5],
+                                 pauli[0].translate((1,)))
 
 
 class TestChoi:

@@ -362,6 +362,23 @@ class TestContraction:
             assert rep.lhs <= rep.rhs + rep.error + 1e-9
             assert rep.lhs >= -(rep.error + 1e-9)
 
+    def test_reads_the_callers_solve(self, eta_sys, pauli, driven_pair, monkeypatch):
+        f, g = driven_pair
+        sx, sz, _, one = pauli
+        family = [(1.0, one, f), (0.5, sx, g)]
+        fwd = fock.flow_element(eta_sys, one, f, sx, g, [0.0, 0.5, 1.0])
+        expected = fock.contraction_check(eta_sys, [sx + sz, sz], family, 0.5)
+        calls = []
+        real = fock.flow_element
+        monkeypatch.setattr(fock, "flow_element",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        # The grid's breakpoints up to t = 0.5 are those of a solve to 0.5 alone.
+        got = fock.contraction_check(eta_sys, [sx + sz, sz], family, 0.5, solved={(0, 1): fwd})
+        assert got == expected
+        assert len(calls) == 2
+        with pytest.raises(ValueError):
+            fock.contraction_check(eta_sys, [sz], family, 0.75, solved={(0, 1): fwd})
+
     def test_family_guard(self, eta_sys, p2, zf, pauli):
         fam = [(1.0, pauli[3], zf)] * 9
         with pytest.raises(SizeGuardError):
