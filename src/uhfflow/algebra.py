@@ -321,21 +321,6 @@ class LocalOperator:
             return 0.0
         return max(abs(self.coeff(lab) - other.coeff(lab)) for lab in labels)
 
-    def allclose(self, other: "LocalOperator", tol: float = 1e-12) -> bool:
-        return self.sup_diff(other) <= tol
-
-    def clip(self, sites) -> tuple["LocalOperator", float]:
-        """Drop terms whose support leaves ``sites``; return (kept, leaked l1)."""
-        allowed = {_check_site(s, self.params.d) for s in sites}
-        kept: dict[WeylLabel, complex] = {}
-        leaked = 0.0
-        for lab, c in self._terms.items():
-            if set(lab.support) <= allowed:
-                kept[lab] = c
-            else:
-                leaked += abs(c)
-        return LocalOperator(self.params, kept), leaked
-
     def __repr__(self):
         n = len(self._terms)
         return f"LocalOperator(N={self.params.N}, d={self.params.d}, {n} terms)"

@@ -124,7 +124,6 @@ class ExperimentConfig:
     generator: lindblad.Lindbladian
     kraus: lindblad.KrausFamily | None
     state: dense.StateSpec | None
-    c: float
     observables: dict[str, LocalOperator]
     u: LocalOperator
     v: LocalOperator
@@ -238,8 +237,10 @@ def load_config(path) -> ExperimentConfig:
     run = dict(parser["run"]) if "run" in parser else {}
     where = {"section": "run", "field": "t_grid"}
     t_grid = _parse_grid(run.get("t_grid", "0 1"), where)
-    if t_grid.size == 0 or t_grid[0] < 0 or np.any(np.diff(t_grid) < 0):
-        raise ConfigError("t_grid must be nonnegative ascending", **where)
+    try:
+        t_grid = dense.validate_grid(t_grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc), **where) from None
     window = None
     if "window" in run:
         where = {"section": "run", "field": "window"}
@@ -263,7 +264,7 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigError("observable site dimension mismatch", section="observables")
 
     return ExperimentConfig(
-        params=params, generator=generator, kraus=kraus, state=state, c=c,
+        params=params, generator=generator, kraus=kraus, state=state,
         observables=observables, u=u, v=v, f=f, g=g, t_grid=t_grid,
         window=window, method=method, closure=closure, tol=tol, seed=seed,
         run=run, digest=digest,

@@ -19,9 +19,13 @@ cell is solved by a matrix exponential.  The pair elements
 
 satisfy the doubled system carrying one quantum Ito correction term
 sum_j G(delta_j^dag x, delta_j y); the homomorphism claim is exactly
-F_t(xy) = G_t(x, y).  Both systems are solved for the whole window
-basis, so one solve per (u, f, v, g) and grid serves every observable
-and pair, and the checks read those trajectories.  Truncation to a
+F_t(xy) = G_t(x, y).  The F system is listed as pieces between
+breakpoints, each with its cell's generator A and leak rate; G's piece
+on the same stretch is built from it, with cell generator
+A (x) 1 + 1 (x) A + Ito, Ito = sum_j delta_j^dag (x) delta_j.  Both
+systems are solved for the whole window basis, so one solve per
+(u, f, v, g) and grid serves every observable and pair, and the checks
+read those trajectories.  Truncation to a
 finite site window drops operator mass outside it; that l1 mass is
 recorded per map and drives every error estimate, which bounds one basis
 string and is scaled by the observable's l1 norm (``error_of``).
@@ -63,6 +67,10 @@ from .kernel import WindowKernel
 
 DEFAULT_MAX_DIM = 4096
 MAX_PAIR_DIM = 70_000
+PICARD_SUB = 64  # Simpson nodes per piece in picard_element (even)
+PICARD_MAX_TERMS = 500_000  # terms summed by picard_tail_bound before it gives inf
+CERTIFIED_DEPTH_MAX = 100_000  # deepest Picard depth smallest_certified_depth tries
+PRODUCT_TRIPLE_GUARD = 20_000  # (x, u, v) string triples eta_product_flow expands
 
 ModeKey = tuple[Site, int]  # (lattice site of the translate, Kraus member id)
 
@@ -415,115 +423,84 @@ def _initial_pair_vector(sys: FlowGeneratorSystem, F0: np.ndarray) -> np.ndarray
     return G0
 
 
-class _SingleAssembly:
-    """Per-cell generator matrix and leak rate for the F system."""
+class _Piece(NamedTuple):
+    """The stretch [a, b] between two breakpoints: its cell's generator and leak rate."""
 
-    def __init__(self, sys: FlowGeneratorSystem, f: TestFunction, g: TestFunction):
-        self.sys = sys
-        self.f = f
-        self.g = g
-        self._cache: dict = {}
-
-    def matrix(self, t: float):
-        cell = _cell_of(t, self.f)
-        if cell not in self._cache:
-            A = self.sys.lhat_t.copy()
-            for key in self.sys.noise:
-                gv = self.g.cell_value(key, cell)
-                fv = self.f.cell_value(key, cell)
-                if gv != 0j:
-                    A = A + gv * self.sys.delta_dag_t[key]
-                if fv != 0j:
-                    A = A + fv.conjugate() * self.sys.delta_t[key]
-            self._cache[cell] = A.tocsr()
-        return self._cache[cell]
-
-    def leak_rate(self, t: float) -> float:
-        cell = _cell_of(t, self.f)
-        rate = self.sys.leak_max("lhat")
-        for key in self.sys.noise:
-            rate += abs(self.g.cell_value(key, cell)) * self.sys.leak_max(("dd", key))
-            rate += abs(self.f.cell_value(key, cell)) * self.sys.leak_max(("d", key))
-        return rate
+    a: float
+    b: float
+    matrix: scipy.sparse.csr_matrix
+    leak_rate: float
 
 
-class _PairAssembly:
-    """Per-cell generator matrix and leak rate for the doubled G system."""
+def _flow_pieces(sys: FlowGeneratorSystem, grid: np.ndarray, f: TestFunction,
+                 g: TestFunction) -> list[_Piece]:
+    """The F system between consecutive breakpoints, assembled once per cell.
 
-    def __init__(self, sys: FlowGeneratorSystem, f: TestFunction, g: TestFunction):
-        self.sys = sys
-        self.f = f
-        self.g = g
-        n = sys.dim
-        eye = scipy.sparse.identity(n, dtype=complex, format="csr")
-        static = scipy.sparse.kron(sys.lhat_t, eye, format="csr")
-        static = static + scipy.sparse.kron(eye, sys.lhat_t, format="csr")
-        for key in sys.noise:
-            static = static + scipy.sparse.kron(
-                sys.delta_dag_t[key], sys.delta_t[key], format="csr"
-            )
-        self.static = static
-        self._eye = eye
-        self._drive: dict[ModeKey, tuple] = {}
-        self._cache: dict = {}
-
-    def _driving(self, key):
-        if key not in self._drive:
-            dT = self.sys.delta_t[key]
-            ddT = self.sys.delta_dag_t[key]
-            self._drive[key] = (
-                scipy.sparse.kron(dT, self._eye, format="csr")
-                + scipy.sparse.kron(self._eye, dT, format="csr"),
-                scipy.sparse.kron(ddT, self._eye, format="csr")
-                + scipy.sparse.kron(self._eye, ddT, format="csr"),
-            )
-        return self._drive[key]
-
-    def matrix(self, t: float):
-        cell = _cell_of(t, self.f)
-        if cell not in self._cache:
-            A = self.static
-            for key in self.sys.noise:
-                gv = self.g.cell_value(key, cell)
-                fv = self.f.cell_value(key, cell)
-                if gv != 0j or fv != 0j:
-                    both_d, both_dd = self._driving(key)
-                    if fv != 0j:
-                        A = A + fv.conjugate() * both_d
-                    if gv != 0j:
-                        A = A + gv * both_dd
-            self._cache[cell] = A.tocsr()
-        return self._cache[cell]
-
-    def leak_rate(self, t: float) -> float:
-        cell = _cell_of(t, self.f)
-        sys = self.sys
-        rate = 2.0 * sys.leak_max("lhat")
-        for key in sys.noise:
-            gv = abs(self.g.cell_value(key, cell))
-            fv = abs(self.f.cell_value(key, cell))
-            rate += 2.0 * (gv * sys.leak_max(("dd", key)) + fv * sys.leak_max(("d", key)))
-            # Ito correction term: missing flux bounded by leak x map mass.
-            ld, ldd = sys.leak_max(("d", key)), sys.leak_max(("dd", key))
-            rate += ldd * sys.map_l1(key) + sys.map_l1(key) * ld + ldd * ld
-        return rate
-
-
-def _leak_accrual(assembly, bps: list[float]) -> dict[float, float]:
-    """Leak budget accrued from 0 to each breakpoint: sum of rate x length per piece."""
-    acc = {bps[0]: 0.0}
+    On a cell the generator is Lhat + sum_k [g_k delta_k^dag + conj(f_k) delta_k]
+    and the leak rate the same combination of the maps' column leak maxima.
+    """
+    cells: dict = {}
+    pieces = []
+    bps = _breakpoints(grid, f)
     for a, b in zip(bps[:-1], bps[1:]):
-        acc[b] = acc[a] + assembly.leak_rate(0.5 * (a + b)) * (b - a)
+        cell = _cell_of(0.5 * (a + b), f)
+        if cell not in cells:
+            A = sys.lhat_t.copy()
+            rate = sys.leak_max("lhat")
+            for key in sys.noise:
+                gv = g.cell_value(key, cell)
+                fv = f.cell_value(key, cell)
+                if gv != 0j:
+                    A = A + gv * sys.delta_dag_t[key]
+                if fv != 0j:
+                    A = A + fv.conjugate() * sys.delta_t[key]
+                rate += abs(gv) * sys.leak_max(("dd", key))
+                rate += abs(fv) * sys.leak_max(("d", key))
+            cells[cell] = (A.tocsr(), rate)
+        pieces.append(_Piece(a, b, *cells[cell]))
+    return pieces
+
+
+def _pair_pieces(sys: FlowGeneratorSystem, pieces: list[_Piece]) -> list[_Piece]:
+    """The doubled G system on the F pieces: A (x) 1 + 1 (x) A + Ito.
+
+    The quantum Ito term sum_k delta_k^dag (x) delta_k is the same on every
+    cell.  Its missing flux is bounded per mode by leak x map mass, so the
+    leak rate is 2 x the F rate plus that Ito rate.
+    """
+    n = sys.dim
+    eye = scipy.sparse.identity(n, dtype=complex, format="csr")
+    ito = scipy.sparse.csr_matrix((n * n, n * n), dtype=complex)
+    ito_rate = 0.0
+    for key in sys.noise:
+        ito = ito + scipy.sparse.kron(sys.delta_dag_t[key], sys.delta_t[key], format="csr")
+        ld, ldd, mass = sys.leak_max(("d", key)), sys.leak_max(("dd", key)), sys.map_l1(key)
+        ito_rate += ldd * mass + mass * ld + ldd * ld
+    doubled: dict = {}
+    out = []
+    for p in pieces:
+        if id(p.matrix) not in doubled:
+            G = (scipy.sparse.kron(p.matrix, eye, format="csr")
+                 + scipy.sparse.kron(eye, p.matrix, format="csr") + ito)
+            doubled[id(p.matrix)] = (G.tocsr(), 2.0 * p.leak_rate + ito_rate)
+        out.append(_Piece(p.a, p.b, *doubled[id(p.matrix)]))
+    return out
+
+
+def _leak_accrual(pieces: list[_Piece]) -> dict[float, float]:
+    """Leak budget accrued from 0 to each breakpoint: sum of rate x length per piece."""
+    acc = {0.0: 0.0}
+    for p in pieces:
+        acc[p.b] = acc[p.a] + p.leak_rate * (p.b - p.a)
     return acc
 
 
-def _propagate(assembly, F0, grid, f, tol, scale):
-    """Step across the breakpoints; vectors and leak budgets at the grid points."""
-    bps = _breakpoints(grid, f)
-    states = {bps[0]: F0}
-    for a, b in zip(bps[:-1], bps[1:]):
-        states[b] = expm_multiply(assembly.matrix(0.5 * (a + b)) * (b - a), states[a])
-    leak = _leak_accrual(assembly, bps)
+def _propagate(pieces: list[_Piece], F0, grid, tol, scale):
+    """Step across the pieces; vectors and leak budgets at the grid points."""
+    states = {0.0: F0}
+    for p in pieces:
+        states[p.b] = expm_multiply(p.matrix * (p.b - p.a), states[p.a])
+    leak = _leak_accrual(pieces)
     out = np.array([states[float(t)] for t in grid])
     return out, np.array([tol + scale * leak[float(t)] for t in grid])
 
@@ -541,15 +518,14 @@ def flow_element(sys: FlowGeneratorSystem, u, f, v, g, t_grid,
     """
     grid = dense.validate_grid(t_grid)
     f, g = _harmonize(f, g)
-    F, est = _propagate(_SingleAssembly(sys, f, g), _initial_vector(sys, u, v, f, g),
-                        grid, f, tol, _scale(u, f, v, g))
+    F, est = _propagate(_flow_pieces(sys, grid, f, g), _initial_vector(sys, u, v, f, g),
+                        grid, tol, _scale(u, f, v, g))
     return MatrixElementTrajectory(grid, sys.basis, sys.index, F, est, "ode")
 
 
 def picard_element(sys: FlowGeneratorSystem, x: LocalOperator, u, f, v, g, t_grid,
-                   depth: int | None = None, sub: int = 64,
-                   tol: float = 1e-10) -> MatrixElementTrajectory:
-    """F_t(x) by Picard sweeps (cumulative Simpson, ``sub`` nodes per step).
+                   depth: int | None = None, tol: float = 1e-10) -> MatrixElementTrajectory:
+    """F_t(x) by Picard sweeps (cumulative Simpson, ``PICARD_SUB`` nodes per piece).
 
     The iteration tail bound certifies x alone, for single-operator
     families only (others raise ``ValueError``); ``depth=None`` runs to
@@ -565,19 +541,16 @@ def picard_element(sys: FlowGeneratorSystem, x: LocalOperator, u, f, v, g, t_gri
     # The tail bound grows with t0, so quoting it at each grid time is a
     # bound there; at t = 0 it vanishes.
     tail = np.array([picard_tail_bound(x, g, float(t), depth, L) for t in grid])
-    if sub % 2:
-        sub += 1
-    assembly = _SingleAssembly(sys, f, g)
+    flow = _flow_pieces(sys, grid, f, g)
     F0 = _initial_vector(sys, u, v, f, g)
-    bps = _breakpoints(grid, f)
     # Global node array; every breakpoint (hence every grid point) is a node.
     nodes = [0.0]
     pieces = []  # (start_idx, end_idx, h, A)
-    for a, b in zip(bps[:-1], bps[1:]):
+    for p in flow:
         start = len(nodes) - 1
-        seg = np.linspace(a, b, sub + 1)
+        seg = np.linspace(p.a, p.b, PICARD_SUB + 1)
         nodes.extend(seg[1:].tolist())
-        pieces.append((start, len(nodes) - 1, (b - a) / sub, assembly.matrix(0.5 * (a + b))))
+        pieces.append((start, len(nodes) - 1, (p.b - p.a) / PICARD_SUB, p.matrix))
     nodes = np.asarray(nodes)
     n_nodes = nodes.size
 
@@ -607,7 +580,7 @@ def picard_element(sys: FlowGeneratorSystem, x: LocalOperator, u, f, v, g, t_gri
             raise AssertionError("grid point missed the picard node lattice")
     values = G[idx] @ cx
     # Leakage accrues per basis string exactly as in the ODE path.
-    leak = _leak_accrual(assembly, bps)
+    leak = _leak_accrual(flow)
     leak = np.array([leak[float(t)] for t in grid])
     est = tol + _scale(u, f, v, g) * (tail + x.l1() * leak)
     return _observable_trajectory(grid, values, est, "picard")
@@ -653,7 +626,7 @@ def picard_error_bound(x: LocalOperator, f: TestFunction, t0: float, n: int,
 
 
 def picard_tail_bound(x: LocalOperator, f: TestFunction, t0: float, n: int,
-                      L: "_lb.Lindbladian", max_terms: int = 500_000) -> float:
+                      L: "_lb.Lindbladian") -> float:
     """Upper bound on sum_{m > n} of the increment bounds base^m / sqrt(m!).
 
     The ratio of term m+1 to term m is base / sqrt(m+1), so the terms rise
@@ -662,13 +635,13 @@ def picard_tail_bound(x: LocalOperator, f: TestFunction, t0: float, n: int,
     until negligible; the rest is closed by the geometric remainder
     term q / (1 - q), q the next ratio, which majorises it because every
     later ratio is smaller.  Returns inf, never a capped value, when the
-    sum overflows a float or max_terms runs out first.
+    sum overflows a float or PICARD_MAX_TERMS run out first.
     """
     log_base = _picard_log_base(x, f, t0, L)
     if log_base is None:
         return 0.0
     total = 0.0
-    for m in range(n + 1, n + max_terms):
+    for m in range(n + 1, n + PICARD_MAX_TERMS):
         term = _exp_or_inf(m * log_base - 0.5 * math.lgamma(m + 1))
         total += term
         if math.isinf(total):
@@ -683,14 +656,13 @@ def picard_tail_bound(x: LocalOperator, f: TestFunction, t0: float, n: int,
 
 
 def smallest_certified_depth(x: LocalOperator, f: TestFunction, t0: float,
-                             L: "_lb.Lindbladian", tol: float,
-                             n_max: int = 100_000) -> int:
+                             L: "_lb.Lindbladian", tol: float) -> int:
     """Smallest n whose tail bound is below tol."""
     lo, hi = 1, 2
     while picard_tail_bound(x, f, t0, hi, L) >= tol:
         hi *= 2
-        if hi > n_max:
-            raise SizeGuardError(f"no certified depth below {n_max}")
+        if hi > CERTIFIED_DEPTH_MAX:
+            raise SizeGuardError(f"no certified depth below {CERTIFIED_DEPTH_MAX}")
     while lo < hi:
         mid = (lo + hi) // 2
         if picard_tail_bound(x, f, t0, mid, L) < tol:
@@ -716,7 +688,8 @@ def pair_element(sys: FlowGeneratorSystem, u, f, v, g, t_grid,
     if n * n > MAX_PAIR_DIM:
         raise SizeGuardError(f"pair basis dimension {n * n} exceeds guard {MAX_PAIR_DIM}")
     G0 = _initial_pair_vector(sys, _initial_vector(sys, u, v, f, g))
-    Gflat, est = _propagate(_PairAssembly(sys, f, g), G0, grid, f, tol, _scale(u, f, v, g))
+    Gflat, est = _propagate(_pair_pieces(sys, _flow_pieces(sys, grid, f, g)), G0, grid, tol,
+                            _scale(u, f, v, g))
     G = Gflat.reshape(len(grid), n, n)
     id_row = sys.index[WeylLabel.identity()]
     violation = float(np.max(np.abs(G[:, id_row, :] - f_trajectory.F)))
@@ -842,8 +815,8 @@ def _site_op(params, site: Site, ab: tuple[int, int]) -> LocalOperator:
     return LocalOperator.site_word(params, site, *ab)
 
 
-def eta_product_flow(state, x: LocalOperator, u, f, v, g, t_grid, sites=None,
-                     triple_guard: int = 20_000) -> MatrixElementTrajectory:
+def eta_product_flow(state, x: LocalOperator, u, f, v, g, t_grid,
+                     sites=None) -> MatrixElementTrajectory:
     """Product flow: per-site solves multiplied with unused-mode overlaps.
 
     Works for any x, u, v by expanding all three over the string basis;
@@ -861,7 +834,7 @@ def eta_product_flow(state, x: LocalOperator, u, f, v, g, t_grid, sites=None,
         raise WindowError("x support outside the requested site set")
 
     xs, us, vs = x.items(), u.items(), v.items()
-    if len(xs) * len(us) * len(vs) > triple_guard:
+    if len(xs) * len(us) * len(vs) > PRODUCT_TRIPLE_GUARD:
         raise SizeGuardError("basis expansion exceeds the triple guard")
 
     mode_sites = f.mode_sites() | g.mode_sites()

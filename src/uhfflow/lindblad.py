@@ -53,6 +53,13 @@ from .kernel import WindowKernel
 
 MAX_SERIES_TERMS = 500
 ENUM_GUARD = 200_000
+WINDOW_PAD_FACTOR = 2  # default_window pads by this many Kraus diameters
+# perturbed_ergodic_state's Simpson quadrature: panels per cutoff, envelope
+# tolerance, and the first and last cutoff times (the cutoff doubles).
+QUAD_PANELS = 1024
+QUAD_TOL = 1e-6
+QUAD_T_START = 10.0
+QUAD_T_MAX = 80.0
 
 
 @dataclass(frozen=True)
@@ -184,17 +191,6 @@ class Lindbladian:
                 )
             member = 0
         return commutator(x, ops[member])
-
-    def delta_dag(self, k, x: LocalOperator, member: int | None = None) -> LocalOperator:
-        """delta_k^dag(x) = [r_k*, x] for the selected Kraus member."""
-        ops = self.members_at(k)
-        if member is None:
-            if len(ops) != 1:
-                raise ValueError(
-                    f"family has {len(ops)} members; pass member= to pick one"
-                )
-            member = 0
-        return commutator(ops[member].adjoint(), x)
 
     def delta_list(self, k, x: LocalOperator) -> list[LocalOperator]:
         return [commutator(x, op) for op in self.members_at(k)]
@@ -352,8 +348,8 @@ class EvolutionResult:
                                      f"{c.imag:.17g}", f"{err:.6e}"])
 
 
-def default_window(L: Lindbladian, *xs: LocalOperator, pad_factor: int = 2) -> tuple[Site, ...]:
-    """Bounding box of the supports of ``xs`` padded by pad_factor x the Kraus diameter."""
+def default_window(L: Lindbladian, *xs: LocalOperator) -> tuple[Site, ...]:
+    """Bounding box of the supports of ``xs`` padded by WINDOW_PAD_FACTOR x the Kraus diameter."""
     supp = {s for x in xs for s in x.support()}
     if not supp:
         supp = (L.params.origin(),)
@@ -362,7 +358,7 @@ def default_window(L: Lindbladian, *xs: LocalOperator, pad_factor: int = 2) -> t
     lo = [min(s[c] for s in supp) for c in range(d)]
     hi = [max(s[c] for s in supp) for c in range(d)]
     diam = [max(b[c] for b in base) - min(b[c] for b in base) for c in range(d)]
-    pad = [pad_factor * diam[c] for c in range(d)]
+    pad = [WINDOW_PAD_FACTOR * diam[c] for c in range(d)]
     ranges = [range(lo[c] - pad[c], hi[c] + pad[c] + 1) for c in range(d)]
     return tuple(itertools.product(*ranges))
 
@@ -577,16 +573,8 @@ def ergodic_state(state, x: LocalOperator) -> complex:
     return acc
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    panels: int = 1024
-    tol: float = 1e-6
-    t_start: float = 10.0
-    t_max: float = 80.0
-
-
-def perturbed_ergodic_state(state, L: Lindbladian, c: float, x: LocalOperator,
-                            quad: QuadratureSpec = QuadratureSpec()) -> tuple[complex, float]:
+def perturbed_ergodic_state(state, L: Lindbladian, c: float,
+                            x: LocalOperator) -> tuple[complex, float]:
     """Phi^{(c)}(x) = Phi(x) + c * integral of Phi(L(P_t^{(c)} x)) dt.
 
     The trajectory under the perturbed generator is integrated by
@@ -613,9 +601,9 @@ def perturbed_ergodic_state(state, L: Lindbladian, c: float, x: LocalOperator,
         ergodic_state(state, L.apply(LocalOperator.weyl(L.params, lab))) for lab in basis
     ])
 
-    t_cut = quad.t_start
+    t_cut = QUAD_T_START
     while True:
-        panels = quad.panels
+        panels = QUAD_PANELS
         dt = t_cut / panels
         prop = scipy.linalg.expm(mat.toarray() * dt)
         vec = dense.coefficient_vector(x, index)
@@ -625,7 +613,7 @@ def perturbed_ergodic_state(state, L: Lindbladian, c: float, x: LocalOperator,
             vec = prop @ vec
             h[i] = phi_l_vec @ vec
         env = np.abs(h)
-        if env[-1] < quad.tol / 10 or t_cut >= quad.t_max:
+        if env[-1] < QUAD_TOL / 10 or t_cut >= QUAD_T_MAX:
             break
         t_cut *= 2.0
 
@@ -638,7 +626,7 @@ def perturbed_ergodic_state(state, L: Lindbladian, c: float, x: LocalOperator,
         if rate > 0:
             tail_rate = rate
     if tail_rate is None:
-        if env[-1] > quad.tol / 10:
+        if env[-1] > QUAD_TOL / 10:
             raise DivergenceError("perturbed-ergodic integrand does not decay")
         tail = 0j
         tail_err = float(env[-1])

@@ -10,7 +10,10 @@ use ``from __future__ import annotations``, so none needs quotes).
 starting with ``a.b`` appears; this tells ``import scipy.linalg`` from
 ``import scipy.sparse`` in a module that uses only one of them.  A
 parameter is used when its name is read anywhere in the function body;
-dunder methods, whose signatures a protocol fixes, are exempt.
+dunder methods, whose signatures a protocol fixes, are exempt.  A private
+module-level name (``_name`` bound by ``def``, ``class`` or assignment) is
+used when some module of the package, ``__init__`` included, names it
+(as a name, an attribute or an import) outside its own definition.
 """
 
 import ast
@@ -20,6 +23,7 @@ import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "uhfflow"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(SOURCE.glob("*.py"))
 
 
 def _dotted(node) -> str | None:
@@ -110,3 +114,56 @@ def test_scanner_sees_unused_parameters():
         "        return inner\n"
     )
     assert unused_parameters(source) == ["f.b", "f.c", "f.args", "m.self"]
+
+
+def _private_definitions(tree):
+    """(name, node) for each module-level ``_name`` a def, class or assignment binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def _mentions(node, name: str) -> bool:
+    return ((isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.alias) and name in (node.name, node.asname)))
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for every private module-level name no module names elsewhere."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    unused = []
+    for module, tree in trees.items():
+        for name, definition in _private_definitions(tree):
+            inside = {id(n) for n in ast.walk(definition)}
+            if not any(id(n) not in inside and _mentions(n, name)
+                       for other in trees.values() for n in ast.walk(other)):
+                unused.append(f"{module}.{name}")
+    return unused
+
+
+def test_no_unreferenced_private_names():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_scanner_sees_unreferenced_private_names():
+    sources = {
+        "a": (
+            "_LIMIT = 3\n_SPARE: int = 4\n__all__ = []\n"
+            "def _loop(n):\n    return _loop(n - 1) if n else _LIMIT\n"
+            "class _Kept:\n    pass\n"
+            "def _imported():\n    return 1\n"
+            "def public():\n    return _Kept()\n"
+        ),
+        "b": "from .a import _imported\nimport a\nx = a._SPARE\n",
+    }
+    assert unreferenced_private_names(sources) == ["a._loop"]
