@@ -13,11 +13,20 @@ no matrices appear here.  The finite-dimensional realization lives in
 
 Normal ordering per site is U-powers before V-powers; reordering across a
 product contributes the phase ``omega**(-beta * alpha')`` per site.
+
+The identity checks multiply the same few strings over and over, so the
+label arithmetic reuses its work: a ``WeylLabel`` hashes its entries once,
+at construction; ``weyl_mul`` reads a bounded product table keyed on
+(N, g, h); ``AlgebraParams.root`` reads a table of the N-th roots of unity
+per N.  Operations whose term dicts are already merged (sums, products,
+adjoints, translates) only drop coefficients below ``COEFF_TOL``.  None of
+this changes a floating-point operation on a coefficient.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -27,6 +36,10 @@ from .errors import ParamsMismatchError
 # Coefficients below this magnitude are dropped during canonicalization so
 # that float dust cannot blow up supports.
 COEFF_TOL = 1e-15
+
+# Entries of the product table behind ``weyl_mul``; the identity checks
+# see a few thousand distinct products.
+PRODUCT_TABLE_SIZE = 1 << 16
 
 Site = tuple[int, ...]
 
@@ -55,18 +68,22 @@ class AlgebraParams:
         return cmath.exp(2j * math.pi / self.N)
 
     def root(self, k: int) -> complex:
-        """omega**k, computed from the reduced exponent.
-
-        Quarter turns are returned exactly so that N = 2 and N = 4 phase
-        arithmetic stays free of float dust.
-        """
-        k %= self.N
-        if (4 * k) % self.N == 0:
-            return (1 + 0j, 1j, -1 + 0j, -1j)[(4 * k // self.N) % 4]
-        return cmath.exp(2j * math.pi * k / self.N)
+        """omega**k, read from the table of the reduced exponent."""
+        return _roots(self.N)[k % self.N]
 
     def origin(self) -> Site:
         return (0,) * self.d
+
+
+@functools.lru_cache(maxsize=None)
+def _roots(N: int) -> tuple[complex, ...]:
+    """omega**k for k = 0 .. N-1.
+
+    Quarter turns are exact so that N = 2 and N = 4 phase arithmetic stays
+    free of float dust.
+    """
+    return tuple((1 + 0j, 1j, -1 + 0j, -1j)[(4 * k // N) % 4] if (4 * k) % N == 0
+                 else cmath.exp(2j * math.pi * k / N) for k in range(N))
 
 
 def _check_site(site, d: int) -> Site:
@@ -76,15 +93,36 @@ def _check_site(site, d: int) -> Site:
     return site
 
 
-@dataclass(frozen=True)
 class WeylLabel:
     """Finitely supported exponent map site -> (alpha, beta) labeling U_g.
 
     ``entries`` is sorted by site and never contains an exponent pair
-    (0, 0); the empty tuple labels the identity.
+    (0, 0); the empty tuple labels the identity.  Immutable; the hash is
+    computed once, and only another ``WeylLabel`` with the same entries
+    compares equal.
     """
 
-    entries: tuple[tuple[Site, tuple[int, int]], ...]
+    __slots__ = ("entries", "_hash")
+
+    def __init__(self, entries: tuple[tuple[Site, tuple[int, int]], ...]):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_hash", hash((entries,)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("WeylLabel is immutable")
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not WeylLabel:
+            return NotImplemented
+        return self._hash == other._hash and self.entries == other.entries
+
+    def __repr__(self):
+        return f"WeylLabel(entries={self.entries!r})"
 
     @staticmethod
     def identity() -> "WeylLabel":
@@ -140,9 +178,14 @@ def weyl_mul(params: AlgebraParams, g: WeylLabel, h: WeylLabel) -> tuple[int, We
     """Exact product law: U_g U_h = omega**phase * U_label.
 
     Per site, (U^a V^b)(U^a' V^b') = omega**(-b a') U^(a+a') V^(b+b');
-    phases multiply across sites, exponents add mod N.
+    phases multiply across sites, exponents add mod N.  Read from a table
+    of ``PRODUCT_TABLE_SIZE`` recent products.
     """
-    N = params.N
+    return _product(params.N, g, h)
+
+
+@functools.lru_cache(maxsize=PRODUCT_TABLE_SIZE)
+def _product(N: int, g: WeylLabel, h: WeylLabel) -> tuple[int, WeylLabel]:
     phase = 0
     ent = dict(g.entries)
     for site, (a2, b2) in h.entries:
@@ -179,7 +222,7 @@ class LocalOperator:
 
     def __init__(self, params: AlgebraParams, terms: Mapping[WeylLabel, complex] | Iterable = ()):
         merged: dict[WeylLabel, complex] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if isinstance(terms, dict) or isinstance(terms, Mapping) else terms
         for label, coeff in items:
             c = merged.get(label, 0j) + complex(coeff)
             if c == 0j:
@@ -189,6 +232,18 @@ class LocalOperator:
         clean = {lab: c for lab, c in merged.items() if abs(c) >= COEFF_TOL}
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "_terms", clean)
+
+    @staticmethod
+    def _merged(params: AlgebraParams, terms: dict[WeylLabel, complex]) -> "LocalOperator":
+        """What ``LocalOperator(params, terms)`` builds, dropping only
+        |c| < ``COEFF_TOL``.  The caller ensures what the public merge
+        would otherwise do: ``terms`` is a dict of complex coefficients, and
+        none has a -0.0 part (the merge adds each one to 0j)."""
+        out = object.__new__(LocalOperator)
+        object.__setattr__(out, "params", params)
+        object.__setattr__(out, "_terms", {lab: c for lab, c in terms.items()
+                                           if abs(c) >= COEFF_TOL})
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("LocalOperator is immutable")
@@ -228,27 +283,35 @@ class LocalOperator:
             out = dict(self._terms)
             for lab, c in other._terms.items():
                 out[lab] = out.get(lab, 0j) + c
-            return LocalOperator(self.params, out)
+            return LocalOperator._merged(self.params, out)
         return NotImplemented
 
     def __sub__(self, other):
+        # a - c equals a + (0j - c) bit for bit when a has no -0.0 part.
         if isinstance(other, LocalOperator):
-            return self + (-other)
+            self._require_same_params(other)
+            out = dict(self._terms)
+            for lab, c in other._terms.items():
+                out[lab] = out.get(lab, 0j) - c
+            return LocalOperator._merged(self.params, out)
         return NotImplemented
 
     def __neg__(self):
-        return LocalOperator(self.params, {lab: -c for lab, c in self._terms.items()})
+        # 0j - c, not -c: a +0.0 part stays +0.0, as the public merge leaves it.
+        return LocalOperator._merged(self.params, {lab: 0j - c for lab, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, LocalOperator):
             self._require_same_params(other)
+            params = self.params
+            roots = _roots(params.N)
             out: dict[WeylLabel, complex] = {}
             for g, cg in self._terms.items():
                 for h, ch in other._terms.items():
-                    phase, label = weyl_mul(self.params, g, h)
-                    c = cg * ch * self.params.root(phase)
+                    phase, label = weyl_mul(params, g, h)
+                    c = cg * ch * roots[phase]
                     out[label] = out.get(label, 0j) + c
-            return LocalOperator(self.params, out)
+            return LocalOperator._merged(params, out)
         if isinstance(other, (int, float, complex)):
             return LocalOperator(
                 self.params, {lab: c * other for lab, c in self._terms.items()}
@@ -268,15 +331,16 @@ class LocalOperator:
     # -- *-algebra operations -------------------------------------------
 
     def adjoint(self) -> "LocalOperator":
+        roots = _roots(self.params.N)
         out: dict[WeylLabel, complex] = {}
         for g, c in self._terms.items():
             phase, label = weyl_adjoint(self.params, g)
-            out[label] = out.get(label, 0j) + c.conjugate() * self.params.root(phase)
-        return LocalOperator(self.params, out)
+            out[label] = out.get(label, 0j) + c.conjugate() * roots[phase]
+        return LocalOperator._merged(self.params, out)
 
     def translate(self, k) -> "LocalOperator":
         k = _check_site(k, self.params.d)
-        return LocalOperator(
+        return LocalOperator._merged(
             self.params, {lab.translated(k): c for lab, c in self._terms.items()}
         )
 

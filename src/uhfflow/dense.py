@@ -40,6 +40,13 @@ from .errors import ConvergenceError, SizeGuardError, StateError, WindowError
 # only D x D matrices.
 SUPEROP_DIM_GUARD = 10_000
 
+# Cache of per-string Kronecker matrices behind ``realize``: entries, and
+# the largest window dimension cached (at most 256 * 16**2 * 16 B = 1 MiB).
+# The norms of the identity checks realize the same few strings on small
+# supports; the evolve oracle's windows (dimension 27 and up) reuse few.
+STRING_MATRIX_CACHE_SIZE = 256
+STRING_MATRIX_CACHE_DIM = 16
+
 # Tolerances of the DOP853 integration in ``hilbert_evolve``.
 HILBERT_RTOL = 1e-13
 HILBERT_ATOL = 1e-15
@@ -64,14 +71,17 @@ def clock_shift(N: int) -> tuple[np.ndarray, np.ndarray]:
     if np.linalg.norm(U @ V - omega * V @ U) > 1e-14 * N:
         raise AssertionError("clock/shift orientation broken")
     _validate_single_site_products(N)
+    U.flags.writeable = V.flags.writeable = False  # cached: shared by every caller
     return U, V
 
 
 @functools.lru_cache(maxsize=None)
 def site_word(N: int, alpha: int, beta: int) -> np.ndarray:
-    """U^alpha V^beta as an N x N matrix."""
+    """U^alpha V^beta as a read-only N x N matrix."""
     U, V = clock_shift(N)
-    return np.linalg.matrix_power(U, alpha % N) @ np.linalg.matrix_power(V, beta % N)
+    word = np.linalg.matrix_power(U, alpha % N) @ np.linalg.matrix_power(V, beta % N)
+    word.flags.writeable = False
+    return word
 
 
 @functools.lru_cache(maxsize=None)
@@ -135,21 +145,35 @@ class DenseOperator:
 
 
 def realize(x: LocalOperator, win: SiteWindow) -> DenseOperator:
-    """Kronecker realization of x on the window (identity off-support)."""
+    """Kronecker realization of x on the window (identity off-support).
+
+    On windows of dimension up to ``STRING_MATRIX_CACHE_DIM`` each string's
+    Kronecker product of site words is read from a bounded cache of
+    read-only matrices (``_string_matrix``); the result is a fresh array.
+    No symbolic product (``weyl_mul``) is used, so this stays an
+    independent check of the product law.
+    """
     if x.params != win.params:
         raise WindowError("operator and window use different algebra parameters")
     if not set(x.support()) <= win.site_set():
         raise WindowError(f"support {x.support()} not contained in window {win.sites}")
     N = win.params.N
     dim = win.dim
+    string = _string_matrix if dim <= STRING_MATRIX_CACHE_DIM else _string_matrix.__wrapped__
     out = np.zeros((dim, dim), dtype=complex)
     for label, coeff in x.items():
-        acc = np.eye(1, dtype=complex)
-        for site in win.sites:
-            a, b = label.exponents(site)
-            acc = np.kron(acc, site_word(N, a, b))
-        out += coeff * acc
+        out += coeff * string(N, tuple(label.exponents(site) for site in win.sites))
     return DenseOperator(win, out)
+
+
+@functools.lru_cache(maxsize=STRING_MATRIX_CACHE_SIZE)
+def _string_matrix(N: int, exponents: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Read-only Kronecker product of the site words U^a V^b, in window order."""
+    acc = np.eye(1, dtype=complex)
+    for a, b in exponents:
+        acc = np.kron(acc, site_word(N, a, b))
+    acc.flags.writeable = False
+    return acc
 
 
 def operator_norm(x: LocalOperator) -> float:

@@ -578,9 +578,10 @@ def perturbed_ergodic_state(state, L: Lindbladian, c: float,
     """Phi^{(c)}(x) = Phi(x) + c * integral of Phi(L(P_t^{(c)} x)) dt.
 
     The trajectory under the perturbed generator is integrated by
-    composite Simpson up to a cutoff where the fitted envelope is below
-    tol/10, then closed with an exponential-tail extrapolation.  Returns
-    (value, quadrature error estimate).
+    composite Simpson up to a cutoff where the envelope is below tol/10,
+    then closed with an exponential-tail extrapolation.  Returns (value,
+    quadrature error estimate); raises ``DivergenceError`` when the
+    envelope is not below tol/10 by ``QUAD_T_MAX``.
     """
     if c < 0:
         raise ValueError("perturbation weight must be nonnegative")
@@ -616,6 +617,13 @@ def perturbed_ergodic_state(state, L: Lindbladian, c: float,
         if env[-1] < QUAD_TOL / 10 or t_cut >= QUAD_T_MAX:
             break
         t_cut *= 2.0
+    if env[-1] >= QUAD_TOL / 10:
+        # A nearly flat envelope still fits a tiny positive rate, whose
+        # tail h[-1] / rate would be returned as if it converged.
+        raise DivergenceError(
+            f"perturbed-ergodic integrand is {env[-1]:.3g} at t = {t_cut:g}, "
+            f"not below {QUAD_TOL / 10:g}"
+        )
 
     ts = np.linspace(0.0, t_cut, panels + 1)
     half = panels // 2
@@ -626,8 +634,6 @@ def perturbed_ergodic_state(state, L: Lindbladian, c: float,
         if rate > 0:
             tail_rate = rate
     if tail_rate is None:
-        if env[-1] > QUAD_TOL / 10:
-            raise DivergenceError("perturbed-ergodic integrand does not decay")
         tail = 0j
         tail_err = float(env[-1])
     else:

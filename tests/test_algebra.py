@@ -5,11 +5,15 @@ built inline from clock and shift matrices, independent of uhfflow.dense.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+import uhfflow.algebra as algebra
+import uhfflow.dense as dense
 from uhfflow.algebra import (
+    COEFF_TOL,
     AlgebraParams,
     LocalOperator,
     WeylLabel,
@@ -319,6 +323,107 @@ class TestCanonicalization:
         sx = pauli[0]
         with pytest.raises(AttributeError):
             sx.params = None
+        label = next(iter(sx.items()))[0]
+        with pytest.raises(AttributeError):
+            label.entries = ()
+
+    def test_self_difference_is_empty(self, p2, p3, rng):
+        for p in (p2, p3):
+            x = random_local(p, rng, [(0,), (1,)], n_terms=5, include_identity=True)
+            assert (x - x).num_terms() == 0
+
+    def test_add_then_subtract_restores(self, p2, rng):
+        x = random_local(p2, rng, [(0,), (1,)], n_terms=5, include_identity=True)
+        # Disjoint labels: (c + 0) - 0 and 0 + d - d are exact.
+        y = random_local(p2, rng, [(4,), (5,)], n_terms=5)
+        back = (x + y) - y
+        assert back.sup_diff(x) == 0.0
+        assert back.num_terms() == x.num_terms()
+        # Dyadic coefficients on shared labels sum exactly as well.
+        a = LocalOperator(p2, {lab: complex(k / 4, -k / 8) for k, (lab, _) in enumerate(x.items())})
+        b = LocalOperator(p2, {lab: complex(-k / 2, k) for k, (lab, _) in enumerate(x.items())})
+        assert ((a + b) - b).sup_diff(a) == 0.0
+
+    def test_small_products_dropped(self, p2, pauli):
+        sx, sz, _, _ = pauli
+        assert ((sx * 1e-8) * (sz * 1e-8)).num_terms() == 0
+        assert ((sx * 1e-6) * (sz * 1e-8)).num_terms() == 1
+        # (sx + sz)(sx - sz) = 1 - sx sz + sz sx - 1 = -2 sx sz: the identity
+        # cancels exactly and its label is dropped.
+        prod = (sx + sz) * (sx - sz)
+        assert prod.num_terms() == 1
+        assert prod.trace() == 0j
+        assert prod.sup_diff(sx * sz * -2.0) == 0.0
+
+    def test_merged_results_match_public_merge(self, p2, p3, pauli, rng):
+        """Sums, differences, negatives, products, adjoints and translates
+        hold exactly what the public constructor's merge would hold: no
+        coefficient below COEFF_TOL and no -0.0 part."""
+
+        def bits(op):
+            return [(lab.entries, math.copysign(1.0, c.real), c.real,
+                     math.copysign(1.0, c.imag), c.imag) for lab, c in op.items()]
+
+        sx, sz, sxz, one = pauli
+        cases = [(sx * -2.0 + sz, sxz * 3.0 - one), (sx + sz * 1j, sx * -1j - sxz)]
+        for p in (p2, p3):
+            for _ in range(3):
+                cases.append((random_local(p, rng, [(0,), (1,)], include_identity=True),
+                              random_local(p, rng, [(0,), (1,)], include_identity=True)))
+        for x, y in cases:
+            for got in (x + y, x - y, y - x, -x, x * y, y * x, x.adjoint(), x.translate((2,))):
+                again = LocalOperator(got.params, dict(got.items()))
+                assert bits(got) == bits(again)
+                assert all(abs(c) >= COEFF_TOL for _, c in got.items())
+
+
+class TestLabelIdentity:
+    def test_equal_labels_from_every_builder(self, p2):
+        built = WeylLabel.from_entries([((1,), (1, 0)), ((2,), (0, 1))], 2, 1)
+        moved = WeylLabel.from_entries([((0,), (1, 0)), ((1,), (0, 1))], 2, 1).translated((1,))
+        phase, product = weyl_mul(p2, WeylLabel.single((1,), 1, 0, 2, 1),
+                                  WeylLabel.single((2,), 0, 1, 2, 1))
+        # Digits a*N + b per site, first site most significant: (2, 1) -> 9.
+        from_basis = dense.window_basis(p2, [(1,), (2,)])[9]
+        assert phase == 0
+        labels = [built, moved, product, from_basis]
+        for a, b in itertools.product(labels, repeat=2):
+            assert a == b and hash(a) == hash(b)
+        assert len({*labels}) == 1
+        assert {built: 1.0}[from_basis] == 1.0
+
+    def test_not_equal_to_entries(self, p2, rng):
+        label = random_label(p2, rng, [(0,), (1,)])
+        assert label != label.entries
+        assert label.entries != label
+        assert label.entries not in {label: 1}
+        assert WeylLabel.identity() != ()
+
+    def test_unequal_labels(self):
+        g = WeylLabel.single((0,), 1, 0, 2, 1)
+        assert g != WeylLabel.single((0,), 0, 1, 2, 1)
+        assert g != WeylLabel.single((1,), 1, 0, 2, 1)
+        assert g != WeylLabel.identity()
+
+
+class TestProductCounter:
+    def test_every_term_pair_calls_weyl_mul(self, p3, rng, monkeypatch):
+        """Each product of term pairs goes through the module-level
+        ``weyl_mul``, which is where a tracer counts them."""
+        calls = []
+        original = algebra.weyl_mul
+
+        def counting(params, g, h):
+            calls.append((g, h))
+            return original(params, g, h)
+
+        monkeypatch.setattr(algebra, "weyl_mul", counting)
+        x = random_local(p3, rng, [(0,), (1,)], n_terms=4, include_identity=True)
+        y = random_local(p3, rng, [(1,), (2,)], n_terms=3)
+        for _ in range(2):  # the second round reads the product table
+            calls.clear()
+            x * y
+            assert len(calls) == x.num_terms() * y.num_terms()
 
 
 class TestTextFormat:

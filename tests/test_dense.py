@@ -7,11 +7,12 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uhfflow.algebra as algebra
 import uhfflow.dense as dense
 import uhfflow.fock as fock
 import uhfflow.kernel as kernel
 import uhfflow.lindblad as lindblad
-from uhfflow.algebra import AlgebraParams, LocalOperator, random_local
+from uhfflow.algebra import AlgebraParams, LocalOperator, WeylLabel, random_local
 from uhfflow.errors import SizeGuardError, StateError, WindowError
 from uhfflow.lindblad import KrausFamily, Lindbladian
 
@@ -79,6 +80,66 @@ class TestRealize:
         x = random_local(p2, rng, win.sites, include_identity=True)
         mat = dense.realize(x, win).matrix
         assert abs(np.trace(mat) / 4 - x.trace()) < 1e-13
+
+    @pytest.mark.parametrize("n_sites", [2, 5])  # cached, and above STRING_MATRIX_CACHE_DIM
+    def test_result_is_a_fresh_array(self, p2, rng, n_sites):
+        win = dense.window(p2, [(k,) for k in range(n_sites)])
+        x = LocalOperator.weyl(p2, algebra.random_label(p2, rng, [(0,), (1,)]))
+        first = dense.realize(x, win).matrix
+        want = np.kron(dense.realize(x, dense.window(p2, [(0,), (1,)])).matrix,
+                       np.eye(2 ** (n_sites - 2)))
+        assert np.abs(first - want).max() == 0.0
+        first[:] = 7.0
+        assert np.abs(dense.realize(x, win).matrix - want).max() == 0.0
+        assert np.abs(dense.realize(x * 2.0, win).matrix - 2.0 * want).max() == 0.0
+
+    def test_cached_matrices_read_only(self):
+        # One write into a shared cached array would corrupt every later
+        # realization in the process.
+        mat = dense._string_matrix(2, ((1, 0), (0, 0), (1, 1)))
+        assert mat.shape == (8, 8)
+        for arr in (mat, dense.site_word(3, 1, 2), *dense.clock_shift(3)):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+
+SITES = [(-1,), (0,), (1,)]
+
+
+@st.composite
+def label_pairs(draw):
+    """(params, g, h): random labels on the sites -1, 0, 1."""
+    N = draw(st.sampled_from([2, 3, 4, 5]))
+
+    def label():
+        chosen = draw(st.lists(st.sampled_from(SITES), max_size=3, unique=True))
+        return WeylLabel.from_entries(
+            [(s, (draw(st.integers(0, N - 1)), draw(st.integers(0, N - 1)))) for s in chosen],
+            N, 1)
+
+    return AlgebraParams(N, 1), label(), label()
+
+
+class TestProductTable:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(label_pairs())
+    def test_matches_product_law_and_dense_product(self, case):
+        params, g, h = case
+        N = params.N
+        uncached = algebra._product.__wrapped__(N, g, h)
+        # A first call fills the table, a second reads it back, and equal
+        # but distinct label objects find the same entry.
+        twins = WeylLabel(g.entries), WeylLabel(h.entries)
+        for phase, label in (algebra.weyl_mul(params, g, h), algebra.weyl_mul(params, g, h),
+                             algebra.weyl_mul(params, *twins)):
+            assert (phase, label) == uncached
+            assert 0 <= phase < N
+        phase, label = uncached
+        win = dense.window(params, SITES)
+        lhs = (dense.realize(LocalOperator.weyl(params, g), win).matrix
+               @ dense.realize(LocalOperator.weyl(params, h), win).matrix)
+        rhs = params.root(phase) * dense.realize(LocalOperator.weyl(params, label), win).matrix
+        assert np.abs(lhs - rhs).max() < 1e-12
 
 
 class TestOperatorNorm:

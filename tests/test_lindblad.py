@@ -12,7 +12,7 @@ from uhfflow.algebra import (
     random_local,
     seminorm_one,
 )
-from uhfflow.errors import FitError, SizeGuardError, WindowError
+from uhfflow.errors import DivergenceError, FitError, SizeGuardError, WindowError
 
 
 @pytest.fixture
@@ -352,6 +352,19 @@ class TestPerturbedErgodicState:
         monkeypatch.setattr(lb, "generator_matrix", forbidden)
         with pytest.raises(SizeGuardError):
             lb.perturbed_ergodic_state(state, L, 0.5, x)
+
+    def test_non_decaying_integrand_raises(self, pauli, monkeypatch):
+        # The window's interior closure has its own stationary state, so
+        # |Phi(L(P_t x))| stays at 1.6e-5 from t = 20 on.  A nearly flat
+        # envelope still fits a tiny positive rate; its tail must not be
+        # returned as a converged value.
+        monkeypatch.setattr(lb, "QUAD_T_START", 20.0)
+        monkeypatch.setattr(lb, "QUAD_T_MAX", 20.0)
+        sx, sz = pauli[0], pauli[1]
+        L = lb.Lindbladian.single_kraus(sx * sx.translate((1,)) + 0.5 * sz)
+        state = dense.StateSpec(np.array([[0.7, 0.1], [0.1, 0.3]]))
+        with pytest.raises(DivergenceError):
+            lb.perturbed_ergodic_state(state, L, 0.1, sx)
 
     def test_invariance_under_flow(self, biased, L_flip, p2, pauli):
         c = 0.1
