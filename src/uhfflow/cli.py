@@ -9,6 +9,7 @@ error.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import sys
@@ -27,23 +28,19 @@ from .selftest import Verdict, _ge, _le, run_all
 DEFAULT_OUT_ENV = "UHFFLOW_OUT"
 
 
-def _write_trajectory_csv(path, grid, rows):
-    """rows: iterable of (label_text, values, errs)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "label", "re", "im", "err"])
-        for label, values, errs in rows:
-            for t, val, err in zip(grid, values, errs):
-                writer.writerow(
-                    [f"{t:.17g}", label, f"{val.real:.17g}", f"{val.imag:.17g}", f"{err:.6e}"]
-                )
+def _f17(value: float) -> str:
+    """A float with enough digits to read back exactly."""
+    return f"{value:.17g}"
 
 
 class RunReport:
-    def __init__(self, command: str, digest: str, seed: int):
+    """Verdicts and result tables of one command run, written under ``out_dir``."""
+
+    def __init__(self, command: str, digest: str, seed: int, out_dir: Path):
         self.command = command
         self.digest = digest
         self.seed = seed
+        self.out_dir = out_dir
         self.outputs: list[str] = []
         self.verdicts: list[Verdict] = []
         self.started = time.time()
@@ -51,11 +48,20 @@ class RunReport:
     def add(self, verdict: Verdict):
         self.verdicts.append(verdict)
 
+    def table(self, name: str, header, rows):
+        """Write ``results/<name>.csv`` and record it in ``outputs``."""
+        path = self.out_dir / "results" / f"{name}.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        self.outputs.append(str(path))
+
     @property
     def passed(self) -> bool:
         return all(v.passed for v in self.verdicts)
 
-    def write(self, out_dir: Path):
+    def write(self):
         payload = {
             "command": self.command,
             "config_digest": self.digest,
@@ -65,7 +71,7 @@ class RunReport:
             "wall_time_s": round(time.time() - self.started, 3),
             "passed": self.passed,
         }
-        with open(out_dir / "report.json", "w") as fh:
+        with open(self.out_dir / "report.json", "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -77,27 +83,25 @@ class RunReport:
         click.echo(f"{'ALL CHECKS PASSED' if self.passed else 'CHECK FAILURES PRESENT'}")
 
 
-def _prepare_out(out: str | None) -> Path:
-    out_dir = Path(out or os.environ.get(DEFAULT_OUT_ENV, "uhfflow-out"))
-    (out_dir / "results").mkdir(parents=True, exist_ok=True)
-    return out_dir
-
-
-def _finish(report: RunReport, out_dir: Path):
-    report.write(out_dir)
-    report.echo()
-    sys.exit(0 if report.passed else 1)
-
-
-def _run_guarded(fn):
+def _execute(command: str, out: str | None, start):
+    """Run one command: ``start()`` loads and checks its inputs and returns
+    (config digest, seed, body); ``body(report)`` adds verdicts and tables.
+    A configuration error exits 2 before any report is written."""
     try:
-        fn()
+        digest, seed, body = start()
+        out_dir = Path(out or os.environ.get(DEFAULT_OUT_ENV, "uhfflow-out"))
+        (out_dir / "results").mkdir(parents=True, exist_ok=True)
+        report = RunReport(command, digest, seed, out_dir)
+        body(report)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     except (UhfflowError, ValueError) as exc:
         click.echo(f"engine error: {exc}", err=True)
         sys.exit(3)
+    report.write()
+    report.echo()
+    sys.exit(0 if report.passed else 1)
 
 
 @click.group()
@@ -105,26 +109,33 @@ def main():
     """Simulation and verification engine for lattice flow semigroups."""
 
 
-def _common_options(fn):
-    fn = click.option("--config", "config_path", required=True, type=click.Path(exists=True))(fn)
-    fn = click.option("--out", "out", default=None, help="output directory")(fn)
-    fn = click.option("--seed", "seed", default=None, type=int, help="override config seed")(fn)
-    return fn
+def _config_command(name: str):
+    """Register ``body(cfg, report)``, which only computes, as ``uhfflow <name>``."""
 
+    def register(body):
+        @main.command(name, help=body.__doc__)
+        @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
+        @click.option("--out", "out", default=None, help="output directory")
+        @click.option("--seed", "seed", default=None, type=int, help="override config seed")
+        def command(config_path, out, seed):
+            def start():
+                cfg = load_config(config_path)
+                if seed is not None:
+                    cfg.seed = seed
+                return cfg.digest, cfg.seed, functools.partial(body, cfg)
 
-def _load(config_path, seed) -> ExperimentConfig:
-    cfg = load_config(config_path)
-    if seed is not None:
-        cfg.seed = seed
-    return cfg
+            _execute(name, out, start)
+
+        return body
+
+    return register
 
 
 # -- evolve -------------------------------------------------------------------
 
 
-@main.command("evolve")
-@_common_options
-def cmd_evolve(config_path, out, seed):
+@_config_command("evolve")
+def cmd_evolve(cfg: ExperimentConfig, report: RunReport):
     """Semigroup evolution with oracle and closed-form cross-checks.
 
     Each observable is evolved by ``lindblad.evolve`` (the Weyl kernel and
@@ -134,276 +145,206 @@ def cmd_evolve(config_path, out, seed):
     the realized window matrices; partial-state generators also get the
     closed form, and the identity is checked to stay fixed.
     """
+    L = cfg.generator
+    one = LocalOperator.identity(cfg.params)
 
-    def body():
-        cfg = _load(config_path, seed)
-        out_dir = _prepare_out(out)
-        report = RunReport("evolve", cfg.digest, cfg.seed)
-        L = cfg.generator
-        one = LocalOperator.identity(cfg.params)
+    for name, x in sorted(cfg.observables.items()):
+        window = cfg.window or lindblad.default_window(L, x)
+        res = lindblad.evolve(L, x, cfg.t_grid, method=cfg.method,
+                              tol=cfg.tol, window=window, closure_mode=cfg.closure)
+        report.table(f"evolve_{name}", ["t", "label", "re", "im", "error_budget"], (
+            [_f17(t), lab.to_text(), _f17(c.real), _f17(c.imag), f"{err:.6e}"]
+            for t, op, err in zip(res.grid, res.values, res.error_budget)
+            for lab, c in op.items()))
+        dim = cfg.params.N ** (2 * len(window))
+        if dim <= dense.SUPEROP_DIM_GUARD:
+            oracle = dense.hilbert_evolve(L, dense.window(cfg.params, window), cfg.closure,
+                                          cfg.t_grid, x)
+            worst = max(val.sup_diff(ref) for val, ref in zip(res.values, oracle))
+            report.add(_le(f"evolve.{name}.oracle", worst, max(cfg.tol * 10, 1e-9)))
+        if L.kind == "partial":
+            worst = max(val.sup_diff(lindblad.partial_semigroup_exact(L.state, x, t))
+                        for val, t in zip(res.values, cfg.t_grid))
+            report.add(_le(f"evolve.{name}.closed_form", worst,
+                           1e-10 + res.error_budget.max()))
 
-        for name, x in sorted(cfg.observables.items()):
-            window = cfg.window or lindblad.default_window(L, x)
-            res = lindblad.evolve(L, x, cfg.t_grid, method=cfg.method,
-                                  tol=cfg.tol, window=window, closure_mode=cfg.closure)
-            path = out_dir / "results" / f"evolve_{name}.csv"
-            res.to_csv(path)
-            report.outputs.append(str(path))
-            dim = cfg.params.N ** (2 * len(window))
-            if dim <= dense.SUPEROP_DIM_GUARD:
-                oracle = dense.hilbert_evolve(L, dense.window(cfg.params, window), cfg.closure,
-                                              cfg.t_grid, x)
-                worst = max(val.sup_diff(ref) for val, ref in zip(res.values, oracle))
-                report.add(_le(f"evolve.{name}.oracle", worst, max(cfg.tol * 10, 1e-9)))
-            if L.kind == "partial":
-                worst = max(
-                    res.values[i].sup_diff(lindblad.partial_semigroup_exact(L.state, x, t))
-                    for i, t in enumerate(cfg.t_grid)
-                )
-                report.add(_le(f"evolve.{name}.closed_form", worst,
-                               1e-10 + res.error_budget.max()))
-
-        window = cfg.window or lindblad.default_window(L, one)
-        res1 = lindblad.evolve(L, one, cfg.t_grid, method=cfg.method,
-                               tol=cfg.tol, window=window, closure_mode=cfg.closure)
-        worst = max(v.sup_diff(one) for v in res1.values)
-        report.add(_le("evolve.unitality", worst, 1e-10))
-        _finish(report, out_dir)
-
-    _run_guarded(body)
+    window = cfg.window or lindblad.default_window(L, one)
+    res1 = lindblad.evolve(L, one, cfg.t_grid, method=cfg.method,
+                           tol=cfg.tol, window=window, closure_mode=cfg.closure)
+    worst = max(v.sup_diff(one) for v in res1.values)
+    report.add(_le("evolve.unitality", worst, 1e-10))
 
 
 # -- ergodicity ----------------------------------------------------------------
 
 
-@main.command("ergodicity")
-@_common_options
-def cmd_ergodicity(config_path, out, seed):
+@_config_command("ergodicity")
+def cmd_ergodicity(cfg: ExperimentConfig, report: RunReport):
     """Decay tables, rate fits, ergodic and perturbed-ergodic states."""
+    if cfg.state is None:
+        raise ConfigError("ergodicity needs a partial-state rho", section="generator")
+    state = cfg.state
+    one = LocalOperator.identity(cfg.params)
+    rows = []
+    rate_rows = []
+    for name, x in sorted(cfg.observables.items()):
+        phi = lindblad.ergodic_state(state, x)
+        norms = np.array([gns_norm(lindblad.partial_semigroup_exact(state, x, t) - one * phi)
+                          for t in cfg.t_grid])
+        mask = norms > 1e-14
+        rate = r2 = float("nan")
+        if mask.sum() >= 4:
+            rate, r2 = lindblad.decay_rate_fit(cfg.t_grid[mask], norms[mask], drop_frac=0.1)
+            report.add(_le(f"ergodicity.{name}.rate", abs(rate - 1.0), 1e-3, f"r2={r2:.6f}"))
+            report.add(Verdict(f"ergodicity.{name}.r2", r2 >= 0.999, r2, 0.999))
+        rows.append([name, _f17(phi.real), _f17(phi.imag), f"{rate:.12g}", f"{r2:.12g}"])
 
-    def body():
-        cfg = _load(config_path, seed)
-        out_dir = _prepare_out(out)
-        report = RunReport("ergodicity", cfg.digest, cfg.seed)
-        if cfg.state is None:
-            raise ConfigError("ergodicity needs a partial-state rho", section="generator")
-        state = cfg.state
-        one = LocalOperator.identity(cfg.params)
-        c_values = [float(v) for v in cfg.run.get("c_values", "0").split()]
-        rows = []
-        rate_table = {}
-        for name, x in sorted(cfg.observables.items()):
-            phi = lindblad.ergodic_state(state, x)
-            dev = [
-                lindblad.partial_semigroup_exact(state, x, t) - one * phi
-                for t in cfg.t_grid
-            ]
-            norms = np.array([gns_norm(d) for d in dev])
-            mask = norms > 1e-14
-            rate = r2 = float("nan")
-            if mask.sum() >= 4:
-                rate, r2 = lindblad.decay_rate_fit(cfg.t_grid[mask], norms[mask], drop_frac=0.1)
-                report.add(_le(f"ergodicity.{name}.rate", abs(rate - 1.0), 1e-3, f"r2={r2:.6f}"))
-                report.add(Verdict(f"ergodicity.{name}.r2", r2 >= 0.999, r2, 0.999))
-            rows.append((name, phi, rate, r2, norms))
+        if cfg.kraus is not None:
+            Ltrans = lindblad.Lindbladian.translation_covariant(cfg.kraus)
+            phi0, _err0 = lindblad.perturbed_ergodic_state(state, Ltrans, 0.0, x)
+            report.add(_le(f"ergodicity.{name}.perturbed_c0", abs(phi0 - phi), 1e-6))
+            crates = []
+            for cval in cfg.c_values:
+                Lc = (lindblad.Lindbladian.partial_state(cfg.params, state) if cval == 0
+                      else lindblad.Lindbladian.perturbed(cfg.params, state, cfg.kraus, cval))
+                res = lindblad.evolve(Lc, x, cfg.t_grid, method="ode", tol=min(cfg.tol, 1e-10))
+                vals = np.array([seminorm_one(vv) for vv in res.values])
+                mask = vals > 1e-14
+                if mask.sum() >= 4:
+                    crate, cr2 = lindblad.decay_rate_fit(
+                        cfg.t_grid[mask], vals[mask], drop_frac=0.1)
+                    crates.append((cval, crate, cr2))
+            if crates:
+                rate_rows += [[name, _f17(c_), f"{r:.12g}", f"{r2_:.12g}"]
+                              for c_, r, r2_ in crates]
+                report.add(Verdict(
+                    f"ergodicity.{name}.rates_positive",
+                    all(r > 0 for _c, r, _ in crates),
+                    min(r for _c, r, _ in crates), 0.0,
+                    " ".join(f"c={c_:g}:{r:.4f}" for c_, r, _ in crates),
+                ))
+                nonincreasing = all(
+                    crates[i + 1][1] <= crates[i][1] + 1e-6 for i in range(len(crates) - 1)
+                )
+                report.add(Verdict(
+                    f"ergodicity.{name}.rates_nonincreasing", nonincreasing,
+                    max(crates[i + 1][1] - crates[i][1] for i in range(len(crates) - 1))
+                    if len(crates) > 1 else 0.0,
+                    1e-6,
+                ))
 
-            if cfg.kraus is not None:
-                Ltrans = lindblad.Lindbladian.translation_covariant(cfg.kraus)
-                phi0, err0 = lindblad.perturbed_ergodic_state(state, Ltrans, 0.0, x)
-                report.add(_le(f"ergodicity.{name}.perturbed_c0", abs(phi0 - phi), 1e-6))
-                crates = []
-                for cval in c_values:
-                    Lc = (lindblad.Lindbladian.partial_state(cfg.params, state) if cval == 0
-                          else lindblad.Lindbladian.perturbed(cfg.params, state, cfg.kraus, cval))
-                    res = lindblad.evolve(Lc, x, cfg.t_grid, method="ode", tol=min(cfg.tol, 1e-10))
-                    vals = np.array([seminorm_one(vv) for vv in res.values])
-                    mask = vals > 1e-14
-                    if mask.sum() >= 4:
-                        crate, cr2 = lindblad.decay_rate_fit(
-                            cfg.t_grid[mask], vals[mask], drop_frac=0.1)
-                        crates.append((cval, crate, cr2))
-                if crates:
-                    rate_table[name] = crates
-                    report.add(Verdict(
-                        f"ergodicity.{name}.rates_positive",
-                        all(r > 0 for _c, r, _ in crates),
-                        min(r for _c, r, _ in crates), 0.0,
-                        " ".join(f"c={c_:g}:{r:.4f}" for c_, r, _ in crates),
-                    ))
-                    nonincreasing = all(
-                        crates[i + 1][1] <= crates[i][1] + 1e-6 for i in range(len(crates) - 1)
-                    )
-                    report.add(Verdict(
-                        f"ergodicity.{name}.rates_nonincreasing", nonincreasing,
-                        max(crates[i + 1][1] - crates[i][1] for i in range(len(crates) - 1))
-                        if len(crates) > 1 else 0.0,
-                        1e-6,
-                    ))
-
-        path = out_dir / "results" / "ergodicity.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["observable", "phi_re", "phi_im", "rate", "r2"])
-            for name, phi, rate, r2, _norms in rows:
-                writer.writerow([name, f"{phi.real:.17g}", f"{phi.imag:.17g}",
-                                 f"{rate:.12g}", f"{r2:.12g}"])
-        report.outputs.append(str(path))
-        if rate_table:
-            path = out_dir / "results" / "perturbed_rates.csv"
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["observable", "c", "rate", "r2"])
-                for name, crates in sorted(rate_table.items()):
-                    for cval, crate, cr2 in crates:
-                        writer.writerow([name, f"{cval:.17g}", f"{crate:.12g}", f"{cr2:.12g}"])
-            report.outputs.append(str(path))
-        _finish(report, out_dir)
-
-    _run_guarded(body)
+    report.table("ergodicity", ["observable", "phi_re", "phi_im", "rate", "r2"], rows)
+    if rate_rows:
+        report.table("perturbed_rates", ["observable", "c", "rate", "r2"], rate_rows)
 
 
 # -- flow ------------------------------------------------------------------------
 
 
-@main.command("flow")
-@_common_options
-def cmd_flow(config_path, out, seed):
+@_config_command("flow")
+def cmd_flow(cfg: ExperimentConfig, report: RunReport):
     """F/G trajectories with unitality, homomorphism, vacuum-reduction,
     contraction and covariance verdicts."""
+    L = cfg.generator
+    one = LocalOperator.identity(cfg.params)
+    observables = sorted(cfg.observables.items())
+    xs = [x for _name, x in observables]
+    window = cfg.window or lindblad.default_window(L, *xs)
+    sys_ = fock.build_generator_system(L, window)
+    grid = cfg.t_grid
+    # One solve per orientation serves every observable, pair and check.
+    fwd = fock.flow_element(sys_, cfg.u, cfg.f, cfg.v, cfg.g, grid, tol=cfg.tol)
+    bwd = fock.flow_element(sys_, cfg.v, cfg.g, cfg.u, cfg.f, grid, tol=cfg.tol)
 
-    def body():
-        cfg = _load(config_path, seed)
-        out_dir = _prepare_out(out)
-        report = RunReport("flow", cfg.digest, cfg.seed)
-        L = cfg.generator
-        one = LocalOperator.identity(cfg.params)
-        observables = sorted(cfg.observables.items())
-        xs = [x for _name, x in observables]
-        window = cfg.window or lindblad.default_window(L, *xs)
-        sys_ = fock.build_generator_system(L, window)
-        grid = cfg.t_grid
-        # One solve per orientation serves every observable, pair and check.
-        fwd = fock.flow_element(sys_, cfg.u, cfg.f, cfg.v, cfg.g, grid, tol=cfg.tol)
-        bwd = fock.flow_element(sys_, cfg.v, cfg.g, cfg.u, cfg.f, grid, tol=cfg.tol)
+    iv = fwd.of_operator(one)
+    report.add(_le("flow.unitality", float(np.abs(iv - iv[0]).max()),
+                   1e-9 + float(fwd.error_of(one).max())))
 
-        iv = fwd.of_operator(one)
-        report.add(_le("flow.unitality", float(np.abs(iv - iv[0]).max()),
-                       1e-9 + float(fwd.error_of(one).max())))
+    vacuum = not (cfg.f.modes or cfg.g.modes)
+    for name, x in observables:
+        vals, err = fwd.of_operator(x), fwd.error_of(x)
+        report.table(f"flow_{name}", ["t", "label", "re", "im", "err"], (
+            [_f17(t), name, _f17(val.real), _f17(val.imag), f"{e:.6e}"]
+            for t, val, e in zip(grid, vals, err)))
 
-        vacuum = not (cfg.f.modes or cfg.g.modes)
-        for name, x in observables:
-            vals, err = fwd.of_operator(x), fwd.error_of(x)
-            path = out_dir / "results" / f"flow_{name}.csv"
-            _write_trajectory_csv(path, grid, [(name, vals, err)])
-            report.outputs.append(str(path))
+        # adjoint symmetry
+        dev = float(np.abs(bwd.of_operator(x.adjoint()) - np.conj(vals)).max())
+        report.add(_le(f"flow.{name}.adjoint_symmetry", dev,
+                       1e-8 + float((err + bwd.error_of(x.adjoint())).max())))
 
-            # adjoint symmetry
-            dev = float(np.abs(bwd.of_operator(x.adjoint()) - np.conj(vals)).max())
-            report.add(_le(f"flow.{name}.adjoint_symmetry", dev,
-                           1e-8 + float((err + bwd.error_of(x.adjoint())).max())))
+        if vacuum:
+            res = lindblad.evolve(L, x, grid, method="ode", tol=min(cfg.tol, 1e-10),
+                                  window=window, closure_mode="clipped")
+            target = np.array([gns_inner(cfg.u, val * cfg.v) for val in res.values])
+            dev = float(np.abs(vals - target).max())
+            report.add(_le(
+                f"flow.{name}.vacuum_reduction", dev,
+                1e-8 + float(err.max() + res.error_budget.max()),
+            ))
 
-            if vacuum:
-                res = lindblad.evolve(L, x, grid, method="ode", tol=min(cfg.tol, 1e-10),
-                                      window=window, closure_mode="clipped")
-                target = np.array([
-                    gns_inner(cfg.u, res.values[i] * cfg.v) for i in range(len(grid))
-                ])
-                dev = float(np.abs(vals - target).max())
-                report.add(_le(
-                    f"flow.{name}.vacuum_reduction", dev,
-                    1e-8 + float(err.max() + res.error_budget.max()),
-                ))
+    if cfg.pairs:
+        gtraj = fock.pair_element(sys_, cfg.u, cfg.f, cfg.v, cfg.g, grid, fwd, tol=cfg.tol)
+        reps = fock.homomorphism_defect(
+            fwd, gtraj, [(cfg.observables[xn], cfg.observables[yn]) for xn, yn in cfg.pairs])
+        for (xn, yn), rep in zip(cfg.pairs, reps):
+            report.add(_le(f"flow.homomorphism.{xn},{yn}", rep.defect,
+                           rep.error_estimate + 1e-8))
+            report.add(Verdict(f"flow.pair_consistency.{xn},{yn}", rep.consistent,
+                               0.0 if rep.consistent else 1.0, 0.0))
 
-        pairs = [spec.partition(",")[::2] for spec in cfg.run.get("pairs", "").split()]
-        if any(name not in cfg.observables for pair in pairs for name in pair):
-            raise ConfigError(f"pairs {cfg.run['pairs']!r} reference unknown observables",
-                              section="run", field="pairs")
-        if pairs:
-            gtraj = fock.pair_element(sys_, cfg.u, cfg.f, cfg.v, cfg.g, grid, fwd, tol=cfg.tol)
-            reps = fock.homomorphism_defect(
-                fwd, gtraj, [(cfg.observables[xn], cfg.observables[yn]) for xn, yn in pairs])
-            for (xn, yn), rep in zip(pairs, reps):
-                report.add(_le(f"flow.homomorphism.{xn},{yn}", rep.defect,
-                               rep.error_estimate + 1e-8))
-                report.add(Verdict(f"flow.pair_consistency.{xn},{yn}", rep.consistent,
-                                   0.0 if rep.consistent else 1.0, 0.0))
+    if cfg.shift is not None and L.kind == "translation":
+        reps = fock.covariance_check(sys_, fwd, xs, cfg.u, cfg.f, cfg.v, cfg.g, cfg.shift,
+                                     tol=cfg.tol)
+        for (name, _x), rep in zip(observables, reps):
+            report.add(_le(f"flow.covariance.{name}", rep.deviation,
+                           max(2 * rep.error_estimate, 1e-9)))
 
-        shift = cfg.run.get("shift")
-        if shift and L.kind == "translation":
-            j = tuple(int(v) for v in shift.split(","))
-            reps = fock.covariance_check(sys_, fwd, xs, cfg.u, cfg.f, cfg.v, cfg.g, j,
-                                         tol=cfg.tol)
-            for (name, _x), rep in zip(observables, reps):
-                report.add(_le(f"flow.covariance.{name}", rep.deviation,
-                               max(2 * rep.error_estimate, 1e-9)))
-
-        t_contract = cfg.run.get("contraction_t")
-        if t_contract:
-            t_c = float(t_contract)
-            family = [(1.0, cfg.u, cfg.f), (0.5, cfg.v, cfg.g)]
-            # The pair (u, f; v, g) is the forward solve when t_c lies on its grid.
-            reps = fock.contraction_check(sys_, xs, family, t_c, tol=cfg.tol,
-                                          solved={(0, 1): fwd} if t_c in grid else None)
-            for (name, _x), rep in zip(observables, reps):
-                report.add(_le(f"flow.contraction.{name}", rep.lhs,
-                               rep.rhs + rep.error + 1e-9))
-                report.add(_ge(f"flow.contraction_positive.{name}", rep.lhs,
-                               -(rep.error + 1e-9)))
-        _finish(report, out_dir)
-
-    _run_guarded(body)
+    t_c = cfg.contraction_t
+    if t_c is not None:
+        family = [(1.0, cfg.u, cfg.f), (0.5, cfg.v, cfg.g)]
+        # The pair (u, f; v, g) is the forward solve when t_c lies on its grid.
+        reps = fock.contraction_check(sys_, xs, family, t_c, tol=cfg.tol,
+                                      solved={(0, 1): fwd} if t_c in grid else None)
+        for (name, _x), rep in zip(observables, reps):
+            report.add(_le(f"flow.contraction.{name}", rep.lhs,
+                           rep.rhs + rep.error + 1e-9))
+            report.add(_ge(f"flow.contraction_positive.{name}", rep.lhs,
+                           -(rep.error + 1e-9)))
 
 
 # -- lemma -------------------------------------------------------------------------
 
 
-@main.command("lemma")
-@_common_options
-def cmd_lemma(config_path, out, seed):
+@_config_command("lemma")
+def cmd_lemma(cfg: ExperimentConfig, report: RunReport):
     """Iterated-derivation identity and bound suites."""
-
-    def body():
-        cfg = _load(config_path, seed)
-        out_dir = _prepare_out(out)
-        report = RunReport("lemma", cfg.digest, cfg.seed)
-        if cfg.generator.kind != "translation" or len(cfg.generator.kraus.ops) != 1:
-            raise ConfigError("lemma suites need a single-operator translation family",
-                              section="generator")
-        L = cfg.generator
-        rng = np.random.default_rng(cfg.seed)
-        instances = int(cfg.run.get("instances", "25"))
-        n_max = min(int(cfg.run.get("n_max", "2")), 3)
-        obs = sorted(cfg.observables.items())
-        if not obs:
-            raise ConfigError("lemma needs at least one observable", section="observables")
-        rows = []
-        worst_identity = 0.0
-        bounds_ok = True
-        for i in range(instances):
-            name, x = obs[int(rng.integers(0, len(obs)))]
-            n = int(rng.integers(1, n_max + 1))
-            kbar = tuple((int(rng.integers(-1, 2)),) * cfg.params.d for _ in range(n))
-            worst_identity = max(worst_identity, lindblad.leibniz_expansion_check(L, x, kbar))
-            mode = ("pure", "mixed")[int(rng.integers(0, 2))]
-            eps = tuple(int(rng.choice([-1, 1])) for _ in range(n))
-            if mode == "mixed":
-                eps = tuple(0 if rng.random() < 0.4 else e for e in eps)
-            rep = lindblad.lemma_bound_report(L, x, n, mode, epsbar=eps)
-            bounds_ok = bounds_ok and rep.lhs <= rep.rhs * (1 + 1e-12)
-            rows.append((i, name, mode, n, rep.lhs, rep.rhs))
-        report.add(_le("lemma.identity_defect", worst_identity, 1e-12))
-        report.add(Verdict("lemma.bounds", bounds_ok, 0.0 if bounds_ok else 1.0, 0.0,
-                           f"{instances} instances"))
-        path = out_dir / "results" / "lemma.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["instance", "observable", "mode", "n", "lhs", "rhs"])
-            for row in rows:
-                writer.writerow(row)
-        report.outputs.append(str(path))
-        _finish(report, out_dir)
-
-    _run_guarded(body)
+    if cfg.generator.kind != "translation" or len(cfg.generator.kraus.ops) != 1:
+        raise ConfigError("lemma suites need a single-operator translation family",
+                          section="generator")
+    obs = sorted(cfg.observables.items())
+    if not obs:
+        raise ConfigError("lemma needs at least one observable", section="observables")
+    L = cfg.generator
+    rng = np.random.default_rng(cfg.seed)
+    rows = []
+    worst_identity = 0.0
+    bounds_ok = True
+    for i in range(cfg.instances):
+        name, x = obs[int(rng.integers(0, len(obs)))]
+        n = int(rng.integers(1, cfg.n_max + 1))
+        kbar = tuple((int(rng.integers(-1, 2)),) * cfg.params.d for _ in range(n))
+        worst_identity = max(worst_identity, lindblad.leibniz_expansion_check(L, x, kbar))
+        mode = ("pure", "mixed")[int(rng.integers(0, 2))]
+        eps = tuple(int(rng.choice([-1, 1])) for _ in range(n))
+        if mode == "mixed":
+            eps = tuple(0 if rng.random() < 0.4 else e for e in eps)
+        rep = lindblad.lemma_bound_report(L, x, n, mode, epsbar=eps)
+        bounds_ok = bounds_ok and rep.lhs <= rep.rhs * (1 + 1e-12)
+        rows.append((i, name, mode, n, rep.lhs, rep.rhs))
+    report.add(_le("lemma.identity_defect", worst_identity, 1e-12))
+    report.add(Verdict("lemma.bounds", bounds_ok, 0.0 if bounds_ok else 1.0, 0.0,
+                       f"{cfg.instances} instances"))
+    report.table("lemma", ["instance", "observable", "mode", "n", "lhs", "rhs"], rows)
 
 
 # -- selftest -------------------------------------------------------------------------
@@ -415,14 +356,10 @@ def cmd_lemma(config_path, out, seed):
 def cmd_selftest(out, seed):
     """Run the worked-example and invariant battery at default sizes."""
 
-    def body():
-        out_dir = _prepare_out(out)
-        report = RunReport("selftest", "builtin", seed)
-        for verdict in run_all(seed):
-            report.add(verdict)
-        _finish(report, out_dir)
+    def start():
+        return "builtin", seed, lambda report: report.verdicts.extend(run_all(seed))
 
-    _run_guarded(body)
+    _execute("selftest", out, start)
 
 
 if __name__ == "__main__":

@@ -1,23 +1,78 @@
 """Experiment configuration: flat key-value sections, no expressions.
 
-Operators appear in the text format of the algebra layer (one term per
-line or terms joined by ``|``); sites are comma-joined integer tuples;
-noise modes are ``site/member`` keys with per-cell complex values.  All
-referenced data is schema-validated before any computation starts, and
-every diagnostic carries its section and field.
+``load_config`` owns the schema below.  It parses every key into a typed
+field of :class:`ExperimentConfig` and checks it before any computation;
+each diagnostic is a ``ConfigError`` naming its section and field.  An
+unknown section or key is an error too, so a misspelt option cannot turn
+a check off.  An operator is ``re im ; site:alpha,beta ...`` terms joined
+by ``|`` or one per line; a site is d comma-joined integers.
+
+Schema (key: type; default):
+
+[algebra], required
+    n: int >= 2, the on-site dimension N; d: int >= 1; both required
+[generator], required
+    kind: translation_covariant (needs kraus) | partial_state (needs rho)
+          | perturbed (needs both); required
+    rho: N rows of N complex ``re im`` pairs, joined by ``;``
+    kraus: operators, one per line
+    unital: bool, asserts sum a* a = 1; false
+    c: float >= 0, the weight of perturbed; 0
+[observables]: ``name = operator``, any number; a name is word
+    characters, ``.`` and ``-``, starting with a word character
+[vectors]: u, v: operators; the identity
+[modes.f], [modes.g]; absent: the zero test function
+    grid: ``t_max cells``, float > 0 and int >= 1; required
+    modes: lines ``site/member: re im, re im, ...``, one value per cell;
+           member (default 0) indexes the generator's Kraus members
+[run]
+    t_grid: ascending floats >= 0, or ``linspace start stop num``; 0 1
+    window: distinct sites; the command's default window
+    method: ode | series | exact (partial_state only); ode
+    closure: interior | clipped; interior
+    tol: float > 0; 1e-9
+    seed: int >= 0; 20240817
+    c_values: floats >= 0 (ergodicity); 0
+    instances: int >= 1, n_max: int in 1..3 (lemma); 25, 2
+    pairs: ``x,y`` pairs of observable names (flow); none
+    shift: a site, contraction_t: float >= 0 (flow); none
 """
 
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
-from dataclasses import dataclass, field
+import math
+import re
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dense, fock, lindblad
 from .algebra import AlgebraParams, LocalOperator, Site
 from .errors import ConfigError
+
+# Keys of each section; None admits any key.
+_SCHEMA = {
+    "algebra": ("n", "d"),
+    "generator": ("kind", "rho", "kraus", "unital", "c"),
+    "observables": None,
+    "vectors": ("u", "v"),
+    "modes.f": ("grid", "modes"),
+    "modes.g": ("grid", "modes"),
+    "run": ("t_grid", "window", "method", "closure", "tol", "seed", "c_values",
+            "instances", "n_max", "pairs", "shift", "contraction_t"),
+}
+_KINDS = ("translation_covariant", "partial_state", "perturbed")
+_METHODS = ("ode", "series", "exact")
+_CLOSURES = ("interior", "clipped")
+_NAME = re.compile(r"\w[\w.-]*")
+
+
+def _at(section: str, field: str) -> dict[str, str]:
+    """Where a diagnostic points: keyword arguments of ``ConfigError``."""
+    return {"section": section, "field": field}
 
 
 def _parse_site(text: str, d: int, where) -> Site:
@@ -37,11 +92,35 @@ def _parse_operator(params: AlgebraParams, text: str, where) -> LocalOperator:
         raise ConfigError(f"bad operator: {exc}", **where) from None
 
 
+def _parse_number(text: str, where, cast=float, low=0, high=math.inf, positive=False):
+    """One finite number in [low, high], nonzero if ``positive``."""
+    try:
+        val = cast(text)
+    except ValueError:
+        raise ConfigError(f"expected one {cast.__name__}, got {text!r}", **where) from None
+    if not (low <= val <= high and abs(val) != math.inf) or (positive and val == 0):
+        bounds = "> 0" if positive else f">= {low}" if high == math.inf else f"in {low}..{high}"
+        raise ConfigError(f"must be {bounds}, got {val}", **where)
+    return val
+
+
 def _parse_floats(text: str, where) -> list[float]:
     try:
         return [float(v) for v in text.split()]
     except ValueError:
         raise ConfigError(f"expected floats, got {text!r}", **where) from None
+
+
+def _parse_bool(text: str, where) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    return states[_parse_choice(text.lower(), tuple(states), where)]
+
+
+def _parse_choice(text: str, choices, where) -> str:
+    val = text.strip()
+    if val not in choices:
+        raise ConfigError(f"must be {' | '.join(choices)}, got {val!r}", **where)
+    return val
 
 
 def _parse_complex_row(text: str, where) -> list[complex]:
@@ -52,17 +131,11 @@ def _parse_complex_row(text: str, where) -> list[complex]:
 
 
 def _parse_rho(text: str, N: int, where) -> dense.StateSpec:
-    rows = [r for r in (row.strip() for row in text.split(";")) if r]
-    if len(rows) != N:
-        raise ConfigError(f"rho needs {N} rows separated by ';'", **where)
-    mat = []
-    for row in rows:
-        entries = _parse_complex_row(row, where)
-        if len(entries) != N:
-            raise ConfigError(f"rho row needs {N} complex entries", **where)
-        mat.append(entries)
+    rows = [_parse_complex_row(row, where) for row in text.split(";") if row.strip()]
+    if len(rows) != N or any(len(row) != N for row in rows):
+        raise ConfigError(f"rho needs {N} rows of {N} complex entries, joined by ';'", **where)
     try:
-        return dense.StateSpec(np.array(mat))
+        return dense.StateSpec(np.array(rows))
     except Exception as exc:
         raise ConfigError(f"invalid density matrix: {exc}", **where) from None
 
@@ -73,25 +146,26 @@ def _parse_grid(text: str, where) -> np.ndarray:
         if len(parts) != 4:
             raise ConfigError("linspace takes: start stop num", **where)
         try:
-            return np.linspace(float(parts[1]), float(parts[2]), int(parts[3]))
+            grid = np.linspace(float(parts[1]), float(parts[2]), int(parts[3]))
         except ValueError:
             raise ConfigError(f"bad linspace spec {text!r}", **where) from None
-    return np.array(_parse_floats(text, where))
-
-
-def _parse_testfunction(section: dict, d: int, sec_name: str) -> fock.TestFunction:
-    where = {"section": sec_name, "field": "grid"}
-    if "grid" not in section:
-        raise ConfigError("missing grid = t_max cells", **where)
-    grid_vals = section["grid"].split()
-    if len(grid_vals) != 2:
-        raise ConfigError("grid takes: t_max cells", **where)
+    else:
+        grid = np.array(_parse_floats(text, where))
     try:
-        t_max, cells = float(grid_vals[0]), int(grid_vals[1])
-    except ValueError:
-        raise ConfigError(f"bad grid {section['grid']!r}", **where) from None
+        return dense.validate_grid(grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc), **where) from None
+
+
+def _parse_testfunction(section: dict, d: int, members: int, sec_name: str) -> fock.TestFunction:
+    where = _at(sec_name, "grid")
+    grid_vals = section.get("grid", "").split()
+    if len(grid_vals) != 2:
+        raise ConfigError("needs grid = t_max cells", **where)
+    t_max = _parse_number(grid_vals[0], where, positive=True)
+    cells = _parse_number(grid_vals[1], where, int, 1)
     modes = {}
-    where = {"section": sec_name, "field": "modes"}
+    where = _at(sec_name, "modes")
     for raw in section.get("modes", "").splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -100,25 +174,24 @@ def _parse_testfunction(section: dict, d: int, sec_name: str) -> fock.TestFuncti
         key_txt = head.strip()
         site_txt, _, member_txt = key_txt.partition("/")
         site = _parse_site(site_txt.strip(), d, where)
-        member = int(member_txt) if member_txt else 0
-        cells_txt = [c for c in (chunk.strip() for chunk in tail.split(",")) if c]
-        vals = []
-        for chunk in cells_txt:
-            pair = _parse_floats(chunk, where)
-            if len(pair) != 2:
-                raise ConfigError(f"cell value {chunk!r} must be 're im'", **where)
-            vals.append(complex(pair[0], pair[1]))
+        member = _parse_number(member_txt, where, int) if member_txt else 0
+        if member >= members:
+            raise ConfigError(f"mode {key_txt!r}: the generator has no Kraus member {member} "
+                              f"(it has {members})", **where)
+        vals = [_parse_complex_row(chunk, where) for chunk in tail.split(",") if chunk.strip()]
+        if any(len(val) != 1 for val in vals):
+            raise ConfigError(f"mode {key_txt!r}: each cell value is one 're im' pair", **where)
         if len(vals) != cells:
             raise ConfigError(
                 f"mode {key_txt!r} has {len(vals)} cells, grid declares {cells}", **where
             )
-        modes[(site, member)] = vals
+        modes[(site, member)] = [row[0] for row in vals]
     return fock.TestFunction.build(t_max, cells, modes, d)
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment inputs plus raw command-specific options."""
+    """Every option of one experiment, parsed and checked."""
 
     params: AlgebraParams
     generator: lindblad.Lindbladian
@@ -135,8 +208,99 @@ class ExperimentConfig:
     closure: str
     tol: float
     seed: int
-    run: dict = field(default_factory=dict)
-    digest: str = ""
+    c_values: tuple[float, ...]
+    instances: int
+    n_max: int
+    pairs: tuple[tuple[str, str], ...]
+    shift: Site | None
+    contraction_t: float | None
+    digest: str
+
+
+def _sections(parser: configparser.ConfigParser) -> dict[str, dict[str, str]]:
+    """Each section's raw keys, every section and key checked against the schema."""
+    sections = {}
+    for name in parser.sections():
+        if name not in _SCHEMA:
+            raise ConfigError(f"unknown section (known: {', '.join(_SCHEMA)})", section=name)
+        sections[name] = raw = dict(parser[name])
+        known = _SCHEMA[name]
+        for key in raw:
+            if known is not None and key not in known:
+                raise ConfigError(f"unknown key (known: {', '.join(known)})",
+                                  section=name, field=key)
+    for name in ("algebra", "generator"):
+        if name not in sections:
+            raise ConfigError("missing section", section=name)
+    return sections
+
+
+def _build_generator(params: AlgebraParams, gen: dict[str, str]):
+    """(generator, Kraus family or None, state or None) from ``[generator]``."""
+    at = functools.partial(_at, "generator")
+    state = _parse_rho(gen["rho"], params.N, at("rho")) if "rho" in gen else None
+    unital = _parse_bool(gen.get("unital", "false"), at("unital"))
+    kraus = None
+    if "kraus" in gen:
+        ops = [_parse_operator(params, line, at("kraus"))
+               for line in (raw.strip() for raw in gen["kraus"].splitlines())
+               if line and not line.startswith("#")]
+        if not ops:
+            raise ConfigError("kraus given but empty", **at("kraus"))
+        try:
+            kraus = lindblad.KrausFamily(tuple(ops), unital=unital)
+        except ValueError as exc:
+            raise ConfigError(str(exc), **at("kraus")) from None
+    c = _parse_number(gen.get("c", "0"), at("c"))
+    kind = _parse_choice(gen.get("kind", ""), _KINDS, at("kind"))
+    needs = {"translation_covariant": ("kraus",), "partial_state": ("rho",),
+             "perturbed": ("rho", "kraus")}[kind]
+    for key in needs:
+        if key not in gen:
+            raise ConfigError(f"{kind} needs {' and '.join(needs)}", **at(key))
+    try:
+        if kind == "translation_covariant":
+            generator = lindblad.Lindbladian.translation_covariant(kraus)
+        elif kind == "partial_state":
+            generator = lindblad.Lindbladian.partial_state(params, state)
+        else:
+            generator = lindblad.Lindbladian.perturbed(params, state, kraus, c)
+    except Exception as exc:
+        raise ConfigError(f"cannot build generator: {exc}", section="generator") from None
+    return generator, kraus, state
+
+
+def _run_options(run: dict[str, str], d: int, kind: str, observables) -> dict:
+    """The ``[run]`` fields of :class:`ExperimentConfig`, defaults filled in."""
+    at = functools.partial(_at, "run")
+    window = None
+    if "window" in run:
+        window = tuple(_parse_site(tok, d, at("window")) for tok in run["window"].split())
+        if not window:
+            raise ConfigError("window needs at least one site", **at("window"))
+        if len(set(window)) != len(window):
+            raise ConfigError("window sites must be distinct", **at("window"))
+    pairs = tuple(tuple(spec.split(",")) for spec in run.get("pairs", "").split())
+    if any(len(pair) != 2 or not set(pair) <= observables.keys() for pair in pairs):
+        raise ConfigError(f"each pair must name two observables: {run['pairs']!r}", **at("pairs"))
+    method = _parse_choice(run.get("method", "ode"), _METHODS, at("method"))
+    if method == "exact" and kind != "partial":
+        raise ConfigError("exact needs kind = partial_state", **at("method"))
+    return dict(
+        t_grid=_parse_grid(run.get("t_grid", "0 1"), at("t_grid")),
+        window=window,
+        method=method,
+        closure=_parse_choice(run.get("closure", "interior"), _CLOSURES, at("closure")),
+        tol=_parse_number(run.get("tol", "1e-9"), at("tol"), positive=True),
+        seed=_parse_number(run.get("seed", "20240817"), at("seed"), int),
+        c_values=tuple(_parse_number(c, at("c_values")) for c in run.get("c_values", "0").split()),
+        instances=_parse_number(run.get("instances", "25"), at("instances"), int, 1),
+        n_max=_parse_number(run.get("n_max", "2"), at("n_max"), int, 1, 3),
+        pairs=pairs,
+        shift=_parse_site(run["shift"].strip(), d, at("shift")) if "shift" in run else None,
+        contraction_t=(_parse_number(run["contraction_t"], at("contraction_t"))
+                       if "contraction_t" in run else None),
+    )
 
 
 def load_config(path) -> ExperimentConfig:
@@ -149,123 +313,33 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read {path}: {exc}")
     except configparser.Error as exc:
         raise ConfigError(f"syntax error: {exc}")
-    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    sections = _sections(parser)
 
-    if "algebra" not in parser:
-        raise ConfigError("missing section", section="algebra")
-    alg = parser["algebra"]
+    alg = sections["algebra"]
+    N = _parse_number(alg.get("n", ""), _at("algebra", "n"), int, 2)
+    d = _parse_number(alg.get("d", ""), _at("algebra", "d"), int, 1)
     try:
-        params = AlgebraParams(N=int(alg.get("n", "")), d=int(alg.get("d", "")))
+        params = AlgebraParams(N=N, d=d)
     except ValueError as exc:
         raise ConfigError(f"bad algebra parameters: {exc}", section="algebra") from None
-
-    if "generator" not in parser:
-        raise ConfigError("missing section", section="generator")
-    gen = parser["generator"]
-    kind = gen.get("kind", "").strip()
-    state = None
-    kraus = None
-    c = 0.0
-    if "rho" in gen:
-        state = _parse_rho(gen["rho"], params.N, {"section": "generator", "field": "rho"})
-    if "kraus" in gen:
-        ops = []
-        for line in gen["kraus"].splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            ops.append(_parse_operator(params, line, {"section": "generator", "field": "kraus"}))
-        if not ops:
-            raise ConfigError("kraus given but empty", section="generator", field="kraus")
-        unital = gen.get("unital", "false").strip().lower() in ("1", "true", "yes")
-        try:
-            kraus = lindblad.KrausFamily(tuple(ops), unital=unital)
-        except ValueError as exc:
-            raise ConfigError(str(exc), section="generator", field="kraus") from None
-    if "c" in gen:
-        try:
-            c = float(gen["c"])
-        except ValueError:
-            raise ConfigError("bad perturbation weight", section="generator", field="c") from None
-
-    try:
-        if kind == "translation_covariant":
-            if kraus is None:
-                raise ConfigError("translation_covariant needs kraus", section="generator")
-            generator = lindblad.Lindbladian.translation_covariant(kraus)
-        elif kind == "partial_state":
-            if state is None:
-                raise ConfigError("partial_state needs rho", section="generator")
-            generator = lindblad.Lindbladian.partial_state(params, state)
-        elif kind == "perturbed":
-            if state is None or kraus is None:
-                raise ConfigError("perturbed needs rho and kraus", section="generator")
-            generator = lindblad.Lindbladian.perturbed(params, state, kraus, c)
-        else:
-            raise ConfigError(
-                f"kind must be translation_covariant | partial_state | perturbed, got {kind!r}",
-                section="generator", field="kind",
-            )
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"cannot build generator: {exc}", section="generator") from None
+    generator, kraus, state = _build_generator(params, sections["generator"])
 
     observables = {}
-    if "observables" in parser:
-        for name, text_op in parser["observables"].items():
-            observables[name] = _parse_operator(
-                params, text_op, {"section": "observables", "field": name}
-            )
+    for name, text_op in sections.get("observables", {}).items():
+        if not _NAME.fullmatch(name):
+            raise ConfigError("a name is word characters, '.' or '-'", **_at("observables", name))
+        observables[name] = _parse_operator(params, text_op, _at("observables", name))
 
-    one = LocalOperator.identity(params)
-    u = v = one
-    if "vectors" in parser:
-        vec = parser["vectors"]
-        if "u" in vec:
-            u = _parse_operator(params, vec["u"], {"section": "vectors", "field": "u"})
-        if "v" in vec:
-            v = _parse_operator(params, vec["v"], {"section": "vectors", "field": "v"})
-
-    f = fock.TestFunction.zero(d=params.d)
-    g = fock.TestFunction.zero(d=params.d)
-    if "modes.f" in parser:
-        f = _parse_testfunction(dict(parser["modes.f"]), params.d, "modes.f")
-    if "modes.g" in parser:
-        g = _parse_testfunction(dict(parser["modes.g"]), params.d, "modes.g")
-
-    run = dict(parser["run"]) if "run" in parser else {}
-    where = {"section": "run", "field": "t_grid"}
-    t_grid = _parse_grid(run.get("t_grid", "0 1"), where)
-    try:
-        t_grid = dense.validate_grid(t_grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc), **where) from None
-    window = None
-    if "window" in run:
-        where = {"section": "run", "field": "window"}
-        window = tuple(_parse_site(tok, params.d, where) for tok in run["window"].split())
-        if len(set(window)) != len(window):
-            raise ConfigError("window sites must be distinct", **where)
-    method = run.get("method", "ode").strip()
-    closure = run.get("closure", "interior").strip()
-    if closure not in ("interior", "clipped"):
-        raise ConfigError(f"closure must be interior|clipped, got {closure!r}",
-                          section="run", field="closure")
-    try:
-        tol = float(run.get("tol", "1e-9"))
-        seed = int(run.get("seed", "20240817"))
-    except ValueError as exc:
-        raise ConfigError(f"bad run option: {exc}", section="run") from None
-
-    for op in observables.values():
-        for site in op.support():
-            if len(site) != params.d:
-                raise ConfigError("observable site dimension mismatch", section="observables")
+    vec = sections.get("vectors", {})
+    u, v = (_parse_operator(params, vec[key], _at("vectors", key)) if key in vec
+            else LocalOperator.identity(params) for key in ("u", "v"))
+    members = len(generator.base_members())
+    f, g = (_parse_testfunction(sections[name], d, members, name) if name in sections
+            else fock.TestFunction.zero(d=d) for name in ("modes.f", "modes.g"))
 
     return ExperimentConfig(
         params=params, generator=generator, kraus=kraus, state=state,
-        observables=observables, u=u, v=v, f=f, g=g, t_grid=t_grid,
-        window=window, method=method, closure=closure, tol=tol, seed=seed,
-        run=run, digest=digest,
+        observables=observables, u=u, v=v, f=f, g=g,
+        **_run_options(sections.get("run", {}), d, generator.kind, observables),
+        digest=hashlib.sha256(text.encode()).hexdigest()[:16],
     )

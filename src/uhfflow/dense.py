@@ -315,12 +315,12 @@ def superoperator(lindbladian, win: SiteWindow, closure_mode: str = "interior") 
 
 
 def validate_grid(t_grid) -> np.ndarray:
-    """The time grid as a float array; it must be nonempty, 1-D, nonnegative, ascending."""
+    """The time grid as a float array: nonempty, 1-D, finite, nonnegative and ascending."""
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("time grid must be a nonempty 1-D array")
-    if grid[0] < 0 or np.any(np.diff(grid) < 0):
-        raise ValueError("time grid must be nonnegative and ascending")
+    if not np.all(np.isfinite(grid)) or grid[0] < 0 or np.any(np.diff(grid) < 0):
+        raise ValueError("time grid must be finite, nonnegative and ascending")
     return grid
 
 

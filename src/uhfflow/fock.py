@@ -44,13 +44,6 @@ import scipy.sparse
 from scipy.integrate import cumulative_simpson as _cumulative_simpson_real
 from scipy.sparse.linalg import expm_multiply
 
-
-def _cumulative_simpson(y: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
-    """Complex-safe cumulative Simpson (scipy's casts to real)."""
-    re = _cumulative_simpson_real(y.real, dx=dx, axis=axis, initial=0.0)
-    im = _cumulative_simpson_real(y.imag, dx=dx, axis=axis, initial=0.0)
-    return re + 1j * im
-
 from . import dense, lindblad as _lb
 from .algebra import (
     AlgebraParams,
@@ -62,7 +55,7 @@ from .algebra import (
     gns_norm,
     theta,
 )
-from .errors import SizeGuardError, WindowError
+from .errors import FitError, SizeGuardError, WindowError
 from .kernel import WindowKernel
 
 DEFAULT_MAX_DIM = 4096
@@ -73,6 +66,13 @@ CERTIFIED_DEPTH_MAX = 100_000  # deepest Picard depth smallest_certified_depth t
 PRODUCT_TRIPLE_GUARD = 20_000  # (x, u, v) string triples eta_product_flow expands
 
 ModeKey = tuple[Site, int]  # (lattice site of the translate, Kraus member id)
+
+
+def _cumulative_simpson(y: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
+    """Complex-safe cumulative Simpson (scipy's casts to real)."""
+    re = _cumulative_simpson_real(y.real, dx=dx, axis=axis, initial=0.0)
+    im = _cumulative_simpson_real(y.imag, dx=dx, axis=axis, initial=0.0)
+    return re + 1j * im
 
 
 # -- test functions -----------------------------------------------------------
@@ -207,7 +207,8 @@ class FlowGeneratorSystem:
 
     Matrices are stored transposed (ready to act on matrix-element
     vectors); ``leak`` holds the per-column l1 coefficient mass each map
-    pushes outside the window.
+    pushes outside the window; ``kernel`` is the Weyl kernel that built
+    them.
     """
 
     lindbladian: "_lb.Lindbladian"
@@ -219,6 +220,7 @@ class FlowGeneratorSystem:
     delta_dag_t: dict[ModeKey, scipy.sparse.csr_matrix]
     lhat_t: scipy.sparse.csr_matrix
     leak: dict[object, np.ndarray]
+    kernel: WindowKernel
 
     @property
     def params(self) -> AlgebraParams:
@@ -296,6 +298,7 @@ def build_generator_system(L: "_lb.Lindbladian", window_sites) -> FlowGeneratorS
         delta_dag_t=delta_dag_t,
         lhat_t=lhat.transpose().tocsr(),
         leak=leak,
+        kernel=kern,
     )
 
 
@@ -414,9 +417,8 @@ def _initial_pair_vector(sys: FlowGeneratorSystem, F0: np.ndarray) -> np.ndarray
     The complex product is spelled out so that every entry is rounded as
     a scalar product is (numpy's array loop may fuse multiply and add).
     """
-    kern = WindowKernel(sys.params, sys.sites)
-    phase, rows = kern.products()
-    root, val = kern.roots[phase].reshape(-1), F0[rows].reshape(-1)
+    phase, rows = sys.kernel.products()
+    root, val = sys.kernel.roots[phase].reshape(-1), F0[rows].reshape(-1)
     G0 = np.empty(root.size, dtype=complex)
     G0.real = root.real * val.real - root.imag * val.imag
     G0.imag = root.real * val.imag + root.imag * val.real
@@ -921,7 +923,7 @@ def eta_ergodicity_scan(state, x: LocalOperator, u, f, v, g, t_grid) -> Ergodici
     if mask.sum() >= 4:
         try:
             rate, r2 = _lb.decay_rate_fit(grid[mask], dev[mask])
-        except Exception:
+        except FitError:
             rate = r2 = None
     return ErgodicityScan(grid, dev, values, target, rate, r2, fit_start)
 

@@ -20,7 +20,6 @@ iterated-commutator estimates that control everything else.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,7 +27,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.integrate
-import scipy.linalg
 import scipy.sparse.linalg
 
 from . import dense
@@ -338,15 +336,6 @@ class EvolutionResult:
     error_budget: np.ndarray
     window_sites: tuple[Site, ...] = ()
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "label", "re", "im", "error_budget"])
-            for t, op, err in zip(self.grid, self.values, self.error_budget):
-                for lab, c in op.items():
-                    writer.writerow([f"{t:.17g}", lab.to_text(), f"{c.real:.17g}",
-                                     f"{c.imag:.17g}", f"{err:.6e}"])
-
 
 def default_window(L: Lindbladian, *xs: LocalOperator) -> tuple[Site, ...]:
     """Bounding box of the supports of ``xs`` padded by WINDOW_PAD_FACTOR x the Kraus diameter."""
@@ -577,11 +566,13 @@ def perturbed_ergodic_state(state, L: Lindbladian, c: float,
                             x: LocalOperator) -> tuple[complex, float]:
     """Phi^{(c)}(x) = Phi(x) + c * integral of Phi(L(P_t^{(c)} x)) dt.
 
-    The trajectory under the perturbed generator is integrated by
-    composite Simpson up to a cutoff where the envelope is below tol/10,
-    then closed with an exponential-tail extrapolation.  Returns (value,
-    quadrature error estimate); raises ``DivergenceError`` when the
-    envelope is not below tol/10 by ``QUAD_T_MAX``.
+    The trajectory under the perturbed generator is stepped across a
+    Simpson grid by the action of the matrix exponential, as ``evolve``
+    steps, and integrated by composite Simpson up to a cutoff where the
+    envelope is below tol/10, then closed with an exponential-tail
+    extrapolation.  Returns (value, quadrature error estimate); raises
+    ``DivergenceError`` when the envelope is not below tol/10 by
+    ``QUAD_T_MAX``.
     """
     if c < 0:
         raise ValueError("perturbation weight must be nonnegative")
@@ -602,21 +593,19 @@ def perturbed_ergodic_state(state, L: Lindbladian, c: float,
         ergodic_state(state, L.apply(LocalOperator.weyl(L.params, lab))) for lab in basis
     ])
 
+    # Simpson grids of QUAD_PANELS panels on [0, t_cut]; when the cutoff
+    # doubles, the previous grid's even points are the new first half, and
+    # only the second half is stepped, from the previous end vector.
     t_cut = QUAD_T_START
-    while True:
-        panels = QUAD_PANELS
-        dt = t_cut / panels
-        prop = scipy.linalg.expm(mat.toarray() * dt)
-        vec = dense.coefficient_vector(x, index)
-        h = np.empty(panels + 1, dtype=complex)
-        h[0] = phi_l_vec @ vec
-        for i in range(1, panels + 1):
-            vec = prop @ vec
-            h[i] = phi_l_vec @ vec
-        env = np.abs(h)
-        if env[-1] < QUAD_TOL / 10 or t_cut >= QUAD_T_MAX:
-            break
+    vecs = _evolve_expm(mat, dense.coefficient_vector(x, index),
+                        t_cut / QUAD_PANELS * np.arange(QUAD_PANELS + 1))
+    h = np.array([phi_l_vec @ vec for vec in vecs])
+    while abs(h[-1]) >= QUAD_TOL / 10 and t_cut < QUAD_T_MAX:
+        vecs = _evolve_expm(mat, vecs[-1],
+                            2 * t_cut / QUAD_PANELS * np.arange(1, QUAD_PANELS // 2 + 1))
+        h = np.concatenate([h[::2], [phi_l_vec @ vec for vec in vecs]])
         t_cut *= 2.0
+    env = np.abs(h)
     if env[-1] >= QUAD_TOL / 10:
         # A nearly flat envelope still fits a tiny positive rate, whose
         # tail h[-1] / rate would be returned as if it converged.
@@ -625,20 +614,15 @@ def perturbed_ergodic_state(state, L: Lindbladian, c: float,
             f"not below {QUAD_TOL / 10:g}"
         )
 
-    ts = np.linspace(0.0, t_cut, panels + 1)
-    half = panels // 2
-    tail_rate = None
-    pos = env[half:] > 1e-300
+    ts = np.linspace(0.0, t_cut, QUAD_PANELS + 1)
+    late = slice(QUAD_PANELS // 2, None)
+    tail, tail_err = 0j, float(env[-1])
+    pos = env[late] > 1e-300
     if pos.sum() >= 4:
-        rate, r2 = decay_rate_fit(ts[half:][pos], env[half:][pos])
+        rate, _r2 = decay_rate_fit(ts[late][pos], env[late][pos])
         if rate > 0:
-            tail_rate = rate
-    if tail_rate is None:
-        tail = 0j
-        tail_err = float(env[-1])
-    else:
-        tail = h[-1] / tail_rate
-        tail_err = 0.5 * abs(tail)
+            tail = h[-1] / rate
+            tail_err = 0.5 * abs(tail)
     simpson = scipy.integrate.simpson(h, dx=ts[1] - ts[0])
     trapz = np.trapezoid(h, dx=ts[1] - ts[0])
     err = c * (abs(simpson - trapz) + tail_err)

@@ -89,10 +89,11 @@ def test_jobs_is_a_usage_error(tmp_path, command):
     assert "--jobs" in res.output
 
 
-def test_unknown_method_exits_3(tmp_path):
+def test_unknown_method_exits_2(tmp_path):
     res = _invoke(tmp_path, ["evolve"], EVOLVE + "method = bogus\n")
-    assert res.exit_code == 3
-    assert "bogus" in res.output
+    assert res.exit_code == 2
+    assert "config error: [run] method: must be ode | series | exact, got 'bogus'" in res.output
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 # Two observables on a single-site Kraus family: the default window is
@@ -156,22 +157,6 @@ def test_flow_default_window_covers_every_observable(tmp_path):
     assert "flow.y.vacuum_reduction" in names
 
 
-# One case per schema error; each is caught before any computation and
-# named by section and field.
-@pytest.mark.parametrize("command,config,where", [
-    ("evolve", EVOLVE.replace("window = 0 1", "window = 0 a"), "[run] window: bad site 'a'"),
-    ("evolve", EVOLVE.replace("0.3 0\n", "0.9 0\n"), "[generator] rho: invalid density matrix"),
-    ("evolve", EVOLVE.replace("t_grid = 0 0.5 1", "t_grid = 0 1 0.5"), "[run] t_grid:"),
-    ("flow", FLOW.replace("0/0: 0.5 0, 0.25 0", "0/0: 0.5 0"), "[modes.f] modes: mode '0/0'"),
-    ("evolve", EVOLVE + "closure = open\n", "[run] closure:"),
-], ids=["site", "rho", "t_grid", "modes", "closure"])
-def test_config_schema_error_exits_2(tmp_path, command, config, where):
-    res = _invoke(tmp_path, [command], config)
-    assert res.exit_code == 2, res.output
-    assert f"config error: {where}" in res.output
-    assert not (tmp_path / "out" / "report.json").exists()
-
-
 # Partial-state decay of two observables and the perturbed semigroup at
 # two weights; y's fitted rate is one of the known default-seed FAILs.
 ERGODICITY = """\
@@ -189,6 +174,67 @@ y = 1 0 ; 0:0,1 1:1,0
 t_grid = linspace 0 3 7
 c_values = 0 0.5
 """
+
+
+# One case per schema error; each is caught before any computation and
+# named by section and field.
+SCHEMA_ERRORS = {
+    "site": ("evolve", EVOLVE.replace("window = 0 1", "window = 0 a"),
+             "[run] window: bad site 'a'"),
+    "rho": ("evolve", EVOLVE.replace("0.3 0\n", "0.9 0\n"),
+            "[generator] rho: invalid density matrix"),
+    "t_grid": ("evolve", EVOLVE.replace("t_grid = 0 0.5 1", "t_grid = 0 1 0.5"), "[run] t_grid:"),
+    "modes": ("flow", FLOW.replace("0/0: 0.5 0, 0.25 0", "0/0: 0.5 0"),
+              "[modes.f] modes: mode '0/0'"),
+    "closure": ("evolve", EVOLVE + "closure = open\n", "[run] closure:"),
+    "c_values": ("ergodicity", ERGODICITY.replace("c_values = 0 0.5", "c_values = 0 -0.5"),
+                 "[run] c_values: must be >= 0, got -0.5"),
+    "instances": ("lemma", LEMMA_FAIL.replace("instances = 20", "instances = many"),
+                  "[run] instances: expected one int, got 'many'"),
+    "n_max": ("lemma", LEMMA_FAIL.replace("n_max = 2", "n_max = 4"),
+              "[run] n_max: must be in 1..3, got 4"),
+    "n_max_zero": ("lemma", LEMMA_FAIL.replace("n_max = 2", "n_max = 0"),
+                   "[run] n_max: must be in 1..3, got 0"),
+    "pairs": ("flow", FLOW.replace("pairs = x,y", "pairs = x,z"),
+              "[run] pairs: each pair must name two observables: 'x,z'"),
+    "shift": ("flow", FLOW.replace("shift = 1", "shift = right"), "[run] shift: bad site 'right'"),
+    "contraction_t": ("flow", FLOW.replace("contraction_t = 0.5", "contraction_t = -0.5"),
+                      "[run] contraction_t: must be >= 0, got -0.5"),
+    "method_exact": ("evolve", LEMMA_FAIL + "method = exact\n",
+                     "[run] method: exact needs kind = partial_state"),
+    "member": ("flow", FLOW.replace("0/0: 0.5 0", "0/1: 0.5 0"),
+               "[modes.f] modes: mode '0/1': the generator has no Kraus member 1"),
+    "tol": ("evolve", EVOLVE + "tol = 0\n", "[run] tol: must be > 0"),
+    "unknown_key": ("flow", FLOW.replace("contraction_t", "contraction_time"),
+                    "[run] contraction_time: unknown key"),
+}
+
+
+@pytest.mark.parametrize("case", SCHEMA_ERRORS)
+def test_config_schema_error_exits_2(tmp_path, case):
+    command, config, where = SCHEMA_ERRORS[case]
+    res = _invoke(tmp_path, [command], config)
+    assert res.exit_code == 2, res.output
+    assert f"config error: {where}" in res.output
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("case", ["shift", "pairs", "contraction_t", "member"])
+def test_config_error_comes_before_any_solve(tmp_path, monkeypatch, case):
+    import uhfflow.fock as fock
+    import uhfflow.lindblad as lindblad
+
+    def solve(*_args, **_kwargs):
+        raise AssertionError("solved before the config was checked")
+
+    monkeypatch.setattr(fock, "flow_element", solve)
+    monkeypatch.setattr(lindblad, "evolve", solve)
+    command, config, where = SCHEMA_ERRORS[case]
+    res = _invoke(tmp_path, [command], config)
+    assert res.exit_code == 2, res.output
+    assert f"config error: {where}" in res.output
+
+
 
 
 def _tables(tmp_path):

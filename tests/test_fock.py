@@ -10,7 +10,7 @@ import uhfflow.dense as dense
 import uhfflow.fock as fock
 import uhfflow.lindblad as lb
 from uhfflow.algebra import LocalOperator, gns_inner, random_local
-from uhfflow.errors import SizeGuardError, WindowError
+from uhfflow.errors import FitError, SizeGuardError, WindowError
 
 
 @pytest.fixture
@@ -552,6 +552,24 @@ class TestErgodicityScan:
         f, g = driven_pair
         scan = fock.eta_ergodicity_scan(maxmix, pauli[3], pauli[0], f, pauli[1], g, GRID)
         assert np.abs(scan.values).max() < 1e-9
+
+    def test_fit_error_leaves_rate_unset(self, p2, maxmix, pauli, zf, monkeypatch):
+        def unusable(*_args, **_kwargs):
+            raise FitError("unusable data")
+
+        monkeypatch.setattr(lb, "decay_rate_fit", unusable)
+        sx, _, _, one = pauli
+        scan = fock.eta_ergodicity_scan(maxmix, sx, sx, zf, one, zf, np.linspace(0.0, 8.0, 33))
+        assert scan.rate is None and scan.r2 is None
+
+    def test_other_fit_errors_propagate(self, p2, maxmix, pauli, zf, monkeypatch):
+        def broken(*_args, **_kwargs):
+            raise RuntimeError("broken fit")
+
+        monkeypatch.setattr(lb, "decay_rate_fit", broken)
+        sx, _, _, one = pauli
+        with pytest.raises(RuntimeError, match="broken fit"):
+            fock.eta_ergodicity_scan(maxmix, sx, sx, zf, one, zf, np.linspace(0.0, 8.0, 33))
 
 
 class TestHpWitness:

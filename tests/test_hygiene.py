@@ -14,6 +14,8 @@ dunder methods, whose signatures a protocol fixes, are exempt.  A private
 module-level name (``_name`` bound by ``def``, ``class`` or assignment) is
 used when some module of the package, ``__init__`` included, names it
 (as a name, an attribute or an import) outside its own definition.
+Every module-level import comes before the module's first ``def`` or
+``class``.
 """
 
 import ast
@@ -167,3 +169,28 @@ def test_scanner_sees_unreferenced_private_names():
         "b": "from .a import _imported\nimport a\nx = a._SPARE\n",
     }
     assert unreferenced_private_names(sources) == ["a._loop"]
+
+
+def late_imports(source: str) -> list[str]:
+    """Module-level imports placed after the module's first ``def`` or ``class``."""
+    late, defined = [], False
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined = True
+        elif defined and isinstance(node, (ast.Import, ast.ImportFrom)):
+            late.append(ast.unparse(node))
+    return late
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_imports_precede_definitions(path):
+    assert late_imports(path.read_text()) == []
+
+
+def test_scanner_sees_late_imports():
+    source = (
+        "import os\nX = 1\nfrom math import pi\n"
+        "def f():\n    import sys\n    return sys\n"
+        "from . import dense\nclass K:\n    pass\nimport re\n"
+    )
+    assert late_imports(source) == ["from . import dense", "import re"]

@@ -187,7 +187,8 @@ class TestKernelProperties:
         for key, leak in leaks.items():
             assert np.abs(leak - sys_.leak[key]).max() <= 1e-14
         reference = fock.FlowGeneratorSystem(L, sys_.sites, sys_.basis, sys_.index, sys_.noise,
-                                             sys_.delta_t, sys_.delta_dag_t, sys_.lhat_t, leaks)
+                                             sys_.delta_t, sys_.delta_dag_t, sys_.lhat_t, leaks,
+                                             sys_.kernel)
         assert reference.leak_free() == sys_.leak_free()
 
     @PROPERTY

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 import uhfflow.dense as dense
 import uhfflow.lindblad as lb
@@ -365,6 +367,30 @@ class TestPerturbedErgodicState:
         state = dense.StateSpec(np.array([[0.7, 0.1], [0.1, 0.3]]))
         with pytest.raises(DivergenceError):
             lb.perturbed_ergodic_state(state, L, 0.1, sx)
+
+    def test_cutoff_doubling_steps_only_new_points(self, biased, L_flip, pauli, monkeypatch):
+        # The envelope decays like e^{-1.2 t}, so it is far above tol/10 at
+        # t = 4: the cutoffs 1, 2, 4 make three rounds and then raise.  The
+        # first round steps 1024 points, each later one the 512 new points
+        # of its second half; no dense matrix exponential is formed.
+        def dense_expm(*_args, **_kwargs):
+            raise AssertionError("dense expm called")
+
+        steps = []
+        stepper = scipy.sparse.linalg.expm_multiply
+
+        def counted(*args, **kwargs):
+            steps.append(1)
+            return stepper(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "expm", dense_expm)
+        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", counted)
+        monkeypatch.setattr(lb, "QUAD_T_START", 1.0)
+        monkeypatch.setattr(lb, "QUAD_T_MAX", 4.0)
+        with pytest.raises(DivergenceError, match="at t = 4"):
+            lb.perturbed_ergodic_state(biased, L_flip, 0.1, pauli[1])
+        rounds = 3
+        assert len(steps) == lb.QUAD_PANELS + lb.QUAD_PANELS // 2 * (rounds - 1) == 2048
 
     def test_invariance_under_flow(self, biased, L_flip, p2, pauli):
         c = 0.1
