@@ -51,6 +51,7 @@ class RunReport:
     def table(self, name: str, header, rows):
         """Write ``results/<name>.csv`` and record it in ``outputs``."""
         path = self.out_dir / "results" / f"{name}.csv"
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
@@ -71,6 +72,7 @@ class RunReport:
             "wall_time_s": round(time.time() - self.started, 3),
             "passed": self.passed,
         }
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         with open(self.out_dir / "report.json", "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -86,11 +88,11 @@ class RunReport:
 def _execute(command: str, out: str | None, start):
     """Run one command: ``start()`` loads and checks its inputs and returns
     (config digest, seed, body); ``body(report)`` adds verdicts and tables.
-    A configuration error exits 2 before any report is written."""
+    The report makes the output directory when it first writes, so a
+    configuration error exits 2 before any output exists."""
     try:
         digest, seed, body = start()
         out_dir = Path(out or os.environ.get(DEFAULT_OUT_ENV, "uhfflow-out"))
-        (out_dir / "results").mkdir(parents=True, exist_ok=True)
         report = RunReport(command, digest, seed, out_dir)
         body(report)
     except ConfigError as exc:
@@ -182,7 +184,8 @@ def cmd_evolve(cfg: ExperimentConfig, report: RunReport):
 def cmd_ergodicity(cfg: ExperimentConfig, report: RunReport):
     """Decay tables, rate fits, ergodic and perturbed-ergodic states."""
     if cfg.state is None:
-        raise ConfigError("ergodicity needs a partial-state rho", section="generator")
+        raise ConfigError("ergodicity needs a partial-state rho", section="generator",
+                          field="rho")
     state = cfg.state
     one = LocalOperator.identity(cfg.params)
     rows = []
@@ -320,7 +323,8 @@ def cmd_lemma(cfg: ExperimentConfig, report: RunReport):
     """Iterated-derivation identity and bound suites."""
     if cfg.generator.kind != "translation" or len(cfg.generator.kraus.ops) != 1:
         raise ConfigError("lemma suites need a single-operator translation family",
-                          section="generator")
+                          section="generator",
+                          field="kind" if cfg.generator.kind != "translation" else "kraus")
     obs = sorted(cfg.observables.items())
     if not obs:
         raise ConfigError("lemma needs at least one observable", section="observables")

@@ -22,7 +22,8 @@ Schema (key: type; default):
     characters, ``.`` and ``-``, starting with a word character
 [vectors]: u, v: operators; the identity
 [modes.f], [modes.g]; absent: the zero test function
-    grid: ``t_max cells``, float > 0 and int >= 1; required
+    grid: ``t_max cells``, float > 0 and int >= 1; required; equal in
+          both sections when both have modes
     modes: lines ``site/member: re im, re im, ...``, one value per cell;
            member (default 0) indexes the generator's Kraus members
 [run]
@@ -336,6 +337,9 @@ def load_config(path) -> ExperimentConfig:
     members = len(generator.base_members())
     f, g = (_parse_testfunction(sections[name], d, members, name) if name in sections
             else fock.TestFunction.zero(d=d) for name in ("modes.f", "modes.g"))
+    if f.modes and g.modes and (f.t_max, f.cells) != (g.t_max, g.cells):
+        raise ConfigError(f"must equal [modes.f] grid ({f.t_max:g} {f.cells}): f and g share "
+                          "the step grid", **_at("modes.g", "grid"))
 
     return ExperimentConfig(
         params=params, generator=generator, kraus=kraus, state=state,

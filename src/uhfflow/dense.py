@@ -58,7 +58,7 @@ def clock_shift(N: int) -> tuple[np.ndarray, np.ndarray]:
 
     U is the cyclic raising shift (U e_i = e_{i+1 mod N}) and V the clock
     diag(omega**(-j)); this orientation is what makes the product law of
-    ``weyl_mul`` come out right, and is validated once per N below.
+    ``weyl_mul`` come out right, and is validated once per N.
     """
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
@@ -70,7 +70,20 @@ def clock_shift(N: int) -> tuple[np.ndarray, np.ndarray]:
     V = np.diag([params.root(-j) for j in range(N)])
     if np.linalg.norm(U @ V - omega * V @ U) > 1e-14 * N:
         raise AssertionError("clock/shift orientation broken")
-    _validate_single_site_products(N)
+
+    # The symbolic product law must reproduce the dense one for every pair
+    # of single-site words.
+    def word(a, b):
+        return np.linalg.matrix_power(U, a) @ np.linalg.matrix_power(V, b)
+
+    site = (0,)
+    for a1, b1, a2, b2 in itertools.product(range(N), repeat=4):
+        g = WeylLabel.from_entries([(site, (a1, b1))], N, 1)
+        h = WeylLabel.from_entries([(site, (a2, b2))], N, 1)
+        phase, label = weyl_mul(params, g, h)
+        if np.linalg.norm(word(a1, b1) @ word(a2, b2)
+                          - params.root(phase) * word(*label.exponents(site))) > 1e-12 * N:
+            raise AssertionError(f"weyl_mul disagrees with dense oracle at N={N}")
     U.flags.writeable = V.flags.writeable = False  # cached: shared by every caller
     return U, V
 
@@ -82,32 +95,6 @@ def site_word(N: int, alpha: int, beta: int) -> np.ndarray:
     word = np.linalg.matrix_power(U, alpha % N) @ np.linalg.matrix_power(V, beta % N)
     word.flags.writeable = False
     return word
-
-
-@functools.lru_cache(maxsize=None)
-def _validate_single_site_products(N: int) -> bool:
-    # Startup self-test: the symbolic product law must reproduce the dense
-    # one for every pair of single-site words.  Runs once per N.
-    params = AlgebraParams(N=N, d=1)
-    U = np.zeros((N, N), dtype=complex)
-    for i in range(N):
-        U[(i + 1) % N, i] = 1.0
-    V = np.diag([params.root(-j) for j in range(N)])
-
-    def word(a, b):
-        return np.linalg.matrix_power(U, a) @ np.linalg.matrix_power(V, b)
-
-    site = (0,)
-    for a1, b1, a2, b2 in itertools.product(range(N), repeat=4):
-        g = WeylLabel.from_entries([(site, (a1, b1))], N, 1)
-        h = WeylLabel.from_entries([(site, (a2, b2))], N, 1)
-        phase, label = weyl_mul(params, g, h)
-        (a, b) = label.exponents(site)
-        lhs = word(a1, b1) @ word(a2, b2)
-        rhs = params.root(phase) * word(a, b)
-        if np.linalg.norm(lhs - rhs) > 1e-12 * N:
-            raise AssertionError(f"weyl_mul disagrees with dense oracle at N={N}")
-    return True
 
 
 @dataclass(frozen=True)

@@ -207,14 +207,11 @@ class FlowGeneratorSystem:
 
     Matrices are stored transposed (ready to act on matrix-element
     vectors); ``leak`` holds the per-column l1 coefficient mass each map
-    pushes outside the window; ``kernel`` is the Weyl kernel that built
-    them.
+    pushes outside the window; ``kernel`` is the window (its sites,
+    basis and index) that built them.
     """
 
     lindbladian: "_lb.Lindbladian"
-    sites: tuple[Site, ...]
-    basis: list[WeylLabel]
-    index: dict[WeylLabel, int]
     noise: list[ModeKey]
     delta_t: dict[ModeKey, scipy.sparse.csr_matrix]
     delta_dag_t: dict[ModeKey, scipy.sparse.csr_matrix]
@@ -227,8 +224,20 @@ class FlowGeneratorSystem:
         return self.lindbladian.params
 
     @property
+    def sites(self) -> tuple[Site, ...]:
+        return self.kernel.sites
+
+    @property
+    def basis(self) -> list[WeylLabel]:
+        return self.kernel.basis
+
+    @property
+    def index(self) -> dict[WeylLabel, int]:
+        return self.kernel.index
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.kernel.dim
 
     def leak_max(self, key) -> float:
         return float(self.leak[key].max()) if self.dim else 0.0
@@ -248,37 +257,25 @@ class FlowGeneratorSystem:
 def build_generator_system(L: "_lb.Lindbladian", window_sites) -> FlowGeneratorSystem:
     """Assemble delta / delta^dag / Lhat matrices over the window basis.
 
-    One noise index per (translate, Kraus member) with nonzero action on
-    the window.  The Weyl kernel builds each map as a sum of monomial
-    matrices; images that leave the window are kept out of the matrices
-    and counted in ``leak``.
+    One noise index per mode key (translate, Kraus member) of
+    ``L.window_translates`` whose member's own support meets the window;
+    every other member commutes with the window.  The Weyl kernel builds
+    each map as a sum of monomial matrices; images that leave the window
+    are kept out of the matrices and counted in ``leak``.
     """
-    sites = tuple(tuple(s) for s in window_sites)
-    if not sites:
+    if not window_sites:
         raise WindowError("window must be nonempty")
-    dim = L.params.N ** (2 * len(sites))
+    dim = L.params.N ** (2 * len(window_sites))
     if dim > DEFAULT_MAX_DIM:
         raise SizeGuardError(f"window basis dimension {dim} exceeds guard {DEFAULT_MAX_DIM}")
-    basis = dense.window_basis(L.params, sites)
-    index = {lab: i for i, lab in enumerate(basis)}
-    kern = WindowKernel(L.params, sites)
-
-    members = L.base_members()
-    keys: list[ModeKey] = []
-    for member_id, op in enumerate(members):
-        msupp = op.support()
-        if not msupp:
-            continue
-        ks = {tuple(w[c] - b[c] for c in range(L.params.d)) for w in sites for b in msupp}
-        keys.extend((k, member_id) for k in sorted(ks))
-    keys.sort()
+    kern = WindowKernel(L.params, window_sites)
+    allowed = set(kern.sites)
+    acting: dict[ModeKey, LocalOperator] = {
+        key: m for key, m, _inside in L.window_translates(kern.sites)
+        if allowed.intersection(m.support())}
 
     delta_t, delta_dag_t, leak = {}, {}, {}
-    translated = []
-    for key in keys:
-        k, member_id = key
-        m_k = members[member_id].translate(k)
-        translated.append(m_k)
+    for key, m_k in acting.items():
         # delta(y) = y m - m y = -[m, y]; delta^dag(y) = [m*, y].
         mat_d, leak[("d", key)] = kern.bracket(m_k)
         mat_dd, leak[("dd", key)] = kern.bracket(m_k.adjoint())
@@ -286,14 +283,11 @@ def build_generator_system(L: "_lb.Lindbladian", window_sites) -> FlowGeneratorS
         delta_dag_t[key] = mat_dd.transpose().tocsr()
 
     # Lhat = L.apply: every translate acting on the window, unclipped.
-    lhat, leak["lhat"] = kern.generator(translated)
+    lhat, leak["lhat"] = kern.generator(acting.values())
 
     return FlowGeneratorSystem(
         lindbladian=L,
-        sites=sites,
-        basis=basis,
-        index=index,
-        noise=keys,
+        noise=list(acting),
         delta_t=delta_t,
         delta_dag_t=delta_dag_t,
         lhat_t=lhat.transpose().tocsr(),
@@ -810,13 +804,6 @@ def eta_site_flow(state, k, u, f, v, g, t_grid) -> MatrixElementTrajectory:
     return flow_element(build_generator_system(L, [k]), u, f, v, g, t_grid)
 
 
-def _site_op(params, site: Site, ab: tuple[int, int]) -> LocalOperator:
-    """The word U^a V^b at ``site`` (the identity for (0, 0))."""
-    if ab == (0, 0):
-        return LocalOperator.identity(params)
-    return LocalOperator.site_word(params, site, *ab)
-
-
 def eta_product_flow(state, x: LocalOperator, u, f, v, g, t_grid,
                      sites=None) -> MatrixElementTrajectory:
     """Product flow: per-site solves multiplied with unused-mode overlaps.
@@ -850,10 +837,11 @@ def eta_product_flow(state, x: LocalOperator, u, f, v, g, t_grid,
         key = (site, a_ab, b_ab)
         if key not in solves:
             solves[key] = eta_site_flow(
-                state, site, _site_op(params, site, a_ab), f.restrict_sites([site]),
-                _site_op(params, site, b_ab), g.restrict_sites([site]), grid
+                state, site, LocalOperator.site_word(params, site, *a_ab),
+                f.restrict_sites([site]), LocalOperator.site_word(params, site, *b_ab),
+                g.restrict_sites([site]), grid
             )
-        op_g = _site_op(params, site, g_ab)
+        op_g = LocalOperator.site_word(params, site, *g_ab)
         return solves[key].of_operator(op_g), solves[key].error_of(op_g)
 
     total = np.zeros(len(grid), dtype=complex)
@@ -874,8 +862,8 @@ def eta_product_flow(state, x: LocalOperator, u, f, v, g, t_grid,
                     b_ab = lab_v.exponents(s)
                     if g_ab == (0, 0):
                         # eta acts as the identity here: a constant overlap.
-                        const = gns_inner(_site_op(params, s, a_ab),
-                                          _site_op(params, s, b_ab)) * exp_inner(
+                        const = gns_inner(LocalOperator.site_word(params, s, *a_ab),
+                                          LocalOperator.site_word(params, s, *b_ab)) * exp_inner(
                             f.restrict_sites([s]), g.restrict_sites([s])
                         )
                         value *= const

@@ -1,10 +1,13 @@
-"""Window matrices of Weyl-string maps, assembled on integer label arrays.
+"""Site windows and the matrices of Weyl-string maps on them.
 
-A window basis holds the N^(2n) Weyl strings supported on n sites.  Here
-it is stored as two integer digit arrays, ``a`` and ``b`` of shape
-(dim, n): row i is the string U_i = prod_j U^{a_ij} V^{b_ij}, in the
-order of :func:`uhfflow.dense.window_basis` (per site the digit a*N + b,
-the first site most significant).
+A :class:`WindowKernel` is the window: it owns the window's sites
+(checked once by :class:`uhfflow.dense.SiteWindow`: distinct, with d
+coordinates each), its basis of the N^(2n) Weyl strings supported on
+the n sites and the index of that basis, and every matrix built on it.
+The basis is :func:`uhfflow.dense.window_basis` (per site the digit
+a*N + b, the first site most significant).  It is also stored as two
+integer digit arrays, ``a`` and ``b`` of shape (dim, n): row i is the
+string U_i = prod_j U^{a_ij} V^{b_ij}.
 
 Multiplying a basis string by fixed strings on both sides is a phase
 times a permutation: per site (U^a V^b)(U^a' V^b') = omega**(-b a')
@@ -29,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse
 
+from . import dense
 from .algebra import (
     COEFF_TOL,
     AlgebraParams,
@@ -41,11 +45,17 @@ from .algebra import (
 
 
 class WindowKernel:
-    """Window basis of Weyl strings as digit arrays, and the maps built on it."""
+    """A site window: its sites, Weyl-string basis and index, and the maps built on it.
+
+    Raises ``WindowError`` for repeated sites or sites with the wrong
+    number of coordinates.
+    """
 
     def __init__(self, params: AlgebraParams, sites):
         self.params = params
-        self.sites: tuple[Site, ...] = tuple(tuple(int(c) for c in s) for s in sites)
+        self.sites: tuple[Site, ...] = dense.window(params, sites).sites
+        self.basis: list[WeylLabel] = dense.window_basis(params, self.sites)
+        self.index: dict[WeylLabel, int] = {lab: i for i, lab in enumerate(self.basis)}
         N, n = params.N, len(self.sites)
         self.dim = N ** (2 * n)
         self.place = (N * N) ** np.arange(n - 1, -1, -1, dtype=np.int64)

@@ -256,19 +256,20 @@ class Lindbladian:
             terms[newlab] = terms.get(newlab, 0j) + c
         return LocalOperator(self.params, terms)
 
-    def window_translates(self, sites) -> list[tuple[LocalOperator, bool]]:
-        """Members of every translate meeting the window, in translate order.
+    def window_translates(self, sites) -> list[tuple[tuple[Site, int], LocalOperator, bool]]:
+        """Members of every translate meeting the window, in (translate, member) order.
 
-        Each member comes with a flag: True when its translate is inside
-        (all Kraus supports in the window), False on the edge.  Members are
-        unclipped; every translate not listed acts as 0 on the window.
+        Each member comes with its mode key (translate k, member id) and a
+        flag: True when its translate is inside (all Kraus supports in the
+        window), False on the edge.  Members are unclipped; every
+        translate not listed acts as 0 on the window.
         """
         allowed = {tuple(s) for s in sites}
         base_supp = self.base_support()
         out = []
         for k in sorted({_site_sub(s, b) for s in allowed for b in base_supp}):
             inside = {_site_add(b, k) for b in base_supp} <= allowed
-            out += [(m, inside) for m in self.members_at(k)]
+            out += [((k, i), m, inside) for i, m in enumerate(self.members_at(k))]
         return out
 
     def window_members(self, sites, closure_mode: str = "interior") -> list[LocalOperator]:
@@ -284,7 +285,7 @@ class Lindbladian:
             raise ValueError(f"unknown closure mode {closure_mode!r}")
         allowed = {tuple(s) for s in sites}
         return [m if inside else self._clip_factors(m, allowed)
-                for m, inside in self.window_translates(sites)
+                for _key, m, inside in self.window_translates(sites)
                 if inside or closure_mode == "clipped"]
 
     def windowed_apply(self, x: LocalOperator, sites, closure_mode: str = "interior") -> LocalOperator:
@@ -364,19 +365,16 @@ def generator_matrix(L: Lindbladian, sites, closure_mode: str = "interior"):
     minus that of their clipped members, plus the same leak
     (``clipped``, whose clipped members never leave the window).
     """
-    sites = tuple(tuple(s) for s in sites)
     kern = WindowKernel(L.params, sites)
-    mat, _leak = kern.generator(L.window_members(sites, closure_mode))
-    edge_members = [m for m, inside in L.window_translates(sites) if not inside]
+    mat, _leak = kern.generator(L.window_members(kern.sites, closure_mode))
+    edge_members = [m for _key, m, inside in L.window_translates(kern.sites) if not inside]
     edge_mat, edge = kern.generator(edge_members)
     if closure_mode == "clipped":
-        allowed = set(sites)
+        allowed = set(kern.sites)
         edge_mat = edge_mat - kern.generator(
             [L._clip_factors(m, allowed) for m in edge_members])[0]
     edge += np.asarray(abs(edge_mat).sum(axis=0)).ravel()
-    basis = dense.window_basis(L.params, sites)
-    index = {lab: i for i, lab in enumerate(basis)}
-    return mat, basis, index, edge
+    return mat, kern.basis, kern.index, edge
 
 
 def _series_tail_log(L: Lindbladian, x: LocalOperator, t: float, n: int) -> tuple[float, float]:

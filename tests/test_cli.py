@@ -207,6 +207,15 @@ SCHEMA_ERRORS = {
     "tol": ("evolve", EVOLVE + "tol = 0\n", "[run] tol: must be > 0"),
     "unknown_key": ("flow", FLOW.replace("contraction_t", "contraction_time"),
                     "[run] contraction_time: unknown key"),
+    "shared_grid": ("flow", FLOW + "[modes.g]\ngrid = 2 2\nmodes =\n    1/0: 0.5 0, 0 1\n",
+                    "[modes.g] grid: must equal [modes.f] grid (1 2)"),
+    "lemma_kind": ("lemma", ERGODICITY,
+                   "[generator] kind: lemma suites need a single-operator translation family"),
+    "lemma_kraus": ("lemma", LEMMA_FAIL.replace("kraus = 1 0 ; 0:1,0 1:1,0 | 1 0 ; 0:0,1",
+                                                "kraus = 1 0 ; 0:1,0\n    1 0 ; 0:0,1"),
+                    "[generator] kraus: lemma suites need a single-operator translation family"),
+    "ergodicity_rho": ("ergodicity", LEMMA_FAIL,
+                       "[generator] rho: ergodicity needs a partial-state rho"),
 }
 
 
@@ -216,7 +225,7 @@ def test_config_schema_error_exits_2(tmp_path, case):
     res = _invoke(tmp_path, [command], config)
     assert res.exit_code == 2, res.output
     assert f"config error: {where}" in res.output
-    assert not (tmp_path / "out" / "report.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("case", ["shift", "pairs", "contraction_t", "member"])

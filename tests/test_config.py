@@ -41,9 +41,9 @@ grid = 1 2
 modes =
     0/0: 0.5 0, 0.25 0
 [modes.g]
-grid = 2 1
+grid = 1.0 2
 modes =
-    1/4: 0 1
+    1/4: 0 1, 0 -1
 [run]
 t_grid = linspace 0 2 5
 window = 0 1 2
@@ -109,7 +109,7 @@ def test_every_key_typed(tmp_path):
     # The perturbed generator's members are the state's four on-site Kraus
     # operators followed by the perturbation's, so member 4 is the last.
     assert len(cfg.generator.base_members()) == 5
-    assert cfg.g == fock.TestFunction.build(2.0, 1, {((1,), 4): [1j]})
+    assert cfg.g == fock.TestFunction.build(1.0, 2, {((1,), 4): [1j, -1j]})
     assert np.array_equal(cfg.t_grid, [0.0, 0.5, 1.0, 1.5, 2.0])
     assert cfg.window == ((0,), (1,), (2,))
     assert (cfg.method, cfg.closure, cfg.tol, cfg.seed) == ("series", "clipped", 1e-7, 5)
@@ -155,8 +155,9 @@ ERRORS = {
     "observable_name": ("observables", "a/b", MINIMAL + "[observables]\na/b = 1 0 ; 0:1,0\n"),
     "vector": ("vectors", "u", FULL.replace("u = 1 0 ; 0:0,1", "u = one")),
     "vectors_key": ("vectors", "w", FULL.replace("[vectors]\n", "[vectors]\nw = 1 0 ;\n")),
-    "mode_grid": ("modes.g", "grid", FULL.replace("grid = 2 1", "grid = 0 1")),
-    "mode_cells": ("modes.g", "grid", FULL.replace("grid = 2 1", "grid = 2 0")),
+    "mode_grid": ("modes.g", "grid", FULL.replace("grid = 1.0 2", "grid = 0 2")),
+    "mode_cells": ("modes.g", "grid", FULL.replace("grid = 1.0 2", "grid = 1 0")),
+    "mode_grid_shared": ("modes.g", "grid", FULL.replace("grid = 1.0 2", "grid = 2 2")),
     "mode_member": ("modes.g", "modes", FULL.replace("1/4: 0 1", "1/5: 0 1")),
     "mode_member_text": ("modes.g", "modes", FULL.replace("1/4: 0 1", "1/b: 0 1")),
     "mode_site": ("modes.f", "modes", FULL.replace("0/0: 0.5 0", "0,0/0: 0.5 0")),

@@ -15,15 +15,19 @@ module-level name (``_name`` bound by ``def``, ``class`` or assignment) is
 used when some module of the package, ``__init__`` included, names it
 (as a name, an attribute or an import) outside its own definition.
 Every module-level import comes before the module's first ``def`` or
-``class``.
+``class``.  Every attribute the benchmark's span tracer times
+(``bench/spans.py`` ``TARGETS``) exists in the package, so a rename
+cannot silently zero a per-layer metric.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "uhfflow"
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
 PACKAGE = sorted(SOURCE.glob("*.py"))
 
@@ -194,3 +198,48 @@ def test_scanner_sees_late_imports():
         "from . import dense\nclass K:\n    pass\nimport re\n"
     )
     assert late_imports(source) == ["from . import dense", "import re"]
+
+
+# Traced names the package no longer has; their metrics read 0 until the
+# benchmark drops them (``Lindbladian.truncation_rates`` was removed).
+DEAD_TARGETS = {"lindblad.truncation_rates"}
+
+
+def span_targets(source: str) -> list[tuple[str, str, str]]:
+    """(name, module, attribute path) of each entry of ``TARGETS`` in ``source``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            return [tuple(e.value for e in entry.elts[:3]) for entry in node.value.elts]
+    raise AssertionError("no TARGETS assignment")
+
+
+def missing_targets(targets) -> list[str]:
+    """Names of the targets whose module attribute path does not resolve."""
+    missing = []
+    for name, module, path in targets:
+        obj = importlib.import_module(f"uhfflow.{module}")
+        for part in path.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(name)
+    return missing
+
+
+def test_traced_targets_resolve():
+    targets = span_targets(SPANS.read_text())
+    assert len(targets) > 10
+    assert [name for name in missing_targets(targets) if name not in DEAD_TARGETS] == []
+
+
+def test_scanner_sees_missing_targets():
+    source = (
+        "SPAN = 'span'\n"
+        "TARGETS = (\n"
+        "    ('lindblad.evolve', 'lindblad', 'evolve', SPAN),\n"
+        "    ('lindblad.gone', 'lindblad', 'no_such_function', SPAN),\n"
+        "    ('algebra.mul', 'algebra', 'LocalOperator.__mul__', SPAN),\n"
+        "    ('algebra.gone', 'algebra', 'LocalOperator.no_such_method', SPAN),\n"
+        ")\n"
+    )
+    assert missing_targets(span_targets(source)) == ["lindblad.gone", "algebra.gone"]

@@ -6,6 +6,8 @@ time, as the assemblers did before the kernel; the dense oracle is
 compared with both.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -16,6 +18,7 @@ import uhfflow.dense as dense
 import uhfflow.fock as fock
 import uhfflow.lindblad as lb
 from uhfflow.algebra import AlgebraParams, LocalOperator, WeylLabel, random_local, weyl_mul
+from uhfflow.errors import WindowError
 from uhfflow.kernel import WindowKernel
 
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -111,6 +114,15 @@ class TestKernelBasis:
             assert outside.is_identity()
             assert (a == kern.a[i]).all() and (b == kern.b[i]).all()
 
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("sites", [[(1,), (-1,)], [(0, 1), (2, 0)]])
+    def test_basis_and_index_are_the_window_basis(self, N, sites):
+        params = AlgebraParams(N, len(sites[0]))
+        kern = WindowKernel(params, sites)
+        assert kern.basis == dense.window_basis(params, sites)
+        assert len(kern.index) == kern.dim == len(kern.basis)
+        assert all(kern.basis[kern.index[lab]] == lab for lab in kern.basis)
+
     def test_products_follow_weyl_mul(self, p3):
         sites = [(0,), (2,)]
         kern = WindowKernel(p3, sites)
@@ -120,6 +132,41 @@ class TestKernelBasis:
             for k, h in enumerate(basis):
                 ph, lab = weyl_mul(p3, g, h)
                 assert phase[i, k] == ph and basis[rows[i, k]] == lab
+
+
+class TestWindowSites:
+    """Every window path checks its sites through the kernel."""
+
+    @pytest.mark.parametrize("sites", [[(0,), (1,), (0,)], [(0,), (1, 0)]])
+    def test_bad_window_raises(self, p2, sites):
+        L = lb.Lindbladian.single_kraus(LocalOperator.site_word(p2, (0,), 1, 0))
+        x = LocalOperator.site_word(p2, (1,), 0, 1)
+        with pytest.raises(WindowError):
+            lb.generator_matrix(L, sites)
+        with pytest.raises(WindowError):
+            lb.evolve(L, x, [0.0, 0.5], window=sites)
+        with pytest.raises(WindowError):
+            fock.build_generator_system(L, sites)
+
+    def test_noise_modes_of_a_multi_member_family(self, p2):
+        # Members sx_0 sz_2 + 0.3 sz_1, sz_0 and sx_1 on the window 0..3:
+        # a translate k keeps a member when the member's own support,
+        # shifted by k, meets the window.
+        def word(site, a, b):
+            return LocalOperator.site_word(p2, (site,), a, b)
+
+        ops = (word(0, 1, 0) * word(2, 0, 1) + word(1, 0, 1) * 0.3, word(0, 0, 1),
+               word(1, 1, 0))
+        L = lb.Lindbladian.translation_covariant(lb.KrausFamily(ops))
+        sys_ = fock.build_generator_system(L, [(0,), (1,), (2,), (3,)])
+        assert sys_.noise == [
+            ((-2,), 0),
+            ((-1,), 0), ((-1,), 2),
+            ((0,), 0), ((0,), 1), ((0,), 2),
+            ((1,), 0), ((1,), 1), ((1,), 2),
+            ((2,), 0), ((2,), 1), ((2,), 2),
+            ((3,), 0), ((3,), 1),
+        ]
 
 
 class TestEvolveWindowShapes:
@@ -186,10 +233,7 @@ class TestKernelProperties:
         assert leaks.keys() == sys_.leak.keys()
         for key, leak in leaks.items():
             assert np.abs(leak - sys_.leak[key]).max() <= 1e-14
-        reference = fock.FlowGeneratorSystem(L, sys_.sites, sys_.basis, sys_.index, sys_.noise,
-                                             sys_.delta_t, sys_.delta_dag_t, sys_.lhat_t, leaks,
-                                             sys_.kernel)
-        assert reference.leak_free() == sys_.leak_free()
+        assert dataclasses.replace(sys_, leak=leaks).leak_free() == sys_.leak_free()
 
     @PROPERTY
     @given(windowed_generators())
