@@ -465,25 +465,18 @@ def c_const(x: LocalOperator) -> float:
     return x.site_count * (1.0 + x.l1())
 
 
-def seminorm_one(x: LocalOperator, convention: str = "exponentiated") -> float:
-    """Commutator seminorm: sum over sites and exponent pairs of ||[W, x]||.
+def seminorm_one(x: LocalOperator) -> float:
+    """Commutator seminorm: sum over sites j and exponent pairs of ||[W, x]||.
 
-    ``exponentiated`` (default) sums ||[(U^a V^b)^{(j)}, x]|| over
-    (a, b) != (0, 0); ``printed`` uses [U^{(j)} V^{(j)}, x] for every one
-    of the N^2 exponent pairs, matching the literal formula it replaces.
-    Only j in supp(x) can contribute; the identity has seminorm zero.
+    W = (U^a V^b)^{(j)} runs over (a, b) != (0, 0).  Only j in supp(x)
+    can contribute; the identity has seminorm zero.
     """
     from . import dense  # local import: norms need the dense realization
 
     if not x._terms:
         return 0.0
     N = x.params.N
-    if convention == "exponentiated":
-        pairs = [(a, b) for a in range(N) for b in range(N) if (a, b) != (0, 0)]
-    elif convention == "printed":
-        pairs = [(1, 1)] * (N * N)
-    else:
-        raise ValueError(f"unknown seminorm convention {convention!r}")
+    pairs = [(a, b) for a in range(N) for b in range(N) if (a, b) != (0, 0)]
     total = 0.0
     for j in x.support():
         for a, b in pairs:

@@ -125,13 +125,7 @@ def window(params: AlgebraParams, sites) -> SiteWindow:
     return SiteWindow(params, tuple(tuple(s) for s in sites))
 
 
-@dataclass
-class DenseOperator:
-    window: SiteWindow
-    matrix: np.ndarray
-
-
-def realize(x: LocalOperator, win: SiteWindow) -> DenseOperator:
+def realize(x: LocalOperator, win: SiteWindow) -> np.ndarray:
     """Kronecker realization of x on the window (identity off-support).
 
     On windows of dimension up to ``STRING_MATRIX_CACHE_DIM`` each string's
@@ -150,7 +144,7 @@ def realize(x: LocalOperator, win: SiteWindow) -> DenseOperator:
     out = np.zeros((dim, dim), dtype=complex)
     for label, coeff in x.items():
         out += coeff * string(N, tuple(label.exponents(site) for site in win.sites))
-    return DenseOperator(win, out)
+    return out
 
 
 @functools.lru_cache(maxsize=STRING_MATRIX_CACHE_SIZE)
@@ -171,7 +165,7 @@ def operator_norm(x: LocalOperator) -> float:
     if not supp:
         return abs(x.trace())
     win = SiteWindow(x.params, supp)
-    return float(np.linalg.norm(realize(x, win).matrix, 2))
+    return float(np.linalg.norm(realize(x, win), 2))
 
 
 def window_basis(params: AlgebraParams, sites) -> list[WeylLabel]:
@@ -239,7 +233,7 @@ def _colstack_generator(members, win: SiteWindow) -> np.ndarray:
     eye = scipy.sparse.identity(dh, dtype=complex, format="csr")
     total = scipy.sparse.csr_matrix((dh * dh, dh * dh), dtype=complex)
     for m in members:
-        M = scipy.sparse.csr_matrix(realize(m, win).matrix)
+        M = scipy.sparse.csr_matrix(realize(m, win))
         Md = M.conj().T.tocsr()
         MdM = (Md @ M).tocsr()
         total = total + scipy.sparse.kron(M.T, Md, format="csr") \
@@ -364,10 +358,10 @@ def hilbert_evolve(lindbladian, win: SiteWindow, closure_mode: str, t_grid,
     """
     grid = validate_grid(t_grid)
     D = win.dim
-    X0 = realize(x, win).matrix
+    X0 = realize(x, win)
     times, where = np.unique(grid, return_inverse=True)
     if times[-1] > 0:
-        M = np.array([realize(m, win).matrix
+        M = np.array([realize(m, win)
                       for m in lindbladian.window_members(win.sites, closure_mode)]
                      ).reshape(-1, D, D)
         Md = M.conj().transpose(0, 2, 1)

@@ -29,6 +29,12 @@ read those trajectories.  Truncation to a
 finite site window drops operator mass outside it; that l1 mass is
 recorded per map and drives every error estimate, which bounds one basis
 string and is scaled by the observable's l1 norm (``error_of``).
+
+The flows of partial-state semigroups take the same single solve:
+``eta_ergodicity_scan`` builds the F system on the window of the
+supports of x, u and v, which has no leak because every Kraus member
+acts on one site; a window basis beyond ``DEFAULT_MAX_DIM`` raises
+``SizeGuardError``.
 """
 
 from __future__ import annotations
@@ -63,7 +69,6 @@ MAX_PAIR_DIM = 70_000
 PICARD_SUB = 64  # Simpson nodes per piece in picard_element (even)
 PICARD_MAX_TERMS = 500_000  # terms summed by picard_tail_bound before it gives inf
 CERTIFIED_DEPTH_MAX = 100_000  # deepest Picard depth smallest_certified_depth tries
-PRODUCT_TRIPLE_GUARD = 20_000  # (x, u, v) string triples eta_product_flow expands
 
 ModeKey = tuple[Site, int]  # (lattice site of the translate, Kraus member id)
 
@@ -172,14 +177,6 @@ class TestFunction:
                    for (site, m), vals in self.modes)
         )
         return TestFunction(self.t_max, self.cells, moved, self.d)
-
-    def restrict_sites(self, sites) -> "TestFunction":
-        allowed = {tuple(s) for s in sites}
-        kept = tuple((k, v) for k, v in self.modes if k[0] in allowed)
-        return TestFunction(self.t_max, self.cells, kept, self.d)
-
-    def mode_sites(self) -> set[Site]:
-        return {site for (site, _m) in self.mode_keys()}
 
 
 def exp_inner(f: TestFunction, g: TestFunction) -> complex:
@@ -794,93 +791,7 @@ def covariance_check(sys: FlowGeneratorSystem, traj: MatrixElementTrajectory, xs
     return reports
 
 
-# -- per-site and product flows ---------------------------------------------------
-
-
-def eta_site_flow(state, k, u, f, v, g, t_grid) -> MatrixElementTrajectory:
-    """Single-site flow: exact closed system on the N^2 labels of site k."""
-    k = tuple(int(c) for c in k)
-    L = _lb.Lindbladian.partial_state(u.params, state)
-    return flow_element(build_generator_system(L, [k]), u, f, v, g, t_grid)
-
-
-def eta_product_flow(state, x: LocalOperator, u, f, v, g, t_grid,
-                     sites=None) -> MatrixElementTrajectory:
-    """Product flow: per-site solves multiplied with unused-mode overlaps.
-
-    Works for any x, u, v by expanding all three over the string basis;
-    every string factors over sites, so each triple is a product of
-    independent single-site matrix elements.  One site solve per
-    (site, u-factor, v-factor) serves every x-factor there.
-    """
-    grid = dense.validate_grid(t_grid)
-    f, g = _harmonize(f, g)
-    params = x.params
-    if sites is None:
-        sites = x.support()
-    sites = {tuple(s) for s in sites}
-    if not set(x.support()) <= sites:
-        raise WindowError("x support outside the requested site set")
-
-    xs, us, vs = x.items(), u.items(), v.items()
-    if len(xs) * len(us) * len(vs) > PRODUCT_TRIPLE_GUARD:
-        raise SizeGuardError("basis expansion exceeds the triple guard")
-
-    mode_sites = f.mode_sites() | g.mode_sites()
-    overlap = {
-        s: exp_inner(f.restrict_sites([s]), g.restrict_sites([s])) for s in mode_sites
-    }
-
-    solves: dict = {}
-
-    def site_element(site, g_ab, a_ab, b_ab) -> tuple[np.ndarray, np.ndarray]:
-        key = (site, a_ab, b_ab)
-        if key not in solves:
-            solves[key] = eta_site_flow(
-                state, site, LocalOperator.site_word(params, site, *a_ab),
-                f.restrict_sites([site]), LocalOperator.site_word(params, site, *b_ab),
-                g.restrict_sites([site]), grid
-            )
-        op_g = LocalOperator.site_word(params, site, *g_ab)
-        return solves[key].of_operator(op_g), solves[key].error_of(op_g)
-
-    total = np.zeros(len(grid), dtype=complex)
-    est = np.zeros(len(grid))
-    for lab_x, cx in xs:
-        for lab_u, cu in us:
-            for lab_v, cv in vs:
-                coeff = cx * cu.conjugate() * cv
-                factor_sites = sorted(
-                    set(lab_x.support) | set(lab_u.support) | set(lab_v.support)
-                )
-                value = np.full(len(grid), coeff, dtype=complex)
-                bound = abs(coeff)
-                term_est = np.zeros(len(grid))
-                for s in factor_sites:
-                    g_ab = lab_x.exponents(s)
-                    a_ab = lab_u.exponents(s)
-                    b_ab = lab_v.exponents(s)
-                    if g_ab == (0, 0):
-                        # eta acts as the identity here: a constant overlap.
-                        const = gns_inner(LocalOperator.site_word(params, s, *a_ab),
-                                          LocalOperator.site_word(params, s, *b_ab)) * exp_inner(
-                            f.restrict_sites([s]), g.restrict_sites([s])
-                        )
-                        value *= const
-                        term_est *= abs(const)
-                        bound *= abs(const)
-                    else:
-                        vals, err = site_element(s, g_ab, a_ab, b_ab)
-                        sup = float(np.max(np.abs(vals)))
-                        term_est = term_est * sup + bound * err
-                        value *= vals
-                        bound *= max(sup, 1e-30)
-                for s in sorted(mode_sites - set(factor_sites)):
-                    value *= overlap[s]
-                    term_est *= abs(overlap[s])
-                total += value
-                est += term_est
-    return _observable_trajectory(grid, total, est, "eta-product")
+# -- ergodicity of partial-state flows ---------------------------------------------
 
 
 @dataclass
@@ -895,11 +806,22 @@ class ErgodicityScan:
 
 
 def eta_ergodicity_scan(state, x: LocalOperator, u, f, v, g, t_grid) -> ErgodicityScan:
-    """|F_t(x) - Phi(x) <u e(f), v e(g)>| and its fitted decay rate."""
+    """|F_t(x) - Phi(x) <u e(f), v e(g)>| and its fitted decay rate.
+
+    F is one ``flow_element`` solve of the partial-state flow on the
+    window of the sorted union of the supports of x, u and v (the origin
+    when that is empty).  Each Kraus member acts on one site, so the
+    window has no leak and the solve is exact up to the stepper; a mode
+    on a site outside the window meets no acting member and enters only
+    through exp<f, g> in F_0.  Raises ``SizeGuardError`` when the window
+    basis exceeds ``DEFAULT_MAX_DIM`` (6 sites at N = 2).
+    """
     grid = dense.validate_grid(t_grid)
     f, g = _harmonize(f, g)
-    traj = eta_product_flow(state, x, u, f, v, g, grid)
-    values = traj.F[:, 0]
+    window = sorted(set(x.support()) | set(u.support()) | set(v.support()))
+    L = _lb.Lindbladian.partial_state(x.params, state)
+    sys = build_generator_system(L, window or [(0,) * x.params.d])
+    values = flow_element(sys, u, f, v, g, grid).of_operator(x)
     target = _lb.ergodic_state(state, x) * gns_inner(u, v) * exp_inner(f, g)
     dev = np.abs(values - target)
     drive_end = 0.0

@@ -76,12 +76,12 @@ def algebra_checks(rng) -> list[Verdict]:
         for _ in range(40):
             x = random_local(pn, rng, [(0,), (1,)])
             y = random_local(pn, rng, [(0,), (1,)])
-            lhs = dense.realize(x * y, win).matrix
-            rhs = dense.realize(x, win).matrix @ dense.realize(y, win).matrix
+            lhs = dense.realize(x * y, win)
+            rhs = dense.realize(x, win) @ dense.realize(y, win)
             worst = max(worst, float(np.abs(lhs - rhs).max()))
             worst = max(worst, float(np.abs(
-                dense.realize(x.adjoint(), win).matrix
-                - dense.realize(x, win).matrix.conj().T).max()))
+                dense.realize(x.adjoint(), win)
+                - dense.realize(x, win).conj().T).max()))
     out.append(_le("algebra.oracle_faithfulness", worst, 1e-12, "80 random pairs, N=2,3"))
 
     worst = 0.0

@@ -300,13 +300,6 @@ class TestSeminorm:
         x = random_local(p2, rng, [(0,), (1,)])
         assert abs(seminorm_one(x) - seminorm_one(x.adjoint())) < 1e-10
 
-    def test_printed_convention_flag(self, pauli):
-        sx = pauli[0]
-        # printed form counts [UV, x] once per exponent pair: 4 * ||[UV, sx]||
-        w = ref_word(2, 1, 1)
-        expected = 4 * np.linalg.norm(w @ ref_word(2, 1, 0) - ref_word(2, 1, 0) @ w, 2)
-        assert abs(seminorm_one(sx, convention="printed") - expected) < 1e-12
-
 
 class TestCanonicalization:
     def test_zero_coefficients_dropped(self, p2, pauli):

@@ -1,11 +1,16 @@
 """Exit codes and report.json of the command-line runner, on tiny configs."""
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from uhfflow.cli import main
+
+# The benchmark's recorded verdicts; read here, never written.
+BATTERY_REFERENCE = (Path(__file__).resolve().parents[1]
+                     / "bench" / "reference" / "verify_battery.json")
 
 # Partial-state evolution on a 2-site window: every verdict passes.
 EVOLVE = """\
@@ -283,3 +288,12 @@ def test_lemma_report(tmp_path):
     assert rows[0] == "instance,observable,mode,n,lhs,rhs"
     assert [row.split(",")[0] for row in rows[1:]] == [str(i) for i in range(6)]
     assert {row.split(",")[2] for row in rows[1:]} <= {"pure", "mixed"}
+
+
+def test_selftest_battery_passes(tmp_path):
+    res = _invoke(tmp_path, ["selftest"])
+    assert res.exit_code == 0, res.output
+    verdicts = _report(tmp_path)["verdicts"]
+    assert [v["name"] for v in verdicts if not v["passed"]] == []
+    recorded = json.loads(BATTERY_REFERENCE.read_text())["selftest"]["verdicts"]
+    assert sorted(v["name"] for v in verdicts) == sorted(recorded)

@@ -45,12 +45,12 @@ class TestClockShift:
 class TestRealize:
     def test_word_matrix(self, p2):
         x = LocalOperator.site_word(p2, (0,), 1, 1)
-        got = dense.realize(x, dense.window(p2, [(0,)])).matrix
+        got = dense.realize(x, dense.window(p2, [(0,)]))
         assert np.abs(got - SX @ SZ).max() < 1e-15
 
     def test_identity(self, p2):
         win = dense.window(p2, [(0,), (1,)])
-        got = dense.realize(LocalOperator.identity(p2), win).matrix
+        got = dense.realize(LocalOperator.identity(p2), win)
         assert np.abs(got - np.eye(4)).max() == 0.0
 
     def test_homomorphism_random(self, p2, rng):
@@ -58,8 +58,8 @@ class TestRealize:
         for _ in range(20):
             x = random_local(p2, rng, win.sites)
             y = random_local(p2, rng, win.sites)
-            lhs = dense.realize(x * y, win).matrix
-            rhs = dense.realize(x, win).matrix @ dense.realize(y, win).matrix
+            lhs = dense.realize(x * y, win)
+            rhs = dense.realize(x, win) @ dense.realize(y, win)
             assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_window_violation(self, p2):
@@ -71,27 +71,27 @@ class TestRealize:
         x = random_local(p2, rng, [(0,), (1,)])
         win = dense.window(p2, [(0,), (1,)])
         shifted = dense.window(p2, [(3,), (4,)])
-        a = dense.realize(x, win).matrix
-        b = dense.realize(x.translate((3,)), shifted).matrix
+        a = dense.realize(x, win)
+        b = dense.realize(x.translate((3,)), shifted)
         assert np.abs(a - b).max() == 0.0
 
     def test_trace_consistency(self, p2, rng):
         win = dense.window(p2, [(0,), (1,)])
         x = random_local(p2, rng, win.sites, include_identity=True)
-        mat = dense.realize(x, win).matrix
+        mat = dense.realize(x, win)
         assert abs(np.trace(mat) / 4 - x.trace()) < 1e-13
 
     @pytest.mark.parametrize("n_sites", [2, 5])  # cached, and above STRING_MATRIX_CACHE_DIM
     def test_result_is_a_fresh_array(self, p2, rng, n_sites):
         win = dense.window(p2, [(k,) for k in range(n_sites)])
         x = LocalOperator.weyl(p2, algebra.random_label(p2, rng, [(0,), (1,)]))
-        first = dense.realize(x, win).matrix
-        want = np.kron(dense.realize(x, dense.window(p2, [(0,), (1,)])).matrix,
+        first = dense.realize(x, win)
+        want = np.kron(dense.realize(x, dense.window(p2, [(0,), (1,)])),
                        np.eye(2 ** (n_sites - 2)))
         assert np.abs(first - want).max() == 0.0
         first[:] = 7.0
-        assert np.abs(dense.realize(x, win).matrix - want).max() == 0.0
-        assert np.abs(dense.realize(x * 2.0, win).matrix - 2.0 * want).max() == 0.0
+        assert np.abs(dense.realize(x, win) - want).max() == 0.0
+        assert np.abs(dense.realize(x * 2.0, win) - 2.0 * want).max() == 0.0
 
     def test_cached_matrices_read_only(self):
         # One write into a shared cached array would corrupt every later
@@ -136,9 +136,9 @@ class TestProductTable:
             assert 0 <= phase < N
         phase, label = uncached
         win = dense.window(params, SITES)
-        lhs = (dense.realize(LocalOperator.weyl(params, g), win).matrix
-               @ dense.realize(LocalOperator.weyl(params, h), win).matrix)
-        rhs = params.root(phase) * dense.realize(LocalOperator.weyl(params, label), win).matrix
+        lhs = (dense.realize(LocalOperator.weyl(params, g), win)
+               @ dense.realize(LocalOperator.weyl(params, h), win))
+        rhs = params.root(phase) * dense.realize(LocalOperator.weyl(params, label), win)
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -421,11 +421,11 @@ class TestMatrixToLocal:
     def test_round_trip(self, p2, rng):
         mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         op = dense.matrix_to_local(p2, (0,), mat)
-        back = dense.realize(op, dense.window(p2, [(0,)])).matrix
+        back = dense.realize(op, dense.window(p2, [(0,)]))
         assert np.abs(back - mat).max() < 1e-12
 
     def test_n3(self, p3, rng):
         mat = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         op = dense.matrix_to_local(p3, (0,), mat)
-        back = dense.realize(op, dense.window(p3, [(0,)])).matrix
+        back = dense.realize(op, dense.window(p3, [(0,)]))
         assert np.abs(back - mat).max() < 1e-12

@@ -484,46 +484,56 @@ class TestCovariance:
 
 
 class TestEtaFlows:
-    def test_site_flow_closed_form(self, p2, maxmix, pauli, zf):
+    """Partial-state flows are ``flow_element`` solves on leak-free windows."""
+
+    def test_site_flow_closed_form(self, p2, pauli, zf, eta_sys):
         sx, _, _, one = pauli
-        traj = fock.eta_site_flow(maxmix, (0,), sx, zf, one, zf, GRID)
+        assert eta_sys.leak_free()
+        traj = fock.flow_element(eta_sys, sx, zf, one, zf, GRID)
         assert np.abs(traj.of_operator(sx) - np.exp(-GRID)).max() < 1e-12
 
     def test_site_flow_support_check(self, p2, maxmix, pauli, zf):
-        traj = fock.eta_site_flow(maxmix, (1,), pauli[3], zf, pauli[3], zf, GRID)
+        sys1 = fock.build_generator_system(lb.Lindbladian.partial_state(p2, maxmix), [(1,)])
+        traj = fock.flow_element(sys1, pauli[3], zf, pauli[3], zf, GRID)
         with pytest.raises(WindowError):
             traj.of_operator(pauli[0])
 
-    def test_product_matches_direct_window(self, p2, maxmix, rng):
-        sx0 = LocalOperator.site_word(p2, (0,), 1, 0)
-        sx1 = LocalOperator.site_word(p2, (1,), 1, 0)
-        f = fock.TestFunction.build(1.0, 4, {((0,), 0): [0.9, 0.4, 0.7, 0.2],
-                                             ((1,), 2): [0.3, 0.1, 0.5, 0.6]})
-        g = fock.TestFunction.build(1.0, 4, {((0,), 1): [0.2, 0.8, 0.5, 0.3],
-                                             ((1,), 2): [0.6, 0.2, 0.9, 0.1]})
-        u = sx0 * LocalOperator.site_word(p2, (1,), 0, 1)
-        v = LocalOperator.site_word(p2, (0,), 0, 1)
-        x = sx0 * sx1
-        L = lb.Lindbladian.partial_state(p2, maxmix)
+    def test_product_matches_direct_window(self, p2):
+        # The 2-site flow of x0 x1 factors into the two 1-site flows; a mode
+        # on site 5 meets no acting member and contributes exp<f5, g5>.
+        rho = dense.StateSpec(np.array([[0.7, 0.1], [0.1, 0.3]]))
+        L = lb.Lindbladian.partial_state(p2, rho)
+
+        def word(k, a, b):
+            return LocalOperator.site_word(p2, (k,), a, b)
+
+        x = [word(0, 1, 0) + 0.3 * word(0, 0, 1), word(1, 0, 1) - 0.5j * word(1, 1, 1)]
+        u = [word(0, 1, 1) + 0.2 * word(0, 0, 0), word(1, 1, 0)]
+        v = [word(0, 0, 1), word(1, 0, 0) + 0.4 * word(1, 1, 0)]
+        f = [{((0,), 0): [0.9, 0.4, 0.7, 0.2]}, {((1,), 2): [0.3, 0.1, 0.5, 0.6]}]
+        g = [{((0,), 1): [0.2, 0.8, 0.5, 0.3]}, {((1,), 2): [0.6, 0.2, 0.9, 0.1]}]
+        f5 = {((5,), 0): [0.5, -0.2, 0.1, 0.4j]}
+        g5 = {((5,), 0): [0.3, 0.7, -0.6, 0.2]}
+
+        def tf(*parts):
+            modes = {k: w for part in parts for k, w in part.items()}
+            return fock.TestFunction.build(1.0, 4, modes)
+
         sys2 = fock.build_generator_system(L, [(0,), (1,)])
-        direct = fock.flow_element(sys2, u, f, v, g, GRID).of_operator(x)
-        prod = fock.eta_product_flow(maxmix, x, u, f, v, g, GRID,
-                                     sites=[(0,), (1,)]).F[:, 0]
-        assert np.abs(direct - prod).max() < 1e-10
+        assert sys2.leak_free()
+        direct = fock.flow_element(sys2, u[0] * u[1], tf(f[0], f[1], f5),
+                                   v[0] * v[1], tf(g[0], g[1], g5), GRID).of_operator(x[0] * x[1])
+        prod = fock.exp_inner(tf(f5), tf(g5))
+        for k in (0, 1):
+            sys1 = fock.build_generator_system(L, [(k,)])
+            prod = prod * fock.flow_element(sys1, u[k], tf(f[k]), v[k], tf(g[k]),
+                                            GRID).of_operator(x[k])
+        assert np.abs(direct - prod).max() < 1e-12 * np.abs(direct).max()
 
-    def test_product_order_invariance(self, p2, maxmix, pauli, zf):
-        sx = pauli[0]
-        x = sx * sx.translate((1,))
-        a = fock.eta_product_flow(maxmix, x, x, zf, pauli[3], zf, GRID,
-                                  sites=[(0,), (1,)]).F[:, 0]
-        b = fock.eta_product_flow(maxmix, x, x, zf, pauli[3], zf, GRID,
-                                  sites=[(1,), (0,)]).F[:, 0]
-        assert np.abs(a - b).max() == 0.0
-
-    def test_identity_constant(self, p2, maxmix, pauli, driven_pair):
+    def test_identity_constant(self, p2, pauli, driven_pair, eta_sys):
         f, g = driven_pair
-        traj = fock.eta_product_flow(maxmix, pauli[3], pauli[0], f, pauli[1], g, GRID)
-        vals = traj.F[:, 0]
+        traj = fock.flow_element(eta_sys, pauli[0], f, pauli[1], g, GRID)
+        vals = traj.of_operator(pauli[3])
         assert np.abs(vals - vals[0]).max() < 1e-10
 
 
@@ -547,6 +557,33 @@ class TestErgodicityScan:
                                         np.linspace(0.0, 15.0, 61))
         assert scan.rate == pytest.approx(1.0, abs=1e-2)
         assert scan.values[-1] < 1e-6
+
+    def test_vacuum_trajectory_is_the_semigroup(self, p2, zf):
+        # Without drive F_t(x) = <u, T_t(x) v>, read from the closed form.
+        rho = dense.StateSpec(np.array([[0.7, 0.1], [0.1, 0.3]]))
+        sx0, sz0 = (LocalOperator.site_word(p2, (0,), a, b) for a, b in [(1, 0), (0, 1)])
+        sx1, sz1 = (LocalOperator.site_word(p2, (1,), a, b) for a, b in [(1, 0), (0, 1)])
+        x = sx0 * sx1 + 0.5 * sz1 - 0.3j * sz0
+        one = LocalOperator.identity(p2)
+        u, v = one + sx0 + 0.2 * sz1, one + sx1
+        scan = fock.eta_ergodicity_scan(rho, x, u, zf, v, zf, GRID)
+        exact = [gns_inner(u, lb.partial_semigroup_exact(rho, x, float(t)) * v) for t in GRID]
+        assert np.abs(scan.trajectory - exact).max() < 1e-12
+
+    def test_empty_support_scans_the_origin(self, p2, maxmix, pauli, driven_pair):
+        one = pauli[3]
+        f, g = driven_pair
+        scan = fock.eta_ergodicity_scan(maxmix, one, one, f, one, g, GRID)
+        const = gns_inner(one, one) * fock.exp_inner(f, g)
+        assert np.abs(scan.trajectory - const).max() <= 1e-12
+        assert np.abs(scan.values).max() <= 1e-12
+
+    def test_support_beyond_the_size_guard(self, p2, maxmix, zf):
+        x = LocalOperator.identity(p2)
+        for k in range(7):  # 7 sites: basis 4^7 > DEFAULT_MAX_DIM
+            x = x * LocalOperator.site_word(p2, (k,), 1, 0)
+        with pytest.raises(SizeGuardError):
+            fock.eta_ergodicity_scan(maxmix, x, x, zf, x, zf, GRID)
 
     def test_unit_observable(self, p2, maxmix, pauli, driven_pair):
         f, g = driven_pair
