@@ -140,12 +140,15 @@ def _config_command(name: str):
 def cmd_evolve(cfg: ExperimentConfig, report: RunReport):
     """Semigroup evolution with oracle and closed-form cross-checks.
 
-    Each observable is evolved by ``lindblad.evolve`` (the Weyl kernel and
-    ``expm_multiply``).  Where the window basis is within
-    ``dense.SUPEROP_DIM_GUARD``, ``evolve.<name>.oracle`` compares it with
-    ``dense.hilbert_evolve``, which integrates the Heisenberg equation on
-    the realized window matrices; partial-state generators also get the
-    closed form, and the identity is checked to stay fixed.
+    Each observable is evolved by ``lindblad.evolve`` with the config's
+    method (``ode``: the Weyl kernel and ``expm_multiply``; or ``series``).
+    Where the window basis is within ``dense.SUPEROP_DIM_GUARD``,
+    ``evolve.<name>.oracle`` compares it with the one dense oracle,
+    ``dense.hilbert_evolve``, which integrates ``dense.window_action`` on
+    the realized window matrices; partial-state generators are also
+    compared with the closed form ``lindblad.partial_semigroup_exact``
+    (``evolve.<name>.closed_form``), and the identity is checked to stay
+    fixed.
     """
     L = cfg.generator
     one = LocalOperator.identity(cfg.params)

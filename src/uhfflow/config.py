@@ -29,7 +29,7 @@ Schema (key: type; default):
 [run]
     t_grid: ascending floats >= 0, or ``linspace start stop num``; 0 1
     window: distinct sites; the command's default window
-    method: ode | series | exact (partial_state only); ode
+    method: ode | series; ode
     closure: interior | clipped; interior
     tol: float > 0; 1e-9
     seed: int >= 0; 20240817
@@ -66,7 +66,7 @@ _SCHEMA = {
             "instances", "n_max", "pairs", "shift", "contraction_t"),
 }
 _KINDS = ("translation_covariant", "partial_state", "perturbed")
-_METHODS = ("ode", "series", "exact")
+_METHODS = ("ode", "series")
 _CLOSURES = ("interior", "clipped")
 _NAME = re.compile(r"\w[\w.-]*")
 
@@ -271,7 +271,7 @@ def _build_generator(params: AlgebraParams, gen: dict[str, str]):
     return generator, kraus, state
 
 
-def _run_options(run: dict[str, str], d: int, kind: str, observables) -> dict:
+def _run_options(run: dict[str, str], d: int, observables) -> dict:
     """The ``[run]`` fields of :class:`ExperimentConfig`, defaults filled in."""
     at = functools.partial(_at, "run")
     window = None
@@ -285,8 +285,6 @@ def _run_options(run: dict[str, str], d: int, kind: str, observables) -> dict:
     if any(len(pair) != 2 or not set(pair) <= observables.keys() for pair in pairs):
         raise ConfigError(f"each pair must name two observables: {run['pairs']!r}", **at("pairs"))
     method = _parse_choice(run.get("method", "ode"), _METHODS, at("method"))
-    if method == "exact" and kind != "partial":
-        raise ConfigError("exact needs kind = partial_state", **at("method"))
     return dict(
         t_grid=_parse_grid(run.get("t_grid", "0 1"), at("t_grid")),
         window=window,
@@ -344,6 +342,6 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(
         params=params, generator=generator, kraus=kraus, state=state,
         observables=observables, u=u, v=v, f=f, g=g,
-        **_run_options(sections.get("run", {}), d, generator.kind, observables),
+        **_run_options(sections.get("run", {}), d, observables),
         digest=hashlib.sha256(text.encode()).hexdigest()[:16],
     )

@@ -2,42 +2,41 @@
 
 Everything symbolic in :mod:`uhfflow.algebra` can be realized as a dense
 matrix on a finite window of sites: clock/shift words per site, Kronecker
-products across the window, operator norms, generator matrices in the
-Weyl-string basis, exact semigroup evolution, Choi matrices, and Kraus
-decompositions of on-site states.  This module is the independent oracle
-the symbolic layer and the Weyl kernel (:mod:`uhfflow.kernel`) are
-tested against, so it shares no arithmetic with them beyond the label
-definitions and the choice of window members.
+products across the window, operator norms, the windowed generator,
+semigroup evolution, Choi matrices, and Kraus decompositions of on-site
+states.  This module is the independent oracle the symbolic layer and
+the Weyl kernel (:mod:`uhfflow.kernel`) are tested against, so it shares
+no arithmetic with them beyond the label definitions and the choice of
+window members.
 
-It evolves by two oracles.  ``hilbert_evolve`` integrates the Heisenberg
-equation dX/dt = sum_m m* X m - (1/2){m* m, X} on D x D window matrices
-(D = N^n) with an explicit Runge-Kutta pair; ``uhfflow evolve`` checks
-its result against it.  ``superoperator`` builds the dense
-N^(2n) x N^(2n) generator in the Weyl basis and ``expm_evolve`` applies
-its Pade matrix exponential; the selftest battery, the Choi check and
-the tests use that one, and it cross-checks the first.  Both build
-their generators from Kraus matrices by matrix products and change to
-the Weyl basis by trace projections.
+A generator is realized in one place: ``window_action`` turns the window
+members into matrices and acts by X -> sum_m m* X m - (1/2){m* m, X} on
+stacks of D x D window matrices (D = N^n).  ``hilbert_evolve`` integrates
+that action with an explicit Runge-Kutta pair (``uhfflow evolve`` and the
+selftest battery check ``lindblad.evolve`` against it), ``choi_matrix``
+exponentiates its matrix on the D^2 matrix units, and
+``_weyl_coefficients`` is the one change to the Weyl basis, by trace
+projections.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.integrate  # after scipy.sparse: imported first, it slows the package import by ~6%
+import scipy.integrate
 
 from .algebra import AlgebraParams, LocalOperator, Site, WeylLabel, weyl_mul
 from .errors import ConvergenceError, SizeGuardError, StateError, WindowError
 
-# Largest window-basis dimension (N^(2n) for n sites) for which a dense
-# generator matrix is built.  ``uhfflow evolve`` issues its oracle verdict
-# on exactly the windows under this guard, though ``hilbert_evolve`` needs
-# only D x D matrices.
+# Largest N^(2n) = D^2 for an n-site window: the side of the generator
+# matrix ``choi_matrix`` exponentiates (its Choi matrix has the same side).
+# ``uhfflow evolve`` runs its oracle, ``hilbert_evolve``, on exactly the
+# windows under this guard, though that needs only D x D matrices, and
+# ``lindblad.perturbed_ergodic_state`` refuses larger windows.
 SUPEROP_DIM_GUARD = 10_000
 
 # Cache of per-string Kronecker matrices behind ``realize``: entries, and
@@ -197,104 +196,6 @@ def coefficient_vector(x: LocalOperator, basis_index: dict[WeylLabel, int]) -> n
     return vec
 
 
-@dataclass
-class WindowSuperoperator:
-    """Matrix of a generator in the window's Weyl basis (column-stacked).
-
-    Column b holds the coefficients of L(U_b) over the deterministic basis
-    order; this is the vectorization of the generator in the orthonormal
-    string basis of the window.  ``members`` are the window-local Kraus
-    members the generator was built from.
-    """
-
-    window: SiteWindow
-    closure_mode: str
-    basis: list[WeylLabel] = field(repr=False)
-    matrix: np.ndarray = field(repr=False)
-    members: tuple[LocalOperator, ...] = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    @functools.cached_property
-    def index(self) -> dict[WeylLabel, int]:
-        return {lab: i for i, lab in enumerate(self.basis)}
-
-
-def _colstack_generator(members, win: SiteWindow) -> np.ndarray:
-    """Generator sum_m m* X m - (1/2){m* m, X} on column-stacked vec(X).
-
-    With vec(A X B) = (B^T (x) A) vec(X), each member contributes
-    m^T (x) m* - (1/2)(1 (x) m* m) - (1/2)((m* m)^T (x) 1); the sum is
-    formed from sparse Kronecker factors and made dense once.
-    """
-    dh = win.dim
-    eye = scipy.sparse.identity(dh, dtype=complex, format="csr")
-    total = scipy.sparse.csr_matrix((dh * dh, dh * dh), dtype=complex)
-    for m in members:
-        M = scipy.sparse.csr_matrix(realize(m, win))
-        Md = M.conj().T.tocsr()
-        MdM = (Md @ M).tocsr()
-        total = total + scipy.sparse.kron(M.T, Md, format="csr") \
-            - 0.5 * scipy.sparse.kron(eye, MdM, format="csr") \
-            - 0.5 * scipy.sparse.kron(MdM.T, eye, format="csr")
-    return total.toarray()
-
-
-def _site_projections(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-site change between vec entries and word coefficients.
-
-    Rows of ``Q`` are indexed by the word digit a*N + b, columns by the
-    entry (i', i) of an N x N matrix X[i, i'] (column index first, as in
-    column stacking); Q X gives the coefficients tr(W* X)/N of the words
-    W = U^a V^b, and ``P`` = N Q* puts them back.
-    """
-    words = np.array([site_word(N, a, b) for a in range(N) for b in range(N)])
-    P = words.transpose(2, 1, 0).reshape(N * N, N * N)  # P[(i', i), d] = W_d[i, i']
-    return P.conj().T / N, P
-
-
-def _to_weyl_basis(colstack: np.ndarray, N: int, n: int) -> np.ndarray:
-    """Q^(x n) C P^(x n): the column-stacked generator in the Weyl basis.
-
-    vec(X) indexes X[i, i'] as (i'_1..i'_n, i_1..i_n); regrouping the axes
-    site by site as (i'_j, i_j) lets each site be projected on its own.
-    """
-    Q, P = _site_projections(N)
-    order = [ax for j in range(n) for ax in (j, n + j)]
-    T = colstack.reshape((N,) * (4 * n))
-    T = T.transpose(order + [2 * n + ax for ax in order]).reshape((N * N,) * (2 * n))
-    for j in range(n):
-        T = np.moveaxis(np.tensordot(Q, T, axes=([1], [j])), 0, j)
-        T = np.moveaxis(np.tensordot(T, P, axes=([n + j], [0])), -1, n + j)
-    return T.reshape(N ** (2 * n), N ** (2 * n))
-
-
-def superoperator(lindbladian, win: SiteWindow, closure_mode: str = "interior") -> WindowSuperoperator:
-    """Generator matrix on the window, built from Kraus matrices.
-
-    The window members (``lindbladian.window_members``: ``interior`` keeps
-    only fully contained translates, a genuine windowed Lindbladian;
-    ``clipped`` keeps every intersecting translate with its Kraus factors
-    clipped to the window) are realized as matrices, the column-stacked
-    generator is formed from them, and trace projections change it to
-    the Weyl basis.  No symbolic product or label arithmetic is involved.
-    """
-    if not win.sites:
-        raise WindowError("window must be nonempty")
-    dim = win.params.N ** (2 * len(win.sites))
-    if dim > SUPEROP_DIM_GUARD:
-        raise SizeGuardError(
-            f"window basis has {dim} elements, above the guard {SUPEROP_DIM_GUARD}"
-        )
-    members = tuple(lindbladian.window_members(win.sites, closure_mode))
-    matrix = _to_weyl_basis(_colstack_generator(members, win), win.params.N, len(win.sites))
-    return WindowSuperoperator(window=win, closure_mode=closure_mode,
-                               basis=window_basis(win.params, win.sites), matrix=matrix,
-                               members=members)
-
-
 def validate_grid(t_grid) -> np.ndarray:
     """The time grid as a float array: nonempty, 1-D, finite, nonnegative and ascending."""
     grid = np.asarray(t_grid, dtype=float)
@@ -305,39 +206,16 @@ def validate_grid(t_grid) -> np.ndarray:
     return grid
 
 
-def expm_evolve(superop: WindowSuperoperator, t, x: LocalOperator):
-    """e^{t L} x via the matrix exponential of the window generator.
-
-    ``t`` is a time, or an ascending grid of times; a grid returns one
-    operator per time, stepping from each time to the next with one
-    Pade ``expm`` per distinct increment (increments are compared
-    exactly, so equal steps share one propagator).
-    """
-    times = validate_grid(np.atleast_1d(t))
-    vec = coefficient_vector(x, superop.index)
-    propagators: dict[float, np.ndarray] = {}
-    out = []
-    t_prev = 0.0
-    for t_i in times:
-        step = float(t_i) - t_prev
-        if step > 0:
-            if step not in propagators:
-                propagators[step] = scipy.linalg.expm(step * superop.matrix)
-            vec = propagators[step] @ vec
-        t_prev = float(t_i)
-        out.append(LocalOperator(superop.window.params,
-                                 {lab: vec[i] for i, lab in enumerate(superop.basis)}))
-    return out if np.ndim(t) else out[0]
-
-
 def _weyl_coefficients(snapshots: np.ndarray, N: int, n: int) -> np.ndarray:
     """Weyl coefficients of (T, D, D) window matrices, in ``window_basis`` order.
 
     X[i, i'] indexes rows as (i_1..i_n) and columns as (i'_1..i'_n), the
     first site most significant; each site's pair (i'_j, i_j) is projected
-    on its N^2 words by one ``tensordot`` with ``_site_projections``' Q.
+    on its N^2 words W_d by one ``tensordot`` with Q[d, i', i], so the
+    coefficient of W_d is tr(W_d* X)/N.
     """
-    Q = _site_projections(N)[0].reshape(N * N, N, N)  # Q[d, i', i]
+    words = np.array([site_word(N, a, b) for a in range(N) for b in range(N)])
+    Q = np.ascontiguousarray(words.conj().transpose(0, 2, 1)) / N  # Q[d, i', i]
     T = snapshots.reshape((len(snapshots),) + (N,) * (2 * n))
     for j in range(n):
         # The row axes not yet projected sit at 1 + j.., the column axes after them.
@@ -345,14 +223,37 @@ def _weyl_coefficients(snapshots: np.ndarray, N: int, n: int) -> np.ndarray:
     return T.reshape(len(snapshots), N ** (2 * n))
 
 
+def window_action(lindbladian, win: SiteWindow, closure_mode: str):
+    """The windowed generator as a map on stacks of D x D window matrices.
+
+    The window members (``lindbladian.window_members``: ``interior`` keeps
+    only fully contained translates, a genuine windowed Lindbladian;
+    ``clipped`` keeps every intersecting translate with its Kraus factors
+    clipped to the window) are realized as matrices; the returned map
+    sends X of shape (..., D, D) to sum_m m* X m - (1/2){K, X} with
+    K = sum_m m* m.  Every dense evolution and Choi matrix reads this one
+    realization; no symbolic product or label arithmetic is involved.
+    """
+    D = win.dim
+    M = np.array([realize(m, win)
+                  for m in lindbladian.window_members(win.sites, closure_mode)]
+                 ).reshape(-1, D, D)
+    Md = M.conj().transpose(0, 2, 1)
+    K = (Md @ M).sum(axis=0)
+
+    def action(X: np.ndarray) -> np.ndarray:
+        return (Md @ X[..., None, :, :] @ M).sum(axis=-3) - 0.5 * (K @ X + X @ K)
+
+    return action
+
+
 def hilbert_evolve(lindbladian, win: SiteWindow, closure_mode: str, t_grid,
                    x: LocalOperator) -> list[LocalOperator]:
     """e^{t L} x on the window by the Heisenberg equation on D x D matrices.
 
-    The window members (as in ``superoperator``) and x are realized as
-    matrices; dX/dt = sum_m m* X m - (1/2){K, X} with K = sum_m m* m is
-    integrated from 0 by DOP853 (``HILBERT_RTOL``, ``HILBERT_ATOL``), and
-    each snapshot is changed to Weyl coefficients.  One operator per grid
+    x is realized as a matrix and dX/dt = ``window_action``(X) is
+    integrated from 0 by DOP853 (``HILBERT_RTOL``, ``HILBERT_ATOL``); each
+    snapshot is changed to Weyl coefficients.  One operator per grid
     time; a grid that ends at 0 needs no solve.  No Weyl-basis generator,
     matrix exponential or symbolic product is involved.
     """
@@ -361,20 +262,11 @@ def hilbert_evolve(lindbladian, win: SiteWindow, closure_mode: str, t_grid,
     X0 = realize(x, win)
     times, where = np.unique(grid, return_inverse=True)
     if times[-1] > 0:
-        M = np.array([realize(m, win)
-                      for m in lindbladian.window_members(win.sites, closure_mode)]
-                     ).reshape(-1, D, D)
-        Md = M.conj().transpose(0, 2, 1)
-        K = (Md @ M).sum(axis=0)
-
-        def generator(y):
-            X = y.reshape(D, D)
-            return ((Md @ X @ M).sum(axis=0) - 0.5 * (K @ X + X @ K)).reshape(-1)
-
+        action = window_action(lindbladian, win, closure_mode)
         # The equation is autonomous; solve_ivp still passes the time.
-        sol = scipy.integrate.solve_ivp(lambda _t, y: generator(y), (0.0, times[-1]),
-                                        X0.reshape(-1), method="DOP853", t_eval=times,
-                                        rtol=HILBERT_RTOL, atol=HILBERT_ATOL)
+        sol = scipy.integrate.solve_ivp(lambda _t, y: action(y.reshape(D, D)).reshape(-1),
+                                        (0.0, times[-1]), X0.reshape(-1), method="DOP853",
+                                        t_eval=times, rtol=HILBERT_RTOL, atol=HILBERT_ATOL)
         if sol.status != 0:
             raise ConvergenceError(f"DOP853 failed: {sol.message}")
         snapshots = sol.y.T.reshape(len(times), D, D)
@@ -385,18 +277,24 @@ def hilbert_evolve(lindbladian, win: SiteWindow, closure_mode: str, t_grid,
     return [LocalOperator(win.params, zip(basis, row)) for row in coeffs]
 
 
-def choi_matrix(superop: WindowSuperoperator, t: float) -> np.ndarray:
-    """Choi matrix of e^{t L} on the window, dim^2 x dim^2."""
-    dim = superop.window.dim
-    E = scipy.linalg.expm(t * _colstack_generator(superop.members, superop.window))
-    choi = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            Eij = np.zeros((dim, dim), dtype=complex)
-            Eij[i, j] = 1.0
-            out = (E @ Eij.reshape(-1, order="F")).reshape(dim, dim, order="F")
-            choi += np.kron(out, Eij)
-    return choi
+def choi_matrix(lindbladian, win: SiteWindow, closure_mode: str, t: float) -> np.ndarray:
+    """Choi matrix sum_ij e^{t L}(E_ij) (x) E_ij on the window, D^2 x D^2.
+
+    Row c of the generator's D^2 x D^2 matrix is ``window_action`` of the
+    matrix unit E_ij, c = i D + j, flattened row-major; row c of its Pade
+    exponential is then e^{t L}(E_ij).  Raises ``SizeGuardError`` when
+    D^2 = N^(2n) exceeds ``SUPEROP_DIM_GUARD``.
+    """
+    D = win.dim
+    if D * D > SUPEROP_DIM_GUARD:
+        raise SizeGuardError(
+            f"window basis has {D * D} elements, above the guard {SUPEROP_DIM_GUARD}"
+        )
+    units = np.eye(D * D, dtype=complex).reshape(D * D, D, D)
+    generator = window_action(lindbladian, win, closure_mode)(units).reshape(D * D, D * D)
+    # E[i, j, a, b] = e^{t L}(E_ij)[a, b] goes to the Choi entry (a D + i, b D + j).
+    E = scipy.linalg.expm(t * generator).reshape(D, D, D, D)
+    return E.transpose(2, 0, 3, 1).reshape(D * D, D * D)
 
 
 @dataclass(frozen=True)

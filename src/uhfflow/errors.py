@@ -22,14 +22,7 @@ class SizeGuardError(UhfflowError):
 
 
 class ConvergenceError(UhfflowError):
-    """Iteration failed to reach the requested tolerance.
-
-    The partial result, when one exists, is attached as ``partial``.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Iteration failed to reach the requested tolerance."""
 
 
 class DivergenceError(UhfflowError):

@@ -31,10 +31,10 @@ recorded per map and drives every error estimate, which bounds one basis
 string and is scaled by the observable's l1 norm (``error_of``).
 
 The flows of partial-state semigroups take the same single solve:
-``eta_ergodicity_scan`` builds the F system on the window of the
-supports of x, u and v, which has no leak because every Kraus member
-acts on one site; a window basis beyond ``DEFAULT_MAX_DIM`` raises
-``SizeGuardError``.
+``eta_ergodicity_scan`` builds the F system on the support of x alone,
+which has no leak because every Kraus member acts on one site; u and v
+enter only through F_0, which is computed symbolically for any support.
+A window basis beyond ``DEFAULT_MAX_DIM`` raises ``SizeGuardError``.
 """
 
 from __future__ import annotations
@@ -809,18 +809,19 @@ def eta_ergodicity_scan(state, x: LocalOperator, u, f, v, g, t_grid) -> Ergodici
     """|F_t(x) - Phi(x) <u e(f), v e(g)>| and its fitted decay rate.
 
     F is one ``flow_element`` solve of the partial-state flow on the
-    window of the sorted union of the supports of x, u and v (the origin
-    when that is empty).  Each Kraus member acts on one site, so the
-    window has no leak and the solve is exact up to the stepper; a mode
-    on a site outside the window meets no acting member and enters only
-    through exp<f, g> in F_0.  Raises ``SizeGuardError`` when the window
-    basis exceeds ``DEFAULT_MAX_DIM`` (6 sites at N = 2).
+    window of x's support (the origin when x is a scalar).  Each Kraus
+    member acts on one site, so the maps keep the window's basis, the
+    window has no leak and the solve is exact up to the stepper.  u and v
+    enter only through F_0 = <u, U_b v> exp<f, g>, computed symbolically
+    whatever their supports, and a mode on a site outside the window
+    meets no acting member and enters only through exp<f, g>.  Raises
+    ``SizeGuardError`` when the window basis exceeds ``DEFAULT_MAX_DIM``
+    (x on more than 6 sites at N = 2).
     """
     grid = dense.validate_grid(t_grid)
     f, g = _harmonize(f, g)
-    window = sorted(set(x.support()) | set(u.support()) | set(v.support()))
     L = _lb.Lindbladian.partial_state(x.params, state)
-    sys = build_generator_system(L, window or [(0,) * x.params.d])
+    sys = build_generator_system(L, x.support() or [(0,) * x.params.d])
     values = flow_element(sys, u, f, v, g, grid).of_operator(x)
     target = _lb.ergodic_state(state, x) * gns_inner(u, v) * exp_inner(f, g)
     dev = np.abs(values - target)

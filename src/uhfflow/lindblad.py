@@ -409,7 +409,8 @@ def evolve(L: Lindbladian, x: LocalOperator, t_grid, method: str = "ode",
     where one exists, by a stagnation heuristic otherwise), ``ode``
     (the window coefficient vector stepped from t = 0 across the grid by
     the action of the matrix exponential, one ``expm_multiply`` per
-    positive increment), ``exact`` (partial-state closed form only).
+    positive increment).  The partial-state closed form is
+    :func:`partial_semigroup_exact`.
 
     The error budget is the truncation tail plus the window edge term.
     For ``ode`` the tail is ``tol``: a floor, not a computed solver error
@@ -421,12 +422,6 @@ def evolve(L: Lindbladian, x: LocalOperator, t_grid, method: str = "ode",
     ||(L - L_W)(U_b)||_1 from :func:`generator_matrix`.
     """
     grid = dense.validate_grid(t_grid)
-    if method == "exact":
-        if L.kind != "partial":
-            raise ValueError("exact closed form exists only for the partial-state kind")
-        values = [partial_semigroup_exact(L.state, x, t) for t in grid]
-        return EvolutionResult(grid, values, "exact", np.zeros(len(grid)), tuple(x.support()))
-
     sites = tuple(tuple(s) for s in (window if window is not None else default_window(L, x)))
     mat, basis, index, edge_rates = generator_matrix(L, sites, closure_mode)
     x0 = dense.coefficient_vector(x, index)

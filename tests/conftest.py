@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import uhfflow.dense as dense
 from uhfflow.algebra import AlgebraParams, LocalOperator
 
 
@@ -32,3 +33,20 @@ def pauli(p2):
     sxz = LocalOperator.site_word(p2, (0,), 1, 1)
     one = LocalOperator.identity(p2)
     return sx, sz, sxz, one
+
+
+@pytest.fixture(scope="session")
+def weyl_matrix():
+    """The dense generator's matrix in the window's Weyl basis, built in the tests.
+
+    Column b holds the Weyl coefficients (``dense._weyl_coefficients``) of
+    ``dense.window_action`` applied to the realized string U_b, in
+    ``window_basis`` order; it shares no phase convention with the kernel.
+    """
+    def build(L, win, closure_mode):
+        strings = np.array([dense.realize(LocalOperator.weyl(win.params, lab), win)
+                            for lab in dense.window_basis(win.params, win.sites)])
+        images = dense.window_action(L, win, closure_mode)(strings)
+        return dense._weyl_coefficients(images, win.params.N, len(win.sites)).T
+
+    return build

@@ -120,11 +120,17 @@ def test_every_key_typed(tmp_path):
 
 
 def test_exact_method_on_partial_state(tmp_path):
+    # The closed form is a cross-check of evolve, not a method: a
+    # partial-state config naming it is refused like any other kind.
     # Without the perturbation only the state's four members remain.
     text = FULL.replace("kind = perturbed", "kind = partial_state").replace(
         "method = series", "method = exact").replace("1/4: 0 1", "1/3: 0 1")
-    cfg = _load(tmp_path, text)
-    assert cfg.generator.kind == "partial" and cfg.method == "exact"
+    with pytest.raises(ConfigError) as info:
+        _load(tmp_path, text)
+    assert (info.value.section, info.value.field) == ("run", "method")
+    assert "must be ode | series, got 'exact'" in str(info.value)
+    cfg = _load(tmp_path, text.replace("method = exact", "method = ode"))
+    assert cfg.generator.kind == "partial" and cfg.method == "ode"
 
 
 def test_site_coordinates_follow_d(tmp_path):

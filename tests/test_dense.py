@@ -1,4 +1,10 @@
-"""Dense realization, both evolution oracles, Choi positivity, Kraus families."""
+"""Dense realization, the window action and its one evolution oracle,
+Choi matrices, Kraus families.
+
+The Weyl-basis matrix of ``dense.window_action`` is built here by the
+``weyl_matrix`` fixture, and scipy's Pade ``expm`` of it is the
+reference ``hilbert_evolve`` is checked against.
+"""
 
 import numpy as np
 import pytest
@@ -164,108 +170,110 @@ def partial_maxmix(p2):
     return Lindbladian.partial_state(p2, dense.StateSpec(np.eye(2) / 2))
 
 
+def pade_evolve(matrix, win, grid, x):
+    """e^{t L} x by the Pade exponential of the Weyl-basis matrix, one operator per time."""
+    basis = dense.window_basis(win.params, win.sites)
+    vec = dense.coefficient_vector(x, {lab: i for i, lab in enumerate(basis)})
+    return [LocalOperator(win.params, zip(basis, scipy.linalg.expm(t * matrix) @ vec))
+            for t in grid]
+
+
 class TestSuperoperator:
-    def test_partial_eigenvalues(self, p2, partial_maxmix):
-        sop = dense.superoperator(partial_maxmix, dense.window(p2, [(0,)]))
-        eigs = sorted(np.linalg.eigvals(sop.matrix).real)
+    """The window action, and its matrix in the Weyl basis."""
+
+    def test_partial_eigenvalues(self, p2, partial_maxmix, weyl_matrix):
+        matrix = weyl_matrix(partial_maxmix, dense.window(p2, [(0,)]), "interior")
+        eigs = sorted(np.linalg.eigvals(matrix).real)
         assert np.abs(np.array(eigs) - np.array([-1, -1, -1, 0])).max() < 1e-12
 
     def test_annihilates_identity(self, p2, partial_maxmix):
-        sop = dense.superoperator(partial_maxmix, dense.window(p2, [(0,), (1,)]))
-        vec = dense.coefficient_vector(LocalOperator.identity(p2), sop.index)
-        assert np.abs(sop.matrix @ vec).max() < 1e-14
+        action = dense.window_action(partial_maxmix, dense.window(p2, [(0,), (1,)]), "interior")
+        assert np.abs(action(np.eye(4))).max() < 1e-14
 
-    def test_matches_symbolic_interior(self, p2, rng):
+    def test_matches_symbolic_interior(self, p2, rng, weyl_matrix):
         sx = LocalOperator.site_word(p2, (0,), 1, 0)
         L = Lindbladian.single_kraus(sx, unital=True)
         win = dense.window(p2, [(-1,), (0,), (1,)])
-        sop = dense.superoperator(L, win, "interior")
+        matrix = weyl_matrix(L, win, "interior")
+        index = {lab: i for i, lab in enumerate(dense.window_basis(p2, win.sites))}
         for _ in range(10):
             x = random_local(p2, rng, win.sites)
-            vec = dense.coefficient_vector(x, sop.index)
-            image = sop.matrix @ vec
+            image = matrix @ dense.coefficient_vector(x, index)
             sym = L.windowed_apply(x, win.sites, "interior")
-            sym_vec = dense.coefficient_vector(sym, sop.index)
-            assert np.abs(image - sym_vec).max() < 1e-12
+            assert np.abs(image - dense.coefficient_vector(sym, index)).max() < 1e-12
+
+    def test_acts_on_each_matrix_of_a_stack(self, p3, rng):
+        op = random_local(p3, rng, [(0,), (1,)], n_terms=3)
+        L = Lindbladian.single_kraus(op * (1.0 / op.l1()))
+        action = dense.window_action(L, dense.window(p3, [(0,), (2,)]), "clipped")
+        stack = rng.normal(size=(2, 3, 9, 9)) + 1j * rng.normal(size=(2, 3, 9, 9))
+        images = action(stack)
+        assert images.shape == stack.shape
+        for k in np.ndindex(2, 3):
+            assert np.abs(images[k] - action(stack[k])).max() < 1e-13
 
     def test_built_without_symbolic_arithmetic(self, p2, monkeypatch):
         sx = LocalOperator.site_word(p2, (0,), 1, 0)
         r = sx * sx.translate((1,)) + LocalOperator.site_word(p2, (0,), 0, 1, 0.5)
         L = Lindbladian.single_kraus(r)
         win = dense.window(p2, [(0,), (1,), (3,)])
-        expected = dense.superoperator(L, win, "clipped").matrix
+        expected = dense.choi_matrix(L, win, "clipped", 0.5)
 
         def forbidden(*_args, **_kwargs):
             raise AssertionError("the oracle must not use symbolic products")
 
         monkeypatch.setattr(LocalOperator, "__mul__", forbidden)
         monkeypatch.setattr(Lindbladian, "windowed_apply", forbidden)
-        got = dense.superoperator(L, win, "clipped").matrix
+        got = dense.choi_matrix(L, win, "clipped", 0.5)
         assert np.array_equal(got, expected)
 
     def test_dim_guard(self, p2, partial_maxmix):
         big = dense.window(p2, [(i,) for i in range(8)])
         with pytest.raises(SizeGuardError):
-            dense.superoperator(partial_maxmix, big)
+            dense.choi_matrix(partial_maxmix, big, "interior", 0.5)
 
 
 class TestExpmEvolve:
-    def test_time_zero(self, p2, partial_maxmix, rng):
-        win = dense.window(p2, [(0,), (1,)])
-        sop = dense.superoperator(partial_maxmix, win)
-        x = random_local(p2, rng, win.sites, include_identity=True)
-        assert dense.expm_evolve(sop, 0.0, x).sup_diff(x) < 1e-14
+    """``hilbert_evolve`` against e^{t L} by the Pade exponential of the Weyl-basis matrix."""
 
-    def test_partial_closed_form(self, p2, partial_maxmix, pauli):
+    def test_time_zero(self, p2, partial_maxmix, rng, weyl_matrix):
+        win = dense.window(p2, [(0,), (1,)])
+        x = random_local(p2, rng, win.sites, include_identity=True)
+        ref, = pade_evolve(weyl_matrix(partial_maxmix, win, "interior"), win, [0.0], x)
+        got, = dense.hilbert_evolve(partial_maxmix, win, "interior", [0.0], x)
+        assert ref.sup_diff(x) < 1e-14 and got.sup_diff(x) < 1e-14
+
+    def test_partial_closed_form(self, p2, partial_maxmix, pauli, weyl_matrix):
         sx = pauli[0]
-        sop = dense.superoperator(partial_maxmix, dense.window(p2, [(0,)]))
-        got = dense.expm_evolve(sop, 0.7, sx)
-        assert got.sup_diff(sx * np.exp(-0.7)) < 1e-13
+        win = dense.window(p2, [(0,)])
+        ref, = pade_evolve(weyl_matrix(partial_maxmix, win, "interior"), win, [0.7], sx)
+        got, = dense.hilbert_evolve(partial_maxmix, win, "interior", [0.7], sx)
+        assert ref.sup_diff(sx * np.exp(-0.7)) < 1e-13 and got.sup_diff(ref) < 1e-13
 
     def test_semigroup_law(self, p2, partial_maxmix, rng):
         win = dense.window(p2, [(0,), (1,)])
-        sop = dense.superoperator(partial_maxmix, win)
         x = random_local(p2, rng, win.sites)
-        once = dense.expm_evolve(sop, 0.9, x)
-        twice = dense.expm_evolve(sop, 0.5, dense.expm_evolve(sop, 0.4, x))
+        once, = dense.hilbert_evolve(partial_maxmix, win, "interior", [0.9], x)
+        half, = dense.hilbert_evolve(partial_maxmix, win, "interior", [0.4], x)
+        twice, = dense.hilbert_evolve(partial_maxmix, win, "interior", [0.5], half)
         assert once.sup_diff(twice) < 1e-10
 
-    def test_grid_matches_pointwise(self, p2, rng):
+    def test_grid_matches_pointwise(self, p2, rng, weyl_matrix):
         sx = LocalOperator.site_word(p2, (0,), 1, 0)
         L = Lindbladian.single_kraus(sx * sx.translate((1,)) + sx * 0.5)
-        sop = dense.superoperator(L, dense.window(p2, [(0,), (1,), (2,)]), "clipped")
-        x = random_local(p2, rng, [(0,), (1,), (2,)])
+        win = dense.window(p2, [(0,), (1,), (2,)])
+        x = random_local(p2, rng, win.sites)
         grid = [0.0, 0.3, 0.7, 1.1, 1.5]
-        stepped = dense.expm_evolve(sop, grid, x)
+        stepped = dense.hilbert_evolve(L, win, "clipped", grid, x)
         assert len(stepped) == len(grid)
-        for t, got in zip(grid, stepped):
-            assert got.sup_diff(dense.expm_evolve(sop, t, x)) < 1e-12
-
-    def test_one_expm_per_distinct_step(self, p2, partial_maxmix, pauli, monkeypatch):
-        sop = dense.superoperator(partial_maxmix, dense.window(p2, [(0,)]))
-        calls = []
-        real = dense.scipy.linalg.expm
-        monkeypatch.setattr(dense.scipy.linalg, "expm", lambda A: calls.append(1) or real(A))
-        vals = dense.expm_evolve(sop, np.linspace(0.0, 1.0, 5), pauli[0])
-        assert len(calls) == 1
-        for t, got in zip(np.linspace(0.0, 1.0, 5), vals):
-            assert got.sup_diff(pauli[0] * np.exp(-t)) < 1e-13
-        assert isinstance(dense.expm_evolve(sop, 0.5, pauli[0]), LocalOperator)
-
-    def test_descending_grid(self, p2, partial_maxmix, pauli):
-        sop = dense.superoperator(partial_maxmix, dense.window(p2, [(0,)]))
-        with pytest.raises(ValueError):
-            dense.expm_evolve(sop, [0.5, 0.2], pauli[0])
-
-    def test_negative_time(self, p2, partial_maxmix, pauli):
-        sop = dense.superoperator(partial_maxmix, dense.window(p2, [(0,)]))
-        with pytest.raises(ValueError):
-            dense.expm_evolve(sop, -0.1, pauli[0])
+        pointwise = pade_evolve(weyl_matrix(L, win, "clipped"), win, grid, x)
+        for got, ref in zip(stepped, pointwise):
+            assert got.sup_diff(ref) < 1e-11
 
 
 @st.composite
 def oracle_cases(draw):
-    """(Lindbladian, window, closure mode, observable) for the two oracles.
+    """(Lindbladian, window, closure mode, observable) for the oracle cross-check.
 
     N = 2 windows have one to three sites, N = 3 windows one or two, drawn
     distinct from -2..2; the generator is a translation-covariant family
@@ -298,10 +306,10 @@ class TestHilbertEvolve:
     @pytest.mark.parametrize("grid", [
         [0.0], [0.0, 0.4, 0.4, 1.0], [0.3, 0.9], [0.5, 0.5, 1.2],
     ])
-    def test_matches_pade_oracle(self, grid, case):
+    def test_matches_pade_oracle(self, grid, weyl_matrix, case):
         L, win, closure, x = case
         got = dense.hilbert_evolve(L, win, closure, grid, x)
-        ref = dense.expm_evolve(dense.superoperator(L, win, closure), grid, x)
+        ref = pade_evolve(weyl_matrix(L, win, closure), win, grid, x)
         assert len(got) == len(grid)
         for a, b in zip(got, ref):
             assert a.sup_diff(b) <= 1e-11
@@ -370,16 +378,33 @@ class TestHilbertEvolve:
 class TestChoi:
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
     def test_positive_semidefinite(self, p2, partial_maxmix, t):
-        sop = dense.superoperator(partial_maxmix, dense.window(p2, [(0,), (1,)]))
-        choi = dense.choi_matrix(sop, t)
+        choi = dense.choi_matrix(partial_maxmix, dense.window(p2, [(0,), (1,)]), "interior", t)
         assert np.abs(choi - choi.conj().T).max() < 1e-10
         assert np.linalg.eigvalsh(choi).min() > -1e-9
 
     def test_translation_interior_window(self, p2, t=0.5):
         sx = LocalOperator.site_word(p2, (0,), 1, 0)
         L = Lindbladian.single_kraus(sx, unital=True)
-        sop = dense.superoperator(L, dense.window(p2, [(0,), (1,)]), "interior")
-        assert np.linalg.eigvalsh(dense.choi_matrix(sop, t)).min() > -1e-9
+        choi = dense.choi_matrix(L, dense.window(p2, [(0,), (1,)]), "interior", t)
+        assert np.linalg.eigvalsh(choi).min() > -1e-9
+
+    def test_matches_evolved_matrix_units(self, p2, weyl_matrix):
+        # sum_ij e^{tL}(E_ij) (x) E_ij, each E_ij evolved by the Pade
+        # reference in the Weyl basis and realized again.
+        # A complex, non-normal member: no symmetry hides swapped Choi factors.
+        sx = LocalOperator.site_word(p2, (0,), 1, 0)
+        L = Lindbladian.single_kraus(sx * sx.translate((1,)) * (0.6 + 0.3j)
+                                     + LocalOperator.site_word(p2, (1,), 1, 1, 0.5))
+        win = dense.window(p2, [(0,), (1,)])
+        basis = dense.window_basis(p2, win.sites)
+        propagator = scipy.linalg.expm(0.3 * weyl_matrix(L, win, "clipped"))
+        want = np.zeros((16, 16), dtype=complex)
+        for i, j in np.ndindex(4, 4):
+            unit = np.zeros((4, 4), dtype=complex)
+            unit[i, j] = 1.0
+            coeffs = propagator @ dense._weyl_coefficients(unit[None], 2, 2)[0]
+            want += np.kron(dense.realize(LocalOperator(p2, zip(basis, coeffs)), win), unit)
+        assert np.abs(dense.choi_matrix(L, win, "clipped", 0.3) - want).max() < 1e-12
 
 
 class TestStateKraus:

@@ -164,10 +164,8 @@ class TestFlowElement:
         u = random_local(p2, rng, [(0,)], include_identity=True)
         v = random_local(p2, rng, [(0,)])
         traj = fock.flow_element(sys_, u, zf, v, zf, GRID)
-        sop = dense.superoperator(L, dense.window(p2, [(0,)]))
-        expected = np.array([
-            gns_inner(u, dense.expm_evolve(sop, t, sz) * v) for t in GRID
-        ])
+        oracle = dense.hilbert_evolve(L, dense.window(p2, [(0,)]), "interior", GRID, sz)
+        expected = np.array([gns_inner(u, val * v) for val in oracle])
         assert np.abs(traj.of_operator(sz) - expected).max() < 1e-8
 
     def test_adjoint_symmetry(self, eta_sys, p2, rng, driven_pair):
@@ -577,6 +575,40 @@ class TestErgodicityScan:
         const = gns_inner(one, one) * fock.exp_inner(f, g)
         assert np.abs(scan.trajectory - const).max() <= 1e-12
         assert np.abs(scan.values).max() <= 1e-12
+
+    def test_matches_the_union_window_solve(self, p2):
+        # u and v enter through F_0 alone, and modes off x's support through
+        # exp<f, g>: the solve on x's site equals the one on the union window.
+        rho = dense.StateSpec(np.array([[0.6, 0.2j], [-0.2j, 0.4]]))
+        L = lb.Lindbladian.partial_state(p2, rho)
+
+        def word(k, a, b, c=1.0):
+            return LocalOperator.site_word(p2, (k,), a, b, c)
+
+        one = LocalOperator.identity(p2)
+        x = word(0, 1, 0) + word(0, 1, 1, 0.4j)
+        u = one + word(1, 1, 0) * word(3, 0, 1) + word(2, 1, 1, 0.5)
+        v = word(1, 0, 1) + word(2, 1, 0, -0.3) * word(3, 1, 1)
+        f = fock.TestFunction.build(1.0, 4, {((0,), 0): [0.9, 0.4, 0.7, 0.2],
+                                             ((1,), 1): [0.3, -0.5, 0.1, 0.6]})
+        g = fock.TestFunction.build(1.0, 4, {((2,), 2): [0.2, 0.8, 0.5j, 0.3],
+                                             ((0,), 3): [0.4, 0.1, 0.2, 0.7]})
+        union = fock.build_generator_system(L, [(0,), (1,), (2,), (3,)])
+        want = fock.flow_element(union, u, f, v, g, GRID).of_operator(x)
+        scan = fock.eta_ergodicity_scan(rho, x, u, f, v, g, GRID)
+        assert np.abs(scan.trajectory - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_vectors_beyond_the_size_guard(self, p2, zf):
+        # x on one site, u and v on seven: only x's support is solved for.
+        rho = dense.StateSpec(np.array([[0.7, 0.1], [0.1, 0.3]]))
+        x = LocalOperator.site_word(p2, (3,), 1, 0) + LocalOperator.site_word(p2, (3,), 0, 1)
+        u = v = LocalOperator.identity(p2)
+        for k in range(7):
+            u = u * LocalOperator.site_word(p2, (k,), 1, 0)
+            v = v * (LocalOperator.identity(p2) + LocalOperator.site_word(p2, (k,), 0, 1, 0.5))
+        scan = fock.eta_ergodicity_scan(rho, x, u, zf, v, zf, GRID)
+        exact = [gns_inner(u, lb.partial_semigroup_exact(rho, x, float(t)) * v) for t in GRID]
+        assert np.abs(scan.trajectory - exact).max() < 1e-12
 
     def test_support_beyond_the_size_guard(self, p2, maxmix, zf):
         x = LocalOperator.identity(p2)

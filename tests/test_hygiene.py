@@ -15,7 +15,8 @@ module-level name (``_name`` bound by ``def``, ``class`` or assignment) is
 used when some module of the package, ``__init__`` included, names it
 (as a name, an attribute or an import) outside its own definition.
 Every module-level import comes before the module's first ``def`` or
-``class``.  Every attribute the benchmark's span tracer times
+``class``.  ``dense`` realizes a generator's window members in one
+function, so every dense oracle reads the same realization.  Every attribute the benchmark's span tracer times
 (``bench/spans.py`` ``TARGETS``) exists in the package, so a rename
 cannot silently zero a per-layer metric.
 """
@@ -201,8 +202,11 @@ def test_scanner_sees_late_imports():
 
 
 # Traced names the package no longer has; their metrics read 0 until the
-# benchmark drops them (``Lindbladian.truncation_rates`` was removed).
-DEAD_TARGETS = {"lindblad.truncation_rates"}
+# benchmark drops them.  ``Lindbladian.truncation_rates`` was removed;
+# ``dense.superoperator`` and ``dense.expm_evolve`` were the second dense
+# oracle, replaced by ``choi_matrix`` and ``hilbert_evolve`` reading the
+# one ``window_action``.
+DEAD_TARGETS = {"lindblad.truncation_rates", "dense.superoperator", "dense.expm_evolve"}
 
 
 def span_targets(source: str) -> list[tuple[str, str, str]]:
@@ -243,3 +247,35 @@ def test_scanner_sees_missing_targets():
         ")\n"
     )
     assert missing_targets(span_targets(source)) == ["lindblad.gone", "algebra.gone"]
+
+
+def functions_calling(source: str, attribute: str) -> list[str]:
+    """Innermost functions (methods included) that call ``<x>.attribute``, in source order."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == attribute and owner not in found):
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_dense_realizes_window_members_once():
+    assert functions_calling((SOURCE / "dense.py").read_text(), "window_members") \
+        == ["window_action"]
+
+
+def test_scanner_sees_calls():
+    source = (
+        "def a(L):\n    return [L.window_members(k) for k in (1, 2)]\n"
+        "def b(L):\n    def inner():\n        return L.window_members(2)\n    return inner\n"
+        "def c(L):\n    return L.window_members\n"
+        "class K:\n    def m(self, L):\n        return L.window_members(3)\n"
+    )
+    assert functions_calling(source, "window_members") == ["a", "inner", "m"]

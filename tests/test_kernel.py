@@ -2,7 +2,8 @@
 
 The references below apply the symbolic generator (``windowed_apply``,
 ``Lindbladian.apply``) or the structure maps to one basis label at a
-time, as the assemblers did before the kernel; the dense oracle is
+time, as the assemblers did before the kernel; the Weyl-basis matrix of
+the dense oracle's ``window_action`` (the ``weyl_matrix`` fixture) is
 compared with both.
 """
 
@@ -238,13 +239,13 @@ class TestKernelProperties:
     @PROPERTY
     @given(windowed_generators())
     @with_fixed_windows
-    def test_dense_oracle_matches_kernel_and_reference(self, case):
+    def test_dense_oracle_matches_kernel_and_reference(self, weyl_matrix, case):
         L, sites, closure = case
-        sop = dense.superoperator(L, dense.window(L.params, sites), closure)
+        oracle = weyl_matrix(L, dense.window(L.params, sites), closure)
         mat, basis, _index, _edge = lb.generator_matrix(L, sites, closure)
-        assert sop.basis == basis
-        assert np.abs(sop.matrix - mat.toarray()).max() <= 1e-12
-        assert np.abs(sop.matrix - reference_generator(L, sites, closure)).max() <= 1e-12
+        assert basis == dense.window_basis(L.params, sites)
+        assert np.abs(oracle - mat.toarray()).max() <= 1e-12
+        assert np.abs(oracle - reference_generator(L, sites, closure)).max() <= 1e-12
 
     @PROPERTY
     @given(windowed_generators())

@@ -162,7 +162,7 @@ class TestWindowedApply:
 class TestEvolve:
     def test_time_zero(self, L_partial, p2, rng):
         x = random_local(p2, rng, [(0,), (1,)])
-        for method in ("series", "ode", "exact"):
+        for method in ("series", "ode"):
             res = lb.evolve(L_partial, x, [0.0], method=method, window=[(0,), (1,)])
             assert res.values[0].sup_diff(x) < 1e-12
 
@@ -183,12 +183,11 @@ class TestEvolve:
         ]
         grid = [0.0, 0.25, 1.0]
         for L, sites in gens:
-            win = dense.window(p2, sites)
-            sop = dense.superoperator(L, win, "interior")
             x = random_local(p2, rng, sites[:2])
             res = lb.evolve(L, x, grid, method=method, window=sites)
-            for i, t in enumerate(grid):
-                assert res.values[i].sup_diff(dense.expm_evolve(sop, t, x)) < 1e-9
+            oracle = dense.hilbert_evolve(L, dense.window(p2, sites), "interior", grid, x)
+            for val, ref in zip(res.values, oracle, strict=True):
+                assert val.sup_diff(ref) < 1e-9
 
     @pytest.mark.parametrize("grid", [[0.0, 0.3, 0.3, 1.0], [0.5, 1.0], [0.0, 0.0]])
     def test_ode_steps_from_zero(self, grid, p2, biased, rng):
@@ -198,7 +197,7 @@ class TestEvolve:
         sites = [(0,), (1,)]
         x = random_local(p2, rng, sites, include_identity=True)
         res = lb.evolve(L, x, grid, method="ode", window=sites)
-        oracle = dense.expm_evolve(dense.superoperator(L, dense.window(p2, sites)), grid, x)
+        oracle = dense.hilbert_evolve(L, dense.window(p2, sites), "interior", grid, x)
         for val, ref in zip(res.values, oracle, strict=True):
             assert val.sup_diff(ref) < 1e-12
         for i in range(len(grid) - 1):
@@ -218,6 +217,11 @@ class TestEvolve:
         half = lb.evolve(L_partial, x, [0.4], window=sites).values[0]
         again = lb.evolve(L_partial, half, [0.5], window=sites).values[0]
         assert full.sup_diff(again) < 1e-10
+
+    def test_closed_form_is_not_a_method(self, L_partial, pauli):
+        # The partial-state closed form is partial_semigroup_exact.
+        with pytest.raises(ValueError, match="unknown evolution method"):
+            lb.evolve(L_partial, pauli[0], [0.0, 1.0], method="exact")
 
     def test_negative_time_rejected(self, L_partial, pauli):
         with pytest.raises(ValueError):
