@@ -22,10 +22,13 @@ sum_j G(delta_j^dag x, delta_j y); the homomorphism claim is exactly
 F_t(xy) = G_t(x, y).  The F system is listed as pieces between
 breakpoints, each with its cell's generator A and leak rate; G's piece
 on the same stretch is built from it, with cell generator
-A (x) 1 + 1 (x) A + Ito, Ito = sum_j delta_j^dag (x) delta_j.  Both
-systems are solved for the whole window basis, so one solve per
-(u, f, v, g) and grid serves every observable and pair, and the checks
-read those trajectories.  Truncation to a
+A (x) 1 + 1 (x) A + Ito, Ito = sum_j delta_j^dag (x) delta_j.  That
+generator is applied, not assembled: it acts on G as an n x n matrix,
+G -> A G + G A^T + Ito G, and the Ito sum is its only n^2 x n^2 matrix.
+Every piece is stepped by ``lindblad.expm_multiply``, on a generator
+prepared once per cell.  Both systems are solved for the whole window
+basis, so one solve per (u, f, v, g) and grid serves every observable
+and pair, and the checks read those trajectories.  Truncation to a
 finite site window drops operator mass outside it; that l1 mass is
 recorded per map and drives every error estimate, which bounds one basis
 string and is scaled by the observable's l1 norm (``error_of``).
@@ -33,8 +36,8 @@ string and is scaled by the observable's l1 norm (``error_of``).
 The flows of partial-state semigroups take the same single solve:
 ``eta_ergodicity_scan`` builds the F system on the support of x alone,
 which has no leak because every Kraus member acts on one site; u and v
-enter only through F_0, which is computed symbolically for any support.
-A window basis beyond ``DEFAULT_MAX_DIM`` raises ``SizeGuardError``.
+enter only through F_0, which is read from the product v u* for any
+support.  A window basis beyond ``DEFAULT_MAX_DIM`` raises ``SizeGuardError``.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse
 from scipy.integrate import cumulative_simpson as _cumulative_simpson_real
-from scipy.sparse.linalg import expm_multiply
 
 from . import dense, lindblad as _lb
 from .algebra import (
@@ -60,11 +62,15 @@ from .algebra import (
     gns_inner,
     gns_norm,
     theta,
+    weyl_adjoint,
 )
 from .errors import FitError, SizeGuardError, WindowError
 from .kernel import WindowKernel
+from .lindblad import StepOperator, expm_multiply, step_operator
 
 DEFAULT_MAX_DIM = 4096
+# Bounds n^2 for the pair system: its vectors have n^2 entries, and its one
+# n^2 x n^2 matrix is the Ito sum; the rest of its generator acts on n x n.
 MAX_PAIR_DIM = 70_000
 PICARD_SUB = 64  # Simpson nodes per piece in picard_element (even)
 PICARD_MAX_TERMS = 500_000  # terms summed by picard_tail_bound before it gives inf
@@ -395,10 +401,20 @@ def _scale(u, f, v, g) -> float:
 
 
 def _initial_vector(sys: FlowGeneratorSystem, u, v, f, g) -> np.ndarray:
+    """F0[b] = <u, U_b v> exp<f, g> over the window basis, from the one product v u*.
+
+    <u, U_b v> = tau(U_b v u*), and tau(U_b U_e) is nonzero only for
+    U_b = omega**-p U_e* (weyl_adjoint's phase p), where it is omega**-p.
+    So each term y_e U_e of y = v u* fills the entry of its adjoint's
+    label; labels outside the window drop out.
+    """
     scale = exp_inner(f, g)
-    F0 = np.empty(sys.dim, dtype=complex)
-    for i, lab in enumerate(sys.basis):
-        F0[i] = gns_inner(u, LocalOperator.weyl(sys.params, lab) * v) * scale
+    F0 = np.zeros(sys.dim, dtype=complex)
+    for lab, c in (v * u.adjoint()).items():
+        p, b = weyl_adjoint(sys.params, lab)
+        i = sys.index.get(b)
+        if i is not None:
+            F0[i] = c * sys.params.root(-p) * scale
     return F0
 
 
@@ -417,11 +433,15 @@ def _initial_pair_vector(sys: FlowGeneratorSystem, F0: np.ndarray) -> np.ndarray
 
 
 class _Piece(NamedTuple):
-    """The stretch [a, b] between two breakpoints: its cell's generator and leak rate."""
+    """The stretch [a, b] between two breakpoints: its cell's generator and leak rate.
+
+    The generator is prepared for the stepper once per cell; the pieces of
+    one cell share it.
+    """
 
     a: float
     b: float
-    matrix: scipy.sparse.csr_matrix
+    op: StepOperator
     leak_rate: float
 
 
@@ -449,34 +469,49 @@ def _flow_pieces(sys: FlowGeneratorSystem, grid: np.ndarray, f: TestFunction,
                     A = A + fv.conjugate() * sys.delta_t[key]
                 rate += abs(gv) * sys.leak_max(("dd", key))
                 rate += abs(fv) * sys.leak_max(("d", key))
-            cells[cell] = (A.tocsr(), rate)
+            cells[cell] = (step_operator(A), rate)
         pieces.append(_Piece(a, b, *cells[cell]))
     return pieces
+
+
+def _pair_operator(cell: StepOperator, ito: StepOperator, n: int) -> StepOperator:
+    """The G generator A (x) 1 + 1 (x) A + Ito, applied to G as an n x n matrix.
+
+    On G it is (A - aI) G + G (A - aI)^T + (Ito - cI) G plus the shift
+    2a + c, with a = tr A / n and c = tr Ito / n^2, so the shifted kron
+    form is never assembled.  2 ||A - aI||_1 + ||Ito - cI||_1 is at least
+    its 1-norm.
+    """
+    def shifted(vec: np.ndarray) -> np.ndarray:
+        G = vec.reshape(n, n)
+        return (cell.shifted(G) + cell.shifted(G.T).T).reshape(-1) + ito.shifted(vec)
+
+    return StepOperator(2.0 * cell.mu + ito.mu, shifted, 2.0 * cell.norm + ito.norm)
 
 
 def _pair_pieces(sys: FlowGeneratorSystem, pieces: list[_Piece]) -> list[_Piece]:
     """The doubled G system on the F pieces: A (x) 1 + 1 (x) A + Ito.
 
     The quantum Ito term sum_k delta_k^dag (x) delta_k is the same on every
-    cell.  Its missing flux is bounded per mode by leak x map mass, so the
-    leak rate is 2 x the F rate plus that Ito rate.
+    cell and is the only n^2 x n^2 matrix built; each cell's G generator
+    acts through its F generator (``_pair_operator``).  Its missing flux
+    is bounded per mode by leak x map mass, so the leak rate is 2 x the F
+    rate plus that Ito rate.
     """
     n = sys.dim
-    eye = scipy.sparse.identity(n, dtype=complex, format="csr")
     ito = scipy.sparse.csr_matrix((n * n, n * n), dtype=complex)
     ito_rate = 0.0
     for key in sys.noise:
         ito = ito + scipy.sparse.kron(sys.delta_dag_t[key], sys.delta_t[key], format="csr")
         ld, ldd, mass = sys.leak_max(("d", key)), sys.leak_max(("dd", key)), sys.map_l1(key)
         ito_rate += ldd * mass + mass * ld + ldd * ld
+    ito_op = step_operator(ito)
     doubled: dict = {}
     out = []
     for p in pieces:
-        if id(p.matrix) not in doubled:
-            G = (scipy.sparse.kron(p.matrix, eye, format="csr")
-                 + scipy.sparse.kron(eye, p.matrix, format="csr") + ito)
-            doubled[id(p.matrix)] = (G.tocsr(), 2.0 * p.leak_rate + ito_rate)
-        out.append(_Piece(p.a, p.b, *doubled[id(p.matrix)]))
+        if id(p.op) not in doubled:
+            doubled[id(p.op)] = (_pair_operator(p.op, ito_op, n), 2.0 * p.leak_rate + ito_rate)
+        out.append(_Piece(p.a, p.b, *doubled[id(p.op)]))
     return out
 
 
@@ -492,7 +527,7 @@ def _propagate(pieces: list[_Piece], F0, grid, tol, scale):
     """Step across the pieces; vectors and leak budgets at the grid points."""
     states = {0.0: F0}
     for p in pieces:
-        states[p.b] = expm_multiply(p.matrix * (p.b - p.a), states[p.a])
+        states[p.b] = expm_multiply(p.op, states[p.a], p.b - p.a)
     leak = _leak_accrual(pieces)
     out = np.array([states[float(t)] for t in grid])
     return out, np.array([tol + scale * leak[float(t)] for t in grid])
@@ -505,9 +540,10 @@ def flow_element(sys: FlowGeneratorSystem, u, f, v, g, t_grid,
                  tol: float = 1e-10) -> MatrixElementTrajectory:
     """F_t(U_b) = <u e(f), j_t(U_b) v e(g)> for every window basis label b.
 
-    Advances cell by cell by the action of the matrix exponential
-    (``expm_multiply``).  The one solve serves every observable on the
-    window: ``of_operator(x)`` reads F_t(x) and ``error_of(x)`` its budget.
+    Advances piece by piece by the action of the matrix exponential
+    (``expm_multiply``), each cell's generator prepared once for all of its
+    pieces.  The one solve serves every observable on the window:
+    ``of_operator(x)`` reads F_t(x) and ``error_of(x)`` its budget.
     """
     grid = dense.validate_grid(t_grid)
     f, g = _harmonize(f, g)
@@ -543,18 +579,18 @@ def picard_element(sys: FlowGeneratorSystem, x: LocalOperator, u, f, v, g, t_gri
         start = len(nodes) - 1
         seg = np.linspace(p.a, p.b, PICARD_SUB + 1)
         nodes.extend(seg[1:].tolist())
-        pieces.append((start, len(nodes) - 1, (p.b - p.a) / PICARD_SUB, p.matrix))
+        pieces.append((start, len(nodes) - 1, (p.b - p.a) / PICARD_SUB, p.op))
     nodes = np.asarray(nodes)
     n_nodes = nodes.size
 
     G = np.tile(F0, (n_nodes, 1))
     for _ in range(depth):
         integ = np.empty_like(G)
-        for start, end, _h, A in pieces:
-            integ[start:end + 1] = (A @ G[start:end + 1].T).T
+        for start, end, _h, op in pieces:
+            integ[start:end + 1] = op.apply(G[start:end + 1].T).T
         cum = np.zeros_like(G)
         offset = np.zeros_like(F0)
-        for start, end, h, _A in pieces:
+        for start, end, h, _op in pieces:
             seg = _cumulative_simpson(integ[start:end + 1], dx=h, axis=0)
             cum[start:end + 1] = seg + offset
             offset = cum[end]
@@ -671,7 +707,9 @@ def pair_element(sys: FlowGeneratorSystem, u, f, v, g, t_grid,
 
     ``f_trajectory`` is ``flow_element``'s solve of the same (u, f, v, g)
     on this system and grid; the identity row G(1, .) must reproduce it,
-    which sets ``consistent``.
+    which sets ``consistent``.  Each piece's G generator acts on the n x n
+    state through the F cell's generator plus the one Ito matrix
+    (``_pair_operator``); ``MAX_PAIR_DIM`` bounds n^2.
     """
     grid = dense.validate_grid(t_grid)
     if f_trajectory.basis != sys.basis or not np.array_equal(f_trajectory.grid, grid):
@@ -812,11 +850,11 @@ def eta_ergodicity_scan(state, x: LocalOperator, u, f, v, g, t_grid) -> Ergodici
     window of x's support (the origin when x is a scalar).  Each Kraus
     member acts on one site, so the maps keep the window's basis, the
     window has no leak and the solve is exact up to the stepper.  u and v
-    enter only through F_0 = <u, U_b v> exp<f, g>, computed symbolically
-    whatever their supports, and a mode on a site outside the window
-    meets no acting member and enters only through exp<f, g>.  Raises
-    ``SizeGuardError`` when the window basis exceeds ``DEFAULT_MAX_DIM``
-    (x on more than 6 sites at N = 2).
+    enter only through F_0 = <u, U_b v> exp<f, g>, read from the one
+    symbolic product v u* whatever their supports, and a mode on a site
+    outside the window meets no acting member and enters only through
+    exp<f, g>.  Raises ``SizeGuardError`` when the window basis exceeds
+    ``DEFAULT_MAX_DIM`` (x on more than 6 sites at N = 2).
     """
     grid = dense.validate_grid(t_grid)
     f, g = _harmonize(f, g)

@@ -9,7 +9,7 @@ import scipy.sparse
 import uhfflow.dense as dense
 import uhfflow.fock as fock
 import uhfflow.lindblad as lb
-from uhfflow.algebra import LocalOperator, gns_inner, random_local
+from uhfflow.algebra import AlgebraParams, LocalOperator, gns_inner, random_local
 from uhfflow.errors import FitError, SizeGuardError, WindowError
 
 
@@ -119,6 +119,28 @@ class TestFlowElement:
         for lab in eta_sys.basis:
             expected = gns_inner(u, LocalOperator.weyl(p2, lab) * v) * fock.exp_inner(f, g)
             assert abs(traj.of_label(lab)[0] - expected) < 1e-13
+
+    @pytest.mark.parametrize("u_sites, v_sites", [
+        ([(0,), (1,)], [(0,), (1,)]),  # both inside the window
+        ([(0,), (2,)], [(1,), (2,)]),  # both reaching past it
+        ([(2,), (3,)], [(-1,), (2,)]),  # both outside
+    ])
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_initial_vector_reads_one_product(self, N, rng, driven_pair, u_sites, v_sites):
+        # F0[b] = <u, U_b v> exp<f, g> is read from the terms of v u*; the
+        # labels of v u* outside the window drop out.  At N = 3 the adjoint
+        # phases are not real.
+        params = AlgebraParams(N, 1)
+        f, g = driven_pair
+        r = LocalOperator.site_word(params, (0,), 1, 0)
+        sys_ = fock.build_generator_system(lb.Lindbladian.single_kraus(r), [(0,), (1,)])
+        u = random_local(params, rng, u_sites, n_terms=6, include_identity=True)
+        v = random_local(params, rng, v_sites, n_terms=6, include_identity=True)
+        got = fock._initial_vector(sys_, u, v, f, g)
+        expected = np.array([gns_inner(u, LocalOperator.weyl(params, lab) * v)
+                             for lab in sys_.basis]) * fock.exp_inner(f, g)
+        assert np.count_nonzero(expected) >= 1
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_vacuum_closed_form(self, eta_sys, p2, pauli, zf):
         sx, _, _, one = pauli
@@ -299,8 +321,9 @@ class TestPieces:
         F = fock._flow_pieces(sys_, grid, f, g)
         return sys_, f, g, F, fock._pair_pieces(sys_, F)
 
-    def test_pair_matrix_is_the_kron_form(self, leaky):
-        sys_, f, g, F, G = leaky
+    @staticmethod
+    def kron_forms(sys_, f, g, G):
+        """The old assembled G generator of each piece, as a dense matrix."""
         n = sys_.dim
         eye = scipy.sparse.identity(n, dtype=complex, format="csr")
 
@@ -310,16 +333,36 @@ class TestPieces:
         static = both(sys_.lhat_t)
         for key in sys_.noise:
             static = static + scipy.sparse.kron(sys_.delta_dag_t[key], sys_.delta_t[key])
-        assert [(p.a, p.b) for p in G] == [(p.a, p.b) for p in F]
-        assert F[-1].a >= f.t_max  # one piece lies past the drive
+        forms = []
         for piece in G:
             cell = fock._cell_of(0.5 * (piece.a + piece.b), f)
             expected = static
             for key in sys_.noise:
                 expected = (expected + np.conj(f.cell_value(key, cell)) * both(sys_.delta_t[key])
                             + g.cell_value(key, cell) * both(sys_.delta_dag_t[key]))
-            assert np.abs((piece.matrix - expected).toarray()).max() < 1e-14
+            forms.append(expected.toarray())
+        return forms
 
+    def test_pair_matrix_is_the_kron_form(self, leaky, rng):
+        # Applied to random complex vectors, each matrix-free G piece acts
+        # as its assembled kron form A (x) 1 + 1 (x) A + Ito.
+        sys_, f, g, F, G = leaky
+        assert [(p.a, p.b) for p in G] == [(p.a, p.b) for p in F]
+        assert F[-1].a >= f.t_max  # one piece lies past the drive
+        n = sys_.dim
+        for piece, expected in zip(G, self.kron_forms(sys_, f, g, G)):
+            for _ in range(3):
+                v = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
+                assert np.abs(piece.op.apply(v) - expected @ v).max() < 1e-14
+
+    def test_pair_shift_and_norm_bound(self, leaky):
+        sys_, f, g, _F, G = leaky
+        n2 = sys_.dim ** 2
+        for piece, expected in zip(G, self.kron_forms(sys_, f, g, G)):
+            mu = np.trace(expected) / n2
+            assert abs(piece.op.mu - mu) < 1e-14
+            exact = np.abs(expected - mu * np.eye(n2)).sum(axis=0).max()
+            assert piece.op.norm >= exact
     def test_pair_leak_rate_adds_the_ito_rate(self, leaky):
         sys_, _f, _g, F, G = leaky
         ito_rate = 0.0

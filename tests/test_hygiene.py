@@ -16,7 +16,10 @@ used when some module of the package, ``__init__`` included, names it
 (as a name, an attribute or an import) outside its own definition.
 Every module-level import comes before the module's first ``def`` or
 ``class``.  ``dense`` realizes a generator's window members in one
-function, so every dense oracle reads the same realization.  Every attribute the benchmark's span tracer times
+function, so every dense oracle reads the same realization.  No module
+imports or names scipy's ``expm_multiply``: every matrix exponential is
+stepped by the package's one stepper, ``lindblad.expm_multiply``.  Every
+attribute the benchmark's span tracer times
 (``bench/spans.py`` ``TARGETS``) exists in the package, so a rename
 cannot silently zero a per-layer metric.
 """
@@ -279,3 +282,46 @@ def test_scanner_sees_calls():
         "class K:\n    def m(self, L):\n        return L.window_members(3)\n"
     )
     assert functions_calling(source, "window_members") == ["a", "inner", "m"]
+
+
+def scipy_stepper_uses(source: str) -> list[str]:
+    """Each import of scipy's ``expm_multiply`` and each ``<scipy module>.expm_multiply``."""
+    tree = ast.parse(source)
+    found, scipy_names = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "scipy":
+                    scipy_names.add(alias.asname or "scipy")
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] == "scipy"):
+            if any(alias.name == "expm_multiply" for alias in node.names):
+                found.append(ast.unparse(node))
+            scipy_names.update(alias.asname or alias.name for alias in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "expm_multiply":
+            chain = _dotted(node)
+            if chain is not None and chain.split(".")[0] in scipy_names:
+                found.append(chain)
+    return found
+
+
+def test_one_matrix_exponential_stepper():
+    uses = {path.name: scipy_stepper_uses(path.read_text()) for path in PACKAGE}
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_scanner_sees_scipy_stepper():
+    source = (
+        "import scipy.sparse.linalg\nimport scipy.sparse.linalg as sla\n"
+        "from scipy.sparse import linalg\n"
+        "from scipy.sparse.linalg import expm_multiply as em\n"
+        "from .lindblad import expm_multiply\nfrom . import lindblad as lb\n"
+        "def f(A, v, op):\n"
+        "    a = scipy.sparse.linalg.expm_multiply(A, v) + em(A, v)\n"
+        "    b = sla.expm_multiply(A, v) + linalg.expm_multiply(A, v)\n"
+        "    return a + b + expm_multiply(op, v, 1.0) + lb.expm_multiply(op, v, 1.0)\n"
+    )
+    assert sorted(scipy_stepper_uses(source)) == [
+        "from scipy.sparse.linalg import expm_multiply as em", "linalg.expm_multiply",
+        "scipy.sparse.linalg.expm_multiply", "sla.expm_multiply"]

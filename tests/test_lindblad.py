@@ -1,9 +1,10 @@
-"""Generators, semigroups, ergodic states and the derivation-bound harness."""
+"""Generators, semigroups, the matrix-exponential stepper, ergodic states and the
+derivation-bound harness."""
 
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
+import scipy.sparse
 
 import uhfflow.dense as dense
 import uhfflow.lindblad as lb
@@ -274,6 +275,93 @@ class TestEvolve:
         assert res.values[0].sup_diff(exact) <= 1e-12 + res.error_budget[0]
 
 
+def random_generator(rng, n, density=0.3):
+    """A random complex sparse n x n matrix."""
+    return scipy.sparse.random(
+        n, n, density=density, format="csr", dtype=complex, random_state=rng,
+        data_rvs=lambda k: rng.normal(size=k) + 1j * rng.normal(size=k))
+
+
+def shift_matrix(n):
+    """The nilpotent shift e_k -> e_(k-1): trace 0, 1-norm 1, J^n = 0."""
+    return scipy.sparse.diags([np.ones(n - 1, dtype=complex)], [1], format="csr")
+
+
+class TestExpmMultiply:
+    """The package stepper against the dense exponential, and its matvec count."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 64])
+    @pytest.mark.parametrize("h_norm", [0.5, 3.0, 30.0, 100.0])
+    def test_matches_dense_expm(self, n, h_norm, rng):
+        A = random_generator(rng, n) + (0.7j - 0.4) * scipy.sparse.identity(n)  # tr A != 0
+        op = lb.step_operator(A)
+        h = h_norm / op.norm if op.norm else 1.0
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        got = lb.expm_multiply(op, v, h)
+        ref = scipy.linalg.expm(h * A.toarray()) @ v
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_large_steps_are_split(self):
+        # The two largest h ||A - mu I||_1 above need s > 1 Taylor steps.
+        assert lb.taylor_degree(30.0) == (40, 5)
+        assert lb.taylor_degree(100.0) == (50, 12)
+
+    def test_zero_step_and_zero_matrix(self, rng):
+        v = rng.normal(size=6) + 1j * rng.normal(size=6)
+        op = lb.step_operator(random_generator(rng, 6))
+        assert np.array_equal(lb.expm_multiply(op, v, 0.0), v)
+        zero = lb.step_operator(scipy.sparse.csr_matrix((6, 6), dtype=complex))
+        assert zero.mu == 0 and zero.norm == 0.0
+        assert np.array_equal(lb.expm_multiply(zero, v, 2.5), v)
+
+    def test_shift_is_restored(self, rng):
+        # A multiple of the identity is all shift: e^{h mu} v with no Taylor term.
+        op = lb.step_operator(-1.5 * scipy.sparse.identity(4, dtype=complex, format="csr"))
+        assert op.norm == 0.0
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        np.testing.assert_allclose(lb.expm_multiply(op, v, 0.8), np.exp(-1.2) * v, rtol=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_stops_after_two_negligible_terms(self, scale):
+        # J^4 = 0, so terms 1-3 are nonzero and term 4 vanishes; the loop
+        # stops at term 5, the second zero in a row, whatever the scale.
+        J = shift_matrix(4)
+        calls = []
+        base = lb.step_operator(J)
+        op = base._replace(shifted=lambda v: calls.append(1) or base.shifted(v))
+        v = np.array([0, 0, 0, scale], dtype=complex)
+        h = 3.0
+        m_star, s = lb.taylor_degree(h * op.norm)
+        assert s == 1 and m_star > 5
+        got = lb.expm_multiply(op, v, h)
+        expected = scale * np.array([h**3 / 6, h**2 / 2, h, 1.0])
+        np.testing.assert_allclose(got, expected, rtol=1e-15)
+        assert len(calls) == 5
+
+    def test_degree_choice_is_scipys(self):
+        # Below condition (3.13)'s threshold scipy chooses (m*, s) from the
+        # 1-norm alone; the stepper's choice must be the same.
+        core = pytest.importorskip("scipy.sparse.linalg._expm_multiply")
+        if not all(hasattr(core, name) for name in ("_fragment_3_1", "LazyOperatorNormInfo")):
+            pytest.skip("scipy's fragment 3.1 helpers are not available")
+        for norm in np.concatenate([np.geomspace(1e-12, 63.0, 200), [0.0895, 3.54, 9.9, 63.36]]):
+            info = core.LazyOperatorNormInfo(None, A_1_norm=float(norm), ell=2)
+            assert lb.taylor_degree(float(norm)) == core._fragment_3_1(info, 1, 2.0**-53)
+
+    def test_evolve_expm_prepares_the_matrix_once(self, rng, monkeypatch):
+        built, steps = [], []
+        prepare, stepper = lb.step_operator, lb.expm_multiply
+        monkeypatch.setattr(lb, "step_operator", lambda m: built.append(1) or prepare(m))
+        monkeypatch.setattr(lb, "expm_multiply", lambda *a: steps.append(1) or stepper(*a))
+        A = random_generator(rng, 8)
+        x0 = rng.normal(size=8) + 1j * rng.normal(size=8)
+        grid = [0.0, 0.1, 0.1, 0.4, 1.0]
+        values = lb._evolve_expm(A, x0, grid)
+        assert (len(built), len(steps)) == (1, 3)
+        ref = scipy.linalg.expm(A.toarray()) @ x0
+        assert np.abs(values[-1] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 class TestPartialClosedForm:
     def test_single_word_decay(self, maxmix, p2, rng):
         from uhfflow.algebra import random_label
@@ -381,14 +469,14 @@ class TestPerturbedErgodicState:
             raise AssertionError("dense expm called")
 
         steps = []
-        stepper = scipy.sparse.linalg.expm_multiply
+        stepper = lb.expm_multiply
 
         def counted(*args, **kwargs):
             steps.append(1)
             return stepper(*args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "expm", dense_expm)
-        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", counted)
+        monkeypatch.setattr(lb, "expm_multiply", counted)
         monkeypatch.setattr(lb, "QUAD_T_START", 1.0)
         monkeypatch.setattr(lb, "QUAD_T_MAX", 4.0)
         with pytest.raises(DivergenceError, match="at t = 4"):
