@@ -8,19 +8,22 @@ where ``U`` and ``V`` are the N-dimensional clock and shift unitaries with
 ``U V = omega V U`` and ``omega = exp(2 pi i / N)``.  Products, adjoints,
 commutators, lattice translations, the normalized trace and the GNS inner
 product are all computed exactly at the level of string labels and phases;
-no matrices appear here.  The finite-dimensional realization lives in
-:mod:`uhfflow.dense` and serves as an independent oracle.
+no matrices appear here, except in ``seminorm_one``, an operator norm.
+The finite-dimensional realization lives in :mod:`uhfflow.dense` and
+serves as an independent oracle.
 
 Normal ordering per site is U-powers before V-powers; reordering across a
 product contributes the phase ``omega**(-beta * alpha')`` per site.
 
 The identity checks multiply the same few strings over and over, so the
-label arithmetic reuses its work: a ``WeylLabel`` hashes its entries once,
-at construction; ``weyl_mul`` reads a bounded product table keyed on
+label arithmetic reuses its work: ``WeylLabel`` is interned, so equal
+labels are one object and every dict or cache lookup on a label is an
+identity hit; ``weyl_mul`` reads a bounded product table keyed on
 (N, g, h); ``AlgebraParams.root`` reads a table of the N-th roots of unity
 per N.  Operations whose term dicts are already merged (sums, products,
-adjoints, translates) only drop coefficients below ``COEFF_TOL``.  None of
-this changes a floating-point operation on a coefficient.
+adjoints, translates) only drop coefficients below ``COEFF_TOL``.
+``commutator`` reads both orders of each term pair in one pass and skips
+the pairs whose strings commute.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import ParamsMismatchError
 
@@ -93,33 +98,37 @@ def _check_site(site, d: int) -> Site:
     return site
 
 
+# entries -> the one WeylLabel carrying them.
+_LABELS: dict[tuple, "WeylLabel"] = {}
+
+
 class WeylLabel:
     """Finitely supported exponent map site -> (alpha, beta) labeling U_g.
 
     ``entries`` is sorted by site and never contains an exponent pair
-    (0, 0); the empty tuple labels the identity.  Immutable; the hash is
-    computed once, and only another ``WeylLabel`` with the same entries
-    compares equal.
+    (0, 0); the empty tuple labels the identity.  Immutable and interned:
+    ``WeylLabel(entries)`` returns the one label built from equal entries,
+    so equality and hash are by identity.  The intern table
+    (``_LABELS``) lives as long as the process and is never cleared, since
+    two equal labels held as two objects would compare unequal.
     """
 
-    __slots__ = ("entries", "_hash")
+    __slots__ = ("entries",)
 
-    def __init__(self, entries: tuple[tuple[Site, tuple[int, int]], ...]):
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_hash", hash((entries,)))
+    def __new__(cls, entries: tuple[tuple[Site, tuple[int, int]], ...]):
+        label = _LABELS.get(entries)
+        if label is None:
+            label = object.__new__(cls)
+            object.__setattr__(label, "entries", entries)
+            label = _LABELS.setdefault(entries, label)
+        return label
 
     def __setattr__(self, name, value):
         raise AttributeError("WeylLabel is immutable")
 
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not WeylLabel:
-            return NotImplemented
-        return self._hash == other._hash and self.entries == other.entries
+    def __reduce__(self):
+        # pickle and copy rebuild through the intern table.
+        return (WeylLabel, (self.entries,))
 
     def __repr__(self):
         return f"WeylLabel(entries={self.entries!r})"
@@ -272,7 +281,7 @@ class LocalOperator:
     # -- ring structure ------------------------------------------------
 
     def _require_same_params(self, other: "LocalOperator"):
-        if self.params != other.params:
+        if self.params is not other.params and self.params != other.params:
             raise ParamsMismatchError(
                 f"operands live on different algebras: {self.params} vs {other.params}"
             )
@@ -380,7 +389,7 @@ class LocalOperator:
     def sup_diff(self, other: "LocalOperator") -> float:
         """Largest coefficient magnitude of self - other."""
         self._require_same_params(other)
-        labels = set(self._terms) | set(other._terms)
+        labels = {**self._terms, **other._terms}
         if not labels:
             return 0.0
         return max(abs(self.coeff(lab) - other.coeff(lab)) for lab in labels)
@@ -430,7 +439,23 @@ GnsVector = LocalOperator
 
 
 def commutator(x: LocalOperator, y: LocalOperator) -> LocalOperator:
-    return x * y - y * x
+    """[x, y] = x y - y x in one pass over the term pairs.
+
+    U_g U_h = omega**p U_l and U_h U_g = omega**q U_l, so a pair adds
+    c_g c_h (omega**p - omega**q) to l, and nothing when p == q (the
+    strings commute).  Both orders go through ``weyl_mul``.
+    """
+    x._require_same_params(y)
+    params = x.params
+    roots = _roots(params.N)
+    out: dict[WeylLabel, complex] = {}
+    for g, cg in x._terms.items():
+        for h, ch in y._terms.items():
+            p, label = weyl_mul(params, g, h)
+            q, _ = weyl_mul(params, h, g)
+            if p != q:
+                out[label] = out.get(label, 0j) + cg * ch * (roots[p] - roots[q])
+    return LocalOperator._merged(params, out)
 
 
 def gns_inner(u: GnsVector, v: GnsVector) -> complex:
@@ -469,19 +494,26 @@ def seminorm_one(x: LocalOperator) -> float:
     """Commutator seminorm: sum over sites j and exponent pairs of ||[W, x]||.
 
     W = (U^a V^b)^{(j)} runs over (a, b) != (0, 0).  Only j in supp(x)
-    can contribute; the identity has seminorm zero.
+    can contribute; the identity has seminorm zero.  x is realized once on
+    supp(x), which holds supp([W, x]), and ||A (x) 1|| = ||A||; the N**2 - 1
+    commutators at one site are normed as one stack.
     """
     from . import dense  # local import: norms need the dense realization
 
-    if not x._terms:
+    supp = x.support()
+    if not supp:
         return 0.0
     N = x.params.N
+    X = dense.realize(x, dense.SiteWindow(x.params, supp))
     pairs = [(a, b) for a in range(N) for b in range(N) if (a, b) != (0, 0)]
     total = 0.0
-    for j in x.support():
-        for a, b in pairs:
-            w = LocalOperator.site_word(x.params, j, a, b)
-            total += dense.operator_norm(commutator(w, x))
+    for i in range(len(supp)):
+        left = np.eye(N**i)
+        right = np.eye(N ** (len(supp) - i - 1))
+        W = np.array([np.kron(np.kron(left, dense.site_word(N, a, b)), right)
+                      for a, b in pairs])
+        norms = np.linalg.norm(W @ X - X @ W, 2, axis=(1, 2))
+        total = sum(norms.tolist(), total)
     return total
 
 

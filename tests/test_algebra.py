@@ -4,14 +4,18 @@ Derived expectations are frozen against a self-contained matrix oracle
 built inline from clock and shift matrices, independent of uhfflow.dense.
 """
 
+import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 import uhfflow.algebra as algebra
 import uhfflow.dense as dense
+import uhfflow.lindblad as lb
+from uhfflow.kernel import WindowKernel
 from uhfflow.algebra import (
     COEFF_TOL,
     AlgebraParams,
@@ -185,6 +189,50 @@ class TestCommutator:
         assert commutator(x, LocalOperator.identity(p2)).is_zero()
 
 
+class TestOnePassCommutator:
+    """``commutator`` against the two products it replaces and the dense oracle."""
+
+    CASES = [(2, 1), (3, 1), (4, 1), (2, 2)]
+
+    @pytest.mark.parametrize("N,d", CASES)
+    def test_matches_products_and_oracle(self, N, d, rng):
+        params = AlgebraParams(N, d)
+        sites = [(0,) * d, (1,) + (0,) * (d - 1), (0,) * (d - 1) + (2,)]
+        for _ in range(10):
+            x = random_local(params, rng, sites, n_terms=4, include_identity=True)
+            y = random_local(params, rng, sites, n_terms=4)
+            got = commutator(x, y)
+            assert got.sup_diff(x * y - y * x) <= 1e-15 * x.l1() * y.l1()
+            win = dense.window(params, sorted(set(x.support()) | set(y.support())))
+            X, Y = dense.realize(x, win), dense.realize(y, win)
+            assert np.abs(dense.realize(got, win) - (X @ Y - Y @ X)).max() <= 1e-12
+
+    def test_commuting_pairs_leave_no_entry(self, p2, pauli):
+        sx, sz, sxz, one = pauli
+        # sx commutes with sx, sx(1) and 1; only the pair (sx, sz) survives.
+        y = sx * 0.5 + sz + sx.translate((1,)) * 2.0 + one
+        got = commutator(sx, y)
+        assert [lab for lab, _ in got.items()] == [sxz.items()[0][0]]
+        assert got.sup_diff(sxz * 2.0) == 0.0
+        assert commutator(sx * sz.translate((1,)), sz * sx.translate((1,))).num_terms() == 0
+
+    def test_reads_both_orders_of_every_term_pair(self, p3, rng, monkeypatch):
+        calls = []
+        original = algebra.weyl_mul
+
+        def counting(params, g, h):
+            calls.append((g, h))
+            return original(params, g, h)
+
+        monkeypatch.setattr(algebra, "weyl_mul", counting)
+        x = random_local(p3, rng, [(0,), (1,)], n_terms=4, include_identity=True)
+        y = random_local(p3, rng, [(1,), (2,)], n_terms=3)
+        for _ in range(2):  # the second round reads the product table
+            calls.clear()
+            commutator(x, y)
+            assert len(calls) == 2 * x.num_terms() * y.num_terms()
+
+
 class TestTranslate:
     def test_shift(self, p2, pauli):
         sx = pauli[0]
@@ -301,6 +349,40 @@ class TestSeminorm:
         assert abs(seminorm_one(x) - seminorm_one(x.adjoint())) < 1e-10
 
 
+def seminorm_reference(x):
+    """One symbolic commutator and one dense norm per site word."""
+    N = x.params.N
+    total = 0.0
+    for j in x.support():
+        for a in range(N):
+            for b in range(N):
+                if (a, b) != (0, 0):
+                    w = LocalOperator.site_word(x.params, j, a, b)
+                    total += dense.operator_norm(commutator(w, x))
+    return total
+
+
+class TestBatchedSeminorm:
+    def test_identity_and_zero(self, p3):
+        assert seminorm_one(LocalOperator.identity(p3) * 2.5) == 0.0
+        assert seminorm_one(LocalOperator.zero(p3)) == 0.0
+        assert seminorm_reference(LocalOperator.identity(p3)) == 0.0
+
+    @pytest.mark.parametrize("N,d,sites", [
+        (2, 1, [(0,)]),
+        (3, 1, [(0,)]),
+        (3, 1, [(0,), (1,), (3,)]),
+        (2, 2, [(0, 0), (1, 0), (0, -1)]),
+    ])
+    def test_matches_per_word_loop(self, N, d, sites, rng):
+        params = AlgebraParams(N, d)
+        for _ in range(4):
+            x = random_local(params, rng, sites, n_terms=5, max_weight=3,
+                             include_identity=True)
+            ref = seminorm_reference(x)
+            assert abs(seminorm_one(x) - ref) <= 1e-12 * max(1.0, ref)
+
+
 class TestCanonicalization:
     def test_zero_coefficients_dropped(self, p2, pauli):
         sx = pauli[0]
@@ -381,7 +463,7 @@ class TestLabelIdentity:
         assert phase == 0
         labels = [built, moved, product, from_basis]
         for a, b in itertools.product(labels, repeat=2):
-            assert a == b and hash(a) == hash(b)
+            assert a is b and hash(a) == hash(b)
         assert len({*labels}) == 1
         assert {built: 1.0}[from_basis] == 1.0
 
@@ -397,6 +479,68 @@ class TestLabelIdentity:
         assert g != WeylLabel.single((0,), 0, 1, 2, 1)
         assert g != WeylLabel.single((1,), 1, 0, 2, 1)
         assert g != WeylLabel.identity()
+
+
+class TestInterning:
+    """Equal entries give one label object, whichever constructor builds it."""
+
+    def test_direct_and_from_entries(self, p3):
+        lab = WeylLabel.from_entries([((1,), (4, -1)), ((0,), (0, 2))], 3, 1)
+        assert lab is WeylLabel((((0,), (0, 2)), ((1,), (1, 2))))
+        assert lab is WeylLabel.from_entries([((0,), (3, 2)), ((1,), (1, 2))], 3, 1)
+        assert WeylLabel.identity() is WeylLabel.from_entries([((0,), (3, 3))], 3, 1)
+        assert "__eq__" not in vars(WeylLabel) and "__hash__" not in vars(WeylLabel)
+
+    def test_translated(self, p2):
+        lab = WeylLabel.from_entries([((0,), (1, 0)), ((1,), (1, 1))], 2, 1)
+        assert lab.translated((3,)) is WeylLabel.from_entries(
+            [((3,), (1, 0)), ((4,), (1, 1))], 2, 1)
+
+    def test_product_and_adjoint(self, p3):
+        g = WeylLabel.from_entries([((0,), (1, 2)), ((1,), (2, 0))], 3, 1)
+        h = WeylLabel.from_entries([((1,), (1, 1))], 3, 1)
+        expected = WeylLabel.from_entries([((0,), (1, 2)), ((1,), (0, 1))], 3, 1)
+        assert weyl_mul(p3, g, h)[1] is expected
+        assert algebra._product.__wrapped__(3, g, h)[1] is expected
+        assert algebra.weyl_adjoint(p3, g)[1] is WeylLabel.from_entries(
+            [((0,), (2, 1)), ((1,), (1, 0))], 3, 1)
+
+    def test_window_basis_and_kernel_split(self, p2):
+        basis = dense.window_basis(p2, [(0,), (1,)])
+        assert basis[7] is WeylLabel.from_entries([((0,), (0, 1)), ((1,), (1, 1))], 2, 1)
+        kern = WindowKernel(p2, [(0,), (1,)])
+        lab = WeylLabel.from_entries([((1,), (1, 0)), ((5,), (0, 1))], 2, 1)
+        assert kern.split(lab)[2] is WeylLabel.from_entries([((5,), (0, 1))], 2, 1)
+        assert kern.index[WeylLabel.from_entries([((1,), (1, 0))], 2, 1)] == 2
+
+    def test_lindblad_clips(self, p2, pauli):
+        sx, sz, _, _ = pauli
+        L = lb.Lindbladian.single_kraus(sx * sz.translate((1,)))
+        clipped = L._clip_factors(sx * sz.translate((1,)), {(0,)})
+        assert clipped.items()[0][0] is sx.items()[0][0]
+        # phi(sz) != 0, so the closed form keeps the string with site 0 dropped.
+        x = sz * sx.translate((1,))
+        out = lb.partial_semigroup_exact(dense.StateSpec(np.diag([0.7, 0.3])), x, 0.5)
+        labels = {lab.entries: lab for lab, _ in out.items()}
+        assert labels[(((1,), (1, 0)),)] is sx.translate((1,)).items()[0][0]
+
+    def test_copy_and_pickle_return_the_interned_label(self):
+        lab = WeylLabel.from_entries([((0,), (1, 0)), ((2,), (0, 1))], 2, 1)
+        assert copy.deepcopy(lab) is lab
+        assert copy.copy(lab) is lab
+        assert pickle.loads(pickle.dumps(lab)) is lab
+
+    def test_clearing_caches_keeps_labels_interned(self):
+        lab = WeylLabel.from_entries([((0,), (1, 1))], 2, 1)
+        for value in vars(algebra).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+        assert WeylLabel((((0,), (1, 1)),)) is lab
+
+    def test_labels_are_immutable(self):
+        lab = WeylLabel.identity()
+        with pytest.raises(AttributeError):
+            lab.entries = (((0,), (1, 0)),)
 
 
 class TestProductCounter:
