@@ -16,7 +16,9 @@ that action with an explicit Runge-Kutta pair (``uhfflow evolve`` and the
 selftest battery check ``lindblad.evolve`` against it), ``choi_matrix``
 exponentiates its matrix on the D^2 matrix units, and
 ``_weyl_coefficients`` is the one change to the Weyl basis, by trace
-projections.
+projections.  ``hilbert_evolve`` imports ``scipy.integrate`` and
+``choi_matrix`` imports ``scipy.linalg`` when called, so a command that
+never reaches the oracle does not load them.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.integrate
 
 from .algebra import AlgebraParams, LocalOperator, Site, WeylLabel, weyl_mul
 from .errors import ConvergenceError, SizeGuardError, StateError, WindowError
@@ -262,6 +262,8 @@ def hilbert_evolve(lindbladian, win: SiteWindow, closure_mode: str, t_grid,
     X0 = realize(x, win)
     times, where = np.unique(grid, return_inverse=True)
     if times[-1] > 0:
+        import scipy.integrate
+
         action = window_action(lindbladian, win, closure_mode)
         # The equation is autonomous; solve_ivp still passes the time.
         sol = scipy.integrate.solve_ivp(lambda _t, y: action(y.reshape(D, D)).reshape(-1),
@@ -292,6 +294,8 @@ def choi_matrix(lindbladian, win: SiteWindow, closure_mode: str, t: float) -> np
         )
     units = np.eye(D * D, dtype=complex).reshape(D * D, D, D)
     generator = window_action(lindbladian, win, closure_mode)(units).reshape(D * D, D * D)
+    import scipy.linalg
+
     # E[i, j, a, b] = e^{t L}(E_ij)[a, b] goes to the Choi entry (a D + i, b D + j).
     E = scipy.linalg.expm(t * generator).reshape(D, D, D, D)
     return E.transpose(2, 0, 3, 1).reshape(D * D, D * D)

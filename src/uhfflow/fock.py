@@ -50,7 +50,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
-from scipy.integrate import cumulative_simpson as _cumulative_simpson_real
 
 from . import dense, lindblad as _lb
 from .algebra import (
@@ -66,7 +65,7 @@ from .algebra import (
 )
 from .errors import FitError, SizeGuardError, WindowError
 from .kernel import WindowKernel
-from .lindblad import StepOperator, expm_multiply, step_operator
+from .lindblad import StepOperator, cumulative_simpson, expm_multiply, step_operator
 
 DEFAULT_MAX_DIM = 4096
 # Bounds n^2 for the pair system: its vectors have n^2 entries, and its one
@@ -77,13 +76,6 @@ PICARD_MAX_TERMS = 500_000  # terms summed by picard_tail_bound before it gives 
 CERTIFIED_DEPTH_MAX = 100_000  # deepest Picard depth smallest_certified_depth tries
 
 ModeKey = tuple[Site, int]  # (lattice site of the translate, Kraus member id)
-
-
-def _cumulative_simpson(y: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
-    """Complex-safe cumulative Simpson (scipy's casts to real)."""
-    re = _cumulative_simpson_real(y.real, dx=dx, axis=axis, initial=0.0)
-    im = _cumulative_simpson_real(y.imag, dx=dx, axis=axis, initial=0.0)
-    return re + 1j * im
 
 
 # -- test functions -----------------------------------------------------------
@@ -591,7 +583,7 @@ def picard_element(sys: FlowGeneratorSystem, x: LocalOperator, u, f, v, g, t_gri
         cum = np.zeros_like(G)
         offset = np.zeros_like(F0)
         for start, end, h, _op in pieces:
-            seg = _cumulative_simpson(integ[start:end + 1], dx=h, axis=0)
+            seg = cumulative_simpson(integ[start:end + 1], h)
             cum[start:end + 1] = seg + offset
             offset = cum[end]
         G_new = np.tile(F0, (n_nodes, 1)) + cum

@@ -359,7 +359,7 @@ class TestHilbertEvolve:
     def test_grid_at_zero_needs_no_solve(self, p2, partial_maxmix, rng, monkeypatch):
         win = dense.window(p2, [(0,), (1,)])
         x = random_local(p2, rng, win.sites, include_identity=True)
-        monkeypatch.setattr(dense.scipy.integrate, "solve_ivp", None)
+        monkeypatch.setattr("scipy.integrate.solve_ivp", None)
         got = dense.hilbert_evolve(partial_maxmix, win, "interior", [0.0, 0.0], x)
         assert len(got) == 2 and all(val.sup_diff(x) < 1e-15 for val in got)
 

@@ -21,11 +21,18 @@ imports or names scipy's ``expm_multiply``: every matrix exponential is
 stepped by the package's one stepper, ``lindblad.expm_multiply``.  Every
 attribute the benchmark's span tracer times
 (``bench/spans.py`` ``TARGETS``) exists in the package, so a rename
-cannot silently zero a per-layer metric.
+cannot silently zero a per-layer metric.  In a fresh interpreter,
+``import uhfflow.cli`` loads no ``scipy.integrate``, ``scipy.linalg`` or
+``scipy.optimize``, and the ``flow``, ``lemma`` and ``ergodicity``
+commands load none of them either.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -325,3 +332,55 @@ def test_scanner_sees_scipy_stepper():
     assert sorted(scipy_stepper_uses(source)) == [
         "from scipy.sparse.linalg import expm_multiply as em", "linalg.expm_multiply",
         "scipy.sparse.linalg.expm_multiply", "sla.expm_multiply"]
+
+
+# Modules only the dense oracle and selftest compute with: ``flow``,
+# ``lemma`` and ``ergodicity`` never load them (scipy.integrate imports
+# scipy.optimize).
+HEAVY = ("scipy.integrate", "scipy.linalg", "scipy.optimize")
+
+# In a fresh interpreter: the heavy modules loaded after ``import
+# uhfflow.cli`` and after each command run through ``uhfflow.cli.main``.
+FOOTPRINT_PROBE = """\
+import json, sys
+heavy, runs, out = json.loads(sys.argv[1])
+from uhfflow.cli import main
+loaded = {"import": [m for m in heavy if m in sys.modules]}
+for command, config in runs:
+    try:
+        main([command, "--config", config, "--out", out])
+    except SystemExit:
+        pass
+    loaded[command] = [m for m in heavy if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+@pytest.fixture(scope="module")
+def import_footprint(tmp_path_factory):
+    from test_cli import ERGODICITY, FLOW, LEMMA_FAIL
+
+    work = tmp_path_factory.mktemp("footprint")
+    configs = {"flow": FLOW, "lemma": LEMMA_FAIL.replace("instances = 20", "instances = 6"),
+               "ergodicity": ERGODICITY}
+    runs = []
+    for command, config in configs.items():
+        path = work / f"{command}.ini"
+        path.write_text(config)
+        runs.append((command, str(path)))
+    pythonpath = os.pathsep.join(filter(None, [str(SOURCE.parent),
+                                               os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_PROBE, json.dumps([HEAVY, runs, str(work / "out")])],
+        env=dict(os.environ, PYTHONPATH=pythonpath), capture_output=True, text=True,
+        timeout=300, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_loads_no_integrator_or_dense_linalg(import_footprint):
+    assert import_footprint["import"] == []
+
+
+@pytest.mark.parametrize("command", ["flow", "lemma", "ergodicity"])
+def test_commands_load_no_integrator_or_dense_linalg(import_footprint, command):
+    assert import_footprint[command] == []

@@ -1,8 +1,9 @@
-"""Generators, semigroups, the matrix-exponential stepper, ergodic states and the
-derivation-bound harness."""
+"""Generators, semigroups, the matrix-exponential stepper, the quadrature rules,
+ergodic states and the derivation-bound harness."""
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 import scipy.sparse
 
@@ -360,6 +361,71 @@ class TestExpmMultiply:
         assert (len(built), len(steps)) == (1, 3)
         ref = scipy.linalg.expm(A.toarray()) @ x0
         assert np.abs(values[-1] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def samples(rng, shape, kind):
+    y = rng.normal(size=shape)
+    return y + 1j * rng.normal(size=shape) if kind == "complex" else y
+
+
+def same_bits(a, b):
+    """Equal values, dtype and bytes: signed zeros count too."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestQuadrature:
+    """The numpy rules give scipy.integrate's results bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 65, 66, 1025])
+    def test_trapezoids(self, rng, n, kind):
+        y = samples(rng, n, kind)
+        t = np.cumsum(rng.uniform(0.1, 1.0, size=n)) - 0.5
+        got = lb.cumulative_trapezoid(y, t)
+        assert same_bits(got, scipy.integrate.cumulative_trapezoid(y, t, initial=0))
+        assert got[0] == 0 and not np.signbit(got[0].real)
+        assert same_bits(lb.trapezoid(y, 0.3), scipy.integrate.trapezoid(y, dx=0.3))
+        # The edge budget integrates a list of floats.
+        assert same_bits(lb.cumulative_trapezoid(list(y), t),
+                         scipy.integrate.cumulative_trapezoid(list(y), t, initial=0))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("n", [3, 5, 65, 1025])
+    def test_simpson(self, rng, n, kind):
+        y = samples(rng, n, kind)
+        assert same_bits(lb.simpson(y, 0.3), scipy.integrate.simpson(y, dx=0.3))
+
+    @pytest.mark.parametrize("n", [2, 4, 66])
+    def test_simpson_rejects_an_even_sample_count(self, rng, n):
+        with pytest.raises(ValueError, match="odd number"):
+            lb.simpson(rng.normal(size=n), 0.3)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 65, 66, 1025])
+    def test_cumulative_simpson(self, rng, n, kind):
+        dx = 0.3
+        y = samples(rng, (n, 3), kind)
+        got = lb.cumulative_simpson(y, dx)
+        # Also scipy's rule on the real and imaginary parts separately.
+        ref = scipy.integrate.cumulative_simpson(y.real, dx=dx, axis=0, initial=0)
+        if kind == "complex":
+            ref = ref + 1j * scipy.integrate.cumulative_simpson(y.imag, dx=dx, axis=0, initial=0)
+            assert same_bits(got, scipy.integrate.cumulative_simpson(y, dx=dx, axis=0,
+                                                                     initial=0))
+        assert same_bits(got, ref)
+        assert np.array_equal(got[0], np.zeros(3)) and not np.signbit(got[0].real).any()
+        assert same_bits(lb.cumulative_simpson(y[:, 0], dx), got[:, 0])
+
+    def test_cumulative_simpson_rejects_short_input(self):
+        with pytest.raises(ValueError, match="at least 3"):
+            lb.cumulative_simpson(np.ones(2), 0.3)
+
+    def test_exact_on_low_degrees(self):
+        t = np.linspace(0.0, 2.0, 9)
+        assert lb.simpson(t**3 - t, t[1]) == pytest.approx(2.0, abs=1e-14)
+        assert lb.cumulative_simpson(t**2 - t, t[1]) == pytest.approx(t**3 / 3 - t**2 / 2,
+                                                                      abs=1e-14)
 
 
 class TestPartialClosedForm:
