@@ -140,8 +140,8 @@ def _config_command(name: str):
 def cmd_evolve(cfg: ExperimentConfig, report: RunReport):
     """Semigroup evolution with oracle and closed-form cross-checks.
 
-    Each observable is evolved by ``lindblad.evolve`` with the config's
-    method (``ode``: the Weyl kernel and ``expm_multiply``; or ``series``).
+    Each observable is evolved by ``lindblad.evolve``: the Weyl kernel's
+    window matrix stepped by ``expm_multiply``.
     Where the window basis is within ``dense.SUPEROP_DIM_GUARD``,
     ``evolve.<name>.oracle`` compares it with the one dense oracle,
     ``dense.hilbert_evolve``, which integrates ``dense.window_action`` on
@@ -155,8 +155,8 @@ def cmd_evolve(cfg: ExperimentConfig, report: RunReport):
 
     for name, x in sorted(cfg.observables.items()):
         window = cfg.window or lindblad.default_window(L, x)
-        res = lindblad.evolve(L, x, cfg.t_grid, method=cfg.method,
-                              tol=cfg.tol, window=window, closure_mode=cfg.closure)
+        res = lindblad.evolve(L, x, cfg.t_grid, tol=cfg.tol, window=window,
+                              closure_mode=cfg.closure)
         report.table(f"evolve_{name}", ["t", "label", "re", "im", "error_budget"], (
             [_f17(t), lab.to_text(), _f17(c.real), _f17(c.imag), f"{err:.6e}"]
             for t, op, err in zip(res.grid, res.values, res.error_budget)
@@ -174,8 +174,8 @@ def cmd_evolve(cfg: ExperimentConfig, report: RunReport):
                            1e-10 + res.error_budget.max()))
 
     window = cfg.window or lindblad.default_window(L, one)
-    res1 = lindblad.evolve(L, one, cfg.t_grid, method=cfg.method,
-                           tol=cfg.tol, window=window, closure_mode=cfg.closure)
+    res1 = lindblad.evolve(L, one, cfg.t_grid, tol=cfg.tol, window=window,
+                           closure_mode=cfg.closure)
     worst = max(v.sup_diff(one) for v in res1.values)
     report.add(_le("evolve.unitality", worst, 1e-10))
 
@@ -208,12 +208,14 @@ def cmd_ergodicity(cfg: ExperimentConfig, report: RunReport):
         if cfg.kraus is not None:
             Ltrans = lindblad.Lindbladian.translation_covariant(cfg.kraus)
             phi0, _err0 = lindblad.perturbed_ergodic_state(state, Ltrans, 0.0, x)
-            report.add(_le(f"ergodicity.{name}.perturbed_c0", abs(phi0 - phi), 1e-6))
+            report.add(_le(f"ergodicity.{name}.perturbed_c0", abs(phi0 - phi), 1e-6,
+                           "0 by construction: perturbed_ergodic_state at c = 0 "
+                           "is ergodic_state(x)"))
             crates = []
             for cval in cfg.c_values:
                 Lc = (lindblad.Lindbladian.partial_state(cfg.params, state) if cval == 0
                       else lindblad.Lindbladian.perturbed(cfg.params, state, cfg.kraus, cval))
-                res = lindblad.evolve(Lc, x, cfg.t_grid, method="ode", tol=min(cfg.tol, 1e-10))
+                res = lindblad.evolve(Lc, x, cfg.t_grid, tol=min(cfg.tol, 1e-10))
                 vals = np.array([seminorm_one(vv) for vv in res.values])
                 mask = vals > 1e-14
                 if mask.sum() >= 4:
@@ -279,8 +281,8 @@ def cmd_flow(cfg: ExperimentConfig, report: RunReport):
                        1e-8 + float((err + bwd.error_of(x.adjoint())).max())))
 
         if vacuum:
-            res = lindblad.evolve(L, x, grid, method="ode", tol=min(cfg.tol, 1e-10),
-                                  window=window, closure_mode="clipped")
+            res = lindblad.evolve(L, x, grid, tol=min(cfg.tol, 1e-10), window=window,
+                                  closure_mode="clipped")
             target = np.array([gns_inner(cfg.u, val * cfg.v) for val in res.values])
             dev = float(np.abs(vals - target).max())
             report.add(_le(

@@ -29,7 +29,7 @@ Schema (key: type; default):
 [run]
     t_grid: ascending floats >= 0, or ``linspace start stop num``; 0 1
     window: distinct sites; the command's default window
-    method: ode | series; ode
+    method: ode, the only propagator (kept for configs that name it); ode
     closure: interior | clipped; interior
     tol: float > 0; 1e-9
     seed: int >= 0; 20240817
@@ -66,7 +66,6 @@ _SCHEMA = {
             "instances", "n_max", "pairs", "shift", "contraction_t"),
 }
 _KINDS = ("translation_covariant", "partial_state", "perturbed")
-_METHODS = ("ode", "series")
 _CLOSURES = ("interior", "clipped")
 _NAME = re.compile(r"\w[\w.-]*")
 
@@ -205,7 +204,6 @@ class ExperimentConfig:
     g: fock.TestFunction
     t_grid: np.ndarray
     window: tuple[Site, ...] | None
-    method: str
     closure: str
     tol: float
     seed: int
@@ -284,11 +282,10 @@ def _run_options(run: dict[str, str], d: int, observables) -> dict:
     pairs = tuple(tuple(spec.split(",")) for spec in run.get("pairs", "").split())
     if any(len(pair) != 2 or not set(pair) <= observables.keys() for pair in pairs):
         raise ConfigError(f"each pair must name two observables: {run['pairs']!r}", **at("pairs"))
-    method = _parse_choice(run.get("method", "ode"), _METHODS, at("method"))
+    _parse_choice(run.get("method", "ode"), ("ode",), at("method"))
     return dict(
         t_grid=_parse_grid(run.get("t_grid", "0 1"), at("t_grid")),
         window=window,
-        method=method,
         closure=_parse_choice(run.get("closure", "interior"), _CLOSURES, at("closure")),
         tol=_parse_number(run.get("tol", "1e-9"), at("tol"), positive=True),
         seed=_parse_number(run.get("seed", "20240817"), at("seed"), int),

@@ -11,11 +11,11 @@ local operators:
 * ``perturbed``: partial plus c times a translation-covariant family.
 
 Besides exact symbolic application this module provides semigroup
-evolution (Taylor series with certified tails, the action of the matrix
-exponential on a window basis, and the closed form for partial-state
-kinds), ergodic and perturbed-ergodic states, decay-rate fitting, and
-the multi-derivation / expansion / bound harness used to exercise the
-iterated-commutator estimates that control everything else.
+evolution (the action of the matrix exponential on a window basis, and
+the closed form for partial-state kinds), ergodic and perturbed-ergodic
+states, decay-rate fitting, and the multi-derivation / expansion / bound
+harness used to exercise the iterated-commutator estimates that control
+everything else.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .algebra import (
     theta,
 )
 from .errors import (
-    ConvergenceError,
     DivergenceError,
     FitError,
     ParamsMismatchError,
@@ -50,7 +49,6 @@ from .errors import (
 )
 from .kernel import WindowKernel
 
-MAX_SERIES_TERMS = 500
 ENUM_GUARD = 200_000
 WINDOW_PAD_FACTOR = 2  # default_window pads by this many Kraus diameters
 # perturbed_ergodic_state's Simpson quadrature: panels per cutoff, envelope
@@ -477,7 +475,6 @@ class EvolutionResult:
 
     grid: np.ndarray
     values: list[LocalOperator]
-    method: str
     error_budget: np.ndarray
     window_sites: tuple[Site, ...] = ()
 
@@ -521,64 +518,29 @@ def generator_matrix(L: Lindbladian, sites, closure_mode: str = "interior"):
     return mat, kern.basis, kern.index, edge
 
 
-def _series_tail_log(L: Lindbladian, x: LocalOperator, t: float, n: int) -> tuple[float, float]:
-    """(log tail bound, scale); certified for single-r and partial kinds.
-
-    Single r: sum over translate tuples of the iterated-map norms is
-    bounded by (2 (1+||r||)^2 * 2 theta_1(r) c_x)^m, so the remainder
-    past order n is at most (tK)^{n+1}/(n+1)! e^{tK}.  Partial kind: the
-    generator preserves the support algebra and has norm <= 2 |supp(x)|
-    there, giving the same exponential-remainder shape with scale l1(x).
-    """
-    if L.kind == "translation" and len(L.kraus.ops) == 1:
-        r = L.single_r()
-        K = 2.0 * (1.0 + dense.operator_norm(r)) ** 2 * 2.0 * theta(r, 1) * c_const(x)
-        scale = 1.0
-    elif L.kind == "partial":
-        K = 2.0 * max(x.site_count, 1)
-        scale = x.l1()
-    else:
-        return math.nan, math.nan
-    if t * K == 0 or scale == 0:
-        return -math.inf, scale
-    log_tail = (n + 1) * math.log(t * K) - math.lgamma(n + 2) + t * K
-    return log_tail, scale
-
-
-def evolve(L: Lindbladian, x: LocalOperator, t_grid, method: str = "ode",
-           tol: float = 1e-10, window=None, closure_mode: str = "interior") -> EvolutionResult:
+def evolve(L: Lindbladian, x: LocalOperator, t_grid, tol: float = 1e-10,
+           window=None, closure_mode: str = "interior") -> EvolutionResult:
     """Heisenberg evolution P_t(x) of the windowed generator.
 
-    Methods: ``series`` (Taylor sum, stopped by a certified tail bound
-    where one exists, by a stagnation heuristic otherwise), ``ode``
-    (the window coefficient vector stepped from t = 0 across the grid by
+    The window coefficient vector is stepped from t = 0 across the grid by
     the action of the matrix exponential: the window matrix is prepared
-    once and :func:`expm_multiply` makes one step per positive
-    increment).  The partial-state closed form is
-    :func:`partial_semigroup_exact`.
+    once and :func:`expm_multiply` makes one step per positive increment.
+    The partial-state closed form is :func:`partial_semigroup_exact`.
 
-    The error budget is the truncation tail plus the window edge term.
-    For ``ode`` the tail is ``tol``: a floor, not a computed solver error
-    (:func:`expm_multiply` runs to the unit roundoff and reports no
-    error).  The edge term is Duhamel's: P_t x - P^W_t x is the integral
-    over s of P_(t-s) (L - L_W) P^W_s x, and the semigroup contracts, so
-    it is bounded by integrating sum_b edge_b |c_b(s)| from s = 0 along
-    the computed trajectory (:func:`cumulative_trapezoid`), where edge_b
-    is the exact l1 mass ||(L - L_W)(U_b)||_1 from
-    :func:`generator_matrix`.
+    The error budget is ``tol`` plus the window edge term.  ``tol`` is a
+    floor, not a computed solver error (:func:`expm_multiply` runs to the
+    unit roundoff and reports no error).  The edge term is Duhamel's:
+    P_t x - P^W_t x is the integral over s of P_(t-s) (L - L_W) P^W_s x,
+    and the semigroup contracts, so it is bounded by integrating
+    sum_b edge_b |c_b(s)| from s = 0 along the computed trajectory
+    (:func:`cumulative_trapezoid`), where edge_b is the exact l1 mass
+    ||(L - L_W)(U_b)||_1 from :func:`generator_matrix`.
     """
     grid = dense.validate_grid(t_grid)
     sites = tuple(tuple(s) for s in (window if window is not None else default_window(L, x)))
     mat, basis, index, edge_rates = generator_matrix(L, sites, closure_mode)
     x0 = dense.coefficient_vector(x, index)
-
-    if method == "series":
-        values_vec, tail_at = _evolve_series(L, x, mat, x0, grid, tol)
-    elif method == "ode":
-        values_vec = _evolve_expm(mat, x0, grid)
-        tail_at = lambda t: tol  # noqa: E731 - a floor; the stepper reports no error
-    else:
-        raise ValueError(f"unknown evolution method {method!r}")
+    values_vec = _evolve_expm(mat, x0, grid)
 
     values = []
     for vec in values_vec:
@@ -590,65 +552,7 @@ def evolve(L: Lindbladian, x: LocalOperator, t_grid, method: str = "ode",
     times = np.concatenate([[0.0], grid]) if late else grid
     weights = [edge_rates @ np.abs(vec) for vec in [x0] * late + values_vec]
     edge = cumulative_trapezoid(weights, times)[-len(grid):]
-    budget = np.array([tail_at(t) for t in grid]) + edge
-    return EvolutionResult(grid, values, method, budget, sites)
-
-
-def _evolve_series(L, x, mat, x0, grid, tol):
-    t_end = float(grid[-1])
-
-    def certified_tail(t, n):
-        lt, sc = _series_tail_log(L, x, float(t), n)
-        if math.isnan(lt):
-            return None
-        if sc == 0 or lt == -math.inf:
-            return 0.0
-        return math.exp(min(lt, 700.0)) * sc
-
-    certified = certified_tail(t_end, 0) is not None
-    terms = [x0]
-    n = 0
-    quiet = 0
-    while t_end > 0:
-        if certified:
-            if certified_tail(t_end, n) < tol:
-                break
-        else:
-            # Stagnation heuristic for kinds without a certified constant
-            # (perturbed): stop once three consecutive order contributions
-            # fall below tol/10.
-            log_w = n * math.log(t_end) - math.lgamma(n + 1) if t_end > 0 and n > 0 else 0.0
-            contrib = math.exp(min(log_w, 700.0)) * float(np.abs(terms[-1]).sum())
-            if contrib < tol / 10 and n >= 4:
-                quiet += 1
-                if quiet >= 3:
-                    break
-            else:
-                quiet = 0
-        if n >= MAX_SERIES_TERMS:
-            raise ConvergenceError(
-                f"series did not certify tolerance {tol} within {MAX_SERIES_TERMS} terms"
-            )
-        terms.append(mat @ terms[-1])
-        n += 1
-
-    n_used = len(terms) - 1
-
-    def tail_at(t):
-        if not certified:
-            return tol
-        return certified_tail(t, n_used)
-
-    values = []
-    for t in grid:
-        acc = np.zeros_like(x0)
-        w = 1.0
-        for m, term in enumerate(terms):
-            if m > 0:
-                w *= t / m
-            acc = acc + w * term
-        values.append(acc)
-    return values, tail_at
+    return EvolutionResult(grid, values, tol + edge, sites)
 
 
 def _evolve_expm(mat, x0, grid):

@@ -97,7 +97,7 @@ def test_jobs_is_a_usage_error(tmp_path, command):
 def test_unknown_method_exits_2(tmp_path):
     res = _invoke(tmp_path, ["evolve"], EVOLVE + "method = bogus\n")
     assert res.exit_code == 2
-    assert "config error: [run] method: must be ode | series, got 'bogus'" in res.output
+    assert "config error: [run] method: must be ode, got 'bogus'" in res.output
     assert not (tmp_path / "out" / "report.json").exists()
 
 
@@ -206,7 +206,9 @@ SCHEMA_ERRORS = {
     "contraction_t": ("flow", FLOW.replace("contraction_t = 0.5", "contraction_t = -0.5"),
                       "[run] contraction_t: must be >= 0, got -0.5"),
     "method_exact": ("evolve", EVOLVE + "method = exact\n",
-                     "[run] method: must be ode | series, got 'exact'"),
+                     "[run] method: must be ode, got 'exact'"),
+    "method_series": ("evolve", EVOLVE + "method = series\n",
+                      "[run] method: must be ode, got 'series'"),
     "member": ("flow", FLOW.replace("0/0: 0.5 0", "0/1: 0.5 0"),
                "[modes.f] modes: mode '0/1': the generator has no Kraus member 1"),
     "tol": ("evolve", EVOLVE + "tol = 0\n", "[run] tol: must be > 0"),

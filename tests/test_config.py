@@ -47,7 +47,7 @@ modes =
 [run]
 t_grid = linspace 0 2 5
 window = 0 1 2
-method = series
+method = ode
 closure = clipped
 tol = 1e-7
 seed = 5
@@ -84,7 +84,7 @@ def test_defaults(tmp_path):
     assert cfg.f == fock.TestFunction.zero() and cfg.g == fock.TestFunction.zero()
     assert np.array_equal(cfg.t_grid, [0.0, 1.0])
     assert cfg.window is None
-    assert (cfg.method, cfg.closure, cfg.tol, cfg.seed) == ("ode", "interior", 1e-9, 20240817)
+    assert (cfg.closure, cfg.tol, cfg.seed) == ("interior", 1e-9, 20240817)
     assert cfg.c_values == (0.0,)
     assert (cfg.instances, cfg.n_max) == (25, 2)
     assert cfg.pairs == ()
@@ -112,7 +112,7 @@ def test_every_key_typed(tmp_path):
     assert cfg.g == fock.TestFunction.build(1.0, 2, {((1,), 4): [1j, -1j]})
     assert np.array_equal(cfg.t_grid, [0.0, 0.5, 1.0, 1.5, 2.0])
     assert cfg.window == ((0,), (1,), (2,))
-    assert (cfg.method, cfg.closure, cfg.tol, cfg.seed) == ("series", "clipped", 1e-7, 5)
+    assert (cfg.closure, cfg.tol, cfg.seed) == ("clipped", 1e-7, 5)
     assert cfg.c_values == (0.0, 0.5, 1.0)
     assert (cfg.instances, cfg.n_max) == (7, 3)
     assert cfg.pairs == (("x", "y"), ("y", "y"))
@@ -124,13 +124,13 @@ def test_exact_method_on_partial_state(tmp_path):
     # partial-state config naming it is refused like any other kind.
     # Without the perturbation only the state's four members remain.
     text = FULL.replace("kind = perturbed", "kind = partial_state").replace(
-        "method = series", "method = exact").replace("1/4: 0 1", "1/3: 0 1")
+        "method = ode", "method = exact").replace("1/4: 0 1", "1/3: 0 1")
     with pytest.raises(ConfigError) as info:
         _load(tmp_path, text)
     assert (info.value.section, info.value.field) == ("run", "method")
-    assert "must be ode | series, got 'exact'" in str(info.value)
+    assert "must be ode, got 'exact'" in str(info.value)
     cfg = _load(tmp_path, text.replace("method = exact", "method = ode"))
-    assert cfg.generator.kind == "partial" and cfg.method == "ode"
+    assert cfg.generator.kind == "partial"
 
 
 def test_site_coordinates_follow_d(tmp_path):
@@ -170,8 +170,9 @@ ERRORS = {
     "t_grid": ("run", "t_grid", FULL.replace("linspace 0 2 5", "0 nan")),
     "window": ("run", "window", FULL.replace("window = 0 1 2", "window = 0 1 1")),
     "window_empty": ("run", "window", FULL.replace("window = 0 1 2", "window =")),
-    "method": ("run", "method", FULL.replace("method = series", "method = rk45")),
-    "method_exact": ("run", "method", FULL.replace("method = series", "method = exact")),
+    "method": ("run", "method", FULL.replace("method = ode", "method = rk45")),
+    "method_exact": ("run", "method", FULL.replace("method = ode", "method = exact")),
+    "method_series": ("run", "method", FULL.replace("method = ode", "method = series")),
     "closure": ("run", "closure", FULL.replace("closure = clipped", "closure = open")),
     "tol": ("run", "tol", FULL.replace("tol = 1e-7", "tol = -1e-7")),
     "tol_zero": ("run", "tol", FULL.replace("tol = 1e-7", "tol = 0")),

@@ -343,7 +343,7 @@ class TestHilbertEvolve:
         x = random_local(p2, rng, sites[1:4], include_identity=True)
         grid = [0.0, 0.5, 1.0]
         got = dense.hilbert_evolve(L, dense.window(p2, sites), "interior", grid, x)
-        res = lindblad.evolve(L, x, grid, method="ode", tol=1e-12, window=sites,
+        res = lindblad.evolve(L, x, grid, tol=1e-12, window=sites,
                               closure_mode="interior")
         for a, b in zip(got, res.values):
             assert a.sup_diff(b) <= 1e-12

@@ -164,20 +164,18 @@ class TestWindowedApply:
 class TestEvolve:
     def test_time_zero(self, L_partial, p2, rng):
         x = random_local(p2, rng, [(0,), (1,)])
-        for method in ("series", "ode"):
-            res = lb.evolve(L_partial, x, [0.0], method=method, window=[(0,), (1,)])
-            assert res.values[0].sup_diff(x) < 1e-12
+        res = lb.evolve(L_partial, x, [0.0], window=[(0,), (1,)])
+        assert res.values[0].sup_diff(x) < 1e-12
 
     def test_two_site_product_decay(self, L_partial, p2, pauli):
         sx = pauli[0]
         x = sx * sx.translate((1,))
         grid = [0.0, 0.4, 1.0]
-        res = lb.evolve(L_partial, x, grid, method="series", window=[(0,), (1,)])
+        res = lb.evolve(L_partial, x, grid, window=[(0,), (1,)])
         for t, val in zip(grid, res.values):
             assert val.sup_diff(x * np.exp(-2 * t)) < 1e-12
 
-    @pytest.mark.parametrize("method", ["series", "ode"])
-    def test_matches_dense_oracle(self, method, p2, maxmix, pauli, rng):
+    def test_matches_dense_oracle(self, p2, maxmix, pauli, rng):
         sx = pauli[0]
         gens = [
             (lb.Lindbladian.partial_state(p2, maxmix), [(0,), (1,)]),
@@ -186,7 +184,7 @@ class TestEvolve:
         grid = [0.0, 0.25, 1.0]
         for L, sites in gens:
             x = random_local(p2, rng, sites[:2])
-            res = lb.evolve(L, x, grid, method=method, window=sites)
+            res = lb.evolve(L, x, grid, window=sites)
             oracle = dense.hilbert_evolve(L, dense.window(p2, sites), "interior", grid, x)
             for val, ref in zip(res.values, oracle, strict=True):
                 assert val.sup_diff(ref) < 1e-9
@@ -198,7 +196,7 @@ class TestEvolve:
         L = lb.Lindbladian.partial_state(p2, biased)
         sites = [(0,), (1,)]
         x = random_local(p2, rng, sites, include_identity=True)
-        res = lb.evolve(L, x, grid, method="ode", window=sites)
+        res = lb.evolve(L, x, grid, window=sites)
         oracle = dense.hilbert_evolve(L, dense.window(p2, sites), "interior", grid, x)
         for val, ref in zip(res.values, oracle, strict=True):
             assert val.sup_diff(ref) < 1e-12
@@ -219,11 +217,6 @@ class TestEvolve:
         half = lb.evolve(L_partial, x, [0.4], window=sites).values[0]
         again = lb.evolve(L_partial, half, [0.5], window=sites).values[0]
         assert full.sup_diff(again) < 1e-10
-
-    def test_closed_form_is_not_a_method(self, L_partial, pauli):
-        # The partial-state closed form is partial_semigroup_exact.
-        with pytest.raises(ValueError, match="unknown evolution method"):
-            lb.evolve(L_partial, pauli[0], [0.0, 1.0], method="exact")
 
     def test_negative_time_rejected(self, L_partial, pauli):
         with pytest.raises(ValueError):
@@ -268,10 +261,9 @@ class TestEvolve:
             diff = a - b
             assert diff.l1() <= budget or dense.operator_norm(diff) <= budget
 
-    def test_series_certified_against_exact(self, L_partial, p2, maxmix, rng):
+    def test_closed_form_within_budget(self, L_partial, p2, maxmix, rng):
         x = random_local(p2, rng, [(0,), (1,)])
-        res = lb.evolve(L_partial, x, [0.8], method="series", tol=1e-12,
-                        window=[(0,), (1,)])
+        res = lb.evolve(L_partial, x, [0.8], tol=1e-12, window=[(0,), (1,)])
         exact = lb.partial_semigroup_exact(maxmix, x, 0.8)
         assert res.values[0].sup_diff(exact) <= 1e-12 + res.error_budget[0]
 
@@ -445,7 +437,7 @@ class TestPartialClosedForm:
         L = lb.Lindbladian.partial_state(p2, biased)
         x = random_local(p2, rng, [(0,), (1,)], include_identity=True)
         grid = [0.0, 0.5, 1.5]
-        res = lb.evolve(L, x, grid, method="ode", tol=1e-12, window=[(0,), (1,)])
+        res = lb.evolve(L, x, grid, tol=1e-12, window=[(0,), (1,)])
         for i, t in enumerate(grid):
             assert res.values[i].sup_diff(
                 lb.partial_semigroup_exact(biased, x, t)) < 1e-10
@@ -553,7 +545,7 @@ class TestPerturbedErgodicState:
     def test_invariance_under_flow(self, biased, L_flip, p2, pauli):
         c = 0.1
         Lc = lb.Lindbladian.perturbed(p2, biased, L_flip.kraus, c)
-        moved = lb.evolve(Lc, pauli[1], [0.0, 0.5], method="ode", tol=1e-12).values[1]
+        moved = lb.evolve(Lc, pauli[1], [0.0, 0.5], tol=1e-12).values[1]
         v1, e1 = lb.perturbed_ergodic_state(biased, L_flip, c, pauli[1])
         v2, e2 = lb.perturbed_ergodic_state(biased, L_flip, c, moved)
         assert abs(v1 - v2) < max(e1 + e2, 1e-6)
@@ -593,7 +585,7 @@ class TestPerturbedRateTable:
         for c in (0.0, 0.05, 0.1):
             L = (lb.Lindbladian.partial_state(p2, maxmix) if c == 0
                  else lb.Lindbladian.perturbed(p2, maxmix, kraus, c))
-            res = lb.evolve(L, sx, grid, method="ode", tol=1e-12)
+            res = lb.evolve(L, sx, grid, tol=1e-12)
             vals = [seminorm_one(v) for v in res.values]
             rate, r2 = lb.decay_rate_fit(grid, vals, drop_frac=0.1)
             assert r2 > 0.999
