@@ -227,9 +227,10 @@ def window_action(lindbladian, win: SiteWindow, closure_mode: str):
     """The windowed generator as a map on stacks of D x D window matrices.
 
     The window members (``lindbladian.window_members``: ``interior`` keeps
-    only fully contained translates, a genuine windowed Lindbladian;
-    ``clipped`` keeps every intersecting translate with its Kraus factors
-    clipped to the window) are realized as matrices; the returned map
+    only the Kraus members whose own support lies in the window, a
+    genuine windowed Lindbladian; ``clipped`` keeps every member of each
+    intersecting translate with its factors clipped to the window) are
+    realized as matrices; the returned map
     sends X of shape (..., D, D) to sum_m m* X m - (1/2){K, X} with
     K = sum_m m* m.  Every dense evolution and Choi matrix reads this one
     realization; no symbolic product or label arithmetic is involved.

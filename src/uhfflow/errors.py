@@ -26,7 +26,7 @@ class ConvergenceError(UhfflowError):
 
 
 class DivergenceError(UhfflowError):
-    """An integrand that must decay was found not to."""
+    """A semigroup that must relax to one state did not (it has several)."""
 
 
 class FitError(UhfflowError):

@@ -303,7 +303,6 @@ class MatrixElementTrajectory:
     index: dict[WeylLabel, int]
     F: np.ndarray  # (T, dim)
     error_estimate: np.ndarray  # (T,)
-    method: str
 
     def of_label(self, lab: WeylLabel) -> np.ndarray:
         try:
@@ -322,10 +321,10 @@ class MatrixElementTrajectory:
         return x.l1() * self.error_estimate
 
 
-def _observable_trajectory(grid, values, est, method: str) -> MatrixElementTrajectory:
+def _observable_trajectory(grid, values, est) -> MatrixElementTrajectory:
     """One observable's values and estimate, stored as the basis [1]."""
     one = WeylLabel.identity()
-    return MatrixElementTrajectory(grid, [one], {one: 0}, values.reshape(-1, 1), est, method)
+    return MatrixElementTrajectory(grid, [one], {one: 0}, values.reshape(-1, 1), est)
 
 
 @dataclass
@@ -541,7 +540,7 @@ def flow_element(sys: FlowGeneratorSystem, u, f, v, g, t_grid,
     f, g = _harmonize(f, g)
     F, est = _propagate(_flow_pieces(sys, grid, f, g), _initial_vector(sys, u, v, f, g),
                         grid, tol, _scale(u, f, v, g))
-    return MatrixElementTrajectory(grid, sys.basis, sys.index, F, est, "ode")
+    return MatrixElementTrajectory(grid, sys.basis, sys.index, F, est)
 
 
 def picard_element(sys: FlowGeneratorSystem, x: LocalOperator, u, f, v, g, t_grid,
@@ -604,7 +603,7 @@ def picard_element(sys: FlowGeneratorSystem, x: LocalOperator, u, f, v, g, t_gri
     leak = _leak_accrual(flow)
     leak = np.array([leak[float(t)] for t in grid])
     est = tol + _scale(u, f, v, g) * (tail + x.l1() * leak)
-    return _observable_trajectory(grid, values, est, "picard")
+    return _observable_trajectory(grid, values, est)
 
 
 def _exp_or_inf(log_v: float) -> float:

@@ -23,7 +23,7 @@ The column l1 mass of a matrix plus its leak is the exact l1 norm of the
 map's image of each basis string.  That one quantity prices every window
 cut: ``fock`` budgets the leak of its structure maps, and
 :func:`uhfflow.lindblad.generator_matrix` takes the mass of the edge
-translates' generator (minus their clipped members' for the clipped
+members' generator (minus their clipped copies' for the clipped
 closure) as the per-string edge rate of ``evolve``'s error budget.
 """
 

@@ -10,11 +10,13 @@ local operators:
   Kraus operators derived from the density matrix of phi;
 * ``perturbed``: partial plus c times a translation-covariant family.
 
-Besides exact symbolic application this module provides semigroup
-evolution (the action of the matrix exponential on a window basis, and
-the closed form for partial-state kinds), ergodic and perturbed-ergodic
-states, decay-rate fitting, and the multi-derivation / expansion / bound
-harness used to exercise the iterated-commutator estimates that control
+Besides exact symbolic application this module provides windowed
+generators (a window keeps or clips each Kraus member by its own
+support), semigroup evolution (the action of the matrix exponential on a
+window basis, and the closed form for partial-state kinds), ergodic
+states, perturbed-ergodic states (one sparse solve on the window),
+decay-rate fitting, and the multi-derivation / expansion / bound harness
+used to exercise the iterated-commutator estimates that control
 everything else.
 """
 
@@ -51,12 +53,6 @@ from .kernel import WindowKernel
 
 ENUM_GUARD = 200_000
 WINDOW_PAD_FACTOR = 2  # default_window pads by this many Kraus diameters
-# perturbed_ergodic_state's Simpson quadrature: panels per cutoff, envelope
-# tolerance, and the first and last cutoff times (the cutoff doubles).
-QUAD_PANELS = 1024
-QUAD_TOL = 1e-6
-QUAD_T_START = 10.0
-QUAD_T_MAX = 80.0
 # expm_multiply's Taylor stepping: theta_m is the largest h ||A - mu I||_1
 # for which m terms meet the unit roundoff TAYLOR_TOL (Al-Mohy & Higham,
 # SIAM J. Sci. Comput. 33 (2011) 488-511).  Copied from scipy's
@@ -99,10 +95,6 @@ class KrausFamily:
     @property
     def params(self) -> AlgebraParams:
         return self.ops[0].params
-
-
-def _site_add(s: Site, k: Site) -> Site:
-    return tuple(a + b for a, b in zip(s, k))
 
 
 def _site_sub(s: Site, k: Site) -> Site:
@@ -275,26 +267,27 @@ class Lindbladian:
         """Members of every translate meeting the window, in (translate, member) order.
 
         Each member comes with its mode key (translate k, member id) and a
-        flag: True when its translate is inside (all Kraus supports in the
-        window), False on the edge.  Members are unclipped; every
+        flag: True when the member is inside (its own support lies in the
+        window), False on the edge.  The flag is per member, not per
+        translate, so a 1-site member stays inside next to a 2-site member
+        of its translate that sticks out.  Members are unclipped; every
         translate not listed acts as 0 on the window.
         """
         allowed = {tuple(s) for s in sites}
         base_supp = self.base_support()
         out = []
         for k in sorted({_site_sub(s, b) for s in allowed for b in base_supp}):
-            inside = {_site_add(b, k) for b in base_supp} <= allowed
-            out += [((k, i), m, inside) for i, m in enumerate(self.members_at(k))]
+            out += [((k, i), m, allowed.issuperset(m.support()))
+                    for i, m in enumerate(self.members_at(k))]
         return out
 
     def window_members(self, sites, closure_mode: str = "interior") -> list[LocalOperator]:
         """Kraus members of the windowed generator, translated and closed.
 
-        ``interior`` keeps the members of every inside translate;
-        ``clipped`` keeps the edge translates too, with factors outside the
-        window replaced by the identity.  The matrix assemblers read their
-        members from here; ``windowed_apply`` selects its translates on its
-        own.
+        ``interior`` keeps every inside member; ``clipped`` keeps the edge
+        members too, with factors outside the window replaced by the
+        identity.  The matrix assemblers read their members from here;
+        ``windowed_apply`` applies the same per-member rule on its own.
         """
         if closure_mode not in ("interior", "clipped"):
             raise ValueError(f"unknown closure mode {closure_mode!r}")
@@ -304,35 +297,30 @@ class Lindbladian:
                 if inside or closure_mode == "clipped"]
 
     def windowed_apply(self, x: LocalOperator, sites, closure_mode: str = "interior") -> LocalOperator:
-        """Windowed generator action.
+        """Windowed generator action, member by member.
 
-        ``interior`` keeps only translates whose Kraus supports lie fully
-        inside the window (a genuine Lindbladian there, so the result
-        never leaves the window).  ``clipped`` keeps every intersecting
-        translate with per-site Kraus factors outside the window replaced
-        by the identity; this approximates the infinite-lattice action
-        near the edge while still fixing the identity.
+        ``interior`` keeps only the Kraus members whose own support lies
+        inside the window.  Each member's term is itself a Lindbladian, so
+        their sum is a genuine Lindbladian there and the result never
+        leaves the window.  ``clipped`` keeps every member of each
+        intersecting translate, with per-site factors outside the window
+        replaced by the identity; this approximates the infinite-lattice
+        action near the edge while still fixing the identity.
         """
+        if closure_mode not in ("interior", "clipped"):
+            raise ValueError(f"unknown closure mode {closure_mode!r}")
         allowed = {tuple(s) for s in sites}
         if not set(x.support()) <= allowed:
             raise WindowError(f"support {x.support()} outside window")
-        base_supp = self.base_support()
         out = LocalOperator.zero(self.params)
         for k in self.contributing_sites(x):
-            translated = {_site_add(b, k) for b in base_supp}
-            if closure_mode == "interior":
-                if translated <= allowed:
-                    out = out + self.lind_k(k, x)
-            elif closure_mode == "clipped":
-                if translated <= allowed:
-                    out = out + self.lind_k(k, x)
-                else:
-                    for m in self.members_at(k):
-                        mc = self._clip_factors(m, allowed)
-                        md = mc.adjoint()
-                        out = out + (commutator(md, x) * mc + md * commutator(x, mc)) * 0.5
-            else:
-                raise ValueError(f"unknown closure mode {closure_mode!r}")
+            for m in self.members_at(k):
+                if not allowed.issuperset(m.support()):
+                    if closure_mode == "interior":
+                        continue
+                    m = self._clip_factors(m, allowed)
+                md = m.adjoint()
+                out = out + (commutator(md, x) * m + md * commutator(x, m)) * 0.5
         return out
 
     def __repr__(self):
@@ -424,25 +412,11 @@ def expm_multiply(op: StepOperator, v: np.ndarray, h: float) -> np.ndarray:
 # well.  Each integrates along the first axis, real or complex samples.
 
 
-def trapezoid(y, dx: float):
-    """Composite trapezoid integral of samples spaced ``dx`` apart."""
-    y = np.asarray(y)
-    return (dx * (y[1:] + y[:-1]) / 2.0).sum(axis=0)
-
-
 def cumulative_trapezoid(y, t) -> np.ndarray:
     """Trapezoid integrals of samples y at times t from t[0] to each t[i]; the first is 0."""
     y = np.asarray(y)
     parts = np.diff(t) * (y[1:] + y[:-1]) / 2.0
     return np.concatenate((np.zeros(1, parts.dtype), np.cumsum(parts)))
-
-
-def simpson(y, dx: float):
-    """Composite Simpson integral of an odd number of samples spaced ``dx`` apart."""
-    y = np.asarray(y)
-    if len(y) % 2 == 0:
-        raise ValueError(f"composite Simpson needs an odd number of samples, got {len(y)}")
-    return np.sum(y[0:-1:2] + 4.0 * y[1::2] + y[2::2], axis=0) * (dx / 3.0)
 
 
 def cumulative_simpson(y, dx: float) -> np.ndarray:
@@ -500,11 +474,11 @@ def generator_matrix(L: Lindbladian, sites, closure_mode: str = "interior"):
     The Weyl kernel assembles the sparse matrix from the window members:
     a sum of monomial matrices, one per pair of terms of each member.
     ``edge[i]`` is the exact l1 mass ||(L - L_window)(U_i)||_1 that the
-    closure drops from basis string U_i.  Only edge translates differ
+    closure drops from basis string U_i.  Only edge members differ
     between L and L_window, so it is the column l1 of their generator
     plus its leak (``interior``, which omits them), or of their generator
-    minus that of their clipped members, plus the same leak
-    (``clipped``, whose clipped members never leave the window).
+    minus that of their clipped copies, plus the same leak (``clipped``,
+    whose clipped copies never leave the window).
     """
     kern = WindowKernel(L.params, sites)
     mat, _leak = kern.generator(L.window_members(kern.sites, closure_mode))
@@ -612,17 +586,24 @@ def ergodic_state(state, x: LocalOperator) -> complex:
 
 def perturbed_ergodic_state(state, L: Lindbladian, c: float,
                             x: LocalOperator) -> tuple[complex, float]:
-    """Phi^{(c)}(x) = Phi(x) + c * integral of Phi(L(P_t^{(c)} x)) dt.
+    """Phi^{(c)}(x) = Phi(x) + c * integral over t >= 0 of Phi(L(P_t^{(c)} x)) dt.
 
-    The trajectory under the perturbed generator is stepped across a
-    Simpson grid by the action of the matrix exponential, as ``evolve``
-    steps (the window matrix prepared once per cutoff round), and
-    integrated by :func:`simpson` up to a cutoff where the envelope is
-    below tol/10, then closed with an exponential-tail extrapolation.
-    Returns (value, quadrature error estimate); the estimate is the gap
-    to :func:`trapezoid` on the same grid plus the tail's.  Raises
-    ``DivergenceError`` when the envelope is not below tol/10 by
-    ``QUAD_T_MAX``.
+    On the interior window of the perturbed generator, with window matrix
+    A, the integral is linear algebra: if A has one stationary state,
+    the integral over t >= 0 of e^{tA} - Pi is -A^#, where A^# is the
+    group inverse of A and Pi the projector onto that state (Meyer, SIAM
+    Review 17 (1975) 443-464).  One sparse LU of the bordered matrix
+    K = [[A, e_1], [e_1^T, 0]] (e_1 the identity string) gives both the
+    stationary state omega, from K^T y = e_(n+1), and z = A^# u for
+    u = x - omega(x) 1, from K [z; s] = [u; 0].  Then Phi^{(c)}(x) =
+    Phi(x) - c phi_L . z, with phi_L[b] = Phi(L(U_b)); the identity
+    component of z drops out, since Phi(L(1)) = 0.
+
+    Returns (value, estimate).  The estimate c ||phi_L||_inf ||A z - u||_1
+    prices the solve only, not the window cut.  Raises
+    ``DivergenceError`` when K is exactly singular: then the window
+    generator has more than one stationary state and P_t^{(c)} x need not
+    relax to a multiple of the identity.
     """
     if c < 0:
         raise ValueError("perturbation weight must be nonnegative")
@@ -643,39 +624,27 @@ def perturbed_ergodic_state(state, L: Lindbladian, c: float,
         ergodic_state(state, L.apply(LocalOperator.weyl(L.params, lab))) for lab in basis
     ])
 
-    # Simpson grids of QUAD_PANELS panels on [0, t_cut]; when the cutoff
-    # doubles, the previous grid's even points are the new first half, and
-    # only the second half is stepped, from the previous end vector.
-    t_cut = QUAD_T_START
-    vecs = _evolve_expm(mat, dense.coefficient_vector(x, index),
-                        t_cut / QUAD_PANELS * np.arange(QUAD_PANELS + 1))
-    h = np.array([phi_l_vec @ vec for vec in vecs])
-    while abs(h[-1]) >= QUAD_TOL / 10 and t_cut < QUAD_T_MAX:
-        vecs = _evolve_expm(mat, vecs[-1],
-                            2 * t_cut / QUAD_PANELS * np.arange(1, QUAD_PANELS // 2 + 1))
-        h = np.concatenate([h[::2], [phi_l_vec @ vec for vec in vecs]])
-        t_cut *= 2.0
-    env = np.abs(h)
-    if env[-1] >= QUAD_TOL / 10:
-        # A nearly flat envelope still fits a tiny positive rate, whose
-        # tail h[-1] / rate would be returned as if it converged.
-        raise DivergenceError(
-            f"perturbed-ergodic integrand is {env[-1]:.3g} at t = {t_cut:g}, "
-            f"not below {QUAD_TOL / 10:g}"
-        )
+    # scipy.sparse.linalg loads scipy.linalg; only this branch needs it.
+    from scipy.sparse.linalg import splu
 
-    ts = np.linspace(0.0, t_cut, QUAD_PANELS + 1)
-    late = slice(QUAD_PANELS // 2, None)
-    tail, tail_err = 0j, float(env[-1])
-    pos = env[late] > 1e-300
-    if pos.sum() >= 4:
-        rate, _r2 = decay_rate_fit(ts[late][pos], env[late][pos])
-        if rate > 0:
-            tail = h[-1] / rate
-            tail_err = 0.5 * abs(tail)
-    integral = simpson(h, ts[1] - ts[0])
-    err = c * (abs(integral - trapezoid(h, ts[1] - ts[0])) + tail_err)
-    return base + c * (integral + tail), float(err)
+    n = len(basis)
+    one = index[WeylLabel.identity()]
+    e1 = scipy.sparse.csc_matrix(([1.0], ([one], [0])), shape=(n, 1))
+    bordered = scipy.sparse.bmat([[mat, e1], [e1.T, None]], format="csc")
+    try:
+        lu = splu(bordered)
+    except RuntimeError as exc:
+        raise DivergenceError(
+            f"the window generator has more than one stationary state ({exc})"
+        ) from None
+    end = np.zeros(n + 1, dtype=complex)
+    end[-1] = 1.0
+    omega = lu.solve(end, trans="T")[:n]
+    u = dense.coefficient_vector(x, index)
+    u[one] -= omega @ u
+    z = lu.solve(np.append(u, 0.0))[:n]
+    err = c * np.abs(phi_l_vec).max() * np.abs(mat @ z - u).sum()
+    return base - c * (phi_l_vec @ z), float(err)
 
 
 def decay_rate_fit(ts, values, drop_frac: float = 0.0) -> tuple[float, float]:

@@ -24,7 +24,8 @@ attribute the benchmark's span tracer times
 cannot silently zero a per-layer metric.  In a fresh interpreter,
 ``import uhfflow.cli`` loads no ``scipy.integrate``, ``scipy.linalg`` or
 ``scipy.optimize``, and the ``flow``, ``lemma`` and ``ergodicity``
-commands load none of them either.
+commands load none of them either; ``perturbed_ergodic_state`` loads
+``scipy.sparse.linalg`` (which loads ``scipy.linalg``) only for c > 0.
 """
 
 import ast
@@ -368,13 +369,18 @@ def import_footprint(tmp_path_factory):
         path = work / f"{command}.ini"
         path.write_text(config)
         runs.append((command, str(path)))
+    return json.loads(run_fresh(FOOTPRINT_PROBE, json.dumps([HEAVY, runs, str(work / "out")])))
+
+
+def run_fresh(probe: str, *argv: str) -> str:
+    """The last line ``probe`` prints, run in a fresh interpreter on the package source."""
     pythonpath = os.pathsep.join(filter(None, [str(SOURCE.parent),
                                                os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT_PROBE, json.dumps([HEAVY, runs, str(work / "out")])],
+        [sys.executable, "-c", probe, *argv],
         env=dict(os.environ, PYTHONPATH=pythonpath), capture_output=True, text=True,
         timeout=300, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return proc.stdout.strip().splitlines()[-1]
 
 
 def test_cli_import_loads_no_integrator_or_dense_linalg(import_footprint):
@@ -384,3 +390,25 @@ def test_cli_import_loads_no_integrator_or_dense_linalg(import_footprint):
 @pytest.mark.parametrize("command", ["flow", "lemma", "ergodicity"])
 def test_commands_load_no_integrator_or_dense_linalg(import_footprint, command):
     assert import_footprint[command] == []
+
+
+# Whether ``scipy.sparse.linalg`` is loaded after a c = 0 and then a c > 0
+# call of ``perturbed_ergodic_state`` (only the sparse solve needs it).
+SOLVE_PROBE = """\
+import json, sys
+import numpy as np
+from uhfflow import dense, lindblad
+from uhfflow.algebra import AlgebraParams, LocalOperator
+sx = LocalOperator.site_word(AlgebraParams(2, 1), (0,), 1, 0)
+L = lindblad.Lindbladian.single_kraus(sx)
+state = dense.StateSpec(np.diag([0.7, 0.3]))
+loaded = []
+for c in (0.0, 0.5):
+    lindblad.perturbed_ergodic_state(state, L, c, sx)
+    loaded.append("scipy.sparse.linalg" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_perturbed_state_loads_sparse_linalg_only_for_positive_c():
+    assert json.loads(run_fresh(SOLVE_PROBE)) == [False, True]

@@ -161,6 +161,33 @@ class TestWindowedApply:
             L_flip.windowed_apply(LocalOperator.site_word(p2, (5,), 1, 0), [(0,)])
 
 
+class TestPerMemberClosure:
+    """The interior closure keeps each Kraus member by its own support."""
+
+    @pytest.fixture
+    def perturbed_window(self, p2, pauli):
+        sx, sz = pauli[0], pauli[1]
+        kraus = lb.KrausFamily((sx * sx.translate((1,)) + 0.5 * sz,))
+        state = dense.StateSpec(np.array([[0.7, 0.1], [0.1, 0.3]]))
+        Lc = lb.Lindbladian.perturbed(p2, state, kraus, 0.1)
+        return Lc, lb.default_window(Lc, sx)
+
+    def test_edge_site_keeps_its_partial_state_members(self, perturbed_window):
+        Lc, sites = perturbed_window
+        edge = max(sites)
+        n_site = len(Lc.base_members()) - 1  # the partial-state members, then the pair
+        flags = {key: inside for key, _m, inside in Lc.window_translates(sites)}
+        assert [flags[(edge, i)] for i in range(n_site + 1)] == [True] * n_site + [False]
+        kept = Lc.window_members(sites, "interior")
+        assert sum(m.support() == (edge,) for m in kept) == n_site
+        assert all(set(m.support()) <= set(sites) for m in kept)
+
+    def test_window_generator_has_one_stationary_state(self, perturbed_window):
+        Lc, sites = perturbed_window
+        mat = lb.generator_matrix(Lc, sites, "interior")[0]
+        assert np.linalg.matrix_rank(mat.toarray()) == mat.shape[0] - 1
+
+
 class TestEvolve:
     def test_time_zero(self, L_partial, p2, rng):
         x = random_local(p2, rng, [(0,), (1,)])
@@ -377,21 +404,9 @@ class TestQuadrature:
         got = lb.cumulative_trapezoid(y, t)
         assert same_bits(got, scipy.integrate.cumulative_trapezoid(y, t, initial=0))
         assert got[0] == 0 and not np.signbit(got[0].real)
-        assert same_bits(lb.trapezoid(y, 0.3), scipy.integrate.trapezoid(y, dx=0.3))
         # The edge budget integrates a list of floats.
         assert same_bits(lb.cumulative_trapezoid(list(y), t),
                          scipy.integrate.cumulative_trapezoid(list(y), t, initial=0))
-
-    @pytest.mark.parametrize("kind", ["real", "complex"])
-    @pytest.mark.parametrize("n", [3, 5, 65, 1025])
-    def test_simpson(self, rng, n, kind):
-        y = samples(rng, n, kind)
-        assert same_bits(lb.simpson(y, 0.3), scipy.integrate.simpson(y, dx=0.3))
-
-    @pytest.mark.parametrize("n", [2, 4, 66])
-    def test_simpson_rejects_an_even_sample_count(self, rng, n):
-        with pytest.raises(ValueError, match="odd number"):
-            lb.simpson(rng.normal(size=n), 0.3)
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("n", [3, 4, 5, 65, 66, 1025])
@@ -415,7 +430,7 @@ class TestQuadrature:
 
     def test_exact_on_low_degrees(self):
         t = np.linspace(0.0, 2.0, 9)
-        assert lb.simpson(t**3 - t, t[1]) == pytest.approx(2.0, abs=1e-14)
+        assert lb.cumulative_simpson(t**3 - t, t[1])[-1] == pytest.approx(2.0, abs=1e-14)
         assert lb.cumulative_simpson(t**2 - t, t[1]) == pytest.approx(t**3 / 3 - t**2 / 2,
                                                                       abs=1e-14)
 
@@ -505,42 +520,61 @@ class TestPerturbedErgodicState:
         with pytest.raises(SizeGuardError):
             lb.perturbed_ergodic_state(state, L, 0.5, x)
 
-    def test_non_decaying_integrand_raises(self, pauli, monkeypatch):
-        # The window's interior closure has its own stationary state, so
-        # |Phi(L(P_t x))| stays at 1.6e-5 from t = 20 on.  A nearly flat
-        # envelope still fits a tiny positive rate; its tail must not be
-        # returned as a converged value.
-        monkeypatch.setattr(lb, "QUAD_T_START", 20.0)
-        monkeypatch.setattr(lb, "QUAD_T_MAX", 20.0)
+    @pytest.mark.parametrize("c", [0.1, 0.5, 2.0])
+    def test_closed_forms(self, biased, L_flip, pauli, c):
+        # L^c(sz) = (0.4 - sz) - 2c sz for sigma_x, and (0.4 - sz) - 4c sz
+        # for sigma_x sigma_x, whose two translates both flip sz.
+        sx, sz = pauli[0], pauli[1]
+        pair = lb.Lindbladian.single_kraus(sx * sx.translate((1,)))
+        val, _ = lb.perturbed_ergodic_state(biased, L_flip, c, sz)
+        assert abs(val - 0.4 / (1 + 2 * c)) < 1e-12
+        val, _ = lb.perturbed_ergodic_state(biased, pair, c, sz)
+        assert abs(val - 0.4 / (1 + 4 * c)) < 1e-12
+
+    def test_two_site_family_matches_quadrature(self, p2, pauli):
+        # The window's interior closure keeps the right-edge site's
+        # partial-state members, so P_t x relaxes to a multiple of 1 and the
+        # integral of Phi(L(P_t x)) converges.
         sx, sz = pauli[0], pauli[1]
         L = lb.Lindbladian.single_kraus(sx * sx.translate((1,)) + 0.5 * sz)
         state = dense.StateSpec(np.array([[0.7, 0.1], [0.1, 0.3]]))
-        with pytest.raises(DivergenceError):
-            lb.perturbed_ergodic_state(state, L, 0.1, sx)
+        c = 0.1
+        val, err = lb.perturbed_ergodic_state(state, L, c, sx)
+        assert abs(val - 0.19665075) < 1e-8 and err < 1e-12
 
-    def test_cutoff_doubling_steps_only_new_points(self, biased, L_flip, pauli, monkeypatch):
-        # The envelope decays like e^{-1.2 t}, so it is far above tol/10 at
-        # t = 4: the cutoffs 1, 2, 4 make three rounds and then raise.  The
-        # first round steps 1024 points, each later one the 512 new points
-        # of its second half; no dense matrix exponential is formed.
-        def dense_expm(*_args, **_kwargs):
-            raise AssertionError("dense expm called")
+        Lc = lb.Lindbladian.perturbed(p2, state, L.kraus, c)
+        sites = lb.default_window(Lc, sx)
+        basis = dense.window_basis(p2, sites)
+        index = {lab: i for i, lab in enumerate(basis)}
+        phi_l = np.array([lb.ergodic_state(state, L.apply(LocalOperator.weyl(p2, lab)))
+                          for lab in basis])
+        grid = np.linspace(0.0, 60.0, 1201)
+        res = lb.evolve(Lc, sx, grid, window=sites)
+        integrand = [phi_l @ dense.coefficient_vector(y, index) for y in res.values]
+        ref = lb.ergodic_state(state, sx) + c * scipy.integrate.simpson(integrand, x=grid)
+        assert abs(integrand[-1]) < 1e-12
+        assert abs(val - ref) < 1e-6
 
-        steps = []
-        stepper = lb.expm_multiply
+    def test_several_stationary_states_raise(self, biased, L_flip, pauli, monkeypatch):
+        # A zero window generator fixes every string: the bordered LU is
+        # exactly singular.
+        real = lb.generator_matrix
 
-        def counted(*args, **kwargs):
-            steps.append(1)
-            return stepper(*args, **kwargs)
+        def zero(*args, **kwargs):
+            mat, basis, index, edge = real(*args, **kwargs)
+            return scipy.sparse.csr_matrix(mat.shape, dtype=complex), basis, index, edge
 
-        monkeypatch.setattr(scipy.linalg, "expm", dense_expm)
-        monkeypatch.setattr(lb, "expm_multiply", counted)
-        monkeypatch.setattr(lb, "QUAD_T_START", 1.0)
-        monkeypatch.setattr(lb, "QUAD_T_MAX", 4.0)
-        with pytest.raises(DivergenceError, match="at t = 4"):
+        monkeypatch.setattr(lb, "generator_matrix", zero)
+        with pytest.raises(DivergenceError, match="more than one stationary state"):
             lb.perturbed_ergodic_state(biased, L_flip, 0.1, pauli[1])
-        rounds = 3
-        assert len(steps) == lb.QUAD_PANELS + lb.QUAD_PANELS // 2 * (rounds - 1) == 2048
+
+    def test_no_expm_multiply_step(self, biased, L_flip, pauli, monkeypatch):
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("stepped the semigroup")
+
+        monkeypatch.setattr(lb, "expm_multiply", forbidden)
+        val, _ = lb.perturbed_ergodic_state(biased, L_flip, 0.1, pauli[1])
+        assert abs(val - 0.4 / 1.2) < 1e-12
 
     def test_invariance_under_flow(self, biased, L_flip, p2, pauli):
         c = 0.1
