@@ -475,7 +475,11 @@ def _pair_operator(cell: StepOperator, ito: StepOperator, n: int) -> StepOperato
     """
     def shifted(vec: np.ndarray) -> np.ndarray:
         G = vec.reshape(n, n)
-        return (cell.shifted(G) + cell.shifted(G.T).T).reshape(-1) + ito.shifted(vec)
+        out = cell.shifted(G)
+        out += cell.shifted(G.T).T
+        out = out.reshape(-1)
+        out += ito.shifted(vec)
+        return out
 
     return StepOperator(2.0 * cell.mu + ito.mu, shifted, 2.0 * cell.norm + ito.norm)
 

@@ -18,6 +18,12 @@ states, perturbed-ergodic states (one sparse solve on the window),
 decay-rate fitting, and the multi-derivation / expansion / bound harness
 used to exercise the iterated-commutator estimates that control
 everything else.
+
+The symbolic maps of a :class:`Lindbladian` read two tables the instance
+fills on first use and keeps for its lifetime: per translate k, the
+translated Kraus members with their adjoints (m_k, m_k*); and per
+absolute pair (k, U_b), the string image L_k(U_b), so that L_k(x) is
+sum_b x_b L_k(U_b).  Nothing is shared between instances.
 """
 
 from __future__ import annotations
@@ -102,7 +108,16 @@ def _site_sub(s: Site, k: Site) -> Site:
 
 
 class Lindbladian:
-    """Generator bundle: Kraus members, kind, and translation metadata."""
+    """Generator bundle: Kraus members, kind, and translation metadata.
+
+    The base members and their support are computed once, at
+    construction.  Two tables are filled on first use and live as long as
+    the instance: the member table (translate k -> the pairs (m_k, m_k*),
+    read by every pointwise and windowed map) and the string-image table
+    ((k, U_b) -> L_k(U_b), read by ``lind_k`` and so by ``apply``,
+    ``derivation(0, ...)`` and the lemma harness).  Image keys are
+    absolute: no entry is derived by translating another.
+    """
 
     def __init__(self, params: AlgebraParams, kind: str,
                  kraus: KrausFamily | None = None,
@@ -132,6 +147,18 @@ class Lindbladian:
                 raise ParamsMismatchError("Kraus family uses different algebra parameters")
         if kind == "perturbed" and self.c < 0:
             raise ValueError("perturbation weight must be nonnegative")
+        members = self._site_kraus
+        if kind == "translation":
+            members = kraus.ops
+        elif kind == "perturbed":
+            w = math.sqrt(self.c)
+            members += tuple(op * w for op in kraus.ops)
+        self._base_members: tuple[LocalOperator, ...] = members
+        self._base_support = tuple(sorted({s for op in members for s in op.support()}))
+        # translate k -> ((m_k, m_k*), ...), one pair per member (_member_pairs).
+        self._members: dict[Site, tuple[tuple[LocalOperator, LocalOperator], ...]] = {}
+        # (k, U_b) -> L_k(U_b), keyed by the absolute translate and string (_image).
+        self._images: dict[tuple[Site, WeylLabel], LocalOperator] = {}
 
     # -- constructors --------------------------------------------------
 
@@ -153,19 +180,30 @@ class Lindbladian:
 
     # -- structure -------------------------------------------------------
 
-    def base_members(self) -> list[LocalOperator]:
+    def base_members(self) -> tuple[LocalOperator, ...]:
         """Kraus members of the site-0 generator, perturbation weight folded in."""
-        members = list(self._site_kraus)
-        if self.kind == "translation":
-            members = list(self.kraus.ops)
-        elif self.kind == "perturbed":
-            w = math.sqrt(self.c)
-            members += [op * w for op in self.kraus.ops]
-        return members
+        return self._base_members
+
+    def _member_pairs(self, k) -> tuple[tuple[LocalOperator, LocalOperator], ...]:
+        """(m_k, m_k*) for each member at translate k, built on first use.
+
+        The only place a Kraus member is translated; every map below reads
+        its members and their adjoints from this table.
+        """
+        k = tuple(k)
+        pairs = self._members.get(k)
+        if pairs is None:
+            moved = [op.translate(k) for op in self._base_members]
+            pairs = self._members[k] = tuple((m, m.adjoint()) for m in moved)
+        return pairs
 
     def members_at(self, k) -> list[LocalOperator]:
-        k = tuple(k)
-        return [op.translate(k) for op in self.base_members()]
+        """Kraus members of the translate-k generator, read from the member table.
+
+        The table holds each translate's members with their adjoints; it is
+        filled on first use and lives as long as this instance.
+        """
+        return [m for m, _md in self._member_pairs(k)]
 
     def single_r(self) -> LocalOperator:
         if self.kind != "translation" or len(self.kraus.ops) != 1:
@@ -173,10 +211,7 @@ class Lindbladian:
         return self.kraus.ops[0]
 
     def base_support(self) -> tuple[Site, ...]:
-        sites: set[Site] = set()
-        for op in self.base_members():
-            sites.update(op.support())
-        return tuple(sorted(sites))
+        return self._base_support
 
     def contributing_sites(self, x: LocalOperator) -> list[Site]:
         """Translates k with supp(member_k) meeting supp(x); all others act as 0."""
@@ -188,34 +223,58 @@ class Lindbladian:
 
     def delta(self, k, x: LocalOperator, member: int | None = None) -> LocalOperator:
         """delta_k(x) = [x, r_k] for the selected Kraus member."""
-        ops = self.members_at(k)
+        pairs = self._member_pairs(k)
         if member is None:
-            if len(ops) != 1:
+            if len(pairs) != 1:
                 raise ValueError(
-                    f"family has {len(ops)} members; pass member= to pick one"
+                    f"family has {len(pairs)} members; pass member= to pick one"
                 )
             member = 0
-        return commutator(x, ops[member])
+        return commutator(x, pairs[member][0])
 
     def delta_list(self, k, x: LocalOperator) -> list[LocalOperator]:
-        return [commutator(x, op) for op in self.members_at(k)]
+        return [commutator(x, m) for m, _md in self._member_pairs(k)]
 
     def delta_dag_list(self, k, x: LocalOperator) -> list[LocalOperator]:
-        return [commutator(op.adjoint(), x) for op in self.members_at(k)]
+        return [commutator(md, x) for _m, md in self._member_pairs(k)]
+
+    def _image(self, k: Site, label: WeylLabel) -> LocalOperator:
+        """L_k(U_label) by the member formula, computed once per (k, label)."""
+        key = (k, label)
+        image = self._images.get(key)
+        if image is None:
+            u = LocalOperator.weyl(self.params, label)
+            image = LocalOperator.zero(self.params)
+            for m, md in self._member_pairs(k):
+                image = image + (commutator(md, u) * m + md * commutator(u, m)) * 0.5
+            self._images[key] = image
+        return image
 
     def lind_k(self, k, x: LocalOperator) -> LocalOperator:
-        """L_k(x) = (1/2) sum_m [m_k*, x] m_k + m_k* [x, m_k]."""
-        out = LocalOperator.zero(self.params)
-        for m in self.members_at(k):
-            md = m.adjoint()
-            out = out + (commutator(md, x) * m + md * commutator(x, m)) * 0.5
-        return out
+        """L_k(x) = (1/2) sum_m [m_k*, x] m_k + m_k* [x, m_k], as sum_b x_b L_k(U_b).
+
+        L_k is linear, so each string image L_k(U_b) is computed once by
+        the member formula and kept in a table keyed by the absolute pair
+        (k, U_b), which lives as long as this instance.  No entry is
+        derived from another by translation, so comparing L(tau_k x) with
+        tau_k L(x) reads two independent sets of entries.
+        """
+        k = tuple(k)
+        out: dict[WeylLabel, complex] = {}
+        for label, coeff in x._terms.items():
+            for lab, c in self._image(k, label)._terms.items():
+                out[lab] = out.get(lab, 0j) + coeff * c
+        return LocalOperator._merged(self.params, out)
 
     def lind_zero(self, x: LocalOperator) -> LocalOperator:
         return self.lind_k(self.params.origin(), x)
 
     def lind_zero_anticommutator_form(self, x: LocalOperator) -> LocalOperator:
-        """-(1/2){T(1), x} + T(x); must agree with lind_zero symbolically."""
+        """-(1/2){T(1), x} + T(x); must agree with lind_zero symbolically.
+
+        Computed afresh on every call, not from the string-image table, so
+        it stays a cross-check of ``lind_k``.
+        """
         members = self.members_at(self.params.origin())
         t1 = LocalOperator.zero(self.params)
         tx = LocalOperator.zero(self.params)
@@ -236,11 +295,12 @@ class Lindbladian:
         """delta_k for eps=+1, L_k for eps=0, delta_k^dag for eps=-1 (single r)."""
         if eps == 0:
             return self.lind_k(k, x)
-        r_k = self.single_r().translate(tuple(k))
+        self.single_r()  # raises unless a single-operator translation family
+        (r_k, r_k_dag), = self._member_pairs(k)
         if eps == 1:
             return commutator(x, r_k)
         if eps == -1:
-            return commutator(r_k.adjoint(), x)
+            return commutator(r_k_dag, x)
         raise ValueError(f"eps must be -1, 0 or +1, got {eps}")
 
     def cocycle_defect(self, x: LocalOperator, y: LocalOperator) -> float:
@@ -314,12 +374,12 @@ class Lindbladian:
             raise WindowError(f"support {x.support()} outside window")
         out = LocalOperator.zero(self.params)
         for k in self.contributing_sites(x):
-            for m in self.members_at(k):
+            for m, md in self._member_pairs(k):
                 if not allowed.issuperset(m.support()):
                     if closure_mode == "interior":
                         continue
                     m = self._clip_factors(m, allowed)
-                md = m.adjoint()
+                    md = m.adjoint()
                 out = out + (commutator(md, x) * m + md * commutator(x, m)) * 0.5
         return out
 
@@ -333,9 +393,10 @@ class Lindbladian:
 class StepOperator(NamedTuple):
     """A generator A prepared once for :func:`expm_multiply`, however many steps read it.
 
-    ``mu`` is the shift tr A / n, ``shifted(v)`` is (A - mu I) v, and
-    ``norm`` is ||A - mu I||_1 or an upper bound of it; a bound only makes
-    the degree choice more conservative.
+    ``mu`` is the shift tr A / n, ``shifted(v)`` is (A - mu I) v as a
+    fresh array (:func:`expm_multiply` scales it in place), and ``norm``
+    is ||A - mu I||_1 or an upper bound of it; a bound only makes the
+    degree choice more conservative.
     """
 
     mu: complex
@@ -387,21 +448,28 @@ def expm_multiply(op: StepOperator, v: np.ndarray, h: float) -> np.ndarray:
     (h / s)(A - mu I), each stopped early once two consecutive terms sum
     below ``TAYLOR_TOL`` times the partial sum (max norms), as scipy's
     ``expm_multiply`` stops.  The step length scales the terms; the
-    operator is never copied.
+    operator is never copied, and ``v`` is copied once, into the sum that
+    each term is added to in place.  The sum's max norm is read only
+    where the triangle bound (norm of the step's start plus those of its
+    terms) lets the stop test pass, so every stop falls where the plain
+    test puts it.
     """
     m_star, s = taylor_degree(h * op.norm)
     eta = cmath.exp(h * op.mu / s)
-    out = v
+    out = np.array(v, dtype=complex)
     for _ in range(s):
-        c1 = _inf_norm(v)
+        c1 = bound = _inf_norm(v)
         for j in range(m_star):
-            v = (h / (s * (j + 1))) * op.shifted(v)
+            v = op.shifted(v)
+            np.multiply(h / (s * (j + 1)), v, out=v)
             c2 = _inf_norm(v)
-            out = out + v
-            if c1 + c2 <= TAYLOR_TOL * _inf_norm(out):
+            out += v
+            # bound >= ||out||: the max norm of out is read only where it can stop the sum.
+            bound += c2
+            if c1 + c2 <= 2 * TAYLOR_TOL * bound and c1 + c2 <= TAYLOR_TOL * _inf_norm(out):
                 break
             c1 = c2
-        out = eta * out
+        np.multiply(eta, out, out=out)
         v = out
     return out
 
@@ -721,8 +789,8 @@ def leibniz_expansion_check(L: Lindbladian, x: LocalOperator, kbar) -> float:
     lhs = x
     for k in kbar:
         lhs = L.lind_k(k, lhs)
-    r = L.single_r()
-    r_at = [r.translate(k) for k in kbar]
+    L.single_r()  # raises unless a single-operator translation family
+    r_at = [L.members_at(k)[0] for k in kbar]
     rhs = LocalOperator.zero(L.params)
     for bits in range(1 << n):
         P = [i for i in range(n) if bits >> i & 1]

@@ -355,6 +355,23 @@ class TestPieces:
                 v = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
                 assert np.abs(piece.op.apply(v) - expected @ v).max() < 1e-14
 
+    def test_pair_matvec_in_place_is_bitwise(self, leaky, rng):
+        # Summing into the first product's array gives the bits of the sum
+        # of fresh arrays, and leaves the input vector alone.
+        sys_, _f, _g, F, G = leaky
+        n = sys_.dim
+        ito = sum(scipy.sparse.kron(sys_.delta_dag_t[key], sys_.delta_t[key], format="csr")
+                  for key in sys_.noise)
+        ito_op = lb.step_operator(ito)
+        for fp, gp in zip(F, G):
+            v = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
+            kept = v.copy()
+            M = v.reshape(n, n)
+            expected = (fp.op.shifted(M) + fp.op.shifted(M.T).T).reshape(-1) + ito_op.shifted(v)
+            got = gp.op.shifted(v)
+            assert np.array_equal(got.view(float), expected.view(float))
+            assert np.array_equal(v, kept)
+
     def test_pair_shift_and_norm_bound(self, leaky):
         sys_, f, g, _F, G = leaky
         n2 = sys_.dim ** 2

@@ -16,7 +16,9 @@ used when some module of the package, ``__init__`` included, names it
 (as a name, an attribute or an import) outside its own definition.
 Every module-level import comes before the module's first ``def`` or
 ``class``.  ``dense`` realizes a generator's window members in one
-function, so every dense oracle reads the same realization.  No module
+function, so every dense oracle reads the same realization.  ``lindblad``
+translates Kraus members in one function, the one that fills the
+per-translate member table, so every map reads the same members.  No module
 imports or names scipy's ``expm_multiply``: every matrix exponential is
 stepped by the package's one stepper, ``lindblad.expm_multiply``.  Every
 attribute the benchmark's span tracer times
@@ -280,6 +282,17 @@ def functions_calling(source: str, attribute: str) -> list[str]:
 def test_dense_realizes_window_members_once():
     assert functions_calling((SOURCE / "dense.py").read_text(), "window_members") \
         == ["window_action"]
+
+
+def test_members_are_translated_in_one_place():
+    assert functions_calling((SOURCE / "lindblad.py").read_text(), "translate") \
+        == ["_member_pairs"]
+
+
+def test_scanner_sees_a_second_member_translation():
+    planted = (SOURCE / "lindblad.py").read_text() + (
+        "\n\ndef sneaky(L, k):\n    return L.single_r().translate(k).adjoint()\n")
+    assert functions_calling(planted, "translate") == ["_member_pairs", "sneaky"]
 
 
 def test_scanner_sees_calls():

@@ -1,6 +1,8 @@
 """Generators, semigroups, the matrix-exponential stepper, the quadrature rules,
 ergodic states and the derivation-bound harness."""
 
+import cmath
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -9,8 +11,10 @@ import scipy.sparse
 
 import uhfflow.dense as dense
 import uhfflow.lindblad as lb
+import uhfflow.selftest as selftest
 from uhfflow.algebra import (
     LocalOperator,
+    WeylLabel,
     commutator,
     gns_norm,
     random_local,
@@ -141,6 +145,90 @@ class TestLindTotal:
         x = random_local(p2, rng, [(0,), (1,)])
         expected = Lp.apply(x) + Lr.apply(x) * c
         assert Lc.apply(x).sup_diff(expected) < 1e-12
+
+
+def direct_lind_k(L, k, x):
+    """(1/2) sum_m [m*, x] m + m* [x, m] over the members translated to k, on all of x."""
+    out = LocalOperator.zero(L.params)
+    for op in L.base_members():
+        m = op.translate(k)
+        md = m.adjoint()
+        out = out + (commutator(md, x) * m + md * commutator(x, m)) * 0.5
+    return out
+
+
+class TestMemberAndImageTables:
+    """lind_k reads per-string images L_k(U_b); the maps read per-translate member pairs."""
+
+    @pytest.fixture
+    def generators(self, p2, pauli, biased):
+        sx, sz = pauli[0], pauli[1]
+        kraus = lb.KrausFamily((sx * sx.translate((1,)) + 0.5 * sz,))
+        return {
+            "translation": lb.Lindbladian.translation_covariant(kraus),
+            "partial": lb.Lindbladian.partial_state(p2, biased),
+            "perturbed": lb.Lindbladian.perturbed(p2, biased, kraus, 0.3),
+        }
+
+    @pytest.mark.parametrize("kind", ["translation", "partial", "perturbed"])
+    @pytest.mark.parametrize("k", [(-1,), (0,), (2,)])
+    def test_table_matches_direct_formula(self, generators, kind, k, p2, rng):
+        L = generators[kind]
+        for n_terms in (1, 2, 3, 3, 3):
+            for sites in ([k, (k[0] + 1,)], [(0,), (1,)]):
+                x = random_local(p2, rng, sites, n_terms=n_terms)
+                assert L.lind_k(k, x).sup_diff(direct_lind_k(L, k, x)) <= 1e-13
+
+    @pytest.mark.parametrize("k", [(-1,), (0,), (2,)])
+    def test_derivations_read_the_member_table_exactly(self, k, p2, pauli, rng):
+        sx, sz = pauli[0], pauli[1]
+        r = sx * sx.translate((1,)) + 0.5j * sz
+        L = lb.Lindbladian.single_kraus(r)
+        r_k = L.single_r().translate(k)
+        for _ in range(5):
+            x = random_local(p2, rng, [k, (k[0] + 1,)], n_terms=3)
+            assert L.derivation(1, k, x).sup_diff(commutator(x, r_k)) == 0.0
+            assert L.derivation(-1, k, x).sup_diff(commutator(r_k.adjoint(), x)) == 0.0
+
+    def test_second_apply_multiplies_nothing(self, p2, pauli, biased, rng, monkeypatch):
+        sx, sz = pauli[0], pauli[1]
+        L = lb.Lindbladian.perturbed(
+            p2, biased, lb.KrausFamily((sx * sx.translate((1,)) + 0.5 * sz,)), 0.3)
+        x = random_local(p2, rng, [(0,), (1,)], n_terms=3)
+        calls = []
+        mul, comm = LocalOperator.__mul__, lb.commutator
+        monkeypatch.setattr(LocalOperator, "__mul__",
+                            lambda a, b: calls.append("mul") or mul(a, b))
+        monkeypatch.setattr(lb, "commutator", lambda a, b: calls.append("comm") or comm(a, b))
+        first = L.apply(x)
+        assert calls
+        calls.clear()
+        second = L.apply(x)
+        assert calls == []
+        assert second.sup_diff(first) == 0.0
+
+    def test_planted_image_fails_the_identities(self, p2, monkeypatch):
+        # Image keys are absolute: L(tau_1 x) reads the entry at (k, U_b)
+        # = ((1,), sigma_z at 1), tau_1 L(x) the entry at ((0,), sigma_z at
+        # 0).  A wrong entry therefore shows in the covariance identity
+        # instead of being compared with itself.
+        label = WeylLabel.single((1,), 0, 1, p2.N, p2.d)
+        build = lb.Lindbladian.single_kraus
+
+        def planted(r, unital=False):
+            L = build(r, unital=unital)
+            true = L._image((1,), label)
+            L._images[((1,), label)] = true + LocalOperator.weyl(p2, label, 1e-3)
+            return L
+
+        def identities():
+            verdicts = selftest.lindblad_checks(np.random.default_rng(20240817))
+            return next(v for v in verdicts if v.name == "lindblad.identities")
+
+        assert identities().passed
+        monkeypatch.setattr(lb.Lindbladian, "single_kraus", staticmethod(planted))
+        verdict = identities()
+        assert not verdict.passed and verdict.value >= 1e-4
 
 
 class TestWindowedApply:
@@ -320,6 +408,45 @@ class TestExpmMultiply:
         got = lb.expm_multiply(op, v, h)
         ref = scipy.linalg.expm(h * A.toarray()) @ v
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("h_norm", [0.0, 0.5, 30.0])
+    def test_callers_vector_is_unchanged(self, h_norm, rng):
+        op = lb.step_operator(random_generator(rng, 9) - 0.5 * scipy.sparse.identity(9))
+        v = rng.normal(size=9) + 1j * rng.normal(size=9)
+        kept = v.copy()
+        out = lb.expm_multiply(op, v, h_norm / op.norm)
+        assert np.array_equal(v, kept)
+        assert not np.shares_memory(out, v)
+
+    @pytest.mark.parametrize("h_norm", [1e-3, 0.5, 3.0, 30.0, 100.0])
+    def test_same_bits_as_the_plain_loop(self, h_norm, rng):
+        # The in-place sum and the gated norm of the sum change no bit of
+        # the result against the loop that allocates every term and sum.
+        def plain(op, v, h):
+            m_star, s = lb.taylor_degree(h * op.norm)
+            eta = cmath.exp(h * op.mu / s)
+            out = v
+            for _ in range(s):
+                c1 = lb._inf_norm(v)
+                for j in range(m_star):
+                    v = (h / (s * (j + 1))) * op.shifted(v)
+                    c2 = lb._inf_norm(v)
+                    out = out + v
+                    if c1 + c2 <= lb.TAYLOR_TOL * lb._inf_norm(out):
+                        break
+                    c1 = c2
+                out = eta * out
+                v = out
+            return out
+
+        for n in (4, 33):
+            op = lb.step_operator(random_generator(rng, n) + 0.2j * scipy.sparse.identity(n))
+            v = rng.normal(size=n) + 1j * rng.normal(size=n)
+            assert same_bits(lb.expm_multiply(op, v, h_norm / op.norm),
+                             plain(op, v, h_norm / op.norm))
+        J = lb.step_operator(shift_matrix(4))
+        v = np.array([0, 0, 0, 1], dtype=complex)
+        assert same_bits(lb.expm_multiply(J, v, 3.0), plain(J, v, 3.0))
 
     def test_large_steps_are_split(self):
         # The two largest h ||A - mu I||_1 above need s > 1 Taylor steps.
