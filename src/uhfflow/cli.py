@@ -141,14 +141,12 @@ def cmd_evolve(cfg: ExperimentConfig, report: RunReport):
     """Semigroup evolution with oracle and closed-form cross-checks.
 
     Each observable is evolved by ``lindblad.evolve``: the Weyl kernel's
-    window matrix stepped by ``expm_multiply``.
-    Where the window basis is within ``dense.SUPEROP_DIM_GUARD``,
-    ``evolve.<name>.oracle`` compares it with the one dense oracle,
-    ``dense.hilbert_evolve``, which integrates ``dense.window_action`` on
-    the realized window matrices; partial-state generators are also
-    compared with the closed form ``lindblad.partial_semigroup_exact``
-    (``evolve.<name>.closed_form``), and the identity is checked to stay
-    fixed.
+    window matrix stepped by ``expm_multiply``.  ``evolve.<name>.oracle``
+    compares it with the one dense oracle, ``dense.hilbert_evolve``, which
+    integrates ``dense.window_action`` on the realized window matrices;
+    partial-state generators are also compared with the closed form
+    ``lindblad.partial_semigroup_exact`` (``evolve.<name>.closed_form``),
+    and the identity is checked to stay fixed.
     """
     L = cfg.generator
     one = LocalOperator.identity(cfg.params)
@@ -161,12 +159,10 @@ def cmd_evolve(cfg: ExperimentConfig, report: RunReport):
             [_f17(t), lab.to_text(), _f17(c.real), _f17(c.imag), f"{err:.6e}"]
             for t, op, err in zip(res.grid, res.values, res.error_budget)
             for lab, c in op.items()))
-        dim = cfg.params.N ** (2 * len(window))
-        if dim <= dense.SUPEROP_DIM_GUARD:
-            oracle = dense.hilbert_evolve(L, dense.window(cfg.params, window), cfg.closure,
-                                          cfg.t_grid, x)
-            worst = max(val.sup_diff(ref) for val, ref in zip(res.values, oracle))
-            report.add(_le(f"evolve.{name}.oracle", worst, max(cfg.tol * 10, 1e-9)))
+        oracle = dense.hilbert_evolve(L, dense.window(cfg.params, window), cfg.closure,
+                                      cfg.t_grid, x)
+        worst = max(val.sup_diff(ref) for val, ref in zip(res.values, oracle))
+        report.add(_le(f"evolve.{name}.oracle", worst, max(cfg.tol * 10, 1e-9)))
         if L.kind == "partial":
             worst = max(val.sup_diff(lindblad.partial_semigroup_exact(L.state, x, t))
                         for val, t in zip(res.values, cfg.t_grid))
@@ -193,6 +189,12 @@ def cmd_ergodicity(cfg: ExperimentConfig, report: RunReport):
     one = LocalOperator.identity(cfg.params)
     rows = []
     rate_rows = []
+    # One generator per c serves every observable, and their member tables with it.
+    if cfg.kraus is not None:
+        Ltrans = lindblad.Lindbladian.translation_covariant(cfg.kraus)
+        generators = [(cval, lindblad.Lindbladian.partial_state(cfg.params, state) if cval == 0
+                       else lindblad.Lindbladian.perturbed(cfg.params, state, cfg.kraus, cval))
+                      for cval in cfg.c_values]
     for name, x in sorted(cfg.observables.items()):
         phi = lindblad.ergodic_state(state, x)
         norms = np.array([gns_norm(lindblad.partial_semigroup_exact(state, x, t) - one * phi)
@@ -206,15 +208,12 @@ def cmd_ergodicity(cfg: ExperimentConfig, report: RunReport):
         rows.append([name, _f17(phi.real), _f17(phi.imag), f"{rate:.12g}", f"{r2:.12g}"])
 
         if cfg.kraus is not None:
-            Ltrans = lindblad.Lindbladian.translation_covariant(cfg.kraus)
             phi0, _err0 = lindblad.perturbed_ergodic_state(state, Ltrans, 0.0, x)
             report.add(_le(f"ergodicity.{name}.perturbed_c0", abs(phi0 - phi), 1e-6,
                            "0 by construction: perturbed_ergodic_state at c = 0 "
                            "is ergodic_state(x)"))
             crates = []
-            for cval in cfg.c_values:
-                Lc = (lindblad.Lindbladian.partial_state(cfg.params, state) if cval == 0
-                      else lindblad.Lindbladian.perturbed(cfg.params, state, cfg.kraus, cval))
+            for cval, Lc in generators:
                 res = lindblad.evolve(Lc, x, cfg.t_grid, tol=min(cfg.tol, 1e-10))
                 vals = np.array([seminorm_one(vv) for vv in res.values])
                 mask = vals > 1e-14

@@ -28,7 +28,8 @@ Schema (key: type; default):
            member (default 0) indexes the generator's Kraus members
 [run]
     t_grid: ascending floats >= 0, or ``linspace start stop num``; 0 1
-    window: distinct sites; the command's default window
+    window: distinct sites holding every observable's support, with at most
+            dense.MAX_WINDOW_DIM strings (else exit 3); the command's default window
     method: ode, the only propagator (kept for configs that name it); ode
     closure: interior | clipped; interior
     tol: float > 0; 1e-9
@@ -279,6 +280,9 @@ def _run_options(run: dict[str, str], d: int, observables) -> dict:
             raise ConfigError("window needs at least one site", **at("window"))
         if len(set(window)) != len(window):
             raise ConfigError("window sites must be distinct", **at("window"))
+        for name, x in observables.items():
+            if not set(x.support()) <= set(window):
+                raise ConfigError(f"misses observable {name!r}'s support", **at("window"))
     pairs = tuple(tuple(spec.split(",")) for spec in run.get("pairs", "").split())
     if any(len(pair) != 2 or not set(pair) <= observables.keys() for pair in pairs):
         raise ConfigError(f"each pair must name two observables: {run['pairs']!r}", **at("pairs"))

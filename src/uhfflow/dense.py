@@ -32,12 +32,12 @@ import numpy as np
 from .algebra import AlgebraParams, LocalOperator, Site, WeylLabel, weyl_mul
 from .errors import ConvergenceError, SizeGuardError, StateError, WindowError
 
-# Largest N^(2n) = D^2 for an n-site window: the side of the generator
-# matrix ``choi_matrix`` exponentiates (its Choi matrix has the same side).
-# ``uhfflow evolve`` runs its oracle, ``hilbert_evolve``, on exactly the
-# windows under this guard, though that needs only D x D matrices, and
-# ``lindblad.perturbed_ergodic_state`` refuses larger windows.
-SUPEROP_DIM_GUARD = 10_000
+# The one size policy.  ``kernel.WindowKernel`` refuses a window of more
+# than MAX_WINDOW_DIM = N^(2n) strings (7 sites at N = 2), which sizes its
+# basis, D x D matrices and generator columns; objects indexed by pairs of
+# strings (pair-system vectors, Choi entries) are bounded by MAX_PAIR_DIM.
+MAX_WINDOW_DIM = 4**7
+MAX_PAIR_DIM = 70_000
 
 # Cache of per-string Kronecker matrices behind ``realize``: entries, and
 # the largest window dimension cached (at most 256 * 16**2 * 16 B = 1 MiB).
@@ -285,14 +285,12 @@ def choi_matrix(lindbladian, win: SiteWindow, closure_mode: str, t: float) -> np
 
     Row c of the generator's D^2 x D^2 matrix is ``window_action`` of the
     matrix unit E_ij, c = i D + j, flattened row-major; row c of its Pade
-    exponential is then e^{t L}(E_ij).  Raises ``SizeGuardError`` when
-    D^2 = N^(2n) exceeds ``SUPEROP_DIM_GUARD``.
+    exponential is then e^{t L}(E_ij).  Raises ``SizeGuardError`` when its
+    D^4 = N^(4n) entries exceed ``MAX_PAIR_DIM`` (4 sites at N = 2).
     """
     D = win.dim
-    if D * D > SUPEROP_DIM_GUARD:
-        raise SizeGuardError(
-            f"window basis has {D * D} elements, above the guard {SUPEROP_DIM_GUARD}"
-        )
+    if D**4 > MAX_PAIR_DIM:
+        raise SizeGuardError(f"Choi matrix has {D**4} entries, above the guard {MAX_PAIR_DIM}")
     units = np.eye(D * D, dtype=complex).reshape(D * D, D, D)
     generator = window_action(lindbladian, win, closure_mode)(units).reshape(D * D, D * D)
     import scipy.linalg

@@ -18,7 +18,8 @@ class StateError(UhfflowError):
 
 
 class SizeGuardError(UhfflowError):
-    """A dense or enumerative computation would exceed its size guard."""
+    """A size guard refused the work: a window past ``dense.MAX_WINDOW_DIM``
+    strings, a pair object past ``dense.MAX_PAIR_DIM``, or an enumeration."""
 
 
 class ConvergenceError(UhfflowError):

@@ -37,7 +37,7 @@ The flows of partial-state semigroups take the same single solve:
 ``eta_ergodicity_scan`` builds the F system on the support of x alone,
 which has no leak because every Kraus member acts on one site; u and v
 enter only through F_0, which is read from the product v u* for any
-support.  A window basis beyond ``DEFAULT_MAX_DIM`` raises ``SizeGuardError``.
+support.  A window beyond ``dense.MAX_WINDOW_DIM`` strings raises ``SizeGuardError``.
 """
 
 from __future__ import annotations
@@ -67,10 +67,6 @@ from .errors import FitError, SizeGuardError, WindowError
 from .kernel import WindowKernel
 from .lindblad import StepOperator, cumulative_simpson, expm_multiply, step_operator
 
-DEFAULT_MAX_DIM = 4096
-# Bounds n^2 for the pair system: its vectors have n^2 entries, and its one
-# n^2 x n^2 matrix is the Ito sum; the rest of its generator acts on n x n.
-MAX_PAIR_DIM = 70_000
 PICARD_SUB = 64  # Simpson nodes per piece in picard_element (even)
 PICARD_MAX_TERMS = 500_000  # terms summed by picard_tail_bound before it gives inf
 CERTIFIED_DEPTH_MAX = 100_000  # deepest Picard depth smallest_certified_depth tries
@@ -260,9 +256,6 @@ def build_generator_system(L: "_lb.Lindbladian", window_sites) -> FlowGeneratorS
     """
     if not window_sites:
         raise WindowError("window must be nonempty")
-    dim = L.params.N ** (2 * len(window_sites))
-    if dim > DEFAULT_MAX_DIM:
-        raise SizeGuardError(f"window basis dimension {dim} exceeds guard {DEFAULT_MAX_DIM}")
     kern = WindowKernel(L.params, window_sites)
     allowed = set(kern.sites)
     acting: dict[ModeKey, LocalOperator] = {
@@ -704,15 +697,15 @@ def pair_element(sys: FlowGeneratorSystem, u, f, v, g, t_grid,
     on this system and grid; the identity row G(1, .) must reproduce it,
     which sets ``consistent``.  Each piece's G generator acts on the n x n
     state through the F cell's generator plus the one Ito matrix
-    (``_pair_operator``); ``MAX_PAIR_DIM`` bounds n^2.
+    (``_pair_operator``); ``dense.MAX_PAIR_DIM`` bounds n^2 (4 sites at N = 2).
     """
     grid = dense.validate_grid(t_grid)
     if f_trajectory.basis != sys.basis or not np.array_equal(f_trajectory.grid, grid):
         raise ValueError("f_trajectory must be flow_element's solve on this system and grid")
     f, g = _harmonize(f, g)
     n = sys.dim
-    if n * n > MAX_PAIR_DIM:
-        raise SizeGuardError(f"pair basis dimension {n * n} exceeds guard {MAX_PAIR_DIM}")
+    if n * n > dense.MAX_PAIR_DIM:
+        raise SizeGuardError(f"pair basis dimension {n * n} exceeds guard {dense.MAX_PAIR_DIM}")
     G0 = _initial_pair_vector(sys, _initial_vector(sys, u, v, f, g))
     Gflat, est = _propagate(_pair_pieces(sys, _flow_pieces(sys, grid, f, g)), G0, grid, tol,
                             _scale(u, f, v, g))
@@ -849,7 +842,7 @@ def eta_ergodicity_scan(state, x: LocalOperator, u, f, v, g, t_grid) -> Ergodici
     symbolic product v u* whatever their supports, and a mode on a site
     outside the window meets no acting member and enters only through
     exp<f, g>.  Raises ``SizeGuardError`` when the window basis exceeds
-    ``DEFAULT_MAX_DIM`` (x on more than 6 sites at N = 2).
+    ``dense.MAX_WINDOW_DIM`` (x on more than 7 sites at N = 2).
     """
     grid = dense.validate_grid(t_grid)
     f, g = _harmonize(f, g)

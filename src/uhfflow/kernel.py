@@ -42,22 +42,26 @@ from .algebra import (
     weyl_adjoint,
     weyl_mul,
 )
+from .errors import SizeGuardError
 
 
 class WindowKernel:
     """A site window: its sites, Weyl-string basis and index, and the maps built on it.
 
     Raises ``WindowError`` for repeated sites or sites with the wrong
-    number of coordinates.
+    number of coordinates, and ``SizeGuardError`` before any basis is built
+    for more than ``dense.MAX_WINDOW_DIM`` strings: the one window-size check.
     """
 
     def __init__(self, params: AlgebraParams, sites):
         self.params = params
         self.sites: tuple[Site, ...] = dense.window(params, sites).sites
-        self.basis: list[WeylLabel] = dense.window_basis(params, self.sites)
-        self.index: dict[WeylLabel, int] = {lab: i for i, lab in enumerate(self.basis)}
         N, n = params.N, len(self.sites)
         self.dim = N ** (2 * n)
+        if self.dim > dense.MAX_WINDOW_DIM:
+            raise SizeGuardError(f"window has {self.dim} strings, above {dense.MAX_WINDOW_DIM}")
+        self.basis: list[WeylLabel] = dense.window_basis(params, self.sites)
+        self.index: dict[WeylLabel, int] = {lab: i for i, lab in enumerate(self.basis)}
         self.place = (N * N) ** np.arange(n - 1, -1, -1, dtype=np.int64)
         digits = (np.arange(self.dim, dtype=np.int64)[:, None] // self.place) % (N * N)
         self.a, self.b = np.divmod(digits, N)

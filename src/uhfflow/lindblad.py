@@ -671,7 +671,8 @@ def perturbed_ergodic_state(state, L: Lindbladian, c: float,
     prices the solve only, not the window cut.  Raises
     ``DivergenceError`` when K is exactly singular: then the window
     generator has more than one stationary state and P_t^{(c)} x need not
-    relax to a multiple of the identity.
+    relax to a multiple of the identity.  A window past
+    ``dense.MAX_WINDOW_DIM`` strings raises ``SizeGuardError``.
     """
     if c < 0:
         raise ValueError("perturbation weight must be nonnegative")
@@ -681,13 +682,7 @@ def perturbed_ergodic_state(state, L: Lindbladian, c: float,
     if L.kind != "translation":
         raise ValueError("the perturbing generator must be translation-covariant")
     pert = Lindbladian.perturbed(L.params, state, L.kraus, c)
-    sites = default_window(pert, x)
-    dim = L.params.N ** (2 * len(sites))
-    if dim > dense.SUPEROP_DIM_GUARD:
-        raise SizeGuardError(
-            f"window basis has {dim} elements, above the dense guard {dense.SUPEROP_DIM_GUARD}"
-        )
-    mat, basis, index, _edge = generator_matrix(pert, sites, "interior")
+    mat, basis, index, _edge = generator_matrix(pert, default_window(pert, x), "interior")
     phi_l_vec = np.array([
         ergodic_state(state, L.apply(LocalOperator.weyl(L.params, lab))) for lab in basis
     ])

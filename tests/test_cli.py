@@ -186,6 +186,10 @@ c_values = 0 0.5
 SCHEMA_ERRORS = {
     "site": ("evolve", EVOLVE.replace("window = 0 1", "window = 0 a"),
              "[run] window: bad site 'a'"),
+    "window_support": ("evolve", EVOLVE.replace("window = 0 1", "window = 0"),
+                       "[run] window: misses observable 'x'"),
+    "flow_window_support": ("flow", FLOW.replace("pairs = x,y", "pairs = x,y\nwindow = 0"),
+                            "[run] window: misses observable 'y'"),
     "rho": ("evolve", EVOLVE.replace("0.3 0\n", "0.9 0\n"),
             "[generator] rho: invalid density matrix"),
     "t_grid": ("evolve", EVOLVE.replace("t_grid = 0 0.5 1", "t_grid = 0 1 0.5"), "[run] t_grid:"),
@@ -235,7 +239,8 @@ def test_config_schema_error_exits_2(tmp_path, case):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("case", ["shift", "pairs", "contraction_t", "member"])
+@pytest.mark.parametrize("case", ["shift", "pairs", "contraction_t", "member",
+                                  "window_support", "flow_window_support"])
 def test_config_error_comes_before_any_solve(tmp_path, monkeypatch, case):
     import uhfflow.fock as fock
     import uhfflow.lindblad as lindblad

@@ -170,6 +170,7 @@ ERRORS = {
     "t_grid": ("run", "t_grid", FULL.replace("linspace 0 2 5", "0 nan")),
     "window": ("run", "window", FULL.replace("window = 0 1 2", "window = 0 1 1")),
     "window_empty": ("run", "window", FULL.replace("window = 0 1 2", "window =")),
+    "window_support": ("run", "window", FULL.replace("window = 0 1 2", "window = 0 2")),
     "method": ("run", "method", FULL.replace("method = ode", "method = rk45")),
     "method_exact": ("run", "method", FULL.replace("method = ode", "method = exact")),
     "method_series": ("run", "method", FULL.replace("method = ode", "method = series")),

@@ -226,9 +226,16 @@ class TestSuperoperator:
         got = dense.choi_matrix(L, win, "clipped", 0.5)
         assert np.array_equal(got, expected)
 
-    def test_dim_guard(self, p2, partial_maxmix):
-        big = dense.window(p2, [(i,) for i in range(8)])
-        with pytest.raises(SizeGuardError):
+    def test_dim_guard(self, p2, partial_maxmix, monkeypatch):
+        # 5 sites: D^4 = 4^10 Choi entries, above dense.MAX_PAIR_DIM; 4 sites fit.
+        assert 4**8 <= dense.MAX_PAIR_DIM < 4**10
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("realized past the guard")
+
+        monkeypatch.setattr(dense, "window_action", forbidden)
+        big = dense.window(p2, [(i,) for i in range(5)])
+        with pytest.raises(SizeGuardError, match="Choi"):
             dense.choi_matrix(partial_maxmix, big, "interior", 0.5)
 
 

@@ -99,9 +99,10 @@ class TestGeneratorSystem:
         assert np.abs(eta_sys.lhat_t.toarray()[col]).max() < 1e-14
 
     def test_dimension_guard(self, p2, maxmix):
+        # 8 sites: 4^8 strings, above dense.MAX_WINDOW_DIM.
         L = lb.Lindbladian.partial_state(p2, maxmix)
         with pytest.raises(SizeGuardError):
-            fock.build_generator_system(L, [(i,) for i in range(7)])
+            fock.build_generator_system(L, [(i,) for i in range(8)])
 
     def test_two_site_word_leaks(self, p2, pauli):
         r2 = pauli[0] * pauli[0].translate((1,))
@@ -672,7 +673,7 @@ class TestErgodicityScan:
 
     def test_support_beyond_the_size_guard(self, p2, maxmix, zf):
         x = LocalOperator.identity(p2)
-        for k in range(7):  # 7 sites: basis 4^7 > DEFAULT_MAX_DIM
+        for k in range(8):  # 8 sites: basis 4^8 > dense.MAX_WINDOW_DIM
             x = x * LocalOperator.site_word(p2, (k,), 1, 0)
         with pytest.raises(SizeGuardError):
             fock.eta_ergodicity_scan(maxmix, x, x, zf, x, zf, GRID)

@@ -18,7 +18,10 @@ Every module-level import comes before the module's first ``def`` or
 ``class``.  ``dense`` realizes a generator's window members in one
 function, so every dense oracle reads the same realization.  ``lindblad``
 translates Kraus members in one function, the one that fills the
-per-translate member table, so every map reads the same members.  No module
+per-translate member table, so every map reads the same members.  Only
+``WindowKernel.__init__`` reads ``MAX_WINDOW_DIM``, so one check bounds
+every window, and only the two pair-indexed builders read ``MAX_PAIR_DIM``;
+the guards they replaced are gone.  No module
 imports or names scipy's ``expm_multiply``: every matrix exponential is
 stepped by the package's one stepper, ``lindblad.expm_multiply``.  Every
 attribute the benchmark's span tracer times
@@ -293,6 +296,45 @@ def test_scanner_sees_a_second_member_translation():
     planted = (SOURCE / "lindblad.py").read_text() + (
         "\n\ndef sneaky(L, k):\n    return L.single_r().translate(k).adjoint()\n")
     assert functions_calling(planted, "translate") == ["_member_pairs", "sneaky"]
+
+
+def readers(sources: dict[str, str], name: str) -> list[str]:
+    """``module:Qualified.function`` of each read of ``name`` as a name or attribute."""
+    found = []
+
+    def visit(node, module, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        elif (isinstance(node, ast.Name) and node.id == name
+              or isinstance(node, ast.Attribute) and node.attr == name):
+            if isinstance(node.ctx, ast.Load) and f"{module}:{owner}" not in found:
+                found.append(f"{module}:{owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, "")
+    return found
+
+
+def test_one_size_policy():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert readers(sources, "MAX_WINDOW_DIM") == ["kernel:WindowKernel.__init__"]
+    assert readers(sources, "MAX_PAIR_DIM") == ["dense:choi_matrix", "fock:pair_element"]
+    assert [name for name in ("SUPEROP_DIM_GUARD", "DEFAULT_MAX_DIM")
+            if any(name in text for text in sources.values())] == []
+
+
+def test_scanner_sees_a_second_window_size_check():
+    planted = {
+        "kernel": (SOURCE / "kernel.py").read_text(),
+        "lindblad": (SOURCE / "lindblad.py").read_text()
+        + "\n\ndef sneaky(n):\n    return 4 ** n <= dense.MAX_WINDOW_DIM\n",
+        "extra": "from .dense import MAX_WINDOW_DIM\nLIMIT = MAX_WINDOW_DIM\n"
+                 "class K:\n    def f(self):\n        return MAX_WINDOW_DIM\n",
+    }
+    assert readers(planted, "MAX_WINDOW_DIM") == [
+        "kernel:WindowKernel.__init__", "lindblad:sneaky", "extra:", "extra:K.f"]
 
 
 def test_scanner_sees_calls():

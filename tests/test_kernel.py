@@ -19,7 +19,7 @@ import uhfflow.dense as dense
 import uhfflow.fock as fock
 import uhfflow.lindblad as lb
 from uhfflow.algebra import AlgebraParams, LocalOperator, WeylLabel, random_local, weyl_mul
-from uhfflow.errors import WindowError
+from uhfflow.errors import SizeGuardError, WindowError
 from uhfflow.kernel import WindowKernel
 
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -168,6 +168,56 @@ class TestWindowSites:
             ((2,), 0), ((2,), 1), ((2,), 2),
             ((3,), 0), ((3,), 1),
         ]
+
+
+# Every window path, given 8 sites at N = 2 (4^8 strings, above
+# dense.MAX_WINDOW_DIM) directly or as the default window of x's support.
+WIDE = [(k,) for k in range(8)]
+BIASED = dense.StateSpec(np.diag([0.7, 0.3]))
+ZERO = fock.TestFunction.zero()
+WINDOW_PATHS = {
+    "WindowKernel": lambda L, x: WindowKernel(x.params, WIDE),
+    "generator_matrix": lambda L, x: lb.generator_matrix(L, WIDE),
+    "evolve": lambda L, x: lb.evolve(L, x, [0.0, 0.5]),
+    "build_generator_system": lambda L, x: fock.build_generator_system(L, WIDE),
+    "eta_ergodicity_scan": lambda L, x: fock.eta_ergodicity_scan(BIASED, x, x, ZERO, x, ZERO,
+                                                                 [0.0, 0.5]),
+    "perturbed_ergodic_state": lambda L, x: lb.perturbed_ergodic_state(BIASED, L, 0.1, x),
+}
+
+
+class TestSizePolicy:
+    """``WindowKernel`` is the one window-size check; pair objects meet ``MAX_PAIR_DIM``."""
+
+    @staticmethod
+    def _forbid(monkeypatch, module, name):
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError(f"{name} called past the guard")
+
+        monkeypatch.setattr(module, name, forbidden)
+
+    @pytest.mark.parametrize("path", WINDOW_PATHS)
+    def test_every_window_path_refuses_before_its_basis(self, p2, monkeypatch, path):
+        L = lb.Lindbladian.single_kraus(LocalOperator.site_word(p2, (0,), 1, 0))
+        x = LocalOperator.identity(p2)
+        for site in WIDE:
+            x = x * LocalOperator.site_word(p2, site, 1, 1)
+        self._forbid(monkeypatch, dense, "window_basis")
+        with pytest.raises(SizeGuardError):
+            WINDOW_PATHS[path](L, x)
+
+    def test_seven_sites_are_admitted(self, p2):
+        assert WindowKernel(p2, WIDE[:7]).dim == dense.MAX_WINDOW_DIM
+
+    def test_pair_system_is_bounded(self, p2, monkeypatch):
+        # 5 sites: n^2 = 4^10 pair entries, above dense.MAX_PAIR_DIM.
+        L = lb.Lindbladian.single_kraus(LocalOperator.site_word(p2, (0,), 1, 0))
+        sys_ = fock.build_generator_system(L, WIDE[:5])
+        one = LocalOperator.identity(p2)
+        fwd = fock.flow_element(sys_, one, ZERO, one, ZERO, [0.0])
+        self._forbid(monkeypatch, fock, "_initial_pair_vector")
+        with pytest.raises(SizeGuardError, match="pair"):
+            fock.pair_element(sys_, one, ZERO, one, ZERO, [0.0], fwd)
 
 
 class TestEvolveWindowShapes:

@@ -633,7 +633,7 @@ class TestPerturbedErgodicState:
 
     def test_dense_guard_before_assembly(self, p3, monkeypatch):
         # N=3 and a 2-site Kraus word: the default window has 5 sites and
-        # 59 049 labels, far above the dense guard.
+        # 59 049 labels, far above dense.MAX_WINDOW_DIM.
         r = LocalOperator.site_word(p3, (0,), 1, 0) * LocalOperator.site_word(p3, (1,), 0, 1)
         L = lb.Lindbladian.single_kraus(r)
         state = dense.StateSpec(np.diag([0.5, 0.3, 0.2]))
@@ -641,9 +641,9 @@ class TestPerturbedErgodicState:
         assert len(lb.default_window(lb.Lindbladian.perturbed(p3, state, L.kraus, 0.5), x)) == 5
 
         def forbidden(*_args, **_kwargs):
-            raise AssertionError("assembled past the guard")
+            raise AssertionError("built a basis past the guard")
 
-        monkeypatch.setattr(lb, "generator_matrix", forbidden)
+        monkeypatch.setattr(dense, "window_basis", forbidden)
         with pytest.raises(SizeGuardError):
             lb.perturbed_ergodic_state(state, L, 0.5, x)
 
