@@ -46,12 +46,6 @@ COEFF_TOL = 1e-15
 # see a few thousand distinct products.
 PRODUCT_TABLE_SIZE = 1 << 16
 
-# Cache of the per-site word stacks behind ``seminorm_one``: entries, and
-# the largest support dimension cached (an N = 2 entry of dimension 16 is
-# 3 * 16**2 * 16 B = 12 KiB).  Its norms see a few small supports.
-WORD_STACK_CACHE_SIZE = 64
-WORD_STACK_CACHE_DIM = 16
-
 Site = tuple[int, ...]
 
 
@@ -502,39 +496,21 @@ def seminorm_one(x: LocalOperator) -> float:
     W = (U^a V^b)^{(j)} runs over (a, b) != (0, 0).  Only j in supp(x)
     can contribute; the identity has seminorm zero.  x is realized once on
     supp(x), which holds supp([W, x]), and ||A (x) 1|| = ||A||; the N**2 - 1
-    commutators at one site are normed as one stack.  On supports of
-    dimension up to ``WORD_STACK_CACHE_DIM`` each site's stack of words is
-    read from a bounded cache of read-only arrays keyed by (N, position,
-    support size) (``_word_stack``), which lives as long as the process.
+    commutators at one site are normed as one stack, whose words
+    ``dense.embedded_words`` reads from the string cache behind ``realize``.
     """
     from . import dense  # local import: norms need the dense realization
 
     supp = x.support()
     if not supp:
         return 0.0
-    N = x.params.N
     X = dense.realize(x, dense.SiteWindow(x.params, supp))
-    size = len(supp)
-    stack = _word_stack if N**size <= WORD_STACK_CACHE_DIM else _word_stack.__wrapped__
     total = 0.0
-    for i in range(size):
-        W = stack(N, i, size)
+    for i in range(len(supp)):
+        W = dense.embedded_words(x.params.N, i, len(supp))
         norms = np.linalg.norm(W @ X - X @ W, 2, axis=(1, 2))
         total = sum(norms.tolist(), total)
     return total
-
-
-@functools.lru_cache(maxsize=WORD_STACK_CACHE_SIZE)
-def _word_stack(N: int, position: int, size: int) -> np.ndarray:
-    """Read-only stack of the N**2 - 1 words U^a V^b at ``position`` of ``size`` sites."""
-    from . import dense  # local import: the site words are dense matrices
-
-    left = np.eye(N**position)
-    right = np.eye(N ** (size - position - 1))
-    W = np.array([np.kron(np.kron(left, dense.site_word(N, a, b)), right)
-                  for a in range(N) for b in range(N) if (a, b) != (0, 0)])
-    W.flags.writeable = False
-    return W
 
 
 def random_label(params: AlgebraParams, rng, sites, max_weight: int = 2) -> WeylLabel:

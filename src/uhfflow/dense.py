@@ -39,10 +39,10 @@ from .errors import ConvergenceError, SizeGuardError, StateError, WindowError
 MAX_WINDOW_DIM = 4**7
 MAX_PAIR_DIM = 70_000
 
-# Cache of per-string Kronecker matrices behind ``realize``: entries, and
-# the largest window dimension cached (at most 256 * 16**2 * 16 B = 1 MiB).
-# The norms of the identity checks realize the same few strings on small
-# supports; the evolve oracle's windows (dimension 27 and up) reuse few.
+# Cache of per-string Kronecker matrices behind ``realize`` and
+# ``embedded_words``: entries, and the largest window dimension cached (at
+# most 256 * 16**2 * 16 B = 1 MiB).  Norms realize the same few strings on
+# small supports; the evolve oracle's windows (dimension 27 and up) reuse few.
 STRING_MATRIX_CACHE_SIZE = 256
 STRING_MATRIX_CACHE_DIM = 16
 
@@ -127,10 +127,10 @@ def window(params: AlgebraParams, sites) -> SiteWindow:
 def realize(x: LocalOperator, win: SiteWindow) -> np.ndarray:
     """Kronecker realization of x on the window (identity off-support).
 
-    On windows of dimension up to ``STRING_MATRIX_CACHE_DIM`` each string's
-    Kronecker product of site words is read from a bounded cache of
-    read-only matrices (``_string_matrix``); the result is a fresh array.
-    No symbolic product (``weyl_mul``) is used, so this stays an
+    Each string's Kronecker product of site words is read from
+    ``_strings``: a bounded cache of read-only matrices on windows of
+    dimension up to ``STRING_MATRIX_CACHE_DIM``; the result is a fresh
+    array.  No symbolic product (``weyl_mul``) is used, so this stays an
     independent check of the product law.
     """
     if x.params != win.params:
@@ -139,11 +139,25 @@ def realize(x: LocalOperator, win: SiteWindow) -> np.ndarray:
         raise WindowError(f"support {x.support()} not contained in window {win.sites}")
     N = win.params.N
     dim = win.dim
-    string = _string_matrix if dim <= STRING_MATRIX_CACHE_DIM else _string_matrix.__wrapped__
+    string = _strings(dim)
     out = np.zeros((dim, dim), dtype=complex)
     for label, coeff in x.items():
         out += coeff * string(N, tuple(label.exponents(site) for site in win.sites))
     return out
+
+
+def embedded_words(N: int, position: int, size: int) -> np.ndarray:
+    """Fresh stack of the N**2 - 1 words U^a V^b at ``position`` of ``size``
+    sites (identity elsewhere), each read from ``_strings`` as ``realize`` does."""
+    string = _strings(N**size)
+    pad = ((0, 0),)
+    return np.array([string(N, pad * position + ((a, b),) + pad * (size - position - 1))
+                     for a in range(N) for b in range(N) if (a, b) != (0, 0)])
+
+
+def _strings(dim: int):
+    """``_string_matrix``, cached on windows of dimension <= ``STRING_MATRIX_CACHE_DIM``."""
+    return _string_matrix if dim <= STRING_MATRIX_CACHE_DIM else _string_matrix.__wrapped__
 
 
 @functools.lru_cache(maxsize=STRING_MATRIX_CACHE_SIZE)
@@ -366,12 +380,10 @@ def matrix_to_local(params: AlgebraParams, site, mat: np.ndarray) -> LocalOperat
     mat = np.asarray(mat, dtype=complex)
     if mat.shape != (N, N):
         raise ValueError(f"matrix shape {mat.shape} does not match N={N}")
+    coeffs = _weyl_coefficients(mat[None], N, 1)[0]
     terms = {}
-    for a in range(N):
-        for b in range(N):
-            w = site_word(N, a, b)
-            c = np.trace(w.conj().T @ mat) / N
-            if abs(c) > 1e-15:
-                label = WeylLabel.from_entries([(tuple(site), (a, b))], N, params.d)
-                terms[label] = complex(c)
+    for digit, c in enumerate(coeffs):
+        if abs(c) > 1e-15:
+            label = WeylLabel.from_entries([(tuple(site), divmod(digit, N))], N, params.d)
+            terms[label] = complex(c)
     return LocalOperator(params, terms)

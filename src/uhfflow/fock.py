@@ -329,8 +329,6 @@ class PairTrajectory:
     index: dict[WeylLabel, int]
     G: np.ndarray  # (T, dim, dim)
     error_estimate: np.ndarray
-    consistent: bool
-    consistency_violation: float
 
     def of_pair(self, x: LocalOperator, y: LocalOperator) -> np.ndarray:
         cx = dense.coefficient_vector(x, self.index)
@@ -690,18 +688,16 @@ def smallest_certified_depth(x: LocalOperator, f: TestFunction, t0: float,
 
 
 def pair_element(sys: FlowGeneratorSystem, u, f, v, g, t_grid,
-                 f_trajectory: MatrixElementTrajectory, tol: float = 1e-10) -> PairTrajectory:
+                 tol: float = 1e-10) -> PairTrajectory:
     """Solve the doubled system G_t(U_a, U_b) for every pair of window labels.
 
-    ``f_trajectory`` is ``flow_element``'s solve of the same (u, f, v, g)
-    on this system and grid; the identity row G(1, .) must reproduce it,
-    which sets ``consistent``.  Each piece's G generator acts on the n x n
-    state through the F cell's generator plus the one Ito matrix
-    (``_pair_operator``); ``dense.MAX_PAIR_DIM`` bounds n^2 (4 sites at N = 2).
+    Each piece's G generator acts on the n x n state through the F cell's
+    generator plus the one Ito matrix (``_pair_operator``);
+    ``dense.MAX_PAIR_DIM`` bounds n^2 (4 sites at N = 2).  Its identity
+    row is F of the same (u, f, v, g), stepped by the same F pieces;
+    ``homomorphism_defect`` checks that against ``flow_element``'s solve.
     """
     grid = dense.validate_grid(t_grid)
-    if f_trajectory.basis != sys.basis or not np.array_equal(f_trajectory.grid, grid):
-        raise ValueError("f_trajectory must be flow_element's solve on this system and grid")
     f, g = _harmonize(f, g)
     n = sys.dim
     if n * n > dense.MAX_PAIR_DIM:
@@ -709,11 +705,7 @@ def pair_element(sys: FlowGeneratorSystem, u, f, v, g, t_grid,
     G0 = _initial_pair_vector(sys, _initial_vector(sys, u, v, f, g))
     Gflat, est = _propagate(_pair_pieces(sys, _flow_pieces(sys, grid, f, g)), G0, grid, tol,
                             _scale(u, f, v, g))
-    G = Gflat.reshape(len(grid), n, n)
-    id_row = sys.index[WeylLabel.identity()]
-    violation = float(np.max(np.abs(G[:, id_row, :] - f_trajectory.F)))
-    consistent = violation <= 10.0 * max(tol, float(np.max(f_trajectory.error_estimate)))
-    return PairTrajectory(grid, sys.basis, sys.index, G, est, consistent, violation)
+    return PairTrajectory(grid, sys.basis, sys.index, Gflat.reshape(len(grid), n, n), est)
 
 
 class HomomorphismReport(NamedTuple):
@@ -728,14 +720,21 @@ def homomorphism_defect(ftraj: MatrixElementTrajectory, gtraj: PairTrajectory,
     """max_t |F_t(xy) - G_t(x, y)| and its error budget, one report per pair (x, y).
 
     ``ftraj`` and ``gtraj`` are the F and G solves of one (u, f, v, g) on
-    one grid (``pair_element`` checks that); every pair reads them.
+    one system and grid, else ``ValueError``; every pair reads them.
+    ``consistent``: G's identity row is F to within 10 x F's largest
+    estimate, which holds by construction (both step the same F pieces).
     """
+    if ftraj.basis != gtraj.basis or not np.array_equal(ftraj.grid, gtraj.grid):
+        raise ValueError("the F and G solves must share one basis and grid")
+    id_row = gtraj.G[:, gtraj.index[WeylLabel.identity()], :]
+    violation = float(np.abs(id_row - ftraj.F).max())
+    consistent = violation <= 10.0 * float(ftraj.error_estimate.max())
     reports = []
     for x, y in pairs:
         xy = x * y
         D = np.abs(ftraj.of_operator(xy) - gtraj.of_pair(x, y))
         est = ftraj.error_of(xy) + gtraj.error_of(x, y)
-        reports.append(HomomorphismReport(float(D.max()), float(est.max()), D, gtraj.consistent))
+        reports.append(HomomorphismReport(float(D.max()), float(est.max()), D, consistent))
     return reports
 
 

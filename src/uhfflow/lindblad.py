@@ -221,16 +221,12 @@ class Lindbladian:
 
     # -- pointwise maps ----------------------------------------------------
 
-    def delta(self, k, x: LocalOperator, member: int | None = None) -> LocalOperator:
-        """delta_k(x) = [x, r_k] for the selected Kraus member."""
+    def delta(self, k, x: LocalOperator) -> LocalOperator:
+        """delta_k(x) = [x, r_k] for the family's one Kraus member."""
         pairs = self._member_pairs(k)
-        if member is None:
-            if len(pairs) != 1:
-                raise ValueError(
-                    f"family has {len(pairs)} members; pass member= to pick one"
-                )
-            member = 0
-        return commutator(x, pairs[member][0])
+        if len(pairs) != 1:
+            raise ValueError(f"family has {len(pairs)} members; delta needs exactly one")
+        return commutator(x, pairs[0][0])
 
     def delta_list(self, k, x: LocalOperator) -> list[LocalOperator]:
         return [commutator(x, m) for m, _md in self._member_pairs(k)]
@@ -513,11 +509,15 @@ def cumulative_simpson(y, dx: float) -> np.ndarray:
 
 @dataclass
 class EvolutionResult:
-    """Heisenberg-picture trajectory of one observable on a time grid."""
+    """Heisenberg-picture trajectory of one observable on a time grid.
+
+    ``identity_image`` is ||L_W(1)||_1, the l1 mass of the window matrix's
+    identity column: P_t(1) = 1 for every t exactly when it is 0."""
 
     grid: np.ndarray
     values: list[LocalOperator]
     error_budget: np.ndarray
+    identity_image: float
     window_sites: tuple[Site, ...] = ()
 
 
@@ -594,7 +594,8 @@ def evolve(L: Lindbladian, x: LocalOperator, t_grid, tol: float = 1e-10,
     times = np.concatenate([[0.0], grid]) if late else grid
     weights = [edge_rates @ np.abs(vec) for vec in [x0] * late + values_vec]
     edge = cumulative_trapezoid(weights, times)[-len(grid):]
-    return EvolutionResult(grid, values, tol + edge, sites)
+    identity_image = float(abs(mat[:, index[WeylLabel.identity()]]).sum())
+    return EvolutionResult(grid, values, tol + edge, identity_image, sites)
 
 
 def _evolve_expm(mat, x0, grid):

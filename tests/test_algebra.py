@@ -383,16 +383,6 @@ class TestBatchedSeminorm:
             assert abs(seminorm_one(x) - ref) <= 1e-12 * max(1.0, ref)
 
 
-    def test_word_stacks_are_shared_and_read_only(self, p2):
-        x = (LocalOperator.site_word(p2, (0,), 1, 0) * LocalOperator.site_word(p2, (1,), 0, 1)
-             + LocalOperator.site_word(p2, (1,), 1, 1, 0.5))
-        first = seminorm_one(x)
-        stack = algebra._word_stack(2, 1, 2)
-        assert stack.shape == (3, 4, 4) and not stack.flags.writeable
-        assert algebra._word_stack(2, 1, 2) is stack
-        assert seminorm_one(x) == first
-        assert abs(first - seminorm_reference(x)) <= 1e-12
-
 class TestCanonicalization:
     def test_zero_coefficients_dropped(self, p2, pauli):
         sx = pauli[0]

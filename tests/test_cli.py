@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from uhfflow.algebra import WeylLabel
 from uhfflow.cli import main
 
 # The benchmark's recorded verdicts; read here, never written.
@@ -68,6 +69,47 @@ def test_passing_run_exits_0(tmp_path):
         "evolve.x.oracle", "evolve.x.closed_form", "evolve.unitality"]
     assert set(report["verdicts"][0]) == {"name", "passed", "value", "threshold", "note"}
     assert (tmp_path / "out" / "results" / "evolve_x.csv").exists()
+
+
+def test_evolve_assembles_one_generator_per_observable(tmp_path, monkeypatch):
+    import uhfflow.lindblad as lindblad
+
+    calls = []
+
+    def counted(*args, _fn=lindblad.generator_matrix, **kwargs):
+        calls.append(args[1])
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(lindblad, "generator_matrix", counted)
+    config = EVOLVE.replace("x = 1 0 ; 0:1,0 1:0,1", "x = 1 0 ; 0:1,0 1:0,1\ny = 1 0 ; 1:1,1")
+    res = _invoke(tmp_path, ["evolve"], config)
+    assert res.exit_code == 0, res.output
+    # evolve.unitality reads the observables' window matrices: no identity solve.
+    assert len(calls) == 2
+    verdicts = _report(tmp_path)["verdicts"]
+    assert verdicts[-1]["name"] == "evolve.unitality" and verdicts[-1]["value"] == 0.0
+
+
+def test_identity_image_fails_unitality(tmp_path, monkeypatch):
+    import scipy.sparse
+
+    from uhfflow.kernel import WindowKernel
+
+    generator = WindowKernel.generator
+
+    def planted(self, members):
+        # A nonzero entry in the identity's column: L_W(1) != 0.
+        mat, leak = generator(self, members)
+        plant = scipy.sparse.csr_matrix(([1e-6], ([1], [self.index[WeylLabel.identity()]])),
+                                        shape=mat.shape)
+        return mat + plant, leak
+
+    monkeypatch.setattr(WindowKernel, "generator", planted)
+    res = _invoke(tmp_path, ["evolve"], EVOLVE)
+    assert res.exit_code == 1, res.output
+    unitality = _report(tmp_path)["verdicts"][-1]
+    assert unitality["name"] == "evolve.unitality" and not unitality["passed"]
+    assert unitality["value"] == pytest.approx(1e-6)
 
 
 def test_failed_verdict_exits_1(tmp_path):
@@ -227,6 +269,8 @@ SCHEMA_ERRORS = {
                     "[generator] kraus: lemma suites need a single-operator translation family"),
     "ergodicity_rho": ("ergodicity", LEMMA_FAIL,
                        "[generator] rho: ergodicity needs a partial-state rho"),
+    "evolve_observables": ("evolve", EVOLVE.replace("[observables]\nx = 1 0 ; 0:1,0 1:0,1\n", ""),
+                           "[observables]: evolve needs at least one observable"),
 }
 
 
@@ -240,7 +284,8 @@ def test_config_schema_error_exits_2(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", ["shift", "pairs", "contraction_t", "member",
-                                  "window_support", "flow_window_support"])
+                                  "window_support", "flow_window_support",
+                                  "evolve_observables"])
 def test_config_error_comes_before_any_solve(tmp_path, monkeypatch, case):
     import uhfflow.fock as fock
     import uhfflow.lindblad as lindblad

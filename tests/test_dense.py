@@ -107,6 +107,16 @@ class TestRealize:
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
 
+    @pytest.mark.parametrize("size", [3, 5])  # cached, and above STRING_MATRIX_CACHE_DIM
+    def test_embedded_words(self, size):
+        # Site 1 of ``size`` at N = 2: 1 (x) U^a V^b (x) 1, a fresh array each call.
+        W = dense.embedded_words(2, 1, size)
+        ref = [np.kron(np.kron(np.eye(2), dense.site_word(2, a, b)), np.eye(2 ** (size - 2)))
+               for a, b in ((0, 1), (1, 0), (1, 1))]
+        np.testing.assert_array_equal(W, ref)
+        W[0, 0, 0] = 7.0
+        assert dense.embedded_words(2, 1, size)[0, 0, 0] == ref[0][0, 0]
+
 
 SITES = [(-1,), (0,), (1,)]
 

@@ -9,7 +9,7 @@ import scipy.sparse
 import uhfflow.dense as dense
 import uhfflow.fock as fock
 import uhfflow.lindblad as lb
-from uhfflow.algebra import AlgebraParams, LocalOperator, gns_inner, random_local
+from uhfflow.algebra import AlgebraParams, LocalOperator, WeylLabel, gns_inner, random_local
 from uhfflow.errors import FitError, SizeGuardError, WindowError
 
 
@@ -44,7 +44,7 @@ GRID = np.linspace(0.0, 2.0, 9)
 def _homomorphism(sys_, pairs, u, f, v, g, grid):
     """One F and one G solve of (u, f, v, g), read for every pair."""
     ftraj = fock.flow_element(sys_, u, f, v, g, grid)
-    gtraj = fock.pair_element(sys_, u, f, v, g, grid, ftraj)
+    gtraj = fock.pair_element(sys_, u, f, v, g, grid)
     return fock.homomorphism_defect(ftraj, gtraj, pairs)
 
 
@@ -176,7 +176,7 @@ class TestFlowElement:
         assert ftraj.error_of(sz)[-1] > ftraj.error_of(sz)[0]  # leak accrues
         np.testing.assert_allclose(ftraj.error_of(3.0 * sz), 3.0 * ftraj.error_of(sz),
                                    rtol=1e-15)
-        gtraj = fock.pair_element(sys_, one, f, sx, f, grid, ftraj)
+        gtraj = fock.pair_element(sys_, one, f, sx, f, grid)
         np.testing.assert_allclose(gtraj.error_of(3.0 * sz, 2.0 * sx),
                                    6.0 * gtraj.error_of(sz, sx), rtol=1e-15)
 
@@ -399,7 +399,7 @@ class TestPairSystem:
         u = random_local(p2, rng, [(0,)], include_identity=True)
         v = random_local(p2, rng, [(0,)])
         ftraj = fock.flow_element(eta_sys, u, f, v, g, [0.0])
-        gtraj = fock.pair_element(eta_sys, u, f, v, g, [0.0], ftraj)
+        gtraj = fock.pair_element(eta_sys, u, f, v, g, [0.0])
         for a in eta_sys.basis:
             for b in eta_sys.basis:
                 xa, yb = LocalOperator.weyl(p2, a), LocalOperator.weyl(p2, b)
@@ -410,24 +410,37 @@ class TestPairSystem:
         f, g = driven_pair
         sx, sz, _, one = pauli
         ftraj = fock.flow_element(eta_sys, sx, f, sz, g, GRID)
-        gtraj = fock.pair_element(eta_sys, sx, f, sz, g, GRID, ftraj)
-        assert gtraj.consistent
-        assert gtraj.consistency_violation < 1e-9
+        gtraj = fock.pair_element(eta_sys, sx, f, sz, g, GRID)
+        id_row = gtraj.G[:, eta_sys.index[WeylLabel.identity()], :]
+        assert np.abs(id_row - ftraj.F).max() < 1e-9
+        rep, = fock.homomorphism_defect(ftraj, gtraj, [(sx, sz)])
+        assert rep.consistent
+        # A planted change to G's identity row, past 10 x F's largest estimate.
+        id_row[-1, 1] += 20 * ftraj.error_estimate.max()
+        rep, = fock.homomorphism_defect(ftraj, gtraj, [(sx, sz)])
+        assert not rep.consistent
 
     def test_vacuum_pair_example(self, eta_sys, p2, pauli, zf):
         sx, _, _, one = pauli
         ftraj = fock.flow_element(eta_sys, one, zf, one, zf, GRID)
-        gtraj = fock.pair_element(eta_sys, one, zf, one, zf, GRID, ftraj)
+        gtraj = fock.pair_element(eta_sys, one, zf, one, zf, GRID)
         vals = gtraj.of_pair(sx, sx)
         assert np.abs(vals - 1.0).max() < 1e-10
         with pytest.raises(WindowError):
             gtraj.of_pair(sx, sx.translate((1,)))
 
-    def test_needs_matching_f_trajectory(self, eta_sys, pauli, zf):
-        one = pauli[3]
-        ftraj = fock.flow_element(eta_sys, one, zf, one, zf, GRID[:3])
-        with pytest.raises(ValueError):
-            fock.pair_element(eta_sys, one, zf, one, zf, GRID, ftraj)
+    def test_needs_matching_f_trajectory(self, eta_sys, p2, maxmix, pauli, zf):
+        # homomorphism_defect reads F and G of one system and grid.
+        sx, _, _, one = pauli
+        gtraj = fock.pair_element(eta_sys, one, zf, one, zf, GRID)
+        short = fock.flow_element(eta_sys, one, zf, one, zf, GRID[:3])
+        with pytest.raises(ValueError, match="basis and grid"):
+            fock.homomorphism_defect(short, gtraj, [(sx, sx)])
+        L = lb.Lindbladian.partial_state(p2, maxmix)
+        wide = fock.flow_element(fock.build_generator_system(L, [(0,), (1,)]),
+                                 one, zf, one, zf, GRID)
+        with pytest.raises(ValueError, match="basis and grid"):
+            fock.homomorphism_defect(wide, gtraj, [(sx, sx)])
 
 
 class TestHomomorphism:

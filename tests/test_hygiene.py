@@ -21,7 +21,9 @@ translates Kraus members in one function, the one that fills the
 per-translate member table, so every map reads the same members.  Only
 ``WindowKernel.__init__`` reads ``MAX_WINDOW_DIM``, so one check bounds
 every window, and only the two pair-indexed builders read ``MAX_PAIR_DIM``;
-the guards they replaced are gone.  No module
+the guards they replaced are gone.  Only ``dense._string_matrix`` takes
+Kronecker products of site words, so one cache holds every Kronecker
+string; the separate word-stack cache is gone.  No module
 imports or names scipy's ``expm_multiply``: every matrix exponential is
 stepped by the package's one stepper, ``lindblad.expm_multiply``.  Every
 attribute the benchmark's span tracer times
@@ -296,6 +298,40 @@ def test_scanner_sees_a_second_member_translation():
     planted = (SOURCE / "lindblad.py").read_text() + (
         "\n\ndef sneaky(L, k):\n    return L.single_r().translate(k).adjoint()\n")
     assert functions_calling(planted, "translate") == ["_member_pairs", "sneaky"]
+
+
+def functions_calling_all(source: str, names) -> list[str]:
+    """Innermost functions that call every one of ``names``, as ``f(...)`` or
+    ``<x>.f(...)``, in order of their first call."""
+    calls: dict[str | None, set[str]] = {}
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            calls.setdefault(owner, set()).add(called)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return [owner for owner, called in calls.items() if set(names) <= called]
+
+
+def test_one_kronecker_word_cache():
+    found = {path.stem: functions_calling_all(path.read_text(), ("kron", "site_word"))
+             for path in PACKAGE}
+    assert {module: fns for module, fns in found.items() if fns} == {"dense": ["_string_matrix"]}
+    assert [name for name in ("_word_stack", "WORD_STACK_CACHE_")
+            if any(name in path.read_text() for path in PACKAGE)] == []
+
+
+def test_scanner_sees_a_second_kronecker_product_of_site_words():
+    planted = (SOURCE / "algebra.py").read_text() + (
+        "\n\ndef sneaky(N):\n    W = dense.site_word(N, 1, 0)\n"
+        "    return np.kron(np.eye(N), W)\n")
+    assert functions_calling_all(planted, ("kron", "site_word")) == ["sneaky"]
 
 
 def readers(sources: dict[str, str], name: str) -> list[str]:

@@ -214,10 +214,9 @@ class TestSizePolicy:
         L = lb.Lindbladian.single_kraus(LocalOperator.site_word(p2, (0,), 1, 0))
         sys_ = fock.build_generator_system(L, WIDE[:5])
         one = LocalOperator.identity(p2)
-        fwd = fock.flow_element(sys_, one, ZERO, one, ZERO, [0.0])
         self._forbid(monkeypatch, fock, "_initial_pair_vector")
         with pytest.raises(SizeGuardError, match="pair"):
-            fock.pair_element(sys_, one, ZERO, one, ZERO, [0.0], fwd)
+            fock.pair_element(sys_, one, ZERO, one, ZERO, [0.0])
 
 
 class TestEvolveWindowShapes:

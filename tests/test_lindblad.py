@@ -79,8 +79,8 @@ class TestDerivations:
 
     def test_member_indexing(self, p2, maxmix):
         L = lb.Lindbladian.partial_state(p2, maxmix)
-        with pytest.raises(ValueError):
-            L.delta((0,), LocalOperator.identity(p2))  # 4 members, must pick one
+        with pytest.raises(ValueError, match="4 members"):
+            L.delta((0,), LocalOperator.identity(p2))  # delta needs a single-member family
         assert len(L.delta_list((0,), LocalOperator.identity(p2))) == 4
 
 
