@@ -332,11 +332,6 @@ class LocalOperator:
             return self * other
         return NotImplemented
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self * (1.0 / other)
-        return NotImplemented
-
     # -- *-algebra operations -------------------------------------------
 
     def adjoint(self) -> "LocalOperator":

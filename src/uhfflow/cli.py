@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dense, fock, lindblad
 from .algebra import LocalOperator, gns_inner, gns_norm, seminorm_one
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, check_command, load_config
 from .errors import ConfigError, UhfflowError
 from .selftest import COVARIANCE_NOTE, UNITALITY_NOTE, Verdict, _ge, _le, run_all
 
@@ -122,6 +122,7 @@ def _config_command(name: str):
         def command(config_path, out, seed):
             def start():
                 cfg = load_config(config_path)
+                check_command(cfg, name)
                 if seed is not None:
                     cfg.seed = seed
                 return cfg.digest, cfg.seed, functools.partial(body, cfg)
@@ -150,8 +151,6 @@ def cmd_evolve(cfg: ExperimentConfig, report: RunReport):
     solves, read from the window matrices they built: no further solve.
     """
     observables = sorted(cfg.observables.items())
-    if not observables:
-        raise ConfigError("evolve needs at least one observable", section="observables")
     L = cfg.generator
     identity_image = 0.0
 
@@ -185,9 +184,6 @@ def cmd_evolve(cfg: ExperimentConfig, report: RunReport):
 @_config_command("ergodicity")
 def cmd_ergodicity(cfg: ExperimentConfig, report: RunReport):
     """Decay tables, rate fits, ergodic and perturbed-ergodic states."""
-    if cfg.state is None:
-        raise ConfigError("ergodicity needs a partial-state rho", section="generator",
-                          field="rho")
     state = cfg.state
     one = LocalOperator.identity(cfg.params)
     rows = []
@@ -330,13 +326,7 @@ def cmd_flow(cfg: ExperimentConfig, report: RunReport):
 @_config_command("lemma")
 def cmd_lemma(cfg: ExperimentConfig, report: RunReport):
     """Iterated-derivation identity and bound suites."""
-    if cfg.generator.kind != "translation" or len(cfg.generator.kraus.ops) != 1:
-        raise ConfigError("lemma suites need a single-operator translation family",
-                          section="generator",
-                          field="kind" if cfg.generator.kind != "translation" else "kraus")
     obs = sorted(cfg.observables.items())
-    if not obs:
-        raise ConfigError("lemma needs at least one observable", section="observables")
     L = cfg.generator
     rng = np.random.default_rng(cfg.seed)
     rows = []

@@ -7,6 +7,10 @@ unknown section or key is an error too, so a misspelt option cannot turn
 a check off.  An operator is ``re im ; site:alpha,beta ...`` terms joined
 by ``|`` or one per line; a site is d comma-joined integers.
 
+``check_command`` then checks what a command needs: each command that
+reads a config at least one observable, ``ergodicity`` rho, and ``lemma``
+a single-operator translation family.
+
 Schema (key: type; default):
 
 [algebra], required
@@ -301,6 +305,24 @@ def _run_options(run: dict[str, str], d: int, observables) -> dict:
         contraction_t=(_parse_number(run["contraction_t"], at("contraction_t"))
                        if "contraction_t" in run else None),
     )
+
+
+def check_command(cfg: ExperimentConfig, command: str):
+    """Raise ``ConfigError`` unless ``cfg`` has what ``command`` needs:
+    one (section, field, holds, diagnostic) row per need, in order."""
+    single = "lemma suites need a single-operator translation family"
+    needs = {
+        "ergodicity": [("generator", "rho", cfg.state is not None,
+                        "ergodicity needs a partial-state rho")],
+        "lemma": [("generator", "kind", cfg.generator.kind == "translation", single),
+                  ("generator", "kraus", cfg.kraus is not None and len(cfg.kraus.ops) == 1,
+                   single)],
+    }.get(command, [])
+    needs.append(("observables", None, bool(cfg.observables),
+                  f"{command} needs at least one observable"))
+    for section, field, holds, message in needs:
+        if not holds:
+            raise ConfigError(message, section=section, field=field)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -234,9 +234,8 @@ class FlowGeneratorSystem:
         return float(self.leak[key].max()) if self.dim else 0.0
 
     def map_l1(self, key) -> float:
-        mat = self.lhat_t if key == "lhat" else (
-            self.delta_t[key] if key in self.delta_t else self.delta_dag_t[key]
-        )
+        """Largest column l1 mass of delta_k for the mode key ``key``."""
+        mat = self.delta_t[key]
         if mat.nnz == 0:
             return 0.0
         return float(np.abs(mat).sum(axis=1).max())
@@ -489,6 +488,8 @@ def _pair_pieces(sys: FlowGeneratorSystem, pieces: list[_Piece]) -> list[_Piece]
     ito_rate = 0.0
     for key in sys.noise:
         ito = ito + scipy.sparse.kron(sys.delta_dag_t[key], sys.delta_t[key], format="csr")
+        # delta_k^dag = * o delta_k o *, and the adjoint permutes the window
+        # strings up to phases, so both maps have the same largest column mass.
         ld, ldd, mass = sys.leak_max(("d", key)), sys.leak_max(("dd", key)), sys.map_l1(key)
         ito_rate += ldd * mass + mass * ld + ldd * ld
     ito_op = step_operator(ito)

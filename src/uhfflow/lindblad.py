@@ -19,11 +19,12 @@ decay-rate fitting, and the multi-derivation / expansion / bound harness
 used to exercise the iterated-commutator estimates that control
 everything else.
 
-The symbolic maps of a :class:`Lindbladian` read two tables the instance
-fills on first use and keeps for its lifetime: per translate k, the
-translated Kraus members with their adjoints (m_k, m_k*); and per
-absolute pair (k, U_b), the string image L_k(U_b), so that L_k(x) is
-sum_b x_b L_k(U_b).  Nothing is shared between instances.
+Each structure map of a :class:`Lindbladian` has one accessor:
+``lind_k`` for L_k, ``derivation(+-1, ...)`` for delta_k and delta_k^dag.
+They read two tables the instance fills on first use and keeps for its
+lifetime: per translate k, the members with their adjoints (m_k, m_k*)
+(``_member_pairs``); and per absolute pair (k, U_b), the string image
+L_k(U_b), so that L_k(x) is sum_b x_b L_k(U_b).  Nothing is shared.
 """
 
 from __future__ import annotations
@@ -107,16 +108,22 @@ def _site_sub(s: Site, k: Site) -> Site:
     return tuple(a - b for a, b in zip(s, k))
 
 
+def _member_term(m: LocalOperator, md: LocalOperator, x: LocalOperator) -> LocalOperator:
+    """One member's generator term (1/2)([m*, x] m + m* [x, m])."""
+    return (commutator(md, x) * m + md * commutator(x, m)) * 0.5
+
+
 class Lindbladian:
     """Generator bundle: Kraus members, kind, and translation metadata.
 
-    The base members and their support are computed once, at
-    construction.  Two tables are filled on first use and live as long as
-    the instance: the member table (translate k -> the pairs (m_k, m_k*),
-    read by every pointwise and windowed map) and the string-image table
-    ((k, U_b) -> L_k(U_b), read by ``lind_k`` and so by ``apply``,
-    ``derivation(0, ...)`` and the lemma harness).  Image keys are
-    absolute: no entry is derived by translating another.
+    ``lind_k`` reads L_k of any kind, ``derivation`` also delta_k and
+    delta_k^dag of a single-operator translation family.  The base members
+    and their support are computed once, at construction.  Two tables are
+    filled on first use and live as long as the instance: the member table
+    (translate k -> the pairs (m_k, m_k*), read through ``_member_pairs``)
+    and the string-image table ((k, U_b) -> L_k(U_b), read by ``lind_k``
+    and so by ``apply`` and the lemma harness).  Image keys are absolute:
+    no entry is derived by translating another.
     """
 
     def __init__(self, params: AlgebraParams, kind: str,
@@ -197,14 +204,6 @@ class Lindbladian:
             pairs = self._members[k] = tuple((m, m.adjoint()) for m in moved)
         return pairs
 
-    def members_at(self, k) -> list[LocalOperator]:
-        """Kraus members of the translate-k generator, read from the member table.
-
-        The table holds each translate's members with their adjoints; it is
-        filled on first use and lives as long as this instance.
-        """
-        return [m for m, _md in self._member_pairs(k)]
-
     def single_r(self) -> LocalOperator:
         if self.kind != "translation" or len(self.kraus.ops) != 1:
             raise ValueError("operation requires a single-operator translation family")
@@ -221,19 +220,6 @@ class Lindbladian:
 
     # -- pointwise maps ----------------------------------------------------
 
-    def delta(self, k, x: LocalOperator) -> LocalOperator:
-        """delta_k(x) = [x, r_k] for the family's one Kraus member."""
-        pairs = self._member_pairs(k)
-        if len(pairs) != 1:
-            raise ValueError(f"family has {len(pairs)} members; delta needs exactly one")
-        return commutator(x, pairs[0][0])
-
-    def delta_list(self, k, x: LocalOperator) -> list[LocalOperator]:
-        return [commutator(x, m) for m, _md in self._member_pairs(k)]
-
-    def delta_dag_list(self, k, x: LocalOperator) -> list[LocalOperator]:
-        return [commutator(md, x) for _m, md in self._member_pairs(k)]
-
     def _image(self, k: Site, label: WeylLabel) -> LocalOperator:
         """L_k(U_label) by the member formula, computed once per (k, label)."""
         key = (k, label)
@@ -242,7 +228,7 @@ class Lindbladian:
             u = LocalOperator.weyl(self.params, label)
             image = LocalOperator.zero(self.params)
             for m, md in self._member_pairs(k):
-                image = image + (commutator(md, u) * m + md * commutator(u, m)) * 0.5
+                image = image + _member_term(m, md, u)
             self._images[key] = image
         return image
 
@@ -262,20 +248,15 @@ class Lindbladian:
                 out[lab] = out.get(lab, 0j) + coeff * c
         return LocalOperator._merged(self.params, out)
 
-    def lind_zero(self, x: LocalOperator) -> LocalOperator:
-        return self.lind_k(self.params.origin(), x)
-
     def lind_zero_anticommutator_form(self, x: LocalOperator) -> LocalOperator:
-        """-(1/2){T(1), x} + T(x); must agree with lind_zero symbolically.
+        """-(1/2){T(1), x} + T(x); must agree with ``lind_k`` at the origin.
 
         Computed afresh on every call, not from the string-image table, so
         it stays a cross-check of ``lind_k``.
         """
-        members = self.members_at(self.params.origin())
         t1 = LocalOperator.zero(self.params)
         tx = LocalOperator.zero(self.params)
-        for m in members:
-            md = m.adjoint()
+        for m, md in self._member_pairs(self.params.origin()):
             t1 = t1 + md * m
             tx = tx + md * x * m
         return tx - (t1 * x + x * t1) * 0.5
@@ -288,7 +269,10 @@ class Lindbladian:
         return out
 
     def derivation(self, eps: int, k, x: LocalOperator) -> LocalOperator:
-        """delta_k for eps=+1, L_k for eps=0, delta_k^dag for eps=-1 (single r)."""
+        """delta_k(x) = [x, r_k] (eps = +1), L_k(x) (0) or delta_k^dag(x) = [r_k*, x] (-1).
+
+        eps = +-1 needs a single-operator translation family, whose member is r.
+        """
         if eps == 0:
             return self.lind_k(k, x)
         self.single_r()  # raises unless a single-operator translation family
@@ -305,8 +289,8 @@ class Lindbladian:
         corr = LocalOperator.zero(self.params)
         ks = set(self.contributing_sites(x)) | set(self.contributing_sites(y))
         for k in sorted(ks):
-            for dx, dy in zip(self.delta_dag_list(k, x), self.delta_list(k, y)):
-                corr = corr + dx * dy
+            for m, md in self._member_pairs(k):
+                corr = corr + commutator(md, x) * commutator(y, m)
         return (lhs - corr).sup_diff(LocalOperator.zero(self.params))
 
     # -- windowed action ---------------------------------------------------
@@ -334,7 +318,7 @@ class Lindbladian:
         out = []
         for k in sorted({_site_sub(s, b) for s in allowed for b in base_supp}):
             out += [((k, i), m, allowed.issuperset(m.support()))
-                    for i, m in enumerate(self.members_at(k))]
+                    for i, (m, _md) in enumerate(self._member_pairs(k))]
         return out
 
     def window_members(self, sites, closure_mode: str = "interior") -> list[LocalOperator]:
@@ -376,7 +360,7 @@ class Lindbladian:
                         continue
                     m = self._clip_factors(m, allowed)
                     md = m.adjoint()
-                out = out + (commutator(md, x) * m + md * commutator(x, m)) * 0.5
+                out = out + _member_term(m, md, x)
         return out
 
     def __repr__(self):
@@ -684,8 +668,11 @@ def perturbed_ergodic_state(state, L: Lindbladian, c: float,
         raise ValueError("the perturbing generator must be translation-covariant")
     pert = Lindbladian.perturbed(L.params, state, L.kraus, c)
     mat, basis, index, _edge = generator_matrix(pert, default_window(pert, x), "interior")
+    # The row reads each string image once, so it builds them in a
+    # generator of its own: the caller's image table would keep them all.
+    row = Lindbladian.translation_covariant(L.kraus)
     phi_l_vec = np.array([
-        ergodic_state(state, L.apply(LocalOperator.weyl(L.params, lab))) for lab in basis
+        ergodic_state(state, row.apply(LocalOperator.weyl(L.params, lab))) for lab in basis
     ])
 
     # scipy.sparse.linalg loads scipy.linalg; only this branch needs it.
@@ -786,7 +773,7 @@ def leibniz_expansion_check(L: Lindbladian, x: LocalOperator, kbar) -> float:
     for k in kbar:
         lhs = L.lind_k(k, lhs)
     L.single_r()  # raises unless a single-operator translation family
-    r_at = [L.members_at(k)[0] for k in kbar]
+    r_at = [L._member_pairs(k)[0][0] for k in kbar]
     rhs = LocalOperator.zero(L.params)
     for bits in range(1 << n):
         P = [i for i in range(n) if bits >> i & 1]

@@ -140,9 +140,10 @@ def lindblad_checks(rng) -> list[Verdict]:
     Lr = lindblad.Lindbladian.single_kraus(sx, unital=True)
     out = []
     out.append(_le("lindblad.delta_example",
-                   Lr.delta((0,), sz).sup_diff(LocalOperator.site_word(p, (0,), 1, 1, -2.0)), 0.0))
+                   Lr.derivation(1, (0,), sz).sup_diff(
+                       LocalOperator.site_word(p, (0,), 1, 1, -2.0)), 0.0))
     out.append(_le("lindblad.lind_zero_example",
-                   Lr.lind_zero(sz).sup_diff(sz * -2.0), 0.0))
+                   Lr.lind_k((0,), sz).sup_diff(sz * -2.0), 0.0))
     worst = 0.0
     sites = [(0,), (1,)]
     for L in (Lp, Lr):

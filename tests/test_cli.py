@@ -271,6 +271,12 @@ SCHEMA_ERRORS = {
                        "[generator] rho: ergodicity needs a partial-state rho"),
     "evolve_observables": ("evolve", EVOLVE.replace("[observables]\nx = 1 0 ; 0:1,0 1:0,1\n", ""),
                            "[observables]: evolve needs at least one observable"),
+    "flow_observables": ("flow", FLOW.replace("pairs = x,y\n", "").replace(
+        "[observables]\nx = 2 0 ; 0:0,1\ny = 1 0 ; 1:1,0\n", ""),
+        "[observables]: flow needs at least one observable"),
+    "ergodicity_observables": ("ergodicity", ERGODICITY.replace(
+        "[observables]\nx = 1 0 ; 0:1,0\ny = 1 0 ; 0:0,1 1:1,0\n", ""),
+        "[observables]: ergodicity needs at least one observable"),
 }
 
 
@@ -285,7 +291,8 @@ def test_config_schema_error_exits_2(tmp_path, case):
 
 @pytest.mark.parametrize("case", ["shift", "pairs", "contraction_t", "member",
                                   "window_support", "flow_window_support",
-                                  "evolve_observables"])
+                                  "evolve_observables", "flow_observables",
+                                  "ergodicity_observables"])
 def test_config_error_comes_before_any_solve(tmp_path, monkeypatch, case):
     import uhfflow.fock as fock
     import uhfflow.lindblad as lindblad

@@ -23,7 +23,12 @@ per-translate member table, so every map reads the same members.  Only
 every window, and only the two pair-indexed builders read ``MAX_PAIR_DIM``;
 the guards they replaced are gone.  Only ``dense._string_matrix`` takes
 Kronecker products of site words, so one cache holds every Kronecker
-string; the separate word-stack cache is gone.  No module
+string; the separate word-stack cache is gone.  ``Lindbladian`` hands
+out each structure map through one accessor, so the overlapping methods
+it had (and ``LocalOperator.__truediv__``) stay gone: no class defines
+them again and no module or test reads them.  ``cli.py`` constructs no
+``ConfigError``: what each command needs of a config is checked in
+``config``, before any command body runs.  No module
 imports or names scipy's ``expm_multiply``: every matrix exponential is
 stepped by the package's one stepper, ``lindblad.expm_multiply``.  Every
 attribute the benchmark's span tracer times
@@ -332,6 +337,51 @@ def test_scanner_sees_a_second_kronecker_product_of_site_words():
         "\n\ndef sneaky(N):\n    W = dense.site_word(N, 1, 0)\n"
         "    return np.kron(np.eye(N), W)\n")
     assert functions_calling_all(planted, ("kron", "site_word")) == ["sneaky"]
+
+
+# Methods removed when each structure map got one accessor.
+REMOVED = {"Lindbladian": ("delta", "delta_list", "delta_dag_list", "members_at", "lind_zero"),
+           "LocalOperator": ("__truediv__",)}
+
+
+def revived_names(source: str, removed) -> list[str]:
+    """``Class.name`` for each removed method ``source`` defines again, then
+    ``.name`` for each removed name it reads as an attribute."""
+    tree = ast.parse(source)
+    found = [f"{node.name}.{item.name}" for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef) and node.name in removed
+             for item in node.body
+             if isinstance(item, ast.FunctionDef) and item.name in removed[node.name]]
+    names = {name for group in removed.values() for name in group}
+    return found + sorted({f".{node.attr}" for node in ast.walk(tree)
+                           if isinstance(node, ast.Attribute) and node.attr in names})
+
+
+def test_removed_accessors_stay_gone():
+    tests = sorted(Path(__file__).resolve().parent.glob("*.py"))
+    revived = {path.name: revived_names(path.read_text(), REMOVED) for path in PACKAGE + tests}
+    assert {name: found for name, found in revived.items() if found} == {}
+
+
+def test_scanner_sees_a_revived_accessor():
+    planted = (SOURCE / "lindblad.py").read_text().replace(
+        "    def lind_k(self, k, x: LocalOperator) -> LocalOperator:",
+        "    def lind_zero(self, x):\n        return self.lind_k(self.params.origin(), x)\n\n"
+        "    def lind_k(self, k, x: LocalOperator) -> LocalOperator:")
+    planted += "\n\ndef sneaky(L, x):\n    return L.members_at((0,)) + [L.delta((0,), x)]\n"
+    assert revived_names(planted, REMOVED) == ["Lindbladian.lind_zero", ".delta", ".members_at"]
+
+
+def test_cli_constructs_no_config_error():
+    assert functions_calling_all((SOURCE / "cli.py").read_text(), ("ConfigError",)) == []
+
+
+def test_scanner_sees_a_config_error_in_a_command_body():
+    planted = (SOURCE / "cli.py").read_text().replace(
+        "    obs = sorted(cfg.observables.items())\n",
+        "    obs = sorted(cfg.observables.items())\n    if not obs:\n"
+        "        raise ConfigError('lemma needs at least one observable')\n")
+    assert functions_calling_all(planted, ("ConfigError",)) == ["cmd_lemma"]
 
 
 def readers(sources: dict[str, str], name: str) -> list[str]:

@@ -59,52 +59,53 @@ class TestKrausFamily:
 class TestDerivations:
     def test_delta_example(self, L_flip, pauli):
         _, sz, sxz, _ = pauli
-        assert L_flip.delta((0,), sz).sup_diff(sxz * -2.0) == 0.0
+        assert L_flip.derivation(1, (0,), sz).sup_diff(sxz * -2.0) == 0.0
 
     def test_delta_of_identity(self, L_flip, pauli):
-        assert L_flip.delta((0,), pauli[3]).is_zero()
+        assert L_flip.derivation(1, (0,), pauli[3]).is_zero()
 
     def test_delta_disjoint_support(self, L_flip, p2, rng):
         x = random_local(p2, rng, [(3,)])
-        assert L_flip.delta((0,), x).is_zero()
+        assert L_flip.derivation(1, (0,), x).is_zero()
 
     def test_leibniz_rule(self, L_flip, p2, rng):
         sites = [(0,), (1,)]
         for _ in range(10):
             x = random_local(p2, rng, sites)
             y = random_local(p2, rng, sites)
-            lhs = L_flip.delta((0,), x * y)
-            rhs = x * L_flip.delta((0,), y) + L_flip.delta((0,), x) * y
+            lhs = L_flip.derivation(1, (0,), x * y)
+            rhs = x * L_flip.derivation(1, (0,), y) + L_flip.derivation(1, (0,), x) * y
             assert lhs.sup_diff(rhs) < 1e-12
 
     def test_member_indexing(self, p2, maxmix):
         L = lb.Lindbladian.partial_state(p2, maxmix)
-        with pytest.raises(ValueError, match="4 members"):
-            L.delta((0,), LocalOperator.identity(p2))  # delta needs a single-member family
-        assert len(L.delta_list((0,), LocalOperator.identity(p2))) == 4
+        assert len(L.base_members()) == 4
+        for eps in (1, -1):  # the derivations need a single-member family
+            with pytest.raises(ValueError, match="single-operator translation family"):
+                L.derivation(eps, (0,), LocalOperator.identity(p2))
 
 
 class TestLindZero:
     def test_identity_annihilated(self, L_flip, L_partial, pauli):
         one = pauli[3]
-        assert L_flip.lind_zero(one).is_zero(1e-14)
-        assert L_partial.lind_zero(one).is_zero(1e-14)
+        assert L_flip.lind_k((0,), one).is_zero(1e-14)
+        assert L_partial.lind_k((0,), one).is_zero(1e-14)
 
     def test_flip_example(self, L_flip, pauli):
         _, sz, _, _ = pauli
-        assert L_flip.lind_zero(sz).sup_diff(sz * -2.0) == 0.0
+        assert L_flip.lind_k((0,), sz).sup_diff(sz * -2.0) == 0.0
 
     def test_forms_agree(self, L_flip, L_partial, p2, rng):
         for L in (L_flip, L_partial):
             for _ in range(10):
                 x = random_local(p2, rng, [(0,), (1,)])
-                assert L.lind_zero(x).sup_diff(
+                assert L.lind_k((0,), x).sup_diff(
                     L.lind_zero_anticommutator_form(x)) < 1e-12
 
     def test_partial_is_state_minus_identity(self, L_partial, p2, rng, maxmix):
         x = random_local(p2, rng, [(0,)], include_identity=True)
         expected = LocalOperator.identity(p2) * lb.ergodic_state(maxmix, x) - x
-        assert L_partial.lind_zero(x).sup_diff(expected) < 1e-12
+        assert L_partial.lind_k((0,), x).sup_diff(expected) < 1e-12
 
 
 class TestLindTotal:
@@ -702,6 +703,16 @@ class TestPerturbedErgodicState:
         monkeypatch.setattr(lb, "expm_multiply", forbidden)
         val, _ = lb.perturbed_ergodic_state(biased, L_flip, 0.1, pauli[1])
         assert abs(val - 0.4 / 1.2) < 1e-12
+
+    def test_callers_image_table_does_not_grow(self, pauli):
+        # The row reads every basis string's image once; it must not leave
+        # them in the caller's generator.
+        sx, sz = pauli[0], pauli[1]
+        L = lb.Lindbladian.single_kraus(sx * sx.translate((1,)) + 0.5 * sz)
+        state = dense.StateSpec(np.array([[0.7, 0.1], [0.1, 0.3]]))
+        val, _ = lb.perturbed_ergodic_state(state, L, 0.1, sx)
+        assert abs(val - 0.19665075) < 1e-8
+        assert L._images == {}
 
     def test_invariance_under_flow(self, biased, L_flip, p2, pauli):
         c = 0.1
