@@ -28,10 +28,14 @@ G -> A G + G A^T + Ito G, and the Ito sum is its only n^2 x n^2 matrix.
 Every piece is stepped by ``lindblad.expm_multiply``, on a generator
 prepared once per cell.  Both systems are solved for the whole window
 basis, so one solve per (u, f, v, g) and grid serves every observable
-and pair, and the checks read those trajectories.  Truncation to a
-finite site window drops operator mass outside it; that l1 mass is
-recorded per map and drives every error estimate, which bounds one basis
-string and is scaled by the observable's l1 norm (``error_of``).
+and pair, and the checks read those trajectories.  Each error estimate
+bounds one basis string and is scaled by the observable's l1 norm
+(``error_of``).  It has two terms.  The caller's ``tol`` is a certified
+bound on the stepper's truncation error at every grid time: the pieces
+share it, each one's share shrunk by the growth the later pieces'
+log-norms allow (``_propagate``); roundoff is outside it.  Truncation to
+a finite site window drops operator mass outside it; that l1 mass is
+recorded per map and gives the leak term.
 
 The flows of partial-state semigroups take the same single solve:
 ``eta_ergodicity_scan`` builds the F system on the support of x alone,
@@ -65,7 +69,13 @@ from .algebra import (
 )
 from .errors import FitError, SizeGuardError, WindowError
 from .kernel import WindowKernel
-from .lindblad import StepOperator, cumulative_simpson, expm_multiply, step_operator
+from .lindblad import (
+    StepOperator,
+    cumulative_simpson,
+    expm_multiply,
+    split_tolerance,
+    step_operator,
+)
 
 PICARD_SUB = 64  # Simpson nodes per piece in picard_element (even)
 PICARD_MAX_TERMS = 500_000  # terms summed by picard_tail_bound before it gives inf
@@ -460,8 +470,10 @@ def _pair_operator(cell: StepOperator, ito: StepOperator, n: int) -> StepOperato
 
     On G it is (A - aI) G + G (A - aI)^T + (Ito - cI) G plus the shift
     2a + c, with a = tr A / n and c = tr Ito / n^2, so the shifted kron
-    form is never assembled.  2 ||A - aI||_1 + ||Ito - cI||_1 is at least
-    its 1-norm.
+    form is never assembled.  Its norms and log-norm are bounded by 2 x the
+    cell's plus the Ito matrix's: X (x) 1 and 1 (x) X have the norms and
+    log-norms of X, norms obey the triangle inequality and log-norms are
+    subadditive.
     """
     def shifted(vec: np.ndarray) -> np.ndarray:
         G = vec.reshape(n, n)
@@ -471,7 +483,8 @@ def _pair_operator(cell: StepOperator, ito: StepOperator, n: int) -> StepOperato
         out += ito.shifted(vec)
         return out
 
-    return StepOperator(2.0 * cell.mu + ito.mu, shifted, 2.0 * cell.norm + ito.norm)
+    return StepOperator(2.0 * cell.mu + ito.mu, shifted, 2.0 * cell.norm + ito.norm,
+                        2.0 * cell.norm_inf + ito.norm_inf, 2.0 * cell.growth + ito.growth)
 
 
 def _pair_pieces(sys: FlowGeneratorSystem, pieces: list[_Piece]) -> list[_Piece]:
@@ -511,10 +524,18 @@ def _leak_accrual(pieces: list[_Piece]) -> dict[float, float]:
 
 
 def _propagate(pieces: list[_Piece], F0, grid, tol, scale):
-    """Step across the pieces; vectors and leak budgets at the grid points."""
+    """Step across the pieces; vectors and error estimates at the grid points.
+
+    The pieces share ``tol`` by ``lindblad.split_tolerance``, each one's
+    share shrunk by the growth its log-norm allows on the later pieces, so
+    every state is within ``tol`` of the exact solution of the truncated
+    system in the max norm, up to roundoff.  The estimate adds the leak
+    budget accrued by each grid time.
+    """
+    budgets = split_tolerance(tol, [(p.b - p.a, p.op.growth) for p in pieces])
     states = {0.0: F0}
-    for p in pieces:
-        states[p.b] = expm_multiply(p.op, states[p.a], p.b - p.a)
+    for p, budget in zip(pieces, budgets):
+        states[p.b] = expm_multiply(p.op, states[p.a], p.b - p.a, budget)
     leak = _leak_accrual(pieces)
     out = np.array([states[float(t)] for t in grid])
     return out, np.array([tol + scale * leak[float(t)] for t in grid])
@@ -529,7 +550,8 @@ def flow_element(sys: FlowGeneratorSystem, u, f, v, g, t_grid,
 
     Advances piece by piece by the action of the matrix exponential
     (``expm_multiply``), each cell's generator prepared once for all of its
-    pieces.  The one solve serves every observable on the window:
+    pieces, to within ``tol`` of the truncated system (``_propagate``).
+    The one solve serves every observable on the window:
     ``of_operator(x)`` reads F_t(x) and ``error_of(x)`` its budget.
     """
     grid = dense.validate_grid(t_grid)
@@ -831,24 +853,26 @@ class ErgodicityScan:
     fit_start: float
 
 
-def eta_ergodicity_scan(state, x: LocalOperator, u, f, v, g, t_grid) -> ErgodicityScan:
+def eta_ergodicity_scan(state, x: LocalOperator, u, f, v, g, t_grid,
+                        tol: float = 1e-10) -> ErgodicityScan:
     """|F_t(x) - Phi(x) <u e(f), v e(g)>| and its fitted decay rate.
 
     F is one ``flow_element`` solve of the partial-state flow on the
     window of x's support (the origin when x is a scalar).  Each Kraus
     member acts on one site, so the maps keep the window's basis, the
-    window has no leak and the solve is exact up to the stepper.  u and v
-    enter only through F_0 = <u, U_b v> exp<f, g>, read from the one
-    symbolic product v u* whatever their supports, and a mode on a site
-    outside the window meets no acting member and enters only through
-    exp<f, g>.  Raises ``SizeGuardError`` when the window basis exceeds
+    window has no leak and the solve is exact up to the stepper's certified
+    ``tol`` (and roundoff).  u and v enter only through
+    F_0 = <u, U_b v> exp<f, g>, read from the one symbolic product v u*
+    whatever their supports, and a mode on a site outside the window
+    meets no acting member and enters only through exp<f, g>.  Raises
+    ``SizeGuardError`` when the window basis exceeds
     ``dense.MAX_WINDOW_DIM`` (x on more than 7 sites at N = 2).
     """
     grid = dense.validate_grid(t_grid)
     f, g = _harmonize(f, g)
     L = _lb.Lindbladian.partial_state(x.params, state)
     sys = build_generator_system(L, x.support() or [(0,) * x.params.d])
-    values = flow_element(sys, u, f, v, g, grid).of_operator(x)
+    values = flow_element(sys, u, f, v, g, grid, tol=tol).of_operator(x)
     target = _lb.ergodic_state(state, x) * gns_inner(u, v) * exp_inner(f, g)
     dev = np.abs(values - target)
     drive_end = 0.0

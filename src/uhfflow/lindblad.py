@@ -61,11 +61,14 @@ from .kernel import WindowKernel
 ENUM_GUARD = 200_000
 WINDOW_PAD_FACTOR = 2  # default_window pads by this many Kraus diameters
 # expm_multiply's Taylor stepping: theta_m is the largest h ||A - mu I||_1
-# for which m terms meet the unit roundoff TAYLOR_TOL (Al-Mohy & Higham,
-# SIAM J. Sci. Comput. 33 (2011) 488-511).  Copied from scipy's
-# ``sparse/linalg/_expm_multiply.py``: m <= 30 from table A.3 of Higham &
-# Al-Mohy, Acta Numerica 19 (2010) 159-208, the rest from table 3.1 of
-# the 2011 paper.  The order of the entries breaks ties in the degree choice.
+# for which m terms keep the backward error of a step below the unit
+# roundoff 2^-53 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)
+# 488-511).  It only sizes the steps (taylor_degree); each sum stops on
+# a certified bound of its own remainder, at the caller's budget.  Copied
+# from scipy's ``sparse/linalg/_expm_multiply.py``: m <= 30 from table
+# A.3 of Higham & Al-Mohy, Acta Numerica 19 (2010) 159-208, the rest from
+# table 3.1 of the 2011 paper.  The order of the entries breaks ties in
+# the degree choice.
 TAYLOR_THETA = {
     1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
     6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
@@ -75,7 +78,7 @@ TAYLOR_THETA = {
     26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
-TAYLOR_TOL = 2.0**-53
+TAYLOR_MAX_TERMS = 100  # terms one substep may sum before expm_multiply gives up
 
 
 @dataclass(frozen=True)
@@ -373,15 +376,21 @@ class Lindbladian:
 class StepOperator(NamedTuple):
     """A generator A prepared once for :func:`expm_multiply`, however many steps read it.
 
-    ``mu`` is the shift tr A / n, ``shifted(v)`` is (A - mu I) v as a
-    fresh array (:func:`expm_multiply` scales it in place), and ``norm``
-    is ||A - mu I||_1 or an upper bound of it; a bound only makes the
-    degree choice more conservative.
+    ``mu`` is the shift tr A / n and ``shifted(v)`` is (A - mu I) v as a
+    fresh array (:func:`expm_multiply` scales it in place).  The three
+    numbers are upper bounds, exact or not: ``norm`` of ||A - mu I||_1,
+    which sizes the Taylor steps; ``norm_inf`` of ||A - mu I||_inf, which
+    bounds the ratio of consecutive Taylor terms; and ``growth`` of the
+    logarithmic inf-norm mu_inf(A) = max_i (Re a_ii + sum_{j != i} |a_ij|),
+    so that ||e^{tA}||_inf <= e^{t growth}.  A looser bound only costs
+    matvecs: every certificate stays true.
     """
 
     mu: complex
     shifted: Callable[[np.ndarray], np.ndarray]
     norm: float
+    norm_inf: float
+    growth: float
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """A v, unshifted."""
@@ -389,12 +398,19 @@ class StepOperator(NamedTuple):
 
 
 def step_operator(mat) -> StepOperator:
-    """A square sparse matrix as a :class:`StepOperator`: its trace shift and exact 1-norm."""
+    """A square sparse matrix as a :class:`StepOperator`: its trace shift and exact norms.
+
+    The row sums of |A - mu I| give both the inf-norm and, with the
+    diagonal put back as its real part, the logarithmic inf-norm.
+    """
     n = mat.shape[0]
     mu = complex(mat.trace()) / n
     shifted = (mat - mu * scipy.sparse.identity(n, dtype=complex, format="csr")).tocsr()
-    norm = float(abs(shifted).sum(axis=0).max()) if shifted.nnz else 0.0
-    return StepOperator(mu, shifted.dot, norm)
+    mag = abs(shifted)
+    rows = np.asarray(mag.sum(axis=1)).ravel()
+    diag = shifted.diagonal()
+    growth = mu.real + float((rows - np.abs(diag) + diag.real).max())
+    return StepOperator(mu, shifted.dot, float(mag.sum(axis=0).max()), float(rows.max()), growth)
 
 
 def taylor_degree(norm: float) -> tuple[int, int]:
@@ -405,7 +421,9 @@ def taylor_degree(norm: float) -> tuple[int, int]:
     from the 1-norm alone whenever their condition (3.13) holds, which at
     m_max = 55 and ell = 2 is norm <= 63.36; above that it is still
     accurate, only possibly more matvecs than their power-norm estimates
-    would choose.
+    would choose.  :func:`expm_multiply` takes s substeps; m* is the
+    degree each would need at unit roundoff, and its sums stop at their
+    certified budgets instead, before or after m* terms.
     """
     if norm == 0.0:
         return 0, 1
@@ -421,37 +439,69 @@ def _inf_norm(v: np.ndarray) -> float:
     return float(np.abs(v).max(initial=0.0))
 
 
-def expm_multiply(op: StepOperator, v: np.ndarray, h: float) -> np.ndarray:
-    """e^{hA} v for the generator A of ``op``: Al-Mohy & Higham's Algorithm 3.2.
+def expm_multiply(op: StepOperator, v: np.ndarray, h: float, budget: float) -> np.ndarray:
+    """e^{hA} v for the generator A of ``op``, to within ``budget`` in the max norm.
 
-    s steps of e^{h mu / s} times the Taylor polynomial of degree m* in
-    (h / s)(A - mu I), each stopped early once two consecutive terms sum
-    below ``TAYLOR_TOL`` times the partial sum (max norms), as scipy's
-    ``expm_multiply`` stops.  The step length scales the terms; the
-    operator is never copied, and ``v`` is copied once, into the sum that
-    each term is added to in place.  The sum's max norm is read only
-    where the triangle bound (norm of the step's start plus those of its
-    terms) lets the stop test pass, so every stop falls where the plain
-    test puts it.
+    Al-Mohy & Higham's Algorithm 3.2 with a certified stop: s substeps of
+    length tau = h / s, each e^{tau mu} times a Taylor sum in
+    tau (A - mu I), with (m*, s) from :func:`taylor_degree`.  With
+    beta = tau ``norm_inf`` and v_j the j-th term of a substep, each later
+    term is at most beta / (k + 1) times the one before it, so once
+    beta < j + 2 the rest of the sum is at most
+    |e^{tau mu}| ||v_j|| (beta / (j + 1)) / (1 - beta / (j + 2)).  A
+    substep stops as soon as that meets its share of ``budget``: the
+    substeps split it as :func:`split_tolerance` splits a caller's
+    ``tol``, since a remainder left by one substep grows by at most
+    e^{tau max(growth, 0)} in each later one.  So the truncation error of
+    the result is at most ``budget``; roundoff is not part of the bound.
+    A sum that reaches ``TAYLOR_MAX_TERMS`` terms first raises
+    ``DivergenceError``: its share is out of reach of the float terms.
+
+    The step length scales the terms; the operator is never copied, and
+    ``v`` is copied once, into the sum that each term is added to in place.
     """
     m_star, s = taylor_degree(h * op.norm)
-    eta = cmath.exp(h * op.mu / s)
+    tau = h / s
+    eta = cmath.exp(tau * op.mu)
+    beta = tau * op.norm_inf
     out = np.array(v, dtype=complex)
-    for _ in range(s):
-        c1 = bound = _inf_norm(v)
-        for j in range(m_star):
-            v = op.shifted(v)
-            np.multiply(h / (s * (j + 1)), v, out=v)
-            c2 = _inf_norm(v)
-            out += v
-            # bound >= ||out||: the max norm of out is read only where it can stop the sum.
-            bound += c2
-            if c1 + c2 <= 2 * TAYLOR_TOL * bound and c1 + c2 <= TAYLOR_TOL * _inf_norm(out):
+    for share in split_tolerance(budget, [(tau, op.growth)] * s):
+        size = _inf_norm(v)
+        for j in range(TAYLOR_MAX_TERMS + 1):
+            # The remainder bound, times 1 - beta / (j + 2) > 0 on both sides.
+            if beta < j + 2 and abs(eta) * size * beta / (j + 1) <= share * (1 - beta / (j + 2)):
                 break
-            c1 = c2
+            if j == TAYLOR_MAX_TERMS:
+                raise DivergenceError(
+                    f"a Taylor sum missed its share {share:.3g} of the budget after {j} "
+                    f"terms (m* = {m_star}, h ||A - mu I||_1 = {h * op.norm:.3g})")
+            v = op.shifted(v)
+            np.multiply(tau / (j + 1), v, out=v)
+            size = _inf_norm(v)
+            out += v
         np.multiply(eta, out, out=out)
         v = out
     return out
+
+
+def split_tolerance(tol: float, steps) -> list[float]:
+    """Per-step budgets for :func:`expm_multiply` whose errors add to at most ``tol``.
+
+    ``steps`` lists (h_i, growth_i) in stepping order, growth_i bounding
+    the log-norm of step i's generator.  Step i gets
+    tol (h_i / T) e^{-sum_{j > i} h_j max(growth_j, 0)}, T the total
+    length (steps of total length 0 share tol equally): the later steps
+    grow its error by at most the exponential it is divided by, so the
+    truncation error at the end of every step is at most tol times the
+    fraction of T covered by then.
+    """
+    total = sum(h for h, _g in steps)
+    budgets, later = [], 0.0
+    for h, growth in reversed(steps):
+        part = h / total if total else 1 / len(steps)
+        budgets.append(tol * part * math.exp(-later))
+        later += h * max(growth, 0.0)
+    return budgets[::-1]
 
 
 # -- fixed-grid quadrature -----------------------------------------------------
@@ -554,8 +604,9 @@ def evolve(L: Lindbladian, x: LocalOperator, t_grid, tol: float = 1e-10,
     The partial-state closed form is :func:`partial_semigroup_exact`.
 
     The error budget is ``tol`` plus the window edge term.  ``tol`` is a
-    floor, not a computed solver error (:func:`expm_multiply` runs to the
-    unit roundoff and reports no error).  The edge term is Duhamel's:
+    certified bound on the stepper's truncation error, in the max norm of
+    the window coefficients, at every grid time (:func:`_evolve_expm`);
+    roundoff is outside it.  The edge term is Duhamel's:
     P_t x - P^W_t x is the integral over s of P_(t-s) (L - L_W) P^W_s x,
     and the semigroup contracts, so it is bounded by integrating
     sum_b edge_b |c_b(s)| from s = 0 along the computed trajectory
@@ -566,7 +617,7 @@ def evolve(L: Lindbladian, x: LocalOperator, t_grid, tol: float = 1e-10,
     sites = tuple(tuple(s) for s in (window if window is not None else default_window(L, x)))
     mat, basis, index, edge_rates = generator_matrix(L, sites, closure_mode)
     x0 = dense.coefficient_vector(x, index)
-    values_vec = _evolve_expm(mat, x0, grid)
+    values_vec = _evolve_expm(mat, x0, grid, tol)
 
     values = []
     for vec in values_vec:
@@ -582,18 +633,23 @@ def evolve(L: Lindbladian, x: LocalOperator, t_grid, tol: float = 1e-10,
     return EvolutionResult(grid, values, tol + edge, identity_image, sites)
 
 
-def _evolve_expm(mat, x0, grid):
+def _evolve_expm(mat, x0, grid, tol):
     """x0 stepped from t = 0 across the grid: one expm_multiply per positive increment.
 
-    ``mat`` is prepared (shift, shifted matrix, 1-norm) once per call, and
-    every step reads that one :class:`StepOperator`.
+    ``mat`` is prepared (shift, shifted matrix, norms) once per call, and
+    every step reads that one :class:`StepOperator`.  The steps share
+    ``tol`` by :func:`split_tolerance`, so each value is within ``tol`` of
+    e^{t A} x0 in the max norm, up to roundoff.
     """
     op = step_operator(mat)
+    times = [0.0, *grid]
+    budgets = iter(split_tolerance(
+        tol, [(b - a, op.growth) for a, b in zip(times, times[1:]) if b > a]))
     values = []
     vec, t_prev = x0, 0.0
     for t in grid:
         if t > t_prev:
-            vec = expm_multiply(op, vec, t - t_prev)
+            vec = expm_multiply(op, vec, t - t_prev, next(budgets))
             t_prev = t
         values.append(vec)
     return values

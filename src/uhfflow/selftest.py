@@ -45,7 +45,8 @@ class Verdict:
 
 # Notes of verdicts that hold by construction, shared with the CLI's flow report.
 UNITALITY_NOTE = ("holds by construction: every structure map sends 1 to 0, "
-                  "so F_t(1) moves only by roundoff")
+                  "so F_t(1) moves only by the stepper's truncation, at most tol, "
+                  "and roundoff")
 COVARIANCE_NOTE = ("0 by construction: the translated window yields the same matrices, "
                    "so this checks the translation plumbing")
 

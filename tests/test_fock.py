@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 import uhfflow.dense as dense
@@ -145,7 +146,7 @@ class TestFlowElement:
 
     def test_vacuum_closed_form(self, eta_sys, p2, pauli, zf):
         sx, _, _, one = pauli
-        traj = fock.flow_element(eta_sys, sx, zf, one, zf, GRID)
+        traj = fock.flow_element(eta_sys, sx, zf, one, zf, GRID, tol=1e-13)
         assert np.abs(traj.of_operator(sx) - np.exp(-GRID)).max() < 1e-12
 
     def test_identity_constant(self, eta_sys, p2, pauli, driven_pair):
@@ -374,13 +375,40 @@ class TestPieces:
             assert np.array_equal(v, kept)
 
     def test_pair_shift_and_norm_bound(self, leaky):
+        # The G operator's norms and log-norm bound those of the kron form.
         sys_, f, g, _F, G = leaky
         n2 = sys_.dim ** 2
         for piece, expected in zip(G, self.kron_forms(sys_, f, g, G)):
             mu = np.trace(expected) / n2
             assert abs(piece.op.mu - mu) < 1e-14
-            exact = np.abs(expected - mu * np.eye(n2)).sum(axis=0).max()
-            assert piece.op.norm >= exact
+            shifted = np.abs(expected - mu * np.eye(n2))
+            assert piece.op.norm >= shifted.sum(axis=0).max()
+            assert piece.op.norm_inf >= shifted.sum(axis=1).max()
+            diag = np.diag(expected)
+            growth = (diag.real + np.abs(expected).sum(axis=1) - np.abs(diag)).max()
+            assert piece.op.growth >= growth
+
+    @pytest.mark.parametrize("system", ["F", "G"])
+    @pytest.mark.parametrize("tol", [1e-4, 1e-9])
+    def test_propagate_meets_tol_on_a_growing_system(self, leaky, rng, system, tol):
+        # Both systems have log-norm bounds > 0 here, so each piece's share
+        # of tol is shrunk for the growth after it; every state is still
+        # within tol of dense expm stepping (roundoff aside) at every grid time.
+        sys_, _f, _g, F, G = leaky
+        pieces = {"F": F, "G": G}[system]
+        dim = sys_.dim if system == "F" else sys_.dim ** 2
+        assert min(p.op.growth for p in pieces) > 0
+        grid = np.linspace(0.0, 1.5, 4)
+        x0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        states, _est = fock._propagate(pieces, x0, grid, tol, 1.0)
+        exact, ref = {0.0: x0}, x0
+        for p in pieces:
+            mat = np.column_stack([p.op.apply(e) for e in np.eye(dim, dtype=complex)])
+            ref = exact[p.b] = scipy.linalg.expm((p.b - p.a) * mat) @ ref
+        for t, state in zip(grid, states):
+            want = exact[float(t)]
+            assert np.abs(state - want).max() <= tol + 1e-12 * np.abs(want).max()
+
     def test_pair_leak_rate_adds_the_ito_rate(self, leaky):
         sys_, _f, _g, F, G = leaky
         ito_rate = 0.0
@@ -480,7 +508,7 @@ class TestHomomorphism:
 class TestContraction:
     def test_identity_equality(self, eta_sys, p2, zf, pauli):
         one = pauli[3]
-        rep, = fock.contraction_check(eta_sys, [one], [(1.0, one, zf)], 1.0)
+        rep, = fock.contraction_check(eta_sys, [one], [(1.0, one, zf)], 1.0, tol=1e-13)
         assert rep.lhs == pytest.approx(rep.rhs, abs=1e-12)
 
     def test_unitary_word(self, eta_sys, p2, pauli, zf):
@@ -561,7 +589,7 @@ class TestEtaFlows:
     def test_site_flow_closed_form(self, p2, pauli, zf, eta_sys):
         sx, _, _, one = pauli
         assert eta_sys.leak_free()
-        traj = fock.flow_element(eta_sys, sx, zf, one, zf, GRID)
+        traj = fock.flow_element(eta_sys, sx, zf, one, zf, GRID, tol=1e-13)
         assert np.abs(traj.of_operator(sx) - np.exp(-GRID)).max() < 1e-12
 
     def test_site_flow_support_check(self, p2, maxmix, pauli, zf):
@@ -594,12 +622,13 @@ class TestEtaFlows:
         sys2 = fock.build_generator_system(L, [(0,), (1,)])
         assert sys2.leak_free()
         direct = fock.flow_element(sys2, u[0] * u[1], tf(f[0], f[1], f5),
-                                   v[0] * v[1], tf(g[0], g[1], g5), GRID).of_operator(x[0] * x[1])
+                                   v[0] * v[1], tf(g[0], g[1], g5), GRID,
+                                   tol=1e-15).of_operator(x[0] * x[1])
         prod = fock.exp_inner(tf(f5), tf(g5))
         for k in (0, 1):
             sys1 = fock.build_generator_system(L, [(k,)])
             prod = prod * fock.flow_element(sys1, u[k], tf(f[k]), v[k], tf(g[k]),
-                                            GRID).of_operator(x[k])
+                                            GRID, tol=1e-15).of_operator(x[k])
         assert np.abs(direct - prod).max() < 1e-12 * np.abs(direct).max()
 
     def test_identity_constant(self, p2, pauli, driven_pair, eta_sys):
@@ -638,14 +667,14 @@ class TestErgodicityScan:
         x = sx0 * sx1 + 0.5 * sz1 - 0.3j * sz0
         one = LocalOperator.identity(p2)
         u, v = one + sx0 + 0.2 * sz1, one + sx1
-        scan = fock.eta_ergodicity_scan(rho, x, u, zf, v, zf, GRID)
+        scan = fock.eta_ergodicity_scan(rho, x, u, zf, v, zf, GRID, tol=1e-13)
         exact = [gns_inner(u, lb.partial_semigroup_exact(rho, x, float(t)) * v) for t in GRID]
         assert np.abs(scan.trajectory - exact).max() < 1e-12
 
     def test_empty_support_scans_the_origin(self, p2, maxmix, pauli, driven_pair):
         one = pauli[3]
         f, g = driven_pair
-        scan = fock.eta_ergodicity_scan(maxmix, one, one, f, one, g, GRID)
+        scan = fock.eta_ergodicity_scan(maxmix, one, one, f, one, g, GRID, tol=1e-13)
         const = gns_inner(one, one) * fock.exp_inner(f, g)
         assert np.abs(scan.trajectory - const).max() <= 1e-12
         assert np.abs(scan.values).max() <= 1e-12

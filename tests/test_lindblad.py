@@ -1,8 +1,6 @@
 """Generators, semigroups, the matrix-exponential stepper, the quadrature rules,
 ergodic states and the derivation-bound harness."""
 
-import cmath
-
 import numpy as np
 import pytest
 import scipy.integrate
@@ -287,7 +285,7 @@ class TestEvolve:
         sx = pauli[0]
         x = sx * sx.translate((1,))
         grid = [0.0, 0.4, 1.0]
-        res = lb.evolve(L_partial, x, grid, window=[(0,), (1,)])
+        res = lb.evolve(L_partial, x, grid, window=[(0,), (1,)], tol=1e-13)
         for t, val in zip(grid, res.values):
             assert val.sup_diff(x * np.exp(-2 * t)) < 1e-12
 
@@ -312,7 +310,7 @@ class TestEvolve:
         L = lb.Lindbladian.partial_state(p2, biased)
         sites = [(0,), (1,)]
         x = random_local(p2, rng, sites, include_identity=True)
-        res = lb.evolve(L, x, grid, window=sites)
+        res = lb.evolve(L, x, grid, window=sites, tol=1e-13)
         oracle = dense.hilbert_evolve(L, dense.window(p2, sites), "interior", grid, x)
         for val, ref in zip(res.values, oracle, strict=True):
             assert val.sup_diff(ref) < 1e-12
@@ -397,7 +395,7 @@ def shift_matrix(n):
 
 
 class TestExpmMultiply:
-    """The package stepper against the dense exponential, and its matvec count."""
+    """The package stepper against the dense exponential, its certificate and matvec count."""
 
     @pytest.mark.parametrize("n", [1, 2, 5, 17, 64])
     @pytest.mark.parametrize("h_norm", [0.5, 3.0, 30.0, 100.0])
@@ -406,48 +404,51 @@ class TestExpmMultiply:
         op = lb.step_operator(A)
         h = h_norm / op.norm if op.norm else 1.0
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        got = lb.expm_multiply(op, v, h)
         ref = scipy.linalg.expm(h * A.toarray()) @ v
+        got = lb.expm_multiply(op, v, h, 1e-13 * np.abs(ref).max())
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("h_norm", [1e-3, 0.5, 3.0, 30.0, 100.0])
+    def test_budget_bounds_the_true_error(self, h_norm, rng):
+        # On the sizes of test_matches_dense_expm, the certified budget
+        # plus a roundoff allowance (the accuracy that test asks of a
+        # budget below roundoff) bounds the distance to the dense exponential.
+        for n in (1, 2, 5, 17, 64):
+            A = random_generator(rng, n) + (0.7j - 0.4) * scipy.sparse.identity(n)
+            op = lb.step_operator(A)
+            h = h_norm / op.norm if op.norm else 1.0
+            v = rng.normal(size=n) + 1j * rng.normal(size=n)
+            ref = scipy.linalg.expm(h * A.toarray()) @ v
+            roundoff = 1e-12 * np.abs(ref).max()
+            for budget in (1e-6, 1e-10, 1e-14):
+                err = np.abs(lb.expm_multiply(op, v, h, budget) - ref).max()
+                assert err <= budget + roundoff
+
+    def test_matvecs_do_not_rise_as_the_budget_loosens(self, rng):
+        def matvecs(op, v, h, budget):
+            calls = []
+            counted = op._replace(shifted=lambda w: calls.append(1) or op.shifted(w))
+            lb.expm_multiply(counted, v, h, budget)
+            return len(calls)
+
+        saved = False
+        for n in (5, 17, 64):
+            for h_norm in (0.5, 3.0, 30.0):
+                op = lb.step_operator(random_generator(rng, n) - 0.4 * scipy.sparse.identity(n))
+                v = rng.normal(size=n) + 1j * rng.normal(size=n)
+                counts = [matvecs(op, v, h_norm / op.norm, b) for b in (1e-14, 1e-10, 1e-6)]
+                assert counts == sorted(counts, reverse=True)
+                saved = saved or counts[-1] < counts[0]
+        assert saved
 
     @pytest.mark.parametrize("h_norm", [0.0, 0.5, 30.0])
     def test_callers_vector_is_unchanged(self, h_norm, rng):
         op = lb.step_operator(random_generator(rng, 9) - 0.5 * scipy.sparse.identity(9))
         v = rng.normal(size=9) + 1j * rng.normal(size=9)
         kept = v.copy()
-        out = lb.expm_multiply(op, v, h_norm / op.norm)
+        out = lb.expm_multiply(op, v, h_norm / op.norm, 1e-10)
         assert np.array_equal(v, kept)
         assert not np.shares_memory(out, v)
-
-    @pytest.mark.parametrize("h_norm", [1e-3, 0.5, 3.0, 30.0, 100.0])
-    def test_same_bits_as_the_plain_loop(self, h_norm, rng):
-        # The in-place sum and the gated norm of the sum change no bit of
-        # the result against the loop that allocates every term and sum.
-        def plain(op, v, h):
-            m_star, s = lb.taylor_degree(h * op.norm)
-            eta = cmath.exp(h * op.mu / s)
-            out = v
-            for _ in range(s):
-                c1 = lb._inf_norm(v)
-                for j in range(m_star):
-                    v = (h / (s * (j + 1))) * op.shifted(v)
-                    c2 = lb._inf_norm(v)
-                    out = out + v
-                    if c1 + c2 <= lb.TAYLOR_TOL * lb._inf_norm(out):
-                        break
-                    c1 = c2
-                out = eta * out
-                v = out
-            return out
-
-        for n in (4, 33):
-            op = lb.step_operator(random_generator(rng, n) + 0.2j * scipy.sparse.identity(n))
-            v = rng.normal(size=n) + 1j * rng.normal(size=n)
-            assert same_bits(lb.expm_multiply(op, v, h_norm / op.norm),
-                             plain(op, v, h_norm / op.norm))
-        J = lb.step_operator(shift_matrix(4))
-        v = np.array([0, 0, 0, 1], dtype=complex)
-        assert same_bits(lb.expm_multiply(J, v, 3.0), plain(J, v, 3.0))
 
     def test_large_steps_are_split(self):
         # The two largest h ||A - mu I||_1 above need s > 1 Taylor steps.
@@ -457,22 +458,25 @@ class TestExpmMultiply:
     def test_zero_step_and_zero_matrix(self, rng):
         v = rng.normal(size=6) + 1j * rng.normal(size=6)
         op = lb.step_operator(random_generator(rng, 6))
-        assert np.array_equal(lb.expm_multiply(op, v, 0.0), v)
+        assert np.array_equal(lb.expm_multiply(op, v, 0.0, 1e-10), v)
         zero = lb.step_operator(scipy.sparse.csr_matrix((6, 6), dtype=complex))
         assert zero.mu == 0 and zero.norm == 0.0
-        assert np.array_equal(lb.expm_multiply(zero, v, 2.5), v)
+        assert np.array_equal(lb.expm_multiply(zero, v, 2.5, 1e-10), v)
 
     def test_shift_is_restored(self, rng):
         # A multiple of the identity is all shift: e^{h mu} v with no Taylor term.
         op = lb.step_operator(-1.5 * scipy.sparse.identity(4, dtype=complex, format="csr"))
         assert op.norm == 0.0
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        np.testing.assert_allclose(lb.expm_multiply(op, v, 0.8), np.exp(-1.2) * v, rtol=1e-15)
+        np.testing.assert_allclose(lb.expm_multiply(op, v, 0.8, 1e-10), np.exp(-1.2) * v,
+                                   rtol=1e-15)
 
     @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
-    def test_stops_after_two_negligible_terms(self, scale):
-        # J^4 = 0, so terms 1-3 are nonzero and term 4 vanishes; the loop
-        # stops at term 5, the second zero in a row, whatever the scale.
+    def test_stops_at_the_first_zero_term(self, scale):
+        # J^4 = 0, so terms 1-3 are nonzero and term 4 vanishes.  Only a
+        # zero term meets a zero budget, and the sum stops right there,
+        # whatever the scale: neither the bound nor the terms under- or
+        # overflow.
         J = shift_matrix(4)
         calls = []
         base = lb.step_operator(J)
@@ -481,10 +485,21 @@ class TestExpmMultiply:
         h = 3.0
         m_star, s = lb.taylor_degree(h * op.norm)
         assert s == 1 and m_star > 5
-        got = lb.expm_multiply(op, v, h)
+        got = lb.expm_multiply(op, v, h, 0.0)
         expected = scale * np.array([h**3 / 6, h**2 / 2, h, 1.0])
         np.testing.assert_allclose(got, expected, rtol=1e-15)
-        assert len(calls) == 5
+        assert len(calls) == 4
+
+    def test_unreachable_budget_raises(self, rng):
+        # A zero budget is met only by an exactly zero term, which a
+        # random generator never makes: the sum gives up at the cap.
+        calls = []
+        base = lb.step_operator(random_generator(rng, 6, density=1.0))
+        op = base._replace(shifted=lambda v: calls.append(1) or base.shifted(v))
+        v = rng.normal(size=6) + 1j * rng.normal(size=6)
+        with pytest.raises(DivergenceError):
+            lb.expm_multiply(op, v, 1.0 / base.norm, 0.0)
+        assert len(calls) == lb.TAYLOR_MAX_TERMS
 
     def test_degree_choice_is_scipys(self):
         # Below condition (3.13)'s threshold scipy chooses (m*, s) from the
@@ -496,6 +511,40 @@ class TestExpmMultiply:
             info = core.LazyOperatorNormInfo(None, A_1_norm=float(norm), ell=2)
             assert lb.taylor_degree(float(norm)) == core._fragment_3_1(info, 1, 2.0**-53)
 
+    @pytest.mark.parametrize("n", [1, 3, 8, 40])
+    def test_step_operator_norms_are_exact(self, n, rng):
+        A = random_generator(rng, n, density=0.5) + (0.3 - 0.8j) * scipy.sparse.identity(n)
+        op = lb.step_operator(A)
+        dense_a = A.toarray()
+        shifted = np.abs(dense_a - np.trace(dense_a) / n * np.eye(n))
+        diag = np.diag(dense_a)
+        growth = (diag.real + np.abs(dense_a).sum(axis=1) - np.abs(diag)).max()
+        assert op.norm == pytest.approx(shifted.sum(axis=0).max(), rel=1e-13, abs=1e-15)
+        assert op.norm_inf == pytest.approx(shifted.sum(axis=1).max(), rel=1e-13, abs=1e-15)
+        assert op.growth == pytest.approx(growth, rel=1e-13, abs=1e-15)
+
+    def test_split_tolerance(self):
+        tol = 1e-6
+        got = lb.split_tolerance(tol, [(0.5, -1.0), (0.25, 2.0), (0.25, 4.0)])
+        want = [0.5 * tol * np.exp(-1.5), 0.25 * tol * np.exp(-1.0), 0.25 * tol]
+        np.testing.assert_allclose(got, want, rtol=1e-15)
+        assert lb.split_tolerance(tol, [(0.0, 3.0)]) == [tol]
+        assert lb.split_tolerance(tol, []) == []
+
+    def test_evolve_expm_meets_tol_at_every_grid_time(self, rng):
+        # A growing generator (log-norm > 0), unequal steps and a tol
+        # loose enough for truncation to show: every value is within tol
+        # of the dense exponential, up to roundoff.
+        A = random_generator(rng, 12, density=0.5) + 0.3 * scipy.sparse.identity(12)
+        assert lb.step_operator(A).growth > 0
+        x0 = rng.normal(size=12) + 1j * rng.normal(size=12)
+        grid = [0.0, 0.2, 0.7, 0.7, 1.5]
+        for tol in (1e-4, 1e-8):
+            values = lb._evolve_expm(A, x0, grid, tol)
+            for t, val in zip(grid, values):
+                ref = scipy.linalg.expm(t * A.toarray()) @ x0
+                assert np.abs(val - ref).max() <= tol + 1e-12 * np.abs(ref).max()
+
     def test_evolve_expm_prepares_the_matrix_once(self, rng, monkeypatch):
         built, steps = [], []
         prepare, stepper = lb.step_operator, lb.expm_multiply
@@ -504,7 +553,7 @@ class TestExpmMultiply:
         A = random_generator(rng, 8)
         x0 = rng.normal(size=8) + 1j * rng.normal(size=8)
         grid = [0.0, 0.1, 0.1, 0.4, 1.0]
-        values = lb._evolve_expm(A, x0, grid)
+        values = lb._evolve_expm(A, x0, grid, 1e-14)
         assert (len(built), len(steps)) == (1, 3)
         ref = scipy.linalg.expm(A.toarray()) @ x0
         assert np.abs(values[-1] - ref).max() <= 1e-12 * np.abs(ref).max()
