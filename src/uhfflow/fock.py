@@ -80,6 +80,7 @@ from .lindblad import (
 PICARD_SUB = 64  # Simpson nodes per piece in picard_element (even)
 PICARD_MAX_TERMS = 500_000  # terms summed by picard_tail_bound before it gives inf
 CERTIFIED_DEPTH_MAX = 100_000  # deepest Picard depth smallest_certified_depth tries
+SCAN_TOL = 1e-15  # eta_ergodicity_scan's solve; its fit reads deviations above 10 x this
 
 ModeKey = tuple[Site, int]  # (lattice site of the translate, Kraus member id)
 
@@ -853,15 +854,16 @@ class ErgodicityScan:
     fit_start: float
 
 
-def eta_ergodicity_scan(state, x: LocalOperator, u, f, v, g, t_grid,
-                        tol: float = 1e-10) -> ErgodicityScan:
+def eta_ergodicity_scan(state, x: LocalOperator, u, f, v, g, t_grid) -> ErgodicityScan:
     """|F_t(x) - Phi(x) <u e(f), v e(g)>| and its fitted decay rate.
 
     F is one ``flow_element`` solve of the partial-state flow on the
     window of x's support (the origin when x is a scalar).  Each Kraus
     member acts on one site, so the maps keep the window's basis, the
     window has no leak and the solve is exact up to the stepper's certified
-    ``tol`` (and roundoff).  u and v enter only through
+    ``SCAN_TOL`` (and roundoff).  The decay rate is fitted to the samples
+    after the drive whose deviation exceeds 10 ``SCAN_TOL``, so no sample
+    the fit reads is below the solve's error bound.  u and v enter only through
     F_0 = <u, U_b v> exp<f, g>, read from the one symbolic product v u*
     whatever their supports, and a mode on a site outside the window
     meets no acting member and enters only through exp<f, g>.  Raises
@@ -872,14 +874,14 @@ def eta_ergodicity_scan(state, x: LocalOperator, u, f, v, g, t_grid,
     f, g = _harmonize(f, g)
     L = _lb.Lindbladian.partial_state(x.params, state)
     sys = build_generator_system(L, x.support() or [(0,) * x.params.d])
-    values = flow_element(sys, u, f, v, g, grid, tol=tol).of_operator(x)
+    values = flow_element(sys, u, f, v, g, grid, tol=SCAN_TOL).of_operator(x)
     target = _lb.ergodic_state(state, x) * gns_inner(u, v) * exp_inner(f, g)
     dev = np.abs(values - target)
     drive_end = 0.0
     if f.modes or g.modes:
         drive_end = max(f.t_max if f.modes else 0.0, g.t_max if g.modes else 0.0)
     fit_start = drive_end + 0.1 * max(grid[-1] - drive_end, 0.0)
-    mask = (grid >= fit_start) & (dev > 1e-14)
+    mask = (grid >= fit_start) & (dev > 10 * SCAN_TOL)
     rate = r2 = None
     if mask.sum() >= 4:
         try:

@@ -79,6 +79,7 @@ TAYLOR_THETA = {
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
 TAYLOR_MAX_TERMS = 100  # terms one substep may sum before expm_multiply gives up
+ROUNDOFF = 2.0**-53  # unit roundoff: no Taylor sum is asked to stop below it
 
 
 @dataclass(frozen=True)
@@ -454,8 +455,13 @@ def expm_multiply(op: StepOperator, v: np.ndarray, h: float, budget: float) -> n
     ``tol``, since a remainder left by one substep grows by at most
     e^{tau max(growth, 0)} in each later one.  So the truncation error of
     the result is at most ``budget``; roundoff is not part of the bound.
-    A sum that reaches ``TAYLOR_MAX_TERMS`` terms first raises
-    ``DivergenceError``: its share is out of reach of the float terms.
+    A share below ``ROUNDOFF`` times the sum's max norm, which a large
+    log-norm bound over a long step can ask for, is not pursued: that sum
+    stops once its remainder is below unit roundoff of itself, where the
+    plain roundoff stop also ends, inside the roundoff the bound leaves
+    out.  A zero term ends a sum at once, since every later term is zero
+    too.  A sum that reaches ``TAYLOR_MAX_TERMS`` terms first (a NaN term,
+    say) raises ``DivergenceError``.
 
     The step length scales the terms; the operator is never copied, and
     ``v`` is copied once, into the sum that each term is added to in place.
@@ -466,11 +472,16 @@ def expm_multiply(op: StepOperator, v: np.ndarray, h: float, budget: float) -> n
     beta = tau * op.norm_inf
     out = np.array(v, dtype=complex)
     for share in split_tolerance(budget, [(tau, op.growth)] * s):
-        size = _inf_norm(v)
+        size = bound = _inf_norm(v)
         for j in range(TAYLOR_MAX_TERMS + 1):
-            # The remainder bound, times 1 - beta / (j + 2) > 0 on both sides.
-            if beta < j + 2 and abs(eta) * size * beta / (j + 1) <= share * (1 - beta / (j + 2)):
-                break
+            if size == 0.0:
+                break  # a zero term: every later term is zero too
+            if beta < j + 2:
+                rest = size * beta / (j + 1) / (1 - beta / (j + 2))  # before e^{tau mu}
+                # bound >= ||out||: the max norm of out is read only where it can stop the sum.
+                if abs(eta) * rest <= share or (
+                        rest <= ROUNDOFF * bound and rest <= ROUNDOFF * _inf_norm(out)):
+                    break
             if j == TAYLOR_MAX_TERMS:
                 raise DivergenceError(
                     f"a Taylor sum missed its share {share:.3g} of the budget after {j} "
@@ -478,6 +489,7 @@ def expm_multiply(op: StepOperator, v: np.ndarray, h: float, budget: float) -> n
             v = op.shifted(v)
             np.multiply(tau / (j + 1), v, out=v)
             size = _inf_norm(v)
+            bound += size
             out += v
         np.multiply(eta, out, out=out)
         v = out

@@ -1,13 +1,44 @@
+import cmath
+
 import numpy as np
 import pytest
 
 import uhfflow.dense as dense
+import uhfflow.lindblad as lb
 from uhfflow.algebra import AlgebraParams, LocalOperator
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def roundoff_stop_matvecs():
+    """Matvecs that scipy's stop takes for e^{hA} v with ``lb.expm_multiply``'s (m*, s).
+
+    Each substep ends once two consecutive terms sum below 2^-53 times the
+    partial sum (max norms), or after m* terms: the stop the stepper used
+    before its sums stopped on a certified remainder.
+    """
+    def count(op, v, h):
+        m_star, s = lb.taylor_degree(h * op.norm)
+        eta = cmath.exp(h * op.mu / s)
+        out, calls = np.array(v, dtype=complex), 0
+        for _ in range(s):
+            c1 = np.abs(v).max()
+            for j in range(m_star):
+                v = op.shifted(v) * (h / (s * (j + 1)))
+                calls += 1
+                c2 = np.abs(v).max()
+                out = out + v
+                if c1 + c2 <= 2.0**-53 * np.abs(out).max():
+                    break
+                c1 = c2
+            out = v = eta * out
+        return calls
+
+    return count
 
 
 @pytest.fixture

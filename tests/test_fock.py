@@ -409,6 +409,33 @@ class TestPieces:
             want = exact[float(t)]
             assert np.abs(state - want).max() <= tol + 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("system", ["F", "G"])
+    def test_long_grid_costs_no_more_than_the_roundoff_stop(self, leaky, rng, system,
+                                                             roundoff_stop_matvecs):
+        # Over t in [0, 10] the G pieces' log-norm bound (about 12) shrinks
+        # the early pieces' shares of tol by e^-100 and more, far below
+        # roundoff; those sums stop at unit roundoff instead, so the solve
+        # returns within tol of dense stepping (roundoff aside) on no more
+        # matvecs than scipy's 2^-53 stop takes.
+        sys_, f, g, _F, _G = leaky
+        grid = np.linspace(0.0, 10.0, 9)
+        F = fock._flow_pieces(sys_, grid, f, g)
+        pieces = {"F": F, "G": fock._pair_pieces(sys_, F)}[system]
+        dim = sys_.dim if system == "F" else sys_.dim ** 2
+        x0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        calls, limit, exact, ref = [], 0, {0.0: x0}, x0
+        for p in pieces:
+            limit += roundoff_stop_matvecs(p.op, ref, p.b - p.a)
+            mat = np.column_stack([p.op.apply(e) for e in np.eye(dim, dtype=complex)])
+            ref = exact[p.b] = scipy.linalg.expm((p.b - p.a) * mat) @ ref
+        counted = [p._replace(op=p.op._replace(
+            shifted=lambda v, op=p.op: calls.append(1) or op.shifted(v))) for p in pieces]
+        states, _est = fock._propagate(counted, x0, grid, 1e-9, 1.0)
+        assert len(calls) <= limit
+        for t, state in zip(grid, states):
+            want = exact[float(t)]
+            assert np.abs(state - want).max() <= 1e-9 + 1e-12 * np.abs(want).max()
+
     def test_pair_leak_rate_adds_the_ito_rate(self, leaky):
         sys_, _f, _g, F, G = leaky
         ito_rate = 0.0
@@ -667,14 +694,14 @@ class TestErgodicityScan:
         x = sx0 * sx1 + 0.5 * sz1 - 0.3j * sz0
         one = LocalOperator.identity(p2)
         u, v = one + sx0 + 0.2 * sz1, one + sx1
-        scan = fock.eta_ergodicity_scan(rho, x, u, zf, v, zf, GRID, tol=1e-13)
+        scan = fock.eta_ergodicity_scan(rho, x, u, zf, v, zf, GRID)
         exact = [gns_inner(u, lb.partial_semigroup_exact(rho, x, float(t)) * v) for t in GRID]
         assert np.abs(scan.trajectory - exact).max() < 1e-12
 
     def test_empty_support_scans_the_origin(self, p2, maxmix, pauli, driven_pair):
         one = pauli[3]
         f, g = driven_pair
-        scan = fock.eta_ergodicity_scan(maxmix, one, one, f, one, g, GRID, tol=1e-13)
+        scan = fock.eta_ergodicity_scan(maxmix, one, one, f, one, g, GRID)
         const = gns_inner(one, one) * fock.exp_inner(f, g)
         assert np.abs(scan.trajectory - const).max() <= 1e-12
         assert np.abs(scan.values).max() <= 1e-12

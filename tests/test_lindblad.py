@@ -389,6 +389,13 @@ def random_generator(rng, n, density=0.3):
         data_rvs=lambda k: rng.normal(size=k) + 1j * rng.normal(size=k))
 
 
+def matvecs(op, v, h, budget):
+    """``lb.expm_multiply(op, v, h, budget)`` and the number of matvecs it took."""
+    calls = []
+    counted = op._replace(shifted=lambda w: calls.append(1) or op.shifted(w))
+    return lb.expm_multiply(counted, v, h, budget), len(calls)
+
+
 def shift_matrix(n):
     """The nilpotent shift e_k -> e_(k-1): trace 0, 1-norm 1, J^n = 0."""
     return scipy.sparse.diags([np.ones(n - 1, dtype=complex)], [1], format="csr")
@@ -425,21 +432,37 @@ class TestExpmMultiply:
                 assert err <= budget + roundoff
 
     def test_matvecs_do_not_rise_as_the_budget_loosens(self, rng):
-        def matvecs(op, v, h, budget):
-            calls = []
-            counted = op._replace(shifted=lambda w: calls.append(1) or op.shifted(w))
-            lb.expm_multiply(counted, v, h, budget)
-            return len(calls)
-
         saved = False
         for n in (5, 17, 64):
             for h_norm in (0.5, 3.0, 30.0):
                 op = lb.step_operator(random_generator(rng, n) - 0.4 * scipy.sparse.identity(n))
                 v = rng.normal(size=n) + 1j * rng.normal(size=n)
-                counts = [matvecs(op, v, h_norm / op.norm, b) for b in (1e-14, 1e-10, 1e-6)]
+                counts = [matvecs(op, v, h_norm / op.norm, b)[1] for b in (1e-14, 1e-10, 1e-6)]
                 assert counts == sorted(counts, reverse=True)
                 saved = saved or counts[-1] < counts[0]
         assert saved
+
+    def test_no_more_matvecs_than_the_roundoff_stop(self, rng, roundoff_stop_matvecs):
+        # Up to h ||A - mu I||_1 = 300 the log-norm bound grows the share
+        # divisor past e^200, and a zero budget asks for nothing but a zero
+        # term: those sums stop at unit roundoff of themselves, so no call
+        # takes more matvecs than scipy's 2^-53 stop, and the result still
+        # meets test_matches_dense_expm's accuracy.
+        grown = False
+        for n in (2, 5, 17, 64):
+            for h_norm in (0.5, 3.0, 30.0, 100.0, 300.0):
+                A = random_generator(rng, n) + (0.7j - 0.4) * scipy.sparse.identity(n)
+                op = lb.step_operator(A)
+                h = h_norm / op.norm if op.norm else 1.0
+                grown = grown or h * op.growth > 100
+                v = rng.normal(size=n) + 1j * rng.normal(size=n)
+                ref = scipy.linalg.expm(h * A.toarray()) @ v
+                limit = roundoff_stop_matvecs(op, v, h)
+                for budget in (1e-6, 1e-14, 0.0):
+                    got, calls = matvecs(op, v, h, budget)
+                    assert calls <= limit
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert grown
 
     @pytest.mark.parametrize("h_norm", [0.0, 0.5, 30.0])
     def test_callers_vector_is_unchanged(self, h_norm, rng):
@@ -490,15 +513,15 @@ class TestExpmMultiply:
         np.testing.assert_allclose(got, expected, rtol=1e-15)
         assert len(calls) == 4
 
-    def test_unreachable_budget_raises(self, rng):
-        # A zero budget is met only by an exactly zero term, which a
-        # random generator never makes: the sum gives up at the cap.
+    def test_non_finite_terms_raise(self, rng):
+        # A NaN never meets a stop, whatever the budget: the sum gives up at the cap.
         calls = []
         base = lb.step_operator(random_generator(rng, 6, density=1.0))
         op = base._replace(shifted=lambda v: calls.append(1) or base.shifted(v))
         v = rng.normal(size=6) + 1j * rng.normal(size=6)
+        v[2] = np.nan
         with pytest.raises(DivergenceError):
-            lb.expm_multiply(op, v, 1.0 / base.norm, 0.0)
+            lb.expm_multiply(op, v, 1.0 / base.norm, 1e-6)
         assert len(calls) == lb.TAYLOR_MAX_TERMS
 
     def test_degree_choice_is_scipys(self):
