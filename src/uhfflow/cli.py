@@ -190,9 +190,10 @@ def cmd_ergodicity(cfg: ExperimentConfig, report: RunReport):
     rate_rows = []
     # One generator per c serves every observable, and their member tables with it.
     if cfg.kraus is not None:
-        Ltrans = lindblad.Lindbladian.translation_covariant(cfg.kraus)
-        generators = [(cval, lindblad.Lindbladian.partial_state(cfg.params, state) if cval == 0
-                       else lindblad.Lindbladian.perturbed(cfg.params, state, cfg.kraus, cval))
+        tol = min(cfg.tol, 1e-10)
+        L0 = lindblad.Lindbladian.partial_state(cfg.params, state)
+        generators = [(cval, L0 if cval == 0
+                       else lindblad.Lindbladian.perturbed(state, cfg.kraus, cval))
                       for cval in cfg.c_values]
     for name, x in sorted(cfg.observables.items()):
         phi = lindblad.ergodic_state(state, x)
@@ -207,15 +208,19 @@ def cmd_ergodicity(cfg: ExperimentConfig, report: RunReport):
         rows.append([name, _f17(phi.real), _f17(phi.imag), f"{rate:.12g}", f"{r2:.12g}"])
 
         if cfg.kraus is not None:
-            phi0, _err0 = lindblad.perturbed_ergodic_state(state, Ltrans, 0.0, x)
+            phi0, _err0 = lindblad.perturbed_ergodic_state(L0, x)
             report.add(_le(f"ergodicity.{name}.perturbed_c0", abs(phi0 - phi), 1e-6,
                            "0 by construction: perturbed_ergodic_state at c = 0 "
                            "is ergodic_state(x)"))
             crates = []
             for cval, Lc in generators:
-                res = lindblad.evolve(Lc, x, cfg.t_grid, tol=min(cfg.tol, 1e-10))
+                res = lindblad.evolve(Lc, x, cfg.t_grid, tol=tol)
                 vals = np.array([seminorm_one(vv) for vv in res.values])
-                mask = vals > 1e-14
+                # Each of the N^(2|W|) window coefficients is certified to tol and
+                # a Weyl string on |W| sites has seminorm <= 2 |W| (N^2 - 1): fit
+                # only samples above their product (and above roundoff).
+                w, N = len(res.window_sites), cfg.params.N
+                mask = vals > max(2 * w * (N**2 - 1) * N ** (2 * w) * tol, 1e-14)
                 if mask.sum() >= 4:
                     crate, cr2 = lindblad.decay_rate_fit(
                         cfg.t_grid[mask], vals[mask], drop_frac=0.1)
@@ -301,8 +306,7 @@ def cmd_flow(cfg: ExperimentConfig, report: RunReport):
                                "stepped by the same F pieces"))
 
     if cfg.shift is not None and L.kind == "translation":
-        reps = fock.covariance_check(sys_, fwd, xs, cfg.u, cfg.f, cfg.v, cfg.g, cfg.shift,
-                                     tol=cfg.tol)
+        reps = fock.covariance_check(fwd, xs, cfg.shift)
         for (name, _x), rep in zip(observables, reps):
             report.add(_le(f"flow.covariance.{name}", rep.deviation,
                            max(2 * rep.error_estimate, 1e-9), COVARIANCE_NOTE))
@@ -341,7 +345,7 @@ def cmd_lemma(cfg: ExperimentConfig, report: RunReport):
         eps = tuple(int(rng.choice([-1, 1])) for _ in range(n))
         if mode == "mixed":
             eps = tuple(0 if rng.random() < 0.4 else e for e in eps)
-        rep = lindblad.lemma_bound_report(L, x, n, mode, epsbar=eps)
+        rep = lindblad.lemma_bound_report(L, x, eps)
         bounds_ok = bounds_ok and rep.lhs <= rep.rhs * (1 + 1e-12)
         rows.append((i, name, mode, n, rep.lhs, rep.rhs))
     report.add(_le("lemma.identity_defect", worst_identity, 1e-12))

@@ -268,7 +268,7 @@ def _build_generator(params: AlgebraParams, gen: dict[str, str]):
         elif kind == "partial_state":
             generator = lindblad.Lindbladian.partial_state(params, state)
         else:
-            generator = lindblad.Lindbladian.perturbed(params, state, kraus, c)
+            generator = lindblad.Lindbladian.perturbed(state, kraus, c)
     except Exception as exc:
         raise ConfigError(f"cannot build generator: {exc}", section="generator") from None
     return generator, kraus, state

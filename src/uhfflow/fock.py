@@ -28,7 +28,8 @@ G -> A G + G A^T + Ito G, and the Ito sum is its only n^2 x n^2 matrix.
 Every piece is stepped by ``lindblad.expm_multiply``, on a generator
 prepared once per cell.  Both systems are solved for the whole window
 basis, so one solve per (u, f, v, g) and grid serves every observable
-and pair, and the checks read those trajectories.  Each error estimate
+and pair.  Each trajectory records its system and (u, f, v, g), so the
+checks read from it the problem they check.  Each error estimate
 bounds one basis string and is scaled by the observable's l1 norm
 (``error_of``).  It has two terms.  The caller's ``tol`` is a certified
 bound on the stepper's truncation error at every grid time: the pieces
@@ -299,17 +300,18 @@ def build_generator_system(L: "_lb.Lindbladian", window_sites) -> FlowGeneratorS
 
 @dataclass
 class MatrixElementTrajectory:
-    """F_t(U_b) for every window basis label, on a time grid."""
+    """F_t(U_b) over the basis of ``sys``: ``problem`` (u, f, v, g) as passed, solved to ``tol``."""
 
     grid: np.ndarray
-    basis: list[WeylLabel]
-    index: dict[WeylLabel, int]
+    sys: FlowGeneratorSystem
+    problem: tuple
+    tol: float
     F: np.ndarray  # (T, dim)
     error_estimate: np.ndarray  # (T,)
 
     def of_label(self, lab: WeylLabel) -> np.ndarray:
         try:
-            return self.F[:, self.index[lab]]
+            return self.F[:, self.sys.index[lab]]
         except KeyError:
             raise WindowError(f"label {lab} outside the trajectory basis") from None
 
@@ -324,25 +326,27 @@ class MatrixElementTrajectory:
         return x.l1() * self.error_estimate
 
 
-def _observable_trajectory(grid, values, est) -> MatrixElementTrajectory:
-    """One observable's values and estimate, stored as the basis [1]."""
-    one = WeylLabel.identity()
-    return MatrixElementTrajectory(grid, [one], {one: 0}, values.reshape(-1, 1), est)
+class PicardTrajectory(NamedTuple):
+    """F_t(x) of one observable x on a time grid, and the estimate that certifies it."""
+
+    grid: np.ndarray
+    values: np.ndarray
+    error_estimate: np.ndarray
 
 
 @dataclass
 class PairTrajectory:
-    """G_t(U_a, U_b) for every window basis pair, on a time grid."""
+    """G_t(U_a, U_b) for every basis pair of ``sys``, on a time grid, for ``problem``."""
 
     grid: np.ndarray
-    basis: list[WeylLabel]
-    index: dict[WeylLabel, int]
+    sys: FlowGeneratorSystem
+    problem: tuple
     G: np.ndarray  # (T, dim, dim)
     error_estimate: np.ndarray
 
     def of_pair(self, x: LocalOperator, y: LocalOperator) -> np.ndarray:
-        cx = dense.coefficient_vector(x, self.index)
-        cy = dense.coefficient_vector(y, self.index)
+        cx = dense.coefficient_vector(x, self.sys.index)
+        cy = dense.coefficient_vector(y, self.sys.index)
         return np.einsum("tab,a,b->t", self.G, cx, cy)
 
     def error_of(self, x: LocalOperator, y: LocalOperator) -> np.ndarray:
@@ -555,21 +559,22 @@ def flow_element(sys: FlowGeneratorSystem, u, f, v, g, t_grid,
     The one solve serves every observable on the window:
     ``of_operator(x)`` reads F_t(x) and ``error_of(x)`` its budget.
     """
+    problem = (u, f, v, g)
     grid = dense.validate_grid(t_grid)
     f, g = _harmonize(f, g)
     F, est = _propagate(_flow_pieces(sys, grid, f, g), _initial_vector(sys, u, v, f, g),
                         grid, tol, _scale(u, f, v, g))
-    return MatrixElementTrajectory(grid, sys.basis, sys.index, F, est)
+    return MatrixElementTrajectory(grid, sys, problem, tol, F, est)
 
 
 def picard_element(sys: FlowGeneratorSystem, x: LocalOperator, u, f, v, g, t_grid,
-                   depth: int | None = None, tol: float = 1e-10) -> MatrixElementTrajectory:
+                   depth: int | None = None, tol: float = 1e-10) -> PicardTrajectory:
     """F_t(x) by Picard sweeps (cumulative Simpson, ``PICARD_SUB`` nodes per piece).
 
     The iteration tail bound certifies x alone, for single-operator
     families only (others raise ``ValueError``); ``depth=None`` runs to
     ``smallest_certified_depth`` at the last grid time.  The estimate is
-    tol + scale (tail + l1(x) leak); the result holds x as the basis [1].
+    tol + scale (tail + l1(x) leak).
     """
     grid = dense.validate_grid(t_grid)
     f, g = _harmonize(f, g)
@@ -582,28 +587,22 @@ def picard_element(sys: FlowGeneratorSystem, x: LocalOperator, u, f, v, g, t_gri
     tail = np.array([picard_tail_bound(x, g, float(t), depth, L) for t in grid])
     flow = _flow_pieces(sys, grid, f, g)
     F0 = _initial_vector(sys, u, v, f, g)
-    # Global node array; every breakpoint (hence every grid point) is a node.
-    nodes = [0.0]
-    pieces = []  # (start_idx, end_idx, h, A)
-    for p in flow:
-        start = len(nodes) - 1
-        seg = np.linspace(p.a, p.b, PICARD_SUB + 1)
-        nodes.extend(seg[1:].tolist())
-        pieces.append((start, len(nodes) - 1, (p.b - p.a) / PICARD_SUB, p.op))
-    nodes = np.asarray(nodes)
-    n_nodes = nodes.size
+    # Piece i spans nodes PICARD_SUB i to PICARD_SUB (i + 1), so every
+    # breakpoint (hence every grid point) is a node; ``node`` holds its index.
+    spans = [slice(PICARD_SUB * i, PICARD_SUB * (i + 1) + 1) for i in range(len(flow))]
+    node = {0.0: 0} | {p.b: span.stop - 1 for p, span in zip(flow, spans)}
+    n_nodes = 1 + PICARD_SUB * len(flow)
 
     G = np.tile(F0, (n_nodes, 1))
     for _ in range(depth):
-        integ = np.empty_like(G)
-        for start, end, _h, op in pieces:
-            integ[start:end + 1] = op.apply(G[start:end + 1].T).T
         cum = np.zeros_like(G)
         offset = np.zeros_like(F0)
-        for start, end, h, _op in pieces:
-            seg = cumulative_simpson(integ[start:end + 1], h)
-            cum[start:end + 1] = seg + offset
-            offset = cum[end]
+        # Each piece integrates its own generator, also at the node it
+        # shares with the next piece.
+        for p, span in zip(flow, spans):
+            seg = cumulative_simpson(p.op.apply(G[span].T).T, (p.b - p.a) / PICARD_SUB)
+            cum[span] = seg + offset
+            offset = cum[span.stop - 1]
         G_new = np.tile(F0, (n_nodes, 1)) + cum
         increment = float(np.max(np.abs(G_new - G)))
         G = G_new
@@ -612,17 +611,12 @@ def picard_element(sys: FlowGeneratorSystem, x: LocalOperator, u, f, v, g, t_gri
         if increment < 1e-15 * max(1.0, float(np.max(np.abs(G)))):
             break
 
-    idx = np.searchsorted(nodes, grid)
-    idx = np.clip(idx, 0, n_nodes - 1)
-    for i, t in enumerate(grid):
-        if abs(nodes[idx[i]] - t) > 1e-12:
-            raise AssertionError("grid point missed the picard node lattice")
-    values = G[idx] @ cx
+    values = G[[node[float(t)] for t in grid]] @ cx
     # Leakage accrues per basis string exactly as in the ODE path.
     leak = _leak_accrual(flow)
     leak = np.array([leak[float(t)] for t in grid])
     est = tol + _scale(u, f, v, g) * (tail + x.l1() * leak)
-    return _observable_trajectory(grid, values, est)
+    return PicardTrajectory(grid, values, est)
 
 
 def _exp_or_inf(log_v: float) -> float:
@@ -721,6 +715,7 @@ def pair_element(sys: FlowGeneratorSystem, u, f, v, g, t_grid,
     row is F of the same (u, f, v, g), stepped by the same F pieces;
     ``homomorphism_defect`` checks that against ``flow_element``'s solve.
     """
+    problem = (u, f, v, g)
     grid = dense.validate_grid(t_grid)
     f, g = _harmonize(f, g)
     n = sys.dim
@@ -729,7 +724,7 @@ def pair_element(sys: FlowGeneratorSystem, u, f, v, g, t_grid,
     G0 = _initial_pair_vector(sys, _initial_vector(sys, u, v, f, g))
     Gflat, est = _propagate(_pair_pieces(sys, _flow_pieces(sys, grid, f, g)), G0, grid, tol,
                             _scale(u, f, v, g))
-    return PairTrajectory(grid, sys.basis, sys.index, Gflat.reshape(len(grid), n, n), est)
+    return PairTrajectory(grid, sys, problem, Gflat.reshape(len(grid), n, n), est)
 
 
 class HomomorphismReport(NamedTuple):
@@ -748,9 +743,10 @@ def homomorphism_defect(ftraj: MatrixElementTrajectory, gtraj: PairTrajectory,
     ``consistent``: G's identity row is F to within 10 x F's largest
     estimate, which holds by construction (both step the same F pieces).
     """
-    if ftraj.basis != gtraj.basis or not np.array_equal(ftraj.grid, gtraj.grid):
-        raise ValueError("the F and G solves must share one basis and grid")
-    id_row = gtraj.G[:, gtraj.index[WeylLabel.identity()], :]
+    if (ftraj.sys is not gtraj.sys or ftraj.problem != gtraj.problem
+            or not np.array_equal(ftraj.grid, gtraj.grid)):
+        raise ValueError("the F and G solves must share one system, grid and (u, f, v, g)")
+    id_row = gtraj.G[:, gtraj.sys.index[WeylLabel.identity()], :]
     violation = float(np.abs(id_row - ftraj.F).max())
     consistent = violation <= 10.0 * float(ftraj.error_estimate.max())
     reports = []
@@ -785,13 +781,13 @@ def contraction_check(sys: FlowGeneratorSystem, xs, family, t: float,
     solves = {}
     for i, (_ci, ui, fi) in enumerate(family):
         for j, (_cj, uj, fj) in enumerate(family[i:], start=i):
-            if (i, j) in solved:
-                at = np.flatnonzero(solved[(i, j)].grid == t)
-                if at.size == 0:
-                    raise ValueError(f"the solve given for pair {(i, j)} does not hold t = {t}")
-                solves[(i, j)] = (solved[(i, j)], int(at[0]))
-            else:
-                solves[(i, j)] = (flow_element(sys, ui, fi, uj, fj, [t], tol=tol), 0)
+            traj = solved.get((i, j)) or flow_element(sys, ui, fi, uj, fj, [t], tol=tol)
+            at = np.flatnonzero(traj.grid == t)
+            if traj.sys is not sys or traj.problem != (ui, fi, uj, fj):
+                raise ValueError(f"the solve given for pair {(i, j)} is not its solve on sys")
+            if at.size == 0:
+                raise ValueError(f"the solve given for pair {(i, j)} does not hold t = {t}")
+            solves[(i, j)] = (traj, int(at[0]))
     reports = []
     for x in xs:
         xx = x.adjoint() * x
@@ -815,21 +811,22 @@ class CovarianceReport(NamedTuple):
     error_estimate: float
 
 
-def covariance_check(sys: FlowGeneratorSystem, traj: MatrixElementTrajectory, xs,
-                     u, f, v, g, j, tol: float = 1e-10) -> list[CovarianceReport]:
+def covariance_check(traj: MatrixElementTrajectory, xs, j) -> list[CovarianceReport]:
     """Shift invariance: F(x; u,f,v,g) against the problem translated by -j.
 
-    ``traj`` is ``flow_element``'s solve of (u, f, v, g) on ``sys``; the
-    translated problem is solved once on the translated window, and each
-    x in ``xs`` gets one report.
+    ``traj`` is a ``flow_element`` solve: its system, (u, f, v, g), grid
+    and tol are the problem checked.  The translated problem is solved
+    once on the translated window, and each x in ``xs`` gets one report.
     """
     j = tuple(int(c) for c in j)
     neg = tuple(-c for c in j)
-    L = sys.lindbladian
-    sites_b = tuple(tuple(s[c] + neg[c] for c in range(L.params.d)) for s in sys.sites)
+    L = traj.sys.lindbladian
+    u, f, v, g = traj.problem
+    f, g = _harmonize(f, g)
+    sites_b = tuple(tuple(s[c] + neg[c] for c in range(L.params.d)) for s in traj.sys.sites)
     traj_b = flow_element(
         build_generator_system(L, sites_b), u.translate(neg), f.shifted(j),
-        v.translate(neg), g.shifted(j), traj.grid, tol=tol
+        v.translate(neg), g.shifted(j), traj.grid, tol=traj.tol
     )
     reports = []
     for x in xs:

@@ -17,7 +17,9 @@ window basis, and the closed form for partial-state kinds), ergodic
 states, perturbed-ergodic states (one sparse solve on the window),
 decay-rate fitting, and the multi-derivation / expansion / bound harness
 used to exercise the iterated-commutator estimates that control
-everything else.
+everything else.  Each bound reads its order n and zero count p from
+its eps tuples, checked before anything is enumerated; the perturbed
+ergodic state reads state, Kraus family and c from the generator.
 
 Each structure map of a :class:`Lindbladian` has one accessor:
 ``lind_k`` for L_k, ``derivation(+-1, ...)`` for delta_k and delta_k^dag.
@@ -186,8 +188,8 @@ class Lindbladian:
         return Lindbladian(params, "partial", state=state)
 
     @staticmethod
-    def perturbed(params: AlgebraParams, state, kraus: KrausFamily, c: float) -> "Lindbladian":
-        return Lindbladian(params, "perturbed", kraus=kraus, state=state, c=c)
+    def perturbed(state, kraus: KrausFamily, c: float) -> "Lindbladian":
+        return Lindbladian(kraus.params, "perturbed", kraus=kraus, state=state, c=c)
 
     # -- structure -------------------------------------------------------
 
@@ -705,11 +707,12 @@ def ergodic_state(state, x: LocalOperator) -> complex:
     return acc
 
 
-def perturbed_ergodic_state(state, L: Lindbladian, c: float,
-                            x: LocalOperator) -> tuple[complex, float]:
+def perturbed_ergodic_state(Lc: Lindbladian, x: LocalOperator) -> tuple[complex, float]:
     """Phi^{(c)}(x) = Phi(x) + c * integral over t >= 0 of Phi(L(P_t^{(c)} x)) dt.
 
-    On the interior window of the perturbed generator, with window matrix
+    ``Lc`` is the generator ``evolve`` steps, partial-state (c = 0) or
+    perturbed (a translation kind raises ``ValueError``); state, family L
+    and c are read from it.  On its interior window, with window matrix
     A, the integral is linear algebra: if A has one stationary state,
     the integral over t >= 0 of e^{tA} - Pi is -A^#, where A^# is the
     group inverse of A and Pi the projector onto that state (Meyer, SIAM
@@ -727,20 +730,18 @@ def perturbed_ergodic_state(state, L: Lindbladian, c: float,
     relax to a multiple of the identity.  A window past
     ``dense.MAX_WINDOW_DIM`` strings raises ``SizeGuardError``.
     """
-    if c < 0:
-        raise ValueError("perturbation weight must be nonnegative")
+    if Lc.kind == "translation":
+        raise ValueError("needs a partial-state or perturbed generator")
+    state, c = Lc.state, Lc.c
     base = ergodic_state(state, x)
     if c == 0:
         return base, 0.0
-    if L.kind != "translation":
-        raise ValueError("the perturbing generator must be translation-covariant")
-    pert = Lindbladian.perturbed(L.params, state, L.kraus, c)
-    mat, basis, index, _edge = generator_matrix(pert, default_window(pert, x), "interior")
+    mat, basis, index, _edge = generator_matrix(Lc, default_window(Lc, x), "interior")
     # The row reads each string image once, so it builds them in a
     # generator of its own: the caller's image table would keep them all.
-    row = Lindbladian.translation_covariant(L.kraus)
+    row = Lindbladian.translation_covariant(Lc.kraus)
     phi_l_vec = np.array([
-        ergodic_state(state, row.apply(LocalOperator.weyl(L.params, lab))) for lab in basis
+        ergodic_state(state, row.apply(LocalOperator.weyl(Lc.params, lab))) for lab in basis
     ])
 
     # scipy.sparse.linalg loads scipy.linalg; only this branch needs it.
@@ -865,63 +866,56 @@ class LemmaBoundReport(NamedTuple):
     count: int
 
 
-def lemma_bound_report(L: Lindbladian, x: LocalOperator, n: int, mode: str,
-                       epsbar=None, y: LocalOperator | None = None,
-                       eps1=None, eps2=None) -> LemmaBoundReport:
-    """Enumerated iterated-derivation norm sums against their stated bounds.
+def _lemma_setup(L: Lindbladian, epsbar, *more) -> tuple[tuple[int, ...], float, float]:
+    """(epsbar, theta_1(r), ||r||), the eps tuples checked before anything is enumerated.
 
-    ``pure``: all eps in {-1, +1}; bound (2 theta_1(r) c_x)^n.
-    ``mixed``: zeros allowed; bound ||r||^p (2 theta_1(r) c_x)^n with p
-    the number of zero slots.
-    ``product``: sum over three tuple families applied to
-    delta'(x) * delta''(y); bound 2^n (1+||r||)^{2n+m1+m2}
-    (2 theta_1(r) c_{x,y})^{n+m1+m2}.
+    Every entry of epsbar and of ``more`` must be -1, 0 or +1 and epsbar
+    nonempty (else ``ValueError``); an epsbar past 3 raises ``SizeGuardError``.
     """
-    if n > 3:
+    epsbar = tuple(epsbar)
+    if not epsbar or any(e not in (-1, 0, 1) for eps in (epsbar, *more) for e in eps):
+        raise ValueError(f"eps tuples need entries in {{-1, 0, +1}} and a nonempty "
+                         f"epsbar, got {(epsbar, *more)}")
+    if len(epsbar) > 3:
         raise SizeGuardError("bound enumeration limited to n <= 3")
     r = L.single_r()
-    th = theta(r, 1)
-    rn = dense.operator_norm(r)
+    return epsbar, theta(r, 1), dense.operator_norm(r)
 
-    if mode in ("pure", "mixed"):
-        if epsbar is None:
-            epsbar = (1,) * n
-        epsbar = tuple(epsbar)
-        if len(epsbar) != n:
-            raise ValueError("epsbar length must equal n")
-        if mode == "pure" and any(e == 0 for e in epsbar):
-            raise ValueError("pure mode requires eps in {-1, +1}")
-        terms = _derivation_terms(L, x, epsbar)
-        lhs = sum(dense.operator_norm(val) for _k, val in terms)
-        cx = c_const(x)
-        if mode == "pure":
-            rhs = (2.0 * th * cx) ** n
-        else:
-            p = sum(1 for e in epsbar if e == 0)
-            rhs = rn**p * (2.0 * th * cx) ** n
-        return LemmaBoundReport(lhs, rhs, len(terms))
 
-    if mode == "product":
-        if y is None or eps1 is None or eps2 is None:
-            raise ValueError("product mode needs y, eps1 and eps2")
-        if epsbar is None:
-            epsbar = (1,) * n
-        epsbar, eps1, eps2 = tuple(epsbar), tuple(eps1), tuple(eps2)
-        m1, m2 = len(eps1), len(eps2)
-        lhs = 0.0
-        count = 0
-        for _k1, dx in _derivation_terms(L, x, eps1):
-            for _k2, dy in _derivation_terms(L, y, eps2):
-                prod = dx * dy
-                if prod.is_zero(1e-14):
-                    continue
-                for _k, val in _derivation_terms(L, prod, epsbar):
-                    lhs += dense.operator_norm(val)
-                    count += 1
-                    if count > ENUM_GUARD:
-                        raise SizeGuardError("product enumeration exceeded the guard")
-        cxy = max(c_const(x), c_const(y))
-        rhs = 2.0**n * (1.0 + rn) ** (2 * n + m1 + m2) * (2.0 * th * cxy) ** (n + m1 + m2)
-        return LemmaBoundReport(lhs, rhs, count)
+def lemma_bound_report(L: Lindbladian, x: LocalOperator, epsbar) -> LemmaBoundReport:
+    """Norm sum of delta(kbar, epsbar) x over kbar against ||r||^p (2 theta_1(r) c_x)^n.
 
-    raise ValueError(f"unknown lemma mode {mode!r}")
+    n = len(epsbar) and p counts its zeros; with no zero the bound is
+    (2 theta_1(r) c_x)^n exactly.
+    """
+    epsbar, th, rn = _lemma_setup(L, epsbar)
+    terms = _derivation_terms(L, x, epsbar)
+    lhs = sum(dense.operator_norm(val) for _k, val in terms)
+    rhs = rn ** epsbar.count(0) * (2.0 * th * c_const(x)) ** len(epsbar)
+    return LemmaBoundReport(lhs, rhs, len(terms))
+
+
+def lemma_product_report(L: Lindbladian, x: LocalOperator, y: LocalOperator,
+                         eps1, eps2, epsbar) -> LemmaBoundReport:
+    """The same for delta(kbar, epsbar) (delta'(x) delta''(y)), delta' over eps1, delta'' over eps2.
+
+    With n, m1, m2 the lengths of epsbar, eps1, eps2 the bound is
+    2^n (1+||r||)^{2n+m1+m2} (2 theta_1(r) c_{x,y})^{n+m1+m2}.
+    """
+    epsbar, th, rn = _lemma_setup(L, epsbar, eps1, eps2)
+    n, m1, m2 = len(epsbar), len(eps1), len(eps2)
+    lhs = 0.0
+    count = 0
+    for _k1, dx in _derivation_terms(L, x, eps1):
+        for _k2, dy in _derivation_terms(L, y, eps2):
+            prod = dx * dy
+            if prod.is_zero(1e-14):
+                continue
+            for _k, val in _derivation_terms(L, prod, epsbar):
+                lhs += dense.operator_norm(val)
+                count += 1
+                if count > ENUM_GUARD:
+                    raise SizeGuardError("product enumeration exceeded the guard")
+    cxy = max(c_const(x), c_const(y))
+    rhs = 2.0**n * (1.0 + rn) ** (2 * n + m1 + m2) * (2.0 * th * cxy) ** (n + m1 + m2)
+    return LemmaBoundReport(lhs, rhs, count)

@@ -181,7 +181,7 @@ def lindblad_checks(rng) -> list[Verdict]:
     rate, r2 = lindblad.decay_rate_fit(ts[1:], dev[1:], drop_frac=0.1)
     out.append(_le("lindblad.ergodic_rate", abs(rate - 1.0), 1e-3, f"r2={r2:.6f}"))
 
-    val0, _ = lindblad.perturbed_ergodic_state(rho, Lr, 0.0, sz)
+    val0, _ = lindblad.perturbed_ergodic_state(Lp, sz)
     out.append(_le("lindblad.perturbed_c0",
                    abs(val0 - lindblad.ergodic_state(rho, sz)), 1e-6,
                    "0 by construction: perturbed_ergodic_state at c = 0 "
@@ -192,7 +192,7 @@ def lindblad_checks(rng) -> list[Verdict]:
         for kbar in ([(0,)], [(0,), (0,)], [(0,), (1,)])
     )
     out.append(_le("lindblad.leibniz_expansion", defect, 1e-12))
-    rep = lindblad.lemma_bound_report(Lr, sz, 1, "pure")
+    rep = lindblad.lemma_bound_report(Lr, sz, (1,))
     out.append(_le("lindblad.lemma_bound_example", rep.lhs, rep.rhs, "lhs=2 rhs=4"))
     return out
 
@@ -236,7 +236,7 @@ def fock_checks() -> list[Verdict]:
     t_ode = fock.flow_element(sysr, one, z, sz, z, g2)
     t_pic = fock.picard_element(sysr, sz, one, z, sz, z, g2, depth=depth)
     out.append(_le("fock.picard_vs_ode",
-                   float(np.abs(t_ode.of_operator(sz) - t_pic.F[:, 0]).max()), 1e-7,
+                   float(np.abs(t_ode.of_operator(sz) - t_pic.values).max()), 1e-7,
                    f"depth={depth}"))
 
     rep, = fock.contraction_check(sys1, [sx + sz], [(1.0, one, z), (0.5, sx, f)], 1.0)
@@ -246,7 +246,7 @@ def fock_checks() -> list[Verdict]:
 
     sysc = fock.build_generator_system(Lr, [(-1,), (0,), (1,)])
     trajc = fock.flow_element(sysc, sz, f, sx, g, grid)
-    cov, = fock.covariance_check(sysc, trajc, [sz], sz, f, sx, g, (1,))
+    cov, = fock.covariance_check(trajc, [sz], (1,))
     out.append(_le("fock.covariance", cov.deviation, max(2 * cov.error_estimate, 1e-9),
                    COVARIANCE_NOTE))
 

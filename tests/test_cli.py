@@ -334,6 +334,50 @@ def test_ergodicity_report(tmp_path):
         ["x", "0"], ["x", "0.5"], ["y", "0"], ["y", "0.5"]]
 
 
+# sx under the maximally mixed state decays as 4 e^{-t} in seminorm, for
+# every c (sx commutes with the perturbing word), to 4e-13 at t = 30.
+LONG_ERGODICITY = """\
+[algebra]
+n = 2
+d = 1
+[generator]
+kind = partial_state
+rho = 0.5 0 0 0 ; 0 0 0.5 0
+kraus = 1 0 ; 0:1,0
+[observables]
+x = 1 0 ; 0:1,0
+[run]
+t_grid = linspace 0 30 31
+c_values = 0 0.5
+"""
+
+
+def test_perturbed_rate_fit_reads_certified_samples(tmp_path, monkeypatch):
+    import uhfflow.lindblad as lindblad
+
+    received = []
+
+    def recorded(ts, values, *args, _fn=lindblad.decay_rate_fit, **kwargs):
+        received.append((list(ts), list(values)))
+        return _fn(ts, values, *args, **kwargs)
+
+    monkeypatch.setattr(lindblad, "decay_rate_fit", recorded)
+    res = _invoke(tmp_path, ["ergodicity"], LONG_ERGODICITY)
+    assert res.exit_code in (0, 1), res.output
+    # The closed-form fit, then one fit per c of the evolve solves.
+    closed_form, *perturbed = received
+    assert len(closed_form[0]) == 31 and len(perturbed) == 2
+    # The solves are certified to tol = 1e-10 per window coefficient; on the
+    # 1-site window (4 strings, seminorm at most 2 x 3 each) a sample is
+    # certified to 24e-10.  Samples past t = 21 fall below that.
+    for ts, values in perturbed:
+        assert min(values) > 24e-10
+        assert ts == [float(t) for t in range(22)]
+    # Fitting the uncertified tail as well reads rates of 0.985 and 1.013.
+    rates = _tables(tmp_path)["perturbed_rates.csv"][1:]
+    assert [abs(float(row.split(",")[2]) - 1.0) < 1e-4 for row in rates] == [True, True]
+
+
 def test_lemma_report(tmp_path):
     config = LEMMA_FAIL.replace("instances = 20", "instances = 6")
     res = _invoke(tmp_path, ["lemma"], config)

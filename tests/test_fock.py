@@ -273,7 +273,7 @@ class TestPicard:
         assert fock.picard_tail_bound(sz, zf, 0.25, depth, L) < 1e-8
         a = fock.flow_element(sys_, one, zf, sz, zf, grid)
         b = fock.picard_element(sys_, sz, one, zf, sz, zf, grid, depth=depth)
-        assert np.abs(a.of_operator(sz) - b.F[:, 0]).max() < 1e-7
+        assert np.abs(a.of_operator(sz) - b.values).max() < 1e-7
 
     def test_driven_picard(self, p2, pauli):
         sx, sz, _, one = pauli
@@ -283,9 +283,24 @@ class TestPicard:
         grid = np.linspace(0.0, 0.25, 5)
         a = fock.flow_element(sys_, one, f, sz, f, grid)
         b = fock.picard_element(sys_, sz, one, f, sz, f, grid)
-        assert np.abs(a.of_operator(sz) - b.F[:, 0]).max() < 1e-7
+        assert np.abs(a.of_operator(sz) - b.values).max() < 1e-7
         # The default depth is certified, so the estimate says something.
         assert (b.error_estimate < 1e-9).all()
+
+    def test_cell_boundary_reads_each_cells_generator(self, p2, pauli, rng):
+        # f and g change cell at t = 0.125, a node shared by two pieces
+        # with different generators; each piece must integrate its own.
+        sx, sz, _, _ = pauli
+        L = lb.Lindbladian.single_kraus(sx + 0.5j * sz)
+        sys_ = fock.build_generator_system(L, [(0,)])
+        u = random_local(p2, rng, [(0,)], include_identity=True)
+        v = random_local(p2, rng, [(0,)], include_identity=True)
+        f = fock.TestFunction.build(0.25, 2, {((0,), 0): [0.5, -2.0j]})
+        g = fock.TestFunction.build(0.25, 2, {((0,), 0): [1.5, 0.2]})
+        grid = np.linspace(0.0, 0.25, 5)
+        a = fock.flow_element(sys_, u, f, v, g, grid, tol=1e-14)
+        b = fock.picard_element(sys_, sz, u, f, v, g, grid)
+        assert (np.abs(a.of_operator(sz) - b.values) <= b.error_estimate).all()
 
     def test_uncertified_family_raises(self, eta_sys, pauli, zf):
         # A partial-state generator is no single-operator family.
@@ -489,13 +504,28 @@ class TestPairSystem:
         sx, _, _, one = pauli
         gtraj = fock.pair_element(eta_sys, one, zf, one, zf, GRID)
         short = fock.flow_element(eta_sys, one, zf, one, zf, GRID[:3])
-        with pytest.raises(ValueError, match="basis and grid"):
+        with pytest.raises(ValueError, match="one system, grid"):
             fock.homomorphism_defect(short, gtraj, [(sx, sx)])
         L = lb.Lindbladian.partial_state(p2, maxmix)
         wide = fock.flow_element(fock.build_generator_system(L, [(0,), (1,)]),
                                  one, zf, one, zf, GRID)
-        with pytest.raises(ValueError, match="basis and grid"):
+        with pytest.raises(ValueError, match="one system, grid"):
             fock.homomorphism_defect(wide, gtraj, [(sx, sx)])
+
+    def test_needs_the_same_problem(self, eta_sys, pauli, zf):
+        # F of (sx, f; 1, 0) against G of (sz, 0; sx, f) would read a defect
+        # of order 1 against an estimate of order 1e-10.
+        sx, sz, _, one = pauli
+        f = fock.TestFunction.build(1.0, 4, {((0,), 0): [0.9, 0.4, 0.7, 0.2]})
+        ftraj = fock.flow_element(eta_sys, sx, f, one, zf, GRID)
+        gtraj = fock.pair_element(eta_sys, sz, zf, sx, f, GRID)
+        with pytest.raises(ValueError, match=r"\(u, f, v, g\)"):
+            fock.homomorphism_defect(ftraj, gtraj, [(sx, sz)])
+        # The same vectors and equal test functions pose the same problem.
+        f_again = fock.TestFunction.build(1.0, 4, {((0,), 0): [0.9, 0.4, 0.7, 0.2]})
+        again = fock.pair_element(eta_sys, sx, f_again, one, fock.TestFunction.zero(), GRID)
+        rep, = fock.homomorphism_defect(ftraj, again, [(sx, sz)])
+        assert rep.consistent and rep.defect < 1e-9
 
 
 class TestHomomorphism:
@@ -570,6 +600,21 @@ class TestContraction:
         with pytest.raises(ValueError):
             fock.contraction_check(eta_sys, [sz], family, 0.75, solved={(0, 1): fwd})
 
+    def test_rejects_a_solve_of_another_problem(self, eta_sys, p2, maxmix, pauli, driven_pair):
+        # ``solved`` must hold the pair's own solve: (u_i, f_i; u_j, f_j) on sys.
+        f, g = driven_pair
+        sx, sz, _, one = pauli
+        family = [(1.0, one, f), (0.5, sx, g)]
+        for wrong in (fock.flow_element(eta_sys, one, f, sz, g, [0.0, 0.5]),
+                      fock.flow_element(eta_sys, one, g, sx, f, [0.0, 0.5]),
+                      fock.flow_element(eta_sys, sx, g, one, f, [0.0, 0.5]),
+                      fock.flow_element(
+                          fock.build_generator_system(lb.Lindbladian.partial_state(p2, maxmix),
+                                                      [(0,)]),
+                          one, f, sx, g, [0.0, 0.5])):
+            with pytest.raises(ValueError, match="is not its solve"):
+                fock.contraction_check(eta_sys, [sz], family, 0.5, solved={(0, 1): wrong})
+
     def test_family_guard(self, eta_sys, p2, zf, pauli):
         fam = [(1.0, pauli[3], zf)] * 9
         with pytest.raises(SizeGuardError):
@@ -583,7 +628,7 @@ class TestCovariance:
         L = lb.Lindbladian.single_kraus(sx, unital=True)
         sys_ = fock.build_generator_system(L, [(-1,), (0,), (1,)])
         traj = fock.flow_element(sys_, sz, f, sx, g, GRID)
-        rep, = fock.covariance_check(sys_, traj, [sz], sz, f, sx, g, (0,))
+        rep, = fock.covariance_check(traj, [sz], (0,))
         assert rep.deviation < 1e-12
 
     def test_vacuum_case(self, p2, pauli, zf, rng):
@@ -593,7 +638,7 @@ class TestCovariance:
         L = lb.Lindbladian.single_kraus(sx, unital=True)
         sys_ = fock.build_generator_system(L, [(-1,), (0,), (1,)])
         traj = fock.flow_element(sys_, u, zf, v, zf, GRID)
-        reps = fock.covariance_check(sys_, traj, [sz, sx, sz * sx], u, zf, v, zf, (1,))
+        reps = fock.covariance_check(traj, [sz, sx, sz * sx], (1,))
         assert len(reps) == 3
         assert max(rep.deviation for rep in reps) < 1e-9
 
@@ -606,8 +651,41 @@ class TestCovariance:
         grid = np.linspace(0.0, 0.5, 5)
         sys_ = fock.build_generator_system(L, [(0,), (1,)])
         traj = fock.flow_element(sys_, sz, f, sx, g, grid)
-        rep, = fock.covariance_check(sys_, traj, [sz], sz, f, sx, g, (1,))
+        rep, = fock.covariance_check(traj, [sz], (1,))
         assert rep.deviation <= max(2 * rep.error_estimate, 1e-9)
+
+    def test_reads_its_problem_from_the_solve(self, p2, pauli, driven_pair, monkeypatch):
+        # The translated solve takes the forward solve's problem, grid and tol.
+        f, g = driven_pair
+        sx, sz, _, _ = pauli
+        L = lb.Lindbladian.single_kraus(sx, unital=True)
+        sys_ = fock.build_generator_system(L, [(-1,), (0,), (1,)])
+        traj = fock.flow_element(sys_, sz, f, sx, g, GRID, tol=1e-12)
+        seen = []
+        real = fock.flow_element
+
+        def recorded(*args, **kwargs):
+            seen.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fock, "flow_element", recorded)
+        rep, = fock.covariance_check(traj, [sz], (1,))
+        (sys_b, u, fb, v, gb, grid), kwargs = seen[0]
+        assert sys_b.sites == ((-2,), (-1,), (0,))
+        assert u.sup_diff(sz.translate((-1,))) == 0.0 and v.sup_diff(sx.translate((-1,))) == 0.0
+        assert (fb, gb) == (f.shifted((1,)), g.shifted((1,)))
+        assert grid is traj.grid and kwargs == {"tol": 1e-12}
+        assert rep.deviation <= max(2 * rep.error_estimate, 1e-9)
+
+    def test_solve_without_test_functions(self, p2, pauli):
+        # f and g are recorded as passed (None here) and read as zero.
+        sx, sz, _, _ = pauli
+        L = lb.Lindbladian.single_kraus(sx, unital=True)
+        sys_ = fock.build_generator_system(L, [(-1,), (0,), (1,)])
+        traj = fock.flow_element(sys_, sz, None, sx, None, GRID)
+        assert traj.problem == (sz, None, sx, None)
+        rep, = fock.covariance_check(traj, [sz], (1,))
+        assert rep.deviation < 1e-12
 
 
 class TestEtaFlows:

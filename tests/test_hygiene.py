@@ -26,7 +26,11 @@ Kronecker products of site words, so one cache holds every Kronecker
 string; the separate word-stack cache is gone.  ``Lindbladian`` hands
 out each structure map through one accessor, so the overlapping methods
 it had (and ``LocalOperator.__truediv__``) stay gone: no class defines
-them again and no module or test reads them.  ``cli.py`` constructs no
+them again and no module or test reads them.  The parameters that
+another input of the same call determines (``lemma_bound_report``'s
+``mode`` and ``n``, ``perturbed_ergodic_state``'s ``state`` and ``c``,
+``Lindbladian.perturbed``'s ``params``, ``covariance_check``'s system,
+problem and ``tol``) stay gone.  ``cli.py`` constructs no
 ``ConfigError``: what each command needs of a config is checked in
 ``config``, before any command body runs.  No module
 imports or names scipy's ``expm_multiply``: every matrix exponential is
@@ -372,6 +376,51 @@ def test_scanner_sees_a_revived_accessor():
     assert revived_names(planted, REMOVED) == ["Lindbladian.lind_zero", ".delta", ".members_at"]
 
 
+# Parameters deleted because another input of the same call determines
+# them: the eps tuple gives the lemma order and mode, the generator its
+# state and weight, the Kraus family its parameters, the solve its problem.
+TRIMMED = {"lemma_bound_report": ("mode", "n"),
+           "perturbed_ergodic_state": ("state", "c"),
+           "Lindbladian.perturbed": ("params",),
+           "covariance_check": ("sys", "u", "f", "v", "g", "tol")}
+
+
+def signatures(source: str) -> dict[str, set[str]]:
+    """Parameter names of each module-level function and method of ``source``."""
+    tree = ast.parse(source)
+    scopes = [("", tree.body)] + [(f"{node.name}.", node.body) for node in tree.body
+                                  if isinstance(node, ast.ClassDef)]
+    return {owner + node.name: {a.arg for a in node.args.posonlyargs + node.args.args
+                                + node.args.kwonlyargs}
+            for owner, body in scopes for node in body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def revived_parameters(sigs: dict[str, set[str]], trimmed) -> list[str]:
+    """``function.parameter`` for each trimmed parameter a function takes again."""
+    return [f"{name}.{param}" for name, params in trimmed.items()
+            for param in params if param in sigs.get(name, ())]
+
+
+def test_trimmed_signatures_stay_trimmed():
+    sigs = {}
+    for path in PACKAGE:
+        sigs.update(signatures(path.read_text()))
+    assert set(TRIMMED) <= set(sigs)
+    assert revived_parameters(sigs, TRIMMED) == []
+
+
+def test_scanner_sees_a_revived_parameter():
+    planted = (SOURCE / "lindblad.py").read_text().replace(
+        "def perturbed(state, kraus", "def perturbed(params, state, kraus").replace(
+        "def lemma_bound_report(L: Lindbladian, x: LocalOperator, epsbar)",
+        "def lemma_bound_report(L: Lindbladian, x: LocalOperator, epsbar, *, mode='pure')")
+    planted += "\n\ndef covariance_check(sys, traj, xs, j, tol=1e-10):\n    return sys, tol\n"
+    assert revived_parameters(signatures(planted), TRIMMED) == [
+        "lemma_bound_report.mode", "Lindbladian.perturbed.params",
+        "covariance_check.sys", "covariance_check.tol"]
+
+
 def test_cli_constructs_no_config_error():
     assert functions_calling_all((SOURCE / "cli.py").read_text(), ("ConfigError",)) == []
 
@@ -533,19 +582,21 @@ def test_commands_load_no_integrator_or_dense_linalg(import_footprint, command):
     assert import_footprint[command] == []
 
 
-# Whether ``scipy.sparse.linalg`` is loaded after a c = 0 and then a c > 0
-# call of ``perturbed_ergodic_state`` (only the sparse solve needs it).
+# Whether ``scipy.sparse.linalg`` is loaded after a c = 0 (partial-state)
+# and then a c > 0 call of ``perturbed_ergodic_state`` (only the sparse
+# solve needs it).
 SOLVE_PROBE = """\
 import json, sys
 import numpy as np
 from uhfflow import dense, lindblad
 from uhfflow.algebra import AlgebraParams, LocalOperator
 sx = LocalOperator.site_word(AlgebraParams(2, 1), (0,), 1, 0)
-L = lindblad.Lindbladian.single_kraus(sx)
 state = dense.StateSpec(np.diag([0.7, 0.3]))
+generators = [lindblad.Lindbladian.partial_state(sx.params, state),
+              lindblad.Lindbladian.perturbed(state, lindblad.KrausFamily((sx,)), 0.5)]
 loaded = []
-for c in (0.0, 0.5):
-    lindblad.perturbed_ergodic_state(state, L, c, sx)
+for Lc in generators:
+    lindblad.perturbed_ergodic_state(Lc, sx)
     loaded.append("scipy.sparse.linalg" in sys.modules)
 print(json.dumps(loaded))
 """

@@ -182,7 +182,8 @@ WINDOW_PATHS = {
     "build_generator_system": lambda L, x: fock.build_generator_system(L, WIDE),
     "eta_ergodicity_scan": lambda L, x: fock.eta_ergodicity_scan(BIASED, x, x, ZERO, x, ZERO,
                                                                  [0.0, 0.5]),
-    "perturbed_ergodic_state": lambda L, x: lb.perturbed_ergodic_state(BIASED, L, 0.1, x),
+    "perturbed_ergodic_state": lambda L, x: lb.perturbed_ergodic_state(
+        lb.Lindbladian.perturbed(BIASED, L.kraus, 0.1), x),
 }
 
 

@@ -13,10 +13,12 @@ import uhfflow.selftest as selftest
 from uhfflow.algebra import (
     LocalOperator,
     WeylLabel,
+    c_const,
     commutator,
     gns_norm,
     random_local,
     seminorm_one,
+    theta,
 )
 from uhfflow.errors import DivergenceError, FitError, SizeGuardError, WindowError
 
@@ -138,7 +140,7 @@ class TestLindTotal:
         sx, sz, _, _ = pauli
         kraus = lb.KrausFamily((sx,), unital=True)
         c = 0.3
-        Lc = lb.Lindbladian.perturbed(p2, maxmix, kraus, c)
+        Lc = lb.Lindbladian.perturbed(maxmix, kraus, c)
         Lp = lb.Lindbladian.partial_state(p2, maxmix)
         Lr = lb.Lindbladian.translation_covariant(kraus)
         x = random_local(p2, rng, [(0,), (1,)])
@@ -166,7 +168,7 @@ class TestMemberAndImageTables:
         return {
             "translation": lb.Lindbladian.translation_covariant(kraus),
             "partial": lb.Lindbladian.partial_state(p2, biased),
-            "perturbed": lb.Lindbladian.perturbed(p2, biased, kraus, 0.3),
+            "perturbed": lb.Lindbladian.perturbed(biased, kraus, 0.3),
         }
 
     @pytest.mark.parametrize("kind", ["translation", "partial", "perturbed"])
@@ -192,7 +194,7 @@ class TestMemberAndImageTables:
     def test_second_apply_multiplies_nothing(self, p2, pauli, biased, rng, monkeypatch):
         sx, sz = pauli[0], pauli[1]
         L = lb.Lindbladian.perturbed(
-            p2, biased, lb.KrausFamily((sx * sx.translate((1,)) + 0.5 * sz,)), 0.3)
+            biased, lb.KrausFamily((sx * sx.translate((1,)) + 0.5 * sz,)), 0.3)
         x = random_local(p2, rng, [(0,), (1,)], n_terms=3)
         calls = []
         mul, comm = LocalOperator.__mul__, lb.commutator
@@ -256,7 +258,7 @@ class TestPerMemberClosure:
         sx, sz = pauli[0], pauli[1]
         kraus = lb.KrausFamily((sx * sx.translate((1,)) + 0.5 * sz,))
         state = dense.StateSpec(np.array([[0.7, 0.1], [0.1, 0.3]]))
-        Lc = lb.Lindbladian.perturbed(p2, state, kraus, 0.1)
+        Lc = lb.Lindbladian.perturbed(state, kraus, 0.1)
         return Lc, lb.default_window(Lc, sx)
 
     def test_edge_site_keeps_its_partial_state_members(self, perturbed_window):
@@ -689,19 +691,29 @@ class TestErgodicState:
 
 
 class TestPerturbedErgodicState:
-    def test_c_zero(self, biased, L_flip, pauli):
-        val, err = lb.perturbed_ergodic_state(biased, L_flip, 0.0, pauli[1])
-        assert val == lb.ergodic_state(biased, pauli[1])
-        assert err == 0.0
+    def test_c_zero(self, biased, L_flip, p2, pauli):
+        # Both generators at c = 0: the partial-state one and a zero-weight perturbation.
+        for L0 in (lb.Lindbladian.partial_state(p2, biased),
+                   lb.Lindbladian.perturbed(biased, L_flip.kraus, 0.0)):
+            val, err = lb.perturbed_ergodic_state(L0, pauli[1])
+            assert val == lb.ergodic_state(biased, pauli[1])
+            assert err == 0.0
+
+    def test_translation_generator_raises(self, L_flip, pauli):
+        # A translation family has no state to be ergodic for.
+        with pytest.raises(ValueError, match="partial-state or perturbed"):
+            lb.perturbed_ergodic_state(L_flip, pauli[1])
 
     def test_identity(self, biased, L_flip, p2):
-        val, _ = lb.perturbed_ergodic_state(biased, L_flip, 0.4, LocalOperator.identity(p2))
+        Lc = lb.Lindbladian.perturbed(biased, L_flip.kraus, 0.4)
+        val, _ = lb.perturbed_ergodic_state(Lc, LocalOperator.identity(p2))
         assert abs(val - 1.0) < 1e-9
 
     def test_stationary_value(self, biased, L_flip, p2, pauli):
         # L^c(sz) = (0.4 - sz) - 2c sz has fixed point 0.4 / (1 + 2c).
         c = 0.1
-        val, err = lb.perturbed_ergodic_state(biased, L_flip, c, pauli[1])
+        val, err = lb.perturbed_ergodic_state(lb.Lindbladian.perturbed(biased, L_flip.kraus, c),
+                                              pauli[1])
         assert abs(val - 0.4 / 1.2) < max(err, 1e-6)
 
     def test_dense_guard_before_assembly(self, p3, monkeypatch):
@@ -711,24 +723,25 @@ class TestPerturbedErgodicState:
         L = lb.Lindbladian.single_kraus(r)
         state = dense.StateSpec(np.diag([0.5, 0.3, 0.2]))
         x = LocalOperator.site_word(p3, (0,), 1, 1)
-        assert len(lb.default_window(lb.Lindbladian.perturbed(p3, state, L.kraus, 0.5), x)) == 5
+        Lc = lb.Lindbladian.perturbed(state, L.kraus, 0.5)
+        assert len(lb.default_window(Lc, x)) == 5
 
         def forbidden(*_args, **_kwargs):
             raise AssertionError("built a basis past the guard")
 
         monkeypatch.setattr(dense, "window_basis", forbidden)
         with pytest.raises(SizeGuardError):
-            lb.perturbed_ergodic_state(state, L, 0.5, x)
+            lb.perturbed_ergodic_state(Lc, x)
 
     @pytest.mark.parametrize("c", [0.1, 0.5, 2.0])
     def test_closed_forms(self, biased, L_flip, pauli, c):
         # L^c(sz) = (0.4 - sz) - 2c sz for sigma_x, and (0.4 - sz) - 4c sz
         # for sigma_x sigma_x, whose two translates both flip sz.
         sx, sz = pauli[0], pauli[1]
-        pair = lb.Lindbladian.single_kraus(sx * sx.translate((1,)))
-        val, _ = lb.perturbed_ergodic_state(biased, L_flip, c, sz)
+        pair = lb.KrausFamily((sx * sx.translate((1,)),))
+        val, _ = lb.perturbed_ergodic_state(lb.Lindbladian.perturbed(biased, L_flip.kraus, c), sz)
         assert abs(val - 0.4 / (1 + 2 * c)) < 1e-12
-        val, _ = lb.perturbed_ergodic_state(biased, pair, c, sz)
+        val, _ = lb.perturbed_ergodic_state(lb.Lindbladian.perturbed(biased, pair, c), sz)
         assert abs(val - 0.4 / (1 + 4 * c)) < 1e-12
 
     def test_two_site_family_matches_quadrature(self, p2, pauli):
@@ -739,10 +752,10 @@ class TestPerturbedErgodicState:
         L = lb.Lindbladian.single_kraus(sx * sx.translate((1,)) + 0.5 * sz)
         state = dense.StateSpec(np.array([[0.7, 0.1], [0.1, 0.3]]))
         c = 0.1
-        val, err = lb.perturbed_ergodic_state(state, L, c, sx)
+        Lc = lb.Lindbladian.perturbed(state, L.kraus, c)
+        val, err = lb.perturbed_ergodic_state(Lc, sx)
         assert abs(val - 0.19665075) < 1e-8 and err < 1e-12
 
-        Lc = lb.Lindbladian.perturbed(p2, state, L.kraus, c)
         sites = lb.default_window(Lc, sx)
         basis = dense.window_basis(p2, sites)
         index = {lab: i for i, lab in enumerate(basis)}
@@ -766,32 +779,35 @@ class TestPerturbedErgodicState:
 
         monkeypatch.setattr(lb, "generator_matrix", zero)
         with pytest.raises(DivergenceError, match="more than one stationary state"):
-            lb.perturbed_ergodic_state(biased, L_flip, 0.1, pauli[1])
+            lb.perturbed_ergodic_state(lb.Lindbladian.perturbed(biased, L_flip.kraus, 0.1),
+                                       pauli[1])
 
     def test_no_expm_multiply_step(self, biased, L_flip, pauli, monkeypatch):
         def forbidden(*_args, **_kwargs):
             raise AssertionError("stepped the semigroup")
 
         monkeypatch.setattr(lb, "expm_multiply", forbidden)
-        val, _ = lb.perturbed_ergodic_state(biased, L_flip, 0.1, pauli[1])
+        val, _ = lb.perturbed_ergodic_state(lb.Lindbladian.perturbed(biased, L_flip.kraus, 0.1),
+                                            pauli[1])
         assert abs(val - 0.4 / 1.2) < 1e-12
 
     def test_callers_image_table_does_not_grow(self, pauli):
         # The row reads every basis string's image once; it must not leave
         # them in the caller's generator.
         sx, sz = pauli[0], pauli[1]
-        L = lb.Lindbladian.single_kraus(sx * sx.translate((1,)) + 0.5 * sz)
+        kraus = lb.KrausFamily((sx * sx.translate((1,)) + 0.5 * sz,))
         state = dense.StateSpec(np.array([[0.7, 0.1], [0.1, 0.3]]))
-        val, _ = lb.perturbed_ergodic_state(state, L, 0.1, sx)
+        Lc = lb.Lindbladian.perturbed(state, kraus, 0.1)
+        val, _ = lb.perturbed_ergodic_state(Lc, sx)
         assert abs(val - 0.19665075) < 1e-8
-        assert L._images == {}
+        assert Lc._images == {}
 
     def test_invariance_under_flow(self, biased, L_flip, p2, pauli):
         c = 0.1
-        Lc = lb.Lindbladian.perturbed(p2, biased, L_flip.kraus, c)
+        Lc = lb.Lindbladian.perturbed(biased, L_flip.kraus, c)
         moved = lb.evolve(Lc, pauli[1], [0.0, 0.5], tol=1e-12).values[1]
-        v1, e1 = lb.perturbed_ergodic_state(biased, L_flip, c, pauli[1])
-        v2, e2 = lb.perturbed_ergodic_state(biased, L_flip, c, moved)
+        v1, e1 = lb.perturbed_ergodic_state(Lc, pauli[1])
+        v2, e2 = lb.perturbed_ergodic_state(Lc, moved)
         assert abs(v1 - v2) < max(e1 + e2, 1e-6)
 
 
@@ -828,7 +844,7 @@ class TestPerturbedRateTable:
         rates = []
         for c in (0.0, 0.05, 0.1):
             L = (lb.Lindbladian.partial_state(p2, maxmix) if c == 0
-                 else lb.Lindbladian.perturbed(p2, maxmix, kraus, c))
+                 else lb.Lindbladian.perturbed(maxmix, kraus, c))
             res = lb.evolve(L, sx, grid, tol=1e-12)
             vals = [seminorm_one(v) for v in res.values]
             rate, r2 = lb.decay_rate_fit(grid, vals, drop_frac=0.1)
@@ -888,12 +904,12 @@ class TestLeibnizExpansion:
 
 class TestLemmaBounds:
     def test_frozen_example(self, L_flip, pauli):
-        rep = lb.lemma_bound_report(L_flip, pauli[1], 1, "pure")
+        rep = lb.lemma_bound_report(L_flip, pauli[1], (1,))
         assert rep.lhs == pytest.approx(2.0, abs=1e-12)
         assert rep.rhs == pytest.approx(4.0, abs=1e-12)
 
     def test_identity_observable(self, L_flip, p2):
-        rep = lb.lemma_bound_report(L_flip, LocalOperator.identity(p2), 2, "pure")
+        rep = lb.lemma_bound_report(L_flip, LocalOperator.identity(p2), (1, 1))
         assert rep.lhs == 0.0
 
     def test_random_suite(self, p2, pauli, rng):
@@ -905,15 +921,41 @@ class TestLemmaBounds:
                 x = random_local(p2, rng, [(0,), (1,)])
                 n = int(rng.integers(1, 3))
                 eps = tuple(int(rng.choice([-1, 1])) for _ in range(n))
-                rep = lb.lemma_bound_report(L, x, n, "pure", epsbar=eps)
+                rep = lb.lemma_bound_report(L, x, eps)
                 assert rep.lhs <= rep.rhs * (1 + 1e-12)
+                # With no zero slot the bound is (2 theta_1(r) c_x)^n, bit for bit.
+                assert rep.rhs == (2.0 * theta(L.single_r(), 1) * c_const(x)) ** n
                 eps0 = tuple(0 if rng.random() < 0.5 else e for e in eps)
-                rep = lb.lemma_bound_report(L, x, n, "mixed", epsbar=eps0)
+                rep = lb.lemma_bound_report(L, x, eps0)
                 assert rep.lhs <= rep.rhs * (1 + 1e-12)
 
     def test_product_mode(self, L_flip, p2, rng):
         x = random_local(p2, rng, [(0,)])
         y = random_local(p2, rng, [(0,), (1,)])
-        rep = lb.lemma_bound_report(L_flip, x, 1, "product",
-                                    y=y, eps1=(1,), eps2=(-1,))
+        rep = lb.lemma_product_report(L_flip, x, y, (1,), (-1,), (1,))
         assert rep.lhs <= rep.rhs * (1 + 1e-12)
+
+    @pytest.mark.parametrize("epsbar", [(5,), (7, 3), (), (1, 2), (0.5,)])
+    def test_eps_is_checked_before_enumerating(self, L_flip, pauli, epsbar, monkeypatch):
+        # On the identity no derivation runs, so an unchecked tuple would
+        # return an empty sum instead of raising.
+        sx, _, _, one = pauli
+        monkeypatch.setattr(lb, "_derivation_terms", None)  # any enumeration fails
+        for x in (one, sx):
+            with pytest.raises(ValueError, match="eps tuples"):
+                lb.lemma_bound_report(L_flip, x, epsbar)
+            with pytest.raises(ValueError, match="eps tuples"):
+                lb.lemma_product_report(L_flip, x, one, (1,), (1,), epsbar)
+
+    @pytest.mark.parametrize("eps1,eps2", [((2,), (1,)), ((1,), (1, -2))])
+    def test_product_factor_eps_are_checked(self, L_flip, pauli, eps1, eps2):
+        one = pauli[3]
+        with pytest.raises(ValueError, match="eps tuples"):
+            lb.lemma_product_report(L_flip, one, one, eps1, eps2, (1,))
+
+    def test_order_past_three_is_a_size_guard(self, L_flip, pauli):
+        one = pauli[3]
+        with pytest.raises(SizeGuardError):
+            lb.lemma_bound_report(L_flip, one, (1, 0, -1, 1))
+        with pytest.raises(SizeGuardError):
+            lb.lemma_product_report(L_flip, one, one, (1,), (1,), (1, 0, -1, 1))
