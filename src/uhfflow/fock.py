@@ -19,24 +19,36 @@ cell is solved by a matrix exponential.  The pair elements
 
 satisfy the doubled system carrying one quantum Ito correction term
 sum_j G(delta_j^dag x, delta_j y); the homomorphism claim is exactly
-F_t(xy) = G_t(x, y).  The F system is listed as pieces between
-breakpoints, each with its cell's generator A and leak rate; G's piece
-on the same stretch is built from it, with cell generator
-A (x) 1 + 1 (x) A + Ito, Ito = sum_j delta_j^dag (x) delta_j.  That
-generator is applied, not assembled: it acts on G as an n x n matrix,
-G -> A G + G A^T + Ito G, and the Ito sum is its only n^2 x n^2 matrix.
-Every piece is stepped by ``lindblad.expm_multiply``, on a generator
-prepared once per cell.  Both systems are solved for the whole window
-basis, so one solve per (u, f, v, g) and grid serves every observable
-and pair.  Each trajectory records its system and (u, f, v, g), so the
-checks read from it the problem they check.  Each error estimate
-bounds one basis string and is scaled by the observable's l1 norm
-(``error_of``).  It has two terms.  The caller's ``tol`` is a certified
-bound on the stepper's truncation error at every grid time: the pieces
-share it, each one's share shrunk by the growth the later pieces'
-log-norms allow (``_propagate``); roundoff is outside it.  Truncation to
-a finite site window drops operator mass outside it; that l1 mass is
-recorded per map and gives the leak term.
+F_t(xy) = G_t(x, y).  Between breakpoints each cell has its generator
+A = Lhat + sum_k [g_k delta_k^dag + conj(f_k) delta_k] and leak rate;
+G's generator on the cell is A (x) 1 + 1 (x) A + Ito, with
+Ito = sum_j delta_j^dag (x) delta_j over every noise mode.
+
+Both systems are solved on the invariant subspace that their initial
+vector reaches, and are exactly 0 elsewhere.  Every cell generator's
+entries lie in the union pattern of Lhat and the driven modes' maps, so
+none links two connected components of that pattern: F lives on the
+components that F_0 touches, and G on the component pairs that G_0
+touches, closed under the Ito moves of every noise mode, driven or not
+(``_pair_support``).  F's cell generator is restricted to its set as
+one sparse matrix.  G's set is a union of rectangles of string pairs, on
+each of which G is a dense block: A (x) 1 + 1 (x) A acts on it through
+A restricted to the rectangle's rows and columns, and the Ito sum, the
+same on every cell, is the one matrix built on pairs (``_pair_pieces``).
+The Taylor norms and log-norms are those of the restricted systems, and
+every piece is stepped by ``lindblad.expm_multiply``.  A generator that
+connects every string gives one component, one rectangle and the whole
+basis, through the same code.
+One solve per (u, f, v, g) and grid serves every observable and pair;
+each trajectory records its system, (u, f, v, g) and the index set it
+was solved on, so the checks read from it the problem they check.  Each
+error estimate bounds one basis string and is scaled by the observable's
+l1 norm (``error_of``).  It has two terms.  The caller's ``tol`` is a
+certified bound on the stepper's truncation error at every grid time:
+the pieces share it, each one's share shrunk by the growth the later
+pieces' log-norms allow (``_propagate``); roundoff is outside it.
+Truncation to a finite site window drops operator mass outside it; that
+l1 mass is recorded per map and gives the leak term.
 
 The flows of partial-state semigroups take the same single solve:
 ``eta_ergodicity_scan`` builds the F system on the support of x alone,
@@ -308,6 +320,7 @@ class MatrixElementTrajectory:
     tol: float
     F: np.ndarray  # (T, dim)
     error_estimate: np.ndarray  # (T,)
+    support: np.ndarray  # the strings solved on; F is 0 on the others
 
     def of_label(self, lab: WeylLabel) -> np.ndarray:
         try:
@@ -343,6 +356,7 @@ class PairTrajectory:
     problem: tuple
     G: np.ndarray  # (T, dim, dim)
     error_estimate: np.ndarray
+    support: np.ndarray  # the flat pairs a dim + b solved on, in solve order; G is 0 on the others
 
     def of_pair(self, x: LocalOperator, y: LocalOperator) -> np.ndarray:
         cx = dense.coefficient_vector(x, self.sys.index)
@@ -428,6 +442,173 @@ def _initial_pair_vector(sys: FlowGeneratorSystem, F0: np.ndarray) -> np.ndarray
     return G0
 
 
+class _Drive(NamedTuple):
+    """The F system's cell generators for one drive (f, g), on one sparsity pattern.
+
+    Cell c's generator A_c = Lhat + sum_k [g_k delta_k^dag + conj(f_k) delta_k]
+    (stored transposed, as the maps are) has the values ``values(c)`` =
+    ``maps @ coef[c]`` at the entries (``rows``, ``cols``).  The columns of ``maps`` are Lhat
+    and the delta^dag and delta of each driven mode, one that f or g
+    drives on a cell of the solve, on the union of their patterns and the
+    diagonal; ``coef[c]`` holds 1, g_k and conj(f_k).  ``comp`` numbers
+    the connected components of that pattern, which no A_c mixes.
+    ``stretches`` lists the stretches (a, b) between consecutive
+    breakpoints with their cells; ``rate`` maps a cell to its leak rate,
+    the same combination of the maps' column leak maxima.
+    """
+
+    dim: int
+    rows: np.ndarray
+    cols: np.ndarray
+    maps: np.ndarray
+    comp: np.ndarray
+    stretches: list[tuple[float, float, int | None]]
+    coef: dict
+    rate: dict
+
+    def values(self, cell) -> np.ndarray:
+        """A_c's values at the pattern's entries."""
+        # Summed elementwise: a threaded BLAS starts its threads for a
+        # product this small, which costs milliseconds.
+        return (self.maps * self.coef[cell]).sum(axis=1)
+
+
+def _drive(sys: FlowGeneratorSystem, grid: np.ndarray, f: TestFunction,
+           g: TestFunction) -> _Drive:
+    """The cell generators, pattern and components of the drive (f, g) over ``grid``."""
+    bps = _breakpoints(grid, f)
+    stretches = [(a, b, _cell_of(0.5 * (a + b), f)) for a, b in zip(bps[:-1], bps[1:])]
+    cells = list(dict.fromkeys(cell for _a, _b, cell in stretches))
+    driven = [key for key in sys.noise
+              if any(f.cell_value(key, c) != 0j or g.cell_value(key, c) != 0j for c in cells)]
+    mats = [sys.lhat_t.tocoo()]
+    for key in driven:
+        mats += [sys.delta_dag_t[key].tocoo(), sys.delta_t[key].tocoo()]
+    n = sys.dim
+    keys = np.unique(np.concatenate([np.arange(n) * (n + 1)] + [m.row * n + m.col for m in mats]))
+    maps = np.zeros((keys.size, len(mats)), dtype=complex)
+    for j, m in enumerate(mats):  # canonical CSR maps: no entry repeats
+        maps[np.searchsorted(keys, m.row * n + m.col), j] = m.data
+    rows, cols = np.divmod(keys, n)
+    coef, rate = {}, {}
+    for cell in cells:
+        gv = [g.cell_value(key, cell) for key in driven]
+        fv = [f.cell_value(key, cell) for key in driven]
+        coef[cell] = np.array([1.0] + [c for gk, fk in zip(gv, fv) for c in (gk, fk.conjugate())])
+        rate[cell] = sys.leak_max("lhat")
+        for key, gk, fk in zip(driven, gv, fv):
+            rate[cell] += abs(gk) * sys.leak_max(("dd", key))
+            rate[cell] += abs(fk) * sys.leak_max(("d", key))
+    return _Drive(n, rows, cols, maps, _components(n, rows, cols), stretches, coef, rate)
+
+
+def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Component number of each node of the undirected graph on range(n) with edges (rows, cols).
+
+    Every node holds a node of its own component, at first itself.  A
+    round gives it the least label over its edges and then that label's
+    own label (pointer jumping), until no label changes; then every
+    component is labelled by its least node, and the components are
+    numbered from 0 in the order of those nodes.
+    """
+    nodes = np.arange(n)
+    label = nodes
+    while True:
+        new = label.copy()
+        np.minimum.at(new, rows, label[cols])
+        np.minimum.at(new, cols, label[rows])
+        new = new[new]
+        if np.array_equal(new, label):
+            return (np.cumsum(label == nodes) - 1)[label]
+        label = new
+
+
+def _positions(size: int, index: np.ndarray) -> np.ndarray:
+    """Position of each entry of ``index`` in it; -1 off it."""
+    pos = np.full(size, -1)
+    pos[index] = np.arange(index.size)
+    return pos
+
+
+def _flow_support(drive: _Drive, F0: np.ndarray) -> np.ndarray:
+    """The strings of every component that F0 touches, in basis order."""
+    touched = np.zeros(drive.comp.max() + 1, dtype=bool)
+    touched[drive.comp[F0 != 0]] = True
+    return np.flatnonzero(touched[drive.comp])
+
+
+def _pair_support(sys: FlowGeneratorSystem, drive: _Drive,
+                  G0: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The component pairs that G's generator reaches from G0's, as rectangles of strings.
+
+    A (x) 1 and 1 (x) A keep the components of a pair (a, b).  The Ito
+    term of a noise mode k takes a component pair (i, j) to each (i', j')
+    where delta_k^dag maps a string of i into i' and delta_k one of j into
+    j'.  Every noise mode moves pairs, driven or not, since the Ito sum
+    runs over all of them: an undriven mode's maps are in no cell
+    generator, so it moves i and j together between components.  The
+    closure of G0's component pairs under these moves is returned as
+    rectangles (rows, cols) of strings in basis order: the row components
+    that reach the same column components share one.  The rectangles are
+    disjoint, and A (x) 1 and 1 (x) A map each into itself.
+    """
+    n, comp = drive.dim, drive.comp
+    nc = int(comp.max()) + 1
+
+    def moves(mat) -> scipy.sparse.csr_matrix:
+        """M[i, i'] = 1 where the map (stored transposed) takes a string of i into i'."""
+        m = mat.tocoo()
+        return scipy.sparse.csr_matrix((np.ones(m.nnz), (comp[m.col], comp[m.row])), shape=(nc, nc))
+
+    steps = [(moves(sys.delta_dag_t[key]).T, moves(sys.delta_t[key])) for key in sys.noise]
+    reach = np.zeros((nc, nc))
+    a, b = np.divmod(np.flatnonzero(G0), n)
+    reach[comp[a], comp[b]] = 1.0
+    while True:
+        new = reach.copy()
+        for dd_t, d in steps:
+            new += dd_t @ reach @ d
+        new = (new > 0).astype(float)
+        if np.array_equal(new, reach):
+            break
+        reach = new
+    classes, which = np.unique(reach > 0, axis=0, return_inverse=True)
+    which = which.reshape(-1)
+    return [(np.flatnonzero(which[comp] == k), np.flatnonzero(cls[comp]))
+            for k, cls in enumerate(classes) if cls.any()]
+
+
+def _pair_index(rects: list[tuple[np.ndarray, np.ndarray]], n: int) -> np.ndarray:
+    """The flat pairs a n + b of the rectangles, row-major within each, in their order."""
+    return np.concatenate([np.zeros(0, dtype=int)]
+                          + [(rows[:, None] * n + cols).reshape(-1) for rows, cols in rects])
+
+
+def _restriction(drive: _Drive, strings: np.ndarray):
+    """The cell generators on ``strings``, a union of the drive's components in basis order.
+
+    Returns ``matrix(values, shift)``: the CSR matrix of the generator
+    with pattern values ``values`` on those strings, less ``shift`` on its
+    diagonal.  A pattern entry in a row of ``strings`` has its column
+    there too, and the pattern is sorted by (row, column) and holds the
+    diagonal, so the entries in those rows are the matrix's data in CSR
+    order.
+    """
+    pos = _positions(drive.dim, strings)
+    keep = np.flatnonzero(pos[drive.rows] >= 0)
+    indices = pos[drive.cols[keep]]
+    indptr = np.searchsorted(pos[drive.rows[keep]], np.arange(strings.size + 1))
+    diag = np.flatnonzero(drive.rows[keep] == drive.cols[keep])
+    m = strings.size
+
+    def matrix(values: np.ndarray, shift: complex = 0j) -> scipy.sparse.csr_matrix:
+        data = values[keep]
+        data[diag] -= shift
+        return scipy.sparse.csr_matrix((data, indices, indptr), shape=(m, m))
+
+    return matrix
+
+
 class _Piece(NamedTuple):
     """The stretch [a, b] between two breakpoints: its cell's generator and leak rate.
 
@@ -441,83 +622,124 @@ class _Piece(NamedTuple):
     leak_rate: float
 
 
-def _flow_pieces(sys: FlowGeneratorSystem, grid: np.ndarray, f: TestFunction,
-                 g: TestFunction) -> list[_Piece]:
-    """The F system between consecutive breakpoints, assembled once per cell.
+def _pieces(drive: _Drive, cells: dict) -> list[_Piece]:
+    """One piece per stretch of the drive, reading ``cells[cell]`` = (generator, leak rate)."""
+    return [_Piece(a, b, *cells[cell]) for a, b, cell in drive.stretches]
 
-    On a cell the generator is Lhat + sum_k [g_k delta_k^dag + conj(f_k) delta_k]
-    and the leak rate the same combination of the maps' column leak maxima.
+
+def _flow_pieces(drive: _Drive, support: np.ndarray) -> list[_Piece]:
+    """The F system on the strings ``support``, prepared once per cell.
+
+    ``support`` is a union of the drive's components, so the cell
+    generator restricted to it is the whole generator's action there, and
+    the norms and log-norm are those of the restriction.
     """
-    cells: dict = {}
-    pieces = []
-    bps = _breakpoints(grid, f)
-    for a, b in zip(bps[:-1], bps[1:]):
-        cell = _cell_of(0.5 * (a + b), f)
-        if cell not in cells:
-            A = sys.lhat_t.copy()
-            rate = sys.leak_max("lhat")
-            for key in sys.noise:
-                gv = g.cell_value(key, cell)
-                fv = f.cell_value(key, cell)
-                if gv != 0j:
-                    A = A + gv * sys.delta_dag_t[key]
-                if fv != 0j:
-                    A = A + fv.conjugate() * sys.delta_t[key]
-                rate += abs(gv) * sys.leak_max(("dd", key))
-                rate += abs(fv) * sys.leak_max(("d", key))
-            cells[cell] = (step_operator(A), rate)
-        pieces.append(_Piece(a, b, *cells[cell]))
-    return pieces
+    matrix = _restriction(drive, support)
+    return _pieces(drive, {cell: (step_operator(matrix(drive.values(cell))), drive.rate[cell])
+                           for cell in drive.coef})
 
 
-def _pair_operator(cell: StepOperator, ito: StepOperator, n: int) -> StepOperator:
-    """The G generator A (x) 1 + 1 (x) A + Ito, applied to G as an n x n matrix.
+def _ito(sys: FlowGeneratorSystem, support: np.ndarray,
+         n: int) -> tuple[scipy.sparse.csc_matrix, float]:
+    """The Ito sum on the flat pairs ``support``, which it maps into itself, and its leak rate.
 
-    On G it is (A - aI) G + G (A - aI)^T + (Ito - cI) G plus the shift
-    2a + c, with a = tr A / n and c = tr Ito / n^2, so the shifted kron
-    form is never assembled.  Its norms and log-norm are bounded by 2 x the
-    cell's plus the Ito matrix's: X (x) 1 and 1 (x) X have the norms and
-    log-norms of X, norms obey the triangle inequality and log-norms are
-    subadditive.
+    The sum over every noise mode k of delta_k^dag (x) delta_k, in CSC.
+    Column (a, b) of a mode's term pairs each entry of column a of
+    delta_k^dag with each of column b of delta_k; those entries are
+    written straight into the column's slots, after the earlier modes',
+    so no copy of the entries is held besides the matrix's own.  Its
+    missing flux is bounded per mode by leak x map mass.
     """
-    def shifted(vec: np.ndarray) -> np.ndarray:
-        G = vec.reshape(n, n)
-        out = cell.shifted(G)
-        out += cell.shifted(G.T).T
-        out = out.reshape(-1)
-        out += ito.shifted(vec)
-        return out
-
-    return StepOperator(2.0 * cell.mu + ito.mu, shifted, 2.0 * cell.norm + ito.norm,
-                        2.0 * cell.norm_inf + ito.norm_inf, 2.0 * cell.growth + ito.growth)
-
-
-def _pair_pieces(sys: FlowGeneratorSystem, pieces: list[_Piece]) -> list[_Piece]:
-    """The doubled G system on the F pieces: A (x) 1 + 1 (x) A + Ito.
-
-    The quantum Ito term sum_k delta_k^dag (x) delta_k is the same on every
-    cell and is the only n^2 x n^2 matrix built; each cell's G generator
-    acts through its F generator (``_pair_operator``).  Its missing flux
-    is bounded per mode by leak x map mass, so the leak rate is 2 x the F
-    rate plus that Ito rate.
-    """
-    n = sys.dim
-    ito = scipy.sparse.csr_matrix((n * n, n * n), dtype=complex)
-    ito_rate = 0.0
-    for key in sys.noise:
-        ito = ito + scipy.sparse.kron(sys.delta_dag_t[key], sys.delta_t[key], format="csr")
+    size = support.size
+    pos = _positions(n * n, support)
+    a, b = np.divmod(support, n)
+    maps = [(sys.delta_dag_t[key].tocsc(), sys.delta_t[key].tocsc()) for key in sys.noise]
+    counts = [np.diff(dd.indptr)[a] * np.diff(d.indptr)[b] for dd, d in maps]
+    indptr = np.concatenate([[0], np.cumsum(np.sum(counts, axis=0, dtype=int))])
+    data, indices = np.empty(indptr[-1], dtype=complex), np.empty(indptr[-1], dtype=np.int32)
+    filled, rate = indptr[:-1].copy(), 0.0
+    for key, (dd, d), per in zip(sys.noise, maps, counts):
+        col = np.repeat(np.arange(size), per)
+        # k: the entry's place among the mode's entries in its column.
+        k = np.arange(col.size) - np.repeat(np.cumsum(per) - per, per)
+        width = np.diff(d.indptr)[b[col]]
+        i = dd.indptr[a[col]] + k // width
+        j = d.indptr[b[col]] + k % width
+        rows = pos[dd.indices[i] * n + d.indices[j]]
+        assert (rows >= 0).all(), "the pair support is not closed"
+        slot = filled[col] + k
+        data[slot], indices[slot] = dd.data[i] * d.data[j], rows
+        filled += per
         # delta_k^dag = * o delta_k o *, and the adjoint permutes the window
         # strings up to phases, so both maps have the same largest column mass.
         ld, ldd, mass = sys.leak_max(("d", key)), sys.leak_max(("dd", key)), sys.map_l1(key)
-        ito_rate += ldd * mass + mass * ld + ldd * ld
-    ito_op = step_operator(ito)
-    doubled: dict = {}
-    out = []
-    for p in pieces:
-        if id(p.op) not in doubled:
-            doubled[id(p.op)] = (_pair_operator(p.op, ito_op, n), 2.0 * p.leak_rate + ito_rate)
-        out.append(_Piece(p.a, p.b, *doubled[id(p.op)]))
-    return out
+        rate += ldd * mass + mass * ld + ldd * ld
+    ito = scipy.sparse.csc_matrix((data, indices, indptr), shape=(size, size))
+    ito.sum_duplicates()  # two modes may reach one pair from one column
+    return ito, rate
+
+
+def _pair_pieces(sys: FlowGeneratorSystem, drive: _Drive,
+                 rects: list[tuple[np.ndarray, np.ndarray]]) -> list[_Piece]:
+    """The doubled G system A (x) 1 + 1 (x) A + Ito on the rectangles ``rects``, once per cell.
+
+    The rectangles (``_pair_support``) hold G's support, in the order of
+    ``_pair_index``, and are closed under its generator's moves.  On a
+    rectangle (rows, cols) G is a dense block, on which A (x) 1 and
+    1 (x) A act as A_rows G + G A_cols^T, with A restricted to the
+    rectangle's row strings and to its column strings: per cell only
+    those restrictions of the F generator are built.  The quantum Ito
+    term sum_k delta_k^dag (x) delta_k is the same on every cell; it is
+    assembled once, on the support (``_ito``).  The norms and log-norm
+    are taken pair by pair from the three terms' diagonals and
+    off-diagonal row and column sums.  They are those of the restricted
+    form, unless an Ito entry falls on an off-diagonal entry of A (x) 1
+    or 1 (x) A, where they bound it by the triangle inequality.  The leak
+    rate is 2 x the F rate plus the Ito rate.
+    """
+    n = drive.dim
+    support = _pair_index(rects, n)
+    size = support.size
+    ito, ito_rate = _ito(sys, support, n)
+    ito_diag = ito.diagonal()
+    mag = scipy.sparse.csc_matrix((np.abs(ito.data), ito.indices, ito.indptr), shape=ito.shape)
+    ito_rows = mag @ np.ones(size) - np.abs(ito_diag)
+    ito_cols = mag.T @ np.ones(size) - np.abs(ito_diag)
+    del mag
+    a, b = np.divmod(support, n)
+    on_diag = drive.rows == drive.cols  # the pattern holds the diagonal, in basis order
+    blocks = [(rows.size, cols.size, _restriction(drive, rows), _restriction(drive, cols))
+              for rows, cols in rects]
+    bounds = np.cumsum([0] + [h * w for h, w, _r, _c in blocks])
+
+    def operator(values: np.ndarray) -> StepOperator:
+        off = np.where(on_diag, 0.0, np.abs(values))
+        off_rows = np.bincount(drive.rows, off, n)
+        off_cols = np.bincount(drive.cols, off, n)
+        diag = values[on_diag]
+        shifted_diag = diag[a] + diag[b] + ito_diag
+        mu = complex(shifted_diag.mean()) if size else 0j
+        shifted_diag -= mu
+        # A_rows G + G A_cols^T - mu G, with mu / 2 taken off each factor's diagonal.
+        mats = [(h, w, row_matrix(values, 0.5 * mu), col_matrix(values, 0.5 * mu))
+                for h, w, row_matrix, col_matrix in blocks]
+
+        def shifted(v: np.ndarray) -> np.ndarray:
+            out = ito @ v
+            for (h, w, A_rows, A_cols), lo, hi in zip(mats, bounds[:-1], bounds[1:]):
+                G, block = v[lo:hi].reshape(h, w), out[lo:hi].reshape(h, w)
+                block += A_rows @ G
+                block += (A_cols @ G.T).T
+            return out
+
+        off_r = off_rows[a] + off_rows[b] + ito_rows
+        off_c = off_cols[a] + off_cols[b] + ito_cols
+        return StepOperator(mu, shifted, float((np.abs(shifted_diag) + off_c).max(initial=0.0)),
+                            float((np.abs(shifted_diag) + off_r).max(initial=0.0)),
+                            mu.real + float((shifted_diag.real + off_r).max(initial=-math.inf)))
+
+    return _pieces(drive, {cell: (operator(drive.values(cell)), 2.0 * drive.rate[cell] + ito_rate)
+                           for cell in drive.coef})
 
 
 def _leak_accrual(pieces: list[_Piece]) -> dict[float, float]:
@@ -528,21 +750,32 @@ def _leak_accrual(pieces: list[_Piece]) -> dict[float, float]:
     return acc
 
 
-def _propagate(pieces: list[_Piece], F0, grid, tol, scale):
-    """Step across the pieces; vectors and error estimates at the grid points.
+def _propagate(pieces: list[_Piece], x0: np.ndarray, support: np.ndarray, grid, tol, scale):
+    """Step x0 across the pieces on ``support``; full vectors and error estimates at grid points.
 
-    The pieces share ``tol`` by ``lindblad.split_tolerance``, each one's
-    share shrunk by the growth its log-norm allows on the later pieces, so
-    every state is within ``tol`` of the exact solution of the truncated
-    system in the max norm, up to roundoff.  The estimate adds the leak
-    budget accrued by each grid time.
+    The pieces' generators act on the index set ``support``, which holds
+    every nonzero of x0 and which the full generator leaves invariant, so
+    the exact solution is 0 off it at all times: the states come back
+    with x0's length, exactly 0 there.  The pieces share ``tol`` by
+    ``lindblad.split_tolerance``, each one's share shrunk by the growth its
+    log-norm allows on the later pieces, so every state is within ``tol``
+    of the exact solution of the truncated system in the max norm, up to
+    roundoff.  The estimate adds the leak budget accrued by each grid time.
     """
     budgets = split_tolerance(tol, [(p.b - p.a, p.op.growth) for p in pieces])
-    states = {0.0: F0}
+    out = np.zeros((len(grid), x0.size), dtype=complex)
+    rows_at: dict[float, list[int]] = {}
+    for i, t in enumerate(grid):
+        rows_at.setdefault(float(t), []).append(i)
+    # Only the current state is held; each grid time's is written as it is reached.
+    state = x0[support]
+    for i in rows_at.get(0.0, ()):
+        out[i, support] = state
     for p, budget in zip(pieces, budgets):
-        states[p.b] = expm_multiply(p.op, states[p.a], p.b - p.a, budget)
+        state = expm_multiply(p.op, state, p.b - p.a, budget)
+        for i in rows_at.get(p.b, ()):
+            out[i, support] = state
     leak = _leak_accrual(pieces)
-    out = np.array([states[float(t)] for t in grid])
     return out, np.array([tol + scale * leak[float(t)] for t in grid])
 
 
@@ -556,15 +789,19 @@ def flow_element(sys: FlowGeneratorSystem, u, f, v, g, t_grid,
     Advances piece by piece by the action of the matrix exponential
     (``expm_multiply``), each cell's generator prepared once for all of its
     pieces, to within ``tol`` of the truncated system (``_propagate``).
+    The solve runs on the components of the drive's pattern that F_0
+    touches (``_flow_support``); F is exactly 0 on every other string.
     The one solve serves every observable on the window:
     ``of_operator(x)`` reads F_t(x) and ``error_of(x)`` its budget.
     """
     problem = (u, f, v, g)
     grid = dense.validate_grid(t_grid)
     f, g = _harmonize(f, g)
-    F, est = _propagate(_flow_pieces(sys, grid, f, g), _initial_vector(sys, u, v, f, g),
-                        grid, tol, _scale(u, f, v, g))
-    return MatrixElementTrajectory(grid, sys, problem, tol, F, est)
+    drive = _drive(sys, grid, f, g)
+    F0 = _initial_vector(sys, u, v, f, g)
+    support = _flow_support(drive, F0)
+    F, est = _propagate(_flow_pieces(drive, support), F0, support, grid, tol, _scale(u, f, v, g))
+    return MatrixElementTrajectory(grid, sys, problem, tol, F, est, support)
 
 
 def picard_element(sys: FlowGeneratorSystem, x: LocalOperator, u, f, v, g, t_grid,
@@ -573,20 +810,26 @@ def picard_element(sys: FlowGeneratorSystem, x: LocalOperator, u, f, v, g, t_gri
 
     The iteration tail bound certifies x alone, for single-operator
     families only (others raise ``ValueError``); ``depth=None`` runs to
-    ``smallest_certified_depth`` at the last grid time.  The estimate is
-    tol + scale (tail + l1(x) leak).
+    ``smallest_certified_depth`` at the last grid time.  Both price the
+    drive by ``_dominating(f, g)``.  The estimate is
+    tol + scale (tail + l1(x) leak).  The sweeps run on the same strings
+    as ``flow_element``'s solve.
     """
     grid = dense.validate_grid(t_grid)
     f, g = _harmonize(f, g)
     cx = dense.coefficient_vector(x, sys.index)  # WindowError outside the window
     L = sys.lindbladian
+    h = _dominating(f, g)
     if depth is None:
-        depth = smallest_certified_depth(x, g, float(grid[-1]), L, tol)
+        depth = smallest_certified_depth(x, h, float(grid[-1]), L, tol)
     # The tail bound grows with t0, so quoting it at each grid time is a
     # bound there; at t = 0 it vanishes.
-    tail = np.array([picard_tail_bound(x, g, float(t), depth, L) for t in grid])
-    flow = _flow_pieces(sys, grid, f, g)
+    tail = np.array([picard_tail_bound(x, h, float(t), depth, L) for t in grid])
+    drive = _drive(sys, grid, f, g)
     F0 = _initial_vector(sys, u, v, f, g)
+    support = _flow_support(drive, F0)
+    flow = _flow_pieces(drive, support)
+    F0, cx = F0[support], cx[support]
     # Piece i spans nodes PICARD_SUB i to PICARD_SUB (i + 1), so every
     # breakpoint (hence every grid point) is a node; ``node`` holds its index.
     spans = [slice(PICARD_SUB * i, PICARD_SUB * (i + 1) + 1) for i in range(len(flow))]
@@ -604,11 +847,11 @@ def picard_element(sys: FlowGeneratorSystem, x: LocalOperator, u, f, v, g, t_gri
             cum[span] = seg + offset
             offset = cum[span.stop - 1]
         G_new = np.tile(F0, (n_nodes, 1)) + cum
-        increment = float(np.max(np.abs(G_new - G)))
+        increment = float(np.max(np.abs(G_new - G), initial=0.0))
         G = G_new
         # Sweeps past the numerical fixed point are no-ops; the
         # certificate is still quoted at the full depth.
-        if increment < 1e-15 * max(1.0, float(np.max(np.abs(G)))):
+        if increment < 1e-15 * max(1.0, float(np.max(np.abs(G), initial=0.0))):
             break
 
     values = G[[node[float(t)] for t in grid]] @ cx
@@ -617,6 +860,22 @@ def picard_element(sys: FlowGeneratorSystem, x: LocalOperator, u, f, v, g, t_gri
     leak = np.array([leak[float(t)] for t in grid])
     est = tol + _scale(u, f, v, g) * (tail + x.l1() * leak)
     return PicardTrajectory(grid, values, est)
+
+
+def _dominating(f: TestFunction, g: TestFunction) -> TestFunction:
+    """The test function h with |h_k| = max(|f_k|, |g_k|) on every cell, for harmonized f, g.
+
+    It dominates both drives of the F system, whose generator carries
+    conj(f_k) on delta_k and g_k on delta_k^dag: every coefficient is at
+    most |h_k| in modulus on its cell, so ||h(s)|| bounds ||f(s)|| and
+    ||g(s)|| at every s.  The Picard bounds read a drive only through
+    gamma(t0) and the sup norm, both increasing in every |h_k(s)|, so the
+    certificate priced for h covers the solve driven by f and g.
+    """
+    keys = sorted(set(f.mode_keys()) | set(g.mode_keys()))
+    return TestFunction.build(f.t_max, f.cells, {
+        key: [max(abs(a), abs(b)) for a, b in zip(f.mode_values(key), g.mode_values(key))]
+        for key in keys}, f.d)
 
 
 def _exp_or_inf(log_v: float) -> float:
@@ -709,11 +968,17 @@ def pair_element(sys: FlowGeneratorSystem, u, f, v, g, t_grid,
                  tol: float = 1e-10) -> PairTrajectory:
     """Solve the doubled system G_t(U_a, U_b) for every pair of window labels.
 
-    Each piece's G generator acts on the n x n state through the F cell's
-    generator plus the one Ito matrix (``_pair_operator``);
-    ``dense.MAX_PAIR_DIM`` bounds n^2 (4 sites at N = 2).  Its identity
-    row is F of the same (u, f, v, g), stepped by the same F pieces;
-    ``homomorphism_defect`` checks that against ``flow_element``'s solve.
+    The solve runs on the pairs that G's generator reaches from G_0
+    (``_pair_support``): component pairs of the drive's pattern, closed
+    under the Ito moves of every noise mode, listed as rectangles.
+    There each piece's generator A (x) 1 + 1 (x) A + Ito acts through its
+    cell's F generator, restricted to each rectangle's rows and columns,
+    and the one Ito sum (``_pair_pieces``); G is exactly 0 on every other
+    pair, and ``support`` lists the pairs solved on, rectangle by
+    rectangle.  ``dense.MAX_PAIR_DIM`` bounds n^2 (4 sites at
+    N = 2).  Its identity row is F of the same (u, f, v, g), stepped by
+    the same cell generators; ``homomorphism_defect`` checks that
+    against ``flow_element``'s solve.
     """
     problem = (u, f, v, g)
     grid = dense.validate_grid(t_grid)
@@ -721,10 +986,13 @@ def pair_element(sys: FlowGeneratorSystem, u, f, v, g, t_grid,
     n = sys.dim
     if n * n > dense.MAX_PAIR_DIM:
         raise SizeGuardError(f"pair basis dimension {n * n} exceeds guard {dense.MAX_PAIR_DIM}")
+    drive = _drive(sys, grid, f, g)
     G0 = _initial_pair_vector(sys, _initial_vector(sys, u, v, f, g))
-    Gflat, est = _propagate(_pair_pieces(sys, _flow_pieces(sys, grid, f, g)), G0, grid, tol,
+    rects = _pair_support(sys, drive, G0)
+    support = _pair_index(rects, n)
+    Gflat, est = _propagate(_pair_pieces(sys, drive, rects), G0, support, grid, tol,
                             _scale(u, f, v, g))
-    return PairTrajectory(grid, sys, problem, Gflat.reshape(len(grid), n, n), est)
+    return PairTrajectory(grid, sys, problem, Gflat.reshape(len(grid), n, n), est, support)
 
 
 class HomomorphismReport(NamedTuple):

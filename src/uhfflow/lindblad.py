@@ -404,16 +404,18 @@ def step_operator(mat) -> StepOperator:
     """A square sparse matrix as a :class:`StepOperator`: its trace shift and exact norms.
 
     The row sums of |A - mu I| give both the inf-norm and, with the
-    diagonal put back as its real part, the logarithmic inf-norm.
+    diagonal put back as its real part, the logarithmic inf-norm.  A
+    matrix with no rows has norms 0 and log-norm -inf.
     """
     n = mat.shape[0]
-    mu = complex(mat.trace()) / n
+    mu = complex(mat.trace()) / n if n else 0j
     shifted = (mat - mu * scipy.sparse.identity(n, dtype=complex, format="csr")).tocsr()
     mag = abs(shifted)
-    rows = np.asarray(mag.sum(axis=1)).ravel()
+    rows, cols = (np.asarray(mag.sum(axis=k)).ravel() for k in (1, 0))
     diag = shifted.diagonal()
-    growth = mu.real + float((rows - np.abs(diag) + diag.real).max())
-    return StepOperator(mu, shifted.dot, float(mag.sum(axis=0).max()), float(rows.max()), growth)
+    growth = mu.real + float((rows - np.abs(diag) + diag.real).max(initial=-math.inf))
+    return StepOperator(mu, shifted.dot, float(cols.max(initial=0.0)),
+                        float(rows.max(initial=0.0)), growth)
 
 
 def taylor_degree(norm: float) -> tuple[int, int]:

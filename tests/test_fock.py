@@ -1,6 +1,8 @@
 """Flow matrix elements: F/G systems, eta flows, scans and witnesses."""
 
 import math
+import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -302,6 +304,37 @@ class TestPicard:
         b = fock.picard_element(sys_, sz, u, f, v, g, grid)
         assert (np.abs(a.of_operator(sz) - b.values) <= b.error_estimate).all()
 
+    def test_a_drive_carried_by_f_is_priced(self, p2, pauli, zf):
+        # f = 6 on one cell of [0, 0.5] and g = 0.  Priced by g alone, the
+        # certificate read 1e-10 at t = 0.25, where Picard and the solve
+        # differ by 1.3e-7.  Priced by f as well, no certified depth is in
+        # reach, and the estimate at a given depth covers the difference.
+        sx, sz, _, _ = pauli
+        sys_ = fock.build_generator_system(lb.Lindbladian.single_kraus(sx + 0.5j * sz), [(0,)])
+        rng = np.random.default_rng(1)
+        u, v = random_local(p2, rng, [(0,)]), random_local(p2, rng, [(0,)])
+        f = fock.TestFunction.build(0.5, 1, {((0,), 0): [6.0]})
+        x, grid = sz + 0.5 * sx, [0.0, 0.25, 0.5]
+        ode = fock.flow_element(sys_, u, f, v, zf, grid, tol=1e-14).of_operator(x)
+        with pytest.raises(SizeGuardError, match="no certified depth"):
+            fock.picard_element(sys_, x, u, f, v, zf, grid)
+        pic = fock.picard_element(sys_, x, u, f, v, zf, grid, depth=50)
+        assert np.abs(pic.values - ode)[1:].min() > 1e-8
+        assert (np.abs(pic.values - ode) <= pic.error_estimate).all()
+
+    def test_the_pricing_function_dominates_f_and_g(self):
+        f = fock.TestFunction.build(1.0, 2, {((0,), 0): [3.0, 0.1j], ((1,), 0): [0.5, 0.0]})
+        g = fock.TestFunction.build(1.0, 2, {((0,), 0): [-1.0, 2.0], ((2,), 0): [0.0, 4j]})
+        h = fock._dominating(*fock._harmonize(f, g))
+        assert h.mode_values(((0,), 0)) == (3.0, 2.0)
+        assert h.mode_values(((1,), 0)) == (0.5, 0.0)
+        assert h.mode_values(((2,), 0)) == (0.0, 4.0)
+        for t in (0.3, 0.7, 1.0):
+            assert h.gamma(t) >= max(f.gamma(t), g.gamma(t))
+        assert h.sup_norm() >= max(f.sup_norm(), g.sup_norm())
+        zero = fock._dominating(*fock._harmonize(None, None))
+        assert zero.modes == () and zero.gamma(0.5) == 0.5
+
     def test_uncertified_family_raises(self, eta_sys, pauli, zf):
         # A partial-state generator is no single-operator family.
         sx, sz, _, one = pauli
@@ -321,8 +354,77 @@ class TestPicard:
         assert (np.diff(b.error_estimate) >= 0).all()
 
 
+# The drives of TestPieces' leaky system.  In "undriven" the modes (-1, 0)
+# and (0, 0) drive no cell: they enter G's generator through the Ito sum
+# alone, and their Ito moves are what close G's support (52 pairs, where
+# the driven mode's moves reach 40).
+PIECE_DRIVES = {
+    "driven": ({((0,), 0): [0.9, 0.4, 0.7, 0.2], ((-1,), 0): [0.3, 0.1, 0.5, 0.6]},
+               {((1,), 0): [0.2, 0.8, 0.5, 0.3], ((0,), 0): [0.6, 0.2, 0.9, 0.1]}),
+    "undriven": ({((1,), 0): [0.9, 0.4, 0.7, 0.2]}, {((1,), 0): [0.6, 0.2, 0.9, 0.1]}),
+}
+
+
+class Solved(NamedTuple):
+    """The F and G pieces of one drive, each on the support its solve recorded."""
+
+    sys: fock.FlowGeneratorSystem
+    f: fock.TestFunction
+    g: fock.TestFunction
+    F: list
+    G: list
+    F_support: np.ndarray
+    G_support: np.ndarray
+
+    def pieces(self, system):
+        return {"F": (self.F, self.F_support), "G": (self.G, self.G_support)}[system]
+
+    def forms(self, system):
+        """Each piece's generator on the full basis, dense, assembled here.
+
+        The cell's A = Lhat + sum_k [g_k delta_k^dag + conj(f_k) delta_k]
+        for F, and its kron form A (x) 1 + 1 (x) A + sum_k delta_k^dag (x) delta_k
+        for G.  Each maps the solved support into itself: its block from
+        the support to the other strings (pairs) is zero.
+        """
+        _pieces, support = self.pieces(system)
+        sys_, n = self.sys, self.sys.dim
+        eye = scipy.sparse.identity(n, dtype=complex, format="csr")
+        ito = sum(scipy.sparse.kron(sys_.delta_dag_t[key], sys_.delta_t[key])
+                  for key in sys_.noise)
+        forms = []
+        for piece in self.F:
+            cell = fock._cell_of(0.5 * (piece.a + piece.b), self.f)
+            A = sys_.lhat_t
+            for key in sys_.noise:
+                A = (A + np.conj(self.f.cell_value(key, cell)) * sys_.delta_t[key]
+                     + self.g.cell_value(key, cell) * sys_.delta_dag_t[key])
+            form = A
+            if system == "G":
+                form = scipy.sparse.kron(A, eye) + scipy.sparse.kron(eye, A) + ito
+            forms.append(form.toarray())
+            off = np.setdiff1d(np.arange(form.shape[0]), support)
+            assert not forms[-1][np.ix_(off, support)].any()
+        return forms
+
+
+def solved_pieces(sys_, drive, grid, u, v, t_max=1.0, scale=1.0) -> Solved:
+    """The pieces of the drive's f and g, its values times ``scale`` on 4 cells of [0, t_max]."""
+    f, g = (fock.TestFunction.build(t_max, 4, {key: [scale * c for c in cells]
+                                               for key, cells in modes.items()})
+            for modes in PIECE_DRIVES[drive])
+    ftraj = fock.flow_element(sys_, u, f, v, g, grid)
+    gtraj = fock.pair_element(sys_, u, f, v, g, grid)
+    d = fock._drive(sys_, grid, f, g)
+    G0 = fock._initial_pair_vector(sys_, fock._initial_vector(sys_, u, v, f, g))
+    rects = fock._pair_support(sys_, d, G0)
+    assert np.array_equal(fock._pair_index(rects, sys_.dim), gtraj.support)
+    return Solved(sys_, f, g, fock._flow_pieces(d, ftraj.support),
+                  fock._pair_pieces(sys_, d, rects), ftraj.support, gtraj.support)
+
+
 class TestPieces:
-    """The G pieces double the F pieces: A (x) 1 + 1 (x) A + the Ito sum."""
+    """On its solved support, an F piece is its cell's A and a G piece A (x) 1 + 1 (x) A + Ito."""
 
     @pytest.fixture
     def leaky(self, p2, pauli):
@@ -330,137 +432,315 @@ class TestPieces:
         L = lb.Lindbladian.single_kraus(sx * sx.translate((1,)) + 0.5 * sz)
         sys_ = fock.build_generator_system(L, [(0,), (1,)])
         assert not sys_.leak_free()
-        f = fock.TestFunction.build(1.0, 4, {((0,), 0): [0.9, 0.4, 0.7, 0.2],
-                                             ((-1,), 0): [0.3, 0.1, 0.5, 0.6]})
-        g = fock.TestFunction.build(1.0, 4, {((1,), 0): [0.2, 0.8, 0.5, 0.3],
-                                             ((0,), 0): [0.6, 0.2, 0.9, 0.1]})
         grid = np.linspace(0.0, 1.5, 4)  # runs past t_max = 1
-        F = fock._flow_pieces(sys_, grid, f, g)
-        return sys_, f, g, F, fock._pair_pieces(sys_, F)
+        return {drive: solved_pieces(sys_, drive, grid, sx, sz) for drive in PIECE_DRIVES}
 
     @staticmethod
-    def kron_forms(sys_, f, g, G):
-        """The old assembled G generator of each piece, as a dense matrix."""
-        n = sys_.dim
-        eye = scipy.sparse.identity(n, dtype=complex, format="csr")
+    def on(support, rng):
+        return rng.normal(size=support.size) + 1j * rng.normal(size=support.size)
 
-        def both(m):
-            return scipy.sparse.kron(m, eye) + scipy.sparse.kron(eye, m)
+    @pytest.mark.parametrize("system", ["F", "G"])
+    def test_supports_are_closed_and_proper(self, leaky, system):
+        # No support is everything, and each form maps its support into
+        # itself (``forms`` checks that); the undriven modes' Ito moves
+        # widen G's support from the 40 pairs that the driven mode's reach.
+        for s in leaky.values():
+            _pieces, support = s.pieces(system)
+            assert 0 < support.size < (s.sys.dim if system == "F" else s.sys.dim ** 2)
+            assert len(s.forms(system)) == len(s.F)
+        assert leaky["undriven"].G_support.size == 52
 
-        static = both(sys_.lhat_t)
-        for key in sys_.noise:
-            static = static + scipy.sparse.kron(sys_.delta_dag_t[key], sys_.delta_t[key])
-        forms = []
-        for piece in G:
-            cell = fock._cell_of(0.5 * (piece.a + piece.b), f)
-            expected = static
-            for key in sys_.noise:
-                expected = (expected + np.conj(f.cell_value(key, cell)) * both(sys_.delta_t[key])
-                            + g.cell_value(key, cell) * both(sys_.delta_dag_t[key]))
-            forms.append(expected.toarray())
-        return forms
+    def test_flow_matrix_is_the_cell_generator(self, leaky, rng):
+        for s in leaky.values():
+            S = s.F_support
+            for piece, form in zip(s.F, s.forms("F")):
+                v = self.on(S, rng)
+                assert np.abs(piece.op.apply(v) - form[np.ix_(S, S)] @ v).max() < 1e-14
 
     def test_pair_matrix_is_the_kron_form(self, leaky, rng):
-        # Applied to random complex vectors, each matrix-free G piece acts
-        # as its assembled kron form A (x) 1 + 1 (x) A + Ito.
-        sys_, f, g, F, G = leaky
-        assert [(p.a, p.b) for p in G] == [(p.a, p.b) for p in F]
-        assert F[-1].a >= f.t_max  # one piece lies past the drive
-        n = sys_.dim
-        for piece, expected in zip(G, self.kron_forms(sys_, f, g, G)):
-            for _ in range(3):
-                v = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
-                assert np.abs(piece.op.apply(v) - expected @ v).max() < 1e-14
+        # Applied to random complex vectors on the solved support, each G
+        # piece acts as its kron form A (x) 1 + 1 (x) A + Ito restricted to
+        # that support, which the form maps into itself.
+        for s in leaky.values():
+            assert [(p.a, p.b) for p in s.G] == [(p.a, p.b) for p in s.F]
+            assert s.F[-1].a >= s.f.t_max  # one piece lies past the drive
+            S = s.G_support
+            for piece, form in zip(s.G, s.forms("G")):
+                for _ in range(3):
+                    v = self.on(S, rng)
+                    assert np.abs(piece.op.apply(v) - form[np.ix_(S, S)] @ v).max() < 1e-14
 
     def test_pair_matvec_in_place_is_bitwise(self, leaky, rng):
-        # Summing into the first product's array gives the bits of the sum
-        # of fresh arrays, and leaves the input vector alone.
-        sys_, _f, _g, F, G = leaky
-        n = sys_.dim
-        ito = sum(scipy.sparse.kron(sys_.delta_dag_t[key], sys_.delta_t[key], format="csr")
-                  for key in sys_.noise)
-        ito_op = lb.step_operator(ito)
-        for fp, gp in zip(F, G):
-            v = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
-            kept = v.copy()
-            M = v.reshape(n, n)
-            expected = (fp.op.shifted(M) + fp.op.shifted(M.T).T).reshape(-1) + ito_op.shifted(v)
-            got = gp.op.shifted(v)
-            assert np.array_equal(got.view(float), expected.view(float))
-            assert np.array_equal(v, kept)
+        # The stepper scales each product in place.  A G matvec returns a
+        # fresh array, so scaling it leaves the input and the next product
+        # alone; a cell's product, taken again after the other cells', gives
+        # the same bits; it is the restricted form's, less mu.
+        for s in leaky.values():
+            S = s.G_support
+            vs = [self.on(S, rng) for _ in s.G]
+            kept = [v.copy() for v in vs]
+            first = []
+            for piece, v in zip(s.G, vs):
+                got = piece.op.shifted(v)
+                first.append(got.copy())
+                np.multiply(3.0, got, out=got)
+            for piece, v, v0, want in reversed(list(zip(s.G, vs, kept, first))):
+                assert np.array_equal(piece.op.shifted(v).view(float), want.view(float))
+                assert np.array_equal(v, v0)
+            for piece, form, v, want in zip(s.G, s.forms("G"), vs, first):
+                shifted = form[np.ix_(S, S)] - piece.op.mu * np.eye(S.size)
+                assert np.abs(want - shifted @ v).max() < 1e-14
 
     def test_pair_shift_and_norm_bound(self, leaky):
-        # The G operator's norms and log-norm bound those of the kron form.
-        sys_, f, g, _F, G = leaky
-        n2 = sys_.dim ** 2
-        for piece, expected in zip(G, self.kron_forms(sys_, f, g, G)):
-            mu = np.trace(expected) / n2
-            assert abs(piece.op.mu - mu) < 1e-14
-            shifted = np.abs(expected - mu * np.eye(n2))
-            assert piece.op.norm >= shifted.sum(axis=0).max()
-            assert piece.op.norm_inf >= shifted.sum(axis=1).max()
-            diag = np.diag(expected)
-            growth = (diag.real + np.abs(expected).sum(axis=1) - np.abs(diag)).max()
-            assert piece.op.growth >= growth
+        # The G operator's shift, norms and log-norm are those of the kron
+        # form restricted to the support: exact there, and no larger than
+        # the full form's.
+        for s in leaky.values():
+            S = s.G_support
+            for piece, form in zip(s.G, s.forms("G")):
+                sub = form[np.ix_(S, S)]
+                mu = np.trace(sub) / S.size
+                assert abs(piece.op.mu - mu) < 1e-14
+                shifted = np.abs(sub - mu * np.eye(S.size))
+                assert piece.op.norm == pytest.approx(shifted.sum(axis=0).max(), rel=1e-13)
+                assert piece.op.norm_inf == pytest.approx(shifted.sum(axis=1).max(), rel=1e-13)
+
+                def log_norm(m):
+                    diag = np.diag(m)
+                    return (diag.real + np.abs(m).sum(axis=1) - np.abs(diag)).max()
+
+                assert piece.op.growth == pytest.approx(log_norm(sub), rel=1e-13)
+                assert piece.op.growth <= log_norm(form) + 1e-12
+
+    @staticmethod
+    def full_basis_steps(s, system, pieces, x0):
+        """x0 stepped across the pieces by dense expm of the full-basis forms."""
+        exact, ref = {0.0: x0}, x0
+        for p, form in zip(pieces, s.forms(system)):
+            ref = exact[p.b] = scipy.linalg.expm((p.b - p.a) * form) @ ref
+        return exact
 
     @pytest.mark.parametrize("system", ["F", "G"])
     @pytest.mark.parametrize("tol", [1e-4, 1e-9])
     def test_propagate_meets_tol_on_a_growing_system(self, leaky, rng, system, tol):
-        # Both systems have log-norm bounds > 0 here, so each piece's share
-        # of tol is shrunk for the growth after it; every state is still
-        # within tol of dense expm stepping (roundoff aside) at every grid time.
-        sys_, _f, _g, F, G = leaky
-        pieces = {"F": F, "G": G}[system]
-        dim = sys_.dim if system == "F" else sys_.dim ** 2
+        # Both systems have log-norm bounds > 0 on their supports, so each
+        # piece's share of tol is shrunk for the growth after it; every state
+        # is still within tol of dense expm stepping of the full-basis form
+        # (roundoff aside) at every grid time, and exactly 0 off the support.
+        s = leaky["driven"]
+        pieces, support = s.pieces(system)
         assert min(p.op.growth for p in pieces) > 0
         grid = np.linspace(0.0, 1.5, 4)
-        x0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        states, _est = fock._propagate(pieces, x0, grid, tol, 1.0)
-        exact, ref = {0.0: x0}, x0
-        for p in pieces:
-            mat = np.column_stack([p.op.apply(e) for e in np.eye(dim, dtype=complex)])
-            ref = exact[p.b] = scipy.linalg.expm((p.b - p.a) * mat) @ ref
+        x0 = np.zeros(s.sys.dim if system == "F" else s.sys.dim ** 2, dtype=complex)
+        x0[support] = self.on(support, rng)
+        states, _est = fock._propagate(pieces, x0, support, grid, tol, 1.0)
+        exact = self.full_basis_steps(s, system, pieces, x0)
+        off = np.setdiff1d(np.arange(x0.size), support)
         for t, state in zip(grid, states):
             want = exact[float(t)]
             assert np.abs(state - want).max() <= tol + 1e-12 * np.abs(want).max()
+            assert not state[off].any()
 
     @pytest.mark.parametrize("system", ["F", "G"])
-    def test_long_grid_costs_no_more_than_the_roundoff_stop(self, leaky, rng, system,
+    def test_long_grid_costs_no_more_than_the_roundoff_stop(self, leaky, rng, pauli, system,
                                                              roundoff_stop_matvecs):
-        # Over t in [0, 10] the G pieces' log-norm bound (about 12) shrinks
-        # the early pieces' shares of tol by e^-100 and more, far below
-        # roundoff; those sums stop at unit roundoff instead, so the solve
-        # returns within tol of dense stepping (roundoff aside) on no more
-        # matvecs than scipy's 2^-53 stop takes.
-        sys_, f, g, _F, _G = leaky
+        # Driven over all of [0, 10] at 12 times the "driven" values, the
+        # log-norm bounds on the supports (F: 2.5 to 10.9, G: 11.7 to 29.7)
+        # shrink the first piece's share of tol by e^-60 (F) and e^-189 (G),
+        # far below roundoff; such sums stop at unit roundoff instead, so
+        # the solve returns within tol of dense stepping (roundoff aside)
+        # on no more matvecs than scipy's 2^-53 stop takes.  Without that
+        # stop the solves here raise DivergenceError (a sum misses a share
+        # of 1.6e-39 after 100 terms); F's pieces alone, stepped at 1e-9,
+        # took 830 matvecs against the stop's 569.
         grid = np.linspace(0.0, 10.0, 9)
-        F = fock._flow_pieces(sys_, grid, f, g)
-        pieces = {"F": F, "G": fock._pair_pieces(sys_, F)}[system]
-        dim = sys_.dim if system == "F" else sys_.dim ** 2
-        x0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        calls, limit, exact, ref = [], 0, {0.0: x0}, x0
+        s = solved_pieces(leaky["driven"].sys, "driven", grid, pauli[0], pauli[1],
+                          t_max=10.0, scale=12.0)
+        pieces, support = s.pieces(system)
+        x0 = np.zeros(s.sys.dim if system == "F" else s.sys.dim ** 2, dtype=complex)
+        x0[support] = self.on(support, rng)
+        exact = self.full_basis_steps(s, system, pieces, x0)
+        calls, limit = [], 0
         for p in pieces:
-            limit += roundoff_stop_matvecs(p.op, ref, p.b - p.a)
-            mat = np.column_stack([p.op.apply(e) for e in np.eye(dim, dtype=complex)])
-            ref = exact[p.b] = scipy.linalg.expm((p.b - p.a) * mat) @ ref
+            limit += roundoff_stop_matvecs(p.op, exact[p.a][support], p.b - p.a)
         counted = [p._replace(op=p.op._replace(
             shifted=lambda v, op=p.op: calls.append(1) or op.shifted(v))) for p in pieces]
-        states, _est = fock._propagate(counted, x0, grid, 1e-9, 1.0)
+        states, _est = fock._propagate(counted, x0, support, grid, 1e-9, 1.0)
         assert len(calls) <= limit
         for t, state in zip(grid, states):
             want = exact[float(t)]
             assert np.abs(state - want).max() <= 1e-9 + 1e-12 * np.abs(want).max()
 
     def test_pair_leak_rate_adds_the_ito_rate(self, leaky):
-        sys_, _f, _g, F, G = leaky
+        s = leaky["driven"]
+        sys_ = s.sys
         ito_rate = 0.0
         for key in sys_.noise:
             ld, ldd = sys_.leak_max(("d", key)), sys_.leak_max(("dd", key))
             ito_rate += ldd * sys_.map_l1(key) + sys_.map_l1(key) * ld + ldd * ld
         assert ito_rate > 0.0
-        for fp, gp in zip(F, G):
+        for fp, gp in zip(s.F, s.G):
             assert fp.leak_rate > 0.0
             assert gp.leak_rate == pytest.approx(2.0 * fp.leak_rate + ito_rate, rel=1e-15)
+
+
+class TestInvariantSubspace:
+    """The F and G solves run on the components their initial vectors reach."""
+
+    @staticmethod
+    def bfs_components(n, rows, cols):
+        adjacent = [set() for _ in range(n)]
+        for r, c in zip(rows, cols):
+            adjacent[r].add(c)
+            adjacent[c].add(r)
+        label, count = [-1] * n, 0
+        for start in range(n):
+            if label[start] >= 0:
+                continue
+            label[start], queue = count, [start]
+            while queue:
+                node = queue.pop()
+                for nxt in adjacent[node]:
+                    if label[nxt] < 0:
+                        label[nxt] = count
+                        queue.append(nxt)
+            count += 1
+        return np.array(label)
+
+    @pytest.mark.parametrize("n,edges", [(1, 0), (7, 0), (7, 3), (40, 12), (40, 30), (200, 150),
+                                         (200, 400)])
+    def test_labels_match_bfs(self, rng, n, edges):
+        # Few edges leave isolated nodes and many components; both
+        # labellings number the components in the order of their least node.
+        rows, cols = rng.integers(0, n, size=(2, edges))
+        got = fock._components(n, rows, cols)
+        assert np.array_equal(got, self.bfs_components(n, rows, cols))
+
+    def test_a_connected_pattern_is_one_component(self, rng):
+        n = 50
+        order = rng.permutation(n)  # a path through every node, then noise
+        rows = np.concatenate([order[:-1], rng.integers(0, n, 20)])
+        cols = np.concatenate([order[1:], rng.integers(0, n, 20)])
+        assert not fock._components(n, rows, cols).any()
+
+    def test_a_connecting_generator_solves_on_every_string(self, p2, pauli, zf):
+        # sx and sz at one site connect all four strings: one component,
+        # and the F and G supports are the whole basis.
+        sx, sz, _, one = pauli
+        sys_ = fock.build_generator_system(lb.Lindbladian.single_kraus(sx + 0.5j * sz), [(0,)])
+        f = fock.TestFunction.build(1.0, 2, {((0,), 0): [0.5, 0.2]})
+        assert fock.flow_element(sys_, one, f, sx, zf, [0.0, 1.0]).support.size == 4
+        assert fock.pair_element(sys_, one, f, sx, zf, [0.0, 1.0]).support.size == 16
+
+    def test_a_zero_initial_vector_solves_on_no_string(self, p2, pauli):
+        # u = 0 makes F_0 and G_0 zero: the supports are empty, and every
+        # solve returns exact zeros of the full shapes.
+        sx, sz, _, _ = pauli
+        sys_ = fock.build_generator_system(lb.Lindbladian.single_kraus(sx + 0.5j * sz), [(0,)])
+        f = fock.TestFunction.build(1.0, 2, {((0,), 0): [0.5, 0.2]})
+        grid = [0.0, 0.5, 1.0]
+        ftraj = fock.flow_element(sys_, 0 * sx, f, sx, None, grid)
+        gtraj = fock.pair_element(sys_, 0 * sx, f, sx, None, grid)
+        pic = fock.picard_element(sys_, sz, 0 * sx, f, sx, None, grid)
+        assert ftraj.support.size == gtraj.support.size == 0
+        assert ftraj.F.shape == (3, 4) and gtraj.G.shape == (3, 4, 4)
+        assert not ftraj.F.any() and not gtraj.G.any() and not pic.values.any()
+
+    @staticmethod
+    def flow_pair_system(seed):
+        """A window of 4 sites at N = 2 driven as the flow_n2_w4 benchmark job is.
+
+        One Kraus member c1 sx sx' + c2 sz, l1 norm 1, and f of modulus
+        0.5 on 8 cells of [0, 1] on modes (1, 0) and (2, 0); u = v = 1.
+        """
+        rng = np.random.default_rng(seed)
+        p2 = AlgebraParams(2, 1)
+        sx = LocalOperator.site_word(p2, (0,), 1, 0)
+        sz = LocalOperator.site_word(p2, (0,), 0, 1)
+        c = rng.normal(size=2) + 1j * rng.normal(size=2)
+        c /= np.abs(c).sum()
+        L = lb.Lindbladian.single_kraus(c[0] * sx * sx.translate((1,)) + c[1] * sz)
+        sys_ = fock.build_generator_system(L, [(0,), (1,), (2,), (3,)])
+        f = fock.TestFunction.build(1.0, 8, {
+            ((k,), 0): list(0.5 * np.exp(2j * np.pi * rng.uniform(size=8))) for k in (1, 2)})
+        return sys_, LocalOperator.identity(p2), f
+
+    @staticmethod
+    def connected_system(cells):
+        """The same window with sx + 0.5i sz as Kraus member and every mode driven.
+
+        Its pattern is one component, so F and G are solved on all 256
+        strings and all 65 536 pairs.
+        """
+        rng = np.random.default_rng(5)
+        p2 = AlgebraParams(2, 1)
+        sx = LocalOperator.site_word(p2, (0,), 1, 0)
+        sz = LocalOperator.site_word(p2, (0,), 0, 1)
+        L = lb.Lindbladian.single_kraus(sx + 0.5j * sz)
+        sys_ = fock.build_generator_system(L, [(0,), (1,), (2,), (3,)])
+        f = fock.TestFunction.build(1.0, cells, {
+            ((k,), 0): list(0.5 * np.exp(2j * np.pi * rng.uniform(size=cells))) for k in range(4)})
+        return sys_, LocalOperator.identity(p2), f
+
+    @pytest.mark.parametrize("shape,sizes", [(3, (32, 8192)), (4, (32, 8192)),
+                                             ("connected", (256, 65536))])
+    def test_restricted_solves_match_the_full_basis(self, shape, sizes):
+        # On the flow_n2_w4 shape at two seeds, F is 0 off 32 of 256 strings
+        # and G off 8192 of 65536 pairs; a connecting generator solves on
+        # every string and pair.  The solves match F stepped by dense expm
+        # over the whole basis, and G stepped by scipy's sparse
+        # expm_multiply over all 65536 pairs, to tol.
+        import scipy.sparse.linalg
+
+        if shape == "connected":
+            sys_, one, f = self.connected_system(8)
+        else:
+            sys_, one, f = self.flow_pair_system(shape)
+        zero = fock.TestFunction.zero(1.0, 8)
+        grid, tol = np.linspace(0.0, 1.0, 3), 1e-9
+        ftraj = fock.flow_element(sys_, one, f, one, zero, grid, tol=tol)
+        gtraj = fock.pair_element(sys_, one, f, one, zero, grid, tol=tol)
+        assert (ftraj.support.size, gtraj.support.size) == sizes
+        n = sys_.dim
+        eye = scipy.sparse.identity(n, dtype=complex, format="csr")
+        ito = sum(scipy.sparse.kron(sys_.delta_dag_t[key], sys_.delta_t[key], format="csr")
+                  for key in sys_.noise)
+        F, G = ftraj.F[0].copy(), gtraj.G[0].reshape(-1).copy()
+        for cell in range(8):
+            A = sys_.lhat_t
+            for key in f.mode_keys():
+                A = A + np.conj(f.cell_value(key, cell)) * sys_.delta_t[key]
+            F = scipy.linalg.expm(A.toarray() / 8) @ F
+            K = scipy.sparse.kron(A, eye) + scipy.sparse.kron(eye, A) + ito
+            G = scipy.sparse.linalg.expm_multiply(K.tocsr() / 8, G)
+            if cell in (3, 7):
+                t = (cell + 1) // 4
+                assert np.abs(ftraj.F[t] - F).max() <= tol + 1e-12 * np.abs(F).max()
+                assert np.abs(gtraj.G[t].reshape(-1) - G).max() <= tol + 1e-12 * np.abs(G).max()
+
+    def test_a_cell_holds_no_pair_matrix(self):
+        # On the connected window G's support is all 65 536 pairs.  Each
+        # cell's G generator keeps only its F generator restricted to the
+        # rows and to the columns of the support: two matrices of at most
+        # 256 strings x the pattern's column count entries each (at most
+        # 32 bytes an entry, with its index and row pointer).  An assembled
+        # pair matrix would hold 2 x 65 536 x that count entries per cell.
+        held = {}
+        for cells in (1, 8):
+            sys_, one, f = self.connected_system(cells)
+            f, g = fock._harmonize(f, None)
+            d = fock._drive(sys_, np.linspace(0.0, 1.0, 3), f, g)
+            rects = fock._pair_support(sys_, d, fock._initial_pair_vector(
+                sys_, fock._initial_vector(sys_, one, one, f, g)))
+            assert fock._pair_index(rects, sys_.dim).size == sys_.dim ** 2
+            tracemalloc.start()
+            pieces = fock._pair_pieces(sys_, d, rects)
+            held[cells] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.stop()
+            assert len({id(p.op) for p in pieces}) == cells
+            del pieces
+        column_count = np.bincount(d.cols).max()
+        assert (held[8] - held[1]) / 7 <= 2 * sys_.dim * column_count * 32
 
 
 class TestPairSystem:

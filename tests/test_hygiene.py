@@ -527,8 +527,10 @@ def test_scanner_sees_scipy_stepper():
 
 # Modules only the dense oracle and selftest compute with: ``flow``,
 # ``lemma`` and ``ergodicity`` never load them (scipy.integrate imports
-# scipy.optimize).
-HEAVY = ("scipy.integrate", "scipy.linalg", "scipy.optimize")
+# scipy.optimize).  scipy.sparse.csgraph is named on its own, though it
+# loads scipy.linalg: ``fock`` finds its components with numpy, and a
+# csgraph import fails here by name.
+HEAVY = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse.csgraph")
 
 # In a fresh interpreter: the heavy modules loaded after ``import
 # uhfflow.cli`` and after each command run through ``uhfflow.cli.main``.
