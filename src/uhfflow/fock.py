@@ -30,10 +30,12 @@ entries lie in the union pattern of Lhat and the driven modes' maps, so
 none links two connected components of that pattern: F lives on the
 components that F_0 touches, and G on the component pairs that G_0
 touches, closed under the Ito moves of every noise mode, driven or not
-(``_pair_support``).  F's cell generator is restricted to its set as
+(``_pair_support``), which are found from F_0's strings; G_0 is
+evaluated on them alone.  F's cell generator is restricted to its set as
 one sparse matrix.  G's set is a union of rectangles of string pairs, on
 each of which G is a dense block: A (x) 1 + 1 (x) A acts on it through
-A restricted to the rectangle's rows and columns, and the Ito sum, the
+A restricted to the rectangle's rows and columns, one block-diagonal
+matrix per side for all rectangles of one shape, and the Ito sum, the
 same on every cell, is the one matrix built on pairs (``_pair_pieces``).
 The Taylor norms and log-norms are those of the restricted systems, and
 every piece is stepped by ``lindblad.expm_multiply``.  A generator that
@@ -84,13 +86,11 @@ from .errors import FitError, SizeGuardError, WindowError
 from .kernel import WindowKernel
 from .lindblad import (
     StepOperator,
-    cumulative_simpson,
     expm_multiply,
     split_tolerance,
     step_operator,
 )
 
-PICARD_SUB = 64  # Simpson nodes per piece in picard_element (even)
 PICARD_MAX_TERMS = 500_000  # terms summed by picard_tail_bound before it gives inf
 CERTIFIED_DEPTH_MAX = 100_000  # deepest Picard depth smallest_certified_depth tries
 SCAN_TOL = 1e-15  # eta_ergodicity_scan's solve; its fit reads deviations above 10 x this
@@ -428,14 +428,15 @@ def _initial_vector(sys: FlowGeneratorSystem, u, v, f, g) -> np.ndarray:
     return F0
 
 
-def _initial_pair_vector(sys: FlowGeneratorSystem, F0: np.ndarray) -> np.ndarray:
-    """G0(a, b) = F0(U_a U_b) over all basis pairs, flattened row-major.
+def _initial_pair_vector(sys: FlowGeneratorSystem, F0: np.ndarray,
+                         pairs: np.ndarray) -> np.ndarray:
+    """G0(a, b) = F0(U_a U_b) at the flat pairs a n + b of ``pairs``, in their order.
 
     The complex product is spelled out so that every entry is rounded as
     a scalar product is (numpy's array loop may fuse multiply and add).
     """
-    phase, rows = sys.kernel.products()
-    root, val = sys.kernel.roots[phase].reshape(-1), F0[rows].reshape(-1)
+    phase, rows = sys.kernel.products(*np.divmod(pairs, sys.dim))
+    root, val = sys.kernel.roots[phase], F0[rows]
     G0 = np.empty(root.size, dtype=complex)
     G0.real = root.real * val.real - root.imag * val.imag
     G0.imag = root.real * val.imag + root.imag * val.real
@@ -538,8 +539,14 @@ def _flow_support(drive: _Drive, F0: np.ndarray) -> np.ndarray:
 
 
 def _pair_support(sys: FlowGeneratorSystem, drive: _Drive,
-                  G0: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+                  F0: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """The component pairs that G's generator reaches from G0's, as rectangles of strings.
+
+    G0 is not built here.  G0(a, b) = F0(U_a U_b) is a root of unity
+    times F0 at the string a + b (exponents add), so it is nonzero
+    exactly where F0 is nonzero at a + b: for each such string c, G0
+    touches the component pairs of (a, c - a) over every string a
+    (``WindowKernel.factors``), and no others.
 
     A (x) 1 and 1 (x) A keep the components of a pair (a, b).  The Ito
     term of a noise mode k takes a component pair (i, j) to each (i', j')
@@ -552,7 +559,7 @@ def _pair_support(sys: FlowGeneratorSystem, drive: _Drive,
     that reach the same column components share one.  The rectangles are
     disjoint, and A (x) 1 and 1 (x) A map each into itself.
     """
-    n, comp = drive.dim, drive.comp
+    comp = drive.comp
     nc = int(comp.max()) + 1
 
     def moves(mat) -> scipy.sparse.csr_matrix:
@@ -562,8 +569,7 @@ def _pair_support(sys: FlowGeneratorSystem, drive: _Drive,
 
     steps = [(moves(sys.delta_dag_t[key]).T, moves(sys.delta_t[key])) for key in sys.noise]
     reach = np.zeros((nc, nc))
-    a, b = np.divmod(np.flatnonzero(G0), n)
-    reach[comp[a], comp[b]] = 1.0
+    reach[comp, comp[sys.kernel.factors(np.flatnonzero(F0))]] = 1.0
     while True:
         new = reach.copy()
         for dd_t, d in steps:
@@ -584,27 +590,36 @@ def _pair_index(rects: list[tuple[np.ndarray, np.ndarray]], n: int) -> np.ndarra
                           + [(rows[:, None] * n + cols).reshape(-1) for rows, cols in rects])
 
 
-def _restriction(drive: _Drive, strings: np.ndarray):
-    """The cell generators on ``strings``, a union of the drive's components in basis order.
+def _restriction(drive: _Drive, blocks: list[np.ndarray]):
+    """The cell generators on each string set of ``blocks``, as one block-diagonal matrix.
 
-    Returns ``matrix(values, shift)``: the CSR matrix of the generator
-    with pattern values ``values`` on those strings, less ``shift`` on its
-    diagonal.  A pattern entry in a row of ``strings`` has its column
-    there too, and the pattern is sorted by (row, column) and holds the
-    diagonal, so the entries in those rows are the matrix's data in CSR
-    order.
+    Each set is a union of the drive's components in basis order, so a
+    pattern entry in one of its rows has its column there too; the
+    pattern is sorted by (row, column) and holds the diagonal, so the
+    entries in the sets' rows, set after set, are the matrix's data in
+    CSR order.  The structure is built once.  Returns
+    ``matrix(values, shift)``: the CSR matrix of the generator with
+    pattern values ``values``, less ``shift`` on its diagonal; a call
+    fills only the data, and every matrix shares the index arrays.
     """
-    pos = _positions(drive.dim, strings)
-    keep = np.flatnonzero(pos[drive.rows] >= 0)
-    indices = pos[drive.cols[keep]]
-    indptr = np.searchsorted(pos[drive.rows[keep]], np.arange(strings.size + 1))
+    keep, rows, cols, offset = [], [], [], 0
+    for strings in blocks:
+        pos = _positions(drive.dim, strings)
+        kept = np.flatnonzero(pos[drive.rows] >= 0)
+        keep.append(kept)
+        rows.append(pos[drive.rows[kept]] + offset)
+        cols.append(pos[drive.cols[kept]] + offset)
+        offset += strings.size
+    keep = np.concatenate(keep)
+    # scipy's own index type, so that every matrix shares these arrays.
+    indices = np.concatenate(cols).astype(np.int32)
+    indptr = np.searchsorted(np.concatenate(rows), np.arange(offset + 1)).astype(np.int32)
     diag = np.flatnonzero(drive.rows[keep] == drive.cols[keep])
-    m = strings.size
 
     def matrix(values: np.ndarray, shift: complex = 0j) -> scipy.sparse.csr_matrix:
         data = values[keep]
         data[diag] -= shift
-        return scipy.sparse.csr_matrix((data, indices, indptr), shape=(m, m))
+        return scipy.sparse.csr_matrix((data, indices, indptr), shape=(offset, offset))
 
     return matrix
 
@@ -634,7 +649,7 @@ def _flow_pieces(drive: _Drive, support: np.ndarray) -> list[_Piece]:
     generator restricted to it is the whole generator's action there, and
     the norms and log-norm are those of the restriction.
     """
-    matrix = _restriction(drive, support)
+    matrix = _restriction(drive, [support])
     return _pieces(drive, {cell: (step_operator(matrix(drive.values(cell))), drive.rate[cell])
                            for cell in drive.coef})
 
@@ -679,6 +694,35 @@ def _ito(sys: FlowGeneratorSystem, support: np.ndarray,
     return ito, rate
 
 
+class _PairProduct(NamedTuple):
+    """One cell's (A (x) 1 + 1 (x) A + Ito - mu) v on the pair support, as a fresh array.
+
+    ``groups`` holds one entry per rectangle shape (h, w): where its R
+    rectangles' pairs sit in the support (``at``, a slice when they are
+    consecutive), and the block-diagonal matrices ``rows`` and ``cols``
+    of A restricted to each rectangle's row strings and to its column
+    strings, mu / 2 taken off each diagonal.  Stacked, the group's G
+    blocks take A_rows G in one product with ``rows`` and G A_cols^T in
+    one with ``cols``, on the one transposed copy of the group's blocks.
+    """
+
+    ito: scipy.sparse.csc_matrix
+    groups: list[tuple[slice | np.ndarray, int, int, int,
+                       scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]]
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        out = self.ito @ v
+        for at, R, h, w, rows, cols in self.groups:
+            G = v[at].reshape(R, h, w)
+            block = out[at].reshape(R, h, w)  # a view of out where ``at`` is a slice
+            block += (rows @ G.reshape(R * h, w)).reshape(R, h, w)
+            block += (cols @ G.transpose(0, 2, 1).reshape(R * w, h)).reshape(
+                R, w, h).transpose(0, 2, 1)
+            if not isinstance(at, slice):
+                out[at] = block.reshape(-1)
+        return out
+
+
 def _pair_pieces(sys: FlowGeneratorSystem, drive: _Drive,
                  rects: list[tuple[np.ndarray, np.ndarray]]) -> list[_Piece]:
     """The doubled G system A (x) 1 + 1 (x) A + Ito on the rectangles ``rects``, once per cell.
@@ -687,9 +731,13 @@ def _pair_pieces(sys: FlowGeneratorSystem, drive: _Drive,
     ``_pair_index``, and are closed under its generator's moves.  On a
     rectangle (rows, cols) G is a dense block, on which A (x) 1 and
     1 (x) A act as A_rows G + G A_cols^T, with A restricted to the
-    rectangle's row strings and to its column strings: per cell only
-    those restrictions of the F generator are built.  The quantum Ito
-    term sum_k delta_k^dag (x) delta_k is the same on every cell; it is
+    rectangle's row strings and to its column strings.  The rectangles
+    of one shape form a group, whose restrictions are the blocks of one
+    block-diagonal matrix for the rows and one for the columns; their
+    structure is built once per solve, and per cell only their data
+    (``_restriction``), so a product takes 1 + 2 x (shapes) sparse
+    products (``_PairProduct``).  The quantum Ito term
+    sum_k delta_k^dag (x) delta_k is the same on every cell; it is
     assembled once, on the support (``_ito``).  The norms and log-norm
     are taken pair by pair from the three terms' diagonals and
     off-diagonal row and column sums.  They are those of the restricted
@@ -708,9 +756,18 @@ def _pair_pieces(sys: FlowGeneratorSystem, drive: _Drive,
     del mag
     a, b = np.divmod(support, n)
     on_diag = drive.rows == drive.cols  # the pattern holds the diagonal, in basis order
-    blocks = [(rows.size, cols.size, _restriction(drive, rows), _restriction(drive, cols))
-              for rows, cols in rects]
-    bounds = np.cumsum([0] + [h * w for h, w, _r, _c in blocks])
+    bounds = np.cumsum([0] + [rows.size * cols.size for rows, cols in rects])
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for k, (rows, cols) in enumerate(rects):
+        shapes.setdefault((rows.size, cols.size), []).append(k)
+    groups = []
+    for (h, w), ks in shapes.items():
+        if ks[-1] - ks[0] + 1 == len(ks):
+            at = slice(bounds[ks[0]], bounds[ks[-1] + 1])
+        else:
+            at = np.concatenate([np.arange(bounds[k], bounds[k + 1]) for k in ks])
+        groups.append((at, len(ks), h, w, _restriction(drive, [rects[k][0] for k in ks]),
+                       _restriction(drive, [rects[k][1] for k in ks])))
 
     def operator(values: np.ndarray) -> StepOperator:
         off = np.where(on_diag, 0.0, np.abs(values))
@@ -720,18 +777,8 @@ def _pair_pieces(sys: FlowGeneratorSystem, drive: _Drive,
         shifted_diag = diag[a] + diag[b] + ito_diag
         mu = complex(shifted_diag.mean()) if size else 0j
         shifted_diag -= mu
-        # A_rows G + G A_cols^T - mu G, with mu / 2 taken off each factor's diagonal.
-        mats = [(h, w, row_matrix(values, 0.5 * mu), col_matrix(values, 0.5 * mu))
-                for h, w, row_matrix, col_matrix in blocks]
-
-        def shifted(v: np.ndarray) -> np.ndarray:
-            out = ito @ v
-            for (h, w, A_rows, A_cols), lo, hi in zip(mats, bounds[:-1], bounds[1:]):
-                G, block = v[lo:hi].reshape(h, w), out[lo:hi].reshape(h, w)
-                block += A_rows @ G
-                block += (A_cols @ G.T).T
-            return out
-
+        shifted = _PairProduct(ito, [(at, R, h, w, rows(values, 0.5 * mu), cols(values, 0.5 * mu))
+                                     for at, R, h, w, rows, cols in groups])
         off_r = off_rows[a] + off_rows[b] + ito_rows
         off_c = off_cols[a] + off_cols[b] + ito_cols
         return StepOperator(mu, shifted, float((np.abs(shifted_diag) + off_c).max(initial=0.0)),
@@ -806,9 +853,15 @@ def flow_element(sys: FlowGeneratorSystem, u, f, v, g, t_grid,
 
 def picard_element(sys: FlowGeneratorSystem, x: LocalOperator, u, f, v, g, t_grid,
                    depth: int | None = None, tol: float = 1e-10) -> PicardTrajectory:
-    """F_t(x) by Picard sweeps (cumulative Simpson, ``PICARD_SUB`` nodes per piece).
+    """F_t(x) by Picard sweeps, each iterate integrated exactly.
 
-    The iteration tail bound certifies x alone, for single-operator
+    On a piece between breakpoints the generator A is constant, so every
+    iterate is a polynomial in s - a there, and a sweep integrates it
+    exactly: F_0 plus the integral of A times the last iterate shifts its
+    coefficients up a degree, each times A and over its new degree, and
+    starts it at the new iterate's value at a.  The iterates are the
+    truncated system's Picard iterates, with no quadrature error.  The
+    iteration tail bound certifies x alone, for single-operator
     families only (others raise ``ValueError``); ``depth=None`` runs to
     ``smallest_certified_depth`` at the last grid time.  Both price the
     drive by ``_dominating(f, g)``.  The estimate is
@@ -830,31 +883,35 @@ def picard_element(sys: FlowGeneratorSystem, x: LocalOperator, u, f, v, g, t_gri
     support = _flow_support(drive, F0)
     flow = _flow_pieces(drive, support)
     F0, cx = F0[support], cx[support]
-    # Piece i spans nodes PICARD_SUB i to PICARD_SUB (i + 1), so every
-    # breakpoint (hence every grid point) is a node; ``node`` holds its index.
-    spans = [slice(PICARD_SUB * i, PICARD_SUB * (i + 1) + 1) for i in range(len(flow))]
-    node = {0.0: 0} | {p.b: span.stop - 1 for p, span in zip(flow, spans)}
-    n_nodes = 1 + PICARD_SUB * len(flow)
-
-    G = np.tile(F0, (n_nodes, 1))
-    for _ in range(depth):
-        cum = np.zeros_like(G)
-        offset = np.zeros_like(F0)
-        # Each piece integrates its own generator, also at the node it
-        # shares with the next piece.
-        for p, span in zip(flow, spans):
-            seg = cumulative_simpson(p.op.apply(G[span].T).T, (p.b - p.a) / PICARD_SUB)
-            cum[span] = seg + offset
-            offset = cum[span.stop - 1]
-        G_new = np.tile(F0, (n_nodes, 1)) + cum
-        increment = float(np.max(np.abs(G_new - G), initial=0.0))
-        G = G_new
+    # Each piece is cut into parts of length ell with ell ||A||_inf <= 1
+    # (|mu| + norm_inf bounds it), so the terms of a part's polynomial add
+    # up to at most e times its value's scale.
+    parts, last = [], {}
+    for p in flow:
+        cuts = max(1, math.ceil((p.b - p.a) * (abs(p.op.mu) + p.op.norm_inf)))
+        parts += [(p.op, (p.b - p.a) / cuts)] * cuts
+        last[p.b] = len(parts) - 1
+    # coef[q, j]: the iterate's coefficient of (s - s_q)^j on part q, which starts at s_q.
+    coef = np.tile(F0, (len(parts), 1, 1))
+    at_end = np.tile(F0, (len(parts), 1))
+    for sweep in range(1, depth + 1):
+        new = np.empty((len(parts), sweep + 1, F0.size), dtype=complex)
+        start, increment = F0, 0.0
+        for q, (op, ell) in enumerate(parts):
+            powers = ell ** np.arange(sweep + 1)
+            new[q, 0] = start
+            new[q, 1:] = op.apply(coef[q].T).T / np.arange(1, sweep + 1)[:, None]
+            start = at_end[q] = powers @ new[q]
+            change = new[q].copy()
+            change[:-1] -= coef[q]
+            increment = max(increment, float((powers @ np.abs(change)).max(initial=0.0)))
+        coef = new
         # Sweeps past the numerical fixed point are no-ops; the
         # certificate is still quoted at the full depth.
-        if increment < 1e-15 * max(1.0, float(np.max(np.abs(G), initial=0.0))):
+        if increment < 1e-15 * max(1.0, float(np.abs(at_end).max(initial=0.0))):
             break
 
-    values = G[[node[float(t)] for t in grid]] @ cx
+    values = np.array([at_end[last[float(t)]] if t > 0 else F0 for t in grid]) @ cx
     # Leakage accrues per basis string exactly as in the ODE path.
     leak = _leak_accrual(flow)
     leak = np.array([leak[float(t)] for t in grid])
@@ -970,12 +1027,14 @@ def pair_element(sys: FlowGeneratorSystem, u, f, v, g, t_grid,
 
     The solve runs on the pairs that G's generator reaches from G_0
     (``_pair_support``): component pairs of the drive's pattern, closed
-    under the Ito moves of every noise mode, listed as rectangles.
-    There each piece's generator A (x) 1 + 1 (x) A + Ito acts through its
-    cell's F generator, restricted to each rectangle's rows and columns,
-    and the one Ito sum (``_pair_pieces``); G is exactly 0 on every other
-    pair, and ``support`` lists the pairs solved on, rectangle by
-    rectangle.  ``dense.MAX_PAIR_DIM`` bounds n^2 (4 sites at
+    under the Ito moves of every noise mode, listed as rectangles.  They
+    are found from the strings where F_0 is nonzero, and G_0 is evaluated
+    at those pairs alone; no n x n table is built.  There each piece's
+    generator A (x) 1 + 1 (x) A + Ito acts through its cell's F
+    generator, restricted to each rectangle's rows and columns and
+    batched per rectangle shape, and the one Ito sum (``_pair_pieces``);
+    G is exactly 0 on every other pair, and ``support`` lists the pairs
+    solved on, rectangle by rectangle.  ``dense.MAX_PAIR_DIM`` bounds n^2 (4 sites at
     N = 2).  Its identity row is F of the same (u, f, v, g), stepped by
     the same cell generators; ``homomorphism_defect`` checks that
     against ``flow_element``'s solve.
@@ -987,9 +1046,11 @@ def pair_element(sys: FlowGeneratorSystem, u, f, v, g, t_grid,
     if n * n > dense.MAX_PAIR_DIM:
         raise SizeGuardError(f"pair basis dimension {n * n} exceeds guard {dense.MAX_PAIR_DIM}")
     drive = _drive(sys, grid, f, g)
-    G0 = _initial_pair_vector(sys, _initial_vector(sys, u, v, f, g))
-    rects = _pair_support(sys, drive, G0)
+    F0 = _initial_vector(sys, u, v, f, g)
+    rects = _pair_support(sys, drive, F0)
     support = _pair_index(rects, n)
+    G0 = np.zeros(n * n, dtype=complex)
+    G0[support] = _initial_pair_vector(sys, F0, support)
     Gflat, est = _propagate(_pair_pieces(sys, drive, rects), G0, support, grid, tol,
                             _scale(u, f, v, g))
     return PairTrajectory(grid, sys, problem, Gflat.reshape(len(grid), n, n), est, support)

@@ -100,16 +100,22 @@ class WindowKernel:
         N = self.params.N
         return (((self.a + sa) % N * N + (self.b + sb) % N) * self.place).sum(axis=1)
 
-    def products(self) -> tuple[np.ndarray, np.ndarray]:
-        """Phase and index tables of U_i U_k = omega**phase[i, k] U_{rows[i, k]}."""
+    def products(self, i: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Phases and indices of U_i U_k = omega**phase U_rows, for basis index arrays i and k."""
         N = self.params.N
-        phase = -(self.b @ self.a.T) % N
-        rows = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for j in range(len(self.sites)):
-            a = (self.a[:, j, None] + self.a[None, :, j]) % N
-            b = (self.b[:, j, None] + self.b[None, :, j]) % N
-            rows += (a * N + b) * self.place[j]
-        return phase, rows
+        phase = -(self.b[i] * self.a[k]).sum(axis=-1) % N
+        digits = (self.a[i] + self.a[k]) % N * N + (self.b[i] + self.b[k]) % N
+        return phase, (digits * self.place).sum(axis=-1)
+
+    def factors(self, k: np.ndarray) -> np.ndarray:
+        """Index table j[m, i] of the strings with U_i U_j proportional to U_{k[m]}, every basis i.
+
+        Exponents add under products, so U_j's are k[m]'s less U_i's.
+        """
+        N = self.params.N
+        a = (self.a[k][:, None] - self.a) % N
+        b = (self.b[k][:, None] - self.b) % N
+        return ((a * N + b) * self.place).sum(axis=-1)
 
     # -- window matrices ---------------------------------------------------
 

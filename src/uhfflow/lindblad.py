@@ -403,19 +403,42 @@ class StepOperator(NamedTuple):
 def step_operator(mat) -> StepOperator:
     """A square sparse matrix as a :class:`StepOperator`: its trace shift and exact norms.
 
-    The row sums of |A - mu I| give both the inf-norm and, with the
-    diagonal put back as its real part, the logarithmic inf-norm.  A
-    matrix with no rows has norms 0 and log-norm -inf.
+    Everything is read from the matrix's CSR arrays.  A - mu I keeps A's
+    pattern, with a diagonal entry put into each row that lacks one (in
+    column order), and is built once from its data, indices and row
+    pointer.  The column sums of |A - mu I| (``bincount`` over its
+    entries) give the 1-norm, its row sums (one segment of the data per
+    row) the inf-norm, and the row sums with the diagonal put back as its
+    real part the logarithmic inf-norm.  A matrix with no rows has norms 0
+    and log-norm -inf.
     """
+    mat = mat.tocsr()
+    if not mat.has_canonical_format:
+        mat = mat.copy()
+        mat.sum_duplicates()
     n = mat.shape[0]
-    mu = complex(mat.trace()) / n if n else 0j
-    shifted = (mat - mu * scipy.sparse.identity(n, dtype=complex, format="csr")).tocsr()
-    mag = abs(shifted)
-    rows, cols = (np.asarray(mag.sum(axis=k)).ravel() for k in (1, 0))
-    diag = shifted.diagonal()
-    growth = mu.real + float((rows - np.abs(diag) + diag.real).max(initial=-math.inf))
-    return StepOperator(mu, shifted.dot, float(cols.max(initial=0.0)),
-                        float(rows.max(initial=0.0)), growth)
+    indices, indptr = mat.indices, mat.indptr
+    rows = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
+    lacking = np.flatnonzero(np.bincount(rows[indices == rows], minlength=n) == 0)
+    if lacking.size:
+        at = indptr[lacking] + np.bincount(rows[indices < rows], minlength=n)[lacking]
+        data = np.insert(mat.data.astype(complex, copy=False), at, 0j)
+        indices = np.insert(indices, at, lacking)
+        indptr = indptr + np.searchsorted(lacking, np.arange(n + 1))
+        rows = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
+    else:
+        data = mat.data.astype(complex)
+    on_diag = indices == rows
+    mu = complex(data[on_diag].sum()) / n if n else 0j
+    data[on_diag] -= mu
+    mag = np.abs(data)
+    # Every row now holds its diagonal, so no segment is empty.
+    row_sums, col_sums = np.add.reduceat(mag, indptr[:-1]), np.bincount(indices, mag, n)
+    diag = data[on_diag]
+    growth = mu.real + float((row_sums - np.abs(diag) + diag.real).max(initial=-math.inf))
+    shifted = scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    return StepOperator(mu, shifted.dot, float(col_sums.max(initial=0.0)),
+                        float(row_sums.max(initial=0.0)), growth)
 
 
 def taylor_degree(norm: float) -> tuple[int, int]:

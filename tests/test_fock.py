@@ -309,6 +309,8 @@ class TestPicard:
         # certificate read 1e-10 at t = 0.25, where Picard and the solve
         # differ by 1.3e-7.  Priced by f as well, no certified depth is in
         # reach, and the estimate at a given depth covers the difference.
+        # The sweeps integrate exactly, so at depth 50 Picard meets the
+        # solve to roundoff; at depth 15 it is still 6e-6 and 0.34 away.
         sx, sz, _, _ = pauli
         sys_ = fock.build_generator_system(lb.Lindbladian.single_kraus(sx + 0.5j * sz), [(0,)])
         rng = np.random.default_rng(1)
@@ -318,8 +320,25 @@ class TestPicard:
         ode = fock.flow_element(sys_, u, f, v, zf, grid, tol=1e-14).of_operator(x)
         with pytest.raises(SizeGuardError, match="no certified depth"):
             fock.picard_element(sys_, x, u, f, v, zf, grid)
-        pic = fock.picard_element(sys_, x, u, f, v, zf, grid, depth=50)
+        pic = fock.picard_element(sys_, x, u, f, v, zf, grid, depth=15)
         assert np.abs(pic.values - ode)[1:].min() > 1e-8
+        assert (np.abs(pic.values - ode) <= pic.error_estimate).all()
+
+    @pytest.mark.parametrize("drive", [0.5, 1.0])
+    def test_the_estimate_covers_the_solve_at_the_certified_depth(self, p2, pauli, zf, drive):
+        # f on one cell of [0, 0.5] and g = 0, at the depth certified for
+        # tol = 1e-10 at t = 0.5.  Integrated on 64 Simpson nodes per
+        # piece, Picard missed the solve by 2.1e-10 at t = 0.25 against an
+        # estimate of 1e-10 (f = 0.5), and by 6.8e-9 at t = 0.5 against
+        # 3.7e-10 (f = 1): quadrature error, which the estimate leaves out.
+        sx, sz, _, _ = pauli
+        sys_ = fock.build_generator_system(lb.Lindbladian.single_kraus(sx + 0.5j * sz), [(0,)])
+        rng = np.random.default_rng(1)
+        u, v = random_local(p2, rng, [(0,)]), random_local(p2, rng, [(0,)])
+        f = fock.TestFunction.build(0.5, 1, {((0,), 0): [drive]})
+        x, grid = sz + 0.5 * sx, [0.0, 0.25, 0.5]
+        ode = fock.flow_element(sys_, u, f, v, zf, grid, tol=1e-14).of_operator(x)
+        pic = fock.picard_element(sys_, x, u, f, v, zf, grid)
         assert (np.abs(pic.values - ode) <= pic.error_estimate).all()
 
     def test_the_pricing_function_dominates_f_and_g(self):
@@ -416,8 +435,7 @@ def solved_pieces(sys_, drive, grid, u, v, t_max=1.0, scale=1.0) -> Solved:
     ftraj = fock.flow_element(sys_, u, f, v, g, grid)
     gtraj = fock.pair_element(sys_, u, f, v, g, grid)
     d = fock._drive(sys_, grid, f, g)
-    G0 = fock._initial_pair_vector(sys_, fock._initial_vector(sys_, u, v, f, g))
-    rects = fock._pair_support(sys_, d, G0)
+    rects = fock._pair_support(sys_, d, fock._initial_vector(sys_, u, v, f, g))
     assert np.array_equal(fock._pair_index(rects, sys_.dim), gtraj.support)
     return Solved(sys_, f, g, fock._flow_pieces(d, ftraj.support),
                   fock._pair_pieces(sys_, d, rects), ftraj.support, gtraj.support)
@@ -730,8 +748,7 @@ class TestInvariantSubspace:
             sys_, one, f = self.connected_system(cells)
             f, g = fock._harmonize(f, None)
             d = fock._drive(sys_, np.linspace(0.0, 1.0, 3), f, g)
-            rects = fock._pair_support(sys_, d, fock._initial_pair_vector(
-                sys_, fock._initial_vector(sys_, one, one, f, g)))
+            rects = fock._pair_support(sys_, d, fock._initial_vector(sys_, one, one, f, g))
             assert fock._pair_index(rects, sys_.dim).size == sys_.dim ** 2
             tracemalloc.start()
             pieces = fock._pair_pieces(sys_, d, rects)
@@ -741,6 +758,211 @@ class TestInvariantSubspace:
             del pieces
         column_count = np.bincount(d.cols).max()
         assert (held[8] - held[1]) / 7 <= 2 * sys_.dim * column_count * 32
+
+
+def pair_problem(case):
+    """(system, drive, F0) of a pair solve: the flow_n2_w4 shape at two seeds, with u = v = 1
+    or random; the connected window; selftest's pair system; a 2-site system whose support
+    has rectangles of three shapes, two of them interleaved in solve order; and a 2-site
+    system at N = 3, where a string's inverse differs from it."""
+    grid = np.linspace(0.0, 1.0, 3)
+    p2 = AlgebraParams(2, 1)
+    sx = LocalOperator.site_word(p2, (0,), 1, 0)
+    sz = LocalOperator.site_word(p2, (0,), 0, 1)
+    one = LocalOperator.identity(p2)
+    u = v = one
+    g = None
+    if case in ("flow_n2_w4-20240817", "flow_n2_w4-777"):
+        sys_, one, f = TestInvariantSubspace.flow_pair_system(int(case.split("-")[1]))
+    elif case == "flow_n2_w4-random_uv":
+        sys_, one, f = TestInvariantSubspace.flow_pair_system(777)
+        rng = np.random.default_rng(11)
+        u = random_local(p2, rng, [(0,), (1,)], include_identity=True)
+        v = random_local(p2, rng, [(1,), (2,)], include_identity=True)
+    elif case == "connected":
+        sys_, one, f = TestInvariantSubspace.connected_system(8)
+    elif case == "selftest":
+        sys_ = fock.build_generator_system(
+            lb.Lindbladian.partial_state(p2, dense.StateSpec(np.eye(2) / 2)), [(0,)])
+        u = sx + 0.3 * sz
+        f = fock.TestFunction.build(1.0, 4, {((0,), 0): [0.9, 0.4, 0.7, 0.2]})
+        g = fock.TestFunction.build(1.0, 4, {((0,), 1): [0.2, 0.8, 0.5, 0.3]})
+        grid = np.linspace(0.0, 2.0, 9)
+    elif case == "n3":
+        p3 = AlgebraParams(3, 1)
+        U = LocalOperator.site_word(p3, (0,), 1, 0)
+        V = LocalOperator.site_word(p3, (0,), 0, 1)
+        sys_ = fock.build_generator_system(
+            lb.Lindbladian.single_kraus(U * (V * V).translate((1,)) + 0.5 * V), [(0,), (1,)])
+        rng = np.random.default_rng(1)
+        u = random_local(p3, rng, [(0,)], include_identity=True)
+        v = random_local(p3, rng, [(1,)], include_identity=True)
+        f = fock.TestFunction.build(1.0, 2, {((1,), 0): list(rng.normal(size=2))})
+    else:  # "two_shapes"
+        sys_ = fock.build_generator_system(
+            lb.Lindbladian.single_kraus(sx * sx.translate((1,)) + 0.5 * sz), [(0,), (1,)])
+        rng = np.random.default_rng(3)
+        u = random_local(p2, rng, [(0,), (1,)], include_identity=True)
+        v = random_local(p2, rng, [(1,)], include_identity=True)
+        f = fock.TestFunction.build(1.0, 2, {((int(rng.choice(2)),), 0): list(rng.normal(size=2))})
+    f, g = fock._harmonize(f, g)
+    return sys_, fock._drive(sys_, grid, f, g), fock._initial_vector(sys_, u, v, f, g)
+
+
+class TestPairInitialSupport:
+    """G0 is evaluated on the pair support alone, which is found from F0 without it."""
+
+    @staticmethod
+    def full_initial_pair_vector(sys_, F0):
+        """G0 over all n^2 pairs from the full n x n product tables, as it was built before."""
+        kern, N = sys_.kernel, sys_.params.N
+        phase = -(kern.b @ kern.a.T) % N
+        rows = np.zeros((kern.dim, kern.dim), dtype=np.int64)
+        for j in range(len(kern.sites)):
+            a = (kern.a[:, j, None] + kern.a[None, :, j]) % N
+            b = (kern.b[:, j, None] + kern.b[None, :, j]) % N
+            rows += (a * N + b) * kern.place[j]
+        root, val = kern.roots[phase].reshape(-1), F0[rows].reshape(-1)
+        G0 = np.empty(root.size, dtype=complex)
+        G0.real = root.real * val.real - root.imag * val.imag
+        G0.imag = root.real * val.imag + root.imag * val.real
+        return G0
+
+    @staticmethod
+    def full_table_support(sys_, drive, G0):
+        """The rectangles from the component pairs of G0's nonzeros, as they were found before."""
+        n, comp = drive.dim, drive.comp
+        nc = int(comp.max()) + 1
+
+        def moves(mat):
+            m = mat.tocoo()
+            return scipy.sparse.csr_matrix((np.ones(m.nnz), (comp[m.col], comp[m.row])),
+                                           shape=(nc, nc))
+
+        steps = [(moves(sys_.delta_dag_t[key]).T, moves(sys_.delta_t[key])) for key in sys_.noise]
+        reach = np.zeros((nc, nc))
+        a, b = np.divmod(np.flatnonzero(G0), n)
+        reach[comp[a], comp[b]] = 1.0
+        while True:
+            new = reach.copy()
+            for dd_t, d in steps:
+                new += dd_t @ reach @ d
+            new = (new > 0).astype(float)
+            if np.array_equal(new, reach):
+                break
+            reach = new
+        classes, which = np.unique(reach > 0, axis=0, return_inverse=True)
+        which = which.reshape(-1)
+        return [(np.flatnonzero(which[comp] == k), np.flatnonzero(cls[comp]))
+                for k, cls in enumerate(classes) if cls.any()]
+
+    @pytest.mark.parametrize("case", ["flow_n2_w4-20240817", "flow_n2_w4-777",
+                                      "flow_n2_w4-random_uv", "connected", "selftest",
+                                      "two_shapes", "n3"])
+    def test_support_and_values_match_the_full_table(self, case):
+        sys_, d, F0 = pair_problem(case)
+        full = self.full_initial_pair_vector(sys_, F0)
+        rects = fock._pair_support(sys_, d, F0)
+        want = self.full_table_support(sys_, d, full)
+        assert len(rects) == len(want) > 0
+        for (rows, cols), (rows_w, cols_w) in zip(rects, want):
+            assert np.array_equal(rows, rows_w) and np.array_equal(cols, cols_w)
+        support = fock._pair_index(rects, sys_.dim)
+        assert not np.delete(full, support).any()  # every nonzero of G0 is on the support
+        assert np.array_equal(fock._initial_pair_vector(sys_, F0, support), full[support])
+
+    def test_no_full_product_table_is_built(self, monkeypatch):
+        # The flow_n2_w4 pair solve asks the kernel for products at its
+        # 8 192 support pairs only, of 65 536.
+        sys_, one, f = TestInvariantSubspace.flow_pair_system(20240817)
+        sizes = []
+        products = sys_.kernel.products
+        monkeypatch.setattr(sys_.kernel, "products",
+                            lambda i, k: sizes.append(np.size(i)) or products(i, k))
+        traj = fock.pair_element(sys_, one, f, one, None, np.linspace(0.0, 1.0, 3), tol=1e-9)
+        assert sizes == [traj.support.size] == [8192]
+
+
+class CountingMatrix:
+    """A matrix whose products are counted in ``calls``."""
+
+    def __init__(self, mat, calls):
+        self.mat, self.calls = mat, calls
+
+    def __matmul__(self, other):
+        self.calls.append(1)
+        return self.mat @ other
+
+
+class TestBatchedPairProduct:
+    """The pair product takes the rectangles of one shape together."""
+
+    @staticmethod
+    def per_rectangle_product(sys_, drive, rects, values, mu):
+        """(A (x) 1 + 1 (x) A + Ito - mu) v with two sparse products per rectangle.
+
+        The product as it was made before, rectangle by rectangle, with A
+        restricted to each rectangle's rows and columns by scipy indexing.
+        """
+        n = drive.dim
+        support = fock._pair_index(rects, n)
+        ito = fock._ito(sys_, support, n)[0]
+        A = scipy.sparse.csr_matrix((values, (drive.rows, drive.cols)), shape=(n, n))
+        blocks, lo = [], 0
+        for rows, cols in rects:
+            A_rows, A_cols = (
+                (A[idx][:, idx] - 0.5 * mu * scipy.sparse.identity(idx.size, format="csr")).tocsr()
+                for idx in (rows, cols))
+            blocks.append((lo, rows.size, cols.size, A_rows, A_cols))
+            lo += rows.size * cols.size
+
+        def product(v):
+            out = ito @ v
+            for lo, h, w, A_rows, A_cols in blocks:
+                G, block = v[lo:lo + h * w].reshape(h, w), out[lo:lo + h * w].reshape(h, w)
+                block += A_rows @ G
+                block += (A_cols @ G.T).T
+            return out
+
+        return product
+
+    @pytest.mark.parametrize("case", ["flow_n2_w4-20240817", "two_shapes", "n3"])
+    def test_matches_the_per_rectangle_product(self, case, rng):
+        sys_, d, F0 = pair_problem(case)
+        rects = fock._pair_support(sys_, d, F0)
+        shapes = [(rows.size, cols.size) for rows, cols in rects]
+        if case == "two_shapes":
+            # Three shapes; two are not consecutive in solve order, so
+            # their groups' pairs are gathered from the support.
+            assert len(set(shapes)) == 3 and shapes[0] == shapes[2] != shapes[1]
+        elif case == "n3":
+            assert shapes[0] == shapes[7] == (27, 54) != shapes[1]
+        else:
+            assert len(rects) == 8 and set(shapes) == {(32, 32)}
+        pieces = fock._pair_pieces(sys_, d, rects)
+        size = fock._pair_index(rects, sys_.dim).size
+        for piece, (_a, _b, cell) in zip(pieces, d.stretches):
+            ref = self.per_rectangle_product(sys_, d, rects, d.values(cell), piece.op.mu)
+            for _ in range(2):
+                v = rng.normal(size=size) + 1j * rng.normal(size=size)
+                assert np.array_equal(piece.op.shifted(v), ref(v))
+
+    def test_one_product_per_shape_and_side(self, rng):
+        # On flow_n2_w4 the 8 rectangles share one shape: a pair product
+        # takes the Ito sum and one product for each side, 3 in all, where
+        # a product per rectangle and side takes 17.
+        sys_, d, F0 = pair_problem("flow_n2_w4-20240817")
+        rects = fock._pair_support(sys_, d, F0)
+        shapes = {(rows.size, cols.size) for rows, cols in rects}
+        v = rng.normal(size=fock._pair_index(rects, sys_.dim).size) + 0j
+        for piece in fock._pair_pieces(sys_, d, rects):
+            calls, product = [], piece.op.shifted
+            counted = product._replace(
+                ito=CountingMatrix(product.ito, calls),
+                groups=[(at, R, h, w, CountingMatrix(rows, calls), CountingMatrix(cols, calls))
+                        for at, R, h, w, rows, cols in product.groups])
+            assert np.array_equal(counted(v), product(v))
+            assert 0 < len(calls) <= 1 + 2 * len(shapes)
 
 
 class TestPairSystem:

@@ -128,7 +128,8 @@ class TestKernelBasis:
         sites = [(0,), (2,)]
         kern = WindowKernel(p3, sites)
         basis = dense.window_basis(p3, sites)
-        phase, rows = kern.products()
+        i, k = np.divmod(np.arange(kern.dim ** 2), kern.dim)
+        phase, rows = (arr.reshape(kern.dim, kern.dim) for arr in kern.products(i, k))
         for i, g in enumerate(basis):
             for k, h in enumerate(basis):
                 ph, lab = weyl_mul(p3, g, h)
@@ -321,4 +322,4 @@ class TestPairInitialVector:
             for ib, lb_ in enumerate(sys_.basis):
                 phase, lab = weyl_mul(params, la, lb_)
                 loop[ia * sys_.dim + ib] = params.root(phase) * F0[sys_.index[lab]]
-        assert np.array_equal(fock._initial_pair_vector(sys_, F0), loop)
+        assert np.array_equal(fock._initial_pair_vector(sys_, F0, np.arange(sys_.dim ** 2)), loop)

@@ -548,6 +548,53 @@ class TestExpmMultiply:
         assert op.norm_inf == pytest.approx(shifted.sum(axis=1).max(), rel=1e-13, abs=1e-15)
         assert op.growth == pytest.approx(growth, rel=1e-13, abs=1e-15)
 
+    @staticmethod
+    def scipy_step_operator(mat):
+        """The preparation by scipy arithmetic that ``step_operator`` replaced, kept as reference."""
+        n = mat.shape[0]
+        mu = complex(mat.trace()) / n if n else 0j
+        shifted = (mat - mu * scipy.sparse.identity(n, dtype=complex, format="csr")).tocsr()
+        mag = abs(shifted)
+        rows, cols = (np.asarray(mag.sum(axis=k)).ravel() for k in (1, 0))
+        diag = shifted.diagonal()
+        growth = mu.real + float((rows - np.abs(diag) + diag.real).max(initial=-np.inf))
+        return lb.StepOperator(mu, shifted.dot, float(cols.max(initial=0.0)),
+                               float(rows.max(initial=0.0)), growth)
+
+    @pytest.mark.parametrize("case", ["random", "empty", "missing_diagonal", "real"])
+    def test_step_operator_matches_the_scipy_reference(self, case, rng):
+        # The shift is the reference's to the bit, the norms within 1e-15
+        # relative (the reference drops entries the shift makes exactly 0,
+        # which can regroup a row's sum), and (A - mu I) v is the
+        # reference's product to the bit.  scipy's random matrices lack
+        # most diagonal entries; "missing_diagonal" also has empty rows
+        # and a row whose only entry lies left of the diagonal.
+        if case == "empty":
+            mats = [scipy.sparse.csr_matrix((0, 0), dtype=complex)]
+        elif case == "missing_diagonal":
+            A = random_generator(rng, 7, density=0.6) + scipy.sparse.identity(7)
+            A = A.tolil()
+            A[3, 3] = A[5, :] = A[6, :] = 0
+            A[6, 2] = 1.5 - 2j
+            mats = [A.tocsr()]
+            mats[0].eliminate_zeros()
+            assert (mats[0].diagonal() == 0).sum() == 3
+        elif case == "real":
+            mats = [scipy.sparse.random(n, n, density=0.4, format="csr", random_state=rng)
+                    for n in (1, 6, 30)]
+        else:
+            mats = [random_generator(rng, n, density) for n in (1, 2, 9, 40, 120)
+                    for density in (0.05, 0.3, 0.9)]
+        for A in mats:
+            op, ref = lb.step_operator(A), self.scipy_step_operator(A)
+            assert op.mu == ref.mu
+            for got, want in ((op.norm, ref.norm), (op.norm_inf, ref.norm_inf),
+                              (op.growth, ref.growth)):
+                assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+            v = rng.normal(size=A.shape[0]) + 1j * rng.normal(size=A.shape[0])
+            assert np.array_equal(op.shifted(v), ref.shifted(v))
+            assert np.array_equal(op.apply(v), ref.apply(v))
+
     def test_split_tolerance(self):
         tol = 1e-6
         got = lb.split_tolerance(tol, [(0.5, -1.0), (0.25, 2.0), (0.25, 4.0)])
