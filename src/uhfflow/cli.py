@@ -144,7 +144,9 @@ def cmd_evolve(cfg: ExperimentConfig, report: RunReport):
     Each observable is evolved by ``lindblad.evolve``: the Weyl kernel's
     window matrix stepped by ``expm_multiply``.  ``evolve.<name>.oracle``
     compares it with the one dense oracle, ``dense.hilbert_evolve``, which
-    integrates ``dense.window_action`` on the realized window matrices;
+    steps ``dense.window_action`` on the realized window matrices by its
+    own Taylor series, of a degree fixed in advance from the action's
+    norm bound;
     partial-state generators are also compared with the closed form
     ``lindblad.partial_semigroup_exact`` (``evolve.<name>.closed_form``).
     ``evolve.unitality`` is the largest ``identity_image`` of those

@@ -11,26 +11,29 @@ window members.
 
 A generator is realized in one place: ``window_action`` turns the window
 members into matrices and acts by X -> sum_m m* X m - (1/2){m* m, X} on
-stacks of D x D window matrices (D = N^n).  ``hilbert_evolve`` integrates
-that action with an explicit Runge-Kutta pair (``uhfflow evolve`` and the
-selftest battery check ``lindblad.evolve`` against it), ``choi_matrix``
-exponentiates its matrix on the D^2 matrix units, and
-``_weyl_coefficients`` is the one change to the Weyl basis, by trace
-projections.  ``hilbert_evolve`` imports ``scipy.integrate`` and
-``choi_matrix`` imports ``scipy.linalg`` when called, so a command that
-never reaches the oracle does not load them.
+stacks of D x D window matrices (D = N^n), and bounds that action's
+operator norm.  ``hilbert_evolve`` steps that action by a truncated
+Taylor series whose degree and substeps the bound fixes in advance
+(``uhfflow evolve`` and the selftest battery check ``lindblad.evolve``
+against it); it shares no code with the package's stepper,
+``lindblad.expm_multiply``.  ``choi_matrix`` exponentiates the action's
+matrix on the D^2 matrix units, and ``_weyl_coefficients`` is the one
+change to the Weyl basis, by trace projections.  ``choi_matrix`` imports
+``scipy.linalg`` when called, so a command that never reaches it does
+not load it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import AlgebraParams, LocalOperator, Site, WeylLabel, weyl_mul
-from .errors import ConvergenceError, SizeGuardError, StateError, WindowError
+from .errors import SizeGuardError, StateError, WindowError
 
 # The one size policy.  ``kernel.WindowKernel`` refuses a window of more
 # than MAX_WINDOW_DIM = N^(2n) strings (7 sites at N = 2), which sizes its
@@ -46,9 +49,11 @@ MAX_PAIR_DIM = 70_000
 STRING_MATRIX_CACHE_SIZE = 256
 STRING_MATRIX_CACHE_DIM = 16
 
-# Tolerances of the DOP853 integration in ``hilbert_evolve``.
-HILBERT_RTOL = 1e-13
-HILBERT_ATOL = 1e-15
+# Largest norm bound theta of one Taylor substep in ``hilbert_evolve``.
+# Its terms grow to about e^theta / sqrt(2 pi theta) times the initial
+# matrix before they fall, so at 4 at most one decimal digit is lost to
+# cancellation; an uncapped substep over a long interval loses them all.
+TAYLOR_THETA_MAX = 4.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -172,13 +177,32 @@ def _string_matrix(N: int, exponents: tuple[tuple[int, int], ...]) -> np.ndarray
 
 def operator_norm(x: LocalOperator) -> float:
     """Largest singular value of the realization on supp(x)."""
-    if x.is_zero():
-        return 0.0
-    supp = x.support()
-    if not supp:
-        return abs(x.trace())
-    win = SiteWindow(x.params, supp)
-    return float(np.linalg.norm(realize(x, win), 2))
+    return operator_norms([x])[0]
+
+
+def operator_norms(xs) -> list[float]:
+    """``operator_norm`` of each operator, in order.
+
+    The realizations of one dimension are stacked and take one batched
+    SVD; each norm is the one the matrix alone would give, bit for bit.
+    """
+    norms = [0.0] * len(xs)
+    stacks = {}  # dimension -> (positions, matrices)
+    for i, x in enumerate(xs):
+        if x.is_zero():
+            continue
+        supp = x.support()
+        if not supp:
+            norms[i] = abs(x.trace())
+            continue
+        win = SiteWindow(x.params, supp)
+        where, mats = stacks.setdefault(win.dim, ([], []))
+        where.append(i)
+        mats.append(realize(x, win))
+    for where, mats in stacks.values():
+        for i, norm in zip(where, np.linalg.norm(np.array(mats), 2, axis=(1, 2)).tolist()):
+            norms[i] = norm
+    return norms
 
 
 def window_basis(params: AlgebraParams, sites) -> list[WeylLabel]:
@@ -246,49 +270,101 @@ def window_action(lindbladian, win: SiteWindow, closure_mode: str):
     intersecting translate with its factors clipped to the window) are
     realized as matrices; the returned map
     sends X of shape (..., D, D) to sum_m m* X m - (1/2){K, X} with
-    K = sum_m m* m.  Every dense evolution and Choi matrix reads this one
-    realization; no symbolic product or label arithmetic is involved.
+    K = sum_m m* m.  Its attribute ``bound`` is
+    beta = sum_m ||m||^2 + ||K||, so that ||action(X)|| <= beta ||X|| in
+    the operator norm.  Every dense evolution and Choi matrix reads this
+    one realization; no symbolic product or label arithmetic is involved.
     """
     D = win.dim
     M = np.array([realize(m, win)
                   for m in lindbladian.window_members(win.sites, closure_mode)]
                  ).reshape(-1, D, D)
     Md = M.conj().transpose(0, 2, 1)
-    K = (Md @ M).sum(axis=0)
+    MdM = Md @ M
+    K = MdM.sum(axis=0)
 
     def action(X: np.ndarray) -> np.ndarray:
         return (Md @ X[..., None, :, :] @ M).sum(axis=-3) - 0.5 * (K @ X + X @ K)
 
+    # Each m* m and K is positive, so its norm is its top eigenvalue.
+    action.bound = float(np.linalg.eigvalsh(MdM)[:, -1].sum() + np.linalg.eigvalsh(K)[-1])
     return action
+
+
+@functools.lru_cache(maxsize=None)
+def _taylor_reach(m: int) -> float:
+    """Largest theta whose degree-m tail theta^(m+1)/(m+1)! e^theta is at most 2^-53.
+
+    The tail bounds sum_{k>m} theta^k/k!, the truncation of e^theta; its
+    logarithm increases in theta, and the root is found by bisection from
+    below, so the tail at the returned theta is within the bound.
+    """
+    def log_tail(theta):
+        return (m + 1) * math.log(theta) - math.lgamma(m + 2) + theta + 53 * math.log(2)
+
+    lo, hi = 0.0, 1.0
+    while log_tail(hi) <= 0:
+        lo, hi = hi, 2 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if log_tail(mid) <= 0 else (lo, mid)
+    return lo
+
+
+def _taylor_plan(hb: float) -> tuple[int, int]:
+    """(s, m): s substeps of degree m for a step whose action is bounded by hb.
+
+    Each substep's scale theta = hb / s is at most ``TAYLOR_THETA_MAX``
+    and at most ``_taylor_reach(m)``, so its truncation is below unit
+    roundoff a priori; of these the plan makes the fewest actions s m.
+    A degree past the first whose reach covers min(hb, the cap) needs
+    the same s and costs more.
+    """
+    best, m = None, 0
+    while True:
+        m += 1
+        theta = min(_taylor_reach(m), TAYLOR_THETA_MAX)
+        s = max(1, math.ceil(hb / theta))
+        if best is None or s * m < best[0] * best[1]:
+            best = (s, m)
+        if theta >= min(hb, TAYLOR_THETA_MAX):
+            return best
+
+
+def _taylor_propagate(action, X: np.ndarray, h: float) -> np.ndarray:
+    """e^{h A} X by sum_{k<=m} (dt A)^k/k!, applied s times with dt = h/s (``_taylor_plan``)."""
+    s, m = _taylor_plan(h * action.bound)
+    dt = h / s
+    for _ in range(s):
+        term = total = X
+        for k in range(1, m + 1):
+            term = action(term) * (dt / k)
+            total = total + term
+        X = total
+    return X
 
 
 def hilbert_evolve(lindbladian, win: SiteWindow, closure_mode: str, t_grid,
                    x: LocalOperator) -> list[LocalOperator]:
     """e^{t L} x on the window by the Heisenberg equation on D x D matrices.
 
-    x is realized as a matrix and dX/dt = ``window_action``(X) is
-    integrated from 0 by DOP853 (``HILBERT_RTOL``, ``HILBERT_ATOL``); each
+    x is realized as a matrix and stepped from 0 across each positive
+    grid increment by ``_taylor_propagate``: a Taylor series of
+    ``window_action`` whose degree and substeps its norm bound fixes in
+    advance, so each substep's truncation is below unit roundoff; each
     snapshot is changed to Weyl coefficients.  One operator per grid
     time; a grid that ends at 0 needs no solve.  No Weyl-basis generator,
-    matrix exponential or symbolic product is involved.
+    matrix exponential, shared stepper or symbolic product is involved.
     """
     grid = validate_grid(t_grid)
-    D = win.dim
-    X0 = realize(x, win)
+    X = realize(x, win)
     times, where = np.unique(grid, return_inverse=True)
-    if times[-1] > 0:
-        import scipy.integrate
-
-        action = window_action(lindbladian, win, closure_mode)
-        # The equation is autonomous; solve_ivp still passes the time.
-        sol = scipy.integrate.solve_ivp(lambda _t, y: action(y.reshape(D, D)).reshape(-1),
-                                        (0.0, times[-1]), X0.reshape(-1), method="DOP853",
-                                        t_eval=times, rtol=HILBERT_RTOL, atol=HILBERT_ATOL)
-        if sol.status != 0:
-            raise ConvergenceError(f"DOP853 failed: {sol.message}")
-        snapshots = sol.y.T.reshape(len(times), D, D)
-    else:
-        snapshots = X0[None]
+    action = window_action(lindbladian, win, closure_mode) if times[-1] > 0 else None
+    snapshots = np.empty((len(times),) + X.shape, dtype=complex)
+    for k, h in enumerate(np.diff(times, prepend=0.0)):
+        if h > 0:
+            X = _taylor_propagate(action, X, h)
+        snapshots[k] = X
     coeffs = _weyl_coefficients(snapshots, win.params.N, len(win.sites))[where]
     basis = window_basis(win.params, win.sites)
     return [LocalOperator(win.params, zip(basis, row)) for row in coeffs]

@@ -22,10 +22,6 @@ class SizeGuardError(UhfflowError):
     strings, a pair object past ``dense.MAX_PAIR_DIM``, or an enumeration."""
 
 
-class ConvergenceError(UhfflowError):
-    """Iteration failed to reach the requested tolerance."""
-
-
 class DivergenceError(UhfflowError):
     """A semigroup that must relax to one state did not (it has several)."""
 

@@ -562,10 +562,11 @@ def _pair_support(sys: FlowGeneratorSystem, drive: _Drive,
     comp = drive.comp
     nc = int(comp.max()) + 1
 
-    def moves(mat) -> scipy.sparse.csr_matrix:
+    def moves(mat: scipy.sparse.csr_matrix) -> np.ndarray:
         """M[i, i'] = 1 where the map (stored transposed) takes a string of i into i'."""
-        m = mat.tocoo()
-        return scipy.sparse.csr_matrix((np.ones(m.nnz), (comp[m.col], comp[m.row])), shape=(nc, nc))
+        out = np.zeros((nc, nc))
+        out[comp[mat.indices], comp[np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))]] = 1.0
+        return out
 
     steps = [(moves(sys.delta_dag_t[key]).T, moves(sys.delta_t[key])) for key in sys.noise]
     reach = np.zeros((nc, nc))

@@ -915,7 +915,8 @@ def lemma_bound_report(L: Lindbladian, x: LocalOperator, epsbar) -> LemmaBoundRe
     """
     epsbar, th, rn = _lemma_setup(L, epsbar)
     terms = _derivation_terms(L, x, epsbar)
-    lhs = sum(dense.operator_norm(val) for _k, val in terms)
+    # Summed in term order, so lhs is the same float however the norms are batched.
+    lhs = sum(dense.operator_norms([val for _k, val in terms]))
     rhs = rn ** epsbar.count(0) * (2.0 * th * c_const(x)) ** len(epsbar)
     return LemmaBoundReport(lhs, rhs, len(terms))
 

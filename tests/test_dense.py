@@ -6,6 +6,9 @@ The Weyl-basis matrix of ``dense.window_action`` is built here by the
 reference ``hilbert_evolve`` is checked against.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -173,6 +176,20 @@ class TestOperatorNorm:
         assert dense.operator_norm(LocalOperator.identity(p2) * 2.0) == 2.0
         assert dense.operator_norm(LocalOperator.zero(p2)) == 0.0
 
+    def test_batched_norms_are_the_single_norms(self, p2, rng, monkeypatch):
+        # Operators on 0 to 3 sites: one SVD call per realized dimension,
+        # and each norm bit for bit the one its matrix alone gives.
+        xs = [LocalOperator.zero(p2), LocalOperator.identity(p2) * (0.3 - 0.4j)]
+        for sites in ([(0,)], [(2,)], [(0,), (1,)], [(1,), (3,)], [(0,), (1,), (2,)]) * 3:
+            xs.append(random_local(p2, rng, sites))
+        want = [0.0, 0.5] + [float(np.linalg.norm(dense.realize(x, dense.window(p2, x.support())),
+                                                  2)) for x in xs[2:]]
+        calls = []
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
+        got = dense.operator_norms(xs)
+        assert got == want and len(calls) == 3
+
 
 @pytest.fixture
 def partial_maxmix(p2):
@@ -220,6 +237,22 @@ class TestSuperoperator:
         assert images.shape == stack.shape
         for k in np.ndindex(2, 3):
             assert np.abs(images[k] - action(stack[k])).max() < 1e-13
+
+    @pytest.mark.parametrize("closure", ["interior", "clipped"])
+    def test_bound_covers_the_action(self, p3, rng, closure):
+        # beta = sum_m ||m||^2 + ||K|| from the realized members, and
+        # ||action(X)|| <= beta ||X|| on random matrices.
+        op = random_local(p3, rng, [(0,), (1,)], n_terms=3)
+        L = Lindbladian.single_kraus(op * (1.0 / op.l1()))
+        win = dense.window(p3, [(0,), (1,)])
+        action = dense.window_action(L, win, closure)
+        M = np.array([dense.realize(m, win) for m in L.window_members(win.sites, closure)])
+        K = sum(m.conj().T @ m for m in M)
+        want = sum(np.linalg.norm(m, 2) ** 2 for m in M) + np.linalg.norm(K, 2)
+        assert abs(action.bound - want) <= 1e-12 * want
+        for _ in range(20):
+            X = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+            assert np.linalg.norm(action(X), 2) <= action.bound * np.linalg.norm(X, 2)
 
     def test_built_without_symbolic_arithmetic(self, p2, monkeypatch):
         sx = LocalOperator.site_word(p2, (0,), 1, 0)
@@ -376,9 +409,87 @@ class TestHilbertEvolve:
     def test_grid_at_zero_needs_no_solve(self, p2, partial_maxmix, rng, monkeypatch):
         win = dense.window(p2, [(0,), (1,)])
         x = random_local(p2, rng, win.sites, include_identity=True)
-        monkeypatch.setattr("scipy.integrate.solve_ivp", None)
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a grid at 0 needs no generator and no step")
+
+        monkeypatch.setattr(dense, "window_action", forbidden)
+        monkeypatch.setattr(dense, "_taylor_propagate", forbidden)
         got = dense.hilbert_evolve(partial_maxmix, win, "interior", [0.0, 0.0], x)
         assert len(got) == 2 and all(val.sup_diff(x) < 1e-15 for val in got)
+
+    @staticmethod
+    def long_interval_case(p2, rng):
+        sx = LocalOperator.site_word(p2, (0,), 1, 0)
+        L = Lindbladian.single_kraus(sx * sx.translate((1,)) + sx * 0.5)
+        win = dense.window(p2, [(0,), (1,), (2,)])
+        return L, win, random_local(p2, rng, win.sites, include_identity=True)
+
+    @pytest.mark.parametrize("t", [10.0, 40.0])
+    def test_one_long_interval_matches_pade(self, p2, rng, weyl_matrix, t):
+        # One grid interval of many norm bounds: the substeps keep the
+        # series' terms small, so the result stays at roundoff.
+        L, win, x = self.long_interval_case(p2, rng)
+        got = dense.hilbert_evolve(L, win, "clipped", [0.0, t], x)
+        ref = pade_evolve(weyl_matrix(L, win, "clipped"), win, [0.0, t], x)
+        assert max(a.sup_diff(b) for a, b in zip(got, ref)) <= 1e-11
+
+    @pytest.mark.parametrize("t", [10.0, 40.0])
+    def test_an_uncapped_single_substep_fails_a_long_interval(self, p2, rng, weyl_matrix,
+                                                              monkeypatch, t):
+        # Without the cap on a substep's scale the plan takes one substep
+        # of high degree, whose terms grow to about e^(t beta) before they
+        # cancel: every digit is lost.
+        L, win, x = self.long_interval_case(p2, rng)
+        monkeypatch.setattr(dense, "TAYLOR_THETA_MAX", np.inf)
+        assert dense._taylor_plan(t * dense.window_action(L, win, "clipped").bound)[0] == 1
+        got = dense.hilbert_evolve(L, win, "clipped", [t], x)[0]
+        ref = pade_evolve(weyl_matrix(L, win, "clipped"), win, [t], x)[0]
+        assert got.sup_diff(ref) > 1e-11
+
+    @pytest.mark.parametrize("job", ["evolve_n2_w5", "evolve_n3_w3"])
+    def test_fewer_actions_than_an_explicit_runge_kutta_pair(self, tmp_path, monkeypatch, job):
+        # On the evolve_window benchmark configs the oracle acts at most half
+        # as often as DOP853 at rtol 1e-13, atol 1e-15 on the same action.
+        import importlib.util
+
+        import scipy.integrate
+
+        from uhfflow.config import load_config
+
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+        spec.loader.exec_module(workloads)
+        config, = [j.config for j in workloads.make_jobs("evolve_window", workloads.DEFAULT_SEED)
+                   if j.name == job]
+        (tmp_path / "job.ini").write_text(config)
+        cfg = load_config(tmp_path / "job.ini")
+        x = cfg.observables["x"]
+        win = dense.window(cfg.params, cfg.window)
+        D, times = win.dim, np.unique(cfg.t_grid)
+        actions = []
+        window_action = dense.window_action
+
+        def counted(*args):
+            action = window_action(*args)
+
+            def count(X):
+                actions.append(X.size // D**2)
+                return action(X)
+
+            count.bound = action.bound
+            return count
+
+        monkeypatch.setattr(dense, "window_action", counted)
+        dense.hilbert_evolve(cfg.generator, win, cfg.closure, cfg.t_grid, x)
+        action = window_action(cfg.generator, win, cfg.closure)
+        sol = scipy.integrate.solve_ivp(lambda _t, y: action(y.reshape(D, D)).reshape(-1),
+                                        (0.0, times[-1]), dense.realize(x, win).reshape(-1),
+                                        method="DOP853", t_eval=times, rtol=1e-13, atol=1e-15)
+        assert sol.status == 0
+        assert 0 < sum(actions) <= sol.nfev / 2
 
     def test_rejects_bad_grid_and_window(self, p2, partial_maxmix, pauli):
         win = dense.window(p2, [(0,)])

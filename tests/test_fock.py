@@ -859,11 +859,22 @@ class TestPairInitialSupport:
     @pytest.mark.parametrize("case", ["flow_n2_w4-20240817", "flow_n2_w4-777",
                                       "flow_n2_w4-random_uv", "connected", "selftest",
                                       "two_shapes", "n3"])
-    def test_support_and_values_match_the_full_table(self, case):
+    def test_support_and_values_match_the_full_table(self, case, monkeypatch):
+        # The rectangles equal those of the sparse construction, though
+        # _pair_support builds no COO or CSR matrix: each noise mode's
+        # component moves are dense 0/1 arrays.
         sys_, d, F0 = pair_problem(case)
         full = self.full_initial_pair_vector(sys_, F0)
-        rects = fock._pair_support(sys_, d, F0)
         want = self.full_table_support(sys_, d, full)
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a sparse matrix was built for the component moves")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(scipy.sparse.csr_matrix, "tocoo", forbidden)
+            patch.setattr(scipy.sparse, "csr_matrix", forbidden)
+            patch.setattr(scipy.sparse, "coo_matrix", forbidden)
+            rects = fock._pair_support(sys_, d, F0)
         assert len(rects) == len(want) > 0
         for (rows, cols), (rows_w, cols_w) in zip(rects, want):
             assert np.array_equal(rows, rows_w) and np.array_equal(cols, cols_w)

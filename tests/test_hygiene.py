@@ -33,14 +33,19 @@ another input of the same call determines (``lemma_bound_report``'s
 problem and ``tol``) stay gone.  ``cli.py`` constructs no
 ``ConfigError``: what each command needs of a config is checked in
 ``config``, before any command body runs.  No module
-imports or names scipy's ``expm_multiply``: every matrix exponential is
-stepped by the package's one stepper, ``lindblad.expm_multiply``.  Every
+imports or names scipy's ``expm_multiply``: the engine steps every matrix
+exponential by its one stepper, ``lindblad.expm_multiply``, and the dense
+oracle ``dense.hilbert_evolve`` keeps its own fixed-degree Taylor
+propagator, so that it shares no code with the engine, as the DOP853
+integration it replaced did.  Every
 attribute the benchmark's span tracer times
 (``bench/spans.py`` ``TARGETS``) exists in the package, so a rename
 cannot silently zero a per-layer metric.  In a fresh interpreter,
 ``import uhfflow.cli`` loads no ``scipy.integrate``, ``scipy.linalg`` or
-``scipy.optimize``, and the ``flow``, ``lemma`` and ``ergodicity``
-commands load none of them either; ``perturbed_ergodic_state`` loads
+``scipy.optimize``, and the ``evolve``, ``flow``, ``lemma`` and
+``ergodicity`` commands load none of them either; ``selftest`` loads
+``scipy.linalg`` (``dense.choi_matrix`` exponentiates by its ``expm``)
+but no ``scipy.integrate`` or ``scipy.optimize``; ``perturbed_ergodic_state`` loads
 ``scipy.sparse.linalg`` (which loads ``scipy.linalg``) only for c > 0.
 """
 
@@ -525,7 +530,7 @@ def test_scanner_sees_scipy_stepper():
         "scipy.sparse.linalg.expm_multiply", "sla.expm_multiply"]
 
 
-# Modules only the dense oracle and selftest compute with: ``flow``,
+# Modules only selftest's Choi matrix computes with: ``evolve``, ``flow``,
 # ``lemma`` and ``ergodicity`` never load them (scipy.integrate imports
 # scipy.optimize).  scipy.sparse.csgraph is named on its own, though it
 # loads scipy.linalg: ``fock`` finds its components with numpy, and a
@@ -533,7 +538,8 @@ def test_scanner_sees_scipy_stepper():
 HEAVY = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse.csgraph")
 
 # In a fresh interpreter: the heavy modules loaded after ``import
-# uhfflow.cli`` and after each command run through ``uhfflow.cli.main``.
+# uhfflow.cli`` and after each command run through ``uhfflow.cli.main``,
+# in turn, so each list holds what the commands before it loaded too.
 FOOTPRINT_PROBE = """\
 import json, sys
 heavy, runs, out = json.loads(sys.argv[1])
@@ -541,7 +547,7 @@ from uhfflow.cli import main
 loaded = {"import": [m for m in heavy if m in sys.modules]}
 for command, config in runs:
     try:
-        main([command, "--config", config, "--out", out])
+        main([command] + (["--config", config] if config else []) + ["--out", out])
     except SystemExit:
         pass
     loaded[command] = [m for m in heavy if m in sys.modules]
@@ -551,16 +557,17 @@ print(json.dumps(loaded))
 
 @pytest.fixture(scope="module")
 def import_footprint(tmp_path_factory):
-    from test_cli import ERGODICITY, FLOW, LEMMA_FAIL
+    from test_cli import ERGODICITY, EVOLVE, FLOW, LEMMA_FAIL
 
     work = tmp_path_factory.mktemp("footprint")
     configs = {"flow": FLOW, "lemma": LEMMA_FAIL.replace("instances = 20", "instances = 6"),
-               "ergodicity": ERGODICITY}
+               "ergodicity": ERGODICITY, "evolve": EVOLVE}
     runs = []
     for command, config in configs.items():
         path = work / f"{command}.ini"
         path.write_text(config)
         runs.append((command, str(path)))
+    runs.append(("selftest", None))  # last: it loads scipy.linalg
     return json.loads(run_fresh(FOOTPRINT_PROBE, json.dumps([HEAVY, runs, str(work / "out")])))
 
 
@@ -579,9 +586,13 @@ def test_cli_import_loads_no_integrator_or_dense_linalg(import_footprint):
     assert import_footprint["import"] == []
 
 
-@pytest.mark.parametrize("command", ["flow", "lemma", "ergodicity"])
+@pytest.mark.parametrize("command", ["evolve", "flow", "lemma", "ergodicity"])
 def test_commands_load_no_integrator_or_dense_linalg(import_footprint, command):
     assert import_footprint[command] == []
+
+
+def test_selftest_loads_no_integrator(import_footprint):
+    assert import_footprint["selftest"] == ["scipy.linalg"]
 
 
 # Whether ``scipy.sparse.linalg`` is loaded after a c = 0 (partial-state)

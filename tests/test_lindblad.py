@@ -976,6 +976,22 @@ class TestLemmaBounds:
                 rep = lb.lemma_bound_report(L, x, eps0)
                 assert rep.lhs <= rep.rhs * (1 + 1e-12)
 
+    def test_lhs_is_the_term_order_sum_of_single_norms(self, p2, pauli, rng):
+        # The batched norms, summed in term order, give the lhs that norms
+        # taken one term at a time give, bit for bit.
+        sx, sz, _, _ = pauli
+        c = rng.normal(size=2) + 1j * rng.normal(size=2)
+        c /= np.abs(c).sum()
+        L = lb.Lindbladian.single_kraus(c[0] * sx * sx.translate((1,)) + c[1] * sz)
+        for eps in [(1,), (-1, 1), (1, 0, -1), (-1, -1, 1)]:
+            x = random_local(p2, rng, [(0,), (1,)])
+            lhs = 0
+            for _k, val in lb._derivation_terms(L, x, eps):
+                if not val.is_zero():
+                    lhs += float(np.linalg.norm(dense.realize(val, dense.window(p2, val.support())),
+                                                2))
+            assert lb.lemma_bound_report(L, x, eps).lhs == lhs
+
     def test_product_mode(self, L_flip, p2, rng):
         x = random_local(p2, rng, [(0,)])
         y = random_local(p2, rng, [(0,), (1,)])
