@@ -49,6 +49,10 @@ MAX_PAIR_DIM = 70_000
 STRING_MATRIX_CACHE_SIZE = 256
 STRING_MATRIX_CACHE_DIM = 16
 
+# Bytes of complex realizations ``operator_norms`` stacks per dimension
+# before their batched SVD (one matrix at least).
+NORM_STACK_BYTES = 2**24
+
 # Largest norm bound theta of one Taylor substep in ``hilbert_evolve``.
 # Its terms grow to about e^theta / sqrt(2 pi theta) times the initial
 # matrix before they fall, so at 4 at most one decimal digit is lost to
@@ -184,10 +188,19 @@ def operator_norms(xs) -> list[float]:
     """``operator_norm`` of each operator, in order.
 
     The realizations of one dimension are stacked and take one batched
-    SVD; each norm is the one the matrix alone would give, bit for bit.
+    SVD once the stack holds ``NORM_STACK_BYTES`` (and at the end), so
+    the matrices alive at once stay bounded however many operators come;
+    each norm is the one the matrix alone would give, bit for bit.
     """
     norms = [0.0] * len(xs)
     stacks = {}  # dimension -> (positions, matrices)
+
+    def flush(where, mats):
+        for i, norm in zip(where, np.linalg.norm(np.array(mats), 2, axis=(1, 2)).tolist()):
+            norms[i] = norm
+        where.clear()
+        mats.clear()
+
     for i, x in enumerate(xs):
         if x.is_zero():
             continue
@@ -199,9 +212,11 @@ def operator_norms(xs) -> list[float]:
         where, mats = stacks.setdefault(win.dim, ([], []))
         where.append(i)
         mats.append(realize(x, win))
+        if len(mats) * win.dim**2 * 16 >= NORM_STACK_BYTES:
+            flush(where, mats)
     for where, mats in stacks.values():
-        for i, norm in zip(where, np.linalg.norm(np.array(mats), 2, axis=(1, 2)).tolist()):
-            norms[i] = norm
+        if mats:
+            flush(where, mats)
     return norms
 
 
@@ -291,80 +306,66 @@ def window_action(lindbladian, win: SiteWindow, closure_mode: str):
     return action
 
 
-@functools.lru_cache(maxsize=None)
-def _taylor_reach(m: int) -> float:
-    """Largest theta whose degree-m tail theta^(m+1)/(m+1)! e^theta is at most 2^-53.
-
-    The tail bounds sum_{k>m} theta^k/k!, the truncation of e^theta; its
-    logarithm increases in theta, and the root is found by bisection from
-    below, so the tail at the returned theta is within the bound.
-    """
-    def log_tail(theta):
-        return (m + 1) * math.log(theta) - math.lgamma(m + 2) + theta + 53 * math.log(2)
-
-    lo, hi = 0.0, 1.0
-    while log_tail(hi) <= 0:
-        lo, hi = hi, 2 * hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if log_tail(mid) <= 0 else (lo, mid)
-    return lo
-
-
 def _taylor_plan(hb: float) -> tuple[int, int]:
-    """(s, m): s substeps of degree m for a step whose action is bounded by hb.
+    """(s, m): s substeps of degree m for a span whose action is bounded by hb.
 
-    Each substep's scale theta = hb / s is at most ``TAYLOR_THETA_MAX``
-    and at most ``_taylor_reach(m)``, so its truncation is below unit
-    roundoff a priori; of these the plan makes the fewest actions s m.
-    A degree past the first whose reach covers min(hb, the cap) needs
-    the same s and costs more.
+    s is the fewest substeps whose scale theta = hb / s is at most
+    ``TAYLOR_THETA_MAX``, and m the smallest degree whose a-priori tail
+    theta^(m+1)/(m+1)! e^theta (the truncation of e^theta) is at most
+    2^-53.  While theta is below the cap a larger s lowers m too little to
+    pay for itself, so this plan makes the fewest actions s m.
     """
-    best, m = None, 0
-    while True:
+    s = max(1, math.ceil(hb / TAYLOR_THETA_MAX))
+    theta, m = hb / s, 1
+    while theta > 0 and (m + 1) * math.log(theta) - math.lgamma(m + 2) + theta > -53 * math.log(2):
         m += 1
-        theta = min(_taylor_reach(m), TAYLOR_THETA_MAX)
-        s = max(1, math.ceil(hb / theta))
-        if best is None or s * m < best[0] * best[1]:
-            best = (s, m)
-        if theta >= min(hb, TAYLOR_THETA_MAX):
-            return best
+    return s, m
 
 
-def _taylor_propagate(action, X: np.ndarray, h: float) -> np.ndarray:
-    """e^{h A} X by sum_{k<=m} (dt A)^k/k!, applied s times with dt = h/s (``_taylor_plan``)."""
-    s, m = _taylor_plan(h * action.bound)
-    dt = h / s
-    for _ in range(s):
-        term = total = X
+def _taylor_propagate(action, X: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """e^{t A} X at each of the ascending times t >= 0, the last positive.
+
+    [0, T] is cut into s equal substeps dt of degree m (``_taylor_plan`` of
+    T ``action.bound``).  A substep's terms (dt A)^k X / k!, k <= m, sum to
+    X at its end, and a time tau dt into it is the polynomial
+    sum_k tau^k (dt A)^k X / k!, whose tail is smaller still; so the
+    actions, s m of them, do not depend on how many grid times there are.
+    """
+    T = times[-1]
+    s, m = _taylor_plan(T * action.bound)
+    dt = T / s
+    out = np.empty((len(times),) + X.shape, dtype=complex)
+    bounds = np.searchsorted(np.minimum((times / dt).astype(int), s - 1), np.arange(s + 1))
+    for j in range(s):
+        terms = [X]
         for k in range(1, m + 1):
-            term = action(term) * (dt / k)
-            total = total + term
-        X = total
-    return X
+            terms.append(action(terms[-1]) * (dt / k))
+        lo, hi = bounds[j], bounds[j + 1]
+        out[lo:hi] = np.tensordot((times[lo:hi] / dt - j)[:, None] ** np.arange(m + 1), terms, 1)
+        X = sum(terms)
+    return out
 
 
 def hilbert_evolve(lindbladian, win: SiteWindow, closure_mode: str, t_grid,
                    x: LocalOperator) -> list[LocalOperator]:
     """e^{t L} x on the window by the Heisenberg equation on D x D matrices.
 
-    x is realized as a matrix and stepped from 0 across each positive
-    grid increment by ``_taylor_propagate``: a Taylor series of
-    ``window_action`` whose degree and substeps its norm bound fixes in
-    advance, so each substep's truncation is below unit roundoff; each
-    snapshot is changed to Weyl coefficients.  One operator per grid
-    time; a grid that ends at 0 needs no solve.  No Weyl-basis generator,
-    matrix exponential, shared stepper or symbolic product is involved.
+    x is realized as a matrix and stepped from 0 to the last grid time by
+    ``_taylor_propagate``: a Taylor series of ``window_action`` whose
+    degree and substeps its norm bound fixes in advance, so each
+    substep's truncation is below unit roundoff, and whose polynomial on
+    each substep gives the grid times inside it; each snapshot is changed
+    to Weyl coefficients.  One operator per grid time; a grid that ends at
+    0 needs no solve.  No Weyl-basis generator, matrix exponential, shared
+    stepper or symbolic product is involved.
     """
     grid = validate_grid(t_grid)
     X = realize(x, win)
     times, where = np.unique(grid, return_inverse=True)
-    action = window_action(lindbladian, win, closure_mode) if times[-1] > 0 else None
-    snapshots = np.empty((len(times),) + X.shape, dtype=complex)
-    for k, h in enumerate(np.diff(times, prepend=0.0)):
-        if h > 0:
-            X = _taylor_propagate(action, X, h)
-        snapshots[k] = X
+    if times[-1] > 0:
+        snapshots = _taylor_propagate(window_action(lindbladian, win, closure_mode), X, times)
+    else:
+        snapshots = X[None]
     coeffs = _weyl_coefficients(snapshots, win.params.N, len(win.sites))[where]
     basis = window_basis(win.params, win.sites)
     return [LocalOperator(win.params, zip(basis, row)) for row in coeffs]

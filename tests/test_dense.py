@@ -176,19 +176,25 @@ class TestOperatorNorm:
         assert dense.operator_norm(LocalOperator.identity(p2) * 2.0) == 2.0
         assert dense.operator_norm(LocalOperator.zero(p2)) == 0.0
 
-    def test_batched_norms_are_the_single_norms(self, p2, rng, monkeypatch):
-        # Operators on 0 to 3 sites: one SVD call per realized dimension,
-        # and each norm bit for bit the one its matrix alone gives.
+    @pytest.mark.parametrize("stack_bytes, svds", [(None, 3), (1024, 6)])
+    def test_batched_norms_are_the_single_norms(self, p2, rng, monkeypatch, stack_bytes, svds):
+        # Operators on 0 to 3 sites: one SVD call per realized dimension, or
+        # more once a stack fills its bytes (at 1024: 16 matrices of 2 x 2,
+        # 4 of 4 x 4, 1 of 8 x 8), and each norm bit for bit the one its
+        # matrix alone gives.
         xs = [LocalOperator.zero(p2), LocalOperator.identity(p2) * (0.3 - 0.4j)]
         for sites in ([(0,)], [(2,)], [(0,), (1,)], [(1,), (3,)], [(0,), (1,), (2,)]) * 3:
             xs.append(random_local(p2, rng, sites))
         want = [0.0, 0.5] + [float(np.linalg.norm(dense.realize(x, dense.window(p2, x.support())),
                                                   2)) for x in xs[2:]]
-        calls = []
+        stacks = []
         norm = np.linalg.norm
-        monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
+        if stack_bytes:
+            monkeypatch.setattr(dense, "NORM_STACK_BYTES", stack_bytes)
+        monkeypatch.setattr(np.linalg, "norm",
+                            lambda a, *r, **k: stacks.append(a.nbytes) or norm(a, *r, **k))
         got = dense.operator_norms(xs)
-        assert got == want and len(calls) == 3
+        assert got == want and len(stacks) == svds and max(stacks) <= dense.NORM_STACK_BYTES
 
 
 @pytest.fixture
@@ -425,6 +431,26 @@ class TestHilbertEvolve:
         win = dense.window(p2, [(0,), (1,), (2,)])
         return L, win, random_local(p2, rng, win.sites, include_identity=True)
 
+    @staticmethod
+    def count_actions(monkeypatch):
+        """Patch ``dense.window_action``; the returned list gets, per action,
+        the number of window matrices it acts on."""
+        actions = []
+        window_action = dense.window_action
+
+        def counted(*args):
+            action = window_action(*args)
+
+            def count(X):
+                actions.append(X.size // X.shape[-1] ** 2)
+                return action(X)
+
+            count.bound = action.bound
+            return count
+
+        monkeypatch.setattr(dense, "window_action", counted)
+        return actions
+
     @pytest.mark.parametrize("t", [10.0, 40.0])
     def test_one_long_interval_matches_pade(self, p2, rng, weyl_matrix, t):
         # One grid interval of many norm bounds: the substeps keep the
@@ -447,10 +473,13 @@ class TestHilbertEvolve:
         ref = pade_evolve(weyl_matrix(L, win, "clipped"), win, [t], x)[0]
         assert got.sup_diff(ref) > 1e-11
 
+    @pytest.mark.parametrize("fine", [False, True], ids=["config_grid", "fine_grid"])
     @pytest.mark.parametrize("job", ["evolve_n2_w5", "evolve_n3_w3"])
-    def test_fewer_actions_than_an_explicit_runge_kutta_pair(self, tmp_path, monkeypatch, job):
-        # On the evolve_window benchmark configs the oracle acts at most half
-        # as often as DOP853 at rtol 1e-13, atol 1e-15 on the same action.
+    def test_fewer_actions_than_an_explicit_runge_kutta_pair(self, tmp_path, monkeypatch, job,
+                                                             fine):
+        # On the evolve_window benchmark configs, on their own grid and on
+        # 101 points, the oracle acts at most half as often as DOP853 at
+        # rtol 1e-13, atol 1e-15 on the same action (its dense output too).
         import importlib.util
 
         import scipy.integrate
@@ -468,28 +497,30 @@ class TestHilbertEvolve:
         cfg = load_config(tmp_path / "job.ini")
         x = cfg.observables["x"]
         win = dense.window(cfg.params, cfg.window)
-        D, times = win.dim, np.unique(cfg.t_grid)
-        actions = []
-        window_action = dense.window_action
-
-        def counted(*args):
-            action = window_action(*args)
-
-            def count(X):
-                actions.append(X.size // D**2)
-                return action(X)
-
-            count.bound = action.bound
-            return count
-
-        monkeypatch.setattr(dense, "window_action", counted)
-        dense.hilbert_evolve(cfg.generator, win, cfg.closure, cfg.t_grid, x)
-        action = window_action(cfg.generator, win, cfg.closure)
+        grid = np.linspace(0.0, cfg.t_grid[-1], 101) if fine else cfg.t_grid
+        D, times = win.dim, np.unique(grid)
+        action = dense.window_action(cfg.generator, win, cfg.closure)
+        actions = self.count_actions(monkeypatch)
+        dense.hilbert_evolve(cfg.generator, win, cfg.closure, grid, x)
         sol = scipy.integrate.solve_ivp(lambda _t, y: action(y.reshape(D, D)).reshape(-1),
                                         (0.0, times[-1]), dense.realize(x, win).reshape(-1),
                                         method="DOP853", t_eval=times, rtol=1e-13, atol=1e-15)
         assert sol.status == 0
         assert 0 < sum(actions) <= sol.nfev / 2
+
+    def test_grid_times_cost_no_actions(self, p2, rng, weyl_matrix, monkeypatch):
+        # Grid times inside a substep are read off its Taylor polynomial:
+        # 2 or 401 grid times to t = 10 take the same actions, and each
+        # stays within 1e-11 of the Pade reference.
+        L, win, x = self.long_interval_case(p2, rng)
+        actions = self.count_actions(monkeypatch)
+        dense.hilbert_evolve(L, win, "clipped", [0.0, 10.0], x)
+        coarse = sum(actions)
+        grid = np.sort(np.append(np.linspace(0.0, 10.0, 400), np.pi))
+        got = dense.hilbert_evolve(L, win, "clipped", grid, x)
+        assert sum(actions) == 2 * coarse
+        ref = pade_evolve(weyl_matrix(L, win, "clipped"), win, grid, x)
+        assert max(a.sup_diff(b) for a, b in zip(got, ref)) <= 1e-11
 
     def test_rejects_bad_grid_and_window(self, p2, partial_maxmix, pauli):
         win = dense.window(p2, [(0,)])
