@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from . import dense, fock, lindblad
-from .algebra import LocalOperator, gns_inner, gns_norm, seminorm_one
+from .algebra import COEFF_TOL, LocalOperator, gns_inner, gns_norm, seminorm_one
 from .config import ExperimentConfig, check_command, load_config
 from .errors import ConfigError, UhfflowError
 from .selftest import COVARIANCE_NOTE, UNITALITY_NOTE, Verdict, _ge, _le, run_all
@@ -142,15 +142,21 @@ def cmd_evolve(cfg: ExperimentConfig, report: RunReport):
     """Semigroup evolution with oracle and closed-form cross-checks.
 
     Each observable is evolved by ``lindblad.evolve``: the Weyl kernel's
-    window matrix stepped by ``expm_multiply``.  ``evolve.<name>.oracle``
-    compares it with the one dense oracle, ``dense.hilbert_evolve``, which
+    window matrix stepped by ``expm_multiply``.  Its coefficient array is
+    the one thing every later stage reads.  ``results/evolve_<name>.csv``
+    writes, per grid time, the coefficients of magnitude at least
+    ``COEFF_TOL`` in ``LocalOperator.items()`` order: the basis is sorted
+    by label entries once per job, and each written label's text is
+    formatted once.  ``evolve.<name>.oracle`` is the entrywise largest
+    difference from the one dense oracle, ``dense.hilbert_evolve``, which
     steps ``dense.window_action`` on the realized window matrices by its
     own Taylor series, of a degree fixed in advance from the action's
-    norm bound;
-    partial-state generators are also compared with the closed form
-    ``lindblad.partial_semigroup_exact`` (``evolve.<name>.closed_form``).
-    ``evolve.unitality`` is the largest ``identity_image`` of those
-    solves, read from the window matrices they built: no further solve.
+    norm bound, and returns its coefficients on the same window basis;
+    partial-state generators are also compared with the coefficients of
+    the closed form ``lindblad.partial_semigroup_exact``
+    (``evolve.<name>.closed_form``).  ``evolve.unitality`` is the largest
+    ``identity_image`` of those solves, read from the window matrices
+    they built: no further solve.
     """
     observables = sorted(cfg.observables.items())
     L = cfg.generator
@@ -161,23 +167,40 @@ def cmd_evolve(cfg: ExperimentConfig, report: RunReport):
         res = lindblad.evolve(L, x, cfg.t_grid, tol=cfg.tol, window=window,
                               closure_mode=cfg.closure)
         identity_image = max(identity_image, res.identity_image)
-        report.table(f"evolve_{name}", ["t", "label", "re", "im", "error_budget"], (
-            [_f17(t), lab.to_text(), _f17(c.real), _f17(c.imag), f"{err:.6e}"]
-            for t, op, err in zip(res.grid, res.values, res.error_budget)
-            for lab, c in op.items()))
+        report.table(f"evolve_{name}", ["t", "label", "re", "im", "error_budget"],
+                     _coefficient_rows(res))
         oracle = dense.hilbert_evolve(L, dense.window(cfg.params, window), cfg.closure,
                                       cfg.t_grid, x)
-        worst = max(val.sup_diff(ref) for val, ref in zip(res.values, oracle))
-        report.add(_le(f"evolve.{name}.oracle", worst, max(cfg.tol * 10, 1e-9)))
+        report.add(_le(f"evolve.{name}.oracle", res.deviation(window, oracle),
+                       max(cfg.tol * 10, 1e-9)))
         if L.kind == "partial":
-            worst = max(val.sup_diff(lindblad.partial_semigroup_exact(L.state, x, t))
-                        for val, t in zip(res.values, cfg.t_grid))
-            report.add(_le(f"evolve.{name}.closed_form", worst,
+            exact = res.coefficients_of(lindblad.partial_semigroup_exact(L.state, x, t)
+                                        for t in cfg.t_grid)
+            report.add(_le(f"evolve.{name}.closed_form", res.deviation(window, exact),
                            1e-10 + res.error_budget.max()))
 
     report.add(_le("evolve.unitality", identity_image, 1e-10,
                    "0 by construction: L(1) = 0, so the window matrix's identity "
                    "column is empty"))
+
+
+def _coefficient_rows(res: lindblad.EvolutionResult):
+    """CSV rows (t, label, re, im, error_budget) of a trajectory's coefficients.
+
+    Per grid time, the coefficients of magnitude at least ``COEFF_TOL``
+    in ``LocalOperator.items()`` order, with the numbers the operators
+    would hold: their merge adds each coefficient to 0j, so a -0.0 part
+    is written as 0.
+    """
+    order = np.array(sorted(range(len(res.basis)), key=lambda i: res.basis[i].entries),
+                     dtype=np.intp)
+    keep = np.abs(res.coefficients[:, order]) >= COEFF_TOL
+    text = {i: res.basis[i].to_text() for i in order[keep.any(axis=0)].tolist()}
+    for t, row, kept, err in zip(res.grid, res.coefficients, keep, res.error_budget):
+        t, err = _f17(t), f"{err:.6e}"
+        where = order[kept]
+        for i, c in zip(where.tolist(), (row[where] + 0j).tolist()):
+            yield [t, text[i], _f17(c.real), _f17(c.imag), err]
 
 
 # -- ergodicity ----------------------------------------------------------------

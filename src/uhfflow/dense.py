@@ -13,14 +13,15 @@ A generator is realized in one place: ``window_action`` turns the window
 members into matrices and acts by X -> sum_m m* X m - (1/2){m* m, X} on
 stacks of D x D window matrices (D = N^n), and bounds that action's
 operator norm.  ``hilbert_evolve`` steps that action by a truncated
-Taylor series whose degree and substeps the bound fixes in advance
-(``uhfflow evolve`` and the selftest battery check ``lindblad.evolve``
-against it); it shares no code with the package's stepper,
-``lindblad.expm_multiply``.  ``choi_matrix`` exponentiates the action's
-matrix on the D^2 matrix units, and ``_weyl_coefficients`` is the one
-change to the Weyl basis, by trace projections.  ``choi_matrix`` imports
-``scipy.linalg`` when called, so a command that never reaches it does
-not load it.
+Taylor series whose degree and substeps the bound fixes in advance and
+returns the trajectory as one (T, D^2) array of Weyl coefficients in
+``window_basis`` order (``uhfflow evolve`` and the selftest battery
+compare ``lindblad.evolve``'s coefficient array with it entrywise); it
+shares no code with the package's stepper, ``lindblad.expm_multiply``.
+``choi_matrix`` exponentiates the action's matrix on the D^2 matrix
+units, and ``_weyl_coefficients`` is the one change to the Weyl basis,
+by trace projections.  ``choi_matrix`` imports ``scipy.linalg`` when
+called, so a command that never reaches it does not load it.
 """
 
 from __future__ import annotations
@@ -223,20 +224,24 @@ def operator_norms(xs) -> list[float]:
 def window_basis(params: AlgebraParams, sites) -> list[WeylLabel]:
     """All Weyl labels supported in the window, in deterministic order.
 
-    Site order follows the (sorted) window; per site the digit a*N + b runs
-    lexicographically, with the first site as the most significant digit.
+    Label i carries at each site the digit a*N + b of i in base N^2, the
+    window's first site (as given, not sorted) the most significant
+    digit; each label's entries are sorted by site, as every label's are.
+    The entry tuples are built over the sites in sorted order, one
+    per-site tuple appended at a time, and read out in window order.
     """
     sites = tuple(tuple(int(c) for c in s) for s in sites)
-    N = params.N
-    labels = []
-    for digits in itertools.product(range(N * N), repeat=len(sites)):
-        entries = []
-        for site, digit in zip(sites, digits):
-            a, b = divmod(digit, N)
-            if (a, b) != (0, 0):
-                entries.append((site, (a, b)))
-        labels.append(WeylLabel(tuple(sorted(entries))))
-    return labels
+    N, n = params.N, len(sites)
+    order = sorted(range(n), key=sites.__getitem__)
+    entries = [()]
+    for j in order:
+        words = [()] + [((sites[j], (a, b)),)
+                        for a in range(N) for b in range(N) if (a, b) != (0, 0)]
+        entries = [head + word for head in entries for word in words]
+    # entries[k] holds the digits of sites order[0], order[1], ... most significant first.
+    place = (N * N) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    digits = (np.arange(N ** (2 * n), dtype=np.int64)[:, None] // place) % (N * N)
+    return [WeylLabel(entries[k]) for k in (digits[:, order] @ place).tolist()]
 
 
 def coefficient_vector(x: LocalOperator, basis_index: dict[WeylLabel, int]) -> np.ndarray:
@@ -347,17 +352,19 @@ def _taylor_propagate(action, X: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def hilbert_evolve(lindbladian, win: SiteWindow, closure_mode: str, t_grid,
-                   x: LocalOperator) -> list[LocalOperator]:
+                   x: LocalOperator) -> np.ndarray:
     """e^{t L} x on the window by the Heisenberg equation on D x D matrices.
 
     x is realized as a matrix and stepped from 0 to the last grid time by
     ``_taylor_propagate``: a Taylor series of ``window_action`` whose
     degree and substeps its norm bound fixes in advance, so each
     substep's truncation is below unit roundoff, and whose polynomial on
-    each substep gives the grid times inside it; each snapshot is changed
-    to Weyl coefficients.  One operator per grid time; a grid that ends at
-    0 needs no solve.  No Weyl-basis generator, matrix exponential, shared
-    stepper or symbolic product is involved.
+    each substep gives the grid times inside it.  Returns the (T, D^2)
+    array of Weyl coefficients of the snapshots (``_weyl_coefficients``),
+    row t in ``window_basis(win.params, win.sites)`` order; no label list
+    or operator is built.  A grid that ends at 0 needs no solve.  No
+    Weyl-basis generator, matrix exponential, shared stepper or symbolic
+    product is involved.
     """
     grid = validate_grid(t_grid)
     X = realize(x, win)
@@ -366,9 +373,7 @@ def hilbert_evolve(lindbladian, win: SiteWindow, closure_mode: str, t_grid,
         snapshots = _taylor_propagate(window_action(lindbladian, win, closure_mode), X, times)
     else:
         snapshots = X[None]
-    coeffs = _weyl_coefficients(snapshots, win.params.N, len(win.sites))[where]
-    basis = window_basis(win.params, win.sites)
-    return [LocalOperator(win.params, zip(basis, row)) for row in coeffs]
+    return _weyl_coefficients(snapshots, win.params.N, len(win.sites))[where]
 
 
 def choi_matrix(lindbladian, win: SiteWindow, closure_mode: str, t: float) -> np.ndarray:

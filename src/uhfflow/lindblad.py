@@ -32,6 +32,7 @@ L_k(U_b), so that L_k(x) is sum_b x_b L_k(U_b).  Nothing is shared.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from collections.abc import Callable
@@ -584,14 +585,39 @@ def cumulative_simpson(y, dx: float) -> np.ndarray:
 class EvolutionResult:
     """Heisenberg-picture trajectory of one observable on a time grid.
 
-    ``identity_image`` is ||L_W(1)||_1, the l1 mass of the window matrix's
-    identity column: P_t(1) = 1 for every t exactly when it is 0."""
+    ``coefficients[t]`` holds the window coefficients at grid time t, one
+    column per string of ``basis`` (the window kernel's label list,
+    ``dense.window_basis`` order on ``window_sites``).  ``values``, the
+    trajectory as one ``LocalOperator`` per grid time, is built from them
+    on first read and kept.  ``identity_image`` is ||L_W(1)||_1, the l1
+    mass of the window matrix's identity column: P_t(1) = 1 for every t
+    exactly when it is 0."""
 
     grid: np.ndarray
-    values: list[LocalOperator]
+    coefficients: np.ndarray
+    basis: list[WeylLabel]
+    params: AlgebraParams
     error_budget: np.ndarray
     identity_image: float
     window_sites: tuple[Site, ...] = ()
+
+    @functools.cached_property
+    def values(self) -> list[LocalOperator]:
+        return [LocalOperator(self.params, zip(self.basis, row.tolist()))
+                for row in self.coefficients]
+
+    def coefficients_of(self, ops) -> np.ndarray:
+        """Coefficient rows of operators supported in the window, on ``basis``."""
+        index = {lab: i for i, lab in enumerate(self.basis)}
+        return np.array([dense.coefficient_vector(op, index) for op in ops])
+
+    def deviation(self, sites, coefficients) -> float:
+        """Largest entrywise |difference| from a (T, n) coefficient array on
+        the window ``sites``, in ``dense.window_basis`` order; raises
+        ``WindowError`` when ``sites`` is not this trajectory's window."""
+        if tuple(tuple(s) for s in sites) != self.window_sites:
+            raise WindowError(f"window {sites} is not the trajectory's {self.window_sites}")
+        return float(np.abs(self.coefficients - coefficients).max())
 
 
 def default_window(L: Lindbladian, *xs: LocalOperator) -> tuple[Site, ...]:
@@ -640,6 +666,8 @@ def evolve(L: Lindbladian, x: LocalOperator, t_grid, tol: float = 1e-10,
     The window coefficient vector is stepped from t = 0 across the grid by
     the action of the matrix exponential: the window matrix is prepared
     once and :func:`expm_multiply` makes one step per positive increment.
+    The result holds the (T, n) coefficient array and the kernel's basis;
+    no operator is built per grid time unless a caller reads ``values``.
     The partial-state closed form is :func:`partial_semigroup_exact`.
 
     The error budget is ``tol`` plus the window edge term.  ``tol`` is a
@@ -656,24 +684,22 @@ def evolve(L: Lindbladian, x: LocalOperator, t_grid, tol: float = 1e-10,
     sites = tuple(tuple(s) for s in (window if window is not None else default_window(L, x)))
     mat, basis, index, edge_rates = generator_matrix(L, sites, closure_mode)
     x0 = dense.coefficient_vector(x, index)
-    values_vec = _evolve_expm(mat, x0, grid, tol)
-
-    values = []
-    for vec in values_vec:
-        values.append(LocalOperator(L.params, {lab: vec[i] for i, lab in enumerate(basis)}))
+    coefficients = _evolve_expm(mat, x0, grid, tol)
 
     # The edge term accrues from t = 0, where the trajectory starts, also
     # when the grid starts later.
     late = bool(grid[0] > 0)
     times = np.concatenate([[0.0], grid]) if late else grid
-    weights = [edge_rates @ np.abs(vec) for vec in [x0] * late + values_vec]
+    weights = [edge_rates @ np.abs(vec) for vec in [x0] * late + list(coefficients)]
     edge = cumulative_trapezoid(weights, times)[-len(grid):]
     identity_image = float(abs(mat[:, index[WeylLabel.identity()]]).sum())
-    return EvolutionResult(grid, values, tol + edge, identity_image, sites)
+    return EvolutionResult(grid, coefficients, basis, L.params, tol + edge, identity_image,
+                           sites)
 
 
 def _evolve_expm(mat, x0, grid, tol):
-    """x0 stepped from t = 0 across the grid: one expm_multiply per positive increment.
+    """x0 stepped from t = 0 across the grid, one row per grid time: one
+    expm_multiply per positive increment.
 
     ``mat`` is prepared (shift, shifted matrix, norms) once per call, and
     every step reads that one :class:`StepOperator`.  The steps share
@@ -691,7 +717,7 @@ def _evolve_expm(mat, x0, grid, tol):
             vec = expm_multiply(op, vec, t - t_prev, next(budgets))
             t_prev = t
         values.append(vec)
-    return values
+    return np.array(values)
 
 
 # -- partial-state closed forms ----------------------------------------------

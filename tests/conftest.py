@@ -1,4 +1,7 @@
 import cmath
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,9 @@ import pytest
 import uhfflow.dense as dense
 import uhfflow.lindblad as lb
 from uhfflow.algebra import AlgebraParams, LocalOperator
+from uhfflow.config import load_config
+
+BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 
 @pytest.fixture
@@ -81,3 +87,40 @@ def weyl_matrix():
         return dense._weyl_coefficients(images, win.params.N, len(win.sites)).T
 
     return build
+
+
+@pytest.fixture(scope="session")
+def hilbert_operators():
+    """``dense.hilbert_evolve`` read as one ``LocalOperator`` per grid time.
+
+    Row t of the oracle's coefficient array is paired with the labels of
+    ``dense.window_basis`` on the window, the order the oracle writes.
+    """
+    def evolve(L, win, closure_mode, t_grid, x):
+        basis = dense.window_basis(win.params, win.sites)
+        return [LocalOperator(win.params, zip(basis, row))
+                for row in dense.hilbert_evolve(L, win, closure_mode, t_grid, x)]
+
+    return evolve
+
+
+@pytest.fixture
+def bench_config(tmp_path, monkeypatch):
+    """Load the config of a benchmark job (``bench/workloads.py``, default seed).
+
+    ``load(workload, job, edit)`` passes the config text through ``edit``
+    before it is written and loaded.
+    """
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+
+    def load(workload, job, edit=lambda text: text):
+        config, = [j.config for j in workloads.make_jobs(workload, workloads.DEFAULT_SEED)
+                   if j.name == job]
+        path = tmp_path / f"{job}.ini"
+        path.write_text(edit(config))
+        return load_config(path)
+
+    return load

@@ -1,13 +1,18 @@
 """Exit codes and report.json of the command-line runner, on tiny configs."""
 
+import csv
+import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from uhfflow.algebra import WeylLabel
-from uhfflow.cli import main
+import uhfflow.dense as dense
+import uhfflow.lindblad as lindblad
+from uhfflow.algebra import AlgebraParams, LocalOperator, WeylLabel
+from uhfflow.cli import RunReport, _coefficient_rows, cmd_evolve, main
 
 # The benchmark's recorded verdicts; read here, never written.
 BATTERY_REFERENCE = (Path(__file__).resolve().parents[1]
@@ -88,6 +93,105 @@ def test_evolve_assembles_one_generator_per_observable(tmp_path, monkeypatch):
     assert len(calls) == 2
     verdicts = _report(tmp_path)["verdicts"]
     assert verdicts[-1]["name"] == "evolve.unitality" and verdicts[-1]["value"] == 0.0
+
+
+def _evolve_in_process(cfg, out_dir):
+    """Run ``uhfflow evolve``'s body on a loaded config; returns its report."""
+    report = RunReport("evolve", cfg.digest, cfg.seed, out_dir)
+    cmd_evolve(cfg, report)
+    return report
+
+
+def _operator_rows(res):
+    """A trajectory's table rows written from one ``LocalOperator`` per grid
+    time, its ``items()`` per row."""
+    return [[f"{t:.17g}", lab.to_text(), f"{c.real:.17g}", f"{c.imag:.17g}", f"{err:.6e}"]
+            for t, row, err in zip(res.grid, res.coefficients, res.error_budget)
+            for lab, c in LocalOperator(res.params, zip(res.basis, row)).items()]
+
+
+def test_evolve_builds_one_window_basis_per_observable(bench_config, tmp_path, monkeypatch):
+    # The kernel's basis serves the engine, the oracle comparison and the table.
+    cfg = bench_config("evolve_window", "evolve_n2_w5")
+    calls = []
+
+    def counted(*args, _fn=dense.window_basis, **kwargs):
+        calls.append(args[1])
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(dense, "window_basis", counted)
+    _evolve_in_process(cfg, tmp_path / "out")
+    assert len(calls) == len(cfg.observables) == 1
+
+
+def test_evolve_per_string_work_does_not_grow_with_the_grid(bench_config, tmp_path,
+                                                            monkeypatch):
+    # A translation-covariant generator: no closed-form check runs.  Each
+    # written label's text is formatted once, and no operator is built per
+    # grid time, by the engine, the oracle or the table.
+    built = {}
+    for points in (3, 21):
+        cfg = bench_config("evolve_window", "evolve_n2_w5",
+                           lambda text: text.replace("linspace 0 1 3", f"linspace 0 1 {points}"))
+        assert len(cfg.t_grid) == points and cfg.generator.kind == "translation"
+        texts, operators = [], []
+        with monkeypatch.context() as m:
+            m.setattr(WeylLabel, "to_text",
+                      lambda self, _fn=WeylLabel.to_text: texts.append(self) or _fn(self))
+            m.setattr(LocalOperator, "__init__", lambda self, *a, _fn=LocalOperator.__init__:
+                      operators.append(1) or _fn(self, *a))
+            m.setattr(LocalOperator, "_merged", staticmethod(
+                lambda *a, _fn=LocalOperator._merged: operators.append(1) or _fn(*a)))
+            _evolve_in_process(cfg, tmp_path / f"out{points}")
+        with open(tmp_path / f"out{points}" / "results" / "evolve_x.csv", newline="") as fh:
+            written = {row["label"] for row in csv.DictReader(fh)}
+        assert len(texts) == len(set(texts)) == len(written)
+        built[points] = len(operators)
+    assert built[21] == built[3]
+
+
+@pytest.mark.parametrize("job", ["evolve_n2_w5", "evolve_n3_w3"])
+def test_evolve_table_and_oracle_read_the_coefficient_arrays(bench_config, tmp_path,
+                                                             monkeypatch, job):
+    cfg = bench_config("evolve_window", job)
+    seen = {}
+
+    def keep(key, fn):
+        def call(*args, **kwargs):
+            seen[key] = fn(*args, **kwargs)
+            return seen[key]
+        return call
+
+    monkeypatch.setattr(lindblad, "evolve", keep("engine", lindblad.evolve))
+    monkeypatch.setattr(dense, "hilbert_evolve", keep("oracle", dense.hilbert_evolve))
+    report = _evolve_in_process(cfg, tmp_path / "out")
+    res = seen["engine"]
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(["t", "label", "re", "im", "error_budget"])
+    writer.writerows(_operator_rows(res))
+    got = (tmp_path / "out" / "results" / "evolve_x.csv").read_bytes()
+    assert got == want.getvalue().encode()
+    oracle, = [v for v in report.verdicts if v.name == "evolve.x.oracle"]
+    assert res.window_sites == cfg.window
+    assert oracle.value == float(np.abs(res.coefficients - seen["oracle"]).max())
+
+
+def test_evolve_rows_hold_what_the_operators_hold():
+    # Signed zeros, coefficients at and below COEFF_TOL, exact zeros and an
+    # unsorted window: the rows are LocalOperator(...).items() per grid time.
+    params = AlgebraParams(2, 1)
+    sites = ((2,), (0,))
+    basis = dense.window_basis(params, sites)
+    coefficients = np.random.default_rng(5).normal(size=(2, 16)) + 0j
+    coefficients[1, :6] = [complex(-0.0, 0.5), complex(0.25, -0.0), 1e-15, 9e-16, 0j,
+                           complex(-0.0, -0.0)]
+    res = lindblad.EvolutionResult(np.array([0.0, 0.5]), coefficients, basis, params,
+                                   np.array([1e-10, 2e-10]), 0.0, sites)
+    got = list(_coefficient_rows(res))
+    assert got == _operator_rows(res) and len(got) == 16 + 13
+    late = {row[1]: row[2:4] for row in got if row[0] == "0.5"}
+    assert late[basis[0].to_text()] == ["0", "0.5"] and late[basis[1].to_text()] == ["0.25", "0"]
 
 
 def test_identity_image_fails_unitality(tmp_path, monkeypatch):

@@ -6,8 +6,7 @@ The Weyl-basis matrix of ``dense.window_action`` is built here by the
 reference ``hilbert_evolve`` is checked against.
 """
 
-import sys
-from pathlib import Path
+import itertools
 
 import numpy as np
 import pytest
@@ -197,6 +196,42 @@ class TestOperatorNorm:
         assert got == want and len(stacks) == svds and max(stacks) <= dense.NORM_STACK_BYTES
 
 
+def per_label_window_basis(params, sites):
+    """The window basis built one label at a time: each index's digits by
+    ``divmod``, each label's entries sorted (the construction before the
+    per-site entry tuples)."""
+    sites = tuple(tuple(int(c) for c in s) for s in sites)
+    N = params.N
+    labels = []
+    for digits in itertools.product(range(N * N), repeat=len(sites)):
+        entries = []
+        for site, digit in zip(sites, digits):
+            a, b = divmod(digit, N)
+            if (a, b) != (0, 0):
+                entries.append((site, (a, b)))
+        labels.append(WeylLabel(tuple(sorted(entries))))
+    return labels
+
+
+class TestWindowBasis:
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("sites", [
+        [(0,)], [(0,), (1,), (2,)], [(2,), (0,), (1,)], [(1,), (-1,)],
+        [(0, 0), (0, 1), (1, 0)], [(1, 0), (0, 0), (0, 1)], [(0, 1), (-1, 0)],
+    ], ids=["d1_one", "d1_sorted", "d1_unsorted", "d1_descending",
+            "d2_sorted", "d2_unsorted", "d2_descending"])
+    def test_is_the_per_label_construction(self, N, sites):
+        # Digits follow the window as given, the first site most significant;
+        # only each label's entries are sorted.
+        params = AlgebraParams(N, len(sites[0]))
+        got = dense.window_basis(params, sites)
+        assert len(got) == N ** (2 * len(sites))
+        assert got == per_label_window_basis(params, sites)
+
+    def test_empty_window_is_the_identity(self, p2):
+        assert dense.window_basis(p2, []) == [WeylLabel.identity()]
+
+
 @pytest.fixture
 def partial_maxmix(p2):
     return Lindbladian.partial_state(p2, dense.StateSpec(np.eye(2) / 2))
@@ -291,35 +326,36 @@ class TestSuperoperator:
 class TestExpmEvolve:
     """``hilbert_evolve`` against e^{t L} by the Pade exponential of the Weyl-basis matrix."""
 
-    def test_time_zero(self, p2, partial_maxmix, rng, weyl_matrix):
+    def test_time_zero(self, p2, partial_maxmix, rng, weyl_matrix, hilbert_operators):
         win = dense.window(p2, [(0,), (1,)])
         x = random_local(p2, rng, win.sites, include_identity=True)
         ref, = pade_evolve(weyl_matrix(partial_maxmix, win, "interior"), win, [0.0], x)
-        got, = dense.hilbert_evolve(partial_maxmix, win, "interior", [0.0], x)
+        got, = hilbert_operators(partial_maxmix, win, "interior", [0.0], x)
         assert ref.sup_diff(x) < 1e-14 and got.sup_diff(x) < 1e-14
 
-    def test_partial_closed_form(self, p2, partial_maxmix, pauli, weyl_matrix):
+    def test_partial_closed_form(self, p2, partial_maxmix, pauli, weyl_matrix,
+                                 hilbert_operators):
         sx = pauli[0]
         win = dense.window(p2, [(0,)])
         ref, = pade_evolve(weyl_matrix(partial_maxmix, win, "interior"), win, [0.7], sx)
-        got, = dense.hilbert_evolve(partial_maxmix, win, "interior", [0.7], sx)
+        got, = hilbert_operators(partial_maxmix, win, "interior", [0.7], sx)
         assert ref.sup_diff(sx * np.exp(-0.7)) < 1e-13 and got.sup_diff(ref) < 1e-13
 
-    def test_semigroup_law(self, p2, partial_maxmix, rng):
+    def test_semigroup_law(self, p2, partial_maxmix, rng, hilbert_operators):
         win = dense.window(p2, [(0,), (1,)])
         x = random_local(p2, rng, win.sites)
-        once, = dense.hilbert_evolve(partial_maxmix, win, "interior", [0.9], x)
-        half, = dense.hilbert_evolve(partial_maxmix, win, "interior", [0.4], x)
-        twice, = dense.hilbert_evolve(partial_maxmix, win, "interior", [0.5], half)
+        once, = hilbert_operators(partial_maxmix, win, "interior", [0.9], x)
+        half, = hilbert_operators(partial_maxmix, win, "interior", [0.4], x)
+        twice, = hilbert_operators(partial_maxmix, win, "interior", [0.5], half)
         assert once.sup_diff(twice) < 1e-10
 
-    def test_grid_matches_pointwise(self, p2, rng, weyl_matrix):
+    def test_grid_matches_pointwise(self, p2, rng, weyl_matrix, hilbert_operators):
         sx = LocalOperator.site_word(p2, (0,), 1, 0)
         L = Lindbladian.single_kraus(sx * sx.translate((1,)) + sx * 0.5)
         win = dense.window(p2, [(0,), (1,), (2,)])
         x = random_local(p2, rng, win.sites)
         grid = [0.0, 0.3, 0.7, 1.1, 1.5]
-        stepped = dense.hilbert_evolve(L, win, "clipped", grid, x)
+        stepped = hilbert_operators(L, win, "clipped", grid, x)
         assert len(stepped) == len(grid)
         pointwise = pade_evolve(weyl_matrix(L, win, "clipped"), win, grid, x)
         for got, ref in zip(stepped, pointwise):
@@ -361,21 +397,21 @@ class TestHilbertEvolve:
     @pytest.mark.parametrize("grid", [
         [0.0], [0.0, 0.4, 0.4, 1.0], [0.3, 0.9], [0.5, 0.5, 1.2],
     ])
-    def test_matches_pade_oracle(self, grid, weyl_matrix, case):
+    def test_matches_pade_oracle(self, grid, weyl_matrix, hilbert_operators, case):
         L, win, closure, x = case
-        got = dense.hilbert_evolve(L, win, closure, grid, x)
+        got = hilbert_operators(L, win, closure, grid, x)
         ref = pade_evolve(weyl_matrix(L, win, closure), win, grid, x)
         assert len(got) == len(grid)
         for a, b in zip(got, ref):
             assert a.sup_diff(b) <= 1e-11
 
-    def test_built_without_kernel_or_exponential(self, p2, monkeypatch):
+    def test_built_without_kernel_or_exponential(self, p2, monkeypatch, hilbert_operators):
         sx = LocalOperator.site_word(p2, (0,), 1, 0)
         r = sx * sx.translate((1,)) + LocalOperator.site_word(p2, (0,), 0, 1, 0.5)
         L = Lindbladian.single_kraus(r)
         win = dense.window(p2, [(0,), (1,), (3,)])
         x = sx.translate((1,)) + LocalOperator.site_word(p2, (3,), 1, 1)
-        expected = dense.hilbert_evolve(L, win, "clipped", [0.0, 0.5, 1.0], x)
+        expected = hilbert_operators(L, win, "clipped", [0.0, 0.5, 1.0], x)
 
         def forbidden(*_args, **_kwargs):
             raise AssertionError("the Hilbert-space oracle must not use this")
@@ -387,10 +423,10 @@ class TestHilbertEvolve:
         monkeypatch.setattr(lindblad, "expm_multiply", forbidden)
         monkeypatch.setattr(fock, "expm_multiply", forbidden)
         monkeypatch.setattr(scipy.linalg, "expm", forbidden)
-        got = dense.hilbert_evolve(L, win, "clipped", [0.0, 0.5, 1.0], x)
+        got = hilbert_operators(L, win, "clipped", [0.0, 0.5, 1.0], x)
         assert all(a.sup_diff(b) == 0.0 for a, b in zip(got, expected))
 
-    def test_matches_evolve_on_five_sites(self, p2, rng):
+    def test_matches_evolve_on_five_sites(self, p2, rng, hilbert_operators):
         sx = LocalOperator.site_word(p2, (0,), 1, 0)
         sz = LocalOperator.site_word(p2, (0,), 0, 1)
         L = Lindbladian.translation_covariant(
@@ -398,21 +434,22 @@ class TestHilbertEvolve:
         sites = [(i,) for i in range(5)]
         x = random_local(p2, rng, sites[1:4], include_identity=True)
         grid = [0.0, 0.5, 1.0]
-        got = dense.hilbert_evolve(L, dense.window(p2, sites), "interior", grid, x)
+        got = hilbert_operators(L, dense.window(p2, sites), "interior", grid, x)
         res = lindblad.evolve(L, x, grid, tol=1e-12, window=sites,
                               closure_mode="interior")
         for a, b in zip(got, res.values):
             assert a.sup_diff(b) <= 1e-12
 
-    def test_partial_closed_form(self, p2, partial_maxmix, pauli):
+    def test_partial_closed_form(self, p2, partial_maxmix, pauli, hilbert_operators):
         sx = pauli[0]
         grid = np.linspace(0.0, 1.0, 5)
-        got = dense.hilbert_evolve(partial_maxmix, dense.window(p2, [(0,), (1,)]), "interior",
-                                   grid, sx)
+        got = hilbert_operators(partial_maxmix, dense.window(p2, [(0,), (1,)]), "interior",
+                                grid, sx)
         for t, val in zip(grid, got):
             assert val.sup_diff(sx * np.exp(-t)) < 1e-13
 
-    def test_grid_at_zero_needs_no_solve(self, p2, partial_maxmix, rng, monkeypatch):
+    def test_grid_at_zero_needs_no_solve(self, p2, partial_maxmix, rng, monkeypatch,
+                                         hilbert_operators):
         win = dense.window(p2, [(0,), (1,)])
         x = random_local(p2, rng, win.sites, include_identity=True)
 
@@ -421,7 +458,7 @@ class TestHilbertEvolve:
 
         monkeypatch.setattr(dense, "window_action", forbidden)
         monkeypatch.setattr(dense, "_taylor_propagate", forbidden)
-        got = dense.hilbert_evolve(partial_maxmix, win, "interior", [0.0, 0.0], x)
+        got = hilbert_operators(partial_maxmix, win, "interior", [0.0, 0.0], x)
         assert len(got) == 2 and all(val.sup_diff(x) < 1e-15 for val in got)
 
     @staticmethod
@@ -452,16 +489,17 @@ class TestHilbertEvolve:
         return actions
 
     @pytest.mark.parametrize("t", [10.0, 40.0])
-    def test_one_long_interval_matches_pade(self, p2, rng, weyl_matrix, t):
+    def test_one_long_interval_matches_pade(self, p2, rng, weyl_matrix, hilbert_operators, t):
         # One grid interval of many norm bounds: the substeps keep the
         # series' terms small, so the result stays at roundoff.
         L, win, x = self.long_interval_case(p2, rng)
-        got = dense.hilbert_evolve(L, win, "clipped", [0.0, t], x)
+        got = hilbert_operators(L, win, "clipped", [0.0, t], x)
         ref = pade_evolve(weyl_matrix(L, win, "clipped"), win, [0.0, t], x)
         assert max(a.sup_diff(b) for a, b in zip(got, ref)) <= 1e-11
 
     @pytest.mark.parametrize("t", [10.0, 40.0])
     def test_an_uncapped_single_substep_fails_a_long_interval(self, p2, rng, weyl_matrix,
+                                                              hilbert_operators,
                                                               monkeypatch, t):
         # Without the cap on a substep's scale the plan takes one substep
         # of high degree, whose terms grow to about e^(t beta) before they
@@ -469,32 +507,20 @@ class TestHilbertEvolve:
         L, win, x = self.long_interval_case(p2, rng)
         monkeypatch.setattr(dense, "TAYLOR_THETA_MAX", np.inf)
         assert dense._taylor_plan(t * dense.window_action(L, win, "clipped").bound)[0] == 1
-        got = dense.hilbert_evolve(L, win, "clipped", [t], x)[0]
+        got = hilbert_operators(L, win, "clipped", [t], x)[0]
         ref = pade_evolve(weyl_matrix(L, win, "clipped"), win, [t], x)[0]
         assert got.sup_diff(ref) > 1e-11
 
     @pytest.mark.parametrize("fine", [False, True], ids=["config_grid", "fine_grid"])
     @pytest.mark.parametrize("job", ["evolve_n2_w5", "evolve_n3_w3"])
-    def test_fewer_actions_than_an_explicit_runge_kutta_pair(self, tmp_path, monkeypatch, job,
-                                                             fine):
+    def test_fewer_actions_than_an_explicit_runge_kutta_pair(self, bench_config, monkeypatch,
+                                                             job, fine):
         # On the evolve_window benchmark configs, on their own grid and on
         # 101 points, the oracle acts at most half as often as DOP853 at
         # rtol 1e-13, atol 1e-15 on the same action (its dense output too).
-        import importlib.util
-
         import scipy.integrate
 
-        from uhfflow.config import load_config
-
-        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("bench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
-        spec.loader.exec_module(workloads)
-        config, = [j.config for j in workloads.make_jobs("evolve_window", workloads.DEFAULT_SEED)
-                   if j.name == job]
-        (tmp_path / "job.ini").write_text(config)
-        cfg = load_config(tmp_path / "job.ini")
+        cfg = bench_config("evolve_window", job)
         x = cfg.observables["x"]
         win = dense.window(cfg.params, cfg.window)
         grid = np.linspace(0.0, cfg.t_grid[-1], 101) if fine else cfg.t_grid
@@ -508,7 +534,8 @@ class TestHilbertEvolve:
         assert sol.status == 0
         assert 0 < sum(actions) <= sol.nfev / 2
 
-    def test_grid_times_cost_no_actions(self, p2, rng, weyl_matrix, monkeypatch):
+    def test_grid_times_cost_no_actions(self, p2, rng, weyl_matrix, hilbert_operators,
+                                        monkeypatch):
         # Grid times inside a substep are read off its Taylor polynomial:
         # 2 or 401 grid times to t = 10 take the same actions, and each
         # stays within 1e-11 of the Pade reference.
@@ -517,7 +544,7 @@ class TestHilbertEvolve:
         dense.hilbert_evolve(L, win, "clipped", [0.0, 10.0], x)
         coarse = sum(actions)
         grid = np.sort(np.append(np.linspace(0.0, 10.0, 400), np.pi))
-        got = dense.hilbert_evolve(L, win, "clipped", grid, x)
+        got = hilbert_operators(L, win, "clipped", grid, x)
         assert sum(actions) == 2 * coarse
         ref = pade_evolve(weyl_matrix(L, win, "clipped"), win, grid, x)
         assert max(a.sup_diff(b) for a, b in zip(got, ref)) <= 1e-11

@@ -183,14 +183,14 @@ class TestFlowElement:
         np.testing.assert_allclose(gtraj.error_of(3.0 * sz, 2.0 * sx),
                                    6.0 * gtraj.error_of(sz, sx), rtol=1e-15)
 
-    def test_vacuum_reduction_translation(self, p2, pauli, zf, rng):
+    def test_vacuum_reduction_translation(self, p2, pauli, zf, rng, hilbert_operators):
         sx, sz, _, one = pauli
         L = lb.Lindbladian.single_kraus(sx, unital=True)
         sys_ = fock.build_generator_system(L, [(0,)])
         u = random_local(p2, rng, [(0,)], include_identity=True)
         v = random_local(p2, rng, [(0,)])
         traj = fock.flow_element(sys_, u, zf, v, zf, GRID)
-        oracle = dense.hilbert_evolve(L, dense.window(p2, [(0,)]), "interior", GRID, sz)
+        oracle = hilbert_operators(L, dense.window(p2, [(0,)]), "interior", GRID, sz)
         expected = np.array([gns_inner(u, val * v) for val in oracle])
         assert np.abs(traj.of_operator(sz) - expected).max() < 1e-8
 

@@ -291,7 +291,7 @@ class TestEvolve:
         for t, val in zip(grid, res.values):
             assert val.sup_diff(x * np.exp(-2 * t)) < 1e-12
 
-    def test_matches_dense_oracle(self, p2, maxmix, pauli, rng):
+    def test_matches_dense_oracle(self, p2, maxmix, pauli, rng, hilbert_operators):
         sx = pauli[0]
         gens = [
             (lb.Lindbladian.partial_state(p2, maxmix), [(0,), (1,)]),
@@ -301,19 +301,19 @@ class TestEvolve:
         for L, sites in gens:
             x = random_local(p2, rng, sites[:2])
             res = lb.evolve(L, x, grid, window=sites)
-            oracle = dense.hilbert_evolve(L, dense.window(p2, sites), "interior", grid, x)
+            oracle = hilbert_operators(L, dense.window(p2, sites), "interior", grid, x)
             for val, ref in zip(res.values, oracle, strict=True):
                 assert val.sup_diff(ref) < 1e-9
 
     @pytest.mark.parametrize("grid", [[0.0, 0.3, 0.3, 1.0], [0.5, 1.0], [0.0, 0.0]])
-    def test_ode_steps_from_zero(self, grid, p2, biased, rng):
+    def test_ode_steps_from_zero(self, grid, p2, biased, rng, hilbert_operators):
         # Repeated times, a grid starting past 0 and an all-zero grid: the
         # ode path steps from t = 0 and skips zero increments.
         L = lb.Lindbladian.partial_state(p2, biased)
         sites = [(0,), (1,)]
         x = random_local(p2, rng, sites, include_identity=True)
         res = lb.evolve(L, x, grid, window=sites, tol=1e-13)
-        oracle = dense.hilbert_evolve(L, dense.window(p2, sites), "interior", grid, x)
+        oracle = hilbert_operators(L, dense.window(p2, sites), "interior", grid, x)
         for val, ref in zip(res.values, oracle, strict=True):
             assert val.sup_diff(ref) < 1e-12
         for i in range(len(grid) - 1):
@@ -333,6 +333,24 @@ class TestEvolve:
         half = lb.evolve(L_partial, x, [0.4], window=sites).values[0]
         again = lb.evolve(L_partial, half, [0.5], window=sites).values[0]
         assert full.sup_diff(again) < 1e-10
+
+    def test_result_holds_the_kernel_basis_and_one_coefficient_row_per_time(
+            self, L_partial, p2, rng, monkeypatch):
+        sites = [(1,), (0,)]
+        x = random_local(p2, rng, sites, include_identity=True)
+        built = []
+        monkeypatch.setattr(lb, "generator_matrix", lambda *a, _fn=lb.generator_matrix:
+                            built.append(_fn(*a)) or built[-1])
+        res = lb.evolve(L_partial, x, [0.0, 0.3, 0.3, 1.0], window=sites)
+        assert res.basis is built[0][1]
+        assert res.coefficients.shape == (4, len(res.basis))
+        assert res.values is res.values
+        for row, val in zip(res.coefficients, res.values, strict=True):
+            assert val.sup_diff(LocalOperator(p2, zip(res.basis, row))) == 0.0
+        assert np.abs(res.coefficients_of(res.values) - res.coefficients).max() < 1e-15
+        assert res.deviation(sites, res.coefficients) == 0.0
+        with pytest.raises(WindowError):
+            res.deviation(sites[::-1], res.coefficients)
 
     def test_negative_time_rejected(self, L_partial, pauli):
         with pytest.raises(ValueError):
