@@ -12,16 +12,16 @@ window members.
 A generator is realized in one place: ``window_action`` turns the window
 members into matrices and acts by X -> sum_m m* X m - (1/2){m* m, X} on
 stacks of D x D window matrices (D = N^n), and bounds that action's
-operator norm.  ``hilbert_evolve`` steps that action by a truncated
-Taylor series whose degree and substeps the bound fixes in advance and
+operator norm.  It is propagated in one place too: ``_taylor_propagate``
+steps the action by a truncated Taylor series whose degree and substeps
+the bound fixes in advance.  ``hilbert_evolve`` steps one observable and
 returns the trajectory as one (T, D^2) array of Weyl coefficients in
 ``window_basis`` order (``uhfflow evolve`` and the selftest battery
-compare ``lindblad.evolve``'s coefficient array with it entrywise); it
-shares no code with the package's stepper, ``lindblad.expm_multiply``.
-``choi_matrix`` exponentiates the action's matrix on the D^2 matrix
-units, and ``_weyl_coefficients`` is the one change to the Weyl basis,
-by trace projections.  ``choi_matrix`` imports ``scipy.linalg`` when
-called, so a command that never reaches it does not load it.
+compare ``lindblad.evolve``'s coefficient array with it entrywise), and
+``choi_matrix`` steps the stack of D^2 matrix units.  Neither shares
+code with the package's stepper, ``lindblad.expm_multiply``, and neither
+needs ``scipy.linalg``.  ``_weyl_coefficients`` is the one change to the
+Weyl basis, by trace projections.
 """
 
 from __future__ import annotations
@@ -379,21 +379,23 @@ def hilbert_evolve(lindbladian, win: SiteWindow, closure_mode: str, t_grid,
 def choi_matrix(lindbladian, win: SiteWindow, closure_mode: str, t: float) -> np.ndarray:
     """Choi matrix sum_ij e^{t L}(E_ij) (x) E_ij on the window, D^2 x D^2.
 
-    Row c of the generator's D^2 x D^2 matrix is ``window_action`` of the
-    matrix unit E_ij, c = i D + j, flattened row-major; row c of its Pade
-    exponential is then e^{t L}(E_ij).  Raises ``SizeGuardError`` when its
-    D^4 = N^(4n) entries exceed ``MAX_PAIR_DIM`` (4 sites at N = 2).
+    The D^2 matrix units E_ij are stepped to t as one stack by
+    ``_taylor_propagate`` of ``window_action``, the propagator
+    ``hilbert_evolve`` steps one matrix by; at t = 0 they are the identity
+    channel's and need no solve.  Raises ``ValueError`` unless t is finite
+    and nonnegative (``validate_grid``), and ``SizeGuardError`` when the
+    D^4 = N^(4n) entries exceed ``MAX_PAIR_DIM`` (4 sites at N = 2), both
+    before anything is realized.
     """
+    times = validate_grid([t])
     D = win.dim
     if D**4 > MAX_PAIR_DIM:
         raise SizeGuardError(f"Choi matrix has {D**4} entries, above the guard {MAX_PAIR_DIM}")
-    units = np.eye(D * D, dtype=complex).reshape(D * D, D, D)
-    generator = window_action(lindbladian, win, closure_mode)(units).reshape(D * D, D * D)
-    import scipy.linalg
-
-    # E[i, j, a, b] = e^{t L}(E_ij)[a, b] goes to the Choi entry (a D + i, b D + j).
-    E = scipy.linalg.expm(t * generator).reshape(D, D, D, D)
-    return E.transpose(2, 0, 3, 1).reshape(D * D, D * D)
+    E = np.eye(D * D, dtype=complex).reshape(D * D, D, D)
+    if t > 0:
+        E = _taylor_propagate(window_action(lindbladian, win, closure_mode), E, times)[0]
+    # E[i D + j] = e^{t L}(E_ij), whose entry (a, b) goes to the Choi entry (a D + i, b D + j).
+    return E.reshape(D, D, D, D).transpose(2, 0, 3, 1).reshape(D * D, D * D)
 
 
 @dataclass(frozen=True)

@@ -38,9 +38,11 @@ A restricted to the rectangle's rows and columns, one block-diagonal
 matrix per side for all rectangles of one shape, and the Ito sum, the
 same on every cell, is the one matrix built on pairs (``_pair_pieces``).
 The Taylor norms and log-norms are those of the restricted systems, and
-every piece is stepped by ``lindblad.expm_multiply``.  A generator that
-connects every string gives one component, one rectangle and the whole
-basis, through the same code.
+the pieces are stepped by the grid driver ``evolve`` uses too,
+``lindblad.propagate``; ``_propagate`` only restricts to the support,
+scatters each state back into its grid rows and adds the leak term.  A
+generator that connects every string gives one component, one rectangle
+and the whole basis, through the same code.
 One solve per (u, f, v, g) and grid serves every observable and pair;
 each trajectory records its system, (u, f, v, g) and the index set it
 was solved on, so the checks read from it the problem they check.  Each
@@ -48,7 +50,7 @@ error estimate bounds one basis string and is scaled by the observable's
 l1 norm (``error_of``).  It has two terms.  The caller's ``tol`` is a
 certified bound on the stepper's truncation error at every grid time:
 the pieces share it, each one's share shrunk by the growth the later
-pieces' log-norms allow (``_propagate``); roundoff is outside it.
+pieces' log-norms allow (``lindblad.propagate``); roundoff is outside it.
 Truncation to a finite site window drops operator mass outside it; that
 l1 mass is recorded per map and gives the leak term.
 
@@ -84,18 +86,17 @@ from .algebra import (
 )
 from .errors import FitError, SizeGuardError, WindowError
 from .kernel import WindowKernel
-from .lindblad import (
-    StepOperator,
-    expm_multiply,
-    split_tolerance,
-    step_operator,
-)
+from .lindblad import Piece, StepOperator, step_operator
 
 PICARD_MAX_TERMS = 500_000  # terms summed by picard_tail_bound before it gives inf
 CERTIFIED_DEPTH_MAX = 100_000  # deepest Picard depth smallest_certified_depth tries
 SCAN_TOL = 1e-15  # eta_ergodicity_scan's solve; its fit reads deviations above 10 x this
 
 ModeKey = tuple[Site, int]  # (lattice site of the translate, Kraus member id)
+
+# The stepper ``lindblad.propagate`` calls, bound here too: the benchmark's
+# span tracer (``bench/spans.py``) times it under this module's name.
+expm_multiply = _lb.expm_multiply
 
 
 # -- test functions -----------------------------------------------------------
@@ -263,9 +264,6 @@ class FlowGeneratorSystem:
         if mat.nnz == 0:
             return 0.0
         return float(np.abs(mat).sum(axis=1).max())
-
-    def leak_free(self) -> bool:
-        return all(arr.max() == 0.0 for arr in self.leak.values()) if self.leak else True
 
 
 def build_generator_system(L: "_lb.Lindbladian", window_sites) -> FlowGeneratorSystem:
@@ -625,25 +623,12 @@ def _restriction(drive: _Drive, blocks: list[np.ndarray]):
     return matrix
 
 
-class _Piece(NamedTuple):
-    """The stretch [a, b] between two breakpoints: its cell's generator and leak rate.
-
-    The generator is prepared for the stepper once per cell; the pieces of
-    one cell share it.
-    """
-
-    a: float
-    b: float
-    op: StepOperator
-    leak_rate: float
+def _pieces(drive: _Drive, cells: dict) -> list[Piece]:
+    """One piece per stretch of the drive; ``cells[cell]`` = (generator, leak rate), shared."""
+    return [Piece(a, b, *cells[cell]) for a, b, cell in drive.stretches]
 
 
-def _pieces(drive: _Drive, cells: dict) -> list[_Piece]:
-    """One piece per stretch of the drive, reading ``cells[cell]`` = (generator, leak rate)."""
-    return [_Piece(a, b, *cells[cell]) for a, b, cell in drive.stretches]
-
-
-def _flow_pieces(drive: _Drive, support: np.ndarray) -> list[_Piece]:
+def _flow_pieces(drive: _Drive, support: np.ndarray) -> list[Piece]:
     """The F system on the strings ``support``, prepared once per cell.
 
     ``support`` is a union of the drive's components, so the cell
@@ -725,7 +710,7 @@ class _PairProduct(NamedTuple):
 
 
 def _pair_pieces(sys: FlowGeneratorSystem, drive: _Drive,
-                 rects: list[tuple[np.ndarray, np.ndarray]]) -> list[_Piece]:
+                 rects: list[tuple[np.ndarray, np.ndarray]]) -> list[Piece]:
     """The doubled G system A (x) 1 + 1 (x) A + Ito on the rectangles ``rects``, once per cell.
 
     The rectangles (``_pair_support``) hold G's support, in the order of
@@ -790,7 +775,7 @@ def _pair_pieces(sys: FlowGeneratorSystem, drive: _Drive,
                            for cell in drive.coef})
 
 
-def _leak_accrual(pieces: list[_Piece]) -> dict[float, float]:
+def _leak_accrual(pieces: list[Piece]) -> dict[float, float]:
     """Leak budget accrued from 0 to each breakpoint: sum of rate x length per piece."""
     acc = {0.0: 0.0}
     for p in pieces:
@@ -798,30 +783,20 @@ def _leak_accrual(pieces: list[_Piece]) -> dict[float, float]:
     return acc
 
 
-def _propagate(pieces: list[_Piece], x0: np.ndarray, support: np.ndarray, grid, tol, scale):
+def _propagate(pieces: list[Piece], x0: np.ndarray, support: np.ndarray, grid, tol, scale):
     """Step x0 across the pieces on ``support``; full vectors and error estimates at grid points.
 
     The pieces' generators act on the index set ``support``, which holds
     every nonzero of x0 and which the full generator leaves invariant, so
     the exact solution is 0 off it at all times: the states come back
-    with x0's length, exactly 0 there.  The pieces share ``tol`` by
-    ``lindblad.split_tolerance``, each one's share shrunk by the growth its
-    log-norm allows on the later pieces, so every state is within ``tol``
-    of the exact solution of the truncated system in the max norm, up to
-    roundoff.  The estimate adds the leak budget accrued by each grid time.
+    with x0's length, exactly 0 there.  ``lindblad.propagate`` steps x0's
+    entries on ``support`` within ``tol`` of the truncated system, and
+    each state it yields is written into its grid rows here.  The
+    estimate adds the leak budget accrued by each grid time.
     """
-    budgets = split_tolerance(tol, [(p.b - p.a, p.op.growth) for p in pieces])
     out = np.zeros((len(grid), x0.size), dtype=complex)
-    rows_at: dict[float, list[int]] = {}
-    for i, t in enumerate(grid):
-        rows_at.setdefault(float(t), []).append(i)
-    # Only the current state is held; each grid time's is written as it is reached.
-    state = x0[support]
-    for i in rows_at.get(0.0, ()):
-        out[i, support] = state
-    for p, budget in zip(pieces, budgets):
-        state = expm_multiply(p.op, state, p.b - p.a, budget)
-        for i in rows_at.get(p.b, ()):
+    for rows, state in _lb.propagate(pieces, x0[support], grid, tol):
+        for i in rows:
             out[i, support] = state
     leak = _leak_accrual(pieces)
     return out, np.array([tol + scale * leak[float(t)] for t in grid])
@@ -835,8 +810,8 @@ def flow_element(sys: FlowGeneratorSystem, u, f, v, g, t_grid,
     """F_t(U_b) = <u e(f), j_t(U_b) v e(g)> for every window basis label b.
 
     Advances piece by piece by the action of the matrix exponential
-    (``expm_multiply``), each cell's generator prepared once for all of its
-    pieces, to within ``tol`` of the truncated system (``_propagate``).
+    (``lindblad.propagate``), each cell's generator prepared once for all
+    of its pieces, to within ``tol`` of the truncated system.
     The solve runs on the components of the drive's pattern that F_0
     touches (``_flow_support``); F is exactly 0 on every other string.
     The one solve serves every observable on the window:

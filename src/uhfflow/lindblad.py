@@ -17,9 +17,15 @@ window basis, and the closed form for partial-state kinds), ergodic
 states, perturbed-ergodic states (one sparse solve on the window),
 decay-rate fitting, and the multi-derivation / expansion / bound harness
 used to exercise the iterated-commutator estimates that control
-everything else.  Each bound reads its order n and zero count p from
-its eps tuples, checked before anything is enumerated; the perturbed
-ergodic state reads state, Kraus family and c from the generator.
+everything else.  The bound reads its order n and zero count p from its
+eps tuple, checked before anything is enumerated; the perturbed ergodic
+state reads state, Kraus family and c from the generator.
+
+Every Weyl-basis solve, ``evolve`` here and the flow systems of
+``fock``, runs on one grid driver: ``propagate`` steps a vector across
+pieces of constant generator by the one stepper, ``expm_multiply``,
+sharing the caller's ``tol`` by ``split_tolerance``, and yields each
+grid time's state for the caller to write where it wants.
 
 Each structure map of a :class:`Lindbladian` has one accessor:
 ``lind_k`` for L_k, ``derivation(+-1, ...)`` for delta_k and delta_k^dag.
@@ -254,19 +260,6 @@ class Lindbladian:
             for lab, c in self._image(k, label)._terms.items():
                 out[lab] = out.get(lab, 0j) + coeff * c
         return LocalOperator._merged(self.params, out)
-
-    def lind_zero_anticommutator_form(self, x: LocalOperator) -> LocalOperator:
-        """-(1/2){T(1), x} + T(x); must agree with ``lind_k`` at the origin.
-
-        Computed afresh on every call, not from the string-image table, so
-        it stays a cross-check of ``lind_k``.
-        """
-        t1 = LocalOperator.zero(self.params)
-        tx = LocalOperator.zero(self.params)
-        for m, md in self._member_pairs(self.params.origin()):
-            t1 = t1 + md * m
-            tx = tx + md * x * m
-        return tx - (t1 * x + x * t1) * 0.5
 
     def apply(self, x: LocalOperator) -> LocalOperator:
         """lind_total: the full sum over contributing translates."""
@@ -544,10 +537,48 @@ def split_tolerance(tol: float, steps) -> list[float]:
     return budgets[::-1]
 
 
+# -- the grid driver -------------------------------------------------------------
+
+
+class Piece(NamedTuple):
+    """The stretch [a, b] of a solve, its prepared generator and its leak rate.
+
+    Pieces of one generator share one :class:`StepOperator`.  ``fock``
+    accrues ``leak_rate``, the mass per unit time its window drops, into
+    its estimates; ``evolve`` prices its window by its edge term instead.
+    """
+
+    a: float
+    b: float
+    op: StepOperator
+    leak_rate: float = 0.0
+
+
+def propagate(pieces: list[Piece], state: np.ndarray, grid: np.ndarray, tol: float):
+    """Step ``state`` from t = 0 across the pieces; yield (rows, state) at 0 and each piece's end.
+
+    The pieces run end to end from 0, and every time of ``grid`` is 0 or
+    a piece's end; ``rows`` lists the grid rows at the state's time, none
+    for a breakpoint between grid times.  Only the current state is held,
+    the initial one included: the caller writes each where it wants it.
+    This is the one caller of :func:`expm_multiply`.  The pieces share
+    ``tol`` by :func:`split_tolerance`, so every state is within ``tol``
+    of the exact solution in the max norm, up to roundoff.
+    """
+    budgets = split_tolerance(tol, [(p.b - p.a, p.op.growth) for p in pieces])
+    rows_at: dict[float, list[int]] = {}
+    for i, t in enumerate(grid):
+        rows_at.setdefault(float(t), []).append(i)
+    yield rows_at.get(0.0, []), state
+    for p, budget in zip(pieces, budgets):
+        state = expm_multiply(p.op, state, p.b - p.a, budget)
+        yield rows_at.get(p.b, []), state
+
+
 # -- fixed-grid quadrature -----------------------------------------------------
-# scipy.integrate's rules, operation for operation, so each result is bit
-# for bit scipy's; importing scipy.integrate would load scipy.optimize as
-# well.  Each integrates along the first axis, real or complex samples.
+# scipy.integrate's trapezoid rule, operation for operation, so the edge
+# budget is bit for bit scipy's; importing scipy.integrate would load
+# scipy.optimize as well.
 
 
 def cumulative_trapezoid(y, t) -> np.ndarray:
@@ -555,27 +586,6 @@ def cumulative_trapezoid(y, t) -> np.ndarray:
     y = np.asarray(y)
     parts = np.diff(t) * (y[1:] + y[:-1]) / 2.0
     return np.concatenate((np.zeros(1, parts.dtype), np.cumsum(parts)))
-
-
-def cumulative_simpson(y, dx: float) -> np.ndarray:
-    """Simpson integrals of samples spaced ``dx`` apart from the first to each; the first is 0.
-
-    Cartwright's subinterval formula (J. Math. Sci. Math. Educ. 12 (2017)
-    1-9, eq. 10): the parabola through three samples integrated over its
-    first panel, forward for the panels that start a pair and backward
-    for the others and the last, then summed.  Needs at least 3 samples.
-    """
-    y = np.asarray(y)
-    if len(y) < 3:
-        raise ValueError(f"cumulative Simpson needs at least 3 samples, got {len(y)}")
-    forward = dx / 3 * (5 * y[:-2] / 4 + 2 * y[1:-1] - y[2:] / 4)
-    backward = dx / 3 * (5 * y[2:] / 4 + 2 * y[1:-1] - y[:-2] / 4)
-    panels = np.empty(y.shape, forward.dtype)
-    panels[0] = 0.0
-    panels[1:-1:2] = forward[::2]
-    panels[2::2] = backward[::2]
-    panels[-1] = backward[-1]
-    return np.cumsum(panels, axis=0)
 
 
 # -- evolution ---------------------------------------------------------------
@@ -665,14 +675,15 @@ def evolve(L: Lindbladian, x: LocalOperator, t_grid, tol: float = 1e-10,
 
     The window coefficient vector is stepped from t = 0 across the grid by
     the action of the matrix exponential: the window matrix is prepared
-    once and :func:`expm_multiply` makes one step per positive increment.
-    The result holds the (T, n) coefficient array and the kernel's basis;
-    no operator is built per grid time unless a caller reads ``values``.
+    once, one piece per positive grid increment shares it, and
+    :func:`propagate` writes each grid time's state into its row.  The
+    result holds the (T, n) coefficient array and the kernel's basis; no
+    operator is built per grid time unless a caller reads ``values``.
     The partial-state closed form is :func:`partial_semigroup_exact`.
 
     The error budget is ``tol`` plus the window edge term.  ``tol`` is a
     certified bound on the stepper's truncation error, in the max norm of
-    the window coefficients, at every grid time (:func:`_evolve_expm`);
+    the window coefficients, at every grid time (:func:`propagate`);
     roundoff is outside it.  The edge term is Duhamel's:
     P_t x - P^W_t x is the integral over s of P_(t-s) (L - L_W) P^W_s x,
     and the semigroup contracts, so it is bounded by integrating
@@ -684,7 +695,12 @@ def evolve(L: Lindbladian, x: LocalOperator, t_grid, tol: float = 1e-10,
     sites = tuple(tuple(s) for s in (window if window is not None else default_window(L, x)))
     mat, basis, index, edge_rates = generator_matrix(L, sites, closure_mode)
     x0 = dense.coefficient_vector(x, index)
-    coefficients = _evolve_expm(mat, x0, grid, tol)
+    op = step_operator(mat)
+    ends = [0.0, *map(float, grid)]
+    pieces = [Piece(a, b, op) for a, b in zip(ends, ends[1:]) if b > a]
+    coefficients = np.empty((len(grid), len(basis)), dtype=complex)
+    for rows, state in propagate(pieces, x0, grid, tol):
+        coefficients[rows] = state
 
     # The edge term accrues from t = 0, where the trajectory starts, also
     # when the grid starts later.
@@ -695,29 +711,6 @@ def evolve(L: Lindbladian, x: LocalOperator, t_grid, tol: float = 1e-10,
     identity_image = float(abs(mat[:, index[WeylLabel.identity()]]).sum())
     return EvolutionResult(grid, coefficients, basis, L.params, tol + edge, identity_image,
                            sites)
-
-
-def _evolve_expm(mat, x0, grid, tol):
-    """x0 stepped from t = 0 across the grid, one row per grid time: one
-    expm_multiply per positive increment.
-
-    ``mat`` is prepared (shift, shifted matrix, norms) once per call, and
-    every step reads that one :class:`StepOperator`.  The steps share
-    ``tol`` by :func:`split_tolerance`, so each value is within ``tol`` of
-    e^{t A} x0 in the max norm, up to roundoff.
-    """
-    op = step_operator(mat)
-    times = [0.0, *grid]
-    budgets = iter(split_tolerance(
-        tol, [(b - a, op.growth) for a, b in zip(times, times[1:]) if b > a]))
-    values = []
-    vec, t_prev = x0, 0.0
-    for t in grid:
-        if t > t_prev:
-            vec = expm_multiply(op, vec, t - t_prev, next(budgets))
-            t_prev = t
-        values.append(vec)
-    return np.array(values)
 
 
 # -- partial-state closed forms ----------------------------------------------
@@ -917,57 +910,24 @@ class LemmaBoundReport(NamedTuple):
     count: int
 
 
-def _lemma_setup(L: Lindbladian, epsbar, *more) -> tuple[tuple[int, ...], float, float]:
-    """(epsbar, theta_1(r), ||r||), the eps tuples checked before anything is enumerated.
-
-    Every entry of epsbar and of ``more`` must be -1, 0 or +1 and epsbar
-    nonempty (else ``ValueError``); an epsbar past 3 raises ``SizeGuardError``.
-    """
-    epsbar = tuple(epsbar)
-    if not epsbar or any(e not in (-1, 0, 1) for eps in (epsbar, *more) for e in eps):
-        raise ValueError(f"eps tuples need entries in {{-1, 0, +1}} and a nonempty "
-                         f"epsbar, got {(epsbar, *more)}")
-    if len(epsbar) > 3:
-        raise SizeGuardError("bound enumeration limited to n <= 3")
-    r = L.single_r()
-    return epsbar, theta(r, 1), dense.operator_norm(r)
-
-
 def lemma_bound_report(L: Lindbladian, x: LocalOperator, epsbar) -> LemmaBoundReport:
     """Norm sum of delta(kbar, epsbar) x over kbar against ||r||^p (2 theta_1(r) c_x)^n.
 
     n = len(epsbar) and p counts its zeros; with no zero the bound is
-    (2 theta_1(r) c_x)^n exactly.
+    (2 theta_1(r) c_x)^n exactly.  Before anything is enumerated, every
+    entry of epsbar must be -1, 0 or +1 and epsbar nonempty (else
+    ``ValueError``), and an epsbar past 3 raises ``SizeGuardError``.
     """
-    epsbar, th, rn = _lemma_setup(L, epsbar)
+    epsbar = tuple(epsbar)
+    if not epsbar or any(e not in (-1, 0, 1) for e in epsbar):
+        raise ValueError(f"eps tuples need entries in {{-1, 0, +1}} and a nonempty "
+                         f"epsbar, got {epsbar}")
+    if len(epsbar) > 3:
+        raise SizeGuardError("bound enumeration limited to n <= 3")
+    r = L.single_r()
+    th, rn = theta(r, 1), dense.operator_norm(r)
     terms = _derivation_terms(L, x, epsbar)
     # Summed in term order, so lhs is the same float however the norms are batched.
     lhs = sum(dense.operator_norms([val for _k, val in terms]))
     rhs = rn ** epsbar.count(0) * (2.0 * th * c_const(x)) ** len(epsbar)
     return LemmaBoundReport(lhs, rhs, len(terms))
-
-
-def lemma_product_report(L: Lindbladian, x: LocalOperator, y: LocalOperator,
-                         eps1, eps2, epsbar) -> LemmaBoundReport:
-    """The same for delta(kbar, epsbar) (delta'(x) delta''(y)), delta' over eps1, delta'' over eps2.
-
-    With n, m1, m2 the lengths of epsbar, eps1, eps2 the bound is
-    2^n (1+||r||)^{2n+m1+m2} (2 theta_1(r) c_{x,y})^{n+m1+m2}.
-    """
-    epsbar, th, rn = _lemma_setup(L, epsbar, eps1, eps2)
-    n, m1, m2 = len(epsbar), len(eps1), len(eps2)
-    lhs = 0.0
-    count = 0
-    for _k1, dx in _derivation_terms(L, x, eps1):
-        for _k2, dy in _derivation_terms(L, y, eps2):
-            prod = dx * dy
-            if prod.is_zero(1e-14):
-                continue
-            for _k, val in _derivation_terms(L, prod, epsbar):
-                lhs += dense.operator_norm(val)
-                count += 1
-                if count > ENUM_GUARD:
-                    raise SizeGuardError("product enumeration exceeded the guard")
-    cxy = max(c_const(x), c_const(y))
-    rhs = 2.0**n * (1.0 + rn) ** (2 * n + m1 + m2) * (2.0 * th * cxy) ** (n + m1 + m2)
-    return LemmaBoundReport(lhs, rhs, count)

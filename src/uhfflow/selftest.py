@@ -118,7 +118,7 @@ def dense_checks() -> list[Verdict]:
     out.append(_le("dense.kraus_count", abs(len(kraus) - 4), 0.0))
     L = lindblad.Lindbladian.partial_state(p, rho)
     win = dense.window(p, [(0,)])
-    units = np.eye(4, dtype=complex).reshape(4, 2, 2)  # the matrix choi_matrix exponentiates
+    units = np.eye(4, dtype=complex).reshape(4, 2, 2)  # the matrix units choi_matrix steps
     generator = dense.window_action(L, win, "interior")(units).reshape(4, 4)
     eigs = sorted(np.linalg.eigvals(generator).real)
     out.append(_le("dense.partial_eigenvalues",

@@ -47,6 +47,12 @@ def roundoff_stop_matvecs():
     return count
 
 
+@pytest.fixture(scope="session")
+def leak_free():
+    """Whether a flow generator system's maps drop no mass outside its window."""
+    return lambda sys_: not any(leak.any() for leak in sys_.leak.values())
+
+
 @pytest.fixture
 def p2():
     return AlgebraParams(2, 1)

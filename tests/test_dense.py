@@ -591,6 +591,46 @@ class TestChoi:
             want += np.kron(dense.realize(LocalOperator(p2, zip(basis, coeffs)), win), unit)
         assert np.abs(dense.choi_matrix(L, win, "clipped", 0.3) - want).max() < 1e-12
 
+    def test_steps_without_a_dense_exponential(self, p2, monkeypatch):
+        # The matrix units are stepped by the oracle's Taylor propagator:
+        # scipy's Pade exponential is not called, and the result is the
+        # Pade exponential of the action's matrix to roundoff.
+        sx = LocalOperator.site_word(p2, (0,), 1, 0)
+        L = Lindbladian.single_kraus(sx * sx.translate((1,)) * (0.6 + 0.3j)
+                                     + LocalOperator.site_word(p2, (1,), 1, 1, 0.5))
+        win = dense.window(p2, [(0,), (1,), (2,)])
+        units = np.eye(64, dtype=complex).reshape(64, 8, 8)
+        generator = dense.window_action(L, win, "clipped")(units).reshape(64, 64)
+        want = scipy.linalg.expm(1.5 * generator).reshape(8, 8, 8, 8).transpose(
+            2, 0, 3, 1).reshape(64, 64)
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("the Choi matrix must not take a dense exponential")
+
+        monkeypatch.setattr(scipy.linalg, "expm", forbidden)
+        got = dense.choi_matrix(L, win, "clipped", 1.5)
+        assert np.abs(got - want).max() < 1e-14
+
+    def test_time_zero_is_the_identity_channel(self, p2, partial_maxmix, monkeypatch):
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("t = 0 needs no generator and no step")
+
+        monkeypatch.setattr(dense, "window_action", forbidden)
+        monkeypatch.setattr(dense, "_taylor_propagate", forbidden)
+        choi = dense.choi_matrix(partial_maxmix, dense.window(p2, [(0,), (1,)]), "interior", 0.0)
+        units = np.eye(16).reshape(16, 4, 4)
+        assert np.array_equal(choi, sum(np.kron(unit, unit) for unit in units))
+
+    @pytest.mark.parametrize("t", [-0.1, -1e-300, np.inf, np.nan])
+    def test_rejects_a_negative_or_non_finite_time(self, p2, partial_maxmix, monkeypatch, t):
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("realized before the time was checked")
+
+        monkeypatch.setattr(dense, "window_action", forbidden)
+        monkeypatch.setattr(dense, "realize", forbidden)
+        with pytest.raises(ValueError, match="finite, nonnegative"):
+            dense.choi_matrix(partial_maxmix, dense.window(p2, [(0,)]), "interior", t)
+
 
 class TestStateKraus:
     def test_maximally_mixed(self):

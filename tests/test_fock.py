@@ -84,16 +84,16 @@ class TestTestFunctions:
 
 
 class TestGeneratorSystem:
-    def test_partial_site_closes(self, eta_sys):
+    def test_partial_site_closes(self, eta_sys, leak_free):
         assert eta_sys.dim == 4
-        assert eta_sys.leak_free()
+        assert leak_free(eta_sys)
         assert [m for (_k, m) in eta_sys.noise] == [0, 1, 2, 3]
 
-    def test_translation_noise_indices(self, p2, pauli):
+    def test_translation_noise_indices(self, p2, pauli, leak_free):
         L = lb.Lindbladian.single_kraus(pauli[0], unital=True)
         sys_ = fock.build_generator_system(L, [(-1,), (0,), (1,)])
         assert [k for (k, _m) in sys_.noise] == [(-1,), (0,), (1,)]
-        assert sys_.leak_free()
+        assert leak_free(sys_)
 
     def test_lhat_annihilates_identity(self, eta_sys):
         from uhfflow.algebra import WeylLabel
@@ -107,11 +107,11 @@ class TestGeneratorSystem:
         with pytest.raises(SizeGuardError):
             fock.build_generator_system(L, [(i,) for i in range(8)])
 
-    def test_two_site_word_leaks(self, p2, pauli):
+    def test_two_site_word_leaks(self, p2, pauli, leak_free):
         r2 = pauli[0] * pauli[0].translate((1,))
         L = lb.Lindbladian.single_kraus(r2, unital=True)
         sys_ = fock.build_generator_system(L, [(0,), (1,)])
-        assert not sys_.leak_free()
+        assert not leak_free(sys_)
 
 
 class TestFlowElement:
@@ -165,13 +165,13 @@ class TestFlowElement:
         with pytest.raises(WindowError):
             traj.of_operator(LocalOperator.site_word(p2, (3,), 1, 0))
 
-    def test_error_budget_scales_with_l1(self, p2, pauli):
+    def test_error_budget_scales_with_l1(self, p2, pauli, leak_free):
         # The estimate bounds one basis string; an observable's budget is
         # l1(x) times it (l1(x) l1(y) times it for a pair).
         sx, sz, _, one = pauli
         L = lb.Lindbladian.single_kraus(sx * sx.translate((1,)), unital=True)
         sys_ = fock.build_generator_system(L, [(0,), (1,)])
-        assert not sys_.leak_free()
+        assert not leak_free(sys_)
         # The translate at site 1 reaches site 2, outside the window.
         f = fock.TestFunction.build(0.5, 2, {((1,), 0): [0.8, 0.3]})
         grid = np.linspace(0.0, 0.5, 3)
@@ -445,11 +445,11 @@ class TestPieces:
     """On its solved support, an F piece is its cell's A and a G piece A (x) 1 + 1 (x) A + Ito."""
 
     @pytest.fixture
-    def leaky(self, p2, pauli):
+    def leaky(self, p2, pauli, leak_free):
         sx, sz = pauli[0], pauli[1]
         L = lb.Lindbladian.single_kraus(sx * sx.translate((1,)) + 0.5 * sz)
         sys_ = fock.build_generator_system(L, [(0,), (1,)])
-        assert not sys_.leak_free()
+        assert not leak_free(sys_)
         grid = np.linspace(0.0, 1.5, 4)  # runs past t_max = 1
         return {drive: solved_pieces(sys_, drive, grid, sx, sz) for drive in PIECE_DRIVES}
 
@@ -1204,9 +1204,9 @@ class TestCovariance:
 class TestEtaFlows:
     """Partial-state flows are ``flow_element`` solves on leak-free windows."""
 
-    def test_site_flow_closed_form(self, p2, pauli, zf, eta_sys):
+    def test_site_flow_closed_form(self, p2, pauli, zf, eta_sys, leak_free):
         sx, _, _, one = pauli
-        assert eta_sys.leak_free()
+        assert leak_free(eta_sys)
         traj = fock.flow_element(eta_sys, sx, zf, one, zf, GRID, tol=1e-13)
         assert np.abs(traj.of_operator(sx) - np.exp(-GRID)).max() < 1e-12
 
@@ -1216,7 +1216,7 @@ class TestEtaFlows:
         with pytest.raises(WindowError):
             traj.of_operator(pauli[0])
 
-    def test_product_matches_direct_window(self, p2):
+    def test_product_matches_direct_window(self, p2, leak_free):
         # The 2-site flow of x0 x1 factors into the two 1-site flows; a mode
         # on site 5 meets no acting member and contributes exp<f5, g5>.
         rho = dense.StateSpec(np.array([[0.7, 0.1], [0.1, 0.3]]))
@@ -1238,7 +1238,7 @@ class TestEtaFlows:
             return fock.TestFunction.build(1.0, 4, modes)
 
         sys2 = fock.build_generator_system(L, [(0,), (1,)])
-        assert sys2.leak_free()
+        assert leak_free(sys2)
         direct = fock.flow_element(sys2, u[0] * u[1], tf(f[0], f[1], f5),
                                    v[0] * v[1], tf(g[0], g[1], g5), GRID,
                                    tol=1e-15).of_operator(x[0] * x[1])

@@ -42,11 +42,13 @@ attribute the benchmark's span tracer times
 (``bench/spans.py`` ``TARGETS``) exists in the package, so a rename
 cannot silently zero a per-layer metric.  In a fresh interpreter,
 ``import uhfflow.cli`` loads no ``scipy.integrate``, ``scipy.linalg`` or
-``scipy.optimize``, and the ``evolve``, ``flow``, ``lemma`` and
-``ergodicity`` commands load none of them either; ``selftest`` loads
-``scipy.linalg`` (``dense.choi_matrix`` exponentiates by its ``expm``)
-but no ``scipy.integrate`` or ``scipy.optimize``; ``perturbed_ergodic_state`` loads
-``scipy.sparse.linalg`` (which loads ``scipy.linalg``) only for c > 0.
+``scipy.optimize``, and no command loads any of them either: the
+``evolve``, ``flow``, ``lemma``, ``ergodicity`` and ``selftest`` commands
+(``dense.choi_matrix`` steps the oracle's own Taylor series);
+``perturbed_ergodic_state`` loads ``scipy.sparse.linalg`` (which loads
+``scipy.linalg``) only for c > 0.  The package's stepper is called in one
+function, the grid driver ``lindblad.propagate``, which ``evolve`` and
+the flow solves share.
 """
 
 import ast
@@ -308,6 +310,18 @@ def test_members_are_translated_in_one_place():
         == ["_member_pairs"]
 
 
+def test_one_grid_driver_calls_the_stepper():
+    found = {path.stem: functions_calling_all(path.read_text(), ("expm_multiply",))
+             for path in PACKAGE}
+    assert {module: fns for module, fns in found.items() if fns} == {"lindblad": ["propagate"]}
+
+
+def test_scanner_sees_a_second_stepper_caller():
+    planted = (SOURCE / "fock.py").read_text() + (
+        "\n\ndef sneaky(op, v):\n    return _lb.expm_multiply(op, v, 1.0, 1e-10)\n")
+    assert functions_calling_all(planted, ("expm_multiply",)) == ["sneaky"]
+
+
 def test_scanner_sees_a_second_member_translation():
     planted = (SOURCE / "lindblad.py").read_text() + (
         "\n\ndef sneaky(L, k):\n    return L.single_r().translate(k).adjoint()\n")
@@ -530,8 +544,7 @@ def test_scanner_sees_scipy_stepper():
         "scipy.sparse.linalg.expm_multiply", "sla.expm_multiply"]
 
 
-# Modules only selftest's Choi matrix computes with: ``evolve``, ``flow``,
-# ``lemma`` and ``ergodicity`` never load them (scipy.integrate imports
+# Modules no command computes with (scipy.integrate imports
 # scipy.optimize).  scipy.sparse.csgraph is named on its own, though it
 # loads scipy.linalg: ``fock`` finds its components with numpy, and a
 # csgraph import fails here by name.
@@ -567,7 +580,7 @@ def import_footprint(tmp_path_factory):
         path = work / f"{command}.ini"
         path.write_text(config)
         runs.append((command, str(path)))
-    runs.append(("selftest", None))  # last: it loads scipy.linalg
+    runs.append(("selftest", None))  # last: it runs the Choi matrix and every solver
     return json.loads(run_fresh(FOOTPRINT_PROBE, json.dumps([HEAVY, runs, str(work / "out")])))
 
 
@@ -592,7 +605,7 @@ def test_commands_load_no_integrator_or_dense_linalg(import_footprint, command):
 
 
 def test_selftest_loads_no_integrator(import_footprint):
-    assert import_footprint["selftest"] == ["scipy.linalg"]
+    assert import_footprint["selftest"] == []
 
 
 # Whether ``scipy.sparse.linalg`` is loaded after a c = 0 (partial-state)

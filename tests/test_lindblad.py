@@ -1,5 +1,5 @@
-"""Generators, semigroups, the matrix-exponential stepper, the quadrature rules,
-ergodic states and the derivation-bound harness."""
+"""Generators, semigroups, the matrix-exponential stepper and its grid driver, the
+quadrature rule, ergodic states and the derivation-bound harness."""
 
 import numpy as np
 import pytest
@@ -95,12 +95,20 @@ class TestLindZero:
         _, sz, _, _ = pauli
         assert L_flip.lind_k((0,), sz).sup_diff(sz * -2.0) == 0.0
 
+    @staticmethod
+    def anticommutator_form(L, x):
+        """-(1/2){T(1), x} + T(x) at the origin, T(x) = sum_m m* x m, from the members afresh."""
+        t1 = tx = LocalOperator.zero(L.params)
+        for m, md in L._member_pairs(L.params.origin()):
+            t1 = t1 + md * m
+            tx = tx + md * x * m
+        return tx - (t1 * x + x * t1) * 0.5
+
     def test_forms_agree(self, L_flip, L_partial, p2, rng):
         for L in (L_flip, L_partial):
             for _ in range(10):
                 x = random_local(p2, rng, [(0,), (1,)])
-                assert L.lind_k((0,), x).sup_diff(
-                    L.lind_zero_anticommutator_form(x)) < 1e-12
+                assert L.lind_k((0,), x).sup_diff(self.anticommutator_form(L, x)) < 1e-12
 
     def test_partial_is_state_minus_identity(self, L_partial, p2, rng, maxmix):
         x = random_local(p2, rng, [(0,)], include_identity=True)
@@ -623,30 +631,70 @@ class TestExpmMultiply:
 
     def test_evolve_expm_meets_tol_at_every_grid_time(self, rng):
         # A growing generator (log-norm > 0), unequal steps and a tol
-        # loose enough for truncation to show: every value is within tol
-        # of the dense exponential, up to roundoff.
+        # loose enough for truncation to show: the driver, on one piece per
+        # positive increment as ``evolve`` makes them, yields every value
+        # within tol of the dense exponential, up to roundoff.
         A = random_generator(rng, 12, density=0.5) + 0.3 * scipy.sparse.identity(12)
-        assert lb.step_operator(A).growth > 0
+        op = lb.step_operator(A)
+        assert op.growth > 0
         x0 = rng.normal(size=12) + 1j * rng.normal(size=12)
-        grid = [0.0, 0.2, 0.7, 0.7, 1.5]
+        grid = np.array([0.0, 0.2, 0.7, 0.7, 1.5])
+        pieces = [lb.Piece(0.0, 0.2, op), lb.Piece(0.2, 0.7, op), lb.Piece(0.7, 1.5, op)]
         for tol in (1e-4, 1e-8):
-            values = lb._evolve_expm(A, x0, grid, tol)
-            for t, val in zip(grid, values):
-                ref = scipy.linalg.expm(t * A.toarray()) @ x0
-                assert np.abs(val - ref).max() <= tol + 1e-12 * np.abs(ref).max()
+            got = [(rows, state.copy()) for rows, state in lb.propagate(pieces, x0, grid, tol)]
+            assert [rows for rows, _state in got] == [[0], [1], [2, 3], [4]]
+            for rows, val in got:
+                for i in rows:
+                    ref = scipy.linalg.expm(grid[i] * A.toarray()) @ x0
+                    assert np.abs(val - ref).max() <= tol + 1e-12 * np.abs(ref).max()
 
-    def test_evolve_expm_prepares_the_matrix_once(self, rng, monkeypatch):
+    def test_evolve_expm_prepares_the_matrix_once(self, pauli, monkeypatch):
         built, steps = [], []
         prepare, stepper = lb.step_operator, lb.expm_multiply
         monkeypatch.setattr(lb, "step_operator", lambda m: built.append(1) or prepare(m))
         monkeypatch.setattr(lb, "expm_multiply", lambda *a: steps.append(1) or stepper(*a))
-        A = random_generator(rng, 8)
-        x0 = rng.normal(size=8) + 1j * rng.normal(size=8)
-        grid = [0.0, 0.1, 0.1, 0.4, 1.0]
-        values = lb._evolve_expm(A, x0, grid, 1e-14)
+        L = lb.Lindbladian.single_kraus(pauli[0] * pauli[0].translate((1,)) + 0.5 * pauli[1])
+        sites = [(0,), (1,), (2,)]
+        res = lb.evolve(L, pauli[0].translate((1,)), [0.0, 0.1, 0.1, 0.4, 1.0], tol=1e-14,
+                        window=sites)
         assert (len(built), len(steps)) == (1, 3)
-        ref = scipy.linalg.expm(A.toarray()) @ x0
-        assert np.abs(values[-1] - ref).max() <= 1e-12 * np.abs(ref).max()
+        mat, _basis, index, _edge = lb.generator_matrix(L, sites)
+        ref = scipy.linalg.expm(mat.toarray()) @ dense.coefficient_vector(
+            pauli[0].translate((1,)), index)
+        assert np.abs(res.coefficients[-1] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def stepping_loop(mat, x0, grid, tol):
+    """The loop ``evolve`` stepped by before the grid driver, kept as the bitwise reference."""
+    op = lb.step_operator(mat)
+    times = [0.0, *grid]
+    budgets = iter(lb.split_tolerance(
+        tol, [(b - a, op.growth) for a, b in zip(times, times[1:]) if b > a]))
+    values = []
+    vec, t_prev = x0, 0.0
+    for t in grid:
+        if t > t_prev:
+            vec = lb.expm_multiply(op, vec, t - t_prev, next(budgets))
+            t_prev = t
+        values.append(vec)
+    return np.array(values)
+
+
+@pytest.mark.parametrize("grid", [[0.0, 0.5, 0.5, 1.0], [0.3, 0.3, 1.2], [0.7], [0.0, 0.0],
+                                  [0.25, 0.5, 2.0, 2.0]])
+def test_evolve_steps_as_its_own_loop_did(pauli, grid):
+    # Repeated times, a late start (grid[0] > 0) and a grid at 0: the
+    # driver's budgets and steps are the loop's, so every coefficient is
+    # the same float.
+    sx, sz = pauli[0], pauli[1]
+    L = lb.Lindbladian.single_kraus(sx * sx.translate((1,)) * (0.6 + 0.3j) + 0.5 * sz)
+    x = sx.translate((1,)) + 0.3 * sz.translate((2,))
+    sites = [(0,), (1,), (2,), (3,)]
+    res = lb.evolve(L, x, grid, tol=1e-9, window=sites)
+    mat, _basis, index, _edge = lb.generator_matrix(L, sites)
+    want = stepping_loop(mat, dense.coefficient_vector(x, index), dense.validate_grid(grid),
+                         1e-9)
+    assert res.coefficients.dtype == want.dtype and res.coefficients.tobytes() == want.tobytes()
 
 
 def samples(rng, shape, kind):
@@ -661,7 +709,7 @@ def same_bits(a, b):
 
 
 class TestQuadrature:
-    """The numpy rules give scipy.integrate's results bit for bit."""
+    """The numpy rule gives scipy.integrate's results bit for bit."""
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 65, 66, 1025])
@@ -674,32 +722,6 @@ class TestQuadrature:
         # The edge budget integrates a list of floats.
         assert same_bits(lb.cumulative_trapezoid(list(y), t),
                          scipy.integrate.cumulative_trapezoid(list(y), t, initial=0))
-
-    @pytest.mark.parametrize("kind", ["real", "complex"])
-    @pytest.mark.parametrize("n", [3, 4, 5, 65, 66, 1025])
-    def test_cumulative_simpson(self, rng, n, kind):
-        dx = 0.3
-        y = samples(rng, (n, 3), kind)
-        got = lb.cumulative_simpson(y, dx)
-        # Also scipy's rule on the real and imaginary parts separately.
-        ref = scipy.integrate.cumulative_simpson(y.real, dx=dx, axis=0, initial=0)
-        if kind == "complex":
-            ref = ref + 1j * scipy.integrate.cumulative_simpson(y.imag, dx=dx, axis=0, initial=0)
-            assert same_bits(got, scipy.integrate.cumulative_simpson(y, dx=dx, axis=0,
-                                                                     initial=0))
-        assert same_bits(got, ref)
-        assert np.array_equal(got[0], np.zeros(3)) and not np.signbit(got[0].real).any()
-        assert same_bits(lb.cumulative_simpson(y[:, 0], dx), got[:, 0])
-
-    def test_cumulative_simpson_rejects_short_input(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            lb.cumulative_simpson(np.ones(2), 0.3)
-
-    def test_exact_on_low_degrees(self):
-        t = np.linspace(0.0, 2.0, 9)
-        assert lb.cumulative_simpson(t**3 - t, t[1])[-1] == pytest.approx(2.0, abs=1e-14)
-        assert lb.cumulative_simpson(t**2 - t, t[1]) == pytest.approx(t**3 / 3 - t**2 / 2,
-                                                                      abs=1e-14)
 
 
 class TestPartialClosedForm:
@@ -1010,12 +1032,6 @@ class TestLemmaBounds:
                                                 2))
             assert lb.lemma_bound_report(L, x, eps).lhs == lhs
 
-    def test_product_mode(self, L_flip, p2, rng):
-        x = random_local(p2, rng, [(0,)])
-        y = random_local(p2, rng, [(0,), (1,)])
-        rep = lb.lemma_product_report(L_flip, x, y, (1,), (-1,), (1,))
-        assert rep.lhs <= rep.rhs * (1 + 1e-12)
-
     @pytest.mark.parametrize("epsbar", [(5,), (7, 3), (), (1, 2), (0.5,)])
     def test_eps_is_checked_before_enumerating(self, L_flip, pauli, epsbar, monkeypatch):
         # On the identity no derivation runs, so an unchecked tuple would
@@ -1025,18 +1041,8 @@ class TestLemmaBounds:
         for x in (one, sx):
             with pytest.raises(ValueError, match="eps tuples"):
                 lb.lemma_bound_report(L_flip, x, epsbar)
-            with pytest.raises(ValueError, match="eps tuples"):
-                lb.lemma_product_report(L_flip, x, one, (1,), (1,), epsbar)
-
-    @pytest.mark.parametrize("eps1,eps2", [((2,), (1,)), ((1,), (1, -2))])
-    def test_product_factor_eps_are_checked(self, L_flip, pauli, eps1, eps2):
-        one = pauli[3]
-        with pytest.raises(ValueError, match="eps tuples"):
-            lb.lemma_product_report(L_flip, one, one, eps1, eps2, (1,))
 
     def test_order_past_three_is_a_size_guard(self, L_flip, pauli):
         one = pauli[3]
         with pytest.raises(SizeGuardError):
             lb.lemma_bound_report(L_flip, one, (1, 0, -1, 1))
-        with pytest.raises(SizeGuardError):
-            lb.lemma_product_report(L_flip, one, one, (1,), (1,), (1, 0, -1, 1))
