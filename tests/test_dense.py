@@ -421,7 +421,6 @@ class TestHilbertEvolve:
         for module in (kernel, lindblad, fock):
             monkeypatch.setattr(module, "WindowKernel", forbidden)
         monkeypatch.setattr(lindblad, "expm_multiply", forbidden)
-        monkeypatch.setattr(fock, "expm_multiply", forbidden)
         monkeypatch.setattr(scipy.linalg, "expm", forbidden)
         got = hilbert_operators(L, win, "clipped", [0.0, 0.5, 1.0], x)
         assert all(a.sup_diff(b) == 0.0 for a, b in zip(got, expected))
