@@ -415,6 +415,8 @@ class LocalOperator:
             if len(parts) != 2:
                 raise ValueError(f"term {line!r}: expected 're im ; sites'")
             coeff = complex(float(parts[0]), float(parts[1]))
+            if not cmath.isfinite(coeff):
+                raise ValueError(f"term {line!r}: the coefficient is not finite")
             entries = []
             for tok in tail.split():
                 site_txt, _, ab_txt = tok.partition(":")

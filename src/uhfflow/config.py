@@ -191,7 +191,10 @@ def _parse_testfunction(section: dict, d: int, members: int, sec_name: str) -> f
                 f"mode {key_txt!r} has {len(vals)} cells, grid declares {cells}", **where
             )
         modes[(site, member)] = [row[0] for row in vals]
-    return fock.TestFunction.build(t_max, cells, modes, d)
+    try:
+        return fock.TestFunction.build(t_max, cells, modes, d)
+    except ValueError as exc:
+        raise ConfigError(str(exc), **where) from None
 
 
 @dataclass

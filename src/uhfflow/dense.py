@@ -408,6 +408,8 @@ class StateSpec:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise StateError(f"density matrix must be square, got shape {rho.shape}")
+        if not np.isfinite(rho).all():
+            raise StateError("density matrix has a non-finite entry")
         if np.linalg.norm(rho - rho.conj().T) > 1e-12:
             raise StateError("density matrix is not Hermitian")
         eigs = np.linalg.eigvalsh(rho)

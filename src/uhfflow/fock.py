@@ -35,7 +35,8 @@ evaluated on them alone.  F's cell generator is restricted to its set as
 one sparse matrix.  G's set is a union of rectangles of string pairs, on
 each of which G is a dense block: A (x) 1 + 1 (x) A acts on it through
 A restricted to the rectangle's rows and columns, one block-diagonal
-matrix per side for all rectangles of one shape, and the Ito sum, the
+matrix per side for all rectangles of one shape, which are listed
+together and so fill one slice of the support, and the Ito sum, the
 same on every cell, is the one matrix built on pairs (``_pair_pieces``).
 The Taylor norms and log-norms are those of the restricted systems, and
 the pieces are stepped by the grid driver ``evolve`` uses too,
@@ -121,13 +122,15 @@ class TestFunction:
 
     @staticmethod
     def build(t_max: float, cells: int, modes: dict, d: int = 1) -> "TestFunction":
-        if t_max <= 0 or cells < 1:
-            raise ValueError("need t_max > 0 and cells >= 1")
+        if not 0 < t_max < math.inf or cells < 1:
+            raise ValueError("need a finite t_max > 0 and cells >= 1")
         packed = []
         for key, vals in modes.items():
             vals = tuple(complex(v) for v in vals)
             if len(vals) != cells:
                 raise ValueError(f"mode {key}: expected {cells} cell values, got {len(vals)}")
+            if not all(map(cmath.isfinite, vals)):
+                raise ValueError(f"mode {key}: a cell value is not finite")
             packed.append((_norm_key(key, d), vals))
         return TestFunction(t_max, cells, tuple(sorted(packed)), d)
 
@@ -201,17 +204,6 @@ class TestFunction:
 def exp_inner(f: TestFunction, g: TestFunction) -> complex:
     """<e(f), e(g)> = exp(<f, g>) for step test functions."""
     return cmath.exp(f.inner(g))
-
-
-@dataclass(frozen=True)
-class ExponentialVectorSpec:
-    """The vector u e(f) in h_0 (x) Gamma."""
-
-    u: LocalOperator
-    f: TestFunction
-
-    def norm(self) -> float:
-        return gns_norm(self.u) * math.exp(0.5 * self.f.l2_sq())
 
 
 # -- generator systems ---------------------------------------------------------
@@ -405,7 +397,7 @@ def _cell_of(t: float, f: TestFunction) -> int | None:
 
 def _scale(u, f, v, g) -> float:
     """||u e(f)|| ||v e(g)||, which bounds every unit-norm matrix element."""
-    return ExponentialVectorSpec(u, f).norm() * ExponentialVectorSpec(v, g).norm()
+    return (gns_norm(u) * math.exp(0.5 * f.l2_sq())) * (gns_norm(v) * math.exp(0.5 * g.l2_sq()))
 
 
 def _initial_vector(sys: FlowGeneratorSystem, u, v, f, g) -> np.ndarray:
@@ -555,7 +547,9 @@ def _pair_support(sys: FlowGeneratorSystem, drive: _Drive,
     closure of G0's component pairs under these moves is returned as
     rectangles (rows, cols) of strings in basis order: the row components
     that reach the same column components share one.  The rectangles are
-    disjoint, and A (x) 1 and 1 (x) A map each into itself.
+    disjoint, and A (x) 1 and 1 (x) A map each into itself.  Those of one
+    shape are listed together, the shapes in the order they first appear,
+    so each shape's pairs are one slice of the support (``_pair_pieces``).
     """
     comp = drive.comp
     nc = int(comp.max()) + 1
@@ -579,8 +573,10 @@ def _pair_support(sys: FlowGeneratorSystem, drive: _Drive,
         reach = new
     classes, which = np.unique(reach > 0, axis=0, return_inverse=True)
     which = which.reshape(-1)
-    return [(np.flatnonzero(which[comp] == k), np.flatnonzero(cls[comp]))
-            for k, cls in enumerate(classes) if cls.any()]
+    rects = [(np.flatnonzero(which[comp] == k), np.flatnonzero(cls[comp]))
+             for k, cls in enumerate(classes) if cls.any()]
+    shapes = dict.fromkeys((rows.size, cols.size) for rows, cols in rects)
+    return [rect for shape in shapes for rect in rects if (rect[0].size, rect[1].size) == shape]
 
 
 def _pair_index(rects: list[tuple[np.ndarray, np.ndarray]], n: int) -> np.ndarray:
@@ -683,29 +679,26 @@ def _ito(sys: FlowGeneratorSystem, support: np.ndarray,
 class _PairProduct(NamedTuple):
     """One cell's (A (x) 1 + 1 (x) A + Ito - mu) v on the pair support, as a fresh array.
 
-    ``groups`` holds one entry per rectangle shape (h, w): where its R
-    rectangles' pairs sit in the support (``at``, a slice when they are
-    consecutive), and the block-diagonal matrices ``rows`` and ``cols``
-    of A restricted to each rectangle's row strings and to its column
-    strings, mu / 2 taken off each diagonal.  Stacked, the group's G
+    ``groups`` holds one entry per run of R consecutive rectangles of one
+    shape (h, w): the slice ``at`` of the support their pairs fill, and
+    the block-diagonal matrices ``rows`` and ``cols`` of A restricted to
+    each rectangle's row strings and to its column strings, mu / 2 taken
+    off each diagonal.  Stacked, the group's G
     blocks take A_rows G in one product with ``rows`` and G A_cols^T in
     one with ``cols``, on the one transposed copy of the group's blocks.
     """
 
     ito: scipy.sparse.csc_matrix
-    groups: list[tuple[slice | np.ndarray, int, int, int,
-                       scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]]
+    groups: list[tuple[slice, int, int, int, scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]]
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         out = self.ito @ v
         for at, R, h, w, rows, cols in self.groups:
             G = v[at].reshape(R, h, w)
-            block = out[at].reshape(R, h, w)  # a view of out where ``at`` is a slice
+            block = out[at].reshape(R, h, w)  # a view of out
             block += (rows @ G.reshape(R * h, w)).reshape(R, h, w)
             block += (cols @ G.transpose(0, 2, 1).reshape(R * w, h)).reshape(
                 R, w, h).transpose(0, 2, 1)
-            if not isinstance(at, slice):
-                out[at] = block.reshape(-1)
         return out
 
 
@@ -717,9 +710,11 @@ def _pair_pieces(sys: FlowGeneratorSystem, drive: _Drive,
     ``_pair_index``, and are closed under its generator's moves.  On a
     rectangle (rows, cols) G is a dense block, on which A (x) 1 and
     1 (x) A act as A_rows G + G A_cols^T, with A restricted to the
-    rectangle's row strings and to its column strings.  The rectangles
-    of one shape form a group, whose restrictions are the blocks of one
-    block-diagonal matrix for the rows and one for the columns; their
+    rectangle's row strings and to its column strings.  Consecutive
+    rectangles of one shape form a group, one slice of the support, whose
+    restrictions are the blocks of one block-diagonal matrix for the rows
+    and one for the columns; ``_pair_support`` lists each shape's
+    rectangles together, so there is one group per shape.  Their
     structure is built once per solve, and per cell only their data
     (``_restriction``), so a product takes 1 + 2 x (shapes) sparse
     products (``_PairProduct``).  The quantum Ito term
@@ -742,18 +737,13 @@ def _pair_pieces(sys: FlowGeneratorSystem, drive: _Drive,
     del mag
     a, b = np.divmod(support, n)
     on_diag = drive.rows == drive.cols  # the pattern holds the diagonal, in basis order
-    bounds = np.cumsum([0] + [rows.size * cols.size for rows, cols in rects])
-    shapes: dict[tuple[int, int], list[int]] = {}
-    for k, (rows, cols) in enumerate(rects):
-        shapes.setdefault((rows.size, cols.size), []).append(k)
-    groups = []
-    for (h, w), ks in shapes.items():
-        if ks[-1] - ks[0] + 1 == len(ks):
-            at = slice(bounds[ks[0]], bounds[ks[-1] + 1])
-        else:
-            at = np.concatenate([np.arange(bounds[k], bounds[k + 1]) for k in ks])
-        groups.append((at, len(ks), h, w, _restriction(drive, [rects[k][0] for k in ks]),
-                       _restriction(drive, [rects[k][1] for k in ks])))
+    groups, lo = [], 0
+    for (h, w), run in itertools.groupby(rects, lambda rect: (rect[0].size, rect[1].size)):
+        row_sets, col_sets = zip(*run)
+        R = len(row_sets)
+        groups.append((slice(lo, lo + R * h * w), R, h, w,
+                       _restriction(drive, row_sets), _restriction(drive, col_sets)))
+        lo += R * h * w
 
     def operator(values: np.ndarray) -> StepOperator:
         off = np.where(on_diag, 0.0, np.abs(values))

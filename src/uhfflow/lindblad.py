@@ -69,24 +69,14 @@ from .kernel import WindowKernel
 
 ENUM_GUARD = 200_000
 WINDOW_PAD_FACTOR = 2  # default_window pads by this many Kraus diameters
-# expm_multiply's Taylor stepping: theta_m is the largest h ||A - mu I||_1
-# for which m terms keep the backward error of a step below the unit
-# roundoff 2^-53 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)
-# 488-511).  It only sizes the steps (taylor_degree); each sum stops on
-# a certified bound of its own remainder, at the caller's budget.  Copied
-# from scipy's ``sparse/linalg/_expm_multiply.py``: m <= 30 from table
-# A.3 of Higham & Al-Mohy, Acta Numerica 19 (2010) 159-208, the rest from
-# table 3.1 of the 2011 paper.  The order of the entries breaks ties in
-# the degree choice.
-TAYLOR_THETA = {
-    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
-    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
-    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
-    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
-    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
-    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
-    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
-}
+# Largest h ||A - mu I||_1 of one expm_multiply substep.  A substep's terms
+# grow to about e^theta / sqrt(2 pi theta) times its vector before they
+# fall, so the cap bounds what cancellation costs.  9.9 is theta_55, the
+# largest unit-roundoff entry of Al-Mohy & Higham (SIAM J. Sci. Comput. 33
+# (2011) 488-511, table 3.1): no step takes more substeps than their degree
+# choice.  The dense oracle keeps its own cap (``dense.TAYLOR_THETA_MAX``),
+# since it shares no code with the stepper.
+SUBSTEP_NORM_MAX = 9.9
 TAYLOR_MAX_TERMS = 100  # terms one substep may sum before expm_multiply gives up
 ROUNDOFF = 2.0**-53  # unit roundoff: no Taylor sum is asked to stop below it
 
@@ -435,28 +425,6 @@ def step_operator(mat) -> StepOperator:
                         float(row_sums.max(initial=0.0)), growth)
 
 
-def taylor_degree(norm: float) -> tuple[int, int]:
-    """(m*, s): Taylor degree and step count for a step of h ||A - mu I||_1 = ``norm``.
-
-    The choice minimising the matvec count m s over ``TAYLOR_THETA`` with
-    s = ceil(norm / theta_m).  Al-Mohy & Higham's fragment 3.1 makes it
-    from the 1-norm alone whenever their condition (3.13) holds, which at
-    m_max = 55 and ell = 2 is norm <= 63.36; above that it is still
-    accurate, only possibly more matvecs than their power-norm estimates
-    would choose.  :func:`expm_multiply` takes s substeps; m* is the
-    degree each would need at unit roundoff, and its sums stop at their
-    certified budgets instead, before or after m* terms.
-    """
-    if norm == 0.0:
-        return 0, 1
-    best_m = best_s = 0
-    for m, theta_m in TAYLOR_THETA.items():
-        s = math.ceil(norm / theta_m)
-        if best_m == 0 or m * s < best_m * best_s:
-            best_m, best_s = m, s
-    return best_m, best_s
-
-
 def _inf_norm(v: np.ndarray) -> float:
     return float(np.abs(v).max(initial=0.0))
 
@@ -465,8 +433,8 @@ def expm_multiply(op: StepOperator, v: np.ndarray, h: float, budget: float) -> n
     """e^{hA} v for the generator A of ``op``, to within ``budget`` in the max norm.
 
     Al-Mohy & Higham's Algorithm 3.2 with a certified stop: s substeps of
-    length tau = h / s, each e^{tau mu} times a Taylor sum in
-    tau (A - mu I), with (m*, s) from :func:`taylor_degree`.  With
+    length tau = h / s, each e^{tau mu} times a Taylor sum in tau (A - mu I),
+    s the fewest with tau ||A - mu I||_1 at most ``SUBSTEP_NORM_MAX``.  With
     beta = tau ``norm_inf`` and v_j the j-th term of a substep, each later
     term is at most beta / (k + 1) times the one before it, so once
     beta < j + 2 the rest of the sum is at most
@@ -487,7 +455,7 @@ def expm_multiply(op: StepOperator, v: np.ndarray, h: float, budget: float) -> n
     The step length scales the terms; the operator is never copied, and
     ``v`` is copied once, into the sum that each term is added to in place.
     """
-    m_star, s = taylor_degree(h * op.norm)
+    s = max(1, math.ceil(h * op.norm / SUBSTEP_NORM_MAX))
     tau = h / s
     eta = cmath.exp(tau * op.mu)
     beta = tau * op.norm_inf
@@ -506,7 +474,7 @@ def expm_multiply(op: StepOperator, v: np.ndarray, h: float, budget: float) -> n
             if j == TAYLOR_MAX_TERMS:
                 raise DivergenceError(
                     f"a Taylor sum missed its share {share:.3g} of the budget after {j} "
-                    f"terms (m* = {m_star}, h ||A - mu I||_1 = {h * op.norm:.3g})")
+                    f"terms (h ||A - mu I||_1 = {h * op.norm:.3g})")
             v = op.shifted(v)
             np.multiply(tau / (j + 1), v, out=v)
             size = _inf_norm(v)

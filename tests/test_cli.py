@@ -362,6 +362,10 @@ SCHEMA_ERRORS = {
     "member": ("flow", FLOW.replace("0/0: 0.5 0", "0/1: 0.5 0"),
                "[modes.f] modes: mode '0/1': the generator has no Kraus member 1"),
     "tol": ("evolve", EVOLVE + "tol = 0\n", "[run] tol: must be > 0"),
+    "observable_nan": ("evolve", EVOLVE.replace("x = 1 0 ; 0:1,0 1:0,1",
+                                                "x = nan 0 ; 0:0,1 | 1 0 ; 0:1,0"),
+                       "[observables] x: bad operator: term 'nan 0 ; 0:0,1': the coefficient "
+                       "is not finite"),
     "unknown_key": ("flow", FLOW.replace("contraction_t", "contraction_time"),
                     "[run] contraction_time: unknown key"),
     "shared_grid": ("flow", FLOW + "[modes.g]\ngrid = 2 2\nmodes =\n    1/0: 0.5 0, 0 1\n",

@@ -155,17 +155,24 @@ ERRORS = {
     "unital": ("generator", "unital", MINIMAL + "unital = maybe\n"),
     "not_unital": ("generator", "kraus", MINIMAL.replace("1 0 ; 0:1,0", "2 0 ; 0:1,0")
                    + "unital = yes\n"),
+    "kraus_inf": ("generator", "kraus", MINIMAL.replace("kraus = 1 0", "kraus = inf 0")),
+    "rho_nan": ("generator", "rho", FULL.replace("rho = 0.7 0 0.1 0 ; 0.1 0",
+                                                 "rho = 0.7 0 nan 0 ; nan 0")),
     "c": ("generator", "c", FULL.replace("c = 0.25", "c = -0.25")),
     "generator_key": ("generator", "weight", MINIMAL + "weight = 1\n"),
     "observable": ("observables", "x", MINIMAL + "[observables]\nx = 1 0 ; 0,0:1,0\n"),
+    "observable_nan": ("observables", "x",
+                       MINIMAL + "[observables]\nx = nan 0 ; 0:0,1 | 1 0 ; 0:1,0\n"),
     "observable_name": ("observables", "a/b", MINIMAL + "[observables]\na/b = 1 0 ; 0:1,0\n"),
     "vector": ("vectors", "u", FULL.replace("u = 1 0 ; 0:0,1", "u = one")),
+    "vector_inf": ("vectors", "v", FULL.replace("v = 0 1", "v = 0 -inf")),
     "vectors_key": ("vectors", "w", FULL.replace("[vectors]\n", "[vectors]\nw = 1 0 ;\n")),
     "mode_grid": ("modes.g", "grid", FULL.replace("grid = 1.0 2", "grid = 0 2")),
     "mode_cells": ("modes.g", "grid", FULL.replace("grid = 1.0 2", "grid = 1 0")),
     "mode_grid_shared": ("modes.g", "grid", FULL.replace("grid = 1.0 2", "grid = 2 2")),
     "mode_member": ("modes.g", "modes", FULL.replace("1/4: 0 1", "1/5: 0 1")),
     "mode_member_text": ("modes.g", "modes", FULL.replace("1/4: 0 1", "1/b: 0 1")),
+    "mode_cell_nan": ("modes.f", "modes", FULL.replace("0/0: 0.5 0", "0/0: nan 0")),
     "mode_site": ("modes.f", "modes", FULL.replace("0/0: 0.5 0", "0,0/0: 0.5 0")),
     "t_grid": ("run", "t_grid", FULL.replace("linspace 0 2 5", "0 nan")),
     "window": ("run", "window", FULL.replace("window = 0 1 2", "window = 0 1 1")),

@@ -1,5 +1,6 @@
 """Flow matrix elements: F/G systems, eta flows, scans and witnesses."""
 
+import itertools
 import math
 import tracemalloc
 from typing import NamedTuple
@@ -52,6 +53,12 @@ def _homomorphism(sys_, pairs, u, f, v, g, grid):
 
 
 class TestTestFunctions:
+    @pytest.mark.parametrize("t_max, value", [(math.nan, 1.0), (math.inf, 1.0),
+                                              (1.0, math.nan), (1.0, complex(0, math.inf))])
+    def test_build_rejects_non_finite_numbers(self, t_max, value):
+        with pytest.raises(ValueError):
+            fock.TestFunction.build(t_max, 2, {((0,), 0): [0.5, value]})
+
     def test_gamma(self):
         f = fock.TestFunction.build(1.0, 4, {((0,), 0): [1, 1, 1, 1]})
         assert f.gamma(1.0) == pytest.approx(2.0)  # 1 + ||f||^2 = 2 on [0,1]
@@ -78,9 +85,11 @@ class TestTestFunctions:
         assert shifted.mode_values(((1,), 0)) == (1.0 + 0j, 0.5 + 0j)
 
     def test_exponential_vector_norm(self, p2, zf):
+        # ||u e(f)|| = ||u|| e^{||f||^2 / 2}; _scale multiplies two of them.
         f = fock.TestFunction.build(1.0, 4, {((0,), 0): [1, 1, 1, 1]})
-        spec = fock.ExponentialVectorSpec(LocalOperator.identity(p2), f)
-        assert spec.norm() == pytest.approx(math.exp(0.5))
+        one = LocalOperator.identity(p2)
+        assert fock._scale(one, f, 2.0 * one, zf) == pytest.approx(2.0 * math.exp(0.5))
+        assert fock._scale(one, f, one, f) == pytest.approx(math.e)
 
 
 class TestGeneratorSystem:
@@ -763,8 +772,8 @@ class TestInvariantSubspace:
 def pair_problem(case):
     """(system, drive, F0) of a pair solve: the flow_n2_w4 shape at two seeds, with u = v = 1
     or random; the connected window; selftest's pair system; a 2-site system whose support
-    has rectangles of three shapes, two of them interleaved in solve order; and a 2-site
-    system at N = 3, where a string's inverse differs from it."""
+    has rectangles of three shapes, two of them interleaved in the order the closure finds
+    them; and a 2-site system at N = 3, where a string's inverse differs from it."""
     grid = np.linspace(0.0, 1.0, 3)
     p2 = AlgebraParams(2, 1)
     sx = LocalOperator.site_word(p2, (0,), 1, 0)
@@ -807,6 +816,12 @@ def pair_problem(case):
         f = fock.TestFunction.build(1.0, 2, {((int(rng.choice(2)),), 0): list(rng.normal(size=2))})
     f, g = fock._harmonize(f, g)
     return sys_, fock._drive(sys_, grid, f, g), fock._initial_vector(sys_, u, v, f, g)
+
+
+def shape_runs(rects):
+    """The shapes (h, w) of consecutive runs of equal-shape rectangles, in order."""
+    return [shape for shape, _run in itertools.groupby((rows.size, cols.size)
+                                                       for rows, cols in rects)]
 
 
 class TestPairInitialSupport:
@@ -856,16 +871,28 @@ class TestPairInitialSupport:
         return [(np.flatnonzero(which[comp] == k), np.flatnonzero(cls[comp]))
                 for k, cls in enumerate(classes) if cls.any()]
 
+    @staticmethod
+    def grouped(rects):
+        """``rects`` with each shape's rectangles together, the shapes in order of first
+        appearance."""
+        first = {}
+        for rows, cols in rects:
+            first.setdefault((rows.size, cols.size), len(first))
+        return sorted(rects, key=lambda rect: first[rect[0].size, rect[1].size])
+
     @pytest.mark.parametrize("case", ["flow_n2_w4-20240817", "flow_n2_w4-777",
                                       "flow_n2_w4-random_uv", "connected", "selftest",
                                       "two_shapes", "n3"])
     def test_support_and_values_match_the_full_table(self, case, monkeypatch):
-        # The rectangles equal those of the sparse construction, though
-        # _pair_support builds no COO or CSR matrix: each noise mode's
-        # component moves are dense 0/1 arrays.
+        # The rectangles equal those of the sparse construction, grouped by
+        # shape, though _pair_support builds no COO or CSR matrix: each
+        # noise mode's component moves are dense 0/1 arrays.
         sys_, d, F0 = pair_problem(case)
         full = self.full_initial_pair_vector(sys_, F0)
-        want = self.full_table_support(sys_, d, full)
+        found = self.full_table_support(sys_, d, full)
+        if case in ("two_shapes", "n3"):
+            assert len(shape_runs(found)) > len(set(shape_runs(found)))  # interleaved
+        want = self.grouped(found)
 
         def forbidden(*_args, **_kwargs):
             raise AssertionError("a sparse matrix was built for the component moves")
@@ -878,6 +905,8 @@ class TestPairInitialSupport:
         assert len(rects) == len(want) > 0
         for (rows, cols), (rows_w, cols_w) in zip(rects, want):
             assert np.array_equal(rows, rows_w) and np.array_equal(cols, cols_w)
+        runs = shape_runs(rects)
+        assert len(runs) == len(set(runs))  # each shape's rectangles are consecutive
         support = fock._pair_index(rects, sys_.dim)
         assert not np.delete(full, support).any()  # every nonzero of G0 is on the support
         assert np.array_equal(fock._initial_pair_vector(sys_, F0, support), full[support])
@@ -941,15 +970,13 @@ class TestBatchedPairProduct:
     def test_matches_the_per_rectangle_product(self, case, rng):
         sys_, d, F0 = pair_problem(case)
         rects = fock._pair_support(sys_, d, F0)
-        shapes = [(rows.size, cols.size) for rows, cols in rects]
+        # Each shape's rectangles are consecutive, one slice of the support.
         if case == "two_shapes":
-            # Three shapes; two are not consecutive in solve order, so
-            # their groups' pairs are gathered from the support.
-            assert len(set(shapes)) == 3 and shapes[0] == shapes[2] != shapes[1]
+            assert shape_runs(rects) == [(1, 14), (1, 15), (12, 16)]
         elif case == "n3":
-            assert shapes[0] == shapes[7] == (27, 54) != shapes[1]
+            assert shape_runs(rects) == [(27, 54), (3, 48)]
         else:
-            assert len(rects) == 8 and set(shapes) == {(32, 32)}
+            assert len(rects) == 8 and shape_runs(rects) == [(32, 32)]
         pieces = fock._pair_pieces(sys_, d, rects)
         size = fock._pair_index(rects, sys_.dim).size
         for piece, (_a, _b, cell) in zip(pieces, d.stretches):

@@ -26,7 +26,11 @@ Kronecker products of site words, so one cache holds every Kronecker
 string; the separate word-stack cache is gone.  ``Lindbladian`` hands
 out each structure map through one accessor, so the overlapping methods
 it had (and ``LocalOperator.__truediv__``) stay gone: no class defines
-them again and no module or test reads them.  The parameters that
+them again and no module or test reads them.  So do three module-level
+names: the stepper's unit-roundoff theta table ``TAYLOR_THETA`` and its
+degree choice ``taylor_degree``, since one cap sizes every substep, and
+``ExponentialVectorSpec``: no module or test defines them at module
+level, imports them or reads them.  The parameters that
 another input of the same call determines (``lemma_bound_report``'s
 ``mode`` and ``n``, ``perturbed_ergodic_state``'s ``state`` and ``c``,
 ``Lindbladian.perturbed``'s ``params``, ``covariance_check``'s system,
@@ -157,8 +161,8 @@ def test_scanner_sees_unused_parameters():
     assert unused_parameters(source) == ["f.b", "f.c", "f.args", "m.self"]
 
 
-def _private_definitions(tree):
-    """(name, node) for each module-level ``_name`` a def, class or assignment binds."""
+def _module_definitions(tree):
+    """(name, node) for each module-level name a def, class or assignment binds."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -168,8 +172,13 @@ def _private_definitions(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.endswith("__"):
-                yield name, node
+            yield name, node
+
+
+def _private_definitions(tree):
+    """(name, node) for each module-level ``_name`` a def, class or assignment binds."""
+    return ((name, node) for name, node in _module_definitions(tree)
+            if name.startswith("_") and not name.endswith("__"))
 
 
 def _mentions(node, name: str) -> bool:
@@ -362,22 +371,35 @@ def test_scanner_sees_a_second_kronecker_product_of_site_words():
     assert functions_calling_all(planted, ("kron", "site_word")) == ["sneaky"]
 
 
-# Methods removed when each structure map got one accessor.
+# Removed names, by class for methods and under "" for module-level
+# definitions.  The methods went when each structure map got one
+# accessor; the stepper's theta table and degree choice when one cap sized
+# its substeps; ``ExponentialVectorSpec`` had one caller, ``fock._scale``.
 REMOVED = {"Lindbladian": ("delta", "delta_list", "delta_dag_list", "members_at", "lind_zero"),
-           "LocalOperator": ("__truediv__",)}
+           "LocalOperator": ("__truediv__",),
+           "": ("taylor_degree", "TAYLOR_THETA", "ExponentialVectorSpec")}
 
 
 def revived_names(source: str, removed) -> list[str]:
-    """``Class.name`` for each removed method ``source`` defines again, then
-    ``.name`` for each removed name it reads as an attribute."""
+    """``Class.name`` for each removed method ``source`` defines again and
+    ``name`` for each removed module-level name it defines at module level,
+    then each removed name it reads: ``.name`` as an attribute, ``name`` as
+    a bare name or an imported one."""
     tree = ast.parse(source)
     found = [f"{node.name}.{item.name}" for node in ast.walk(tree)
              if isinstance(node, ast.ClassDef) and node.name in removed
              for item in node.body
              if isinstance(item, ast.FunctionDef) and item.name in removed[node.name]]
+    top = removed.get("", ())
+    found += [name for name, _node in _module_definitions(tree) if name in top]
     names = {name for group in removed.values() for name in group}
-    return found + sorted({f".{node.attr}" for node in ast.walk(tree)
-                           if isinstance(node, ast.Attribute) and node.attr in names})
+    reads = {f".{node.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in names}
+    reads |= {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in top}
+    reads |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names if alias.name in top}
+    return found + sorted(reads)
 
 
 def test_removed_accessors_stay_gone():
@@ -392,7 +414,11 @@ def test_scanner_sees_a_revived_accessor():
         "    def lind_zero(self, x):\n        return self.lind_k(self.params.origin(), x)\n\n"
         "    def lind_k(self, k, x: LocalOperator) -> LocalOperator:")
     planted += "\n\ndef sneaky(L, x):\n    return L.members_at((0,)) + [L.delta((0,), x)]\n"
-    assert revived_names(planted, REMOVED) == ["Lindbladian.lind_zero", ".delta", ".members_at"]
+    planted += "\n\ndef taylor_degree(norm):\n    return norm / TAYLOR_THETA[55]\n"
+    planted += "\n\nfrom .fock import ExponentialVectorSpec\nSPEC = fock.ExponentialVectorSpec\n"
+    assert revived_names(planted, REMOVED) == [
+        "Lindbladian.lind_zero", "taylor_degree", ".ExponentialVectorSpec", ".delta",
+        ".members_at", "ExponentialVectorSpec", "TAYLOR_THETA"]
 
 
 # Parameters deleted because another input of the same call determines

@@ -22,6 +22,8 @@ from uhfflow.algebra import (
 )
 from uhfflow.errors import DivergenceError, FitError, SizeGuardError, WindowError
 
+from conftest import SCIPY_THETA, scipy_degree_choice
+
 
 @pytest.fixture
 def maxmix():
@@ -501,10 +503,38 @@ class TestExpmMultiply:
         assert np.array_equal(v, kept)
         assert not np.shares_memory(out, v)
 
-    def test_large_steps_are_split(self):
-        # The two largest h ||A - mu I||_1 above need s > 1 Taylor steps.
-        assert lb.taylor_degree(30.0) == (40, 5)
-        assert lb.taylor_degree(100.0) == (50, 12)
+    @pytest.mark.parametrize("h_norm, substeps, table", [(0.0, 1, 1), (3.0, 1, 1), (9.8, 1, 1),
+                                                         (30.0, 4, 5), (100.0, 11, 12)])
+    def test_substeps_are_capped(self, h_norm, substeps, table, rng, monkeypatch):
+        # s = max(1, ceil(h ||A - mu I||_1 / 9.9)) substeps share the budget;
+        # scipy's degree choice took ``table`` of them.
+        op = lb.step_operator(random_generator(rng, 7) - 0.5 * scipy.sparse.identity(7))
+        v = rng.normal(size=7) + 1j * rng.normal(size=7)
+        split, handed = lb.split_tolerance, []
+        monkeypatch.setattr(lb, "split_tolerance",
+                            lambda tol, steps: handed.append(steps) or split(tol, steps))
+        lb.expm_multiply(op, v, h_norm / op.norm, 1e-10)
+        assert [len(steps) for steps in handed] == [substeps]
+        assert scipy_degree_choice(h_norm)[1] == table
+
+    def test_cap_costs_at_most_three_percent_over_the_table(self):
+        # In the table's own unit-roundoff cost model, degree x substeps,
+        # the cap's s substeps at the least degree m with theta_m >= the
+        # substep's norm cost at most 1.03 x scipy's choice over (0, 1e5];
+        # the worst is 55 x 13 = 715 against 50 x 14 = 700 just above
+        # 118.8.  Both costs are constant between the points theta_m k, so
+        # the samples take each side of every such point below 2000.
+        degrees, thetas = np.array(list(SCIPY_THETA)), np.array(list(SCIPY_THETA.values()))
+        cuts = np.concatenate([th * np.arange(1, min(3000, 2000 / th) + 1) for th in thetas])
+        x = np.concatenate([np.geomspace(1e-16, 1e5, 20001), cuts * (1 - 1e-9), cuts * (1 + 1e-9)])
+        s = np.maximum(1, np.ceil(x / lb.SUBSTEP_NORM_MAX))
+        cap = degrees[np.minimum(np.searchsorted(thetas, x / s), thetas.size - 1)] * s
+        table = np.full(x.size, np.inf)
+        for m, th in SCIPY_THETA.items():
+            table = np.minimum(table, m * np.ceil(x / th))
+        assert (cap >= table).all()
+        worst = (cap / table).max()
+        assert worst == pytest.approx(715 / 700) and worst <= 1.03
 
     def test_zero_step_and_zero_matrix(self, rng):
         v = rng.normal(size=6) + 1j * rng.normal(size=6)
@@ -534,8 +564,7 @@ class TestExpmMultiply:
         op = base._replace(shifted=lambda v: calls.append(1) or base.shifted(v))
         v = np.array([0, 0, 0, scale], dtype=complex)
         h = 3.0
-        m_star, s = lb.taylor_degree(h * op.norm)
-        assert s == 1 and m_star > 5
+        assert h * op.norm <= lb.SUBSTEP_NORM_MAX  # one substep
         got = lb.expm_multiply(op, v, h, 0.0)
         expected = scale * np.array([h**3 / 6, h**2 / 2, h, 1.0])
         np.testing.assert_allclose(got, expected, rtol=1e-15)
@@ -554,13 +583,13 @@ class TestExpmMultiply:
 
     def test_degree_choice_is_scipys(self):
         # Below condition (3.13)'s threshold scipy chooses (m*, s) from the
-        # 1-norm alone; the stepper's choice must be the same.
+        # 1-norm alone; the test-side reference must make the same choice.
         core = pytest.importorskip("scipy.sparse.linalg._expm_multiply")
         if not all(hasattr(core, name) for name in ("_fragment_3_1", "LazyOperatorNormInfo")):
             pytest.skip("scipy's fragment 3.1 helpers are not available")
         for norm in np.concatenate([np.geomspace(1e-12, 63.0, 200), [0.0895, 3.54, 9.9, 63.36]]):
             info = core.LazyOperatorNormInfo(None, A_1_norm=float(norm), ell=2)
-            assert lb.taylor_degree(float(norm)) == core._fragment_3_1(info, 1, 2.0**-53)
+            assert scipy_degree_choice(float(norm)) == core._fragment_3_1(info, 1, 2.0**-53)
 
     @pytest.mark.parametrize("n", [1, 3, 8, 40])
     def test_step_operator_norms_are_exact(self, n, rng):
