@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
 import os
 import sys
@@ -48,14 +49,19 @@ class RunReport:
     def add(self, verdict: Verdict):
         self.verdicts.append(verdict)
 
-    def table(self, name: str, header, rows):
-        """Write ``results/<name>.csv`` and record it in ``outputs``."""
+    def table(self, name: str, header, rows=(), lines=()):
+        """Write ``results/<name>.csv`` and record it in ``outputs``.
+
+        ``rows`` are written by ``csv.writer``; ``lines`` are text already
+        in its format (``_coefficient_lines``), written after them.
+        """
         path = self.out_dir / "results" / f"{name}.csv"
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
+            fh.writelines(lines)
         self.outputs.append(str(path))
 
     @property
@@ -168,7 +174,7 @@ def cmd_evolve(cfg: ExperimentConfig, report: RunReport):
                               closure_mode=cfg.closure)
         identity_image = max(identity_image, res.identity_image)
         report.table(f"evolve_{name}", ["t", "label", "re", "im", "error_budget"],
-                     _coefficient_rows(res))
+                     lines=_coefficient_lines(res))
         oracle = dense.hilbert_evolve(L, dense.window(cfg.params, window), cfg.closure,
                                       cfg.t_grid, x)
         report.add(_le(f"evolve.{name}.oracle", res.deviation(window, oracle),
@@ -184,23 +190,40 @@ def cmd_evolve(cfg: ExperimentConfig, report: RunReport):
                    "column is empty"))
 
 
-def _coefficient_rows(res: lindblad.EvolutionResult):
-    """CSV rows (t, label, re, im, error_budget) of a trajectory's coefficients.
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it among the other fields of a row.
+
+    csv quotes a row of one empty field (``""``) to tell it from a blank
+    line, so the empty text, the identity's label, is returned as it is.
+    """
+    if not text:
+        return text
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text])
+    return buf.getvalue().removesuffix(csv.excel.lineterminator)
+
+
+def _coefficient_lines(res: lindblad.EvolutionResult):
+    """CSV text of rows (t, label, re, im, error_budget) of a trajectory's coefficients.
 
     Per grid time, the coefficients of magnitude at least ``COEFF_TOL``
     in ``LocalOperator.items()`` order, with the numbers the operators
     would hold: their merge adds each coefficient to 0j, so a -0.0 part
-    is written as 0.
+    is written as 0.  One string per grid time, byte for byte what
+    ``csv.writer`` writes for those rows with each number as ``_f17``
+    writes it: one ``%`` format per row, and each written label's text
+    formatted and quoted once.
     """
     order = np.array(sorted(range(len(res.basis)), key=lambda i: res.basis[i].entries),
                      dtype=np.intp)
     keep = np.abs(res.coefficients[:, order]) >= COEFF_TOL
-    text = {i: res.basis[i].to_text() for i in order[keep.any(axis=0)].tolist()}
+    text = {i: _csv_field(res.basis[i].to_text()) for i in order[keep.any(axis=0)].tolist()}
     for t, row, kept, err in zip(res.grid, res.coefficients, keep, res.error_budget):
-        t, err = _f17(t), f"{err:.6e}"
+        line = "%.17g,%%s,%%.17g,%%.17g,%.6e\r\n" % (t, err)
         where = order[kept]
-        for i, c in zip(where.tolist(), (row[where] + 0j).tolist()):
-            yield [t, text[i], _f17(c.real), _f17(c.imag), err]
+        vals = row[where] + 0j
+        yield "".join([line % term for term in zip([text[i] for i in where.tolist()],
+                                                    vals.real.tolist(), vals.imag.tolist())])
 
 
 # -- ergodicity ----------------------------------------------------------------

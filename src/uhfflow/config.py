@@ -186,10 +186,6 @@ def _parse_testfunction(section: dict, d: int, members: int, sec_name: str) -> f
         vals = [_parse_complex_row(chunk, where) for chunk in tail.split(",") if chunk.strip()]
         if any(len(val) != 1 for val in vals):
             raise ConfigError(f"mode {key_txt!r}: each cell value is one 're im' pair", **where)
-        if len(vals) != cells:
-            raise ConfigError(
-                f"mode {key_txt!r} has {len(vals)} cells, grid declares {cells}", **where
-            )
         modes[(site, member)] = [row[0] for row in vals]
     try:
         return fock.TestFunction.build(t_max, cells, modes, d)

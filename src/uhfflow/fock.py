@@ -71,7 +71,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse
 
 from . import dense, lindblad as _lb
 from .algebra import (
@@ -88,6 +87,7 @@ from .algebra import (
 from .errors import FitError, SizeGuardError, WindowError
 from .kernel import WindowKernel
 from .lindblad import Piece, StepOperator, step_operator
+from .sparse import CSR, index_dtype
 
 PICARD_MAX_TERMS = 500_000  # terms summed by picard_tail_bound before it gives inf
 CERTIFIED_DEPTH_MAX = 100_000  # deepest Picard depth smallest_certified_depth tries
@@ -126,12 +126,14 @@ class TestFunction:
             raise ValueError("need a finite t_max > 0 and cells >= 1")
         packed = []
         for key, vals in modes.items():
-            vals = tuple(complex(v) for v in vals)
+            key, vals = _norm_key(key, d), tuple(complex(v) for v in vals)
+            # The mode as a config names it: site/member.
+            name = ",".join(map(str, key[0])) + f"/{key[1]}"
             if len(vals) != cells:
-                raise ValueError(f"mode {key}: expected {cells} cell values, got {len(vals)}")
+                raise ValueError(f"mode {name!r}: expected {cells} cell values, got {len(vals)}")
             if not all(map(cmath.isfinite, vals)):
-                raise ValueError(f"mode {key}: a cell value is not finite")
-            packed.append((_norm_key(key, d), vals))
+                raise ValueError(f"mode {name!r}: a cell value is not finite")
+            packed.append((key, vals))
         return TestFunction(t_max, cells, tuple(sorted(packed)), d)
 
     @staticmethod
@@ -221,9 +223,9 @@ class FlowGeneratorSystem:
 
     lindbladian: "_lb.Lindbladian"
     noise: list[ModeKey]
-    delta_t: dict[ModeKey, scipy.sparse.csr_matrix]
-    delta_dag_t: dict[ModeKey, scipy.sparse.csr_matrix]
-    lhat_t: scipy.sparse.csr_matrix
+    delta_t: dict[ModeKey, CSR]
+    delta_dag_t: dict[ModeKey, CSR]
+    lhat_t: CSR
     leak: dict[object, np.ndarray]
     kernel: WindowKernel
 
@@ -252,10 +254,7 @@ class FlowGeneratorSystem:
 
     def map_l1(self, key) -> float:
         """Largest column l1 mass of delta_k for the mode key ``key``."""
-        mat = self.delta_t[key]
-        if mat.nnz == 0:
-            return 0.0
-        return float(np.abs(mat).sum(axis=1).max())
+        return float(self.delta_t[key].abs_row_sums().max(initial=0.0))
 
 
 def build_generator_system(L: "_lb.Lindbladian", window_sites) -> FlowGeneratorSystem:
@@ -280,8 +279,8 @@ def build_generator_system(L: "_lb.Lindbladian", window_sites) -> FlowGeneratorS
         # delta(y) = y m - m y = -[m, y]; delta^dag(y) = [m*, y].
         mat_d, leak[("d", key)] = kern.bracket(m_k)
         mat_dd, leak[("dd", key)] = kern.bracket(m_k.adjoint())
-        delta_t[key] = (-mat_d).transpose().tocsr()
-        delta_dag_t[key] = mat_dd.transpose().tocsr()
+        delta_t[key] = (-mat_d).transpose()
+        delta_dag_t[key] = mat_dd.transpose()
 
     # Lhat = L.apply: every translate acting on the window, unclipped.
     lhat, leak["lhat"] = kern.generator(acting.values())
@@ -291,7 +290,7 @@ def build_generator_system(L: "_lb.Lindbladian", window_sites) -> FlowGeneratorS
         noise=list(acting),
         delta_t=delta_t,
         delta_dag_t=delta_dag_t,
-        lhat_t=lhat.transpose().tocsr(),
+        lhat_t=lhat.transpose(),
         leak=leak,
         kernel=kern,
     )
@@ -472,14 +471,15 @@ def _drive(sys: FlowGeneratorSystem, grid: np.ndarray, f: TestFunction,
     cells = list(dict.fromkeys(cell for _a, _b, cell in stretches))
     driven = [key for key in sys.noise
               if any(f.cell_value(key, c) != 0j or g.cell_value(key, c) != 0j for c in cells)]
-    mats = [sys.lhat_t.tocoo()]
+    mats = [sys.lhat_t]
     for key in driven:
-        mats += [sys.delta_dag_t[key].tocoo(), sys.delta_t[key].tocoo()]
+        mats += [sys.delta_dag_t[key], sys.delta_t[key]]
     n = sys.dim
-    keys = np.unique(np.concatenate([np.arange(n) * (n + 1)] + [m.row * n + m.col for m in mats]))
+    flat = [m.rows() * n + m.indices for m in mats]  # each entry's row * n + column
+    keys = np.unique(np.concatenate([np.arange(n) * (n + 1)] + flat))
     maps = np.zeros((keys.size, len(mats)), dtype=complex)
-    for j, m in enumerate(mats):  # canonical CSR maps: no entry repeats
-        maps[np.searchsorted(keys, m.row * n + m.col), j] = m.data
+    for j, (m, at) in enumerate(zip(mats, flat)):  # canonical CSR maps: no entry repeats
+        maps[np.searchsorted(keys, at), j] = m.data
     rows, cols = np.divmod(keys, n)
     coef, rate = {}, {}
     for cell in cells:
@@ -554,10 +554,10 @@ def _pair_support(sys: FlowGeneratorSystem, drive: _Drive,
     comp = drive.comp
     nc = int(comp.max()) + 1
 
-    def moves(mat: scipy.sparse.csr_matrix) -> np.ndarray:
+    def moves(mat: CSR) -> np.ndarray:
         """M[i, i'] = 1 where the map (stored transposed) takes a string of i into i'."""
         out = np.zeros((nc, nc))
-        out[comp[mat.indices], comp[np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))]] = 1.0
+        out[comp[mat.indices], comp[mat.rows()]] = 1.0
         return out
 
     steps = [(moves(sys.delta_dag_t[key]).T, moves(sys.delta_t[key])) for key in sys.noise]
@@ -606,15 +606,14 @@ def _restriction(drive: _Drive, blocks: list[np.ndarray]):
         cols.append(pos[drive.cols[kept]] + offset)
         offset += strings.size
     keep = np.concatenate(keep)
-    # scipy's own index type, so that every matrix shares these arrays.
-    indices = np.concatenate(cols).astype(np.int32)
-    indptr = np.searchsorted(np.concatenate(rows), np.arange(offset + 1)).astype(np.int32)
+    indices = np.concatenate(cols)
+    indptr = np.searchsorted(np.concatenate(rows), np.arange(offset + 1))
     diag = np.flatnonzero(drive.rows[keep] == drive.cols[keep])
 
-    def matrix(values: np.ndarray, shift: complex = 0j) -> scipy.sparse.csr_matrix:
+    def matrix(values: np.ndarray, shift: complex = 0j) -> CSR:
         data = values[keep]
         data[diag] -= shift
-        return scipy.sparse.csr_matrix((data, indices, indptr), shape=(offset, offset))
+        return CSR(data, indices, indptr, (offset, offset))
 
     return matrix
 
@@ -636,11 +635,11 @@ def _flow_pieces(drive: _Drive, support: np.ndarray) -> list[Piece]:
                            for cell in drive.coef})
 
 
-def _ito(sys: FlowGeneratorSystem, support: np.ndarray,
-         n: int) -> tuple[scipy.sparse.csc_matrix, float]:
+def _ito(sys: FlowGeneratorSystem, support: np.ndarray, n: int) -> tuple[CSR, float]:
     """The Ito sum on the flat pairs ``support``, which it maps into itself, and its leak rate.
 
-    The sum over every noise mode k of delta_k^dag (x) delta_k, in CSC.
+    The sum over every noise mode k of delta_k^dag (x) delta_k, in CSC:
+    the returned CSR matrix is its transpose, whose rows are its columns.
     Column (a, b) of a mode's term pairs each entry of column a of
     delta_k^dag with each of column b of delta_k; those entries are
     written straight into the column's slots, after the earlier modes',
@@ -650,10 +649,14 @@ def _ito(sys: FlowGeneratorSystem, support: np.ndarray,
     size = support.size
     pos = _positions(n * n, support)
     a, b = np.divmod(support, n)
-    maps = [(sys.delta_dag_t[key].tocsc(), sys.delta_t[key].tocsc()) for key in sys.noise]
+    # Each map's transpose holds its columns as rows: its CSC arrays.
+    maps = [(sys.delta_dag_t[key].transpose(), sys.delta_t[key].transpose())
+            for key in sys.noise]
     counts = [np.diff(dd.indptr)[a] * np.diff(d.indptr)[b] for dd, d in maps]
     indptr = np.concatenate([[0], np.cumsum(np.sum(counts, axis=0, dtype=int))])
-    data, indices = np.empty(indptr[-1], dtype=complex), np.empty(indptr[-1], dtype=np.int32)
+    idx = index_dtype(max(size, int(indptr[-1])))
+    indptr = indptr.astype(idx)
+    data, indices = np.empty(indptr[-1], dtype=complex), np.empty(indptr[-1], dtype=idx)
     filled, rate = indptr[:-1].copy(), 0.0
     for key, (dd, d), per in zip(sys.noise, maps, counts):
         col = np.repeat(np.arange(size), per)
@@ -671,33 +674,33 @@ def _ito(sys: FlowGeneratorSystem, support: np.ndarray,
         # strings up to phases, so both maps have the same largest column mass.
         ld, ldd, mass = sys.leak_max(("d", key)), sys.leak_max(("dd", key)), sys.map_l1(key)
         rate += ldd * mass + mass * ld + ldd * ld
-    ito = scipy.sparse.csc_matrix((data, indices, indptr), shape=(size, size))
-    ito.sum_duplicates()  # two modes may reach one pair from one column
-    return ito, rate
+    # Two modes may reach one pair from one column.
+    return CSR(data, indices, indptr, (size, size)).sum_duplicates(), rate
 
 
 class _PairProduct(NamedTuple):
     """One cell's (A (x) 1 + 1 (x) A + Ito - mu) v on the pair support, as a fresh array.
 
-    ``groups`` holds one entry per run of R consecutive rectangles of one
-    shape (h, w): the slice ``at`` of the support their pairs fill, and
-    the block-diagonal matrices ``rows`` and ``cols`` of A restricted to
-    each rectangle's row strings and to its column strings, mu / 2 taken
-    off each diagonal.  Stacked, the group's G
-    blocks take A_rows G in one product with ``rows`` and G A_cols^T in
-    one with ``cols``, on the one transposed copy of the group's blocks.
+    ``ito`` is the Ito sum's transpose (``_ito``), so ``ito.tdot`` is its
+    product.  ``groups`` holds one entry per run of R consecutive
+    rectangles of one shape (h, w): the slice ``at`` of the support their
+    pairs fill, and the block-diagonal matrices ``rows`` and ``cols`` of A
+    restricted to each rectangle's row strings and to its column strings,
+    mu / 2 taken off each diagonal.  Stacked, the group's G blocks take
+    A_rows G in one product with ``rows`` and G A_cols^T in one with
+    ``cols``, on the one transposed copy of the group's blocks.
     """
 
-    ito: scipy.sparse.csc_matrix
-    groups: list[tuple[slice, int, int, int, scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]]
+    ito: CSR
+    groups: list[tuple[slice, int, int, int, CSR, CSR]]
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        out = self.ito @ v
+        out = self.ito.tdot(v)
         for at, R, h, w, rows, cols in self.groups:
             G = v[at].reshape(R, h, w)
             block = out[at].reshape(R, h, w)  # a view of out
-            block += (rows @ G.reshape(R * h, w)).reshape(R, h, w)
-            block += (cols @ G.transpose(0, 2, 1).reshape(R * w, h)).reshape(
+            block += rows.dot(G.reshape(R * h, w)).reshape(R, h, w)
+            block += cols.dot(G.transpose(0, 2, 1).reshape(R * w, h)).reshape(
                 R, w, h).transpose(0, 2, 1)
         return out
 
@@ -731,10 +734,9 @@ def _pair_pieces(sys: FlowGeneratorSystem, drive: _Drive,
     size = support.size
     ito, ito_rate = _ito(sys, support, n)
     ito_diag = ito.diagonal()
-    mag = scipy.sparse.csc_matrix((np.abs(ito.data), ito.indices, ito.indptr), shape=ito.shape)
-    ito_rows = mag @ np.ones(size) - np.abs(ito_diag)
-    ito_cols = mag.T @ np.ones(size) - np.abs(ito_diag)
-    del mag
+    # ``ito`` holds the transpose: its column sums are the Ito sum's row sums.
+    ito_rows = ito.abs_col_sums() - np.abs(ito_diag)
+    ito_cols = ito.abs_row_sums() - np.abs(ito_diag)
     a, b = np.divmod(support, n)
     on_diag = drive.rows == drive.cols  # the pattern holds the diagonal, in basis order
     groups, lo = [], 0

@@ -30,7 +30,6 @@ closure) as the per-string edge rate of ``evolve``'s error budget.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse
 
 from . import dense
 from .algebra import (
@@ -43,6 +42,7 @@ from .algebra import (
     weyl_mul,
 )
 from .errors import SizeGuardError
+from .sparse import CSR
 
 
 class WindowKernel:
@@ -143,9 +143,7 @@ class WindowKernel:
                 leak += np.where(keep, np.abs(coeff), 0.0)
         if vals:
             rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-        mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim),
-                                      dtype=complex)
-        return mat, leak
+        return CSR.from_coo(vals, rows, cols, (self.dim, self.dim), dtype=complex), leak
 
     def bracket(self, op: LocalOperator):
         """Matrix and leak of y -> op y - y op on the window basis."""

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse
 
 from . import dense
 from .algebra import (
@@ -66,6 +65,7 @@ from .errors import (
     WindowError,
 )
 from .kernel import WindowKernel
+from .sparse import CSR
 
 ENUM_GUARD = 200_000
 WINDOW_PAD_FACTOR = 2  # default_window pads by this many Kraus diameters
@@ -385,21 +385,19 @@ class StepOperator(NamedTuple):
 
 
 def step_operator(mat) -> StepOperator:
-    """A square sparse matrix as a :class:`StepOperator`: its trace shift and exact norms.
+    """A square canonical CSR matrix as a :class:`StepOperator`: its trace shift and exact norms.
 
-    Everything is read from the matrix's CSR arrays.  A - mu I keeps A's
-    pattern, with a diagonal entry put into each row that lacks one (in
-    column order), and is built once from its data, indices and row
-    pointer.  The column sums of |A - mu I| (``bincount`` over its
-    entries) give the 1-norm, its row sums (one segment of the data per
-    row) the inf-norm, and the row sums with the diagonal put back as its
-    real part the logarithmic inf-norm.  A matrix with no rows has norms 0
-    and log-norm -inf.
+    Everything is read from the matrix's CSR arrays (``data``, ``indices``,
+    ``indptr``, ``shape``), whose rows hold sorted, distinct columns.
+    A - mu I keeps A's pattern, with a diagonal entry put into each row
+    that lacks one (in column order), and is built once from its data,
+    indices and row pointer; ``shifted`` is its product ``CSR.dot``.  The
+    column sums of |A - mu I| (``bincount`` over its entries) give the
+    1-norm, its row sums (one segment of the data per row) the inf-norm,
+    and the row sums with the diagonal put back as its real part the
+    logarithmic inf-norm.  A matrix with no rows has norms 0 and log-norm
+    -inf.
     """
-    mat = mat.tocsr()
-    if not mat.has_canonical_format:
-        mat = mat.copy()
-        mat.sum_duplicates()
     n = mat.shape[0]
     indices, indptr = mat.indices, mat.indptr
     rows = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
@@ -408,7 +406,7 @@ def step_operator(mat) -> StepOperator:
         at = indptr[lacking] + np.bincount(rows[indices < rows], minlength=n)[lacking]
         data = np.insert(mat.data.astype(complex, copy=False), at, 0j)
         indices = np.insert(indices, at, lacking)
-        indptr = indptr + np.searchsorted(lacking, np.arange(n + 1))
+        indptr = (indptr + np.searchsorted(lacking, np.arange(n + 1))).astype(indices.dtype)
         rows = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
     else:
         data = mat.data.astype(complex)
@@ -420,9 +418,9 @@ def step_operator(mat) -> StepOperator:
     row_sums, col_sums = np.add.reduceat(mag, indptr[:-1]), np.bincount(indices, mag, n)
     diag = data[on_diag]
     growth = mu.real + float((row_sums - np.abs(diag) + diag.real).max(initial=-math.inf))
-    shifted = scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
-    return StepOperator(mu, shifted.dot, float(col_sums.max(initial=0.0)),
-                        float(row_sums.max(initial=0.0)), growth)
+    return StepOperator(mu, CSR(data, indices, indptr, (n, n)).dot,
+                        float(col_sums.max(initial=0.0)), float(row_sums.max(initial=0.0)),
+                        growth)
 
 
 def _inf_norm(v: np.ndarray) -> float:
@@ -633,7 +631,7 @@ def generator_matrix(L: Lindbladian, sites, closure_mode: str = "interior"):
         allowed = set(kern.sites)
         edge_mat = edge_mat - kern.generator(
             [L._clip_factors(m, allowed) for m in edge_members])[0]
-    edge += np.asarray(abs(edge_mat).sum(axis=0)).ravel()
+    edge += edge_mat.abs_col_sums()
     return mat, kern.basis, kern.index, edge
 
 
@@ -676,7 +674,7 @@ def evolve(L: Lindbladian, x: LocalOperator, t_grid, tol: float = 1e-10,
     times = np.concatenate([[0.0], grid]) if late else grid
     weights = [edge_rates @ np.abs(vec) for vec in [x0] * late + list(coefficients)]
     edge = cumulative_trapezoid(weights, times)[-len(grid):]
-    identity_image = float(abs(mat[:, index[WeylLabel.identity()]]).sum())
+    identity_image = mat.column_abs_sum(index[WeylLabel.identity()])
     return EvolutionResult(grid, coefficients, basis, L.params, tol + edge, identity_image,
                            sites)
 
@@ -756,13 +754,16 @@ def perturbed_ergodic_state(Lc: Lindbladian, x: LocalOperator) -> tuple[complex,
         ergodic_state(state, row.apply(LocalOperator.weyl(Lc.params, lab))) for lab in basis
     ])
 
-    # scipy.sparse.linalg loads scipy.linalg; only this branch needs it.
+    # scipy.sparse.linalg loads scipy.linalg; only this branch needs it,
+    # and no other code of the package imports scipy.sparse.
+    import scipy.sparse
     from scipy.sparse.linalg import splu
 
     n = len(basis)
     one = index[WeylLabel.identity()]
     e1 = scipy.sparse.csc_matrix(([1.0], ([one], [0])), shape=(n, 1))
-    bordered = scipy.sparse.bmat([[mat, e1], [e1.T, None]], format="csc")
+    A = scipy.sparse.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
+    bordered = scipy.sparse.bmat([[A, e1], [e1.T, None]], format="csc")
     try:
         lu = splu(bordered)
     except RuntimeError as exc:
@@ -775,7 +776,7 @@ def perturbed_ergodic_state(Lc: Lindbladian, x: LocalOperator) -> tuple[complex,
     u = dense.coefficient_vector(x, index)
     u[one] -= omega @ u
     z = lu.solve(np.append(u, 0.0))[:n]
-    err = c * np.abs(phi_l_vec).max() * np.abs(mat @ z - u).sum()
+    err = c * np.abs(phi_l_vec).max() * np.abs(mat.dot(z) - u).sum()
     return base - c * (phi_l_vec @ z), float(err)
 
 

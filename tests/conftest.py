@@ -6,11 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import uhfflow.dense as dense
 import uhfflow.lindblad as lb
 from uhfflow.algebra import AlgebraParams, LocalOperator
 from uhfflow.config import load_config
+from uhfflow.sparse import CSR
 
 BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
@@ -18,6 +20,18 @@ BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def to_scipy(m: CSR) -> scipy.sparse.csr_matrix:
+    """A package matrix as a scipy CSR matrix on the same arrays, to read it with scipy's API."""
+    return scipy.sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+
+
+def from_scipy(m) -> CSR:
+    """A scipy sparse matrix as a canonical package matrix."""
+    m = scipy.sparse.csr_matrix(m)
+    m.sum_duplicates()
+    return CSR(m.data, m.indices, m.indptr, m.shape)
 
 
 # theta_m, the largest h ||A - mu I||_1 for which m Taylor terms keep the

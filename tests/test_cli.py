@@ -12,7 +12,7 @@ from click.testing import CliRunner
 import uhfflow.dense as dense
 import uhfflow.lindblad as lindblad
 from uhfflow.algebra import AlgebraParams, LocalOperator, WeylLabel
-from uhfflow.cli import RunReport, _coefficient_rows, cmd_evolve, main
+from uhfflow.cli import RunReport, _coefficient_lines, cmd_evolve, main
 
 # The benchmark's recorded verdicts; read here, never written.
 BATTERY_REFERENCE = (Path(__file__).resolve().parents[1]
@@ -150,10 +150,19 @@ def test_evolve_per_string_work_does_not_grow_with_the_grid(bench_config, tmp_pa
     assert built[21] == built[3]
 
 
+def csv_text(rows) -> str:
+    """What ``csv.writer`` writes for ``rows``."""
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("job", ["evolve_n2_w5", "evolve_n3_w3"])
 def test_evolve_table_and_oracle_read_the_coefficient_arrays(bench_config, tmp_path,
                                                              monkeypatch, job):
-    cfg = bench_config("evolve_window", job)
+    # On 3 and 101 grid points, with an identity term, whose label is the
+    # empty text, and a -0.0 imaginary part: the table is csv.writer's,
+    # byte for byte.
     seen = {}
 
     def keep(key, fn):
@@ -164,17 +173,20 @@ def test_evolve_table_and_oracle_read_the_coefficient_arrays(bench_config, tmp_p
 
     monkeypatch.setattr(lindblad, "evolve", keep("engine", lindblad.evolve))
     monkeypatch.setattr(dense, "hilbert_evolve", keep("oracle", dense.hilbert_evolve))
-    report = _evolve_in_process(cfg, tmp_path / "out")
-    res = seen["engine"]
-    want = io.StringIO()
-    writer = csv.writer(want)
-    writer.writerow(["t", "label", "re", "im", "error_budget"])
-    writer.writerows(_operator_rows(res))
-    got = (tmp_path / "out" / "results" / "evolve_x.csv").read_bytes()
-    assert got == want.getvalue().encode()
-    oracle, = [v for v in report.verdicts if v.name == "evolve.x.oracle"]
-    assert res.window_sites == cfg.window
-    assert oracle.value == float(np.abs(res.coefficients - seen["oracle"]).max())
+    for points in (3, 101):
+        cfg = bench_config("evolve_window", job, lambda text: text.replace(
+            "linspace 0 1 3", f"linspace 0 1 {points}").replace("\nx = ", "\nx = 0.25 -0.0 ; | "))
+        assert cfg.observables["x"].coeff(WeylLabel.identity()) == complex(0.25, -0.0)
+        out = tmp_path / f"out{points}"
+        report = _evolve_in_process(cfg, out)
+        res = seen["engine"]
+        assert len(res.grid) == points
+        want = csv_text([["t", "label", "re", "im", "error_budget"]] + _operator_rows(res))
+        assert (out / "results" / "evolve_x.csv").read_bytes() == want.encode()
+        assert "\r\n0,,0.25,0," in want  # the identity's row at t = 0
+        oracle, = [v for v in report.verdicts if v.name == "evolve.x.oracle"]
+        assert res.window_sites == cfg.window
+        assert oracle.value == float(np.abs(res.coefficients - seen["oracle"]).max())
 
 
 def test_evolve_rows_hold_what_the_operators_hold():
@@ -188,14 +200,17 @@ def test_evolve_rows_hold_what_the_operators_hold():
                            complex(-0.0, -0.0)]
     res = lindblad.EvolutionResult(np.array([0.0, 0.5]), coefficients, basis, params,
                                    np.array([1e-10, 2e-10]), 0.0, sites)
-    got = list(_coefficient_rows(res))
-    assert got == _operator_rows(res) and len(got) == 16 + 13
+    text = "".join(_coefficient_lines(res))
+    assert text == csv_text(_operator_rows(res))
+    got = list(csv.reader(io.StringIO(text)))
+    assert len(got) == 16 + 13
     late = {row[1]: row[2:4] for row in got if row[0] == "0.5"}
     assert late[basis[0].to_text()] == ["0", "0.5"] and late[basis[1].to_text()] == ["0.25", "0"]
 
 
 def test_identity_image_fails_unitality(tmp_path, monkeypatch):
     import scipy.sparse
+    from conftest import from_scipy, to_scipy
 
     from uhfflow.kernel import WindowKernel
 
@@ -206,7 +221,7 @@ def test_identity_image_fails_unitality(tmp_path, monkeypatch):
         mat, leak = generator(self, members)
         plant = scipy.sparse.csr_matrix(([1e-6], ([1], [self.index[WeylLabel.identity()]])),
                                         shape=mat.shape)
-        return mat + plant, leak
+        return from_scipy(to_scipy(mat) + plant), leak
 
     monkeypatch.setattr(WindowKernel, "generator", planted)
     res = _invoke(tmp_path, ["evolve"], EVOLVE)
@@ -340,7 +355,7 @@ SCHEMA_ERRORS = {
             "[generator] rho: invalid density matrix"),
     "t_grid": ("evolve", EVOLVE.replace("t_grid = 0 0.5 1", "t_grid = 0 1 0.5"), "[run] t_grid:"),
     "modes": ("flow", FLOW.replace("0/0: 0.5 0, 0.25 0", "0/0: 0.5 0"),
-              "[modes.f] modes: mode '0/0'"),
+              "[modes.f] modes: mode '0/0': expected 2 cell values, got 1"),
     "closure": ("evolve", EVOLVE + "closure = open\n", "[run] closure:"),
     "c_values": ("ergodicity", ERGODICITY.replace("c_values = 0 0.5", "c_values = 0 -0.5"),
                  "[run] c_values: must be >= 0, got -0.5"),

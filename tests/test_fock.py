@@ -15,6 +15,9 @@ import uhfflow.fock as fock
 import uhfflow.lindblad as lb
 from uhfflow.algebra import AlgebraParams, LocalOperator, WeylLabel, gns_inner, random_local
 from uhfflow.errors import FitError, SizeGuardError, WindowError
+from uhfflow.sparse import CSR
+
+from conftest import to_scipy
 
 
 @pytest.fixture
@@ -58,6 +61,12 @@ class TestTestFunctions:
     def test_build_rejects_non_finite_numbers(self, t_max, value):
         with pytest.raises(ValueError):
             fock.TestFunction.build(t_max, 2, {((0,), 0): [0.5, value]})
+
+    def test_build_names_a_mode_as_a_config_writes_it(self):
+        with pytest.raises(ValueError, match=r"^mode '1,-2/3': expected 2 cell values, got 1$"):
+            fock.TestFunction.build(1.0, 2, {((1, -2), 3): [0.5]}, d=2)
+        with pytest.raises(ValueError, match=r"^mode '0/0': a cell value is not finite$"):
+            fock.TestFunction.build(1.0, 1, {((0,), 0): [math.nan]})
 
     def test_gamma(self):
         f = fock.TestFunction.build(1.0, 4, {((0,), 0): [1, 1, 1, 1]})
@@ -108,7 +117,7 @@ class TestGeneratorSystem:
         from uhfflow.algebra import WeylLabel
 
         col = eta_sys.index[WeylLabel.identity()]
-        assert np.abs(eta_sys.lhat_t.toarray()[col]).max() < 1e-14
+        assert np.abs(to_scipy(eta_sys.lhat_t).toarray()[col]).max() < 1e-14
 
     def test_dimension_guard(self, p2, maxmix):
         # 8 sites: 4^8 strings, above dense.MAX_WINDOW_DIM.
@@ -418,15 +427,16 @@ class Solved(NamedTuple):
         _pieces, support = self.pieces(system)
         sys_, n = self.sys, self.sys.dim
         eye = scipy.sparse.identity(n, dtype=complex, format="csr")
-        ito = sum(scipy.sparse.kron(sys_.delta_dag_t[key], sys_.delta_t[key])
-                  for key in sys_.noise)
+        d, dd = ({key: to_scipy(maps[key]) for key in sys_.noise}
+                 for maps in (sys_.delta_t, sys_.delta_dag_t))
+        ito = sum(scipy.sparse.kron(dd[key], d[key]) for key in sys_.noise)
         forms = []
         for piece in self.F:
             cell = fock._cell_of(0.5 * (piece.a + piece.b), self.f)
-            A = sys_.lhat_t
+            A = to_scipy(sys_.lhat_t)
             for key in sys_.noise:
-                A = (A + np.conj(self.f.cell_value(key, cell)) * sys_.delta_t[key]
-                     + self.g.cell_value(key, cell) * sys_.delta_dag_t[key])
+                A = (A + np.conj(self.f.cell_value(key, cell)) * d[key]
+                     + self.g.cell_value(key, cell) * dd[key])
             form = A
             if system == "G":
                 form = scipy.sparse.kron(A, eye) + scipy.sparse.kron(eye, A) + ito
@@ -730,13 +740,14 @@ class TestInvariantSubspace:
         assert (ftraj.support.size, gtraj.support.size) == sizes
         n = sys_.dim
         eye = scipy.sparse.identity(n, dtype=complex, format="csr")
-        ito = sum(scipy.sparse.kron(sys_.delta_dag_t[key], sys_.delta_t[key], format="csr")
-                  for key in sys_.noise)
+        d, dd = ({key: to_scipy(maps[key]) for key in sys_.noise}
+                 for maps in (sys_.delta_t, sys_.delta_dag_t))
+        ito = sum(scipy.sparse.kron(dd[key], d[key], format="csr") for key in sys_.noise)
         F, G = ftraj.F[0].copy(), gtraj.G[0].reshape(-1).copy()
         for cell in range(8):
-            A = sys_.lhat_t
+            A = to_scipy(sys_.lhat_t)
             for key in f.mode_keys():
-                A = A + np.conj(f.cell_value(key, cell)) * sys_.delta_t[key]
+                A = A + np.conj(f.cell_value(key, cell)) * d[key]
             F = scipy.linalg.expm(A.toarray() / 8) @ F
             K = scipy.sparse.kron(A, eye) + scipy.sparse.kron(eye, A) + ito
             G = scipy.sparse.linalg.expm_multiply(K.tocsr() / 8, G)
@@ -850,7 +861,7 @@ class TestPairInitialSupport:
         nc = int(comp.max()) + 1
 
         def moves(mat):
-            m = mat.tocoo()
+            m = to_scipy(mat).tocoo()
             return scipy.sparse.csr_matrix((np.ones(m.nnz), (comp[m.col], comp[m.row])),
                                            shape=(nc, nc))
 
@@ -885,8 +896,8 @@ class TestPairInitialSupport:
                                       "two_shapes", "n3"])
     def test_support_and_values_match_the_full_table(self, case, monkeypatch):
         # The rectangles equal those of the sparse construction, grouped by
-        # shape, though _pair_support builds no COO or CSR matrix: each
-        # noise mode's component moves are dense 0/1 arrays.
+        # shape, though _pair_support builds no sparse matrix (no CSR, no
+        # transpose): each noise mode's component moves are dense 0/1 arrays.
         sys_, d, F0 = pair_problem(case)
         full = self.full_initial_pair_vector(sys_, F0)
         found = self.full_table_support(sys_, d, full)
@@ -898,9 +909,9 @@ class TestPairInitialSupport:
             raise AssertionError("a sparse matrix was built for the component moves")
 
         with monkeypatch.context() as patch:
-            patch.setattr(scipy.sparse.csr_matrix, "tocoo", forbidden)
-            patch.setattr(scipy.sparse, "csr_matrix", forbidden)
-            patch.setattr(scipy.sparse, "coo_matrix", forbidden)
+            patch.setattr(CSR, "__new__", forbidden)
+            patch.setattr(CSR, "from_coo", forbidden)
+            patch.setattr(CSR, "transpose", forbidden)
             rects = fock._pair_support(sys_, d, F0)
         assert len(rects) == len(want) > 0
         for (rows, cols), (rows_w, cols_w) in zip(rects, want):
@@ -929,9 +940,13 @@ class CountingMatrix:
     def __init__(self, mat, calls):
         self.mat, self.calls = mat, calls
 
-    def __matmul__(self, other):
+    def dot(self, other):
         self.calls.append(1)
-        return self.mat @ other
+        return self.mat.dot(other)
+
+    def tdot(self, other):
+        self.calls.append(1)
+        return self.mat.tdot(other)
 
 
 class TestBatchedPairProduct:
@@ -946,7 +961,7 @@ class TestBatchedPairProduct:
         """
         n = drive.dim
         support = fock._pair_index(rects, n)
-        ito = fock._ito(sys_, support, n)[0]
+        ito = to_scipy(fock._ito(sys_, support, n)[0]).T  # the Ito sum in CSC
         A = scipy.sparse.csr_matrix((values, (drive.rows, drive.cols)), shape=(n, n))
         blocks, lo = [], 0
         for rows, cols in rects:

@@ -45,7 +45,9 @@ integration it replaced did.  Every
 attribute the benchmark's span tracer times
 (``bench/spans.py`` ``TARGETS``) exists in the package, so a rename
 cannot silently zero a per-layer metric.  In a fresh interpreter,
-``import uhfflow.cli`` loads no ``scipy.integrate``, ``scipy.linalg`` or
+``import uhfflow.cli`` loads no ``scipy`` module at all: not
+``scipy.sparse`` (``uhfflow.sparse`` loads scipy's compiled sparsetools
+kernels from their file), ``scipy.integrate``, ``scipy.linalg`` or
 ``scipy.optimize``, and no command loads any of them either: the
 ``evolve``, ``flow``, ``lemma``, ``ergodicity`` and ``selftest`` commands
 (``dense.choi_matrix`` steps the oracle's own Taylor series);
@@ -570,11 +572,12 @@ def test_scanner_sees_scipy_stepper():
         "scipy.sparse.linalg.expm_multiply", "sla.expm_multiply"]
 
 
-# Modules no command computes with (scipy.integrate imports
-# scipy.optimize).  scipy.sparse.csgraph is named on its own, though it
-# loads scipy.linalg: ``fock`` finds its components with numpy, and a
-# csgraph import fails here by name.
-HEAVY = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse.csgraph")
+# Modules no command imports (scipy.integrate imports scipy.optimize).
+# Any scipy import loads ``scipy``; the others are named so that a failure
+# says which.  scipy.sparse.csgraph is named on its own, though it loads
+# scipy.linalg: ``fock`` finds its components with numpy.
+HEAVY = ("scipy", "scipy.sparse", "scipy.integrate", "scipy.linalg", "scipy.optimize",
+         "scipy.sparse.csgraph")
 
 # In a fresh interpreter: the heavy modules loaded after ``import
 # uhfflow.cli`` and after each command run through ``uhfflow.cli.main``,

@@ -20,6 +20,8 @@ from uhfflow.algebra import AlgebraParams, LocalOperator, WeylLabel, random_loca
 from uhfflow.errors import SizeGuardError, WindowError
 from uhfflow.kernel import WindowKernel
 
+from conftest import to_scipy
+
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True, database=None)
 MAX_BASIS = 81  # per-label references cost about 1 ms per label
 
@@ -237,6 +239,7 @@ class TestEvolveWindowShapes:
         text = "\n".join(f"{c.real:.17g} {c.imag:.17g} ; {lab}" for c, lab in zip(coeffs, kraus))
         L = lb.Lindbladian.single_kraus(LocalOperator.from_text(params, text))
         mat, basis, index, _edge = lb.generator_matrix(L, sites, closure)
+        mat = to_scipy(mat)
         dense_mat = mat.toarray()
         assert mat[:, index[WeylLabel.identity()]].nnz == 0
         for col in range(0, len(basis), 7):
@@ -255,6 +258,7 @@ class TestKernelProperties:
     def test_generator_matrix_matches_windowed_apply(self, case):
         L, sites, closure = case
         mat, basis, index, _edge = lb.generator_matrix(L, sites, closure)
+        mat = to_scipy(mat)
         ref = reference_generator(L, sites, closure)
         assert np.abs(mat.toarray() - ref).max() <= 1e-14
         assert ((mat.toarray() != 0) == (ref != 0)).all()
@@ -277,9 +281,9 @@ class TestKernelProperties:
                                  ("dd", lambda y: md * y - y * md, sys_.delta_dag_t[key])):
                 mat, leaks[(tag, key)] = map_to_matrix(L.params, sys_.basis, sys_.index,
                                                        allowed, fn)
-                assert np.abs((mat.T - got).toarray()).max() <= 1e-14
+                assert np.abs((mat.T - to_scipy(got)).toarray()).max() <= 1e-14
         mat, leaks["lhat"] = map_to_matrix(L.params, sys_.basis, sys_.index, allowed, L.apply)
-        assert np.abs((mat.T - sys_.lhat_t).toarray()).max() <= 1e-14
+        assert np.abs((mat.T - to_scipy(sys_.lhat_t)).toarray()).max() <= 1e-14
         assert leaks.keys() == sys_.leak.keys()
         for key, leak in leaks.items():
             assert np.abs(leak - sys_.leak[key]).max() <= 1e-14
@@ -295,7 +299,7 @@ class TestKernelProperties:
         oracle = weyl_matrix(L, dense.window(L.params, sites), closure)
         mat, basis, _index, _edge = lb.generator_matrix(L, sites, closure)
         assert basis == dense.window_basis(L.params, sites)
-        assert np.abs(oracle - mat.toarray()).max() <= 1e-12
+        assert np.abs(oracle - to_scipy(mat).toarray()).max() <= 1e-12
         assert np.abs(oracle - reference_generator(L, sites, closure)).max() <= 1e-12
 
     @PROPERTY

@@ -22,7 +22,7 @@ from uhfflow.algebra import (
 )
 from uhfflow.errors import DivergenceError, FitError, SizeGuardError, WindowError
 
-from conftest import SCIPY_THETA, scipy_degree_choice
+from conftest import SCIPY_THETA, scipy_degree_choice, to_scipy
 
 
 @pytest.fixture
@@ -284,7 +284,7 @@ class TestPerMemberClosure:
     def test_window_generator_has_one_stationary_state(self, perturbed_window):
         Lc, sites = perturbed_window
         mat = lb.generator_matrix(Lc, sites, "interior")[0]
-        assert np.linalg.matrix_rank(mat.toarray()) == mat.shape[0] - 1
+        assert np.linalg.matrix_rank(to_scipy(mat).toarray()) == mat.shape[0] - 1
 
 
 class TestEvolve:
@@ -688,7 +688,7 @@ class TestExpmMultiply:
                         window=sites)
         assert (len(built), len(steps)) == (1, 3)
         mat, _basis, index, _edge = lb.generator_matrix(L, sites)
-        ref = scipy.linalg.expm(mat.toarray()) @ dense.coefficient_vector(
+        ref = scipy.linalg.expm(to_scipy(mat).toarray()) @ dense.coefficient_vector(
             pauli[0].translate((1,)), index)
         assert np.abs(res.coefficients[-1] - ref).max() <= 1e-12 * np.abs(ref).max()
 
