@@ -11,13 +11,24 @@ string U_i = prod_j U^{a_ij} V^{b_ij}.
 
 Multiplying a basis string by fixed strings on both sides is a phase
 times a permutation: per site (U^a V^b)(U^a' V^b') = omega**(-b a')
-U^(a+a') V^(b+b'), the symplectic phase rule of the qudit stabilizer
-formalism.  So every window matrix built from Kraus members is a sum of
-monomial matrices (one nonzero per column) whose phases are integer dot
-products of digit arrays.  Strings may reach outside the window; their
-outside part commutes with every window string and is carried along as a
-separate label, so output labels that leave the window are recorded as
-leaked coefficient mass and no larger index space is ever built.
+U^(a+a') V^(b+b'), the symplectic rule of qudit Weyl strings (Gottesman
+1998).  So every window matrix built from Kraus members is a sum of
+monomial matrices (one nonzero per column).  Strings may reach outside
+the window; their outside part commutes with every window string and is
+carried along as a separate label, so output labels that leave the
+window are recorded as leaked coefficient mass and no larger index space
+is ever built.
+
+Matrices are built one Kraus-term row at a time.  The phases of a term g
+against all k terms h of its member, at every basis string, are one
+float product of a (k, 2n + 1) table with the stored (2n + 1, dim) digit
+table (-a; -b; 1): exact small integers, whose roots are read from one
+table R (R[p] = omega**p for every reachable p) with no reduction mod N.
+The row a shift sends each string to is an outer sum over sites of
+columns of the (N^2, N^2) per-site digit-sum table.  Row blocks are
+added into their shifts' coefficients in pair order and released, and
+entries are written shift by shift in column order, so every matrix
+equals the per-pair sum bit for bit.
 
 The column l1 mass of a matrix plus its leak is the exact l1 norm of the
 map's image of each basis string.  That one quantity prices every window
@@ -42,7 +53,7 @@ from .algebra import (
     weyl_mul,
 )
 from .errors import SizeGuardError
-from .sparse import CSR
+from .sparse import CSR, index_dtype
 
 
 class WindowKernel:
@@ -66,6 +77,13 @@ class WindowKernel:
         digits = (np.arange(self.dim, dtype=np.int64)[:, None] // self.place) % (N * N)
         self.a, self.b = np.divmod(digits, N)
         self.roots = np.array([params.root(k) for k in range(N)], dtype=complex)
+        # Phases p = x @ (-a; -b; 1) come out of a float product as exact small
+        # integers; R[p] = omega**p for -3 n (N-1)^2 <= p < N, negative p from the end.
+        self._phase_rows = np.vstack([-self.a.T, -self.b.T, np.ones((1, self.dim))])
+        self._R = np.tile(self.roots, 3 * n * (N - 1) ** 2 // N + 1)
+        # Per site, the digit of U^a V^b U^a' V^b' at [a N + b, a' N + b'].
+        ua, ub = np.divmod(np.arange(N * N), N)
+        self._sums = (ua[:, None] + ua) % N * N + (ub[:, None] + ub) % N
         self._pos = {site: j for j, site in enumerate(self.sites)}
         self._split: dict[WeylLabel, tuple[np.ndarray, np.ndarray, WeylLabel]] = {}
 
@@ -87,19 +105,6 @@ class WindowKernel:
             self._split[label] = (a, b, WeylLabel(tuple(outside)))
         return self._split[label]
 
-    def phase(self, g: WeylLabel, h: WeylLabel) -> np.ndarray:
-        """Integer phases p with U_g U_i U_h = omega**p U_{g+i+h}, for every basis i."""
-        _ga, gb, g_out = self.split(g)
-        ha, _hb, h_out = self.split(h)
-        q_out, _ = weyl_mul(self.params, g_out, h_out)
-        return -(self.a @ gb) - (self.b @ ha) - int(gb @ ha) + q_out
-
-    def shifted_rows(self, s: WeylLabel) -> np.ndarray:
-        """Basis index of the window part of U_i U_s (exponents add), for every basis i."""
-        sa, sb, _ = self.split(s)
-        N = self.params.N
-        return (((self.a + sa) % N * N + (self.b + sb) % N) * self.place).sum(axis=1)
-
     def products(self, i: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Phases and indices of U_i U_k = omega**phase U_rows, for basis index arrays i and k."""
         N = self.params.N
@@ -119,8 +124,17 @@ class WindowKernel:
 
     # -- window matrices ---------------------------------------------------
 
-    def _root(self, p: np.ndarray) -> np.ndarray:
-        return self.roots[p % self.params.N]
+    def _roots_at(self, x: np.ndarray) -> np.ndarray:
+        """omega**p for p = x @ (-a; -b; 1), every basis string: (..., 2n + 1) -> (..., dim)."""
+        p = x.reshape(-1, x.shape[-1]) @ self._phase_rows
+        return self._R[p.astype(np.intp)].reshape(*x.shape[:-1], self.dim)
+
+    def _shifted(self, t: np.ndarray, dtype) -> np.ndarray:
+        """Basis index of the window part of U_i U_s, every i, for the site digits t of s."""
+        rows, *columns = (self._sums[:, t] * self.place).astype(dtype).T
+        for column in columns:
+            rows = (rows[:, None] + column).ravel()
+        return rows
 
     def _assemble(self, columns: dict[WeylLabel, np.ndarray]):
         """Matrix and per-column leak from image coefficients keyed by shift.
@@ -130,29 +144,69 @@ class WindowKernel:
         the symbolic layer drops them; shifts whose outside part is not
         the identity leave the window and add |coefficient| to the leak.
         """
-        rows, cols, vals = [], [], []
-        leak = np.zeros(self.dim)
-        every = np.arange(self.dim)
+        N, dim = self.params.N, self.dim
+        leak = np.zeros(dim)
+        kept = []
         for s, coeff in columns.items():
-            keep = np.abs(coeff) >= COEFF_TOL
-            if self.split(s)[2].is_identity():
-                rows.append(self.shifted_rows(s)[keep])
-                cols.append(every[keep])
-                vals.append(coeff[keep])
+            mod = np.abs(coeff)
+            keep = mod >= COEFF_TOL
+            sa, sb, outside = self.split(s)
+            if outside.is_identity():
+                kept.append((sa * N + sb, coeff, keep, np.count_nonzero(keep)))
             else:
-                leak += np.where(keep, np.abs(coeff), 0.0)
-        if vals:
-            rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-        return CSR.from_coo(vals, rows, cols, (self.dim, self.dim), dtype=complex), leak
+                leak += np.where(keep, mod, 0.0)
+        # COO arrays at their final size and in the CSR's index dtype: no list of
+        # pieces is held beside its concatenation, and from_coo casts nothing.
+        nnz = sum(count for *_, count in kept)
+        idx = index_dtype(max(dim, nnz))
+        rows, cols, vals = np.empty(nnz, idx), np.empty(nnz, idx), np.empty(nnz, complex)
+        every, start = np.arange(dim, dtype=idx), 0
+        for t, coeff, keep, count in kept:
+            part = slice(start, start + count)
+            rows[part], cols[part] = self._shifted(t, idx)[keep], every[keep]
+            vals[part] = coeff[keep]
+            start += count
+        return CSR.from_coo(vals, rows, cols, (dim, dim)), leak
+
+    def _digits(self, labels) -> np.ndarray:
+        """Window exponents (a, b) of k strings, as a (2, k, n) float array."""
+        ab = np.array([self.split(g)[:2] for g in labels], dtype=float)
+        return ab.reshape(len(labels), 2, len(self.sites)).transpose(1, 0, 2)
 
     def bracket(self, op: LocalOperator):
-        """Matrix and leak of y -> op y - y op on the window basis."""
-        one = WeylLabel.identity()
-        columns: dict[WeylLabel, np.ndarray] = {}
-        for g, c in op.items():
-            image = c * (self._root(self.phase(g, one)) - self._root(self.phase(one, g)))
-            columns[g] = columns.get(g, 0) + image
-        return self._assemble(columns)
+        """Matrix and leak of y -> op y - y op on the window basis.
+
+        Row g of its one block is c_g (omega**(-a.g_b) - omega**(-b.g_a)).
+        """
+        n, terms = len(self.sites), op.items()
+        labels = [g for g, _ in terms]
+        ga, gb = self._digits(labels)
+        x = np.zeros((2, len(terms), 2 * n + 1))
+        x[0, :, :n], x[1, :, n:2 * n] = gb, ga
+        coeff = np.array([c for _, c in terms], dtype=complex)
+        return self._assemble(dict(zip(labels, coeff[:, None] * np.subtract(*self._roots_at(x)))))
+
+    def _add_row(self, columns, g: WeylLabel, cg: complex, terms, ha, hb) -> None:
+        """Add the (k, dim) image block of the term pairs (g, h), h over ``terms``, by shift.
+
+        Pair (g, h) lands on the shift s with weyl_mul(g*, h) = (q, s); q_out is
+        the phase of the product of their outside parts.  At basis string i the
+        phases are -a.g*_b - b.h_a - g*_b.h_a + q_out (m* x m), -a.(g*_b + h_b) + q
+        (m* m x) and -b.(g*_a + h_a) + q (x m* m).
+        """
+        params, n = self.params, len(self.sites)
+        adj, g_star = weyl_adjoint(params, g)
+        ga, gb, g_out = self.split(g_star)
+        prods = [weyl_mul(params, g_star, h) for h, _ in terms]
+        q_out = np.array([weyl_mul(params, g_out, self.split(h)[2])[0] for h, _ in terms])
+        x = np.zeros((3, len(terms), 2 * n + 1))
+        x[0, :, :n], x[0, :, n:2 * n], x[0, :, -1] = gb, ha, q_out - ha @ gb
+        x[1, :, :n], x[1:, :, -1] = gb + hb, [q for q, _ in prods]
+        x[2, :, n:2 * n] = ga + ha
+        sandwich, left, right = self._roots_at(x)
+        coeff = np.array([cg.conjugate() * ch * params.root(adj) for _, ch in terms])
+        for (_q, s), row in zip(prods, coeff[:, None] * (sandwich - 0.5 * (left + right))):
+            columns[s] = columns.get(s, 0) + row
 
     def generator(self, members):
         """Matrix and leak of x -> sum_m m* x m - (1/2){m* m, x} on the window basis.
@@ -162,17 +216,10 @@ class WindowKernel:
         column before any sum over pairs, so a column whose string
         commutes with both terms gets an exact zero.
         """
-        one = WeylLabel.identity()
         columns: dict[WeylLabel, np.ndarray] = {}
         for m in members:
             terms = m.items()
+            ha, hb = self._digits([h for h, _ in terms])
             for g, cg in terms:
-                adj, g_star = weyl_adjoint(self.params, g)
-                for h, ch in terms:
-                    q, s = weyl_mul(self.params, g_star, h)
-                    sandwich = self._root(self.phase(g_star, h))
-                    left = self._root(self.phase(s, one) + q)
-                    right = self._root(self.phase(one, s) + q)
-                    coeff = cg.conjugate() * ch * self.params.root(adj)
-                    columns[s] = columns.get(s, 0) + coeff * (sandwich - 0.5 * (left + right))
+                self._add_row(columns, g, cg, terms, ha, hb)
         return self._assemble(columns)

@@ -376,9 +376,12 @@ def test_scanner_sees_a_second_kronecker_product_of_site_words():
 # Removed names, by class for methods and under "" for module-level
 # definitions.  The methods went when each structure map got one
 # accessor; the stepper's theta table and degree choice when one cap sized
-# its substeps; ``ExponentialVectorSpec`` had one caller, ``fock._scale``.
+# its substeps; ``ExponentialVectorSpec`` had one caller, ``fock._scale``;
+# ``WindowKernel``'s per-pair phase and shifted-row arrays when it built
+# each matrix one Kraus-term row at a time.
 REMOVED = {"Lindbladian": ("delta", "delta_list", "delta_dag_list", "members_at", "lind_zero"),
            "LocalOperator": ("__truediv__",),
+           "WindowKernel": ("phase", "shifted_rows"),
            "": ("taylor_degree", "TAYLOR_THETA", "ExponentialVectorSpec")}
 
 
@@ -624,16 +627,16 @@ def run_fresh(probe: str, *argv: str) -> str:
     return proc.stdout.strip().splitlines()[-1]
 
 
-def test_cli_import_loads_no_integrator_or_dense_linalg(import_footprint):
+def test_cli_import_loads_no_scipy_module(import_footprint):
     assert import_footprint["import"] == []
 
 
 @pytest.mark.parametrize("command", ["evolve", "flow", "lemma", "ergodicity"])
-def test_commands_load_no_integrator_or_dense_linalg(import_footprint, command):
+def test_commands_load_no_scipy_module(import_footprint, command):
     assert import_footprint[command] == []
 
 
-def test_selftest_loads_no_integrator(import_footprint):
+def test_selftest_loads_no_scipy_module(import_footprint):
     assert import_footprint["selftest"] == []
 
 

@@ -1,10 +1,12 @@
-"""Weyl kernel window matrices against per-label symbolic references.
+"""Weyl kernel window matrices against per-label and per-pair references.
 
-The references below apply the symbolic generator (``windowed_apply``,
+The per-label references apply the symbolic generator (``windowed_apply``,
 ``Lindbladian.apply``) or the structure maps to one basis label at a
 time, as the assemblers did before the kernel; the Weyl-basis matrix of
 the dense oracle's ``window_action`` (the ``weyl_matrix`` fixture) is
-compared with both.
+compared with both.  The per-pair references build each window matrix
+one term pair at a time, as the kernel did before its row blocks; the
+kernel must equal them bit for bit.
 """
 
 import numpy as np
@@ -16,9 +18,18 @@ from hypothesis import strategies as st
 import uhfflow.dense as dense
 import uhfflow.fock as fock
 import uhfflow.lindblad as lb
-from uhfflow.algebra import AlgebraParams, LocalOperator, WeylLabel, random_local, weyl_mul
+from uhfflow.algebra import (
+    COEFF_TOL,
+    AlgebraParams,
+    LocalOperator,
+    WeylLabel,
+    random_local,
+    weyl_adjoint,
+    weyl_mul,
+)
 from uhfflow.errors import SizeGuardError, WindowError
 from uhfflow.kernel import WindowKernel
+from uhfflow.sparse import CSR
 
 from conftest import to_scipy
 
@@ -97,6 +108,113 @@ def map_to_matrix(params, basis, index, allowed, fn):
                 leak[col] += abs(c)
     mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
     return mat, leak
+
+
+def per_pair_phase(kern, g, h):
+    """Integer phases p with U_g U_i U_h = omega**p U_{g+i+h}, for every basis i."""
+    _ga, gb, g_out = kern.split(g)
+    ha, _hb, h_out = kern.split(h)
+    q_out, _ = weyl_mul(kern.params, g_out, h_out)
+    return -(kern.a @ gb) - (kern.b @ ha) - int(gb @ ha) + q_out
+
+
+def per_pair_assemble(kern, columns):
+    """Matrix and leak from image coefficients keyed by shift, one shift's rows at a time."""
+    N = kern.params.N
+    rows, cols, vals = [], [], []
+    leak = np.zeros(kern.dim)
+    every = np.arange(kern.dim)
+    for s, coeff in columns.items():
+        keep = np.abs(coeff) >= COEFF_TOL
+        sa, sb, outside = kern.split(s)
+        if outside.is_identity():
+            shifted = (((kern.a + sa) % N * N + (kern.b + sb) % N) * kern.place).sum(axis=1)
+            rows.append(shifted[keep])
+            cols.append(every[keep])
+            vals.append(coeff[keep])
+        else:
+            leak += np.where(keep, np.abs(coeff), 0.0)
+    if vals:
+        rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    return CSR.from_coo(vals, rows, cols, (kern.dim, kern.dim), dtype=complex), leak
+
+
+def per_pair_generator(kern, members):
+    """``WindowKernel.generator``, one term pair's three phase arrays at a time."""
+    one = WeylLabel.identity()
+    N = kern.params.N
+    columns = {}
+    for m in members:
+        terms = m.items()
+        for g, cg in terms:
+            adj, g_star = weyl_adjoint(kern.params, g)
+            for h, ch in terms:
+                q, s = weyl_mul(kern.params, g_star, h)
+                sandwich = kern.roots[per_pair_phase(kern, g_star, h) % N]
+                left = kern.roots[(per_pair_phase(kern, s, one) + q) % N]
+                right = kern.roots[(per_pair_phase(kern, one, s) + q) % N]
+                coeff = cg.conjugate() * ch * kern.params.root(adj)
+                columns[s] = columns.get(s, 0) + coeff * (sandwich - 0.5 * (left + right))
+    return per_pair_assemble(kern, columns)
+
+
+def per_pair_bracket(kern, op):
+    """``WindowKernel.bracket``, one term at a time."""
+    one = WeylLabel.identity()
+    N = kern.params.N
+    columns = {}
+    for g, c in op.items():
+        image = c * (kern.roots[per_pair_phase(kern, g, one) % N]
+                     - kern.roots[per_pair_phase(kern, one, g) % N])
+        columns[g] = columns.get(g, 0) + image
+    return per_pair_assemble(kern, columns)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_same_matrix(got: CSR, want: CSR):
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        assert_same_bits(getattr(got, name), getattr(want, name))
+
+
+def per_pair_outputs(build):
+    """``build()`` with the kernel's generator and bracket replaced by the per-pair references."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(WindowKernel, "generator", per_pair_generator)
+        patch.setattr(WindowKernel, "bracket", per_pair_bracket)
+        return build()
+
+
+def assert_generator_matrix_is_per_pair(L, sites, closure):
+    got = lb.generator_matrix(L, sites, closure)
+    want = per_pair_outputs(lambda: lb.generator_matrix(L, sites, closure))
+    assert_same_matrix(got[0], want[0])
+    assert_same_bits(got[3], want[3])
+
+
+def assert_flow_system_is_per_pair(L, sites):
+    got = fock.build_generator_system(L, sites)
+    want = per_pair_outputs(lambda: fock.build_generator_system(L, sites))
+    assert got.noise == want.noise and got.leak.keys() == want.leak.keys()
+    assert_same_matrix(got.lhat_t, want.lhat_t)
+    for key in got.noise:
+        assert_same_matrix(got.delta_t[key], want.delta_t[key])
+        assert_same_matrix(got.delta_dag_t[key], want.delta_dag_t[key])
+    for key, leak in got.leak.items():
+        assert_same_bits(leak, want.leak[key])
+
+
+def bench_lindbladian(params, kraus, rng):
+    """One Kraus operator on the labels ``kraus`` with unit-l1 random coefficients, as the
+    benchmark draws them."""
+    coeffs = rng.normal(size=len(kraus)) + 1j * rng.normal(size=len(kraus))
+    coeffs /= np.abs(coeffs).sum()
+    text = "\n".join(f"{c.real:.17g} {c.imag:.17g} ; {lab}" for c, lab in zip(coeffs, kraus))
+    return lb.Lindbladian.single_kraus(LocalOperator.from_text(params, text))
 
 
 class TestKernelBasis:
@@ -234,10 +352,7 @@ class TestEvolveWindowShapes:
     ])
     def test_pattern_and_identity_column(self, N, sites, kraus, closure, rng):
         params = AlgebraParams(N, 1)
-        coeffs = rng.normal(size=len(kraus)) + 1j * rng.normal(size=len(kraus))
-        coeffs /= np.abs(coeffs).sum()  # unit l1, as the benchmark draws them
-        text = "\n".join(f"{c.real:.17g} {c.imag:.17g} ; {lab}" for c, lab in zip(coeffs, kraus))
-        L = lb.Lindbladian.single_kraus(LocalOperator.from_text(params, text))
+        L = bench_lindbladian(params, kraus, rng)
         mat, basis, index, _edge = lb.generator_matrix(L, sites, closure)
         mat = to_scipy(mat)
         dense_mat = mat.toarray()
@@ -312,6 +427,60 @@ class TestKernelProperties:
             u = LocalOperator.weyl(L.params, lab)
             dropped = (L.apply(u) - L.windowed_apply(u, sites, closure)).l1()
             assert abs(edge[i] - dropped) <= 1e-12
+
+
+EVOLVE_SHAPES = {
+    "n2_w5": (2, [(0,), (1,), (2,), (3,), (4,)], ["0:1,0 1:1,0", "0:0,1"]),
+    "n3_w3": (3, [(0,), (1,), (2,)], ["0:1,0 1:2,0", "0:0,1 1:0,2", "0:1,1", "1:2,1"]),
+}
+
+
+class TestRowBlocks:
+    """The kernel's row blocks add up to the per-pair sums bit for bit."""
+
+    @pytest.mark.parametrize("closure", ["interior", "clipped"])
+    @pytest.mark.parametrize("shape", EVOLVE_SHAPES)
+    def test_evolve_window_shapes(self, shape, closure, rng):
+        N, sites, kraus = EVOLVE_SHAPES[shape]
+        L = bench_lindbladian(AlgebraParams(N, 1), kraus, rng)
+        assert_generator_matrix_is_per_pair(L, sites, closure)
+
+    def test_flow_pair_window(self, p2, rng):
+        L = bench_lindbladian(p2, ["0:1,0 1:1,0", "0:0,1"], rng)
+        assert_flow_system_is_per_pair(L, [(0,), (1,), (2,), (3,)])
+
+    @PROPERTY
+    @given(windowed_generators())
+    @with_fixed_windows
+    def test_windowed_generators(self, case):
+        L, sites, closure = case
+        assert_generator_matrix_is_per_pair(L, sites, closure)
+        assert_flow_system_is_per_pair(L, sites)
+
+    @pytest.mark.parametrize("text", [
+        "0.3 -0.4 ; 0:1,2",                      # one term
+        "0.5 0.1 ; \n0.2 -0.3 ; 0:2,1 1:1,0",    # an identity term
+        "0.5 0.1 ; 0:1,1 3:2,0\n0.2 0.3 ; 1:0,1",  # a term leaving the window
+    ])
+    def test_small_members_and_brackets(self, p3, text):
+        op = LocalOperator.from_text(p3, text)
+        kern = WindowKernel(p3, [(0,), (1,)])
+        for got, want in ((kern.generator([op]), per_pair_generator(kern, [op])),
+                          (kern.generator([op, op.adjoint()]),
+                           per_pair_generator(kern, [op, op.adjoint()])),
+                          (kern.bracket(op), per_pair_bracket(kern, op))):
+            assert_same_matrix(got[0], want[0])
+            assert_same_bits(got[1], want[1])
+
+    def test_empty_members_and_zero_bracket(self, p3):
+        # The edge generator of an interior window has no members.
+        kern = WindowKernel(p3, [(0,), (1,)])
+        zero = LocalOperator(p3, {})
+        for got, want in ((kern.generator([]), per_pair_generator(kern, [])),
+                          (kern.bracket(zero), per_pair_bracket(kern, zero))):
+            assert got[0].nnz == 0 and not got[1].any()
+            assert_same_matrix(got[0], want[0])
+            assert_same_bits(got[1], want[1])
 
 
 class TestPairInitialVector:
