@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -155,9 +154,11 @@ def cmd_evolve(cfg: ExperimentConfig, report: RunReport):
     by label entries once per job, and each written label's text is
     formatted once.  ``evolve.<name>.oracle`` is the entrywise largest
     difference from the one dense oracle, ``dense.hilbert_evolve``, which
-    steps ``dense.window_action`` on the realized window matrices by its
-    own Taylor series, of a degree fixed in advance from the action's
-    norm bound, and returns its coefficients on the same window basis;
+    steps ``dense.window_action`` A on the realized window matrices by its
+    own Taylor series of A + c, shifted by the midpoint c of the spectrum
+    of K = sum_m m* m, of a degree fixed in advance from the bound
+    ||K|| + (lambda_max - lambda_min)/2 on ||A + c||, and returns its
+    coefficients on the same window basis;
     partial-state generators are also compared with the coefficients of
     the closed form ``lindblad.partial_semigroup_exact``
     (``evolve.<name>.closed_form``).  ``evolve.unitality`` is the largest
@@ -191,16 +192,15 @@ def cmd_evolve(cfg: ExperimentConfig, report: RunReport):
 
 
 def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it among the other fields of a row.
+    """A label's text as ``csv.writer`` writes it among the other fields of a row.
 
-    csv quotes a row of one empty field (``""``) to tell it from a blank
-    line, so the empty text, the identity's label, is returned as it is.
+    A label's text is empty (the identity) or holds a comma (each entry
+    is ``site:alpha,beta``), and never a quote or a line break, so csv
+    quotes exactly the nonempty texts.  It quotes a row of one empty
+    field (``""``) only to tell it from a blank line, so the empty text
+    is returned as it is.
     """
-    if not text:
-        return text
-    buf = io.StringIO()
-    csv.writer(buf).writerow([text])
-    return buf.getvalue().removesuffix(csv.excel.lineterminator)
+    return f'"{text}"' if text else text
 
 
 def _coefficient_lines(res: lindblad.EvolutionResult):
@@ -212,12 +212,14 @@ def _coefficient_lines(res: lindblad.EvolutionResult):
     is written as 0.  One string per grid time, byte for byte what
     ``csv.writer`` writes for those rows with each number as ``_f17``
     writes it: one ``%`` format per row, and each written label's text
-    formatted and quoted once.
+    formatted and quoted once.  Only the strings written at some grid
+    time are sorted by label entries.
     """
-    order = np.array(sorted(range(len(res.basis)), key=lambda i: res.basis[i].entries),
-                     dtype=np.intp)
-    keep = np.abs(res.coefficients[:, order]) >= COEFF_TOL
-    text = {i: _csv_field(res.basis[i].to_text()) for i in order[keep.any(axis=0)].tolist()}
+    large = np.abs(res.coefficients) >= COEFF_TOL
+    order = np.array(sorted(np.flatnonzero(large.any(axis=0)).tolist(),
+                            key=lambda i: res.basis[i].entries), dtype=np.intp)
+    keep = large[:, order]
+    text = {i: _csv_field(res.basis[i].to_text()) for i in order.tolist()}
     for t, row, kept, err in zip(res.grid, res.coefficients, keep, res.error_budget):
         line = "%.17g,%%s,%%.17g,%%.17g,%.6e\r\n" % (t, err)
         where = order[kept]

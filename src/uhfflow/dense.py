@@ -10,11 +10,18 @@ no arithmetic with them beyond the label definitions and the choice of
 window members.
 
 A generator is realized in one place: ``window_action`` turns the window
-members into matrices and acts by X -> sum_m m* X m - (1/2){m* m, X} on
-stacks of D x D window matrices (D = N^n), and bounds that action's
-operator norm.  It is propagated in one place too: ``_taylor_propagate``
-steps the action by a truncated Taylor series whose degree and substeps
-the bound fixes in advance.  ``hilbert_evolve`` steps one observable and
+members into matrices and acts by A(X) = Phi(X) - (1/2){K, X} on stacks
+of D x D window matrices (D = N^n), where Phi(X) = sum_m m* X m and
+K = Phi(1) = sum_m m* m.  Phi is positive, so ||Phi|| = ||Phi(1)|| = ||K||
+(Russo and Dye 1966; Paulsen, Completely Bounded Maps and Operator
+Algebras, ch. 2).  With the scalar shift c = (lambda_max + lambda_min)/2
+from K's extreme eigenvalues, A + c = Phi - (1/2){K - c, .} has norm at
+most beta = ||K|| + (lambda_max - lambda_min)/2.  It is propagated in one
+place too: ``_taylor_propagate`` steps e^{tA} = e^{-ct} e^{t(A + c)} by a
+truncated Taylor series of A + c whose degree and substeps beta fixes in
+advance; its scaled terms stay below e^{t (lambda_max - lambda_min)} times
+the initial matrix on a substep of length t, which bounds the
+cancellation.  ``hilbert_evolve`` steps one observable and
 returns the trajectory as one (T, D^2) array of Weyl coefficients in
 ``window_basis`` order (``uhfflow evolve`` and the selftest battery
 compare ``lindblad.evolve``'s coefficient array with it entrywise), and
@@ -54,10 +61,12 @@ STRING_MATRIX_CACHE_DIM = 16
 # before their batched SVD (one matrix at least).
 NORM_STACK_BYTES = 2**24
 
-# Largest norm bound theta of one Taylor substep in ``hilbert_evolve``.
-# Its terms grow to about e^theta / sqrt(2 pi theta) times the initial
-# matrix before they fall, so at 4 at most one decimal digit is lost to
-# cancellation; an uncapped substep over a long interval loses them all.
+# Largest norm bound theta = dt beta of the shifted action dt (A + c) on
+# one Taylor substep.  The scaled terms e^(-c dt) (dt (A + c))^k X / k!
+# stay below e^(dt (lambda_max - lambda_min)) <= e^(2 theta / 3) times X
+# (beta >= 3 (lambda_max - lambda_min) / 2), so at 4 at most about one
+# decimal digit is lost to cancellation; an uncapped substep over a long
+# interval loses digits in proportion to its length.
 TAYLOR_THETA_MAX = 4.0
 
 
@@ -288,41 +297,53 @@ def window_action(lindbladian, win: SiteWindow, closure_mode: str):
     only the Kraus members whose own support lies in the window, a
     genuine windowed Lindbladian; ``clipped`` keeps every member of each
     intersecting translate with its factors clipped to the window) are
-    realized as matrices; the returned map
-    sends X of shape (..., D, D) to sum_m m* X m - (1/2){K, X} with
-    K = sum_m m* m.  Its attribute ``bound`` is
-    beta = sum_m ||m||^2 + ||K||, so that ||action(X)|| <= beta ||X|| in
-    the operator norm.  Every dense evolution and Choi matrix reads this
-    one realization; no symbolic product or label arithmetic is involved.
+    realized as matrices; the returned map A sends X of shape (..., D, D)
+    to Phi(X) - (1/2){K, X}, with Phi(X) = sum_m m* X m and
+    K = Phi(1) = sum_m m* m.  Every dense evolution and Choi matrix reads
+    this one realization; no symbolic product or label arithmetic is
+    involved.
+
+    Its attributes shift the action and bound the shifted one.  Phi is
+    positive, so ||Phi|| = ||Phi(1)|| = ||K|| = lambda_max (Russo-Dye).
+    With c = (lambda_max + lambda_min)/2 from K's extreme eigenvalues,
+    A + c = Phi - (1/2){K - c, .} and ||K - c|| = (lambda_max - lambda_min)/2,
+    so ||(A + c)(X)|| <= beta ||X|| in the operator norm for ``shift`` = c
+    and ``bound`` = beta = lambda_max + (lambda_max - lambda_min)/2, which
+    is c + lambda_max - lambda_min.
     """
     D = win.dim
     M = np.array([realize(m, win)
                   for m in lindbladian.window_members(win.sites, closure_mode)]
                  ).reshape(-1, D, D)
     Md = M.conj().transpose(0, 2, 1)
-    MdM = Md @ M
-    K = MdM.sum(axis=0)
+    K = (Md @ M).sum(axis=0)
 
     def action(X: np.ndarray) -> np.ndarray:
         return (Md @ X[..., None, :, :] @ M).sum(axis=-3) - 0.5 * (K @ X + X @ K)
 
-    # Each m* m and K is positive, so its norm is its top eigenvalue.
-    action.bound = float(np.linalg.eigvalsh(MdM)[:, -1].sum() + np.linalg.eigvalsh(K)[-1])
+    # K is positive, so its norm is its top eigenvalue.
+    lo, hi = np.linalg.eigvalsh(K)[[0, -1]].tolist()
+    action.shift = (hi + lo) / 2
+    action.bound = hi + (hi - lo) / 2
     return action
 
 
-def _taylor_plan(hb: float) -> tuple[int, int]:
-    """(s, m): s substeps of degree m for a span whose action is bounded by hb.
+def _taylor_plan(hb: float, hc: float) -> tuple[int, int]:
+    """(s, m): s substeps of degree m for a span h of the action shifted by c,
+    with hb = h beta and hc = h c.
 
     s is the fewest substeps whose scale theta = hb / s is at most
     ``TAYLOR_THETA_MAX``, and m the smallest degree whose a-priori tail
-    theta^(m+1)/(m+1)! e^theta (the truncation of e^theta) is at most
-    2^-53.  While theta is below the cap a larger s lowers m too little to
-    pay for itself, so this plan makes the fewest actions s m.
+    theta^(m+1)/(m+1)! e^(theta - hc / s) is at most 2^-53: the truncation
+    of e^theta times the shift's factor e^(-c h / s), where
+    theta - c h / s = (h / s)(lambda_max - lambda_min).  While theta is
+    below the cap a larger s lowers m too little to pay for itself, so
+    this plan makes the fewest actions s m.
     """
     s = max(1, math.ceil(hb / TAYLOR_THETA_MAX))
     theta, m = hb / s, 1
-    while theta > 0 and (m + 1) * math.log(theta) - math.lgamma(m + 2) + theta > -53 * math.log(2):
+    growth = theta - hc / s
+    while theta > 0 and (m + 1) * math.log(theta) - math.lgamma(m + 2) + growth > -53 * math.log(2):
         m += 1
     return s, m
 
@@ -331,23 +352,30 @@ def _taylor_propagate(action, X: np.ndarray, times: np.ndarray) -> np.ndarray:
     """e^{t A} X at each of the ascending times t >= 0, the last positive.
 
     [0, T] is cut into s equal substeps dt of degree m (``_taylor_plan`` of
-    T ``action.bound``).  A substep's terms (dt A)^k X / k!, k <= m, sum to
-    X at its end, and a time tau dt into it is the polynomial
-    sum_k tau^k (dt A)^k X / k!, whose tail is smaller still; so the
-    actions, s m of them, do not depend on how many grid times there are.
+    T ``action.bound`` and T ``action.shift``).  A substep steps
+    e^{dt A} = e^{-c dt} e^{dt (A + c)} with c = ``action.shift``: the
+    terms (dt (A + c))^k X / k!, k <= m, times e^{-c dt} give X at its end,
+    with truncation at most 2^-53 ||X||; e^{tA} is a unital completely
+    positive contraction, so no substep amplifies an earlier one's error.
+    The scaled terms stay below e^{dt (lambda_max - lambda_min)} ||X||,
+    which bounds the cancellation.  A time tau dt into the substep is
+    e^{-c tau dt} sum_k tau^k (dt (A + c))^k X / k!, whose tail is smaller
+    still; so the actions, s m of them, do not depend on how many grid
+    times there are.
     """
     T = times[-1]
-    s, m = _taylor_plan(T * action.bound)
-    dt = T / s
+    s, m = _taylor_plan(T * action.bound, T * action.shift)
+    dt, c = T / s, action.shift
     out = np.empty((len(times),) + X.shape, dtype=complex)
     bounds = np.searchsorted(np.minimum((times / dt).astype(int), s - 1), np.arange(s + 1))
     for j in range(s):
         terms = [X]
         for k in range(1, m + 1):
-            terms.append(action(terms[-1]) * (dt / k))
+            terms.append((action(terms[-1]) + c * terms[-1]) * (dt / k))
         lo, hi = bounds[j], bounds[j + 1]
-        out[lo:hi] = np.tensordot((times[lo:hi] / dt - j)[:, None] ** np.arange(m + 1), terms, 1)
-        X = sum(terms)
+        tau = (times[lo:hi] / dt - j)[:, None]
+        out[lo:hi] = np.tensordot(np.exp(-c * dt * tau) * tau ** np.arange(m + 1), terms, 1)
+        X = math.exp(-c * dt) * sum(terms)
     return out
 
 
@@ -356,10 +384,11 @@ def hilbert_evolve(lindbladian, win: SiteWindow, closure_mode: str, t_grid,
     """e^{t L} x on the window by the Heisenberg equation on D x D matrices.
 
     x is realized as a matrix and stepped from 0 to the last grid time by
-    ``_taylor_propagate``: a Taylor series of ``window_action`` whose
-    degree and substeps its norm bound fixes in advance, so each
-    substep's truncation is below unit roundoff, and whose polynomial on
-    each substep gives the grid times inside it.  Returns the (T, D^2)
+    ``_taylor_propagate``: a Taylor series of ``window_action`` shifted by
+    a scalar, whose degree and substeps the shifted action's norm bound
+    fixes in advance, so each substep's truncation is below unit
+    roundoff, and whose polynomial on each substep gives the grid times
+    inside it.  Returns the (T, D^2)
     array of Weyl coefficients of the snapshots (``_weyl_coefficients``),
     row t in ``window_basis(win.params, win.sites)`` order; no label list
     or operator is built.  A grid that ends at 0 needs no solve.  No

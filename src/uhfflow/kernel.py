@@ -186,8 +186,9 @@ class WindowKernel:
         coeff = np.array([c for _, c in terms], dtype=complex)
         return self._assemble(dict(zip(labels, coeff[:, None] * np.subtract(*self._roots_at(x)))))
 
-    def _add_row(self, columns, g: WeylLabel, cg: complex, terms, ha, hb) -> None:
-        """Add the (k, dim) image block of the term pairs (g, h), h over ``terms``, by shift.
+    def _add_row(self, columns, g: WeylLabel, cg: complex, terms, ha, hb, combine) -> None:
+        """Add (``combine`` = ``np.add``) or subtract (``np.subtract``) the (k, dim)
+        image block of the term pairs (g, h), h over ``terms``, by shift.
 
         Pair (g, h) lands on the shift s with weyl_mul(g*, h) = (q, s); q_out is
         the phase of the product of their outside parts.  At basis string i the
@@ -206,10 +207,11 @@ class WindowKernel:
         sandwich, left, right = self._roots_at(x)
         coeff = np.array([cg.conjugate() * ch * params.root(adj) for _, ch in terms])
         for (_q, s), row in zip(prods, coeff[:, None] * (sandwich - 0.5 * (left + right))):
-            columns[s] = columns.get(s, 0) + row
+            columns[s] = combine(columns.get(s, 0), row)
 
-    def generator(self, members):
-        """Matrix and leak of x -> sum_m m* x m - (1/2){m* m, x} on the window basis.
+    def generator(self, members, negated=()):
+        """Matrix and leak of x -> sum_m m* x m - (1/2){m* m, x} on the window basis,
+        less the same sum over the ``negated`` members.
 
         For one term pair (g, h) of a member, m* x m, m* m x and x m* m
         all land on the shift -g + h; their three phases are combined per
@@ -217,9 +219,10 @@ class WindowKernel:
         commutes with both terms gets an exact zero.
         """
         columns: dict[WeylLabel, np.ndarray] = {}
-        for m in members:
-            terms = m.items()
-            ha, hb = self._digits([h for h, _ in terms])
-            for g, cg in terms:
-                self._add_row(columns, g, cg, terms, ha, hb)
+        for combine, group in ((np.add, members), (np.subtract, negated)):
+            for m in group:
+                terms = m.items()
+                ha, hb = self._digits([h for h, _ in terms])
+                for g, cg in terms:
+                    self._add_row(columns, g, cg, terms, ha, hb, combine)
         return self._assemble(columns)

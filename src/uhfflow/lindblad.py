@@ -621,16 +621,18 @@ def generator_matrix(L: Lindbladian, sites, closure_mode: str = "interior"):
     between L and L_window, so it is the column l1 of their generator
     plus its leak (``interior``, which omits them), or of their generator
     minus that of their clipped copies, plus the same leak (``clipped``,
-    whose clipped copies never leave the window).
+    whose clipped copies never leave the window): one kernel call with the
+    copies ``negated``.
     """
     kern = WindowKernel(L.params, sites)
     mat, _leak = kern.generator(L.window_members(kern.sites, closure_mode))
     edge_members = [m for _key, m, inside in L.window_translates(kern.sites) if not inside]
-    edge_mat, edge = kern.generator(edge_members)
     if closure_mode == "clipped":
         allowed = set(kern.sites)
-        edge_mat = edge_mat - kern.generator(
-            [L._clip_factors(m, allowed) for m in edge_members])[0]
+        edge_mat, edge = kern.generator(
+            edge_members, negated=[L._clip_factors(m, allowed) for m in edge_members])
+    else:
+        edge_mat, edge = kern.generator(edge_members)
     edge += edge_mat.abs_col_sums()
     return mat, kern.basis, kern.index, edge
 

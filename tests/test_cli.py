@@ -12,7 +12,7 @@ from click.testing import CliRunner
 import uhfflow.dense as dense
 import uhfflow.lindblad as lindblad
 from uhfflow.algebra import AlgebraParams, LocalOperator, WeylLabel
-from uhfflow.cli import RunReport, _coefficient_lines, cmd_evolve, main
+from uhfflow.cli import RunReport, _coefficient_lines, _csv_field, cmd_evolve, main
 
 # The benchmark's recorded verdicts; read here, never written.
 BATTERY_REFERENCE = (Path(__file__).resolve().parents[1]
@@ -187,6 +187,19 @@ def test_evolve_table_and_oracle_read_the_coefficient_arrays(bench_config, tmp_p
         oracle, = [v for v in report.verdicts if v.name == "evolve.x.oracle"]
         assert res.window_sites == cfg.window
         assert oracle.value == float(np.abs(res.coefficients - seen["oracle"]).max())
+
+
+@pytest.mark.parametrize("N,d,sites", [
+    (2, 1, [(0,), (1,), (2,), (3,), (4,)]),
+    (3, 1, [(0,), (1,), (2,)]),
+    (2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)]),
+])
+def test_label_field_is_csv_writers(N, d, sites):
+    # Every label of the window, the identity's empty text too, as
+    # csv.writer writes it among other fields.
+    for label in dense.window_basis(AlgebraParams(N, d), sites):
+        text = label.to_text()
+        assert f"0,{_csv_field(text)},1\r\n" == csv_text([["0", text, "1"]])
 
 
 def test_evolve_rows_hold_what_the_operators_hold():

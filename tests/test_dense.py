@@ -7,6 +7,7 @@ reference ``hilbert_evolve`` is checked against.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -281,19 +282,25 @@ class TestSuperoperator:
 
     @pytest.mark.parametrize("closure", ["interior", "clipped"])
     def test_bound_covers_the_action(self, p3, rng, closure):
-        # beta = sum_m ||m||^2 + ||K|| from the realized members, and
-        # ||action(X)|| <= beta ||X|| on random matrices.
+        # From K's extreme eigenvalues: shift c = (max + min)/2 and
+        # beta = ||K|| + (max - min)/2; ||action(X) + c X|| <= beta ||X|| on
+        # random matrices, and beta is never above the member-wise
+        # sum_m ||m||^2 + ||K||.
         op = random_local(p3, rng, [(0,), (1,)], n_terms=3)
         L = Lindbladian.single_kraus(op * (1.0 / op.l1()))
         win = dense.window(p3, [(0,), (1,)])
         action = dense.window_action(L, win, closure)
         M = np.array([dense.realize(m, win) for m in L.window_members(win.sites, closure)])
         K = sum(m.conj().T @ m for m in M)
-        want = sum(np.linalg.norm(m, 2) ** 2 for m in M) + np.linalg.norm(K, 2)
+        lo, hi = np.linalg.eigvalsh(K)[[0, -1]]
+        assert abs(action.shift - (hi + lo) / 2) <= 1e-12 * hi
+        want = np.linalg.norm(K, 2) + (hi - lo) / 2
         assert abs(action.bound - want) <= 1e-12 * want
+        assert action.bound <= sum(np.linalg.norm(m, 2) ** 2 for m in M) + np.linalg.norm(K, 2)
         for _ in range(20):
             X = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-            assert np.linalg.norm(action(X), 2) <= action.bound * np.linalg.norm(X, 2)
+            assert (np.linalg.norm(action(X) + action.shift * X, 2)
+                    <= action.bound * np.linalg.norm(X, 2))
 
     def test_built_without_symbolic_arithmetic(self, p2, monkeypatch):
         sx = LocalOperator.site_word(p2, (0,), 1, 0)
@@ -481,7 +488,7 @@ class TestHilbertEvolve:
                 actions.append(X.size // X.shape[-1] ** 2)
                 return action(X)
 
-            count.bound = action.bound
+            count.shift, count.bound = action.shift, action.bound
             return count
 
         monkeypatch.setattr(dense, "window_action", counted)
@@ -496,19 +503,44 @@ class TestHilbertEvolve:
         ref = pade_evolve(weyl_matrix(L, win, "clipped"), win, [0.0, t], x)
         assert max(a.sup_diff(b) for a, b in zip(got, ref)) <= 1e-11
 
-    @pytest.mark.parametrize("t", [10.0, 40.0])
+    @pytest.mark.parametrize("t", [20.0, 40.0])
     def test_an_uncapped_single_substep_fails_a_long_interval(self, p2, rng, weyl_matrix,
                                                               hilbert_operators,
                                                               monkeypatch, t):
         # Without the cap on a substep's scale the plan takes one substep
-        # of high degree, whose terms grow to about e^(t beta) before they
-        # cancel: every digit is lost.
+        # of high degree.  The action has the eigenvalue -13 and the shift
+        # is c = 6, so the terms along that eigenvector grow like e^(7 t)
+        # while the sum is scaled by e^(-6 t): about t / ln(10) digits are
+        # lost to cancellation (at t = 10 only three, still within 1e-11).
         L, win, x = self.long_interval_case(p2, rng)
         monkeypatch.setattr(dense, "TAYLOR_THETA_MAX", np.inf)
-        assert dense._taylor_plan(t * dense.window_action(L, win, "clipped").bound)[0] == 1
+        action = dense.window_action(L, win, "clipped")
+        assert dense._taylor_plan(t * action.bound, t * action.shift)[0] == 1
         got = hilbert_operators(L, win, "clipped", [t], x)[0]
         ref = pade_evolve(weyl_matrix(L, win, "clipped"), win, [t], x)[0]
         assert got.sup_diff(ref) > 1e-11
+
+    @pytest.mark.parametrize("job,actions", [("evolve_n2_w5", 48), ("evolve_n3_w3", 31)])
+    def test_plan_tail_is_below_unit_roundoff(self, bench_config, monkeypatch, job, actions):
+        # On the evolve_window benchmark configs each substep's a-priori
+        # truncation theta^(m+1)/(m+1)! e^(theta - c dt) is at most 2^-53
+        # and one degree less would not be; the oracle acts s m times.
+        cfg = bench_config("evolve_window", job)
+        win = dense.window(cfg.params, cfg.window)
+        action = dense.window_action(cfg.generator, win, cfg.closure)
+        T = cfg.t_grid[-1]
+        s, m = dense._taylor_plan(T * action.bound, T * action.shift)
+        theta, dt = T * action.bound / s, T / s
+        assert theta <= dense.TAYLOR_THETA_MAX
+
+        def tail(degree):
+            return (theta ** (degree + 1) / math.factorial(degree + 1)
+                    * math.exp(theta - action.shift * dt))
+
+        assert tail(m) <= 2.0**-53 < tail(m - 1)
+        counted = self.count_actions(monkeypatch)
+        dense.hilbert_evolve(cfg.generator, win, cfg.closure, cfg.t_grid, cfg.observables["x"])
+        assert len(counted) == s * m == actions
 
     @pytest.mark.parametrize("fine", [False, True], ids=["config_grid", "fine_grid"])
     @pytest.mark.parametrize("job", ["evolve_n2_w5", "evolve_n3_w3"])
